@@ -617,6 +617,7 @@ impl ServiceOutcome {
 }
 
 /// Per-chunk simulation result, folded on the main thread in chunk order.
+#[cfg_attr(test, derive(Clone))]
 struct ChunkResult {
     /// `frames[round]` holds the chunk's delivered wire bytes for that
     /// round (a round is an epoch plus the backoff/delay slack after the
@@ -637,6 +638,72 @@ struct ChunkResult {
     retry_attempts: u64,
     /// Reports whose retry budget expired without an ack.
     reports_unacked: u64,
+}
+
+/// Every chunk's spends and tallies, folded on the main thread in
+/// (chunk, device, epoch) order by [`fold_spends`].
+struct SpendFold {
+    /// Per window, the first charge of each `(device, epoch)` key whose
+    /// epoch falls inside it.
+    ledgers: Vec<BudgetLedger>,
+    /// Per window, the charges its ledger accepted, in record order: the
+    /// window accountant's input.
+    charges: Vec<Vec<f64>>,
+    /// FNV-1a over every fresh spend's `(device, epoch, charge bits)`,
+    /// refused duplicates included.
+    ledger_digest: u64,
+    /// Spends refused as a second charge for an already-charged key.
+    double_spends: u64,
+    excluded: Vec<u32>,
+    dropped: usize,
+    retry_attempts: u64,
+    reports_unacked: u64,
+}
+
+/// The one keyed pass over every fresh randomization: each spend goes to
+/// window `epoch / window_epochs` of `windows`, through that window
+/// ledger's keyed `record_spend`, and into the ε-spend digest.
+///
+/// A `(device, epoch)` key lands in exactly one window, so the window
+/// ledgers together refuse every duplicate a fleet-wide keyed ledger
+/// would: a retry path that re-privatized surfaces in `double_spends` as a
+/// typed `DoubleSpend`, never as silent extra accumulation. Chaos and
+/// windowing act only on delivered bytes, so the digest is the same for
+/// both drivers and every transport.
+fn fold_spends(chunks: &[ChunkResult], window_epochs: u32, windows: usize) -> SpendFold {
+    let mut fold = SpendFold {
+        ledgers: vec![BudgetLedger::new(); windows],
+        charges: vec![Vec::new(); windows],
+        ledger_digest: 0xCBF2_9CE4_8422_2325,
+        double_spends: 0,
+        excluded: Vec::new(),
+        dropped: 0,
+        retry_attempts: 0,
+        reports_unacked: 0,
+    };
+    for chunk in chunks {
+        for &(device, epoch, charge) in &chunk.spends {
+            let w = (epoch / window_epochs) as usize;
+            match fold.ledgers[w].record_spend(u64::from(device), u64::from(epoch), charge) {
+                Ok(()) => fold.charges[w].push(charge),
+                Err(_) => fold.double_spends += 1,
+            }
+            for b in device
+                .to_le_bytes()
+                .into_iter()
+                .chain(epoch.to_le_bytes())
+                .chain(charge.to_bits().to_le_bytes())
+            {
+                fold.ledger_digest ^= u64::from(b);
+                fold.ledger_digest = fold.ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        fold.excluded.extend_from_slice(&chunk.excluded);
+        fold.dropped += chunk.dropped.len();
+        fold.retry_attempts += chunk.retry_attempts;
+        fold.reports_unacked += chunk.reports_unacked;
+    }
+    fold
 }
 
 /// Delivered-frame buckets for one chunk: reordered frames are staged
@@ -820,45 +887,21 @@ impl FleetDriver {
             }
         }
 
+        // The keyed double-spend audit: one window over every epoch.
+        let SpendFold {
+            ledger_digest,
+            double_spends,
+            excluded,
+            dropped,
+            retry_attempts,
+            reports_unacked,
+            ..
+        } = fold_spends(&chunks, cfg.epochs, 1);
         let mut fleet_ledger = BudgetLedger::new();
         let mut accountant = CompositionLedger::new();
-        let mut excluded: Vec<u32> = Vec::new();
-        let mut dropped = 0usize;
-        let mut retry_attempts = 0u64;
-        let mut reports_unacked = 0u64;
-        // The keyed replay: every fresh randomization, re-recorded under
-        // its (device, epoch) key. A retry path that re-privatized would
-        // charge one key twice and surface here as a typed DoubleSpend —
-        // never as silent extra accumulation.
-        let mut keyed = BudgetLedger::new();
-        let mut double_spends = 0u64;
-        let mut ledger_digest: u64 = 0xCBF2_9CE4_8422_2325;
         for chunk in &chunks {
             fleet_ledger.merge(&chunk.ledger);
-            for &c in &chunk.charges {
-                accountant.record(c);
-            }
-            for &(device, epoch, charge) in &chunk.spends {
-                if keyed
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_err()
-                {
-                    double_spends += 1;
-                }
-                for b in device
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain(epoch.to_le_bytes())
-                    .chain(charge.to_bits().to_le_bytes())
-                {
-                    ledger_digest ^= u64::from(b);
-                    ledger_digest = ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            excluded.extend_from_slice(&chunk.excluded);
-            dropped += chunk.dropped.len();
-            retry_attempts += chunk.retry_attempts;
-            reports_unacked += chunk.reports_unacked;
+            accountant.extend(chunk.charges.iter().copied());
         }
         let audit_ok = fleet_ledger.audit(&accountant).is_ok();
         DEVICES.add(cfg.devices as u64);
@@ -927,60 +970,23 @@ impl FleetDriver {
         let chunks = self.simulate_fleet(&truth.codes_k, rr)?;
         let malformed = self.malformed_rounds();
 
-        // Global ε-spend witness and keyed double-spend audit, identical
-        // to the batch driver's: chaos and windowing act only on delivered
-        // bytes, so this digest is invariant across both.
-        let mut excluded: Vec<u32> = Vec::new();
-        let mut dropped = 0usize;
-        let mut retry_attempts = 0u64;
-        let mut reports_unacked = 0u64;
-        let mut keyed = BudgetLedger::new();
-        let mut double_spends = 0u64;
-        let mut ledger_digest: u64 = 0xCBF2_9CE4_8422_2325;
-        for chunk in &chunks {
-            for &(device, epoch, charge) in &chunk.spends {
-                if keyed
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_err()
-                {
-                    double_spends += 1;
-                }
-                for b in device
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain(epoch.to_le_bytes())
-                    .chain(charge.to_bits().to_le_bytes())
-                {
-                    ledger_digest ^= u64::from(b);
-                    ledger_digest = ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            excluded.extend_from_slice(&chunk.excluded);
-            dropped += chunk.dropped.len();
-            retry_attempts += chunk.retry_attempts;
-            reports_unacked += chunk.reports_unacked;
-        }
+        // Each window's share of the privacy ledger: the fresh spends
+        // whose epoch falls inside the window, in (chunk, device, epoch)
+        // order — the canonical order the rollup audit re-folds. The same
+        // pass is the keyed double-spend audit and the ε-spend digest.
+        let spans = window_spans(cfg.epochs, svc.window_epochs);
+        let SpendFold {
+            ledgers: mut window_ledgers,
+            charges: mut window_charges,
+            ledger_digest,
+            double_spends,
+            excluded,
+            dropped,
+            retry_attempts,
+            reports_unacked,
+        } = fold_spends(&chunks, svc.window_epochs, spans.len());
         DEVICES.add(cfg.devices as u64);
         EXCLUDED.record_always(excluded.len() as u64);
-
-        // Each window's share of the privacy ledger: the fresh spends
-        // whose epoch falls inside the window, replayed in (chunk, device,
-        // epoch) order — the canonical order the rollup audit re-folds.
-        let spans = window_spans(cfg.epochs, svc.window_epochs);
-        let mut window_ledgers: Vec<BudgetLedger> =
-            spans.iter().map(|_| BudgetLedger::new()).collect();
-        let mut window_charges: Vec<Vec<f64>> = spans.iter().map(|_| Vec::new()).collect();
-        for chunk in &chunks {
-            for &(device, epoch, charge) in &chunk.spends {
-                let w = (epoch / svc.window_epochs) as usize;
-                if window_ledgers[w]
-                    .record_spend(u64::from(device), u64::from(epoch), charge)
-                    .is_ok()
-                {
-                    window_charges[w].push(charge);
-                }
-            }
-        }
         let reports_per_window = |w: usize| {
             let (lo, hi) = spans[w];
             2 * u64::from(hi - lo) * (cfg.devices - excluded.len()) as u64
@@ -1641,6 +1647,58 @@ mod tests {
         // Truths are transport-independent.
         assert_eq!(quiet.truth_mean.to_bits(), chaotic.truth_mean.to_bits());
         assert_eq!(quiet.devices_excluded, chaotic.devices_excluded);
+    }
+
+    #[test]
+    fn planted_double_spends_are_counted_refused_and_digested() {
+        let driver = FleetDriver::new(small_cfg(200)).unwrap();
+        let truth = driver.prepare_truth().unwrap();
+        let chunks = driver
+            .simulate_fleet(&truth.codes_k, driver.model.rr().unwrap())
+            .unwrap();
+        assert!(chunks.len() >= 2 && !chunks[0].spends.is_empty());
+        let (device, epoch, first) = chunks[0].spends[0];
+        let epochs = driver.cfg.epochs;
+        // `run`'s single window, then `run_service`'s one-epoch windows.
+        for (width, windows) in [(epochs, 1), (1, epochs as usize)] {
+            let clean = fold_spends(&chunks, width, windows);
+            assert_eq!(clean.double_spends, 0);
+            // Replays `(device, epoch)` at `second`: right behind its first
+            // charge, or at the end of a later chunk.
+            let plant = |replays: &[(bool, f64)]| {
+                let mut planted = chunks.clone();
+                for &(adjacent, second) in replays {
+                    if adjacent {
+                        planted[0].spends.insert(1, (device, epoch, second));
+                    } else {
+                        planted[1].spends.push((device, epoch, second));
+                    }
+                }
+                fold_spends(&planted, width, windows)
+            };
+            assert_eq!(
+                plant(&[(true, first + 0.5), (false, first + 0.5)]).double_spends,
+                2
+            );
+            for adjacent in [true, false] {
+                let fold = plant(&[(adjacent, first + 0.5)]);
+                assert_eq!(fold.double_spends, 1, "adjacent: {adjacent}");
+                // The window ledgers keep only the first charge and still
+                // audit clean against the charges they accepted.
+                assert_eq!(fold.ledgers, clean.ledgers);
+                for (ledger, charges) in fold.ledgers.iter().zip(&fold.charges) {
+                    let mut accountant = CompositionLedger::new();
+                    accountant.extend(charges.iter().copied());
+                    ledger.audit(&accountant).unwrap();
+                }
+                // The ε-spend digest covers the refused charge too.
+                assert_ne!(fold.ledger_digest, clean.ledger_digest);
+                assert_ne!(
+                    fold.ledger_digest,
+                    plant(&[(adjacent, first + 0.25)]).ledger_digest
+                );
+            }
+        }
     }
 
     #[test]

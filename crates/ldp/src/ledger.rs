@@ -8,9 +8,28 @@
 //! order with the same `f64` additions, so a clean audit is an *exact*
 //! (bitwise) equality of per-query spends and totals — any drift, however
 //! produced, is a mismatch, not a tolerance call.
+//!
+//! # The keyed spend index
+//!
+//! [`BudgetLedger::record_spend`] also remembers every `(device, query)`
+//! key it charged, so a second fresh charge for one key is refused as a
+//! typed [`DoubleSpend`]. The index is one `Vec` of `(key, charge)` pairs
+//! kept sorted by key, 24 B per key and no hashing:
+//!
+//! - a key above the last one is appended with no lookup — the fleet
+//!   records spends in canonical (chunk, device, epoch) order, so all of its
+//!   traffic takes this path;
+//! - any other key costs a binary search, then an O(n) insert on a miss.
+//!
+//! Because the index is sorted, two ledgers holding the same keyed charges
+//! compare equal whatever order the keys arrived in.
+//!
+//! The fleet makes one keyed pass: each window's ledger indexes only the
+//! `(device, epoch)` keys whose epoch lies in that window. An epoch lies in
+//! exactly one window, so the keys partition by window, and the window
+//! ledgers refuse every duplicate a fleet-wide index would.
 
 use core::fmt;
-use std::collections::HashMap;
 
 use ulp_obs::Counter;
 
@@ -58,9 +77,10 @@ pub struct LedgerEntry {
 pub struct BudgetLedger {
     entries: Vec<LedgerEntry>,
     total: f64,
-    // Keys already charged through `record_spend`; `HashMap` equality is
-    // order-independent, so the derived `PartialEq` stays meaningful.
-    spends: HashMap<(u64, u64), f64>,
+    // Keys already charged through `record_spend`, each with its charge,
+    // sorted by key: the derived `PartialEq` is independent of arrival
+    // order.
+    spends: Vec<((u64, u64), f64)>,
 }
 
 /// A rejected second fresh-randomization charge for a `(device, query)`
@@ -189,23 +209,38 @@ impl BudgetLedger {
     /// # Panics
     ///
     /// As [`BudgetLedger::record`], for a non-finite or negative charge.
+    ///
+    /// # Cost
+    ///
+    /// An append when `(device, query)` sorts above every key charged so
+    /// far (the fleet's canonical order); otherwise a binary search, plus
+    /// an O(n) insert when the key is new.
     pub fn record_spend(
         &mut self,
         device: u64,
         query: u64,
         charge: f64,
     ) -> Result<(), DoubleSpend> {
-        if let Some(&first) = self.spends.get(&(device, query)) {
-            DOUBLE_SPENDS.record_always(1);
-            return Err(DoubleSpend {
-                device,
-                query,
-                first,
-                second: charge,
-            });
-        }
+        let key = (device, query);
+        let at = match self.spends.last() {
+            Some(&(last, _)) if last >= key => {
+                match self.spends.binary_search_by(|&(k, _)| k.cmp(&key)) {
+                    Ok(i) => {
+                        DOUBLE_SPENDS.record_always(1);
+                        return Err(DoubleSpend {
+                            device,
+                            query,
+                            first: self.spends[i].1,
+                            second: charge,
+                        });
+                    }
+                    Err(i) => i,
+                }
+            }
+            _ => self.spends.len(),
+        };
         self.record(charge);
-        self.spends.insert((device, query), charge);
+        self.spends.insert(at, (key, charge));
         Ok(())
     }
 

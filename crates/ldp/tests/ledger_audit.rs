@@ -1,11 +1,14 @@
 //! Ledger/accountant audit invariants: the append-only privacy-budget
 //! ledger must stay bitwise-consistent with the sequential-composition
 //! accountant through every path — single responses, batches, mid-batch
-//! exhaustion, and replenishment cycles.
+//! exhaustion, and replenishment cycles — and its keyed spend index must
+//! answer exactly as a hash-map reference model does, in any key order.
+
+use std::collections::HashMap;
 
 use ldp_core::{
-    BudgetController, BudgetLedger, CompositionLedger, LdpError, LimitMode, QuantizedRange,
-    SegmentTable,
+    BudgetController, BudgetLedger, CompositionLedger, DoubleSpend, LdpError, LedgerEntry,
+    LimitMode, QuantizedRange, SegmentTable,
 };
 use proptest::prelude::*;
 use ulp_rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -23,6 +26,83 @@ fn controller(budget: f64) -> (BudgetController, FxpLaplace) {
     let (cfg, range, table) = small_setup();
     let ctrl = BudgetController::new(table, range, budget).expect("valid budget");
     (ctrl, FxpLaplace::analytic(cfg))
+}
+
+/// One keyed charge: `(device, query, charge)`.
+type Spend = (u64, u64, f64);
+
+/// Devices and queries are drawn from `0..KEY_SPAN`, so generated
+/// sequences repeat keys often and every key can be probed afterwards.
+const KEY_SPAN: u64 = 6;
+
+/// A raw keyed charge: small key components and one of four charges
+/// (`0`, `¼`, `½`, `¾`), so equal charges under different keys are common.
+fn raw_spends() -> impl Strategy<Value = Vec<(u64, u64, u32)>> {
+    collection::vec((0..KEY_SPAN, 0..KEY_SPAN, 0u32..4), 0..48)
+}
+
+fn to_spend((device, query, q): (u64, u64, u32)) -> Spend {
+    (device, query, f64::from(q) / 4.0)
+}
+
+/// Orders `raw` one of four ways: ascending by key (the fleet's canonical
+/// order), descending, as drawn (shuffled), or ascending with replays
+/// planted — `(true, i)` repeats the key at `i` right behind itself,
+/// `(false, i)` repeats it after every later key.
+fn ordered(raw: &[(u64, u64, u32)], order: u8, replays: &[(bool, usize)]) -> Vec<Spend> {
+    let mut spends: Vec<Spend> = raw.iter().copied().map(to_spend).collect();
+    let by_key = |a: &Spend, b: &Spend| (a.0, a.1).cmp(&(b.0, b.1));
+    match order {
+        0 => spends.sort_by(by_key),
+        1 => spends.sort_by(|a, b| by_key(b, a)),
+        2 => {}
+        _ => {
+            spends.sort_by(by_key);
+            for &(adjacent, i) in replays {
+                if spends.is_empty() {
+                    break;
+                }
+                let at = i % spends.len();
+                let (device, query, charge) = spends[at];
+                let replay = (device, query, charge + 1.0);
+                if adjacent {
+                    spends.insert(at + 1, replay);
+                } else {
+                    spends.push(replay);
+                }
+            }
+        }
+    }
+    spends
+}
+
+/// The reference model: the hash-map index the sorted index replaced.
+#[derive(Default)]
+struct Model {
+    spends: HashMap<(u64, u64), f64>,
+    entries: Vec<LedgerEntry>,
+    total: f64,
+}
+
+impl Model {
+    fn record_spend(&mut self, device: u64, query: u64, charge: f64) -> Result<(), DoubleSpend> {
+        if let Some(&first) = self.spends.get(&(device, query)) {
+            return Err(DoubleSpend {
+                device,
+                query,
+                first,
+                second: charge,
+            });
+        }
+        self.spends.insert((device, query), charge);
+        self.total += charge;
+        self.entries.push(LedgerEntry {
+            query: self.entries.len() as u64,
+            charge,
+            total_after: self.total,
+        });
+        Ok(())
+    }
 }
 
 #[test]
@@ -168,5 +248,77 @@ proptest! {
         prop_assert_eq!(outcome.served + outcome.replayed, n as u64);
         prop_assert_eq!(ctrl.ledger().len() as u64, outcome.served);
         ctrl.audit().expect("audit clean for any exhaustion point");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn keyed_index_answers_like_a_hash_map(
+        raw in raw_spends(),
+        order in 0u8..4,
+        replays in collection::vec((any::<bool>(), 0usize..64), 0..8),
+    ) {
+        let mut ledger = BudgetLedger::new();
+        let mut model = Model::default();
+        for (device, query, charge) in ordered(&raw, order, &replays) {
+            // Every call, refusals included: the `DoubleSpend` payload
+            // must name the first charge exactly as the model does.
+            prop_assert_eq!(
+                ledger.record_spend(device, query, charge),
+                model.record_spend(device, query, charge)
+            );
+        }
+        prop_assert_eq!(ledger.entries(), &model.entries[..]);
+        prop_assert_eq!(ledger.total().to_bits(), model.total.to_bits());
+        prop_assert_eq!(ledger.spend_keys(), model.spends.len());
+        // Probe every key afterwards: the index holds exactly the model's
+        // keys, each with the charge that was accepted for it.
+        for device in 0..KEY_SPAN {
+            for query in 0..KEY_SPAN {
+                let expected = match model.spends.get(&(device, query)) {
+                    Some(&first) => Err(DoubleSpend { device, query, first, second: 2.0 }),
+                    None => Ok(()),
+                };
+                prop_assert_eq!(ledger.clone().record_spend(device, query, 2.0), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_keyed_spends_compare_equal_in_any_key_order(raw in raw_spends()) {
+        // Distinct keys only, in draw order.
+        let mut seen = HashMap::new();
+        let first: Vec<Spend> = raw
+            .iter()
+            .copied()
+            .map(to_spend)
+            .filter(|&(d, q, c)| seen.insert((d, q), c).is_none())
+            .collect();
+        // Reverse the keys within each charge class: the same keyed spends
+        // arrive in another key order, but the charge sequence is unchanged.
+        let mut second = first.clone();
+        for class in 0..4 {
+            let charge = f64::from(class) / 4.0;
+            let slots: Vec<usize> = (0..first.len()).filter(|&i| first[i].2 == charge).collect();
+            for (&to, &from) in slots.iter().zip(slots.iter().rev()) {
+                second[to] = first[from];
+            }
+        }
+        let record = |spends: &[Spend]| {
+            let mut ledger = BudgetLedger::new();
+            for &(device, query, charge) in spends {
+                ledger.record_spend(device, query, charge).expect("distinct keys");
+            }
+            ledger
+        };
+        prop_assert_eq!(record(&first), record(&second));
+        // The comparison is not vacuous: one changed key breaks it.
+        if let Some(&(device, query, charge)) = first.last() {
+            let mut moved = first.clone();
+            *moved.last_mut().unwrap() = (device + KEY_SPAN, query, charge);
+            prop_assert_ne!(record(&first), record(&moved));
+        }
     }
 }
