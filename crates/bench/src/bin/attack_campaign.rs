@@ -116,15 +116,6 @@ impl CellReport {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Draws `trials` grid outputs for each extreme input through `fill`, on
 /// independent per-(cell, side) RNG streams — thread-schedule-free.
 fn draw_sides(
@@ -541,7 +532,7 @@ fn render_json(
 ) -> String {
     let total: f64 = cells.iter().map(|c| c.seconds).sum();
     let canonical: String = cells.iter().map(|c| c.canonical() + "\n").collect();
-    let digest = fnv1a(canonical.as_bytes());
+    let digest = ulp_obs::Fnv64::hash(canonical.as_bytes());
     let any_flagged = cells.iter().any(|c| c.outcome.is_some_and(|o| o.flagged));
     let secure_certified = cells
         .iter()

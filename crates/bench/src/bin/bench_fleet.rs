@@ -3,8 +3,9 @@
 //! Sweeps the simulated DP-Box fleet across population sizes (and, at a
 //! fixed population, across collector shard counts), timing the full
 //! pipeline — device simulation, wire encoding, sharded ingest, estimation,
-//! ledger audit — and writes a machine-readable JSON report (default
-//! `BENCH_fleet.json`, schema `ulp-ldp/bench_fleet/v3`).
+//! ledger audit — as one-window [`FleetDriver::run_service`] runs, and
+//! writes a machine-readable JSON report (default `BENCH_fleet.json`,
+//! schema `ulp-ldp/bench_fleet/v4`).
 //!
 //! Each cell records:
 //!
@@ -15,9 +16,8 @@
 //! * the columnar-decode counters (`fleet.decode.batch_frames`,
 //!   `fleet.decode.fallback_chunks`) showing how much of the stream rode
 //!   the parallel fast path vs the sequential resync scanner;
-//! * the [`FleetOutcome`] determinism digest — rerunning with a different
-//!   `ULP_PAR_THREADS`, `ULP_FLEET_INGEST_PATH`, or `ULP_DEVICE_ENGINE`
-//!   must reproduce every digest bit-for-bit;
+//! * the [`ServiceOutcome`] determinism digest — rerunning with a
+//!   different `ULP_PAR_THREADS` must reproduce every digest bit-for-bit;
 //! * the accuracy gates: mean, RR frequency, and RR count must land within
 //!   `3·SE + bias_bound` of ground truth. A gate failure aborts the run —
 //!   a benchmark that quietly reports wrong estimates is worse than none.
@@ -31,8 +31,6 @@
 //!
 //! * `--smoke` — tiny populations (CI-friendly, seconds not minutes);
 //! * `--out <path>` — where to write the JSON report;
-//! * `--reference` — force the scalar reference ingest path (shorthand
-//!   for `ULP_FLEET_INGEST_PATH=reference`);
 //! * `--compare <baseline.json>` — exit non-zero if any cell present in
 //!   both reports lost more than 25% of its reports/sec;
 //! * `--metrics` — embed the process-wide [`ulp_obs`] snapshot in the JSON
@@ -52,7 +50,7 @@ use std::time::Instant;
 
 use ulp_fleet::{
     decode_counter_totals, ingest_phase_totals, render_sweep, sim_phase_ns, FleetConfig,
-    FleetDriver, FleetOutcome, FleetSweepRow, GateResult,
+    FleetDriver, FleetSweepRow, GateResult, ServiceOutcome,
 };
 use ulp_obs::MetricsLevel;
 
@@ -79,71 +77,40 @@ struct PhaseDelta {
 
 struct Cell {
     name: String,
-    devices: usize,
     shards: usize,
     epochs: u32,
     seconds: f64,
     phases: PhaseDelta,
-    outcome: FleetOutcome,
+    outcome: ServiceOutcome,
+    /// The outcome's estimates lined up against ground truth.
+    row: FleetSweepRow,
 }
 
 impl Cell {
     fn reports_per_sec(&self) -> f64 {
-        self.outcome.ingest.accepted as f64 / self.seconds.max(1e-9)
+        self.outcome.stats.accepted as f64 / self.seconds.max(1e-9)
     }
 
     /// Reports per second through one phase alone (0 when the phase was
     /// not timed, i.e. metrics below `full`).
     fn phase_rps(&self, phase_seconds: f64) -> f64 {
         if phase_seconds > 0.0 {
-            self.outcome.ingest.accepted as f64 / phase_seconds
+            self.outcome.stats.accepted as f64 / phase_seconds
         } else {
             0.0
         }
     }
-
-    /// The three gated estimators, lined up against ground truth.
-    fn gates(&self) -> [(&'static str, GateResult); 3] {
-        let o = &self.outcome;
-        let mean = o.mean.expect("populated mean estimate");
-        let freq = o.rr_frequency.expect("populated RR frequency estimate");
-        let count = o.rr_count.expect("populated RR count estimate");
-        [
-            ("mean", GateResult::new(mean, o.truth_mean)),
-            ("frequency", GateResult::new(freq, o.truth_fraction)),
-            (
-                "count",
-                GateResult::new(count, o.truth_fraction * count.n as f64),
-            ),
-        ]
-    }
-
-    fn sweep_row(&self) -> FleetSweepRow {
-        let [(_, mean), (_, frequency), (_, count)] = self.gates();
-        FleetSweepRow {
-            devices: self.devices,
-            excluded: self.outcome.devices_excluded,
-            reports: self.outcome.ingest.accepted,
-            mean,
-            frequency,
-            count,
-            variance: self
-                .outcome
-                .variance
-                .map(|v| (v, self.outcome.truth_variance)),
-            median: self.outcome.median.map(|m| (m, self.outcome.truth_median)),
-            audit_ok: self.outcome.audit_ok,
-        }
-    }
 }
 
-/// One driver run bracketed by span/counter snapshots, returning the
-/// phase attribution deltas alongside the outcome.
-fn instrumented_run(name: &str, driver: &FleetDriver) -> (FleetOutcome, PhaseDelta) {
+/// One one-window driver run bracketed by span/counter snapshots,
+/// returning the phase attribution deltas alongside the outcome.
+fn instrumented_run(name: &str, driver: &FleetDriver) -> (ServiceOutcome, PhaseDelta) {
     let sim0 = sim_phase_ns();
     let spans0 = ingest_phase_totals();
     let counters0 = decode_counter_totals();
-    let outcome = driver.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+    let outcome = driver
+        .run_service(&driver.one_window())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     let sim1 = sim_phase_ns();
     let spans1 = ingest_phase_totals();
     let counters1 = decode_counter_totals();
@@ -159,8 +126,9 @@ fn instrumented_run(name: &str, driver: &FleetDriver) -> (FleetOutcome, PhaseDel
 }
 
 fn run_cell(name: String, cfg: FleetConfig) -> Cell {
-    let (devices, shards, epochs) = (cfg.devices, cfg.shards, cfg.epochs);
+    let (shards, epochs) = (cfg.shards, cfg.epochs);
     let driver = FleetDriver::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let one_window = driver.one_window();
 
     // Phase-attribution pass, first: spans only record at `full`, so the
     // level is raised for one untimed run. Running it before the timing
@@ -180,7 +148,9 @@ fn run_cell(name: String, cfg: FleetConfig) -> Cell {
     let mut seconds = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        let run = driver.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let run = driver
+            .run_service(&one_window)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         seconds = seconds.min(start.elapsed().as_secs_f64());
         // Instrumentation must never perturb the pipeline, and reruns
         // must be bit-identical.
@@ -192,20 +162,22 @@ fn run_cell(name: String, cfg: FleetConfig) -> Cell {
         outcome = Some(run);
     }
     let outcome = outcome.expect("at least one timing pass");
+    let row = FleetSweepRow::from_outcome(&outcome)
+        .unwrap_or_else(|| panic!("{name}: no mean or RR frequency estimate"));
     let cell = Cell {
         name,
-        devices,
         shards,
         epochs,
         seconds,
         phases,
         outcome,
+        row,
     };
     eprintln!(
         "  {:<10} {seconds:>8.3}s  {:>9} reports  {:>10.0} rep/s  \
          (sim {:.3}s, decode {:.3}s, accumulate {:.3}s)  digest {:016x}",
         cell.name,
-        cell.outcome.ingest.accepted,
+        cell.outcome.stats.accepted,
         cell.reports_per_sec(),
         cell.phases.sim_s,
         cell.phases.decode_s,
@@ -217,7 +189,7 @@ fn run_cell(name: String, cfg: FleetConfig) -> Cell {
         "{}: fleet privacy ledger failed its audit",
         cell.name
     );
-    for (stat, gate) in cell.gates() {
+    for (stat, gate) in cell.row.gates() {
         assert!(
             gate.within_gate,
             "{}: {stat} estimate {:.4} vs truth {:.4} exceeds 3*SE + bias = {:.4}",
@@ -233,21 +205,17 @@ fn run_cell(name: String, cfg: FleetConfig) -> Cell {
 fn render_json(
     threads: usize,
     smoke: bool,
-    ingest_path: &str,
-    device_engine: &str,
     cells: &[Cell],
     target: Option<&Cell>,
     metrics: Option<&str>,
 ) -> String {
     let total: f64 = cells.iter().map(|c| c.seconds).sum();
-    let total_reports: u64 = cells.iter().map(|c| c.outcome.ingest.accepted).sum();
+    let total_reports: u64 = cells.iter().map(|c| c.outcome.stats.accepted).sum();
     let mut out = String::new();
     out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/bench_fleet/v3\",").unwrap();
+    writeln!(out, "  \"schema\": \"ulp-ldp/bench_fleet/v4\",").unwrap();
     writeln!(out, "  \"threads\": {threads},").unwrap();
     writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"ingest_path\": \"{ingest_path}\",").unwrap();
-    writeln!(out, "  \"device_engine\": \"{device_engine}\",").unwrap();
     writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
     writeln!(out, "  \"total_reports\": {total_reports},").unwrap();
     if let Some(c) = target {
@@ -266,7 +234,6 @@ fn render_json(
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let sep = if i + 1 < cells.len() { "," } else { "" };
-        let [(_, mean), (_, freq), (_, count)] = c.gates();
         let gate_json = |g: &GateResult| {
             format!(
                 "{{\"estimate\": {:.6}, \"truth\": {:.6}, \"abs_err\": {:.6}, \
@@ -292,12 +259,12 @@ fn render_json(
              \"digest\": \"{:016x}\", \"audit_ok\": {}, \
              \"mean\": {}, \"frequency\": {}, \"count\": {}}}{sep}",
             c.name,
-            c.devices,
+            c.row.devices,
             c.shards,
             c.epochs,
             c.seconds,
-            c.outcome.ingest.accepted,
-            c.outcome.ingest.rejected,
+            c.outcome.stats.accepted,
+            c.outcome.stats.rejected,
             c.outcome.devices_excluded,
             c.reports_per_sec(),
             c.phases.sim_s,
@@ -311,9 +278,9 @@ fn render_json(
             c.phases.fallback_chunks,
             c.outcome.digest(),
             c.outcome.audit_ok,
-            gate_json(&mean),
-            gate_json(&freq),
-            gate_json(&count),
+            gate_json(&c.row.mean),
+            gate_json(&c.row.frequency),
+            gate_json(&c.row.count),
         )
         .unwrap();
     }
@@ -341,8 +308,8 @@ fn extract_str(line: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// `(name, reports_per_sec, seconds)` for every cell line in a v1, v2,
-/// or v3 report (all carry the three keys in each cell object).
+/// `(name, reports_per_sec, seconds)` for every cell line in a v1–v4
+/// report (all carry the three keys in each cell object).
 fn parse_baseline(text: &str) -> Vec<(String, f64, f64)> {
     text.lines()
         .filter(|l| l.trim_start().starts_with("{\"name\":"))
@@ -407,11 +374,10 @@ fn main() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--reference" => std::env::set_var(ulp_fleet::INGEST_PATH_ENV, "reference"),
             "--compare" => compare_path = Some(args.next().expect("--compare needs a path")),
             other => panic!(
                 "unknown flag {other:?} (expected --smoke, --metrics, --out <path>, \
-                 --reference, or --compare <baseline.json>)"
+                 or --compare <baseline.json>)"
             ),
         }
     }
@@ -424,11 +390,9 @@ fn main() {
     // instrumented re-run per cell, whatever the ambient level.)
     let env = ldp_bench::FleetEnv::validate("bench_fleet", metrics);
     let (threads, level) = (env.threads, env.level);
-    let ingest_path = env.ingest_path_name();
-    let device_engine = env.device_engine_name();
     eprintln!(
         "bench_fleet: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \
-         {ingest_path} ingest path, {device_engine} device engine, metrics {}",
+         metrics {}",
         if smoke { "smoke" } else { "full" },
         level.name(),
     );
@@ -468,7 +432,7 @@ fn main() {
     // the matching population cell) shares one digest.
     let shard_digests: Vec<u64> = cells
         .iter()
-        .filter(|c| c.devices == shard_pop)
+        .filter(|c| c.row.devices == shard_pop)
         .map(|c| c.outcome.digest())
         .collect();
     assert!(
@@ -477,7 +441,7 @@ fn main() {
     );
 
     eprintln!("\nfleet accuracy vs ground truth:");
-    let rows: Vec<FleetSweepRow> = cells.iter().map(Cell::sweep_row).collect();
+    let rows: Vec<FleetSweepRow> = cells.iter().map(|c| c.row.clone()).collect();
     eprintln!("{}", render_sweep(&rows));
 
     // Grade the headline cell in full mode (smoke populations are too
@@ -502,15 +466,7 @@ fn main() {
     } else {
         None
     };
-    let json = render_json(
-        threads,
-        smoke,
-        ingest_path,
-        device_engine,
-        &cells,
-        target,
-        metrics_report.as_deref(),
-    );
+    let json = render_json(threads, smoke, &cells, target, metrics_report.as_deref());
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
     eprintln!("wrote {out_path}");
 

@@ -32,18 +32,7 @@ use std::time::Instant;
 
 use ldp_bench::Artifact;
 use ldp_core::SamplerPath;
-use ulp_obs::MetricsLevel;
-
-/// FNV-1a over the rendered artifact text — a stable, dependency-free
-/// fingerprint for cross-thread-count comparison.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use ulp_obs::{Fnv64, MetricsLevel};
 
 struct Timed {
     name: &'static str,
@@ -62,16 +51,18 @@ fn time_artifact(name: &'static str, f: impl FnOnce() -> Artifact) -> Timed {
     let start = Instant::now();
     let artifact = f();
     let seconds = start.elapsed().as_secs_f64();
+    // FNV-1a over the rendered artifact text: a stable fingerprint for
+    // cross-thread-count comparison.
+    let digest = Fnv64::hash(artifact.text.as_bytes());
     eprintln!(
-        "  {name:<16} {seconds:>8.3}s  {:>6} cells  digest {:016x}",
+        "  {name:<16} {seconds:>8.3}s  {:>6} cells  digest {digest:016x}",
         artifact.cells,
-        fnv1a(&artifact.text)
     );
     Timed {
         name,
         seconds,
         cells: artifact.cells,
-        digest: fnv1a(&artifact.text),
+        digest,
     }
 }
 

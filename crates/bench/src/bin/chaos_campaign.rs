@@ -18,8 +18,10 @@
 //!   seals `Degraded{coverage}` instead of panicking, and still produces
 //!   debiased estimates.
 //!
-//! Results land in a machine-readable JSON report (default
-//! `BENCH_chaos.json`).
+//! Every cell is one one-window [`FleetDriver::run_service`] run whose
+//! watermark lag covers the transport's retry and delay slack. Results
+//! land in a machine-readable JSON report (default `BENCH_chaos.json`,
+//! schema `ulp-ldp/chaos_campaign/v2`).
 //!
 //! Flags:
 //!
@@ -37,8 +39,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ulp_fleet::{
-    chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, FleetDriver, FleetOutcome,
-    GateResult, SealStatus,
+    chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, FleetDriver, FleetSweepRow,
+    GateResult, SealStatus, ServiceOutcome,
 };
 
 /// Default chaos seed when `ULP_CHAOS_SEED` is unset.
@@ -49,24 +51,9 @@ struct Cell {
     rates: [f64; 6],
     retry_budget: u32,
     seconds: f64,
-    outcome: FleetOutcome,
-}
-
-impl Cell {
-    fn gates(&self) -> [(&'static str, GateResult); 3] {
-        let o = &self.outcome;
-        let mean = o.mean.expect("populated mean estimate");
-        let freq = o.rr_frequency.expect("populated RR frequency estimate");
-        let count = o.rr_count.expect("populated RR count estimate");
-        [
-            ("mean", GateResult::new(mean, o.truth_mean)),
-            ("frequency", GateResult::new(freq, o.truth_fraction)),
-            (
-                "count",
-                GateResult::new(count, o.truth_fraction * count.n as f64),
-            ),
-        ]
-    }
+    outcome: ServiceOutcome,
+    /// The outcome's estimates lined up against ground truth.
+    row: FleetSweepRow,
 }
 
 /// Rates in flag order: drop, duplicate, reorder, corrupt, truncate, delay.
@@ -97,28 +84,34 @@ fn run_cell(
         ..base.clone()
     };
     let driver = FleetDriver::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let one_window = driver.one_window();
     let start = Instant::now();
-    let outcome = driver.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+    let outcome = driver
+        .run_service(&one_window)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     let seconds = start.elapsed().as_secs_f64();
+    let row = FleetSweepRow::from_outcome(&outcome)
+        .unwrap_or_else(|| panic!("{name}: no mean or RR frequency estimate"));
     let cell = Cell {
         name: name.to_owned(),
         rates,
         retry_budget,
         seconds,
         outcome,
+        row,
     };
     let o = &cell.outcome;
     eprintln!(
         "  {:<12} {seconds:>7.2}s  accepted {:>8}  dup {:>6}  corrupt {:>5}  resync {:>4}  \
          retries {:>6}  coverage {:.4}  seal {}",
         cell.name,
-        o.ingest.accepted,
-        o.ingest.duplicates,
-        o.ingest.corrupt_frames,
-        o.ingest.resyncs,
+        o.stats.accepted,
+        o.stats.duplicates,
+        o.stats.corrupt_frames,
+        o.stats.resyncs,
         o.retry_attempts,
-        o.seal.coverage,
-        match o.seal.status {
+        o.rollup_seal.coverage,
+        match o.rollup_seal.status {
             SealStatus::Full => "full".to_string(),
             SealStatus::Degraded { coverage } => format!("degraded({coverage:.3})"),
         },
@@ -130,7 +123,7 @@ fn run_cell(
         o.double_spends, 0,
         "{name}: retry path recorded a double-spend"
     );
-    for (stat, gate) in cell.gates() {
+    for (stat, gate) in cell.row.gates() {
         assert!(
             gate.within_gate,
             "{name}: {stat} estimate {:.4} vs truth {:.4} exceeds 3*SE + bias = {:.4} \
@@ -165,7 +158,7 @@ fn render_json(
     let zero_double_spends = cells.iter().all(|c| c.outcome.double_spends == 0);
     let mut out = String::new();
     out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/chaos_campaign/v1\",").unwrap();
+    writeln!(out, "  \"schema\": \"ulp-ldp/chaos_campaign/v2\",").unwrap();
     writeln!(out, "  \"threads\": {threads},").unwrap();
     writeln!(out, "  \"smoke\": {smoke},").unwrap();
     writeln!(out, "  \"chaos_seed\": {chaos_seed},").unwrap();
@@ -181,7 +174,6 @@ fn render_json(
     for (i, c) in cells.iter().enumerate() {
         let sep = if i + 1 < cells.len() { "," } else { "" };
         let o = &c.outcome;
-        let [(_, mean), (_, freq), (_, count)] = c.gates();
         let gate_json = |g: &GateResult| {
             format!(
                 "{{\"estimate\": {:.6}, \"truth\": {:.6}, \"abs_err\": {:.6}, \
@@ -194,7 +186,7 @@ fn render_json(
                 g.within_gate,
             )
         };
-        let seal = match o.seal.status {
+        let seal = match o.rollup_seal.status {
             SealStatus::Full => "\"full\"".to_string(),
             SealStatus::Degraded { .. } => "\"degraded\"".to_string(),
         };
@@ -221,24 +213,24 @@ fn render_json(
             c.rates[4],
             c.rates[5],
             c.seconds,
-            o.ingest.accepted,
-            o.ingest.rejected,
-            o.ingest.duplicates,
-            o.ingest.stale,
-            o.ingest.corrupt_frames,
-            o.ingest.resyncs,
-            o.ingest.quarantine_latched,
-            o.ingest.quarantine_dropped,
+            o.stats.accepted,
+            o.stats.rejected,
+            o.stats.duplicates,
+            o.stats.stale,
+            o.stats.corrupt_frames,
+            o.stats.resyncs,
+            o.stats.quarantine_latched,
+            o.stats.quarantine_dropped,
             o.retry_attempts,
             o.reports_unacked,
-            o.seal.coverage,
+            o.rollup_seal.coverage,
             o.ledger_digest,
             o.double_spends,
             o.audit_ok,
             o.digest(),
-            gate_json(&mean),
-            gate_json(&freq),
-            gate_json(&count),
+            gate_json(&c.row.mean),
+            gate_json(&c.row.frequency),
+            gate_json(&c.row.count),
         )
         .unwrap();
     }
@@ -329,9 +321,12 @@ fn main() {
     // the reference the replay-safety assertion checks against.
     let mut cells = vec![run_cell("baseline", &base, chaos_seed, [0.0; 6], 2)];
     let baseline_digest = cells[0].outcome.ledger_digest;
-    assert!(cells[0].outcome.seal.is_full(), "baseline must seal full");
-    assert_eq!(cells[0].outcome.ingest.duplicates, 0);
-    assert_eq!(cells[0].outcome.ingest.corrupt_frames, 0);
+    assert!(
+        cells[0].outcome.rollup_seal.is_full(),
+        "baseline must seal full"
+    );
+    assert_eq!(cells[0].outcome.stats.duplicates, 0);
+    assert_eq!(cells[0].outcome.stats.corrupt_frames, 0);
 
     match custom {
         Some(rates) => {
@@ -357,7 +352,7 @@ fn main() {
             }
             let blackout = cells.last().expect("blackout cell");
             assert!(
-                !blackout.outcome.seal.is_full(),
+                !blackout.outcome.rollup_seal.is_full(),
                 "a 50% bursty blackout with no retries must degrade the seal"
             );
         }

@@ -6,7 +6,7 @@
 //! live snapshot queries are served from sealed windows, and every sealed
 //! window folds into an order-canonicalized multi-epoch rollup. Results
 //! land in a machine-readable JSON report (default `BENCH_service.json`,
-//! schema `ulp-ldp/fleet_service/v1`).
+//! schema `ulp-ldp/fleet_service/v2`).
 //!
 //! Cells:
 //!
@@ -27,8 +27,8 @@
 //! zero double-spends, and every sealed window's live-snapshot mean and
 //! RR-frequency estimates land within `3·SE + bias_bound` of ground
 //! truth. Timing is best-of-3 with the service outcome digest pinned
-//! across repeats — rerunning with a different `ULP_PAR_THREADS` or
-//! `ULP_DEVICE_ENGINE` must reproduce every digest bit-for-bit.
+//! across repeats — rerunning with a different `ULP_PAR_THREADS` must
+//! reproduce every digest bit-for-bit.
 //!
 //! Flags: `--smoke` (CI-sized populations), `--out <path>`, `--metrics`
 //! (embed the process-wide [`ulp_obs`] snapshot).
@@ -43,7 +43,6 @@ use std::time::Instant;
 
 use ulp_fleet::{
     ChaosConfig, FaultClass, FleetConfig, FleetDriver, GateResult, ServiceConfig, ServiceOutcome,
-    MAX_DELAY_ROUNDS,
 };
 use ulp_obs::MetricsLevel;
 
@@ -241,8 +240,6 @@ fn run_cell(name: &str, cfg: FleetConfig, svc: ServiceConfig) -> Cell {
 fn render_json(
     threads: usize,
     smoke: bool,
-    ingest_path: &str,
-    device_engine: &str,
     cells: &[Cell],
     target: Option<&Cell>,
     metrics: Option<&str>,
@@ -250,11 +247,9 @@ fn render_json(
     let total: f64 = cells.iter().map(|c| c.seconds).sum();
     let mut out = String::new();
     out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/fleet_service/v1\",").unwrap();
+    writeln!(out, "  \"schema\": \"ulp-ldp/fleet_service/v2\",").unwrap();
     writeln!(out, "  \"threads\": {threads},").unwrap();
     writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"ingest_path\": \"{ingest_path}\",").unwrap();
-    writeln!(out, "  \"device_engine\": \"{device_engine}\",").unwrap();
     writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
     if let Some(c) = target {
         let rps = c.reports_per_sec();
@@ -360,12 +355,10 @@ fn main() {
         ServiceConfig::new(headline_w, headline_q).with_env_overrides(),
     );
     eprintln!(
-        "fleet_service: {} mode, {} worker thread(s), {} ingest path, {} device engine, \
-         metrics {}, windows of {} epoch(s), {}-frame queues",
+        "fleet_service: {} mode, {} worker thread(s), metrics {}, windows of {} epoch(s), \
+         {}-frame queues",
         if smoke { "smoke" } else { "full" },
         env.threads,
-        env.ingest_path_name(),
-        env.device_engine_name(),
         env.level.name(),
         headline_svc.window_epochs,
         headline_svc.queue_frames,
@@ -383,14 +376,14 @@ fn main() {
 
     // Chaos cell: the watermark grace covers the full backoff + delay
     // slack, so every delayed frame lands inside its window.
-    let base = FleetConfig::paper_default(chaos_devices, chaos_epochs, ldp_bench::SEED);
-    let slack = (1u32 << base.retry_budget) - 1 + MAX_DELAY_ROUNDS;
+    let chaos_fleet = FleetConfig {
+        chaos: Some(chaos_config(ldp_bench::SEED)),
+        ..FleetConfig::paper_default(chaos_devices, chaos_epochs, ldp_bench::SEED)
+    };
+    let slack = chaos_fleet.delivery_slack();
     let chaos_cell = run_cell(
         "chaos",
-        FleetConfig {
-            chaos: Some(chaos_config(ldp_bench::SEED)),
-            ..base
-        },
+        chaos_fleet,
         ServiceConfig::new(2, headline_svc.queue_frames).with_watermark_lag(slack),
     );
     assert_eq!(
@@ -446,8 +439,6 @@ fn main() {
     let json = render_json(
         env.threads,
         smoke,
-        env.ingest_path_name(),
-        env.device_engine_name(),
         &cells,
         target,
         metrics_report.as_deref(),

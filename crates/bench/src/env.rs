@@ -8,7 +8,6 @@
 //! [`FleetEnv::validate`] (or [`require_env`] for their extra knobs)
 //! instead of hand-rolling the match/exit ladder.
 
-use ulp_fleet::{DeviceEngine, IngestPath};
 use ulp_obs::MetricsLevel;
 
 /// Unwraps a strict environment parse, exiting with status 2 and a
@@ -25,25 +24,20 @@ pub fn require_env<T, E: std::fmt::Display>(bin: &str, result: Result<T, E>) -> 
     }
 }
 
-/// The fleet knobs every fleet campaign binary validates up front:
-/// `ULP_METRICS`, `ULP_PAR_THREADS`, `ULP_FLEET_INGEST_PATH`, and
-/// `ULP_DEVICE_ENGINE`.
+/// The knobs every fleet campaign binary validates up front:
+/// `ULP_METRICS` and `ULP_PAR_THREADS`.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetEnv {
     /// The resolved metrics level (already applied process-wide).
     pub level: MetricsLevel,
     /// Worker threads `ulp_par` will fan out over.
     pub threads: usize,
-    /// The collector ingest path the driver will use.
-    pub ingest_path: IngestPath,
-    /// The device engine the driver will simulate with.
-    pub device_engine: DeviceEngine,
 }
 
 impl FleetEnv {
-    /// Validates all four fleet knobs, exiting with status 2 (naming the
-    /// variable) on the first malformed value, and applies the resolved
-    /// metrics level process-wide.
+    /// Validates both knobs, exiting with status 2 (naming the variable)
+    /// on the first malformed value, and applies the resolved metrics
+    /// level process-wide.
     ///
     /// `raise_to_full` is the `--metrics` flag behavior: when set and
     /// `ULP_METRICS` is *not* in the environment, the level is raised to
@@ -60,24 +54,6 @@ impl FleetEnv {
         FleetEnv {
             level,
             threads: require_env(bin, ulp_par::try_threads()),
-            ingest_path: require_env(bin, IngestPath::from_env()),
-            device_engine: require_env(bin, DeviceEngine::from_env()),
-        }
-    }
-
-    /// The ingest path as the report-JSON string.
-    pub fn ingest_path_name(&self) -> &'static str {
-        match self.ingest_path {
-            IngestPath::Columnar => "columnar",
-            IngestPath::Reference => "reference",
-        }
-    }
-
-    /// The device engine as the report-JSON string.
-    pub fn device_engine_name(&self) -> &'static str {
-        match self.device_engine {
-            DeviceEngine::Batch => "batch",
-            DeviceEngine::Reference => "reference",
         }
     }
 }

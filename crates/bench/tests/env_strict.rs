@@ -15,20 +15,12 @@ const CASES: &[(&str, &str)] = &[
     (env!("CARGO_BIN_EXE_bench_perf"), "ULP_PAR_THREADS"),
     (env!("CARGO_BIN_EXE_bench_perf"), "ULP_SAMPLER_PATH"),
     (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_METRICS"),
-    (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_FLEET_INGEST_PATH"),
-    (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_DEVICE_ENGINE"),
+    (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_PAR_THREADS"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_CHAOS_SEED"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_PAR_THREADS"),
-    (
-        env!("CARGO_BIN_EXE_chaos_campaign"),
-        "ULP_FLEET_INGEST_PATH",
-    ),
-    (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_DEVICE_ENGINE"),
     (env!("CARGO_BIN_EXE_fleet_service"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_fleet_service"), "ULP_PAR_THREADS"),
-    (env!("CARGO_BIN_EXE_fleet_service"), "ULP_FLEET_INGEST_PATH"),
-    (env!("CARGO_BIN_EXE_fleet_service"), "ULP_DEVICE_ENGINE"),
     (
         env!("CARGO_BIN_EXE_fleet_service"),
         "ULP_SERVICE_WINDOW_EPOCHS",
@@ -48,8 +40,6 @@ const ALL_VARS: &[&str] = &[
     "ULP_METRICS",
     "ULP_PAR_THREADS",
     "ULP_SAMPLER_PATH",
-    "ULP_FLEET_INGEST_PATH",
-    "ULP_DEVICE_ENGINE",
     "ULP_CHAOS_SEED",
     "ULP_ATTACK_SEED",
     "ULP_SERVICE_WINDOW_EPOCHS",
@@ -137,7 +127,7 @@ fn valid_service_overrides_are_applied() {
         String::from_utf8_lossy(&output.stderr)
     );
     let json = std::fs::read_to_string(&out_file).expect("report written");
-    assert!(json.contains("\"schema\": \"ulp-ldp/fleet_service/v1\""));
+    assert!(json.contains("\"schema\": \"ulp-ldp/fleet_service/v2\""));
     assert!(
         json.contains("\"name\": \"stream\", \"devices\": 2000, \"epochs\": 8, \"window_epochs\": 4, \"queue_frames\": 8192"),
         "ULP_SERVICE_* must win for the stream cell"

@@ -50,7 +50,7 @@
 
 use std::collections::HashMap;
 
-use ulp_obs::{parse_env, Counter, EnvError, Histogram, SpanTimer};
+use ulp_obs::{Counter, Fnv64, Histogram, SpanTimer};
 
 use crate::sketch::GridSketch;
 use crate::wire::{decode_stream, ColumnarBatch, Payload, Report, WireError, FRAME_LEN};
@@ -351,13 +351,12 @@ const DEDUP_BLOCK: u32 = 64;
 /// Attributable protocol violations before a sender is latched out.
 pub const DEFAULT_QUARANTINE_STRIKES: u32 = 3;
 
-/// Environment variable selecting the collector ingest path.
-pub const INGEST_PATH_ENV: &str = "ULP_FLEET_INGEST_PATH";
-
 /// Which ingest implementation [`Collector::ingest_frames`] runs. The two
 /// paths produce **byte-identical** totals, stats, and digests for every
-/// input — the reference path exists for differential testing, the
-/// columnar path for throughput.
+/// input — the columnar path is the pipeline; the reference path is an
+/// in-process differential-test oracle, selected only through
+/// [`Collector::with_ingest_path`] (or the driver's
+/// [`crate::FleetDriver::with_ingest_path`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestPath {
     /// Columnar batch pipeline (the default): parallel struct-of-arrays
@@ -368,45 +367,6 @@ pub enum IngestPath {
     /// The scalar pipeline: per-frame decode (parallel only when the whole
     /// batch is clean), then every shard filter-scans the full item list.
     Reference,
-}
-
-impl IngestPath {
-    /// Parses a raw value: `columnar` or `reference` (case-insensitive).
-    /// `None` (unset) selects [`IngestPath::Columnar`] — the documented
-    /// default.
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] for anything else — a misspelling must never silently
-    /// select a path (the `ULP_SAMPLER_PATH` strictness rule).
-    pub fn parse(raw: Option<&str>) -> Result<Self, EnvError> {
-        let Some(raw) = raw else {
-            return Ok(IngestPath::Columnar);
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "columnar" => Ok(IngestPath::Columnar),
-            "reference" => Ok(IngestPath::Reference),
-            _ => Err(EnvError {
-                var: INGEST_PATH_ENV,
-                value: raw.to_string(),
-                expected: "columnar | reference",
-            }),
-        }
-    }
-
-    /// Reads the path from [`INGEST_PATH_ENV`] (unset selects
-    /// [`IngestPath::Columnar`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] on a set-but-unrecognized value — never a silent
-    /// fallback.
-    pub fn from_env() -> Result<Self, EnvError> {
-        Ok(parse_env(INGEST_PATH_ENV, "columnar | reference", |s| {
-            IngestPath::parse(Some(s)).ok()
-        })?
-        .unwrap_or_default())
-    }
 }
 
 /// What the dedup window decided about a report.
@@ -601,13 +561,9 @@ pub struct Collector {
 
 /// FNV-1a of the device id — the shard assignment hash. A property of the
 /// report alone, so the shard partition is independent of thread schedule.
+#[inline]
 fn device_hash(device: u32) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in device.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fnv64::hash(&device.to_le_bytes())
 }
 
 impl Collector {
@@ -1553,21 +1509,5 @@ mod tests {
         let mut c = Collector::new(1, &[NUMERIC]);
         c.ingest_frames(&frames(&[value(1, 2)]));
         let _ = c.with_device_capacity(16);
-    }
-
-    #[test]
-    fn ingest_path_parses_strictly() {
-        assert_eq!(IngestPath::parse(None), Ok(IngestPath::Columnar));
-        assert_eq!(
-            IngestPath::parse(Some("columnar")),
-            Ok(IngestPath::Columnar)
-        );
-        assert_eq!(
-            IngestPath::parse(Some(" Reference ")),
-            Ok(IngestPath::Reference)
-        );
-        let err = IngestPath::parse(Some("fast")).unwrap_err();
-        assert_eq!(err.var, INGEST_PATH_ENV);
-        assert_eq!(err.expected, "columnar | reference");
     }
 }

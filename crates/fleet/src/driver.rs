@@ -9,11 +9,15 @@
 //!    power-on URNG self-test first so devices with degraded bit sources
 //!    fail safe *before emitting a single report* (a value-independent
 //!    exclusion, hence unbiased);
-//! 3. streams epochs of wire-encoded reports through a sharded
-//!    [`Collector`];
-//! 4. folds every device's budget ledger into one auditable fleet ledger;
-//! 5. returns debiased estimates next to the included-population ground
-//!    truth.
+//! 3. streams epochs of wire-encoded reports through a [`FleetService`]
+//!    over a sharded [`Collector`], sealing epoch windows as the watermark
+//!    passes — one window over every epoch ([`FleetDriver::one_window`])
+//!    is the whole run as a single batch;
+//! 4. charges every fresh randomization once, from each chunk's one spend
+//!    log, into its window's keyed ledger (the double-spend audit and the
+//!    ε-spend digest);
+//! 5. returns debiased per-window and rollup estimates next to the
+//!    included-population ground truth.
 //!
 //! # Determinism
 //!
@@ -29,10 +33,10 @@ use dp_box::{
     Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthConfig,
     LaneOutcome, Phase,
 };
-use ldp_core::{BudgetLedger, CompositionLedger, LdpError, RandomizedResponse};
+use ldp_core::{BudgetLedger, LdpError, RandomizedResponse};
 use ldp_datasets::DatasetSpec;
 use ldp_eval::GroundTruth;
-use ulp_obs::{parse_env, Counter, EnvError, SpanTimer};
+use ulp_obs::{Counter, Fnv64, SpanTimer};
 use ulp_rng::{stream_seed, CorrelatedBits, RandomBits, Taus88};
 
 use crate::chaos::{ChaosConfig, DeviceChaos, MAX_DELAY_ROUNDS};
@@ -62,14 +66,12 @@ pub fn sim_phase_ns() -> u64 {
     SIM_SPAN.total_ns()
 }
 
-/// Environment variable selecting the per-device simulation engine.
-pub const DEVICE_ENGINE_ENV: &str = "ULP_DEVICE_ENGINE";
-
-/// Which engine [`FleetDriver::run`] simulates devices with. The two
-/// engines produce **bit-identical** outcomes, ledgers, and digests for
-/// every configuration — the reference engine steps one [`DpBox`] FSM per
-/// device and exists for differential testing; the batch engine advances a
-/// [`DeviceArray`] per chunk for throughput.
+/// Which engine [`FleetDriver::run_service`] simulates devices with. The
+/// two engines produce **bit-identical** outcomes, spend logs, and digests
+/// for every configuration — the batch engine advances a [`DeviceArray`]
+/// per chunk and is the pipeline; the reference engine steps one [`DpBox`]
+/// FSM per device and is an in-process differential-test oracle, selected
+/// only through [`FleetDriver::with_engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeviceEngine {
     /// Struct-of-arrays lockstep simulation (the default): one
@@ -78,45 +80,6 @@ pub enum DeviceEngine {
     Batch,
     /// One full [`DpBox`] FSM per device.
     Reference,
-}
-
-impl DeviceEngine {
-    /// Parses a raw value: `batch` or `reference` (case-insensitive).
-    /// `None` (unset) selects [`DeviceEngine::Batch`] — the documented
-    /// default.
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] for anything else — a misspelling must never silently
-    /// select an engine (the `ULP_SAMPLER_PATH` strictness rule).
-    pub fn parse(raw: Option<&str>) -> Result<Self, EnvError> {
-        let Some(raw) = raw else {
-            return Ok(DeviceEngine::Batch);
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "batch" => Ok(DeviceEngine::Batch),
-            "reference" => Ok(DeviceEngine::Reference),
-            _ => Err(EnvError {
-                var: DEVICE_ENGINE_ENV,
-                value: raw.to_string(),
-                expected: "batch | reference",
-            }),
-        }
-    }
-
-    /// Reads the engine from [`DEVICE_ENGINE_ENV`] (unset selects
-    /// [`DeviceEngine::Batch`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] on a set-but-unrecognized value — never a silent
-    /// fallback.
-    pub fn from_env() -> Result<Self, EnvError> {
-        Ok(parse_env(DEVICE_ENGINE_ENV, "batch | reference", |s| {
-            DeviceEngine::parse(Some(s)).ok()
-        })?
-        .unwrap_or_default())
-    }
 }
 
 /// Wire query id carrying fixed-point noised values.
@@ -165,9 +128,6 @@ pub struct FleetConfig {
     /// the first send), under exponential backoff. Retries replay the
     /// *cached* report bytes verbatim — never a fresh randomization.
     pub retry_budget: u32,
-    /// Coverage threshold below which the run's seal is marked
-    /// [`SealStatus::Degraded`].
-    pub quorum: f64,
     /// Planted adversarial senders (ids above the population) emitting
     /// checksum-valid frames for an unregistered query every epoch — the
     /// quarantine latch must catch them.
@@ -195,8 +155,21 @@ impl FleetConfig {
             multiples: vec![1.5, 2.0, 2.5, 3.0],
             chaos: None,
             retry_budget: 2,
-            quorum: 0.9,
             malformed_senders: 0,
+        }
+    }
+
+    /// Delivery rounds past the last epoch that its retries and delays can
+    /// reach: under chaos, the full exponential backoff of a report's
+    /// last retransmission plus the longest delivery delay; none on a
+    /// perfect wire. A watermark lag this long marks nothing `late`.
+    /// Assumes a retry budget of at most 6, as [`FleetDriver::new`]
+    /// enforces.
+    pub fn delivery_slack(&self) -> u32 {
+        if self.chaos.is_some() {
+            (1u32 << self.retry_budget) - 1 + MAX_DELAY_ROUNDS
+        } else {
+            0
         }
     }
 }
@@ -261,156 +234,6 @@ impl RandomBits for FleetUrng {
     }
 }
 
-/// Everything one fleet run produces.
-#[derive(Debug, Clone)]
-pub struct FleetOutcome {
-    /// Devices booted (the configured population).
-    pub devices_simulated: usize,
-    /// Devices the power-on URNG self-test excluded before any report.
-    pub devices_excluded: usize,
-    /// Devices that stopped reporting mid-stream (budget exhaustion or a
-    /// runtime health trip — expected 0 under the default configuration).
-    pub devices_dropped: usize,
-    /// Collector ingest totals over the whole run.
-    pub ingest: IngestStats,
-    /// Debiased population-mean estimate, in ADC codes.
-    pub mean: Option<Estimate>,
-    /// Debiased population-variance estimate, in codes².
-    pub variance: Option<Estimate>,
-    /// Report-distribution median, in codes.
-    pub median: Option<Estimate>,
-    /// Debiased fraction of devices at or above the RR threshold.
-    pub rr_frequency: Option<Estimate>,
-    /// Debiased count of devices at or above the RR threshold.
-    pub rr_count: Option<Estimate>,
-    /// True mean (codes) over the *included* devices.
-    pub truth_mean: f64,
-    /// True variance (codes², biased `/n`) over the included devices.
-    pub truth_variance: f64,
-    /// True median (codes) over the included devices.
-    pub truth_median: f64,
-    /// True fraction of included devices at or above the RR threshold.
-    pub truth_fraction: f64,
-    /// Total privacy loss recorded across the fleet ledger, in nats.
-    pub ledger_total: f64,
-    /// Charges recorded in the fleet ledger (one per fresh device output).
-    pub ledger_entries: usize,
-    /// Whether the merged fleet ledger audits clean against the
-    /// independently folded composition accountant.
-    pub audit_ok: bool,
-    /// FNV-1a digest over every `(device, epoch, charge)` fresh-spend
-    /// record, in device order. Chaos acts only on cached frame bytes, so
-    /// this digest is **bitwise identical with and without transport
-    /// faults** — the retry-path ε-spend witness.
-    pub ledger_digest: u64,
-    /// `(device, epoch)` keys that recorded two fresh-randomization
-    /// charges (expected 0: retries replay cached bytes, never
-    /// re-randomize).
-    pub double_spends: u64,
-    /// Retransmissions attempted fleet-wide (beyond each first send).
-    pub retry_attempts: u64,
-    /// Reports whose retry budget ran out without an ack (the report may
-    /// still have been delivered — only the confirmation was lost).
-    pub reports_unacked: u64,
-    /// Coverage seal over the whole run (expected vs accepted reports,
-    /// graded against the configured quorum).
-    pub seal: EpochSeal,
-    /// Senders the collector latched into quarantine, ascending.
-    pub quarantined: Vec<u32>,
-    /// The thresholding window bound `n_th` (codes) the devices ran with.
-    pub n_th_k: i64,
-}
-
-impl FleetOutcome {
-    /// Canonical rendering of every schedule-independent field — the text
-    /// the determinism digest is computed over. Exact float bits are
-    /// rendered via [`f64::to_bits`] so "close" never passes for "equal".
-    pub fn canonical_text(&self) -> String {
-        fn est(e: &Option<Estimate>) -> String {
-            match e {
-                None => "none".to_string(),
-                Some(e) => format!(
-                    "{:016x}:{:016x}:{}:{:016x}",
-                    e.value.to_bits(),
-                    e.stderr.to_bits(),
-                    e.n,
-                    e.bias_bound.to_bits()
-                ),
-            }
-        }
-        let seal = match self.seal.status {
-            SealStatus::Full => "full".to_string(),
-            SealStatus::Degraded { coverage } => format!("degraded:{:016x}", coverage.to_bits()),
-        };
-        let quarantined = {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-            for d in &self.quarantined {
-                for b in d.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-            }
-            h
-        };
-        format!(
-            "devices={} excluded={} dropped={} accepted={} rejected={}\n\
-             duplicates={} stale={} corrupt_frames={} resyncs={} \
-             quarantine_dropped={} quarantine_latched={}\n\
-             mean={} variance={} median={} rr_frequency={} rr_count={}\n\
-             truth_mean={:016x} truth_variance={:016x} truth_median={:016x} truth_fraction={:016x}\n\
-             ledger_total={:016x} ledger_entries={} audit_ok={} ledger_digest={:016x} \
-             double_spends={}\n\
-             retry_attempts={} reports_unacked={} seal={} seal_expected={} seal_accepted={} \
-             quarantined={}:{:016x} n_th_k={}\n",
-            self.devices_simulated,
-            self.devices_excluded,
-            self.devices_dropped,
-            self.ingest.accepted,
-            self.ingest.rejected,
-            self.ingest.duplicates,
-            self.ingest.stale,
-            self.ingest.corrupt_frames,
-            self.ingest.resyncs,
-            self.ingest.quarantine_dropped,
-            self.ingest.quarantine_latched,
-            est(&self.mean),
-            est(&self.variance),
-            est(&self.median),
-            est(&self.rr_frequency),
-            est(&self.rr_count),
-            self.truth_mean.to_bits(),
-            self.truth_variance.to_bits(),
-            self.truth_median.to_bits(),
-            self.truth_fraction.to_bits(),
-            self.ledger_total.to_bits(),
-            self.ledger_entries,
-            self.audit_ok,
-            self.ledger_digest,
-            self.double_spends,
-            self.retry_attempts,
-            self.reports_unacked,
-            seal,
-            self.seal.expected,
-            self.seal.accepted,
-            self.quarantined.len(),
-            quarantined,
-            self.n_th_k,
-        )
-    }
-
-    /// FNV-1a 64-bit digest of [`FleetOutcome::canonical_text`]: equal
-    /// digests witness bit-identical outcomes across thread counts, shard
-    /// counts, and chunk sizes.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical_text().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-}
-
 /// Ground-truth population statistics over the included devices.
 struct Truths {
     mean: f64,
@@ -419,11 +242,12 @@ struct Truths {
     fraction: f64,
 }
 
-/// What one [`FleetDriver::run_service`] streaming run produced: the
-/// per-window seals and digests, the live snapshot served at end of run,
-/// the multi-epoch rollup, and the fleet-wide audits — everything
+/// What one [`FleetDriver::run_service`] run produced: the per-window
+/// seals and digests, the live snapshot served at end of run, the
+/// multi-epoch rollup, and the fleet-wide audits — everything
 /// schedule-independent, plus wall-clock seal timings kept strictly
-/// outside the digest.
+/// outside the digest. Under [`FleetDriver::one_window`] the rollup is the
+/// whole run's batch result.
 #[derive(Debug, Clone)]
 pub struct ServiceOutcome {
     /// Devices booted (the configured population).
@@ -468,8 +292,10 @@ pub struct ServiceOutcome {
     /// Largest staged frame count any single drain folded.
     pub max_drain_frames: usize,
     /// FNV-1a digest over every `(device, epoch, charge)` fresh-spend
-    /// record — bitwise identical to the batch driver's for the same
-    /// configuration, windowed or not.
+    /// record, in (chunk, device, epoch) order. Chaos acts only on cached
+    /// frame bytes and windows only split the log, so this digest is
+    /// **bitwise identical with and without transport faults, at every
+    /// window width** — the retry-path ε-spend witness.
     pub ledger_digest: u64,
     /// `(device, epoch)` keys that recorded two fresh-randomization
     /// charges (expected 0).
@@ -561,14 +387,11 @@ impl ServiceOutcome {
             self.audit_ok,
         ));
         let quarantined = {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+            let mut h = Fnv64::new();
             for d in &self.quarantined {
-                for b in d.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
+                h.write(&d.to_le_bytes());
             }
-            h
+            h.finish()
         };
         out.push_str(&format!(
             "accepted={} rejected={} duplicates={} stale={} late={} corrupt_frames={} \
@@ -604,15 +427,10 @@ impl ServiceOutcome {
     }
 
     /// FNV-1a 64-bit digest of [`ServiceOutcome::canonical_text`]: equal
-    /// digests witness bit-identical service runs across thread counts
-    /// and device engines.
+    /// digests witness bit-identical runs across thread counts, shard
+    /// counts, device engines, and ingest paths.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical_text().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        Fnv64::hash(self.canonical_text().as_bytes())
     }
 }
 
@@ -623,12 +441,9 @@ struct ChunkResult {
     /// round (a round is an epoch plus the backoff/delay slack after the
     /// last epoch).
     frames: Vec<Vec<u8>>,
-    /// The chunk's device ledgers, merged in device order.
-    ledger: BudgetLedger,
-    /// Every charge in `ledger`, in record order (for the accountant fold).
-    charges: Vec<f64>,
-    /// Every fresh randomization as `(device, epoch, charge)`, in device
-    /// order — the keyed double-spend audit and ε-spend digest input.
+    /// The chunk's one spend log: every fresh randomization as
+    /// `(device, epoch, charge)`, in device order — the input of the keyed
+    /// double-spend audit, the window ledgers, and the ε-spend digest.
     /// Chaos never touches this: it is produced by the device simulation
     /// alone.
     spends: Vec<(u32, u32, f64)>,
@@ -669,12 +484,13 @@ struct SpendFold {
 /// would: a retry path that re-privatized surfaces in `double_spends` as a
 /// typed `DoubleSpend`, never as silent extra accumulation. Chaos and
 /// windowing act only on delivered bytes, so the digest is the same for
-/// both drivers and every transport.
+/// every window width and transport.
 fn fold_spends(chunks: &[ChunkResult], window_epochs: u32, windows: usize) -> SpendFold {
+    let mut digest = Fnv64::new();
     let mut fold = SpendFold {
         ledgers: vec![BudgetLedger::new(); windows],
         charges: vec![Vec::new(); windows],
-        ledger_digest: 0xCBF2_9CE4_8422_2325,
+        ledger_digest: 0,
         double_spends: 0,
         excluded: Vec::new(),
         dropped: 0,
@@ -688,21 +504,16 @@ fn fold_spends(chunks: &[ChunkResult], window_epochs: u32, windows: usize) -> Sp
                 Ok(()) => fold.charges[w].push(charge),
                 Err(_) => fold.double_spends += 1,
             }
-            for b in device
-                .to_le_bytes()
-                .into_iter()
-                .chain(epoch.to_le_bytes())
-                .chain(charge.to_bits().to_le_bytes())
-            {
-                fold.ledger_digest ^= u64::from(b);
-                fold.ledger_digest = fold.ledger_digest.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            digest.write(&device.to_le_bytes());
+            digest.write(&epoch.to_le_bytes());
+            digest.write(&charge.to_bits().to_le_bytes());
         }
         fold.excluded.extend_from_slice(&chunk.excluded);
         fold.dropped += chunk.dropped.len();
         fold.retry_attempts += chunk.retry_attempts;
         fold.reports_unacked += chunk.reports_unacked;
     }
+    fold.ledger_digest = digest.finish();
     fold
 }
 
@@ -751,17 +562,11 @@ pub struct FleetDriver {
     cfg: FleetConfig,
     model: NoiseModel,
     max_code: i64,
-    /// Device-side simulation engine, from `ULP_DEVICE_ENGINE`:
-    /// [`DeviceEngine::Batch`] (default) advances one [`DeviceArray`] per
-    /// chunk in lockstep; [`DeviceEngine::Reference`] steps a full
-    /// [`DpBox`] FSM per device. The two engines are bit-identical — every
-    /// RNG stream, report byte, ledger entry, and digest matches — so the
-    /// choice is purely a throughput/differential-testing knob.
+    /// Device-side simulation engine: [`DeviceEngine::Batch`] unless a
+    /// differential test selects the reference oracle.
     engine: DeviceEngine,
-    /// Collector-side ingest pipeline, from `ULP_FLEET_INGEST_PATH`:
-    /// [`IngestPath::Columnar`] (default) or [`IngestPath::Reference`].
-    /// Unlike the sampler path, the two ingest paths are byte-identical —
-    /// totals, digests, and the ledger do not depend on this choice.
+    /// Collector-side ingest pipeline: [`IngestPath::Columnar`] unless a
+    /// differential test selects the reference oracle.
     ingest_path: IngestPath,
 }
 
@@ -799,9 +604,6 @@ impl FleetDriver {
         if cfg.retry_budget > 6 {
             return Err(FleetError::Config("retry budget must be at most 6"));
         }
-        if !(cfg.quorum.is_finite() && (0.0..=1.0).contains(&cfg.quorum)) {
-            return Err(FleetError::Config("quorum must be in [0, 1]"));
-        }
         if let Some(chaos) = &cfg.chaos {
             chaos
                 .validate()
@@ -819,27 +621,38 @@ impl FleetDriver {
             max_code,
             &cfg.multiples,
         )?;
-        let engine = DeviceEngine::from_env().map_err(LdpError::from)?;
-        let ingest_path = IngestPath::from_env().map_err(LdpError::from)?;
         Ok(FleetDriver {
             cfg,
             model,
             max_code,
-            engine,
-            ingest_path,
+            engine: DeviceEngine::default(),
+            ingest_path: IngestPath::default(),
         })
     }
 
-    /// Overrides the environment-selected device engine (differential-test
-    /// and benchmark hook).
+    /// Overrides the device engine (differential-test hook: the reference
+    /// engine must reproduce the batch engine bit for bit).
     pub fn with_engine(mut self, engine: DeviceEngine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// The device engine this driver simulates with.
-    pub fn engine(&self) -> DeviceEngine {
-        self.engine
+    /// Overrides the collector ingest path (differential-test hook: the
+    /// reference path must reproduce the columnar path bit for bit).
+    pub fn with_ingest_path(mut self, path: IngestPath) -> Self {
+        self.ingest_path = path;
+        self
+    }
+
+    /// The service configuration that runs the whole fleet as one batch:
+    /// one window over every epoch, sealed only after the last delivery
+    /// round (the watermark lag covers [`FleetConfig::delivery_slack`], so
+    /// nothing is `late`), behind queues no run can fill (`offer` never
+    /// refuses, so every round's bytes reach the collector in one drain at
+    /// the seal).
+    pub fn one_window(&self) -> ServiceConfig {
+        ServiceConfig::new(self.cfg.epochs, usize::MAX)
+            .with_watermark_lag(self.cfg.delivery_slack())
     }
 
     /// The collector-side noise model (estimators, window, RR mechanism).
@@ -847,7 +660,20 @@ impl FleetDriver {
         &self.model
     }
 
-    /// Runs the full simulation: boot, stream, collect, estimate, audit.
+    /// Runs the full simulation — boot, stream, collect, estimate, audit —
+    /// through the streaming service: the deterministic device traffic is
+    /// offered round-by-round to a [`FleetService`] (one ingest lane per
+    /// simulation chunk plus one for the planted malformed senders),
+    /// windows seal as the watermark passes, live snapshots are served
+    /// from sealed windows, and every sealed window folds into an
+    /// order-canonicalized rollup. [`FleetDriver::one_window`] makes the
+    /// run a single batch.
+    ///
+    /// Backpressure follows the service contract: a [`crate::Busy`]
+    /// refusal triggers a drain and a same-round retry of the *same*
+    /// bytes, so no admitted report is ever dropped and the outcome stays
+    /// a pure function of the configuration — bit-identical at any thread
+    /// or shard count, with either device engine and either ingest path.
     ///
     /// # Errors
     ///
@@ -855,114 +681,6 @@ impl FleetDriver {
     /// excluded by the self-test or dropped mid-stream are *not* errors —
     /// they are the fail-safe path working as designed, and are reported in
     /// the outcome.
-    pub fn run(&self) -> Result<FleetOutcome, FleetError> {
-        let cfg = &self.cfg;
-        let truth = self.prepare_truth()?;
-        let rr = self.model.rr()?;
-        let chunks = self.simulate_fleet(&truth.codes_k, rr)?;
-
-        // Stream epochs through the collector, fold ledgers chunk-major.
-        let mut collector = self.fresh_collector();
-        let malformed = self.malformed_rounds();
-
-        // One concatenated batch per round (chunk order, malformed senders
-        // last): the round's whole traffic reaches the collector as a
-        // single stream, so the batch decoder sees realistic fan-in instead
-        // of per-chunk slivers. Concatenation order is schedule-independent,
-        // so determinism is unchanged.
-        let rounds = self.rounds();
-        let mut ingest = IngestStats::default();
-        let mut round_bytes = Vec::new();
-        for round in 0..rounds {
-            let _span = EPOCH_SPAN.enter();
-            round_bytes.clear();
-            for chunk in &chunks {
-                round_bytes.extend_from_slice(&chunk.frames[round]);
-            }
-            if let Some(bytes) = malformed.get(round) {
-                round_bytes.extend_from_slice(bytes);
-            }
-            if !round_bytes.is_empty() {
-                ingest.absorb(collector.ingest_frames(&round_bytes));
-            }
-        }
-
-        // The keyed double-spend audit: one window over every epoch.
-        let SpendFold {
-            ledger_digest,
-            double_spends,
-            excluded,
-            dropped,
-            retry_attempts,
-            reports_unacked,
-            ..
-        } = fold_spends(&chunks, cfg.epochs, 1);
-        let mut fleet_ledger = BudgetLedger::new();
-        let mut accountant = CompositionLedger::new();
-        for chunk in &chunks {
-            fleet_ledger.merge(&chunk.ledger);
-            accountant.extend(chunk.charges.iter().copied());
-        }
-        let audit_ok = fleet_ledger.audit(&accountant).is_ok();
-        DEVICES.add(cfg.devices as u64);
-        EXCLUDED.record_always(excluded.len() as u64);
-
-        let truths = self.included_truths(&truth.codes_k, &excluded);
-
-        // Coverage seal: expected is what a perfect transport would have
-        // delivered from the included population; estimators downstream
-        // already use realized counts, so a shortfall widens SE instead of
-        // breaking anything — the seal just grades it.
-        let expected = 2 * cfg.epochs as u64 * (cfg.devices - excluded.len()) as u64;
-        let seal = EpochSeal::evaluate(expected, ingest.accepted, cfg.quorum);
-
-        let values = collector.totals(VALUE_QUERY);
-        let bits = collector.totals(RR_QUERY);
-        Ok(FleetOutcome {
-            devices_simulated: cfg.devices,
-            devices_excluded: excluded.len(),
-            devices_dropped: dropped,
-            ingest,
-            mean: self.model.mean(&values),
-            variance: self.model.variance(&values),
-            median: self.model.median(&values),
-            rr_frequency: self.model.rr_frequency(&bits)?,
-            rr_count: self.model.rr_count(&bits)?,
-            truth_mean: truths.mean,
-            truth_variance: truths.variance,
-            truth_median: truths.median,
-            truth_fraction: truths.fraction,
-            ledger_total: fleet_ledger.total(),
-            ledger_entries: fleet_ledger.len(),
-            audit_ok,
-            ledger_digest,
-            double_spends,
-            retry_attempts,
-            reports_unacked,
-            seal,
-            quarantined: collector.quarantined_devices(),
-            n_th_k: self.model.n_th_k(),
-        })
-    }
-
-    /// Runs the simulation through the streaming service instead of the
-    /// one-shot collector fold: the same deterministic device traffic is
-    /// offered round-by-round to a [`FleetService`] (one ingest lane per
-    /// simulation chunk plus one for the planted malformed senders),
-    /// windows seal as the watermark passes, live snapshots are served
-    /// from sealed windows, and every sealed window folds into an
-    /// order-canonicalized rollup.
-    ///
-    /// Backpressure follows the service contract: a [`crate::Busy`]
-    /// refusal triggers a drain and a same-round retry of the *same*
-    /// bytes, so no admitted report is ever dropped and the outcome stays
-    /// a pure function of the configuration — bit-identical at any thread
-    /// count and with either device engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-boot and mechanism-construction failures, as
-    /// [`FleetDriver::run`] does.
     pub fn run_service(&self, svc: &ServiceConfig) -> Result<ServiceOutcome, FleetError> {
         let cfg = &self.cfg;
         let truth = self.prepare_truth()?;
@@ -1090,7 +808,7 @@ impl FleetDriver {
     }
 
     /// Draws the population's ground-truth sensor codes from the dataset
-    /// spec (shared by the batch and service drivers).
+    /// spec.
     fn prepare_truth(&self) -> Result<GroundTruth, FleetError> {
         let cfg = &self.cfg;
         Ok(GroundTruth::prepare(
@@ -1218,17 +936,10 @@ impl FleetDriver {
         }
     }
 
-    /// Delivery rounds per run: the configured epochs plus, under chaos,
-    /// the slack the last epoch's backoff and delivery delays can reach
-    /// into.
+    /// Delivery rounds per run: the configured epochs plus the slack the
+    /// last epoch's backoff and delivery delays can reach into.
     fn rounds(&self) -> usize {
-        let cfg = &self.cfg;
-        let slack = if cfg.chaos.is_some() {
-            (1usize << cfg.retry_budget) - 1 + MAX_DELAY_ROUNDS as usize
-        } else {
-            0
-        };
-        cfg.epochs as usize + slack
+        (self.cfg.epochs + self.cfg.delivery_slack()) as usize
     }
 
     /// Sends one cached report through the uplink: the first attempt plus
@@ -1279,8 +990,6 @@ impl FleetDriver {
         let mut buckets = RoundBuckets::new(rounds);
         let mut out = ChunkResult {
             frames: Vec::new(),
-            ledger: BudgetLedger::new(),
-            charges: Vec::new(),
             spends: Vec::new(),
             excluded: Vec::new(),
             dropped: Vec::new(),
@@ -1397,8 +1106,6 @@ impl FleetDriver {
                     out.reports_unacked += u64::from(!acked);
                 }
             }
-            out.charges.extend(dev.accountant().losses());
-            out.ledger.merge(dev.ledger());
         }
         Ok(())
     }
@@ -1410,9 +1117,9 @@ impl FleetDriver {
     }
 
     /// The batch engine: identical power-on self-tests, RNG streams,
-    /// noising dataflow, frame bytes, and ledger records as
+    /// noising dataflow, frame bytes, and spend records as
     /// [`FleetDriver::simulate_chunk`] — proven bit-for-bit by the
-    /// differential test matrix — but the chunk's healthy-URNG devices
+    /// in-process differential tests — but the chunk's healthy-URNG devices
     /// advance in lockstep as one [`DeviceArray`] (vectorized startup
     /// self-test, memoized CORDIC, no per-device FSM allocation). Devices
     /// wired through the correlated-bits fault keep the scalar [`DpBox`]
@@ -1434,8 +1141,6 @@ impl FleetDriver {
         let mut buckets = RoundBuckets::new(rounds);
         let mut out = ChunkResult {
             frames: Vec::new(),
-            ledger: BudgetLedger::new(),
-            charges: Vec::new(),
             spends: Vec::new(),
             excluded: Vec::new(),
             dropped: Vec::new(),
@@ -1478,8 +1183,8 @@ impl FleetDriver {
         }
         // Advance every lane through all epochs, column-wise.
         let matrix: Vec<Vec<LaneOutcome>> = array.step_epochs(&xs, epochs);
-        // Emission in device-id order: the exact per-device frame, spend,
-        // and ledger sequence the reference engine produces.
+        // Emission in device-id order: the exact per-device frame and spend
+        // sequence the reference engine produces.
         for id in start..end {
             let Some(lane) = lane_of[(id - start) as usize] else {
                 self.simulate_device_scalar(id, codes_k[id as usize], rr, &mut buckets, &mut out)?;
@@ -1498,8 +1203,6 @@ impl FleetDriver {
                 let y = match col[lane] {
                     LaneOutcome::Fresh { y, charge } => {
                         out.spends.push((id, epoch as u32, charge));
-                        out.ledger.record(charge);
-                        out.charges.push(charge);
                         y
                     }
                     LaneOutcome::Cached { y } => y,
@@ -1537,12 +1240,19 @@ impl FleetDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::CompositionLedger;
 
     fn small_cfg(devices: usize) -> FleetConfig {
         FleetConfig {
             chunk: 64,
             ..FleetConfig::paper_default(devices, 2, 99)
         }
+    }
+
+    /// The whole run as one batch: one window over every epoch.
+    fn one_window(cfg: FleetConfig) -> ServiceOutcome {
+        let driver = FleetDriver::new(cfg).unwrap();
+        driver.run_service(&driver.one_window()).unwrap()
     }
 
     #[test]
@@ -1572,78 +1282,87 @@ mod tests {
 
     #[test]
     fn small_fleet_runs_audits_and_reports() {
-        let driver = FleetDriver::new(small_cfg(200)).unwrap();
-        let out = driver.run().unwrap();
+        let out = one_window(small_cfg(200));
         assert_eq!(out.devices_simulated, 200);
         assert_eq!(out.devices_dropped, 0);
+        assert_eq!(out.windows_sealed, 1);
         assert!(out.audit_ok, "fleet ledger must audit clean");
-        assert_eq!(out.ingest.rejected, 0);
+        assert_eq!(out.stats.rejected, 0);
         // Every included device reports one value + one bit per epoch.
         let included = 200 - out.devices_excluded as u64;
-        assert_eq!(out.ingest.accepted, included * 2 * 2);
-        assert_eq!(out.ledger_entries as u64, included * 2);
-        let mean = out.mean.unwrap();
+        assert_eq!(out.stats.accepted, included * 2 * 2);
+        assert_eq!(out.rollup_ledger_entries as u64, included * 2);
+        let mean = out.rollup_mean.unwrap();
         assert!(mean.value.is_finite() && mean.stderr > 0.0);
-        assert!(out.rr_frequency.unwrap().value >= 0.0);
-        assert!(out.median.is_some() && out.variance.is_some());
+        assert!(out.rollup_rr_frequency.unwrap().value >= 0.0);
+        assert!(out.rollup_median.is_some() && out.rollup_variance.is_some());
     }
 
     #[test]
     fn faulty_devices_are_excluded_before_reporting() {
         // Every device faulty: the self-test must exclude the whole fleet.
-        let cfg = FleetConfig {
+        let out = one_window(FleetConfig {
             faulty_per_mille: 1000,
             ..small_cfg(50)
-        };
-        let out = FleetDriver::new(cfg).unwrap().run().unwrap();
+        });
         assert_eq!(out.devices_excluded, 50);
-        assert_eq!(out.ingest.accepted, 0);
-        assert_eq!(out.ledger_entries, 0);
-        assert!(out.mean.is_none());
+        assert_eq!(out.stats.accepted, 0);
+        assert_eq!(out.rollup_ledger_entries, 0);
+        assert!(out.rollup_mean.is_none());
     }
 
     #[test]
     fn clean_runs_seal_full_with_no_retries() {
-        let out = FleetDriver::new(small_cfg(200)).unwrap().run().unwrap();
-        assert!(out.seal.is_full());
-        assert_eq!(out.seal.coverage, 1.0);
+        let out = one_window(small_cfg(200));
+        assert!(out.rollup_seal.is_full());
+        assert_eq!(out.rollup_seal.coverage, 1.0);
         assert_eq!(out.retry_attempts, 0);
         assert_eq!(out.reports_unacked, 0);
         assert_eq!(out.double_spends, 0);
         assert!(out.quarantined.is_empty());
+        // One window's queues never refuse, and its seal waits out the
+        // whole run.
+        assert_eq!(out.backpressure_rejections, 0);
+        assert_eq!(out.stats.late, 0);
+    }
+
+    fn chaos(seed: u64) -> ChaosConfig {
+        use crate::chaos::FaultClass;
+        ChaosConfig {
+            drop: FaultClass::bursty(0.1, 4.0),
+            duplicate: FaultClass::flat(0.1),
+            corrupt: FaultClass::flat(0.05),
+            reorder: FaultClass::flat(0.05),
+            delay: FaultClass::flat(0.05),
+            truncate: FaultClass::flat(0.02),
+            ..ChaosConfig::quiet(seed)
+        }
     }
 
     #[test]
     fn chaos_preserves_the_ledger_digest_bitwise() {
-        use crate::chaos::{ChaosConfig, FaultClass};
-        let quiet = FleetDriver::new(small_cfg(300)).unwrap().run().unwrap();
-        let chaotic = FleetDriver::new(FleetConfig {
-            chaos: Some(ChaosConfig {
-                drop: FaultClass::bursty(0.1, 4.0),
-                duplicate: FaultClass::flat(0.1),
-                corrupt: FaultClass::flat(0.05),
-                reorder: FaultClass::flat(0.05),
-                delay: FaultClass::flat(0.05),
-                truncate: FaultClass::flat(0.02),
-                ..ChaosConfig::quiet(0xC0FFEE)
-            }),
+        let quiet = one_window(small_cfg(300));
+        let chaotic = one_window(FleetConfig {
+            chaos: Some(chaos(0xC0FFEE)),
             ..small_cfg(300)
-        })
-        .unwrap()
-        .run()
-        .unwrap();
+        });
         // Retries replay cached bytes: ε-spend is bitwise identical with
         // and without transport faults.
         assert_eq!(quiet.ledger_digest, chaotic.ledger_digest);
-        assert_eq!(quiet.ledger_total.to_bits(), chaotic.ledger_total.to_bits());
-        assert_eq!(quiet.ledger_entries, chaotic.ledger_entries);
+        assert_eq!(
+            quiet.rollup_ledger_total.to_bits(),
+            chaotic.rollup_ledger_total.to_bits()
+        );
+        assert_eq!(quiet.rollup_ledger_entries, chaotic.rollup_ledger_entries);
         assert_eq!(chaotic.double_spends, 0);
         assert!(chaotic.audit_ok);
-        // The faults actually fired and the dedup window folded the
-        // retransmissions away.
+        // The faults actually fired, the dedup window folded the
+        // retransmissions away, and the one window's watermark lag
+        // covered every delayed delivery.
         assert!(chaotic.retry_attempts > 0);
-        assert!(chaotic.ingest.duplicates > 0);
-        assert!(chaotic.ingest.corrupt_frames > 0);
+        assert!(chaotic.stats.duplicates > 0);
+        assert!(chaotic.stats.corrupt_frames > 0);
+        assert_eq!(chaotic.stats.late, 0);
         // Truths are transport-independent.
         assert_eq!(quiet.truth_mean.to_bits(), chaotic.truth_mean.to_bits());
         assert_eq!(quiet.devices_excluded, chaotic.devices_excluded);
@@ -1659,7 +1378,7 @@ mod tests {
         assert!(chunks.len() >= 2 && !chunks[0].spends.is_empty());
         let (device, epoch, first) = chunks[0].spends[0];
         let epochs = driver.cfg.epochs;
-        // `run`'s single window, then `run_service`'s one-epoch windows.
+        // One window over every epoch, then one-epoch windows.
         for (width, windows) in [(epochs, 1), (1, epochs as usize)] {
             let clean = fold_spends(&chunks, width, windows);
             assert_eq!(clean.double_spends, 0);
@@ -1703,182 +1422,83 @@ mod tests {
 
     #[test]
     fn malformed_senders_are_latched_without_touching_estimates() {
-        let clean = FleetDriver::new(small_cfg(200)).unwrap().run().unwrap();
-        let out = FleetDriver::new(FleetConfig {
+        let clean = one_window(small_cfg(200));
+        let out = one_window(FleetConfig {
             malformed_senders: 3,
             ..small_cfg(200)
-        })
-        .unwrap()
-        .run()
-        .unwrap();
+        });
         assert_eq!(out.quarantined, vec![200, 201, 202]);
-        assert_eq!(out.ingest.quarantine_latched, 3);
+        assert_eq!(out.stats.quarantine_latched, 3);
         // Their garbage never reaches an accumulator: every estimate is
         // bit-identical to the clean run.
-        assert_eq!(clean.mean, out.mean);
-        assert_eq!(clean.rr_frequency, out.rr_frequency);
-        assert_eq!(clean.ingest.accepted, out.ingest.accepted);
+        assert_eq!(clean.rollup_mean, out.rollup_mean);
+        assert_eq!(clean.rollup_rr_frequency, out.rollup_rr_frequency);
+        assert_eq!(clean.stats.accepted, out.stats.accepted);
     }
 
     #[test]
     fn heavy_loss_degrades_the_seal_instead_of_panicking() {
-        use crate::chaos::{ChaosConfig, FaultClass};
-        let out = FleetDriver::new(FleetConfig {
+        use crate::chaos::FaultClass;
+        let out = one_window(FleetConfig {
             chaos: Some(ChaosConfig {
                 drop: FaultClass::bursty(0.5, 8.0),
                 ..ChaosConfig::quiet(13)
             }),
             retry_budget: 0,
             ..small_cfg(300)
-        })
-        .unwrap()
-        .run()
-        .unwrap();
-        assert!(!out.seal.is_full(), "50% drop with no retries must degrade");
-        let SealStatus::Degraded { coverage } = out.seal.status else {
+        });
+        assert!(
+            !out.rollup_seal.is_full(),
+            "50% drop with no retries must degrade"
+        );
+        let SealStatus::Degraded { coverage } = out.rollup_seal.status else {
             panic!("expected a degraded seal");
         };
         assert!(coverage < 0.9 && coverage > 0.2, "coverage {coverage}");
         // Estimates still come out, debiased, with SE from realized counts.
-        let mean = out.mean.expect("estimates survive degraded coverage");
+        let mean = out
+            .rollup_mean
+            .expect("estimates survive degraded coverage");
         assert!(mean.value.is_finite() && mean.stderr > 0.0);
     }
 
     #[test]
-    fn device_engine_parses_strictly() {
-        assert_eq!(DeviceEngine::parse(None), Ok(DeviceEngine::Batch));
-        assert_eq!(DeviceEngine::parse(Some("batch")), Ok(DeviceEngine::Batch));
-        assert_eq!(
-            DeviceEngine::parse(Some(" Reference ")),
-            Ok(DeviceEngine::Reference)
-        );
-        let err = DeviceEngine::parse(Some("fast")).unwrap_err();
-        assert_eq!(err.var, DEVICE_ENGINE_ENV);
-        assert_eq!(err.expected, "batch | reference");
-    }
-
-    #[test]
-    fn batch_engine_matches_reference_bit_for_bit() {
-        let cfg = FleetConfig {
-            malformed_senders: 2,
-            shards: 3,
-            ..small_cfg(300)
-        };
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run()
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run()
-            .unwrap();
-        // The full canonical outcome — estimates, ingest stats, truths,
-        // ledger, seal, quarantine — must be byte-identical.
-        assert_eq!(batch.canonical_text(), reference.canonical_text());
-        assert_eq!(batch.digest(), reference.digest());
-        assert_eq!(batch.ledger_digest, reference.ledger_digest);
-        assert!(batch.devices_excluded > 0, "the 5‰ fault plant must fire");
-    }
-
-    #[test]
-    fn batch_engine_matches_reference_under_chaos() {
-        use crate::chaos::{ChaosConfig, FaultClass};
-        let cfg = FleetConfig {
-            chaos: Some(ChaosConfig {
-                drop: FaultClass::bursty(0.1, 4.0),
-                duplicate: FaultClass::flat(0.1),
-                corrupt: FaultClass::flat(0.05),
-                reorder: FaultClass::flat(0.05),
-                delay: FaultClass::flat(0.05),
-                truncate: FaultClass::flat(0.02),
-                ..ChaosConfig::quiet(0xBEEF)
-            }),
-            ..small_cfg(300)
-        };
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run()
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run()
-            .unwrap();
-        assert_eq!(batch.canonical_text(), reference.canonical_text());
-        assert_eq!(batch.ledger_digest, reference.ledger_digest);
-        assert!(batch.retry_attempts > 0, "chaos must actually fire");
-    }
-
-    #[test]
-    fn outcome_is_identical_at_any_thread_and_shard_count() {
-        let base = FleetDriver::new(small_cfg(300)).unwrap().run().unwrap();
-        let resharded = FleetDriver::new(FleetConfig {
+    fn outcome_is_identical_at_any_shard_count_and_chunk_size() {
+        let base = one_window(small_cfg(300));
+        let resharded = one_window(FleetConfig {
             shards: 7,
             chunk: 17,
             ..small_cfg(300)
-        })
-        .unwrap()
-        .run()
-        .unwrap();
-        // Different shard/chunk partitions, same reports: every estimate
-        // matches exactly.
-        assert_eq!(base.mean, resharded.mean);
-        assert_eq!(base.variance, resharded.variance);
-        assert_eq!(base.median, resharded.median);
-        assert_eq!(base.rr_frequency, resharded.rr_frequency);
-        assert_eq!(base.ledger_total, resharded.ledger_total);
-        assert_eq!(base.devices_excluded, resharded.devices_excluded);
+        });
+        // Different shard/chunk partitions, same reports: the whole
+        // canonical outcome matches exactly.
+        assert_eq!(base.canonical_text(), resharded.canonical_text());
     }
 
     #[test]
-    fn service_mode_matches_the_batch_driver() {
+    fn per_epoch_windows_roll_up_to_the_one_window_run() {
         let driver = FleetDriver::new(small_cfg(200)).unwrap();
-        let batch = driver.run().unwrap();
+        let batch = driver.run_service(&driver.one_window()).unwrap();
         let svc = driver.run_service(&ServiceConfig::new(1, 1 << 20)).unwrap();
         // One window per epoch, all full: the windowed fold accepts the
         // exact same reports and charges the exact same ε-spends.
         assert_eq!(svc.windows_sealed, 2);
         assert!(svc.window_seals.iter().all(|s| s.is_full()));
-        assert_eq!(svc.stats.accepted, batch.ingest.accepted);
+        assert_eq!(svc.stats.accepted, batch.stats.accepted);
         assert_eq!(svc.stats.late, 0);
         assert_eq!(svc.ledger_digest, batch.ledger_digest);
         assert_eq!(svc.double_spends, 0);
         assert!(svc.audit_ok, "rollup ledger must audit clean");
         assert_eq!(svc.backpressure_rejections, 0);
         // The rollup merges the windows back into the whole-run totals,
-        // so its estimates are bit-equal to the batch driver's.
-        assert_eq!(svc.rollup_mean, batch.mean);
-        assert_eq!(svc.rollup_variance, batch.variance);
-        assert_eq!(svc.rollup_median, batch.median);
-        assert_eq!(svc.rollup_rr_frequency, batch.rr_frequency);
+        // so its estimates are bit-equal to the one-window run's.
+        assert_eq!(svc.rollup_mean, batch.rollup_mean);
+        assert_eq!(svc.rollup_variance, batch.rollup_variance);
+        assert_eq!(svc.rollup_median, batch.rollup_median);
+        assert_eq!(svc.rollup_rr_frequency, batch.rollup_rr_frequency);
         // The live snapshot served one estimate set per sealed window.
         assert_eq!(svc.snapshot.windows_sealed, 2);
         assert!(svc.snapshot.windows[0].mean.is_some());
-    }
-
-    #[test]
-    fn service_outcome_is_engine_invariant() {
-        let cfg = FleetConfig {
-            epochs: 4,
-            ..small_cfg(200)
-        };
-        let svc_cfg = ServiceConfig::new(2, 1 << 20);
-        let batch = FleetDriver::new(cfg.clone())
-            .unwrap()
-            .with_engine(DeviceEngine::Batch)
-            .run_service(&svc_cfg)
-            .unwrap();
-        let reference = FleetDriver::new(cfg)
-            .unwrap()
-            .with_engine(DeviceEngine::Reference)
-            .run_service(&svc_cfg)
-            .unwrap();
-        assert_eq!(batch.canonical_text(), reference.canonical_text());
-        assert_eq!(batch.digest(), reference.digest());
-        assert_eq!(batch.windows_sealed, 2);
     }
 
     #[test]
@@ -1902,30 +1522,20 @@ mod tests {
 
     #[test]
     fn service_under_chaos_respects_the_watermark_grace() {
-        use crate::chaos::{ChaosConfig, FaultClass};
         let cfg = FleetConfig {
-            chaos: Some(ChaosConfig {
-                drop: FaultClass::bursty(0.1, 4.0),
-                duplicate: FaultClass::flat(0.1),
-                corrupt: FaultClass::flat(0.05),
-                reorder: FaultClass::flat(0.05),
-                truncate: FaultClass::flat(0.02),
-                delay: FaultClass::flat(0.05),
-                seed: 7,
-            }),
+            chaos: Some(chaos(7)),
             ..small_cfg(300)
         };
         let driver = FleetDriver::new(cfg.clone()).unwrap();
-        let batch = driver.run().unwrap();
-        let slack = (driver.rounds() - cfg.epochs as usize) as u32;
+        let batch = driver.run_service(&driver.one_window()).unwrap();
         // With the grace covering the full backoff/delay slack, every
         // delayed frame lands before its window seals: nothing is late and
-        // the service accepts exactly what the batch driver accepted.
+        // the service accepts exactly what the one-window run accepted.
         let graced = driver
-            .run_service(&ServiceConfig::new(1, 1 << 20).with_watermark_lag(slack))
+            .run_service(&ServiceConfig::new(1, 1 << 20).with_watermark_lag(cfg.delivery_slack()))
             .unwrap();
         assert_eq!(graced.stats.late, 0);
-        assert_eq!(graced.stats.accepted, batch.ingest.accepted);
+        assert_eq!(graced.stats.accepted, batch.stats.accepted);
         assert_eq!(graced.ledger_digest, batch.ledger_digest);
         assert!(graced.audit_ok);
         // With no grace, the same delayed frames surface as the typed
@@ -1936,12 +1546,12 @@ mod tests {
             .unwrap();
         assert!(strict.stats.late > 0, "delays must surface as late");
         // Late frames are refusals, not absorptions: the strict run
-        // accepts a subset of the batch driver's reports, and every
+        // accepts a subset of the one-window run's reports, and every
         // missing acceptance is covered by at least one late-counted
         // delivery (a report can also go late *more* than once via
         // post-seal redeliveries).
-        assert!(strict.stats.accepted < batch.ingest.accepted);
-        assert!(strict.stats.accepted + strict.stats.late >= batch.ingest.accepted);
+        assert!(strict.stats.accepted < batch.stats.accepted);
+        assert!(strict.stats.accepted + strict.stats.late >= batch.stats.accepted);
         assert_eq!(strict.ledger_digest, batch.ledger_digest);
     }
 }

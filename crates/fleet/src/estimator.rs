@@ -363,15 +363,16 @@ impl NoiseModel {
         })
     }
 
-    /// Population-count estimate: scales the debiased RR frequency by the
-    /// responding population `n` (the count of devices whose sensor value
-    /// met the threshold). Exactly unbiased.
-    pub fn rr_count(&self, t: &QueryTotals) -> Result<Option<Estimate>, LdpError> {
-        Ok(self.rr_frequency(t)?.map(|e| Estimate {
-            value: e.value * e.n as f64,
-            stderr: e.stderr * e.n as f64,
-            ..e
-        }))
+    /// Population-count estimate: scales a debiased RR frequency
+    /// ([`NoiseModel::rr_frequency`]) by its responding population `n` (the
+    /// count of devices whose sensor value met the threshold). Exactly
+    /// unbiased.
+    pub fn rr_count(frequency: Estimate) -> Estimate {
+        Estimate {
+            value: frequency.value * frequency.n as f64,
+            stderr: frequency.stderr * frequency.n as f64,
+            ..frequency
+        }
     }
 
     /// Debiased randomized-response frequency: the fraction of devices
@@ -504,7 +505,7 @@ mod tests {
         let est = m.rr_frequency(&t).unwrap().unwrap();
         assert!((est.value - 0.3).abs() < 1e-4);
         assert!(est.stderr > 0.0 && est.stderr < 0.1);
-        let count = m.rr_count(&t).unwrap().unwrap();
+        let count = NoiseModel::rr_count(est);
         assert!((count.value - 0.3 * n as f64).abs() < 20.0);
         assert!((count.stderr - est.stderr * n as f64).abs() < 1e-9);
     }

@@ -17,15 +17,20 @@
 //!   exact grid quantile [`sketch`], ingesting report batches through a
 //!   columnar decode → stable bucket shuffle → contention-free per-shard
 //!   accumulate pipeline with bit-identical totals at any thread or shard
-//!   count (and vs the scalar reference path, `ULP_FLEET_INGEST_PATH`);
+//!   count (and vs the scalar reference path, an in-process test oracle);
 //! * [`estimator`] — debiased estimators (mean, variance, median, RR
 //!   frequency and count) built on the sampler's *exact* output PMF, each
 //!   returning an analytic standard error and, where proven, a
 //!   deterministic bias envelope;
-//! * [`driver`] — the simulated fleet: N full DP-Box devices (budget
-//!   ledgers, URNG health self-tests, fail-safe exclusion) streaming epochs
-//!   through a collector, with the per-device privacy ledgers folded into
-//!   one auditable fleet ledger;
+//! * [`driver`] — the simulated fleet and its one driver,
+//!   [`FleetDriver::run_service`]: N full DP-Box devices (budget ledgers,
+//!   URNG health self-tests, fail-safe exclusion) streaming epochs through
+//!   the [`service`], every fresh randomization charged once from one spend
+//!   log per chunk into auditable per-window ledgers. A batch run is one
+//!   window over every epoch ([`FleetDriver::one_window`]). The scalar
+//!   reference device engine and ingest path stay as in-process
+//!   differential-test oracles ([`FleetDriver::with_engine`],
+//!   [`FleetDriver::with_ingest_path`]), never as environment knobs;
 //! * [`sweep`] — the accuracy sweep gating `|estimate − truth|` against
 //!   `3·SE + bias_bound` across population sizes;
 //! * [`chaos`] — seeded, deterministic lossy-transport fault injection
@@ -64,11 +69,10 @@ pub use chaos::{
 pub use collector::{
     ingest_phase_totals, Collector, EpochSeal, IngestPath, IngestPhaseTotals, IngestStats,
     QueryConfig, QueryKind, QueryTotals, SealStatus, WireErrorTally, DEFAULT_QUARANTINE_STRIKES,
-    INGEST_PATH_ENV,
 };
 pub use driver::{
-    sim_phase_ns, DeviceEngine, FleetConfig, FleetDriver, FleetError, FleetOutcome, ServiceOutcome,
-    DEVICE_ENGINE_ENV, RR_QUERY, VALUE_QUERY,
+    sim_phase_ns, DeviceEngine, FleetConfig, FleetDriver, FleetError, ServiceOutcome, RR_QUERY,
+    VALUE_QUERY,
 };
 pub use estimator::{Estimate, NoiseModel};
 pub use service::{

@@ -3,7 +3,9 @@
 //! snapshot queries, and multi-epoch rollups.
 //!
 //! [`FleetService`] wraps a [`Collector`] with the machinery a
-//! long-running deployment needs and the batch driver does not:
+//! long-running deployment needs and a bare collector does not. It is
+//! the fleet driver's only ingest route: a batch run is one window over
+//! every epoch ([`crate::FleetDriver::one_window`]). The machinery:
 //!
 //! * **Bounded per-lane ingest queues.** Producers (device uplinks, one
 //!   lane per simulation chunk in the driver) stage wire bytes with

@@ -7,12 +7,12 @@
 //! `|estimate − truth| ≤ 3·SE + bias_bound` is a checkable soundness claim,
 //! not a vibe. Variance and median are reported for inspection but not
 //! gated (their envelopes are loose / not claimed — see
-//! [`NoiseModel`](crate::NoiseModel)).
+//! [`NoiseModel`]).
 
 use ldp_eval::TextTable;
 
-use crate::driver::{FleetConfig, FleetDriver, FleetError};
-use crate::estimator::Estimate;
+use crate::driver::{FleetConfig, FleetDriver, FleetError, ServiceOutcome};
+use crate::estimator::{Estimate, NoiseModel};
 
 /// One estimator's showing in a sweep row.
 #[derive(Debug, Clone, Copy)]
@@ -65,18 +65,46 @@ pub struct FleetSweepRow {
 }
 
 impl FleetSweepRow {
+    /// Lines a run's rollup estimates up against its included-population
+    /// ground truth — under [`FleetDriver::one_window`], the whole run's
+    /// batch estimates. `None` when the run produced no mean or RR
+    /// frequency (e.g. the entire population excluded).
+    pub fn from_outcome(out: &ServiceOutcome) -> Option<FleetSweepRow> {
+        let mean = out.rollup_mean?;
+        let frequency = out.rollup_rr_frequency?;
+        let count = NoiseModel::rr_count(frequency);
+        Some(FleetSweepRow {
+            devices: out.devices_simulated,
+            excluded: out.devices_excluded,
+            reports: out.stats.accepted,
+            mean: GateResult::new(mean, out.truth_mean),
+            frequency: GateResult::new(frequency, out.truth_fraction),
+            count: GateResult::new(count, out.truth_fraction * count.n as f64),
+            variance: out.rollup_variance.map(|v| (v, out.truth_variance)),
+            median: out.rollup_median.map(|m| (m, out.truth_median)),
+            audit_ok: out.audit_ok,
+        })
+    }
+
+    /// The gated estimators, by name.
+    pub fn gates(&self) -> [(&'static str, GateResult); 3] {
+        [
+            ("mean", self.mean),
+            ("frequency", self.frequency),
+            ("count", self.count),
+        ]
+    }
+
     /// Whether every gated estimator landed within its bound and the
     /// ledger audit passed.
     pub fn all_gates_pass(&self) -> bool {
-        self.mean.within_gate
-            && self.frequency.within_gate
-            && self.count.within_gate
-            && self.audit_ok
+        self.gates().iter().all(|(_, g)| g.within_gate) && self.audit_ok
     }
 }
 
-/// Runs the fleet at each population in `populations` (sharing every other
-/// configuration field of `base`) and compares estimates to ground truth.
+/// Runs the fleet as one window at each population in `populations`
+/// (sharing every other configuration field of `base`) and compares
+/// estimates to ground truth.
 ///
 /// # Errors
 ///
@@ -93,26 +121,11 @@ pub fn fleet_sweep(
             devices,
             ..base.clone()
         };
-        let out = FleetDriver::new(cfg)?.run()?;
-        let (mean, freq, cnt) = match (out.mean, out.rr_frequency, out.rr_count) {
-            (Some(m), Some(f), Some(c)) => (m, f, c),
-            _ => {
-                return Err(FleetError::Config(
-                    "population too small or fully excluded: no estimates",
-                ))
-            }
-        };
-        rows.push(FleetSweepRow {
-            devices,
-            excluded: out.devices_excluded,
-            reports: out.ingest.accepted,
-            mean: GateResult::new(mean, out.truth_mean),
-            frequency: GateResult::new(freq, out.truth_fraction),
-            count: GateResult::new(cnt, out.truth_fraction * cnt.n as f64),
-            variance: out.variance.map(|v| (v, out.truth_variance)),
-            median: out.median.map(|m| (m, out.truth_median)),
-            audit_ok: out.audit_ok,
-        });
+        let driver = FleetDriver::new(cfg)?;
+        let out = driver.run_service(&driver.one_window())?;
+        rows.push(FleetSweepRow::from_outcome(&out).ok_or(FleetError::Config(
+            "population too small or fully excluded: no estimates",
+        ))?);
     }
     Ok(rows)
 }
@@ -150,9 +163,9 @@ pub fn render_sweep(rows: &[FleetSweepRow]) -> TextTable {
                 },
             ]);
         };
-        stat("mean", &row.mean, true);
-        stat("frequency", &row.frequency, true);
-        stat("count", &row.count, true);
+        for (name, gate) in row.gates() {
+            stat(name, &gate, true);
+        }
         if let Some((est, truth)) = row.variance {
             stat("variance", &GateResult::new(est, truth), false);
         }

@@ -40,6 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ldp_core::{BudgetLedger, CompositionLedger};
+use ulp_obs::Fnv64;
 
 use crate::collector::{EpochSeal, IngestStats, QueryConfig, QueryTotals, SealStatus};
 
@@ -210,25 +211,17 @@ impl Window {
     }
 }
 
-/// FNV-1a 64-bit fold of `bytes` into `h`.
-fn fnv(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
-    for b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Canonical rendering of one query's exact accumulators (sketch included
 /// as an FNV digest over its bins).
 fn totals_text(t: &QueryTotals) -> String {
     let sketch = match &t.sketch {
         None => "none".to_string(),
         Some(s) => {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+            let mut h = Fnv64::new();
             for k in s.min_k()..=s.max_k() {
-                fnv(&mut h, s.count(k).to_le_bytes());
+                h.write(&s.count(k).to_le_bytes());
             }
-            format!("{:016x}", h)
+            format!("{:016x}", h.finish())
         }
     };
     format!(
@@ -302,9 +295,7 @@ impl SealedWindow {
 
     /// FNV-1a 64-bit digest of [`SealedWindow::canonical_text`].
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        fnv(&mut h, self.canonical_text().bytes());
-        h
+        Fnv64::hash(self.canonical_text().as_bytes())
     }
 }
 
@@ -427,7 +418,7 @@ impl Rollup {
         let mut accepted = 0u64;
         let mut epoch_lo = u32::MAX;
         let mut epoch_hi = 0u32;
-        let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut digest = Fnv64::new();
         let mut audit_ok = true;
         for w in self.windows.values() {
             match totals.as_mut() {
@@ -448,12 +439,12 @@ impl Rollup {
             accepted += w.seal.accepted;
             epoch_lo = epoch_lo.min(w.epoch_lo);
             epoch_hi = epoch_hi.max(w.epoch_hi);
-            fnv(&mut digest, w.index.to_le_bytes());
-            fnv(&mut digest, w.digest().to_le_bytes());
+            digest.write(&w.index.to_le_bytes());
+            digest.write(&w.digest().to_le_bytes());
         }
         audit_ok &= ledger.audit(&accountant).is_ok();
-        fnv(&mut digest, ledger.total().to_bits().to_le_bytes());
-        fnv(&mut digest, (ledger.len() as u64).to_le_bytes());
+        digest.write(&ledger.total().to_bits().to_le_bytes());
+        digest.write(&(ledger.len() as u64).to_le_bytes());
         RollupOutcome {
             windows: self.windows.len(),
             epoch_lo,
@@ -463,7 +454,7 @@ impl Rollup {
             audit_ok,
             stats,
             seal: EpochSeal::evaluate(expected, accepted, quorum),
-            digest,
+            digest: digest.finish(),
         }
     }
 }

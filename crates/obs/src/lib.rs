@@ -11,13 +11,16 @@
 //!
 //! The crate also owns the workspace's strict environment-variable parsing
 //! ([`parse_env`] / [`EnvError`]): a set-but-invalid `ULP_*` value is a
-//! typed error, never a silent fallback to a default.
+//! typed error, never a silent fallback to a default. And it owns the one
+//! FNV-1a digest ([`Fnv64`]) every canonical text, ε-spend log and shard
+//! assignment in the workspace is fingerprinted with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counter;
 mod env;
+mod fnv;
 mod gauge;
 mod hist;
 mod level;
@@ -27,6 +30,7 @@ mod span;
 
 pub use counter::Counter;
 pub use env::{parse_env, EnvError};
+pub use fnv::Fnv64;
 pub use gauge::Gauge;
 pub use hist::{bucket_floor, bucket_index, Histogram, BUCKETS};
 pub use level::{counters_enabled, full_enabled, level, set_level, MetricsLevel, METRICS_ENV};

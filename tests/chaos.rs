@@ -1,12 +1,16 @@
 //! Chaos-path integration tests: idempotent-ingest fold equivalence under
-//! arbitrary duplication + reordering, thread-schedule determinism of a
-//! fault-injected fleet run, and the replay-safe retry audit (retries never
-//! re-spend privacy budget; malformed senders are quarantined).
+//! arbitrary duplication + reordering, and the replay-safe retry audit
+//! (retries never re-spend privacy budget; malformed senders are
+//! quarantined), and the chaotic run's thread, engine and ingest-path
+//! invariance. Its shard-count invariance is checked with the other
+//! differential runs in `fleet.rs`.
+
+mod common;
 
 use proptest::prelude::*;
 use ulp_ldp::fleet::{
-    ChaosConfig, Collector, FaultClass, FleetConfig, FleetDriver, IngestStats, Payload,
-    QueryConfig, QueryKind, Report, RR_QUERY, VALUE_QUERY,
+    Collector, FleetConfig, IngestStats, Payload, QueryConfig, QueryKind, Report, RR_QUERY,
+    VALUE_QUERY,
 };
 
 const SKETCH_K: i64 = 64;
@@ -119,90 +123,32 @@ proptest! {
     }
 }
 
-fn chaos_cfg() -> FleetConfig {
-    FleetConfig {
-        chunk: 64,
-        chaos: Some(ChaosConfig {
-            seed: 0xC4A05,
-            drop: FaultClass::bursty(0.10, 4.0),
-            duplicate: FaultClass::flat(0.10),
-            reorder: FaultClass::flat(0.05),
-            corrupt: FaultClass::flat(0.05),
-            truncate: FaultClass::flat(0.02),
-            delay: FaultClass::flat(0.05),
-        }),
-        malformed_senders: 2,
-        ..FleetConfig::paper_default(400, 2, 77)
-    }
-}
-
-/// Child half of the chaos determinism matrix: prints the digest (and
-/// ledger digest) of a fixed fault-injected fleet run under the parent's
-/// `ULP_PAR_THREADS` / `ULP_FLEET_INGEST_PATH` / `ULP_DEVICE_ENGINE`.
+/// Child half of [`chaos_digest_identical_across_threads_paths_and_engines`]:
+/// prints the chaotic run's digest under the parent's `ULP_PAR_THREADS`.
 #[test]
 #[ignore = "helper re-executed by chaos_digest_identical_across_threads_paths_and_engines"]
 fn chaos_thread_digest_child() {
-    let out = FleetDriver::new(chaos_cfg()).unwrap().run().unwrap();
-    println!(
-        "CHAOS_FLEET_DIGEST={:016x}:{:016x}",
-        out.digest(),
-        out.ledger_digest
-    );
+    common::print_digest(&common::one_window(common::chaos_cfg()));
 }
 
 /// The fault pattern is a pure function of `(chaos seed, device, attempt)`,
-/// so the full outcome — totals, retries, quarantine, seal — must be
-/// bit-identical at any worker-thread count; the columnar ingest path must
-/// match the scalar reference path; and the batch device engine must match
-/// the reference engine — all even under 10% drop / 10% duplicate / 5%
-/// corrupt transport. The ledger digest rides along, pinning per-device
-/// ε-spend bit-for-bit across every cell.
+/// so even under 10% drop / 10% duplicate / 5% corrupt transport with two
+/// planted malformed senders the canonical outcome — totals, retries,
+/// quarantine, seal, ε-ledger digest — is byte-identical on the batch and
+/// reference device engines and on the columnar and reference ingest paths
+/// (in-process), and its digest is bit-identical at 1 and 4 worker threads
+/// (re-exec).
 #[test]
 fn chaos_digest_identical_across_threads_paths_and_engines() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, path: &str, engine: &str| -> String {
-        let output = std::process::Command::new(&exe)
-            .args([
-                "chaos_thread_digest_child",
-                "--exact",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("ULP_PAR_THREADS", threads)
-            .env("ULP_FLEET_INGEST_PATH", path)
-            .env("ULP_DEVICE_ENGINE", engine)
-            .output()
-            .expect("re-exec test binary");
-        assert!(
-            output.status.success(),
-            "child run failed at {threads} threads, {path} path, {engine} engine: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        let at = stdout
-            .find("CHAOS_FLEET_DIGEST=")
-            .expect("child printed a digest");
-        stdout[at + "CHAOS_FLEET_DIGEST=".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
-            .collect()
-    };
-    let baseline = digest_at("1", "reference", "reference");
-    for (threads, path, engine) in [
-        ("1", "columnar", "reference"),
-        ("4", "columnar", "reference"),
-        ("4", "reference", "reference"),
-        ("1", "columnar", "batch"),
-        ("4", "columnar", "batch"),
-        ("4", "reference", "batch"),
-    ] {
-        assert_eq!(
-            digest_at(threads, path, engine),
-            baseline,
-            "chaotic fleet outcome must be bit-identical at {threads} threads, \
-             {path} path, {engine} engine"
-        );
-    }
+    let out = common::assert_oracles_agree("chaos", common::chaos_cfg(), None);
+    // Both ingest paths went through resync, dedup and quarantine.
+    let s = out.stats;
+    assert!(s.corrupt_frames > 0 && s.resyncs > 0 && s.duplicates > 0);
+    assert_eq!(s.quarantine_latched, 2);
+    assert_eq!(
+        common::digest_at_1_and_4_threads("chaos_thread_digest_child"),
+        format!("{:016x}", out.digest())
+    );
 }
 
 /// End-to-end replay-safety audit: a lossy run spends exactly the budget of
@@ -210,27 +156,27 @@ fn chaos_digest_identical_across_threads_paths_and_engines() {
 /// latches the planted malformed senders without touching the estimates.
 #[test]
 fn retries_never_respend_budget_and_quarantine_latches() {
-    let chaotic = FleetDriver::new(chaos_cfg()).unwrap().run().unwrap();
-    let quiet = FleetDriver::new(FleetConfig {
+    let chaotic = common::one_window(common::chaos_cfg());
+    let quiet = common::one_window(FleetConfig {
         chaos: None,
-        ..chaos_cfg()
-    })
-    .unwrap()
-    .run()
-    .unwrap();
+        ..common::chaos_cfg()
+    });
 
     // The transport was genuinely hostile...
     assert!(chaotic.retry_attempts > 0, "chaos must force retries");
-    assert!(chaotic.ingest.duplicates > 0, "chaos must duplicate frames");
+    assert!(chaotic.stats.duplicates > 0, "chaos must duplicate frames");
     assert!(
-        chaotic.ingest.corrupt_frames > 0,
+        chaotic.stats.corrupt_frames > 0,
         "chaos must corrupt frames"
     );
 
     // ...yet the privacy spend is bitwise the no-fault spend.
     assert_eq!(chaotic.ledger_digest, quiet.ledger_digest);
-    assert_eq!(chaotic.ledger_entries, quiet.ledger_entries);
-    assert_eq!(chaotic.ledger_total.to_bits(), quiet.ledger_total.to_bits());
+    assert_eq!(chaotic.rollup_ledger_entries, quiet.rollup_ledger_entries);
+    assert_eq!(
+        chaotic.rollup_ledger_total.to_bits(),
+        quiet.rollup_ledger_total.to_bits()
+    );
     assert_eq!(chaotic.double_spends, 0);
     assert_eq!(quiet.double_spends, 0);
     assert!(chaotic.audit_ok && quiet.audit_ok);

@@ -3,7 +3,7 @@
 //! outputs, per-epoch budget state, health-fault latching, and budget
 //! exhaustion — across randomized configurations, seeds, and sensor
 //! schedules. This is the property backing the fleet driver's batch
-//! engine (`ULP_DEVICE_ENGINE=batch`): the column loops are a
+//! engine (`DeviceEngine::Batch`): the column loops are a
 //! reorganization of the scalar FSM, not an approximation of it.
 
 use proptest::prelude::*;

@@ -1,6 +1,10 @@
 //! Fleet subsystem end-to-end and property tests: wire-format round-trips,
-//! schedule-independence digests, and population-statistics recovery with
-//! fail-safe device exclusion.
+//! the differential oracles (reference device engine and reference ingest
+//! path, in-process), schedule-independence digests across thread and
+//! shard counts, and population-statistics recovery with fail-safe device
+//! exclusion.
+
+mod common;
 
 use proptest::prelude::*;
 use ulp_ldp::datasets::DatasetSpec;
@@ -74,97 +78,43 @@ proptest! {
     }
 }
 
-fn digest_cfg() -> FleetConfig {
-    FleetConfig {
-        chunk: 64,
-        ..FleetConfig::paper_default(400, 2, 77)
-    }
-}
-
-/// Child half of the determinism matrix: prints the digest (and ledger
-/// digest) of a fixed fleet run under whatever `ULP_PAR_THREADS` /
-/// `ULP_FLEET_INGEST_PATH` / `ULP_DEVICE_ENGINE` the parent set.
+/// Child half of [`digest_identical_across_threads_paths_and_engines`]:
+/// prints the clean run's digest under the parent's `ULP_PAR_THREADS`.
 #[test]
 #[ignore = "helper re-executed by digest_identical_across_threads_paths_and_engines"]
 fn thread_digest_child() {
-    let out = FleetDriver::new(digest_cfg()).unwrap().run().unwrap();
-    println!(
-        "FLEET_DIGEST={:016x}:{:016x}",
-        out.digest(),
-        out.ledger_digest
+    common::print_digest(&common::one_window(common::clean_cfg()));
+}
+
+/// The clean one-window run's canonical outcome is byte-identical on the
+/// batch and reference device engines and on the columnar and reference
+/// ingest paths (in-process), and its digest is bit-identical at 1 and 4
+/// worker threads (re-exec).
+#[test]
+fn digest_identical_across_threads_paths_and_engines() {
+    let out = common::assert_oracles_agree("clean", common::clean_cfg(), None);
+    assert_eq!(
+        common::digest_at_1_and_4_threads("thread_digest_child"),
+        format!("{:016x}", out.digest())
     );
 }
 
-/// `ulp_par::threads()` latches once per process, so thread-count variation
-/// needs fresh processes: re-exec this test binary filtered to the child
-/// helper across a (threads × ingest path × device engine) matrix. Every
-/// cell — 1 or 4 workers, columnar or scalar-reference ingest, batch or
-/// reference device engine — must produce the same outcome digest *and*
-/// the same fleet ledger digest bit for bit.
-#[test]
-fn digest_identical_across_threads_paths_and_engines() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, path: &str, engine: &str| -> String {
-        let output = std::process::Command::new(&exe)
-            .args(["thread_digest_child", "--exact", "--ignored", "--nocapture"])
-            .env("ULP_PAR_THREADS", threads)
-            .env("ULP_FLEET_INGEST_PATH", path)
-            .env("ULP_DEVICE_ENGINE", engine)
-            .output()
-            .expect("re-exec test binary");
-        assert!(
-            output.status.success(),
-            "child run failed at {threads} threads, {path} path, {engine} engine: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        // libtest may emit the digest on the same line as its own "test …"
-        // prefix, so search for the marker rather than a line prefix.
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        let at = stdout
-            .find("FLEET_DIGEST=")
-            .expect("child printed a digest");
-        stdout[at + "FLEET_DIGEST=".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
-            .collect()
-    };
-    let baseline = digest_at("1", "reference", "reference");
-    for (threads, path, engine) in [
-        ("1", "columnar", "reference"),
-        ("4", "columnar", "reference"),
-        ("4", "reference", "reference"),
-        ("1", "columnar", "batch"),
-        ("4", "columnar", "batch"),
-        ("1", "reference", "batch"),
-        ("4", "reference", "batch"),
-    ] {
-        assert_eq!(
-            digest_at(threads, path, engine),
-            baseline,
-            "fleet outcome must be bit-identical at {threads} threads, \
-             {path} ingest path, {engine} device engine"
-        );
-    }
-}
-
+/// The shard partition hashes device ids, and every fold is exact integer
+/// arithmetic in shard order: each differential run's canonical outcome is
+/// byte-identical at 1 and 8 collector shards.
 #[test]
 fn digest_identical_at_1_and_8_shards() {
-    let one = FleetDriver::new(FleetConfig {
-        shards: 1,
-        ..digest_cfg()
-    })
-    .unwrap()
-    .run()
-    .unwrap();
-    let eight = FleetDriver::new(FleetConfig {
-        shards: 8,
-        ..digest_cfg()
-    })
-    .unwrap()
-    .run()
-    .unwrap();
-    assert_eq!(one.canonical_text(), eight.canonical_text());
-    assert_eq!(one.digest(), eight.digest());
+    for (name, cfg, svc) in common::differential_runs() {
+        let at = |shards: usize| {
+            let cfg = FleetConfig {
+                shards,
+                ..cfg.clone()
+            };
+            common::run(FleetDriver::new(cfg).unwrap(), svc.as_ref())
+        };
+        let (one, eight) = (at(1), at(8));
+        assert_eq!(one.canonical_text(), eight.canonical_text(), "{name}");
+    }
 }
 
 /// 10k devices answer the RR threshold query; the debiased frequency must
@@ -182,7 +132,7 @@ fn rr_frequency_recovered_within_three_se_with_faulted_subset_excluded() {
     };
     let spec = cfg.spec.clone();
     let (seed, threshold, eps_shift) = (cfg.seed, cfg.threshold_code, cfg.eps_shift);
-    let out = FleetDriver::new(cfg).unwrap().run().unwrap();
+    let out = common::one_window(cfg);
 
     // ~5‰ of 10k devices wired faulty: all of them (and only them) must be
     // caught by the power-on self-test.
@@ -192,14 +142,14 @@ fn rr_frequency_recovered_within_three_se_with_faulted_subset_excluded() {
         out.devices_excluded
     );
     assert_eq!(out.devices_dropped, 0);
-    assert_eq!(out.ingest.rejected, 0);
+    assert_eq!(out.stats.rejected, 0);
     assert_eq!(
-        out.ingest.accepted,
+        out.stats.accepted,
         2 * (10_000 - out.devices_excluded) as u64
     );
     assert!(out.audit_ok, "fleet privacy ledger must audit clean");
 
-    let est = out.rr_frequency.expect("populated RR estimate");
+    let est = out.rollup_rr_frequency.expect("populated RR estimate");
     let gate = 3.0 * est.stderr;
     assert!(
         (est.value - out.truth_fraction).abs() <= gate,
@@ -229,7 +179,7 @@ fn rr_frequency_recovered_within_three_se_with_faulted_subset_excluded() {
     );
 
     // The mean estimator rides along: within its own gate.
-    let mean = out.mean.expect("populated mean estimate");
+    let mean = out.rollup_mean.expect("populated mean estimate");
     assert!(
         (mean.value - out.truth_mean).abs() <= 3.0 * mean.stderr + mean.bias_bound,
         "mean {:.3} vs truth {:.3} exceeds 3·SE + bias bound {:.3}",

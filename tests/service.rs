@@ -1,11 +1,14 @@
-//! Streaming-service determinism: rollup order-invariance (property) and
-//! the cross-process service-digest matrix across worker-thread counts
-//! and device engines.
+//! Streaming-service determinism: rollup order-invariance (property),
+//! windowed rollups equal to the one-window run, and the multi-window run's
+//! thread, engine and ingest-path invariance. Its shard-count invariance is
+//! checked with the other differential runs in `fleet.rs`.
+
+mod common;
 
 use proptest::prelude::*;
 use ulp_ldp::fleet::{
-    Collector, FleetConfig, FleetDriver, Payload, QueryConfig, QueryKind, Report, Rollup,
-    SealedWindow, ServiceConfig,
+    Collector, FleetDriver, Payload, QueryConfig, QueryKind, Report, Rollup, SealedWindow,
+    ServiceConfig,
 };
 use ulp_ldp::ldp::BudgetLedger;
 
@@ -126,94 +129,52 @@ proptest! {
     }
 }
 
-fn service_cfg() -> (FleetConfig, ServiceConfig) {
-    let fleet = FleetConfig {
-        chunk: 64,
-        ..FleetConfig::paper_default(400, 4, 77)
-    };
-    (fleet, ServiceConfig::new(2, 1 << 14))
-}
-
-/// Child half of the service determinism matrix: prints the service
-/// outcome digest, rollup digest, and fleet ledger digest of a fixed
-/// multi-window run under whatever `ULP_PAR_THREADS` /
-/// `ULP_DEVICE_ENGINE` the parent set.
+/// Child half of [`service_digest_identical_across_threads_and_engines`]:
+/// prints the multi-window run's digest under the parent's
+/// `ULP_PAR_THREADS`.
 #[test]
 #[ignore = "helper re-executed by service_digest_identical_across_threads_and_engines"]
 fn service_digest_child() {
-    let (fleet, svc) = service_cfg();
-    let out = FleetDriver::new(fleet).unwrap().run_service(&svc).unwrap();
-    println!(
-        "SERVICE_DIGEST={:016x}:{:016x}:{:016x}",
-        out.digest(),
-        out.rollup_digest,
-        out.ledger_digest
+    let (fleet, svc) = common::service_cfg();
+    common::print_digest(&FleetDriver::new(fleet).unwrap().run_service(&svc).unwrap());
+}
+
+/// The multi-window run's canonical outcome — window digests and seals,
+/// rollup estimates and digest, ε-ledger digest — is byte-identical on the
+/// batch and reference device engines (and on the columnar and reference
+/// ingest paths) in-process, and its digest is bit-identical at 1 and 4
+/// worker threads (re-exec).
+#[test]
+fn service_digest_identical_across_threads_and_engines() {
+    let (fleet, svc) = common::service_cfg();
+    let out = common::assert_oracles_agree("service", fleet, Some(&svc));
+    assert_eq!(out.windows_sealed, 2);
+    assert_eq!(
+        common::digest_at_1_and_4_threads("service_digest_child"),
+        format!("{:016x}", out.digest())
     );
 }
 
-/// `ulp_par::threads()` latches once per process, so the service digest
-/// matrix re-execs this test binary filtered to the child helper. Every
-/// cell — 1 or 4 workers, batch or reference device engine — must agree
-/// on the service outcome digest, the rollup digest, and the ε-ledger
-/// digest bit for bit.
-#[test]
-fn service_digest_identical_across_threads_and_engines() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let digest_at = |threads: &str, engine: &str| -> String {
-        let output = std::process::Command::new(&exe)
-            .args([
-                "service_digest_child",
-                "--exact",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env("ULP_PAR_THREADS", threads)
-            .env("ULP_DEVICE_ENGINE", engine)
-            .output()
-            .expect("re-exec test binary");
-        assert!(
-            output.status.success(),
-            "child run failed at {threads} threads, {engine} engine: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
-        let at = stdout
-            .find("SERVICE_DIGEST=")
-            .expect("child printed a digest");
-        stdout[at + "SERVICE_DIGEST=".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_hexdigit() || *c == ':')
-            .collect()
-    };
-    let baseline = digest_at("1", "reference");
-    for (threads, engine) in [("4", "reference"), ("1", "batch"), ("4", "batch")] {
-        assert_eq!(
-            digest_at(threads, engine),
-            baseline,
-            "service outcome must be bit-identical at {threads} threads, {engine} engine"
-        );
-    }
-}
-
-/// The service rollup of a windowed run reproduces the batch driver's
+/// The rollup of a windowed run reproduces the one-window (batch) run's
 /// estimates bit for bit — windowing plus merge loses nothing.
 #[test]
 fn windowed_rollup_matches_batch_estimates() {
-    let (fleet, svc) = service_cfg();
-    let batch = FleetDriver::new(fleet.clone()).unwrap().run().unwrap();
+    let (fleet, svc) = common::service_cfg();
+    let batch = common::one_window(fleet.clone());
     let windowed = FleetDriver::new(fleet).unwrap().run_service(&svc).unwrap();
-    assert_eq!(windowed.windows_sealed, 2);
-    assert_eq!(windowed.stats.accepted, batch.ingest.accepted);
+    assert_eq!((batch.windows_sealed, windowed.windows_sealed), (1, 2));
+    assert_eq!(windowed.stats.accepted, batch.stats.accepted);
     assert_eq!(windowed.ledger_digest, batch.ledger_digest);
-    let (b, w) = (
-        batch.mean.expect("batch mean"),
-        windowed.rollup_mean.expect("rollup mean"),
-    );
-    assert_eq!(w.value.to_bits(), b.value.to_bits());
-    assert_eq!(w.stderr.to_bits(), b.stderr.to_bits());
-    let (b, w) = (
-        batch.rr_frequency.expect("batch RR"),
-        windowed.rollup_rr_frequency.expect("rollup RR"),
-    );
-    assert_eq!(w.value.to_bits(), b.value.to_bits());
+    assert_eq!(windowed.rollup_ledger_entries, batch.rollup_ledger_entries);
+    for (w, b) in [
+        (windowed.rollup_mean, batch.rollup_mean),
+        (windowed.rollup_variance, batch.rollup_variance),
+        (windowed.rollup_median, batch.rollup_median),
+        (windowed.rollup_rr_frequency, batch.rollup_rr_frequency),
+    ] {
+        let (w, b) = (w.expect("windowed estimate"), b.expect("batch estimate"));
+        assert_eq!(w.value.to_bits(), b.value.to_bits());
+        assert_eq!(w.stderr.to_bits(), b.stderr.to_bits());
+        assert_eq!(w.n, b.n);
+    }
 }
