@@ -27,13 +27,14 @@
 //!
 //! and then issued one `noise_value(x)` per epoch. Equivalence holds
 //! because every URNG word is drawn in the same order through the same
-//! continuous health tests (the power-on test itself runs through the
-//! exact-equivalent [`UrngHealth::startup_batched`] fast path), the CORDIC
-//! logarithm is a pure function (memoized per `(Bu, iterations)` instead of
-//! recomputed per draw), and the per-epoch dataflow mirrors
-//! `DpBox::tick`'s cycle-2 branch structure line for line: budget check
-//! before staged-sample consumption, cached serves restage, health trips
-//! void the staged sample and surface as a drop at the *next* epoch.
+//! continuous health tests (every lane's power-on self-test runs through
+//! the exact-equivalent lane-parallel [`UrngHealth::startup_lanes`]
+//! kernel), the CORDIC logarithm is a pure function (memoized per
+//! `(Bu, iterations)` instead of recomputed per draw), and the per-epoch
+//! dataflow mirrors `DpBox::tick`'s cycle-2 branch structure line for
+//! line: budget check before staged-sample consumption, cached serves
+//! restage, health trips void the staged sample and surface as a drop at
+//! the *next* epoch.
 //!
 //! Only [`LimitMode::Thresholding`] is modelled — the fleet operating
 //! point. Resampling-mode devices loop a data-dependent number of cycles
@@ -251,7 +252,12 @@ impl DeviceArray {
         let mag_bits = cfg.bu - 1;
         let budget = cfg.budget_raw as f64 * delta;
 
+        // Power-on self-test of every lane in one lane-parallel pass.
         let lanes = seeds.len();
+        let mut rng: Vec<Taus88> = seeds.iter().map(|&seed| Taus88::from_seed(seed)).collect();
+        let mut health = vec![UrngHealth::new(cfg.health); lanes];
+        UrngHealth::startup_lanes(&mut rng, &mut health);
+
         let mut arr = DeviceArray {
             mag_bits,
             eps_shift: u32::from(cfg.eps_shift),
@@ -264,8 +270,8 @@ impl DeviceArray {
             table,
             ln: (mag_bits <= MAX_MEMO_MAG_BITS).then(|| ln_table(mag_bits, cfg.cordic_iterations)),
             cordic: CordicLn::new(cfg.cordic_iterations),
-            rng: Vec::with_capacity(lanes),
-            health: Vec::with_capacity(lanes),
+            rng,
+            health,
             staged_m: vec![0; lanes],
             staged_neg: vec![false; lanes],
             remaining: vec![budget; lanes],
@@ -275,16 +281,11 @@ impl DeviceArray {
             excluded: vec![false; lanes],
             active: Vec::with_capacity(lanes),
         };
-        // Boot lane by lane in index order — the order the scalar engine
-        // boots devices in, so a boot-staging trip fails at the same lane.
-        let mut scratch = Vec::new();
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut rng = Taus88::from_seed(seed);
-            let mut health = UrngHealth::new(cfg.health);
-            let passed = health.startup_batched(&mut rng, &mut scratch).is_ok();
-            arr.rng.push(rng);
-            arr.health.push(health);
-            if !passed {
+        // Stage each lane's first sample in index order — the order the
+        // scalar engine boots devices in, so a boot-staging trip fails at
+        // the same lane.
+        for lane in 0..lanes {
+            if arr.health[lane].is_alarmed() {
                 // Power-on self-test trip: the scalar driver abandons the
                 // device here, before any further draw.
                 arr.excluded[lane] = true;

@@ -58,7 +58,7 @@ static OPEN_WINDOWS: Gauge = Gauge::new("fleet.service.open_windows");
 static BACKPRESSURE: ulp_obs::Counter = ulp_obs::Counter::new("fleet.service.busy_rejections");
 /// Frames drained per [`FleetService::drain`] call.
 static DRAIN_FRAMES: Histogram = Histogram::new("fleet.service.drain_frames", "frames");
-/// Wall-clock of each window seal (drain + fold + grade).
+/// Wall-clock of each window seal (fold + grade, after the final drain).
 static SEAL_NS: Histogram = Histogram::new("fleet.service.seal_ns", "ns");
 
 /// Environment variable overriding the service window width (epochs).
@@ -212,7 +212,8 @@ pub struct FleetService {
     backpressure_rejections: u64,
     /// Highest staged frame count any single drain saw.
     max_drain_frames: usize,
-    /// Nanoseconds each seal took (drain + fold + grade), per window.
+    /// Nanoseconds each seal took (fold + grade, after the final drain),
+    /// per window.
     seal_ns: Vec<u64>,
 }
 
@@ -292,9 +293,9 @@ impl FleetService {
         self.max_drain_frames
     }
 
-    /// Nanoseconds each seal took so far (drain + fold + grade), one
-    /// entry per sealed window. Wall-clock observability only — never
-    /// part of any digest.
+    /// Nanoseconds each seal took so far (fold + grade, after the final
+    /// drain), one entry per sealed window. Wall-clock observability only
+    /// — never part of any digest.
     pub fn seal_ns(&self) -> &[u64] {
         &self.seal_ns
     }
@@ -395,7 +396,6 @@ impl FleetService {
         charges: Vec<f64>,
         expected: u64,
     ) -> Result<&SealedWindow, WindowStateError> {
-        let t0 = std::time::Instant::now();
         if self.active >= self.windows.len() {
             return Err(WindowStateError {
                 window: self.windows.len() as u32,
@@ -405,7 +405,9 @@ impl FleetService {
         }
         // Flush staged bytes so nothing admitted for this window is lost
         // (drain before the phase transition: it may mark Accumulating).
+        // The drain is ingest, so the seal's clock starts after it.
         self.drain();
+        let t0 = std::time::Instant::now();
         let window = &mut self.windows[self.active];
         window.begin_seal()?;
         let totals = self.collector.take_window_totals();

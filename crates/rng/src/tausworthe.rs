@@ -58,46 +58,44 @@ impl Taus88 {
 
     #[inline]
     fn step(&mut self) -> u32 {
-        // L'Ecuyer (1996), "Maximally equidistributed combined Tausworthe
-        // generators", Table 1 parameters.
-        let b1 = ((self.s1 << 13) ^ self.s1) >> 19;
-        self.s1 = ((self.s1 & 0xFFFF_FFFE) << 12) ^ b1;
-        let b2 = ((self.s2 << 2) ^ self.s2) >> 25;
-        self.s2 = ((self.s2 & 0xFFFF_FFF8) << 4) ^ b2;
-        let b3 = ((self.s3 << 3) ^ self.s3) >> 11;
-        self.s3 = ((self.s3 & 0xFFFF_FFF0) << 17) ^ b3;
+        [self.s1, self.s2, self.s3] = next_state([self.s1, self.s2, self.s3]);
         self.s1 ^ self.s2 ^ self.s3
     }
-}
 
-impl Taus88 {
-    /// Fills `out` with the next words **without** counting them against
-    /// the process-wide `rng.taus88.words_drawn` counter.
-    ///
-    /// This exists for batched consumers (the vectorized health startup)
-    /// that pre-fill a buffer speculatively and only afterwards know how
-    /// many words were really "drawn" by the scalar-equivalent computation;
-    /// they account via [`Taus88::note_words_drawn`] once the count is
-    /// final, keeping the counter bit-identical to the scalar path.
-    pub(crate) fn fill_u32_uncounted(&mut self, out: &mut [u32]) {
-        let (mut s1, mut s2, mut s3) = (self.s1, self.s2, self.s3);
-        for w in out.iter_mut() {
-            let b1 = ((s1 << 13) ^ s1) >> 19;
-            s1 = ((s1 & 0xFFFF_FFFE) << 12) ^ b1;
-            let b2 = ((s2 << 2) ^ s2) >> 25;
-            s2 = ((s2 & 0xFFFF_FFF8) << 4) ^ b2;
-            let b3 = ((s3 << 3) ^ s3) >> 11;
-            s3 = ((s3 & 0xFFFF_FFF0) << 17) ^ b3;
-            *w = s1 ^ s2 ^ s3;
-        }
+    /// The component states `[s1, s2, s3]`, for stepping many generators
+    /// as state columns with [`next_state`].
+    pub(crate) fn state(&self) -> [u32; 3] {
+        [self.s1, self.s2, self.s3]
+    }
+
+    /// Moves the generator to component states reached from
+    /// [`Taus88::state`] by [`next_state`] steps. Draws made that way are
+    /// not counted: credit them with [`Taus88::note_words_drawn`].
+    pub(crate) fn set_state(&mut self, [s1, s2, s3]: [u32; 3]) {
         (self.s1, self.s2, self.s3) = (s1, s2, s3);
     }
 
-    /// Credits `n` words to the process-wide draw counter (see
-    /// [`Taus88::fill_u32_uncounted`]).
+    /// Credits `n` words to the process-wide draw counter, for draws made
+    /// on state columns (see [`Taus88::set_state`]).
     pub(crate) fn note_words_drawn(n: u64) {
         WORDS_DRAWN.add(n);
     }
+}
+
+/// One Taus88 step of the component states `[s1, s2, s3]`; the step's
+/// output word is the XOR of the three new states.
+#[inline(always)]
+pub(crate) fn next_state([s1, s2, s3]: [u32; 3]) -> [u32; 3] {
+    // L'Ecuyer (1996), "Maximally equidistributed combined Tausworthe
+    // generators", Table 1 parameters.
+    let b1 = ((s1 << 13) ^ s1) >> 19;
+    let b2 = ((s2 << 2) ^ s2) >> 25;
+    let b3 = ((s3 << 3) ^ s3) >> 11;
+    [
+        ((s1 & 0xFFFF_FFFE) << 12) ^ b1,
+        ((s2 & 0xFFFF_FFF8) << 4) ^ b2,
+        ((s3 & 0xFFFF_FFF0) << 17) ^ b3,
+    ]
 }
 
 impl RandomBits for Taus88 {
@@ -108,19 +106,14 @@ impl RandomBits for Taus88 {
 
     fn fill_u32(&mut self, out: &mut [u32]) {
         WORDS_DRAWN.add(out.len() as u64);
-        // Same word sequence as repeated `next_u32`; the local copies let
+        // Same word sequence as repeated `next_u32`; the local copy lets
         // the compiler keep the LFSR state in registers across the chunk.
-        let (mut s1, mut s2, mut s3) = (self.s1, self.s2, self.s3);
+        let mut s = self.state();
         for w in out.iter_mut() {
-            let b1 = ((s1 << 13) ^ s1) >> 19;
-            s1 = ((s1 & 0xFFFF_FFFE) << 12) ^ b1;
-            let b2 = ((s2 << 2) ^ s2) >> 25;
-            s2 = ((s2 & 0xFFFF_FFF8) << 4) ^ b2;
-            let b3 = ((s3 << 3) ^ s3) >> 11;
-            s3 = ((s3 & 0xFFFF_FFF0) << 17) ^ b3;
-            *w = s1 ^ s2 ^ s3;
+            s = next_state(s);
+            *w = s[0] ^ s[1] ^ s[2];
         }
-        (self.s1, self.s2, self.s3) = (s1, s2, s3);
+        self.set_state(s);
     }
 }
 

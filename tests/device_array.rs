@@ -67,6 +67,10 @@ fn arb_config() -> impl Strategy<Value = DeviceArrayConfig> {
     })
 }
 
+/// Seed counts up to two full 64-lane blocks of the power-on self-test
+/// kernel and one lane of a third, so arrays cross kernel blocks.
+const MAX_LANES: usize = 2 * 64 + 1;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -74,15 +78,16 @@ proptest! {
     /// device's, the remaining budget is bit-identical, exclusion matches
     /// the scalar `HealthFault` phase, and once either side stops
     /// reporting the other has stopped too — across random configs,
-    /// seeds, and per-epoch sensor codes.
+    /// seeds, and per-epoch sensor codes. One array steps in lockstep with
+    /// one scalar device per lane.
     #[test]
     fn array_lanes_are_bit_identical_to_scalar_devices(
         cfg in arb_config(),
-        seeds in proptest::collection::vec(any::<u64>(), 1..6),
+        seeds in proptest::collection::vec(any::<u64>(), 1..MAX_LANES + 1),
         schedule in proptest::collection::vec(
             proptest::collection::vec(0i64..=256, 1..6), 1..10),
     ) {
-        let array = match DeviceArray::new(&cfg, &seeds) {
+        let mut array = match DeviceArray::new(&cfg, &seeds) {
             Ok(a) => a,
             Err(e) => {
                 // A lane's monitor tripped while staging its first
@@ -97,25 +102,27 @@ proptest! {
             }
         };
 
+        let mut devices = Vec::with_capacity(seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
-            let mut dev = scalar_device(&cfg, seed).unwrap();
+            let dev = scalar_device(&cfg, seed).unwrap();
             prop_assert_eq!(
                 dev.phase() == Phase::HealthFault,
                 array.is_excluded(lane),
                 "lane {} exclusion parity", lane
             );
-            if array.is_excluded(lane) {
-                continue;
-            }
-            // Fresh array per lane so the lockstep comparison sees every
-            // epoch's outcome for this lane.
-            let mut mirror = DeviceArray::new(&cfg, &seeds).unwrap();
-            let mut out = Vec::new();
-            for (epoch, epoch_codes) in schedule.iter().enumerate() {
-                let xs: Vec<i64> = (0..seeds.len())
-                    .map(|l| epoch_codes[l % epoch_codes.len()])
-                    .collect();
-                mirror.step(&xs, &mut out);
+            devices.push(dev);
+        }
+        let mut out = Vec::new();
+        for (epoch, epoch_codes) in schedule.iter().enumerate() {
+            let xs: Vec<i64> = (0..seeds.len())
+                .map(|l| epoch_codes[l % epoch_codes.len()])
+                .collect();
+            array.step(&xs, &mut out);
+            for (lane, dev) in devices.iter_mut().enumerate() {
+                if array.is_excluded(lane) {
+                    prop_assert_eq!(out[lane], LaneOutcome::Dropped, "excluded lane {}", lane);
+                    continue;
+                }
                 match dev.noise_value(xs[lane]) {
                     Ok((y, _)) => {
                         let ok = matches!(
@@ -138,7 +145,7 @@ proptest! {
                 }
                 prop_assert_eq!(
                     dev.remaining_budget().to_bits(),
-                    mirror.remaining_budget(lane).to_bits(),
+                    array.remaining_budget(lane).to_bits(),
                     "lane {} epoch {} remaining budget", lane, epoch
                 );
             }
