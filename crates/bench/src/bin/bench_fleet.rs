@@ -13,9 +13,10 @@
 //!   device simulation (`fleet.driver.simulate`), decode, accumulate,
 //!   fold — attributed from the span timers, with sim-only, decode-only,
 //!   and accumulate-only throughput derived from the same deltas;
-//! * the columnar-decode counters (`fleet.decode.batch_frames`,
-//!   `fleet.decode.fallback_chunks`) showing how much of the stream rode
-//!   the parallel fast path vs the sequential resync scanner;
+//! * the streaming-decode counters: `fleet.decode.batch_frames`, the
+//!   frames decoded on the 20-byte grid, and `fleet.decode.fallback_chunks`,
+//!   the corrupt regions handed to the resync scanner (0 on a clean
+//!   stream);
 //! * the [`ServiceOutcome`] determinism digest — rerunning with a
 //!   different `ULP_PAR_THREADS` must reproduce every digest bit-for-bit;
 //! * the accuracy gates: mean, RR frequency, and RR count must land within

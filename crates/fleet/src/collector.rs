@@ -27,33 +27,38 @@
 //!   [`SealStatus::Degraded`] instead of panicking; estimators already
 //!   compute SE from realized (not assumed) response counts.
 //!
-//! # Determinism
+//! # Ingest
 //!
-//! Ingest is parallel but *partitioned*, never racy:
+//! The default path ([`IngestPath::Columnar`]) is one sequential streaming
+//! pass over the bytes, in blocks of at most 4,096 items held in one reused
+//! buffer:
 //!
-//! 1. a batch of frames is decoded in fixed-size chunks via [`ulp_par`]
-//!    (chunk boundaries depend only on the byte count); if any frame fails,
-//!    the batch is re-decoded by the sequential resync scanner, whose
-//!    output is a pure function of the bytes;
-//! 2. each shard then scans the decoded items in stream order, handling
-//!    only devices that hash to it (`FNV-1a(device) mod shards` — a
-//!    property of the report, not of the executing thread). Dedup windows,
-//!    strike counts, and quarantine latches live *inside* the owning shard,
-//!    so their evolution is also schedule-free;
-//! 3. [`Collector::totals`] folds shards in index order.
+//! 1. *decode*: the resync walk of [`decode_stream`] decodes each frame on
+//!    the 20-byte grid, handing structural damage to the scanner, and each
+//!    outcome is classified (unknown queries and attributable wire errors
+//!    become strikes);
+//! 2. *accumulate*: each item of the block passes, in stream order, through
+//!    its device's shard: the quarantine latch, strike counting, the
+//!    watermark check, the dedup window, and the accumulators.
 //!
-//! Accumulator updates are exact integer additions, which are associative
-//! and commutative, so the folded totals are **bit-identical for any thread
-//! count and any shard count** — the same discipline (results are a pure
-//! function of the data, never of the schedule) the `stream_seed` seeding
-//! rules give the evaluation sweeps.
+//! # Shards
+//!
+//! Device `d` belongs to shard `d mod shards`, at row `d / shards` of that
+//! shard's flat tables — a property of the report, never of a schedule.
+//! Dedup windows, strike counts and quarantine latches live *inside* the
+//! owning shard, and [`Collector::totals`] folds shards in index order.
+//! Accumulator updates are exact integer additions and per-device state
+//! never crosses shards, so the folded totals are **bit-identical for any
+//! shard count and any thread count** — the same discipline (results are a
+//! pure function of the data, never of the schedule) the `stream_seed`
+//! seeding rules give the evaluation sweeps.
 
 use std::collections::HashMap;
 
-use ulp_obs::{Counter, Fnv64, Histogram, SpanTimer};
+use ulp_obs::{Counter, Histogram, SpanTimer};
 
 use crate::sketch::GridSketch;
-use crate::wire::{decode_stream, ColumnarBatch, Payload, Report, WireError, FRAME_LEN};
+use crate::wire::{decode_stream, walk_parts, Payload, Report, WireError, FRAME_LEN};
 
 /// Reports accepted into shard accumulators, process-wide.
 static INGESTED: Counter = Counter::new("fleet.reports.ingested");
@@ -79,9 +84,9 @@ static QUARANTINE_DROPPED: Counter = Counter::new("fleet.quarantine.dropped");
 static SHARD_MERGES: Counter = Counter::new("fleet.shard.merges");
 /// Wall-clock of each ingested batch.
 static INGEST_SPAN: SpanTimer = SpanTimer::new("fleet.collector.ingest");
-/// Wall-clock of the decode phase of each batch.
+/// Wall-clock of the decode phase of each block.
 static DECODE_SPAN: SpanTimer = SpanTimer::new("fleet.collector.decode");
-/// Wall-clock of the accumulate (shard pass) phase of each batch.
+/// Wall-clock of the accumulate (shard pass) phase of each block.
 static ACCUMULATE_SPAN: SpanTimer = SpanTimer::new("fleet.collector.accumulate");
 /// Wall-clock of each [`Collector::totals`] shard fold.
 static FOLD_SPAN: SpanTimer = SpanTimer::new("fleet.collector.fold");
@@ -93,9 +98,9 @@ static BATCH_SIZE: Histogram = Histogram::new("fleet.collector.batch_reports", "
 /// below that every field stays zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestPhaseTotals {
-    /// Nanoseconds decoding wire bytes into reports/columns.
+    /// Nanoseconds decoding and classifying wire bytes.
     pub decode_ns: u64,
-    /// Nanoseconds in the shard pass (shuffle + dedup + absorb).
+    /// Nanoseconds in the shard pass (latch, dedup, absorb).
     pub accumulate_ns: u64,
     /// Nanoseconds folding shard accumulators in [`Collector::totals`].
     pub fold_ns: u64,
@@ -350,18 +355,23 @@ impl IngestStats {
 const DEDUP_BLOCK: u32 = 64;
 /// Attributable protocol violations before a sender is latched out.
 pub const DEFAULT_QUARANTINE_STRIKES: u32 = 3;
+/// Items per block of the streaming drain: one block is decoded and
+/// classified, then accumulated, before the next is decoded.
+pub(crate) const DRAIN_BLOCK: usize = 4096;
 
 /// Which ingest implementation [`Collector::ingest_frames`] runs. The two
 /// paths produce **byte-identical** totals, stats, and digests for every
-/// input — the columnar path is the pipeline; the reference path is an
+/// input. The streaming drain is the pipeline; the reference path is an
 /// in-process differential-test oracle, selected only through
 /// [`Collector::with_ingest_path`] (or the driver's
 /// [`crate::FleetDriver::with_ingest_path`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestPath {
-    /// Columnar batch pipeline (the default): parallel struct-of-arrays
-    /// decode with sequential fallback for structurally-broken chunks,
-    /// then per-shard bucketed accumulation in canonical chunk order.
+    /// The streaming drain (the default): one sequential pass over the
+    /// bytes in blocks of at most 4,096 items, each block decoded and
+    /// classified, then accumulated item by item in stream order, each in
+    /// its device's shard. The name predates the streaming drain and stays
+    /// for existing callers.
     #[default]
     Columnar,
     /// The scalar pipeline: per-frame decode (parallel only when the whole
@@ -370,6 +380,7 @@ pub enum IngestPath {
 }
 
 /// What the dedup window decided about a report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Admit {
     Fresh,
     Duplicate,
@@ -381,51 +392,65 @@ enum Admit {
 /// epochs span at most two blocks folds to the clean stream; epochs older
 /// than both retained blocks are rejected as stale (they can no longer be
 /// distinguished from replays).
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// 24 bytes: an empty block holds [`DedupSlot::EMPTY`], which no epoch
+/// reaches (the largest block is `u32::MAX / 64`). Blocks fill in index
+/// order, so block 1 is empty whenever block 0 is.
+#[derive(Debug, Clone, Copy)]
 struct DedupSlot {
-    blocks: [(u32, u64); 2],
-    used: u8,
+    blocks: [u32; 2],
+    bits: [u64; 2],
 }
 
 impl DedupSlot {
+    /// The block number of an unused block.
+    const EMPTY: u32 = u32::MAX;
+    /// A slot that has seen nothing.
+    const FRESH: DedupSlot = DedupSlot {
+        blocks: [DedupSlot::EMPTY; 2],
+        bits: [0; 2],
+    };
+
     fn admit(&mut self, epoch: u32) -> Admit {
         let block = epoch / DEDUP_BLOCK;
         let bit = 1u64 << (epoch % DEDUP_BLOCK);
-        for i in 0..usize::from(self.used) {
-            if self.blocks[i].0 == block {
-                if self.blocks[i].1 & bit != 0 {
+        for i in 0..2 {
+            if self.blocks[i] == block {
+                if self.bits[i] & bit != 0 {
                     return Admit::Duplicate;
                 }
-                self.blocks[i].1 |= bit;
+                self.bits[i] |= bit;
+                return Admit::Fresh;
+            }
+            if self.blocks[i] == DedupSlot::EMPTY {
+                self.blocks[i] = block;
+                self.bits[i] = bit;
                 return Admit::Fresh;
             }
         }
-        if usize::from(self.used) < 2 {
-            self.blocks[usize::from(self.used)] = (block, bit);
-            self.used += 1;
-            return Admit::Fresh;
-        }
         // Both blocks resident: evict the older one, or reject the report
         // as stale if it predates both.
-        let older = usize::from(self.blocks[1].0 < self.blocks[0].0);
-        if block < self.blocks[older].0 {
+        let older = usize::from(self.blocks[1] < self.blocks[0]);
+        if block < self.blocks[older] {
             return Admit::Stale;
         }
-        self.blocks[older] = (block, bit);
+        self.blocks[older] = block;
+        self.bits[older] = bit;
         Admit::Fresh
     }
 }
 
 /// One shard's persistent state: accumulators plus the per-device dedup
-/// and quarantine records for the devices that hash to it.
+/// and quarantine records for the devices it owns (`d mod shards`).
 ///
-/// Device ids below `flat_cap` index directly into the flat tables —
-/// the accumulate inner loop then touches no hash map at all. Ids at or
-/// above the cap (forged ids recovered from a corrupted stream, or a
-/// collector built without [`Collector::with_device_capacity`]) take the
-/// hash-map fallback. Both routes run the identical admit/strike/latch
-/// logic, so which route a device takes is unobservable in the stats,
-/// totals, and quarantine state.
+/// Device `d` sits at row `d / shards`. Rows below the flat tables' length
+/// — the shard's ids under [`Collector::with_device_capacity`]'s cap —
+/// index directly into the tables, so the accumulate inner loop touches no
+/// hash map at all. Ids at or above the cap (forged ids recovered from a
+/// corrupted stream, or a collector built without a capacity) take the
+/// hash-map fallback, keyed by device id. Both routes run the identical
+/// admit/strike/latch logic, so which route a device takes is unobservable
+/// in the stats, totals, and quarantine state.
 #[derive(Debug, Clone)]
 struct ShardState {
     accs: Vec<QueryTotals>,
@@ -435,13 +460,11 @@ struct ShardState {
     strikes: HashMap<u32, u32>,
     /// Latched (quarantined) senders — permanent, like `HealthFault`.
     latched: std::collections::HashSet<u32>,
-    /// Device ids below this take the flat-table route (0 = never).
-    flat_cap: u32,
-    /// `flat_cap × nq` dedup windows, row-major by device.
+    /// `rows × nq` dedup windows, row-major.
     flat_dedup: Vec<DedupSlot>,
-    /// Strike counts for unlatched devices below the cap.
+    /// Strike counts for unlatched devices, by row.
     flat_strikes: Vec<u32>,
-    /// Latch flags for devices below the cap.
+    /// Latch flags, by row; its length is the shard's flat row count.
     flat_latched: Vec<bool>,
 }
 
@@ -465,7 +488,8 @@ impl Item {
     }
 }
 
-/// Per-shard result of one batch pass (summed over shards afterwards).
+/// Outcome tallies of a shard pass: one per shard on the reference path,
+/// summed afterwards; one for the whole batch on the streaming drain.
 #[derive(Default, Clone, Copy)]
 struct ShardBatch {
     accepted: u64,
@@ -542,12 +566,14 @@ impl EpochSeal {
     }
 }
 
-/// Hash-sharded per-query accumulators over privatized report batches,
-/// with idempotent (dedup-windowed) ingest and sender quarantine.
+/// Sharded per-query accumulators over privatized report batches, with
+/// idempotent (dedup-windowed) ingest and sender quarantine.
 #[derive(Debug, Clone)]
 pub struct Collector {
     queries: Vec<QueryConfig>,
     shard_states: Vec<ShardState>,
+    /// `shard_states.len()`, as the divisor of the device partition.
+    shards: u32,
     strike_limit: u32,
     ingest_path: IngestPath,
     /// Reports with `epoch < window_floor` are late arrivals for a window
@@ -559,13 +585,6 @@ pub struct Collector {
     first_error: Option<WireError>,
 }
 
-/// FNV-1a of the device id — the shard assignment hash. A property of the
-/// report alone, so the shard partition is independent of thread schedule.
-#[inline]
-fn device_hash(device: u32) -> u64 {
-    Fnv64::hash(&device.to_le_bytes())
-}
-
 impl Collector {
     /// Creates a collector with `shards` accumulator partitions for the
     /// given query streams, latching senders out after
@@ -573,9 +592,11 @@ impl Collector {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, `queries` is empty, or query ids repeat.
+    /// Panics if `shards` is zero or above `u32::MAX`, `queries` is empty,
+    /// or query ids repeat.
     pub fn new(shards: usize, queries: &[QueryConfig]) -> Self {
         assert!(shards > 0, "need at least one shard");
+        let shards32 = u32::try_from(shards).expect("shard count fits a device id");
         assert!(!queries.is_empty(), "need at least one query");
         for (i, q) in queries.iter().enumerate() {
             assert!(
@@ -590,7 +611,6 @@ impl Collector {
                 dedup: HashMap::new(),
                 strikes: HashMap::new(),
                 latched: std::collections::HashSet::new(),
-                flat_cap: 0,
                 flat_dedup: Vec::new(),
                 flat_strikes: Vec::new(),
                 flat_latched: Vec::new(),
@@ -599,6 +619,7 @@ impl Collector {
         Collector {
             queries: queries.to_vec(),
             shard_states,
+            shards: shards32,
             strike_limit: DEFAULT_QUARANTINE_STRIKES,
             ingest_path: IngestPath::default(),
             window_floor: 0,
@@ -627,11 +648,12 @@ impl Collector {
     /// The accumulate inner loop is dominated by per-(device, query) hash
     /// lookups once populations reach ~10⁶ devices; ids below the cap
     /// index straight into flat per-shard tables allocated here instead.
-    /// Ids at or above the cap (e.g. forged ids recovered from a corrupted
-    /// stream) fall back to the hash maps. Both routes run the same
-    /// admit/strike/latch code, so stats, totals, `Duplicate`/`Stale`
-    /// counters, and quarantine state are byte-identical at any `cap` —
-    /// only the lookup cost changes.
+    /// Shard `s` holds only its own ids below the cap, `⌈(cap − s) /
+    /// shards⌉` rows. Ids at or above the cap (e.g. forged ids recovered
+    /// from a corrupted stream) fall back to the hash maps. Both routes run
+    /// the same admit/strike/latch code, so stats, totals,
+    /// `Duplicate`/`Stale` counters, and quarantine state are
+    /// byte-identical at any `cap` — only the lookup cost changes.
     ///
     /// # Panics
     ///
@@ -643,11 +665,12 @@ impl Collector {
             "device capacity must be set before the first ingest"
         );
         let nq = self.queries.len();
-        for st in &mut self.shard_states {
-            st.flat_cap = cap;
-            st.flat_dedup = vec![DedupSlot::default(); cap as usize * nq];
-            st.flat_strikes = vec![0; cap as usize];
-            st.flat_latched = vec![false; cap as usize];
+        let shards = self.shards;
+        for (s, st) in (0u32..).zip(&mut self.shard_states) {
+            let rows = cap.saturating_sub(s).div_ceil(shards) as usize;
+            st.flat_dedup = vec![DedupSlot::FRESH; rows * nq];
+            st.flat_strikes = vec![0; rows];
+            st.flat_latched = vec![false; rows];
         }
         self
     }
@@ -692,17 +715,24 @@ impl Collector {
             .iter()
             .flat_map(|s| s.latched.iter().copied())
             .collect();
-        for s in &self.shard_states {
+        for (s, st) in (0u32..).zip(&self.shard_states) {
             out.extend(
-                s.flat_latched
-                    .iter()
-                    .enumerate()
+                (0u32..)
+                    .zip(&st.flat_latched)
                     .filter(|&(_, &latched)| latched)
-                    .map(|(d, _)| d as u32),
+                    .map(|(row, _)| row * self.shards + s),
             );
         }
         out.sort_unstable();
         out
+    }
+
+    /// The shard owning `device` and the device's row in it, from one
+    /// division.
+    #[inline]
+    fn route(&self, device: u32) -> (usize, u32) {
+        let row = device / self.shards;
+        ((device - row * self.shards) as usize, row)
     }
 
     /// The first wire error seen (kept for diagnostics; `None` if every
@@ -731,14 +761,22 @@ impl Collector {
     /// attributable violations.
     ///
     /// Runs the pipeline selected by [`Collector::with_ingest_path`]: the
-    /// columnar batch path (default) or the scalar reference path. The two
+    /// streaming drain (default) or the scalar reference path. The two
     /// produce **byte-identical** stats, totals, and quarantine state for
     /// every input.
     pub fn ingest_frames(&mut self, bytes: &[u8]) -> IngestStats {
+        self.ingest_parts(&[bytes])
+    }
+
+    /// Ingests the concatenation of `parts` as one batch, exactly as
+    /// [`Collector::ingest_frames`] would ingest `parts.concat()`. The
+    /// streaming drain reads the parts in place (see [`walk_parts`]); the
+    /// reference path concatenates them.
+    pub(crate) fn ingest_parts(&mut self, parts: &[&[u8]]) -> IngestStats {
         let _span = INGEST_SPAN.enter();
         let stats = match self.ingest_path {
-            IngestPath::Columnar => self.ingest_columnar(bytes),
-            IngestPath::Reference => self.ingest_reference(bytes),
+            IngestPath::Columnar => self.ingest_streaming(parts, DRAIN_BLOCK),
+            IngestPath::Reference => self.ingest_reference(&parts.concat()),
         };
         self.ingested += stats.accepted;
         self.rejected += stats.rejected;
@@ -755,74 +793,70 @@ impl Collector {
         stats
     }
 
-    /// Classifies decoded items into shard-pass items in stream order,
-    /// tallying decode errors and unknown-query rejections. Shared by both
-    /// ingest paths — the strike/report interleaving each shard sees is
-    /// produced here, so the paths cannot diverge on it.
+    /// Classifies one decode outcome into a shard-pass item, tallying
+    /// decode errors and unknown-query rejections; `None` for an error no
+    /// sender can be held to. Shared by both ingest paths — the
+    /// strike/report interleaving each shard sees is produced here, so the
+    /// paths cannot diverge on it.
     fn classify(
         &mut self,
-        items_raw: impl IntoIterator<Item = Result<Report, WireError>>,
+        raw: Result<Report, WireError>,
         stats: &mut IngestStats,
-    ) -> Vec<Item> {
-        let mut items: Vec<Item> = Vec::new();
-        for raw in items_raw {
-            match raw {
-                Ok(report) => match self.query_index(&report) {
-                    Some(q) => items.push(Item::Report { q, report }),
-                    None => {
-                        // Unknown query id or kind/query mismatch: the
-                        // frame decoded (checksum-valid), so the sender is
-                        // known and the violation is attributable.
-                        stats.rejected += 1;
-                        items.push(Item::Strike {
-                            device: report.device,
-                        });
-                    }
-                },
-                Err(e) => {
+    ) -> Option<Item> {
+        match raw {
+            Ok(report) => Some(match self.query_index(&report) {
+                Some(q) => Item::Report { q, report },
+                None => {
+                    // Unknown query id or kind/query mismatch: the frame
+                    // decoded (checksum-valid), so the sender is known and
+                    // the violation is attributable.
                     stats.rejected += 1;
-                    self.wire_errors.count(&e);
-                    self.first_error.get_or_insert(e);
-                    if let Some(device) = e.attributable_device() {
-                        items.push(Item::Strike { device });
+                    Item::Strike {
+                        device: report.device,
                     }
                 }
+            }),
+            Err(e) => {
+                stats.rejected += 1;
+                self.wire_errors.count(&e);
+                self.first_error.get_or_insert(e);
+                e.attributable_device()
+                    .map(|device| Item::Strike { device })
             }
         }
-        items
     }
 
-    /// Applies one item to its owning shard: the quarantine latch, strike
-    /// counting, the watermark (late-arrival) check, the dedup window, and
-    /// accumulator absorption. The single definition of per-item semantics
-    /// — both ingest paths route every item through here, in the same
-    /// per-shard order.
+    /// Applies one item to its owning shard, where the device sits at
+    /// `row`: the quarantine latch, strike counting, the watermark
+    /// (late-arrival) check, the dedup window, and accumulator absorption.
+    /// The single definition of per-item semantics — both ingest paths
+    /// route every item through here, in the same per-shard order.
     fn apply_item(
         st: &mut ShardState,
+        row: u32,
         strike_limit: u32,
         window_floor: u32,
         item: &Item,
         batch: &mut ShardBatch,
     ) {
-        let device = item.device();
-        if device < st.flat_cap {
+        let r = row as usize;
+        if r < st.flat_latched.len() {
             // Flat route: direct indexing, no hashing. Mirrors the
             // fallback arm below statement-for-statement.
-            let d = device as usize;
             match item {
                 Item::Strike { .. } => {
-                    if st.flat_latched[d] {
+                    if st.flat_latched[r] {
                         return;
                     }
-                    st.flat_strikes[d] += 1;
-                    if st.flat_strikes[d] >= strike_limit {
-                        st.flat_strikes[d] = 0;
-                        st.flat_latched[d] = true;
+                    st.flat_strikes[r] += 1;
+                    if st.flat_strikes[r] >= strike_limit {
+                        st.flat_strikes[r] = 0;
+                        st.flat_latched[r] = true;
                         batch.quarantine_latched += 1;
                     }
                 }
                 Item::Report { q, report } => {
-                    if st.flat_latched[d] {
+                    if st.flat_latched[r] {
                         batch.quarantine_dropped += 1;
                         return;
                     }
@@ -831,7 +865,7 @@ impl Collector {
                         return;
                     }
                     let nq = st.accs.len();
-                    match st.flat_dedup[d * nq + *q].admit(report.epoch) {
+                    match st.flat_dedup[r * nq + *q].admit(report.epoch) {
                         Admit::Fresh => {
                             st.accs[*q].absorb(report.payload);
                             batch.accepted += 1;
@@ -843,6 +877,7 @@ impl Collector {
             }
             return;
         }
+        let device = item.device();
         match item {
             Item::Strike { .. } => {
                 if st.latched.contains(&device) {
@@ -869,7 +904,7 @@ impl Collector {
                 let slots = st
                     .dedup
                     .entry(device)
-                    .or_insert_with(|| vec![DedupSlot::default(); nq]);
+                    .or_insert_with(|| vec![DedupSlot::FRESH; nq]);
                 match slots[*q].admit(report.epoch) {
                     Admit::Fresh => {
                         st.accs[*q].absorb(report.payload);
@@ -883,7 +918,7 @@ impl Collector {
     }
 
     /// Folds per-shard batch results into the call's stats.
-    fn fold_shard_batches(stats: &mut IngestStats, batches: Vec<ShardBatch>) {
+    fn fold_shard_batches(stats: &mut IngestStats, batches: impl IntoIterator<Item = ShardBatch>) {
         for b in batches {
             stats.accepted += b.accepted;
             stats.duplicates += b.duplicates;
@@ -932,31 +967,40 @@ impl Collector {
         drop(decode_span);
 
         // Phase 1.5: classify into shard-pass items, tallying errors.
-        let items = self.classify(items_raw, &mut stats);
+        let items: Vec<Item> = items_raw
+            .into_iter()
+            .filter_map(|raw| self.classify(raw, &mut stats))
+            .collect();
 
         // Phase 2: shard pass. Each shard owns its accumulators, dedup
         // windows, and quarantine records, and walks the item sequence in
         // stream order for its own devices. The shard a device belongs to
         // is a pure function of its id, so this is schedule-free.
         let accumulate_span = ACCUMULATE_SPAN.enter();
-        let shards = self.shard_states.len() as u64;
+        let shards = self.shards;
         let strike_limit = self.strike_limit;
         let window_floor = self.window_floor;
-        let guards: Vec<std::sync::Mutex<(u64, &mut ShardState)>> = self
-            .shard_states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| std::sync::Mutex::new((i as u64, s)))
+        let guards: Vec<std::sync::Mutex<(u32, &mut ShardState)>> = (0u32..)
+            .zip(self.shard_states.iter_mut())
+            .map(std::sync::Mutex::new)
             .collect();
         let batches: Vec<ShardBatch> = ulp_par::par_map(&guards, |guard| {
             let mut locked = guard.lock().expect("shard guard poisoned");
             let (shard, ref mut st) = *locked;
             let mut batch = ShardBatch::default();
             for item in &items {
-                if device_hash(item.device()) % shards != shard {
+                let device = item.device();
+                if device % shards != shard {
                     continue;
                 }
-                Self::apply_item(st, strike_limit, window_floor, item, &mut batch);
+                Self::apply_item(
+                    st,
+                    device / shards,
+                    strike_limit,
+                    window_floor,
+                    item,
+                    &mut batch,
+                );
             }
             batch
         });
@@ -966,77 +1010,51 @@ impl Collector {
         stats
     }
 
-    /// The columnar pipeline: struct-of-arrays batch decode
-    /// ([`ColumnarBatch::decode`] — parallel chunks, sequential fallback
-    /// only around structural errors), then a parallel stable bucket
-    /// shuffle partitioning items by owning shard, then contention-free
-    /// per-shard accumulation.
+    /// The streaming drain: one sequential pass over the concatenation of
+    /// `parts`, read in place, in blocks of at most `block` items. Each
+    /// block is decoded and classified into one reused buffer, then
+    /// accumulated item by item in stream order, each item in its own
+    /// device's shard.
     ///
     /// # Why the result is byte-identical to the reference path
     ///
-    /// Decode produces the same item sequence, `corrupt_frames`, and
-    /// `resyncs` as [`decode_stream`] for *any* bytes (see
-    /// [`ColumnarBatch`]); classification is shared code; and the bucket
-    /// shuffle is stable (chunk-major, stream order within a chunk), so
-    /// the item subsequence each shard consumes — through the same
-    /// [`Collector::apply_item`] — equals the reference path's filter
-    /// scan. Every accumulator, dedup window, and quarantine latch
-    /// therefore evolves through identical states.
-    fn ingest_columnar(&mut self, bytes: &[u8]) -> IngestStats {
+    /// The walk is [`decode_stream`]'s over the concatenated bytes, so the
+    /// item sequence, `corrupt_frames`, and `resyncs` are the same for any
+    /// bytes and any cut into parts; classification is shared code; and
+    /// each shard consumes its own items in stream order through the same
+    /// [`Collector::apply_item`], exactly the subsequence the reference
+    /// path's filter scan feeds it. Every accumulator, dedup window, and
+    /// quarantine latch therefore evolves through identical states,
+    /// whatever the block size.
+    fn ingest_streaming(&mut self, parts: &[&[u8]], block: usize) -> IngestStats {
         let mut stats = IngestStats::default();
-
-        // Phase 1: columnar decode.
-        let decode_span = DECODE_SPAN.enter();
-        let batch = ColumnarBatch::decode(bytes);
-        stats.corrupt_frames = batch.corrupt_frames;
-        stats.resyncs = batch.resyncs;
-        drop(decode_span);
-
-        // Phase 1.5: classify in stream order (shared with the reference
-        // path).
-        let items = self.classify(batch.iter(), &mut stats);
-
-        // Phase 2a: stable bucket shuffle. Parallel over fixed item
-        // chunks, each producing per-shard buckets; concatenating one
-        // shard's buckets in chunk order reconstructs that shard's
-        // stream-order subsequence. Pure function of the items — no
-        // schedule dependence.
-        let accumulate_span = ACCUMULATE_SPAN.enter();
-        const BUCKET_CHUNK: usize = 16 * 1024;
-        let shards = self.shard_states.len();
-        let item_chunks: Vec<&[Item]> = items.chunks(BUCKET_CHUNK).collect();
-        let bucketed: Vec<Vec<Vec<Item>>> = ulp_par::par_map(&item_chunks, |chunk| {
-            let mut buckets: Vec<Vec<Item>> = vec![Vec::new(); shards];
-            for item in *chunk {
-                buckets[(device_hash(item.device()) % shards as u64) as usize].push(*item);
-            }
-            buckets
-        });
-
-        // Phase 2b: contention-free per-shard accumulation. Each shard
-        // walks only its own buckets, in canonical shard-then-chunk order.
+        let mut batch = ShardBatch::default();
         let strike_limit = self.strike_limit;
         let window_floor = self.window_floor;
-        let guards: Vec<std::sync::Mutex<(usize, &mut ShardState)>> = self
-            .shard_states
-            .iter_mut()
-            .enumerate()
-            .map(|(i, s)| std::sync::Mutex::new((i, s)))
-            .collect();
-        let batches: Vec<ShardBatch> = ulp_par::par_map(&guards, |guard| {
-            let mut locked = guard.lock().expect("shard guard poisoned");
-            let (shard, ref mut st) = *locked;
-            let mut batch = ShardBatch::default();
-            for chunk_buckets in &bucketed {
-                for item in &chunk_buckets[shard] {
-                    Self::apply_item(st, strike_limit, window_floor, item, &mut batch);
+        let frames = parts.iter().map(|p| p.len()).sum::<usize>() / FRAME_LEN;
+        let mut items: Vec<Item> = Vec::with_capacity(block.min(frames + 1));
+        let (corrupt_frames, resyncs) = walk_parts(parts, |walk| loop {
+            let decode_span = DECODE_SPAN.enter();
+            let decoded = walk.decode_block(block, |raw| {
+                if let Some(item) = self.classify(raw, &mut stats) {
+                    items.push(item);
                 }
+            });
+            drop(decode_span);
+            let _accumulate_span = ACCUMULATE_SPAN.enter();
+            for item in &items {
+                let (shard, row) = self.route(item.device());
+                let st = &mut self.shard_states[shard];
+                Self::apply_item(st, row, strike_limit, window_floor, item, &mut batch);
             }
-            batch
+            items.clear();
+            if decoded < block {
+                break;
+            }
         });
-        drop(guards);
-        drop(accumulate_span);
-        Self::fold_shard_batches(&mut stats, batches);
+        stats.corrupt_frames = corrupt_frames;
+        stats.resyncs = resyncs;
+        Self::fold_shard_batches(&mut stats, [batch]);
         stats
     }
 
@@ -1431,76 +1449,244 @@ mod tests {
         batch
     }
 
+    /// Asserts two collectors agree on everything a caller can observe.
+    fn assert_same_state(a: &Collector, b: &Collector) {
+        assert_eq!(a.totals(0), b.totals(0));
+        assert_eq!(a.totals(1), b.totals(1));
+        assert_eq!(a.reports_ingested(), b.reports_ingested());
+        assert_eq!(a.frames_rejected(), b.frames_rejected());
+        assert_eq!(a.wire_errors(), b.wire_errors());
+        assert_eq!(a.first_error(), b.first_error());
+        assert_eq!(a.quarantined_devices(), b.quarantined_devices());
+    }
+
     #[test]
     fn columnar_and_reference_paths_are_byte_identical() {
         let batch = hostile_stream();
+        // Split the stream mid-frame so state carries across calls on both
+        // paths identically.
+        let cut = batch.len() / 2 - 3;
         for shards in [1usize, 3, 8] {
-            let mut reference = Collector::new(shards, &[NUMERIC, RR])
-                .with_quarantine_strikes(3)
-                .with_ingest_path(IngestPath::Reference);
-            let mut columnar = Collector::new(shards, &[NUMERIC, RR])
-                .with_quarantine_strikes(3)
-                .with_ingest_path(IngestPath::Columnar);
-            // Split the stream mid-frame so state carries across calls on
-            // both paths identically.
-            let cut = batch.len() / 2 - 3;
+            let collector = || {
+                Collector::new(shards, &[NUMERIC, RR])
+                    .with_quarantine_strikes(3)
+                    .with_device_capacity(256)
+            };
+            let mut reference = collector().with_ingest_path(IngestPath::Reference);
+            let mut columnar = collector().with_ingest_path(IngestPath::Columnar);
             let r1 = reference.ingest_frames(&batch[..cut]);
-            let c1 = columnar.ingest_frames(&batch[..cut]);
-            assert_eq!(r1, c1);
+            assert_eq!(r1, columnar.ingest_frames(&batch[..cut]));
             let r2 = reference.ingest_frames(&batch[cut..]);
-            let c2 = columnar.ingest_frames(&batch[cut..]);
-            assert_eq!(r2, c2);
-            assert_eq!(reference.totals(0), columnar.totals(0));
-            assert_eq!(reference.totals(1), columnar.totals(1));
-            assert_eq!(reference.reports_ingested(), columnar.reports_ingested());
-            assert_eq!(reference.frames_rejected(), columnar.frames_rejected());
-            assert_eq!(reference.wire_errors(), columnar.wire_errors());
-            assert_eq!(reference.first_error(), columnar.first_error());
-            assert_eq!(
-                reference.quarantined_devices(),
-                columnar.quarantined_devices()
-            );
+            assert_eq!(r2, columnar.ingest_frames(&batch[cut..]));
+            assert_same_state(&reference, &columnar);
             assert!(r1.accepted > 0, "hostile stream must still accept frames");
+            assert!(r1.corrupt_frames > 0 && r2.corrupt_frames > 0);
+
+            // Block boundaries are invisible: every drain block size,
+            // down to one item, folds to the same stats and state.
+            for block in [1, 2, 3, 7, DRAIN_BLOCK] {
+                let mut streaming = collector();
+                assert_eq!(streaming.ingest_streaming(&[&batch[..cut]], block), r1);
+                assert_eq!(streaming.ingest_streaming(&[&batch[cut..]], block), r2);
+                assert_eq!(streaming.totals(0), reference.totals(0), "block {block}");
+                assert_eq!(streaming.totals(1), reference.totals(1), "block {block}");
+                assert_eq!(streaming.wire_errors(), reference.wire_errors());
+                assert_eq!(streaming.first_error(), reference.first_error());
+                assert_eq!(
+                    streaming.quarantined_devices(),
+                    reference.quarantined_devices()
+                );
+            }
         }
     }
 
     #[test]
-    fn flat_device_tables_match_the_hash_fallback() {
+    fn parts_ingest_like_their_concatenation() {
         let batch = hostile_stream();
-        for path in [IngestPath::Columnar, IngestPath::Reference] {
-            let mut hashed = Collector::new(3, &[NUMERIC, RR])
-                .with_quarantine_strikes(3)
-                .with_ingest_path(path);
-            // Cap 512 covers the 300-device population but not the 9000
-            // violator, so the flat route and the hash fallback run side
-            // by side in the same pass.
-            let mut flat = Collector::new(3, &[NUMERIC, RR])
-                .with_quarantine_strikes(3)
-                .with_ingest_path(path)
-                .with_device_capacity(512);
-            let cut = batch.len() / 2 - 3;
-            assert_eq!(
-                hashed.ingest_frames(&batch[..cut]),
-                flat.ingest_frames(&batch[..cut])
-            );
-            assert_eq!(
-                hashed.ingest_frames(&batch[cut..]),
-                flat.ingest_frames(&batch[cut..])
-            );
-            assert_eq!(hashed.totals(0), flat.totals(0));
-            assert_eq!(hashed.totals(1), flat.totals(1));
-            assert_eq!(hashed.reports_ingested(), flat.reports_ingested());
-            assert_eq!(hashed.frames_rejected(), flat.frames_rejected());
-            assert_eq!(hashed.wire_errors(), flat.wire_errors());
-            assert_eq!(hashed.quarantined_devices(), flat.quarantined_devices());
+        // Cuts inside frames, on frame boundaries, inside the smashed
+        // regions and the truncated tail, plus an empty part.
+        for part_len in [1usize, 19, 20, 21, 997, 40 * FRAME_LEN + 7] {
+            let mut parts: Vec<&[u8]> = batch.chunks(part_len).collect();
+            parts.insert(parts.len() / 3, &[]);
+            for shards in [1usize, 3] {
+                let collector = || {
+                    Collector::new(shards, &[NUMERIC, RR])
+                        .with_quarantine_strikes(3)
+                        .with_device_capacity(256)
+                };
+                let mut whole = collector();
+                let mut split = collector();
+                assert_eq!(
+                    whole.ingest_frames(&batch),
+                    split.ingest_parts(&parts),
+                    "parts of {part_len}"
+                );
+                assert_same_state(&whole, &split);
+            }
         }
-        // A cap past every sender keeps the violator latch on the flat
-        // route too.
-        let mut all_flat = Collector::new(2, &[NUMERIC, RR])
-            .with_quarantine_strikes(3)
-            .with_device_capacity(10_000);
-        all_flat.ingest_frames(&batch);
-        assert!(all_flat.quarantined_devices().contains(&9000));
+    }
+
+    /// Traffic at the edges of the flat tables for `cap` ids over `shards`
+    /// shards: ids 0, cap − 1, cap and cap + shards report over three
+    /// dedup blocks, with a reorder, a duplicate and a stale replay, and a
+    /// violator in the last flat row of every shard latches. Returns the
+    /// bytes and the violators' ids.
+    fn edge_stream(cap: u32, shards: u32) -> (Vec<u8>, Vec<u32>) {
+        let mut batch = Vec::new();
+        for epoch in [0u32, 1, 70, 1, 130, 0] {
+            for device in [0, cap - 1, cap, cap + shards] {
+                value_at(device, epoch, device as i32 % 7).encode_into(&mut batch);
+            }
+        }
+        let violators: Vec<u32> = (0..shards)
+            .map(|s| ((cap - s).div_ceil(shards) - 1) * shards + s)
+            .collect();
+        for &device in &violators {
+            for epoch in 0..3 {
+                Report {
+                    device,
+                    query: 77,
+                    epoch,
+                    payload: Payload::Value(1),
+                }
+                .encode_into(&mut batch);
+            }
+            // Dropped: the sender is latched by now.
+            value_at(device, 5, 1).encode_into(&mut batch);
+        }
+        (batch, violators)
+    }
+
+    #[test]
+    fn flat_device_tables_match_the_hash_fallback() {
+        let hostile = hostile_stream();
+        // A cap that is a multiple of no shard count below, so the last
+        // rows of the shards differ in length.
+        let cap = 1_021u32;
+        for shards in [1u32, 3, 4, 8] {
+            let (edges, violators) = edge_stream(cap, shards);
+            for path in [IngestPath::Columnar, IngestPath::Reference] {
+                let collector = || {
+                    Collector::new(shards as usize, &[NUMERIC, RR])
+                        .with_quarantine_strikes(3)
+                        .with_ingest_path(path)
+                };
+                let mut hashed = collector();
+                // The cap covers the hostile stream's 300-device population
+                // but not its 9000 violator, and splits the edge senders,
+                // so the flat route and the hash fallback run side by side
+                // in the same pass.
+                let mut flat = collector().with_device_capacity(cap);
+                let cut = hostile.len() / 2 - 3;
+                for bytes in [&hostile[..cut], &hostile[cut..], &edges[..]] {
+                    assert_eq!(hashed.ingest_frames(bytes), flat.ingest_frames(bytes));
+                }
+                assert_same_state(&hashed, &flat);
+
+                // Shard s holds exactly its own ids below the cap.
+                let rows: Vec<usize> = flat
+                    .shard_states
+                    .iter()
+                    .map(|st| st.flat_latched.len())
+                    .collect();
+                assert_eq!(rows.iter().sum::<usize>(), cap as usize, "{shards} shards");
+                // Ids below the cap never reach a hash map; ids at or above
+                // it always do, in the shard of the same partition.
+                for (s, st) in (0u32..).zip(&flat.shard_states) {
+                    assert!(st.dedup.keys().chain(&st.latched).all(|&d| d >= cap));
+                    assert!(st.dedup.keys().all(|&d| d % shards == s));
+                }
+                for d in [cap, cap + shards] {
+                    let (shard, _) = flat.route(d);
+                    assert!(flat.shard_states[shard].dedup.contains_key(&d));
+                }
+                // Every last-row violator is latched on the flat route and
+                // listed under its global id.
+                let quarantined = flat.quarantined_devices();
+                for &v in &violators {
+                    assert!(v < cap && v + shards >= cap, "{v} sits in a last row");
+                    assert!(quarantined.contains(&v), "{shards} shards: {v} not latched");
+                }
+                assert!(quarantined.contains(&9000));
+                assert_eq!(quarantined.len(), violators.len() + 1);
+            }
+        }
+    }
+
+    /// The dedup slot as first written, 40 bytes: `(block, bits)` pairs
+    /// and a fill count. The reference for the 24-byte [`DedupSlot`].
+    #[derive(Clone, Copy, Default)]
+    struct ReferenceSlot {
+        blocks: [(u32, u64); 2],
+        used: u8,
+    }
+
+    impl ReferenceSlot {
+        fn admit(&mut self, epoch: u32) -> Admit {
+            let block = epoch / DEDUP_BLOCK;
+            let bit = 1u64 << (epoch % DEDUP_BLOCK);
+            for i in 0..usize::from(self.used) {
+                if self.blocks[i].0 == block {
+                    if self.blocks[i].1 & bit != 0 {
+                        return Admit::Duplicate;
+                    }
+                    self.blocks[i].1 |= bit;
+                    return Admit::Fresh;
+                }
+            }
+            if usize::from(self.used) < 2 {
+                self.blocks[usize::from(self.used)] = (block, bit);
+                self.used += 1;
+                return Admit::Fresh;
+            }
+            let older = usize::from(self.blocks[1].0 < self.blocks[0].0);
+            if block < self.blocks[older].0 {
+                return Admit::Stale;
+            }
+            self.blocks[older] = (block, bit);
+            Admit::Fresh
+        }
+    }
+
+    #[test]
+    fn dedup_slot_is_24_bytes_and_keeps_the_top_block() {
+        assert_eq!(std::mem::size_of::<DedupSlot>(), 24);
+        // Block u32::MAX / 64 = 67,108,863 is the highest an epoch
+        // reaches; it must read as resident, never as empty.
+        let mut slot = DedupSlot::FRESH;
+        assert_eq!(slot.admit(u32::MAX), Admit::Fresh);
+        assert_eq!(slot.admit(u32::MAX), Admit::Duplicate);
+        assert_eq!(slot.admit(u32::MAX - 64), Admit::Fresh);
+        assert_eq!(slot.admit(u32::MAX - 1), Admit::Fresh);
+        assert_eq!(slot.admit(u32::MAX - 1), Admit::Duplicate);
+        assert_eq!(slot.admit(u32::MAX - 128), Admit::Stale);
+        assert_eq!(slot.blocks, [u32::MAX / 64, u32::MAX / 64 - 1]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The 24-byte slot gives the reference slot's verdict on every
+        /// report of any epoch stream: reorders, replays, and evictions
+        /// across up to five blocks, anywhere on the epoch axis, up to
+        /// `u32::MAX`.
+        #[test]
+        fn compact_dedup_slot_matches_the_reference_slot(
+            base in proptest::prop_oneof![
+                proptest::prelude::Just(0u32),
+                proptest::prelude::Just(u32::MAX - 255),
+                proptest::prelude::Just(u32::MAX - 100),
+                proptest::prelude::any::<u32>(),
+            ],
+            offsets in proptest::collection::vec(0u32..256, 1..160),
+        ) {
+            let mut compact = DedupSlot::FRESH;
+            let mut reference = ReferenceSlot::default();
+            for off in offsets {
+                let epoch = base.saturating_add(off);
+                proptest::prop_assert_eq!(compact.admit(epoch), reference.admit(epoch));
+            }
+        }
     }
 
     #[test]

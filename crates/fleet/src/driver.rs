@@ -638,7 +638,7 @@ impl FleetDriver {
     }
 
     /// Overrides the collector ingest path (differential-test hook: the
-    /// reference path must reproduce the columnar path bit for bit).
+    /// reference path must reproduce the streaming drain bit for bit).
     pub fn with_ingest_path(mut self, path: IngestPath) -> Self {
         self.ingest_path = path;
         self
@@ -902,12 +902,17 @@ impl FleetDriver {
     /// Included-population ground truth: exclusion happens before any
     /// value-dependent computation, so this is an unbiased subsample.
     fn included_truths(&self, codes_k: &[i64], excluded: &[u32]) -> Truths {
-        let excluded_set: std::collections::HashSet<u32> = excluded.iter().copied().collect();
-        let included: Vec<i64> = codes_k
+        let mut is_excluded = vec![false; codes_k.len()];
+        for &id in excluded {
+            if let Some(flag) = is_excluded.get_mut(id as usize) {
+                *flag = true;
+            }
+        }
+        let mut included: Vec<i64> = codes_k
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !excluded_set.contains(&(*i as u32)))
-            .map(|(_, &k)| k)
+            .zip(&is_excluded)
+            .filter(|&(_, &out)| !out)
+            .map(|(&k, _)| k)
             .collect();
         let n = included.len().max(1) as f64;
         let mean = included.iter().map(|&k| k as f64).sum::<f64>() / n;
@@ -916,12 +921,13 @@ impl FleetDriver {
             .map(|&k| (k as f64 - mean).powi(2))
             .sum::<f64>()
             / n;
-        let median = {
-            let mut sorted = included.clone();
-            sorted.sort_unstable();
-            sorted
-                .get(sorted.len().saturating_sub(1) / 2)
-                .map_or(f64::NAN, |&k| k as f64)
+        // The lower median, selected in place: the sums above are already
+        // taken, and the count below does not depend on order.
+        let median = if included.is_empty() {
+            f64::NAN
+        } else {
+            let mid = (included.len() - 1) / 2;
+            *included.select_nth_unstable(mid).1 as f64
         };
         let fraction = included
             .iter()

@@ -10,13 +10,13 @@
 //!
 //! * [`wire`] — a compact versioned report frame (magic, version, device,
 //!   query, epoch, payload, checksum) with typed rejection of corrupt or
-//!   truncated frames, plus a columnar struct-of-arrays batch decoder
-//!   ([`ColumnarBatch`]) proven byte-equivalent to the sequential resync
-//!   scanner on arbitrary input;
-//! * [`collector`] — hash-sharded per-query moment accumulators plus an
-//!   exact grid quantile [`sketch`], ingesting report batches through a
-//!   columnar decode → stable bucket shuffle → contention-free per-shard
-//!   accumulate pipeline with bit-identical totals at any thread or shard
+//!   truncated frames, and the resync walk ([`decode_stream`]) that
+//!   decodes a stream on the 20-byte grid and scans past corrupt regions;
+//! * [`collector`] — per-query moment accumulators plus an exact grid
+//!   quantile [`sketch`], sharded by device id (`d mod shards`, with flat
+//!   per-shard tables for each shard's own ids), ingesting report batches
+//!   through one sequential streaming drain — decode and classify a block,
+//!   then accumulate it — with bit-identical totals at any thread or shard
 //!   count (and vs the scalar reference path, an in-process test oracle);
 //! * [`estimator`] — debiased estimators (mean, variance, median, RR
 //!   frequency and count) built on the sampler's *exact* output PMF, each
@@ -38,8 +38,8 @@
 //!   bursts), driving the replay-safe retry and idempotent-ingest paths;
 //! * [`window`] — the epoch-window lifecycle (`Open → Accumulating →
 //!   Sealing → Sealed → Compacted`), sealed-window records, and
-//!   order-canonicalized multi-epoch [`Rollup`]s whose merged ledgers stay
-//!   bitwise auditable;
+//!   order-canonicalized multi-epoch [`Rollup`]s, which own their windows
+//!   and whose merged ledgers stay bitwise auditable;
 //! * [`service`] — the long-running streaming aggregation service:
 //!   bounded per-lane ingest queues with typed [`Busy`] backpressure,
 //!   watermark-driven window sealing, live snapshot queries over sealed
@@ -86,6 +86,6 @@ pub use window::{
     WindowStateError,
 };
 pub use wire::{
-    decode_counter_totals, decode_stream, ColumnarBatch, DecodeCounterTotals, DecodedStream,
-    Payload, Report, WireError, FRAME_LEN, MAGIC, VERSION, VERSION_LEGACY,
+    decode_counter_totals, decode_stream, DecodeCounterTotals, DecodedStream, Payload, Report,
+    WireError, FRAME_LEN, MAGIC, VERSION, VERSION_LEGACY,
 };

@@ -33,9 +33,11 @@
 //! * **Live snapshot queries.** [`FleetService::snapshot`] serves debiased
 //!   [`Estimate`]s from every *sealed* window while the next window is
 //!   still accumulating — reads never touch in-flight accumulators.
-//! * **Rollups.** Every sealed window joins an order-canonicalized
-//!   [`Rollup`]; [`FleetService::rollup`] folds them with the ledger audit
-//!   preserved bitwise across the merge.
+//! * **Rollups.** Every sealed window moves into an order-canonicalized
+//!   [`Rollup`], which holds the service's only copy of it
+//!   ([`FleetService::sealed_windows`] reads the rollup's);
+//!   [`FleetService::rollup`] folds them with the ledger audit preserved
+//!   bitwise across the merge.
 //!
 //! Everything the service does is a pure function of the byte streams
 //! offered to it and the round clock — no wall time, no thread schedule —
@@ -207,7 +209,7 @@ pub struct FleetService {
     stats: IngestStats,
     /// `stats` snapshot at the last seal (per-window deltas subtract it).
     window_base: IngestStats,
-    sealed: Vec<SealedWindow>,
+    /// Every sealed window, owned once.
     rollup: Rollup,
     backpressure_rejections: u64,
     /// Highest staged frame count any single drain saw.
@@ -250,7 +252,6 @@ impl FleetService {
             lane_frames: vec![0; lanes],
             stats: IngestStats::default(),
             window_base: IngestStats::default(),
-            sealed: Vec::new(),
             rollup: Rollup::new(),
             backpressure_rejections: 0,
             max_drain_frames: 0,
@@ -273,9 +274,10 @@ impl FleetService {
         &self.windows
     }
 
-    /// Every sealed window so far, ascending index.
+    /// Every sealed window so far, ascending index (the rollup's
+    /// windows).
     pub fn sealed_windows(&self) -> &[SealedWindow] {
-        &self.sealed
+        self.rollup.windows()
     }
 
     /// Cumulative ingest stats over the service lifetime.
@@ -338,8 +340,9 @@ impl FleetService {
     }
 
     /// Drains every lane (in lane order) through the collector as one
-    /// concatenated batch and routes the fold into the active window.
-    /// Returns the batch's ingest stats (all-zero when nothing staged).
+    /// batch — the lanes' concatenation, streamed in place without copying
+    /// it — and routes the fold into the active window. Returns the
+    /// batch's ingest stats (all-zero when nothing staged).
     pub fn drain(&mut self) -> IngestStats {
         let staged: usize = self.lane_frames.iter().sum();
         if staged == 0 {
@@ -347,14 +350,11 @@ impl FleetService {
         }
         self.max_drain_frames = self.max_drain_frames.max(staged);
         DRAIN_FRAMES.record(staged as u64);
-        let mut batch = Vec::with_capacity(self.lanes.iter().map(Vec::len).sum());
-        for lane in &mut self.lanes {
-            batch.extend_from_slice(lane);
-            lane.clear();
-        }
+        let parts: Vec<&[u8]> = self.lanes.iter().map(Vec::as_slice).collect();
+        let delta = self.collector.ingest_parts(&parts);
+        self.lanes.iter_mut().for_each(Vec::clear);
         self.lane_frames.iter_mut().for_each(|n| *n = 0);
         QUEUE_DEPTH.set(0);
-        let delta = self.collector.ingest_frames(&batch);
         self.stats.absorb(delta);
         if delta.accepted > 0 {
             if let Some(w) = self.windows.get_mut(self.active) {
@@ -443,16 +443,16 @@ impl FleetService {
         };
         self.collector.advance_window_floor(sealed.epoch_hi);
         self.rollup
-            .absorb(sealed.clone())
+            .absorb(sealed)
             .expect("window indices are unique");
         window.compact().expect("freshly sealed window compacts");
-        self.sealed.push(sealed);
         self.active += 1;
         OPEN_WINDOWS.set(i64::from(self.active < self.windows.len()));
         let ns = t0.elapsed().as_nanos() as u64;
         SEAL_NS.record(ns);
         self.seal_ns.push(ns);
-        Ok(self.sealed.last().expect("just pushed"))
+        // Windows seal in ascending index order, so this one sorts last.
+        Ok(self.rollup.windows().last().expect("just absorbed"))
     }
 
     /// Serves a live snapshot: debiased estimates from every *sealed*
@@ -463,8 +463,9 @@ impl FleetService {
     /// Propagates RR-mechanism construction failure from the model.
     pub fn snapshot(&self, model: &NoiseModel) -> Result<ServiceSnapshot, LdpError> {
         let (numeric, rr) = query_roles(&self.queries);
-        let mut windows = Vec::with_capacity(self.sealed.len());
-        for w in &self.sealed {
+        let sealed = self.sealed_windows();
+        let mut windows = Vec::with_capacity(sealed.len());
+        for w in sealed {
             let values = numeric.map(|q| &w.totals[q]);
             let bits = rr.map(|q| &w.totals[q]);
             windows.push(WindowEstimates {
@@ -479,7 +480,7 @@ impl FleetService {
             });
         }
         Ok(ServiceSnapshot {
-            windows_sealed: self.sealed.len(),
+            windows_sealed: sealed.len(),
             windows,
         })
     }

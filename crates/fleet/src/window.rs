@@ -28,15 +28,15 @@
 //! `f64` addition is order-sensitive, and [`BudgetLedger::merge`] replays
 //! charges sequentially — so a naive "merge windows as they arrive" fold
 //! would make the rollup's ledger bits depend on arrival order. The
-//! [`Rollup`] therefore *canonicalizes*: sealed windows are keyed by
-//! window index, and [`Rollup::finalize`] folds accumulators and ledgers
-//! in ascending index order regardless of absorption order. Merging the
-//! same sealed windows in any order yields byte-identical totals, ledger
-//! bits, and digests — property-tested in `tests/service.rs`. The exact
-//! `i128` moment accumulators are associative anyway; the canonical order
-//! exists for the ledger (and for the digest text).
+//! [`Rollup`] therefore *canonicalizes*: it owns the sealed windows, kept
+//! sorted by window index, and [`Rollup::finalize`] folds accumulators and
+//! ledgers in ascending index order regardless of absorption order.
+//! Merging the same sealed windows in any order yields byte-identical
+//! totals, ledger bits, and digests — property-tested in
+//! `tests/service.rs`. The exact `i128` moment accumulators are
+//! associative anyway; the canonical order exists for the ledger (and for
+//! the digest text).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ldp_core::{BudgetLedger, CompositionLedger};
@@ -321,13 +321,15 @@ impl std::error::Error for RollupError {}
 
 /// An order-canonicalizing accumulator of sealed windows.
 ///
-/// Windows may be absorbed in any order; [`Rollup::finalize`] always folds
-/// them in ascending window-index order, so the merged `i128` accumulators
-/// *and* the merged ledger's `f64` bits are a pure function of the set of
-/// windows, never of absorption order.
+/// Windows may be absorbed in any order; the rollup owns each one and keeps
+/// them sorted by window index, and [`Rollup::finalize`] folds them in that
+/// order, so the merged `i128` accumulators *and* the merged ledger's `f64`
+/// bits are a pure function of the set of windows, never of absorption
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct Rollup {
-    windows: BTreeMap<u32, SealedWindow>,
+    /// Absorbed windows, ascending index, no index twice.
+    windows: Vec<SealedWindow>,
 }
 
 /// The fold of a set of sealed windows: merged exact aggregates, a merged
@@ -374,7 +376,12 @@ impl Rollup {
         self.windows.is_empty()
     }
 
-    /// Absorbs one sealed window, in any order.
+    /// The absorbed windows, ascending index.
+    pub fn windows(&self) -> &[SealedWindow] {
+        &self.windows
+    }
+
+    /// Absorbs one sealed window, in any order, taking ownership of it.
     ///
     /// # Errors
     ///
@@ -382,17 +389,18 @@ impl Rollup {
     /// [`RollupError::QueryShapeMismatch`] if its query count differs from
     /// the windows already held.
     pub fn absorb(&mut self, window: SealedWindow) -> Result<(), RollupError> {
-        if let Some(first) = self.windows.values().next() {
+        if let Some(first) = self.windows.first() {
             if first.totals.len() != window.totals.len() {
                 return Err(RollupError::QueryShapeMismatch);
             }
         }
-        match self.windows.entry(window.index) {
-            std::collections::btree_map::Entry::Occupied(_) => {
-                Err(RollupError::DuplicateWindow(window.index))
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(window);
+        match self
+            .windows
+            .binary_search_by_key(&window.index, |w| w.index)
+        {
+            Ok(_) => Err(RollupError::DuplicateWindow(window.index)),
+            Err(at) => {
+                self.windows.insert(at, window);
                 Ok(())
             }
         }
@@ -420,7 +428,7 @@ impl Rollup {
         let mut epoch_hi = 0u32;
         let mut digest = Fnv64::new();
         let mut audit_ok = true;
-        for w in self.windows.values() {
+        for w in &self.windows {
             match totals.as_mut() {
                 None => totals = Some(w.totals.clone()),
                 Some(ts) => {

@@ -38,6 +38,16 @@
 //! collector can count strikes against that sender (the quarantine path).
 //! Pre-checksum errors carry no id — a corrupt frame's device field is
 //! noise.
+//!
+//! # Decoding a stream
+//!
+//! A byte stream is walked once, in order ([`decode_stream`]): each frame
+//! is decoded on the 20-byte grid, a structural error (bad magic or
+//! checksum) is one corruption event after which the scanner hunts byte by
+//! byte for the next offset that starts a verifiable frame, and a short
+//! tail is one `Truncated` event. The collector's streaming drain pulls
+//! the same walk in bounded blocks, so the two cannot disagree on any
+//! input.
 
 use core::fmt;
 
@@ -329,28 +339,28 @@ impl Report {
     }
 }
 
-/// Reports decoded through clean parallel chunks (the columnar fast path).
+/// Frames the streaming drain decoded on the 20-byte grid.
 static BATCH_FRAMES: Counter = Counter::new("fleet.decode.batch_frames");
-/// Chunks containing a structural error, handed to the resync scanner.
+/// Corrupt regions the streaming drain handed to the resync scanner.
 static FALLBACK_CHUNKS: Counter = Counter::new("fleet.decode.fallback_chunks");
-/// Stream items (frames + errors) per columnar decode call.
+/// Stream items (frames + errors) per streaming decode.
 static DECODE_BATCH_SIZE: Histogram = Histogram::new("fleet.decode.batch_size", "frames");
 
-/// Frames per parallel decode chunk (`× FRAME_LEN` bytes each).
-const DECODE_CHUNK_FRAMES: usize = 16 * 1024;
-
-/// Cumulative columnar-decode counters, read via [`decode_counter_totals`].
+/// Cumulative streaming-decode counters, read via [`decode_counter_totals`].
 /// Counters record at `ULP_METRICS=counters` and above.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCounterTotals {
-    /// Frames decoded through clean parallel chunks.
+    /// Frames decoded on the 20-byte grid: every stream item except the
+    /// corrupt regions (well-formed reports and checksum-valid frames with
+    /// a semantic error).
     pub batch_frames: u64,
-    /// Chunks handed to the sequential resync scanner.
+    /// Corrupt regions handed to the resync scanner, one per corruption
+    /// event (0 on a clean stream).
     pub fallback_chunks: u64,
 }
 
-/// Snapshots the columnar-decode counters. Benchmarks subtract two
-/// snapshots to attribute a region's fast-path/fallback split.
+/// Snapshots the streaming-decode counters. Benchmarks subtract two
+/// snapshots to attribute a region's grid/scanner split.
 pub fn decode_counter_totals() -> DecodeCounterTotals {
     DecodeCounterTotals {
         batch_frames: BATCH_FRAMES.get(),
@@ -397,46 +407,146 @@ fn is_structural(e: &WireError) -> bool {
     )
 }
 
-/// One resync-scanner step at `pos` (which must be `< bytes.len()`):
-/// decodes the next frame or corrupt region, appends the item to `out`,
-/// and returns the next scan position (`None` ends the scan). Both
-/// [`decode_stream`] and the [`ColumnarBatch`] fallback walk are built on
-/// this single step, so the two decoders cannot diverge on dirty input.
-fn scan_step(bytes: &[u8], pos: usize, out: &mut DecodedStream) -> Option<usize> {
-    if bytes.len() - pos < FRAME_LEN {
-        out.items.push(Err(WireError::Truncated {
-            got: bytes.len() - pos,
-        }));
-        out.corrupt_frames += 1;
-        return None;
-    }
-    match Report::decode(&bytes[pos..]) {
-        Ok(r) => {
-            out.items.push(Ok(r));
-            Some(pos + FRAME_LEN)
+/// The resync walk over one byte stream, one decode outcome per step.
+///
+/// Each step decodes the frame at the current offset with
+/// [`Report::decode`]. A well-formed frame, or one whose error is semantic,
+/// keeps the 20-byte grid. A structural error is one corruption event:
+/// the scanner hunts forward for the next offset satisfying
+/// [`is_sync_point`] and resumes on the grid there (or ends the walk if
+/// none remains). Fewer than [`FRAME_LEN`] trailing bytes are one
+/// `Truncated` event that ends the walk. [`decode_stream`] and the
+/// collector's streaming drain ([`walk_parts`]) both run this walk, so
+/// they cannot diverge on dirty input; the drain pulls it in blocks
+/// ([`StreamWalk::decode_block`]), and the walk keeps no per-block state.
+pub(crate) struct StreamWalk<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Whether `bytes` ends the stream. If not, a step that needs bytes
+    /// past the end stops the walk without consuming anything.
+    last: bool,
+    /// Items decoded on the grid (every item but the corruption events).
+    grid_frames: u64,
+    /// Corruption events the scanner skipped.
+    corrupt_frames: u64,
+    /// Times the scanner re-acquired alignment at a non-adjacent offset.
+    resyncs: u64,
+}
+
+impl<'a> StreamWalk<'a> {
+    /// A walk over the whole stream `bytes`.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        StreamWalk {
+            bytes,
+            pos: 0,
+            last: true,
+            grid_frames: 0,
+            corrupt_frames: 0,
+            resyncs: 0,
         }
-        Err(e) => {
-            out.items.push(Err(e));
-            if !is_structural(&e) {
-                // The frame carried a valid magic and (for semantic
-                // errors) a valid checksum: alignment is intact.
-                return Some(pos + FRAME_LEN);
-            }
-            out.corrupt_frames += 1;
-            let next = (pos + 1..bytes.len().saturating_sub(FRAME_LEN - 1))
-                .find(|&j| bytes[j] == MAGIC && is_sync_point(&bytes[j..]));
-            match next {
-                Some(j) => {
-                    if j != pos + FRAME_LEN {
-                        out.resyncs += 1;
-                    }
-                    Some(j)
+    }
+
+    /// Passes up to `cap` decode outcomes to `emit`, in stream order, and
+    /// returns how many it passed: fewer than `cap` only once the walk has
+    /// stopped.
+    pub(crate) fn decode_block(
+        &mut self,
+        cap: usize,
+        mut emit: impl FnMut(Result<Report, WireError>),
+    ) -> usize {
+        let mut n = 0;
+        for item in self.by_ref().take(cap) {
+            emit(item);
+            n += 1;
+        }
+        n
+    }
+}
+
+impl Iterator for StreamWalk<'_> {
+    type Item = Result<Report, WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.bytes[self.pos..];
+        if rest.is_empty() || (rest.len() < FRAME_LEN && !self.last) {
+            return None;
+        }
+        if rest.len() < FRAME_LEN {
+            self.pos = self.bytes.len();
+            self.corrupt_frames += 1;
+            return Some(Err(WireError::Truncated { got: rest.len() }));
+        }
+        let item = Report::decode(rest);
+        match item {
+            Err(e) if is_structural(&e) => {
+                let from = self.pos;
+                let bytes = self.bytes;
+                let sync = (from + 1..bytes.len().saturating_sub(FRAME_LEN - 1))
+                    .find(|&j| bytes[j] == MAGIC && is_sync_point(&bytes[j..]));
+                if sync.is_none() && !self.last {
+                    // The hunt runs past this part of the stream.
+                    return None;
                 }
-                // No recoverable frame remains.
-                None => None,
+                self.corrupt_frames += 1;
+                // No sync point: no recoverable frame remains.
+                self.pos = sync.unwrap_or(bytes.len());
+                if sync.is_some_and(|j| j != from + FRAME_LEN) {
+                    self.resyncs += 1;
+                }
+            }
+            // A valid magic and (for semantic errors) a valid checksum:
+            // alignment is intact.
+            _ => {
+                self.pos += FRAME_LEN;
+                self.grid_frames += 1;
             }
         }
+        Some(item)
     }
+}
+
+/// Walks the concatenation of `parts` as one stream — exactly
+/// [`decode_stream`]'s walk over `parts.concat()` — without concatenating
+/// them. `visit` pulls each part's walk in place until it stops. A step
+/// that straddles a part boundary (a frame cut in two, or a resync hunt
+/// that runs off the part's end) stops the walk without consuming
+/// anything, and the unconsumed tail is joined to the next part and walked
+/// again. That is exact: a step's outcome depends only on the bytes from
+/// its start, and a hunt that finds a sync point inside a part has found
+/// the first one in the whole stream. Only a straddling tail and the part
+/// after it are ever copied.
+///
+/// Adds the walk's grid frames and corrupt regions to the
+/// `fleet.decode.*` counters and returns `(corrupt_frames, resyncs)`.
+pub(crate) fn walk_parts(
+    parts: &[&[u8]],
+    mut visit: impl FnMut(&mut StreamWalk<'_>),
+) -> (u64, u64) {
+    let (mut grid, mut corrupt, mut resyncs) = (0, 0, 0);
+    let mut carry: Vec<u8> = Vec::new();
+    for (i, &part) in parts.iter().enumerate() {
+        let joined;
+        let bytes = if carry.is_empty() {
+            part
+        } else {
+            carry.extend_from_slice(part);
+            joined = std::mem::take(&mut carry);
+            &joined[..]
+        };
+        let mut walk = StreamWalk {
+            last: i + 1 == parts.len(),
+            ..StreamWalk::new(bytes)
+        };
+        visit(&mut walk);
+        grid += walk.grid_frames;
+        corrupt += walk.corrupt_frames;
+        resyncs += walk.resyncs;
+        carry = walk.bytes[walk.pos..].to_vec();
+    }
+    BATCH_FRAMES.add(grid);
+    FALLBACK_CHUNKS.add(corrupt);
+    DECODE_BATCH_SIZE.record(grid + corrupt);
+    (corrupt, resyncs)
 }
 
 /// Decodes a byte stream frame by frame, recovering from corruption: a
@@ -446,248 +556,13 @@ fn scan_step(bytes: &[u8], pos: usize, out: &mut DecodedStream) -> Option<usize>
 /// well-formed frames (bad version/kind/sequence/payload) keep alignment
 /// and are stepped over normally. Pure function of the bytes.
 pub fn decode_stream(bytes: &[u8]) -> DecodedStream {
-    let mut out = DecodedStream {
-        items: Vec::with_capacity(bytes.len() / FRAME_LEN),
-        corrupt_frames: 0,
-        resyncs: 0,
-    };
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match scan_step(bytes, pos, &mut out) {
-            Some(p) => pos = p,
-            None => break,
-        }
-    }
-    out
-}
-
-/// One parallel chunk's columns, or `None` if the chunk holds a structural
-/// error and must be re-walked sequentially.
-struct ChunkColumns {
-    devices: Vec<u32>,
-    queries: Vec<u16>,
-    epochs: Vec<u32>,
-    kinds: Vec<u8>,
-    payloads: Vec<i32>,
-    /// Semantic decode errors as `(intra-chunk item index, error)`.
-    errors: Vec<(usize, WireError)>,
-    total_items: usize,
-}
-
-/// Decodes one frame-aligned chunk into columns. Returns `None` on the
-/// first structural error: such a chunk cannot be trusted to stay on the
-/// 20-byte grid, so the sequential scanner owns it.
-fn decode_chunk(chunk: &[u8]) -> Option<ChunkColumns> {
-    let frames = chunk.len() / FRAME_LEN;
-    let mut cols = ChunkColumns {
-        devices: Vec::with_capacity(frames),
-        queries: Vec::with_capacity(frames),
-        epochs: Vec::with_capacity(frames),
-        kinds: Vec::with_capacity(frames),
-        payloads: Vec::with_capacity(frames),
-        errors: Vec::new(),
-        total_items: 0,
-    };
-    for frame in chunk.chunks(FRAME_LEN) {
-        match Report::decode(frame) {
-            Ok(r) => {
-                cols.devices.push(r.device);
-                cols.queries.push(r.query);
-                cols.epochs.push(r.epoch);
-                cols.kinds.push(r.payload.kind());
-                cols.payloads.push(r.payload.raw());
-            }
-            Err(e) if is_structural(&e) => return None,
-            Err(e) => cols.errors.push((cols.total_items, e)),
-        }
-        cols.total_items += 1;
-    }
-    Some(cols)
-}
-
-/// A decoded batch in struct-of-arrays form: one column entry per
-/// well-formed frame (stream order), with decode errors kept sparse as
-/// `(stream item index, error)` so the exact stream-order interleaving of
-/// reports and errors is reconstructible ([`ColumnarBatch::iter`]).
-///
-/// Built by [`ColumnarBatch::decode`]: fixed frame-aligned chunks are
-/// validated (magic/version/checksum) and split into columns in parallel;
-/// only chunks containing a *structural* error — plus any region a resync
-/// hunt lands the scanner mid-chunk in — fall back to the sequential
-/// scanner, one [`scan_step`] at a time. For every input the item
-/// sequence, `corrupt_frames`, and `resyncs` are byte-identical to
-/// [`decode_stream`] over the same bytes.
-#[derive(Default)]
-pub struct ColumnarBatch {
-    /// Device-id column.
-    pub devices: Vec<u32>,
-    /// Query-id column.
-    pub queries: Vec<u16>,
-    /// Epoch column.
-    pub epochs: Vec<u32>,
-    /// Payload-kind column (`0` = FxP value, `1` = RR bit).
-    pub kinds: Vec<u8>,
-    /// Raw payload column (RR frames: `0`/`1`).
-    pub payloads: Vec<i32>,
-    /// Decode errors as `(stream item index, error)`, ascending.
-    pub errors: Vec<(usize, WireError)>,
-    /// Total stream items (column entries + errors).
-    pub total_items: usize,
-    /// Corruption events the fallback scanner skipped.
-    pub corrupt_frames: u64,
-    /// Times the fallback scanner resynced at a non-adjacent offset.
-    pub resyncs: u64,
-}
-
-impl ColumnarBatch {
-    /// Decodes `bytes` into columns, in parallel chunks with sequential
-    /// fallback. See the type docs for the exact fallback rules.
-    pub fn decode(bytes: &[u8]) -> ColumnarBatch {
-        let mut out = ColumnarBatch::default();
-        let chunk_bytes = DECODE_CHUNK_FRAMES * FRAME_LEN;
-        // Parallel phase over the frame-aligned prefix; a trailing partial
-        // frame (and anything after a mid-stream misalignment) belongs to
-        // the sequential scanner.
-        let prefix = bytes.len() - bytes.len() % FRAME_LEN;
-        let chunks: Vec<&[u8]> = bytes[..prefix].chunks(chunk_bytes).collect();
-        let decoded: Vec<Option<ChunkColumns>> =
-            ulp_par::par_map(&chunks, |chunk| decode_chunk(chunk));
-        let fallback_chunks = decoded.iter().filter(|c| c.is_none()).count() as u64;
-
-        // Sequential splice: whenever the scan position sits exactly on a
-        // clean chunk's start, its precomputed columns are appended
-        // wholesale; everywhere else (dirty chunks, resync landings inside
-        // a chunk, the unaligned tail) the scanner advances one step at a
-        // time with the very same logic `decode_stream` runs.
-        let mut batch_frames = 0u64;
-        let mut seq = DecodedStream {
-            items: Vec::new(),
-            corrupt_frames: 0,
-            resyncs: 0,
-        };
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            if pos < prefix && pos.is_multiple_of(chunk_bytes) {
-                if let Some(cols) = &decoded[pos / chunk_bytes] {
-                    batch_frames += cols.devices.len() as u64;
-                    out.splice(cols);
-                    pos += chunks[pos / chunk_bytes].len();
-                    continue;
-                }
-            }
-            match scan_step(bytes, pos, &mut seq) {
-                Some(p) => pos = p,
-                None => {
-                    for item in seq.items.drain(..) {
-                        out.push_item(item);
-                    }
-                    break;
-                }
-            }
-            for item in seq.items.drain(..) {
-                out.push_item(item);
-            }
-        }
-        out.corrupt_frames = seq.corrupt_frames;
-        out.resyncs = seq.resyncs;
-        BATCH_FRAMES.add(batch_frames);
-        FALLBACK_CHUNKS.add(fallback_chunks);
-        DECODE_BATCH_SIZE.record(out.total_items as u64);
-        out
-    }
-
-    /// Well-formed frames in the batch.
-    pub fn frames(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the batch holds no items at all.
-    pub fn is_empty(&self) -> bool {
-        self.total_items == 0
-    }
-
-    /// The report at column index `col` (not stream index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn report(&self, col: usize) -> Report {
-        Report {
-            device: self.devices[col],
-            query: self.queries[col],
-            epoch: self.epochs[col],
-            payload: match self.kinds[col] {
-                0 => Payload::Value(self.payloads[col]),
-                _ => Payload::RrBit(self.payloads[col] != 0),
-            },
-        }
-    }
-
-    /// Iterates decode outcomes in stream order, reconstructing the
-    /// report/error interleaving from the sparse error list.
-    pub fn iter(&self) -> ColumnarIter<'_> {
-        ColumnarIter {
-            batch: self,
-            idx: 0,
-            col: 0,
-            err: 0,
-        }
-    }
-
-    fn splice(&mut self, cols: &ChunkColumns) {
-        self.devices.extend_from_slice(&cols.devices);
-        self.queries.extend_from_slice(&cols.queries);
-        self.epochs.extend_from_slice(&cols.epochs);
-        self.kinds.extend_from_slice(&cols.kinds);
-        self.payloads.extend_from_slice(&cols.payloads);
-        self.errors
-            .extend(cols.errors.iter().map(|&(i, e)| (self.total_items + i, e)));
-        self.total_items += cols.total_items;
-    }
-
-    fn push_item(&mut self, item: Result<Report, WireError>) {
-        match item {
-            Ok(r) => {
-                self.devices.push(r.device);
-                self.queries.push(r.query);
-                self.epochs.push(r.epoch);
-                self.kinds.push(r.payload.kind());
-                self.payloads.push(r.payload.raw());
-            }
-            Err(e) => self.errors.push((self.total_items, e)),
-        }
-        self.total_items += 1;
-    }
-}
-
-/// Stream-order iterator over a [`ColumnarBatch`]'s decode outcomes.
-pub struct ColumnarIter<'a> {
-    batch: &'a ColumnarBatch,
-    idx: usize,
-    col: usize,
-    err: usize,
-}
-
-impl Iterator for ColumnarIter<'_> {
-    type Item = Result<Report, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.idx >= self.batch.total_items {
-            return None;
-        }
-        let item = match self.batch.errors.get(self.err) {
-            Some(&(at, e)) if at == self.idx => {
-                self.err += 1;
-                Err(e)
-            }
-            _ => {
-                let r = self.batch.report(self.col);
-                self.col += 1;
-                Ok(r)
-            }
-        };
-        self.idx += 1;
-        Some(item)
+    let mut walk = StreamWalk::new(bytes);
+    let mut items = Vec::with_capacity(bytes.len() / FRAME_LEN);
+    items.extend(walk.by_ref());
+    DecodedStream {
+        items,
+        corrupt_frames: walk.corrupt_frames,
+        resyncs: walk.resyncs,
     }
 }
 
@@ -831,17 +706,112 @@ mod tests {
         );
     }
 
-    /// Asserts the columnar decoder reproduces the sequential scanner's
-    /// exact item sequence, corruption count, and resync count.
-    fn assert_columnar_matches_sequential(bytes: &[u8]) {
-        let seq = decode_stream(bytes);
-        let col = ColumnarBatch::decode(bytes);
-        assert_eq!(col.total_items, seq.items.len());
-        assert_eq!(col.frames(), seq.items.iter().filter(|i| i.is_ok()).count());
-        let col_items: Vec<Result<Report, WireError>> = col.iter().collect();
-        assert_eq!(col_items, seq.items);
-        assert_eq!(col.corrupt_frames, seq.corrupt_frames);
-        assert_eq!(col.resyncs, seq.resyncs);
+    /// The resync scanner written out as one plain loop over the whole
+    /// stream: an oracle for the [`StreamWalk`] that production runs,
+    /// sharing none of its control flow.
+    fn reference_scan(bytes: &[u8]) -> DecodedStream {
+        let mut out = DecodedStream {
+            items: Vec::new(),
+            corrupt_frames: 0,
+            resyncs: 0,
+        };
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            if bytes.len() - pos < FRAME_LEN {
+                out.items.push(Err(WireError::Truncated {
+                    got: bytes.len() - pos,
+                }));
+                out.corrupt_frames += 1;
+                break;
+            }
+            let item = Report::decode(&bytes[pos..]);
+            out.items.push(item);
+            match item {
+                Err(e) if is_structural(&e) => {
+                    out.corrupt_frames += 1;
+                    let next = (pos + 1..bytes.len().saturating_sub(FRAME_LEN - 1))
+                        .find(|&j| bytes[j] == MAGIC && is_sync_point(&bytes[j..]));
+                    match next {
+                        Some(j) => {
+                            if j != pos + FRAME_LEN {
+                                out.resyncs += 1;
+                            }
+                            pos = j;
+                        }
+                        None => break,
+                    }
+                }
+                _ => pos += FRAME_LEN,
+            }
+        }
+        out
+    }
+
+    /// Block capacities the streaming decoder is pulled at: single items,
+    /// small primes that put structural errors and resync hunts across
+    /// block boundaries, and the drain's own block.
+    const CAPACITIES: [usize; 5] = [1, 2, 3, 7, crate::collector::DRAIN_BLOCK];
+
+    /// Pulls every item from `walk` in blocks of `cap`, checking the
+    /// block contract: a short block only once the walk has stopped.
+    fn drain_in_blocks(
+        walk: &mut StreamWalk<'_>,
+        cap: usize,
+        items: &mut Vec<Result<Report, WireError>>,
+    ) {
+        loop {
+            let before = items.len();
+            let n = walk.decode_block(cap, |item| items.push(item));
+            assert_eq!(n, items.len() - before, "capacity {cap}");
+            if n < cap {
+                assert_eq!(walk.decode_block(cap, |_| ()), 0, "capacity {cap}");
+                return;
+            }
+        }
+    }
+
+    /// Asserts that [`decode_stream`] and the streaming decoder reproduce
+    /// the reference scanner's item sequence, corruption count and resync
+    /// count: the decoder pulled in blocks of every capacity in
+    /// [`CAPACITIES`], and over the bytes cut into parts of several sizes
+    /// (with empty parts among them), every cut a part boundary the walk
+    /// must see through. Returns the reference scan.
+    fn assert_streaming_matches_sequential(bytes: &[u8]) -> DecodedStream {
+        let seq = reference_scan(bytes);
+        let whole = decode_stream(bytes);
+        assert_eq!(whole.items, seq.items);
+        assert_eq!(
+            (whole.corrupt_frames, whole.resyncs),
+            (seq.corrupt_frames, seq.resyncs)
+        );
+        for cap in CAPACITIES {
+            let mut walk = StreamWalk::new(bytes);
+            let mut items = Vec::new();
+            drain_in_blocks(&mut walk, cap, &mut items);
+            assert_eq!(items, seq.items, "capacity {cap}");
+            assert_eq!(
+                (walk.corrupt_frames, walk.resyncs),
+                (seq.corrupt_frames, seq.resyncs),
+                "capacity {cap}"
+            );
+            assert_eq!(
+                walk.grid_frames + walk.corrupt_frames,
+                seq.items.len() as u64,
+                "every item is a grid frame or a corrupt region"
+            );
+        }
+        for part_len in [1, 7, FRAME_LEN, 33, 4 * FRAME_LEN + 3] {
+            let mut parts: Vec<&[u8]> = bytes.chunks(part_len).collect();
+            parts.insert(parts.len() / 2, &[]);
+            parts.insert(0, &[]);
+            for cap in [3, crate::collector::DRAIN_BLOCK] {
+                let mut items = Vec::new();
+                let counts = walk_parts(&parts, |walk| drain_in_blocks(walk, cap, &mut items));
+                assert_eq!(items, seq.items, "parts of {part_len}, capacity {cap}");
+                assert_eq!(counts, (seq.corrupt_frames, seq.resyncs));
+            }
+        }
+        seq
     }
 
     fn frame_for(device: u32, epoch: u32, value: i32) -> [u8; FRAME_LEN] {
@@ -859,23 +829,22 @@ mod tests {
     }
 
     #[test]
-    fn columnar_decode_matches_sequential_on_clean_multi_chunk_stream() {
-        // Enough frames to span several parallel decode chunks, so the
-        // splice path (not just the fallback walk) is exercised.
+    fn streaming_decode_matches_sequential_on_clean_multi_block_stream() {
+        // Enough frames to span several drain blocks and end on a partial
+        // one.
         let mut bytes = Vec::new();
-        for i in 0..3 * super::DECODE_CHUNK_FRAMES as u32 + 17 {
+        for i in 0..3 * crate::collector::DRAIN_BLOCK as u32 + 17 {
             bytes.extend_from_slice(&frame_for(i, i % 5, i as i32 - 7));
         }
-        assert_columnar_matches_sequential(&bytes);
-        let col = ColumnarBatch::decode(&bytes);
-        assert_eq!(col.frames(), col.total_items);
-        assert!(col.errors.is_empty());
+        let seq = assert_streaming_matches_sequential(&bytes);
+        assert!(seq.items.iter().all(Result::is_ok));
+        assert_eq!(seq.corrupt_frames, 0);
     }
 
     #[test]
-    fn columnar_decode_matches_sequential_on_semantic_errors() {
+    fn streaming_decode_matches_sequential_on_semantic_errors() {
         // Semantic errors (checksum-valid, bad content) keep alignment:
-        // the chunk stays columnar with a sparse error list.
+        // they stay on the grid, with no corruption event.
         let mut bytes = Vec::new();
         for i in 0u32..100 {
             let mut frame = frame_for(i, 4, 9);
@@ -886,36 +855,41 @@ mod tests {
             }
             bytes.extend_from_slice(&frame);
         }
-        assert_columnar_matches_sequential(&bytes);
-        let col = ColumnarBatch::decode(&bytes);
-        assert_eq!(col.total_items, 100);
-        assert_eq!(col.errors.len(), 15);
-        assert_eq!(col.corrupt_frames, 0);
+        let seq = assert_streaming_matches_sequential(&bytes);
+        assert_eq!(seq.items.len(), 100);
+        assert_eq!(seq.items.iter().filter(|i| i.is_err()).count(), 15);
+        assert_eq!(seq.corrupt_frames, 0);
     }
 
     #[test]
-    fn columnar_decode_matches_sequential_on_structural_corruption() {
+    fn streaming_decode_matches_sequential_on_structural_corruption() {
         let mut bytes = Vec::new();
         for i in 0u32..400 {
             bytes.extend_from_slice(&frame_for(i, 1, 3));
         }
-        // Smash one frame's magic and another's checksum: both chunks the
-        // scanner must re-walk sequentially and resync out of.
+        // Smash one frame's magic and another's checksum: two corruption
+        // events the scanner must resync out of.
         bytes[37 * FRAME_LEN] ^= 0xFF;
         bytes[200 * FRAME_LEN + 18] ^= 0x01;
-        assert_columnar_matches_sequential(&bytes);
+        let seq = assert_streaming_matches_sequential(&bytes);
+        assert_eq!(seq.corrupt_frames, 2);
+        // Shift the rest of the stream off the grid: the hunt must cross
+        // a block boundary at every small capacity.
+        bytes.insert(300 * FRAME_LEN + 5, 0x00);
+        assert_streaming_matches_sequential(&bytes);
         // And with a truncated tail on top.
         bytes.truncate(bytes.len() - 3);
-        assert_columnar_matches_sequential(&bytes);
+        let seq = assert_streaming_matches_sequential(&bytes);
+        assert!(seq.resyncs > 0);
     }
 
     #[test]
-    fn columnar_decode_matches_sequential_on_garbage() {
-        assert_columnar_matches_sequential(&[]);
-        assert_columnar_matches_sequential(&[0x00; 64]);
-        assert_columnar_matches_sequential(&[MAGIC; 64]);
+    fn streaming_decode_matches_sequential_on_garbage() {
+        assert_streaming_matches_sequential(&[]);
+        assert_streaming_matches_sequential(&[0x00; 64]);
+        assert_streaming_matches_sequential(&[MAGIC; 64]);
         let ramp: Vec<u8> = (0..=255).collect();
-        assert_columnar_matches_sequential(&ramp);
+        assert_streaming_matches_sequential(&ramp);
     }
 
     fn arb_segment() -> impl Strategy<Value = Vec<u8>> {
@@ -948,19 +922,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The tentpole equivalence: for arbitrary byte soup — valid
-        /// frames, bit-flipped frames, magic-rich garbage, truncated
-        /// tails — the columnar batch decoder and the sequential resync
-        /// scanner agree item-for-item, including corruption/resync
-        /// counters.
+        /// For arbitrary byte soup — valid frames, bit-flipped frames,
+        /// magic-rich garbage, truncated tails — the streaming decoder at
+        /// every block capacity and the reference resync scanner agree
+        /// item for item, including the corruption and resync counters.
         #[test]
-        fn columnar_decode_equals_sequential_scan(
+        fn streaming_decode_equals_sequential_scan(
             segments in proptest::collection::vec(arb_segment(), 0..48),
             cut in 0usize..FRAME_LEN,
         ) {
             let mut bytes: Vec<u8> = segments.concat();
             bytes.truncate(bytes.len().saturating_sub(cut));
-            assert_columnar_matches_sequential(&bytes);
+            assert_streaming_matches_sequential(&bytes);
         }
     }
 }
