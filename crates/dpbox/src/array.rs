@@ -476,25 +476,6 @@ impl DeviceArray {
             LANE_DIVERGENCES.add(divergences);
         }
     }
-
-    /// Advances every lane through `epochs` consecutive reporting epochs
-    /// with the same per-lane sensor values, returning one outcome column
-    /// per epoch (each column indexed by lane, as [`DeviceArray::step`]
-    /// fills it).
-    ///
-    /// This is the multi-epoch form the fleet drivers consume: windowed
-    /// services step an array window-by-window and slice the returned
-    /// columns by epoch, so the column layout — not the caller's loop —
-    /// defines the epoch axis.
-    pub fn step_epochs(&mut self, xs: &[i64], epochs: usize) -> Vec<Vec<LaneOutcome>> {
-        let mut matrix = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut col = Vec::new();
-            self.step(xs, &mut col);
-            matrix.push(col);
-        }
-        matrix
-    }
 }
 
 #[cfg(test)]

@@ -215,12 +215,44 @@ pub enum FaultKind {
     Reorder,
 }
 
+/// One frame's bytes held inline: up to [`FRAME_LEN`] bytes and their
+/// length (a truncated delivery is shorter), read as a byte slice — no
+/// heap allocation per delivered attempt.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct InlineFrame {
+    bytes: [u8; FRAME_LEN],
+    len: u8,
+}
+
+impl From<[u8; FRAME_LEN]> for InlineFrame {
+    fn from(bytes: [u8; FRAME_LEN]) -> InlineFrame {
+        InlineFrame {
+            bytes,
+            len: FRAME_LEN as u8,
+        }
+    }
+}
+
+impl core::ops::Deref for InlineFrame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl core::fmt::Debug for InlineFrame {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// What the collector receives from one attempt, if anything.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
     /// The bytes that arrive (possibly corrupted or shorter than
     /// [`FRAME_LEN`]).
-    pub bytes: Vec<u8>,
+    pub bytes: InlineFrame,
     /// Rounds after the send round the bytes arrive (0 = same round).
     pub delay_rounds: u32,
     /// Whether the frame lands displaced within its arrival round.
@@ -359,7 +391,7 @@ impl DeviceChaos {
         if corrupt {
             CORRUPTED.inc();
             // 1–3 bit flips at detail-drawn positions.
-            let mut bytes = frame.to_vec();
+            let mut bytes = *frame;
             let flips = 1 + (self.detail.next_u32() % 3) as usize;
             for _ in 0..flips {
                 let at = (self.detail.next_u32() as usize) % FRAME_LEN;
@@ -368,7 +400,7 @@ impl DeviceChaos {
             }
             return Attempt {
                 delivery: Some(Delivery {
-                    bytes,
+                    bytes: bytes.into(),
                     delay_rounds: 0,
                     displaced: false,
                 }),
@@ -381,7 +413,10 @@ impl DeviceChaos {
             let keep = 1 + (self.detail.next_u32() as usize) % (FRAME_LEN - 1);
             return Attempt {
                 delivery: Some(Delivery {
-                    bytes: frame[..keep].to_vec(),
+                    bytes: InlineFrame {
+                        bytes: *frame,
+                        len: keep as u8,
+                    },
                     delay_rounds: 0,
                     displaced: false,
                 }),
@@ -394,7 +429,7 @@ impl DeviceChaos {
             let rounds = 1 + self.detail.next_u32() % MAX_DELAY_ROUNDS;
             return Attempt {
                 delivery: Some(Delivery {
-                    bytes: frame.to_vec(),
+                    bytes: (*frame).into(),
                     delay_rounds: rounds,
                     displaced: false,
                 }),
@@ -406,7 +441,7 @@ impl DeviceChaos {
             ACK_LOST.inc();
             return Attempt {
                 delivery: Some(Delivery {
-                    bytes: frame.to_vec(),
+                    bytes: (*frame).into(),
                     delay_rounds: 0,
                     displaced: false,
                 }),
@@ -418,7 +453,7 @@ impl DeviceChaos {
             REORDERED.inc();
             return Attempt {
                 delivery: Some(Delivery {
-                    bytes: frame.to_vec(),
+                    bytes: (*frame).into(),
                     delay_rounds: 0,
                     displaced: true,
                 }),
@@ -428,7 +463,7 @@ impl DeviceChaos {
         }
         Attempt {
             delivery: Some(Delivery {
-                bytes: frame.to_vec(),
+                bytes: (*frame).into(),
                 delay_rounds: 0,
                 displaced: false,
             }),
@@ -490,7 +525,7 @@ mod tests {
         for _ in 0..100 {
             let a = chaos.attempt(&frame());
             assert!(a.acked && a.fault.is_none());
-            assert_eq!(a.delivery.unwrap().bytes, frame().to_vec());
+            assert_eq!(*a.delivery.unwrap().bytes, frame());
         }
     }
 
@@ -581,7 +616,7 @@ mod tests {
                     corrupted += 1;
                     let d = a.delivery.unwrap();
                     assert_eq!(d.bytes.len(), FRAME_LEN);
-                    assert_ne!(d.bytes, frame().to_vec());
+                    assert_ne!(*d.bytes, frame());
                 }
                 Some(FaultKind::Truncate) => {
                     truncated += 1;
@@ -609,7 +644,7 @@ mod tests {
                 assert!(!a.acked);
                 let d = a.delivery.unwrap();
                 assert!((1..=MAX_DELAY_ROUNDS).contains(&d.delay_rounds));
-                assert_eq!(d.bytes, frame().to_vec());
+                assert_eq!(*d.bytes, frame());
             }
         }
         assert!(seen > 50);

@@ -9,25 +9,44 @@
 //!    power-on URNG self-test first so devices with degraded bit sources
 //!    fail safe *before emitting a single report* (a value-independent
 //!    exclusion, hence unbiased);
-//! 3. streams epochs of wire-encoded reports through a [`FleetService`]
-//!    over a sharded [`Collector`], sealing epoch windows as the watermark
-//!    passes — one window over every epoch ([`FleetDriver::one_window`])
-//!    is the whole run as a single batch;
-//! 4. charges every fresh randomization once, from each chunk's one spend
-//!    log, into its window's keyed ledger (the double-spend audit and the
-//!    ε-spend digest);
+//! 3. streams the run round by round through a [`FleetService`] over a
+//!    sharded [`Collector`], sealing epoch windows as the watermark passes —
+//!    one window over every epoch ([`FleetDriver::one_window`]) is the whole
+//!    run as a single batch;
+//! 4. charges every fresh randomization once, from the run's one spend log,
+//!    into its window's keyed ledger as the window seals (the double-spend
+//!    audit), and digests the whole log at the end (the ε-spend digest);
 //! 5. returns debiased per-window and rollup estimates next to the
 //!    included-population ground truth.
+//!
+//! # The round loop
+//!
+//! Devices run in fixed-size chunks, one service ingest lane per chunk.
+//! Each delivery round, every chunk steps its devices one epoch, encodes
+//! their reports and sends them through the (possibly chaotic) uplink into
+//! its ring of rounds in flight; the round's arrivals then leave the ring,
+//! the service is offered them, and the windows whose watermark passed
+//! seal. A chunk's device state lives only while the chunk has epochs
+//! left, and its ring spans [`FleetConfig::delivery_slack`] + 1 rounds, so
+//! the driver holds one round's frames plus what retries and delays keep
+//! in flight ([`ServiceOutcome::max_inflight_bytes`]), never the run's
+//! history. Only the batch engine's lockstep lanes run ahead: a chunk's
+//! [`DeviceArray`] steps a fixed block of epochs per visit, while its
+//! lanes' state is in cache, and their outcomes wait in columns until the
+//! rounds that send them.
 //!
 //! # Determinism
 //!
 //! Every random stream is seeded by [`ulp_rng::stream_seed`] from
-//! `(master seed, device id, role)`, device simulation fans out over
-//! [`ulp_par::par_map`] in fixed-size chunks, and the collector's shard
-//! partition hashes device ids — so the outcome is a pure function of the
-//! configuration, bit-identical at any thread count and shard count.
+//! `(master seed, device id, role)`, each round fans the chunks out over
+//! [`ulp_par::par_map`], a round's arrivals are offered in a stable order
+//! by device — the order a device-major simulation of the whole run emits —
+//! and the collector partitions devices by `d mod shards`, so the outcome
+//! is a pure function of the configuration, bit-identical at any thread
+//! count and shard count.
 
 use core::fmt;
+use std::sync::Mutex;
 
 use dp_box::{
     Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthConfig,
@@ -39,24 +58,24 @@ use ldp_eval::GroundTruth;
 use ulp_obs::{Counter, Fnv64, SpanTimer};
 use ulp_rng::{stream_seed, CorrelatedBits, RandomBits, Taus88};
 
-use crate::chaos::{ChaosConfig, DeviceChaos, MAX_DELAY_ROUNDS};
+use crate::chaos::{ChaosConfig, DeviceChaos, InlineFrame, MAX_DELAY_ROUNDS};
 use crate::collector::{
     Collector, EpochSeal, IngestPath, IngestStats, QueryConfig, QueryKind, SealStatus,
 };
 use crate::estimator::{Estimate, NoiseModel};
 use crate::service::{FleetService, ServiceConfig, ServiceSnapshot};
-use crate::window::window_spans;
-use crate::wire::{Payload, Report};
+use crate::wire::{Payload, Report, FRAME_LEN};
 
 /// Devices booted, process-wide.
 static DEVICES: Counter = Counter::new("fleet.devices.simulated");
 /// Devices excluded by the power-on URNG self-test — recorded at every
 /// metrics level: a fleet silently dropping devices must be visible.
 static EXCLUDED: Counter = Counter::new("fleet.devices.excluded");
-/// Wall-clock of each streamed epoch (simulation + ingest).
+/// Wall-clock of each delivery round (simulation + ingest: the round's
+/// device steps, its offers, and the seals it makes due).
 static EPOCH_SPAN: SpanTimer = SpanTimer::new("fleet.driver.epoch");
-/// Wall-clock of the device-simulation fan-out (boot + noising + framing,
-/// before any collector ingest).
+/// Wall-clock of each round's device-simulation fan-out (boot, noising,
+/// framing and transport, before the round's offers).
 static SIM_SPAN: SpanTimer = SpanTimer::new("fleet.driver.simulate");
 
 /// Nanoseconds spent in device simulation process-wide (recorded at
@@ -292,7 +311,8 @@ pub struct ServiceOutcome {
     /// Largest staged frame count any single drain folded.
     pub max_drain_frames: usize,
     /// FNV-1a digest over every `(device, epoch, charge)` fresh-spend
-    /// record, in (chunk, device, epoch) order. Chaos acts only on cached
+    /// record, in (chunk, device, epoch) order, taken at the end of the run
+    /// over its append-only spend log. Chaos acts only on cached
     /// frame bytes and windows only split the log, so this digest is
     /// **bitwise identical with and without transport faults, at every
     /// window width** — the retry-path ε-spend witness.
@@ -319,6 +339,12 @@ pub struct ServiceOutcome {
     /// Wall-clock nanoseconds per seal — observability only, **never**
     /// rendered into [`ServiceOutcome::canonical_text`].
     pub seal_ns: Vec<u64>,
+    /// Peak frame bytes sent by the devices but not yet offered to the
+    /// service, over every round: one round's reports on a perfect wire,
+    /// plus what retries and delays keep in flight under chaos — bounded by
+    /// the delivery ring, not by the run's length. Memory observability
+    /// only, **never** rendered into [`ServiceOutcome::canonical_text`].
+    pub max_inflight_bytes: usize,
 }
 
 impl ServiceOutcome {
@@ -434,126 +460,252 @@ impl ServiceOutcome {
     }
 }
 
-/// Per-chunk simulation result, folded on the main thread in chunk order.
+/// Epochs a chunk's [`DeviceArray`] steps at a time. Its lanes' state
+/// stays in cache across the block instead of being fetched again every
+/// round; the outcomes wait in columns, and frames still leave the chunk
+/// one round at a time.
+const STEP_BLOCK: usize = 8;
+
+/// One fresh randomization: `(device, epoch, charge)`.
+type Spend = (u32, u32, f64);
+
+/// The run's one spend log: every fresh randomization, appended round by
+/// round and never rewritten — the input of the keyed double-spend audit,
+/// the window ledgers, and the ε-spend digest. Chaos never touches it: it
+/// is produced by the device simulation alone.
 #[cfg_attr(test, derive(Clone))]
-struct ChunkResult {
-    /// `frames[round]` holds the chunk's delivered wire bytes for that
-    /// round (a round is an epoch plus the backoff/delay slack after the
-    /// last epoch).
-    frames: Vec<Vec<u8>>,
-    /// The chunk's one spend log: every fresh randomization as
-    /// `(device, epoch, charge)`, in device order — the input of the keyed
-    /// double-spend audit, the window ledgers, and the ε-spend digest.
-    /// Chaos never touches this: it is produced by the device simulation
-    /// alone.
-    spends: Vec<(u32, u32, f64)>,
+struct SpendLog {
+    /// `chunks[c][e]`: chunk `c`'s spends of epoch `e`, in device order.
+    chunks: Vec<Vec<Vec<Spend>>>,
+}
+
+/// A window's share of the spend log, folded when the window seals.
+struct WindowSpends {
+    /// The first charge of each `(device, epoch)` key inside the window.
+    ledger: BudgetLedger,
+    /// The charges the ledger accepted, in record order: the window
+    /// accountant's input.
+    charges: Vec<f64>,
+    /// Spends refused as a second charge for an already-charged key.
+    double_spends: u64,
+}
+
+impl SpendLog {
+    fn new(chunks: usize) -> SpendLog {
+        SpendLog {
+            chunks: vec![Vec::new(); chunks],
+        }
+    }
+
+    /// Visits a chunk's spends of `epochs` in (device, epoch) order. Each
+    /// epoch's list is in device order, the order the chunk steps its
+    /// devices in, so this is a merge: the smallest device at any list's
+    /// head goes next, with its spends taken list by list in epoch order.
+    fn by_device(epochs: &[Vec<Spend>], mut visit: impl FnMut(&Spend)) {
+        let mut heads = vec![0; epochs.len()];
+        let head_device = |heads: &[usize]| {
+            let spends = epochs.iter().zip(heads).filter_map(|(e, &at)| e.get(at));
+            spends.map(|s| s.0).min()
+        };
+        while let Some(device) = head_device(&heads) {
+            for (epoch, at) in epochs.iter().zip(&mut heads) {
+                while let Some(spend) = epoch.get(*at).filter(|s| s.0 == device) {
+                    visit(spend);
+                    *at += 1;
+                }
+            }
+        }
+    }
+
+    /// Folds the spends of epochs `[lo, hi)` into a window ledger through
+    /// its keyed `record_spend`, in (chunk, device, epoch) order — the
+    /// canonical order the rollup audit re-folds.
+    ///
+    /// A `(device, epoch)` key lands in exactly one window, so the window
+    /// ledgers together refuse every duplicate a fleet-wide keyed ledger
+    /// would: a retry path that re-privatized surfaces in `double_spends`
+    /// as a typed `DoubleSpend`, never as silent extra accumulation.
+    fn fold_window(&self, lo: u32, hi: u32) -> WindowSpends {
+        let mut fold = WindowSpends {
+            ledger: BudgetLedger::new(),
+            charges: Vec::new(),
+            double_spends: 0,
+        };
+        for chunk in &self.chunks {
+            let epochs = &chunk[lo as usize..hi as usize];
+            Self::by_device(epochs, |&(device, epoch, charge)| {
+                let ledger = &mut fold.ledger;
+                match ledger.record_spend(device.into(), epoch.into(), charge) {
+                    Ok(()) => fold.charges.push(charge),
+                    Err(_) => fold.double_spends += 1,
+                }
+            });
+        }
+        fold
+    }
+
+    /// FNV-1a over every spend's `(device, epoch, charge bits)`, refused
+    /// duplicates included, in (chunk, device, epoch) order. Chaos and
+    /// windowing act only on delivered bytes, so the digest is the same for
+    /// every window width and transport.
+    fn digest(&self) -> u64 {
+        let mut digest = Fnv64::new();
+        for chunk in &self.chunks {
+            Self::by_device(chunk, |&(device, epoch, charge)| {
+                digest.write(&device.to_le_bytes());
+                digest.write(&epoch.to_le_bytes());
+                digest.write(&charge.to_bits().to_le_bytes());
+            });
+        }
+        digest.finish()
+    }
+}
+
+/// One chunk's frames in flight: slot `round % slots.len()` collects the
+/// arrivals of `round`. An epoch's sends reach at most
+/// [`FleetConfig::delivery_slack`] rounds past it, so that many slots past
+/// the current round bound the ring.
+struct DeliveryRing {
+    slots: Vec<RoundSlot>,
+    /// Frame bytes held across every slot.
+    held: usize,
+}
+
+#[derive(Default)]
+struct RoundSlot {
+    /// In-order arrivals' bytes, back to back.
+    bytes: Vec<u8>,
+    /// Each in-order arrival's sending device and length, in arrival order.
+    frames: Vec<(u32, u8)>,
+    /// Arrivals displaced within their round, with their sending devices.
+    displaced: Vec<(u32, InlineFrame)>,
+}
+
+impl DeliveryRing {
+    fn new(slack: u32) -> DeliveryRing {
+        DeliveryRing {
+            slots: (0..=slack).map(|_| RoundSlot::default()).collect(),
+            held: 0,
+        }
+    }
+
+    fn deliver(&mut self, round: usize, device: u32, frame: InlineFrame, displaced: bool) {
+        let slots = self.slots.len();
+        let slot = &mut self.slots[round % slots];
+        self.held += frame.len();
+        if displaced {
+            slot.displaced.push((device, frame));
+        } else {
+            slot.bytes.extend_from_slice(&frame);
+            slot.frames.push((device, frame.len() as u8));
+        }
+    }
+
+    /// Takes `round`'s arrivals as the bytes its lane offers, in a stable
+    /// order by device — the order a device-major simulation of the whole
+    /// run emits: every epoch's sends of device `d` before device
+    /// `d + 1`'s — with displaced frames after the in-order ones in
+    /// *reverse*, the displacement the dedup window must be insensitive
+    /// to. In-order arrivals that already are in device order (every round
+    /// of a perfect wire) leave as they are. The slot's storage is freed
+    /// if the chunk sends no more (`refill` false).
+    fn take(&mut self, round: usize, refill: bool) -> Vec<u8> {
+        let slots = self.slots.len();
+        let slot = &mut self.slots[round % slots];
+        let mut bytes = if slot.frames.is_sorted_by_key(|f| f.0) {
+            // The round this slot serves next holds about as many bytes.
+            let next = Vec::with_capacity(if refill { slot.bytes.len() } else { 0 });
+            std::mem::replace(&mut slot.bytes, next)
+        } else {
+            let mut spans = Vec::with_capacity(slot.frames.len());
+            let mut at = 0;
+            for &(device, len) in &slot.frames {
+                spans.push((device, at..at + usize::from(len)));
+                at += usize::from(len);
+            }
+            spans.sort_by_key(|s| s.0);
+            let mut sorted = Vec::with_capacity(slot.bytes.len());
+            for (_, range) in spans {
+                sorted.extend_from_slice(&slot.bytes[range]);
+            }
+            slot.bytes.clear();
+            sorted
+        };
+        slot.frames.clear();
+        slot.displaced.sort_by_key(|a| a.0);
+        for (_, frame) in slot.displaced.drain(..).rev() {
+            bytes.extend_from_slice(&frame);
+        }
+        if !refill {
+            *slot = RoundSlot::default();
+        }
+        self.held -= bytes.len();
+        bytes
+    }
+}
+
+/// How a device noises its readings.
+enum Noiser {
+    /// A lane of its chunk's [`DeviceArray`].
+    Lane(u32),
+    /// Its own [`DpBox`] FSM: the batch engine's faulty-URNG sidecar, and
+    /// every device under the reference engine.
+    Scalar(Box<DpBox<FleetUrng>>),
+}
+
+/// A booted device's state between rounds.
+struct Device {
+    id: u32,
+    noiser: Noiser,
+    /// The host-side randomized-response generator.
+    rr_rng: Taus88,
+    /// The device's transport state (`None` on a perfect wire).
+    chaos: Option<Box<DeviceChaos>>,
+}
+
+/// A booted chunk's live devices, in id order, and the array its healthy
+/// lanes step in.
+struct ChunkDevices {
+    /// The batch engine's lockstep lanes (`None` under the reference
+    /// engine).
+    array: Option<DeviceArray>,
+    /// Each lane's sensor value.
+    xs: Vec<i64>,
+    /// The array's outcome columns for the current block of
+    /// [`STEP_BLOCK`] epochs, one per epoch.
+    outcomes: Vec<Vec<LaneOutcome>>,
+    /// Devices still reporting: self-test exclusions never join, and
+    /// dropped devices leave.
+    devices: Vec<Device>,
+}
+
+/// One simulation chunk: devices `[start, end)` and their frames in flight.
+struct ChunkSim {
+    start: u32,
+    end: u32,
+    /// Booted in round 0, dropped after the last epoch.
+    devices: Option<ChunkDevices>,
+    ring: DeliveryRing,
+}
+
+/// What one chunk produced in one round.
+#[derive(Default)]
+struct ChunkRound {
+    /// The round's arrivals, as the chunk's lane offers them.
+    bytes: Vec<u8>,
+    /// Fresh spends of the round's epoch, in device order.
+    spends: Vec<Spend>,
+    /// Devices the power-on self-test excluded (round 0 only), ascending.
     excluded: Vec<u32>,
-    dropped: Vec<u32>,
+    /// Devices that stopped reporting this round.
+    dropped: usize,
     /// Retransmissions attempted (beyond each report's first send).
     retry_attempts: u64,
     /// Reports whose retry budget expired without an ack.
     reports_unacked: u64,
-}
-
-/// Every chunk's spends and tallies, folded on the main thread in
-/// (chunk, device, epoch) order by [`fold_spends`].
-struct SpendFold {
-    /// Per window, the first charge of each `(device, epoch)` key whose
-    /// epoch falls inside it.
-    ledgers: Vec<BudgetLedger>,
-    /// Per window, the charges its ledger accepted, in record order: the
-    /// window accountant's input.
-    charges: Vec<Vec<f64>>,
-    /// FNV-1a over every fresh spend's `(device, epoch, charge bits)`,
-    /// refused duplicates included.
-    ledger_digest: u64,
-    /// Spends refused as a second charge for an already-charged key.
-    double_spends: u64,
-    excluded: Vec<u32>,
-    dropped: usize,
-    retry_attempts: u64,
-    reports_unacked: u64,
-}
-
-/// The one keyed pass over every fresh randomization: each spend goes to
-/// window `epoch / window_epochs` of `windows`, through that window
-/// ledger's keyed `record_spend`, and into the ε-spend digest.
-///
-/// A `(device, epoch)` key lands in exactly one window, so the window
-/// ledgers together refuse every duplicate a fleet-wide keyed ledger
-/// would: a retry path that re-privatized surfaces in `double_spends` as a
-/// typed `DoubleSpend`, never as silent extra accumulation. Chaos and
-/// windowing act only on delivered bytes, so the digest is the same for
-/// every window width and transport.
-fn fold_spends(chunks: &[ChunkResult], window_epochs: u32, windows: usize) -> SpendFold {
-    let mut digest = Fnv64::new();
-    let mut fold = SpendFold {
-        ledgers: vec![BudgetLedger::new(); windows],
-        charges: vec![Vec::new(); windows],
-        ledger_digest: 0,
-        double_spends: 0,
-        excluded: Vec::new(),
-        dropped: 0,
-        retry_attempts: 0,
-        reports_unacked: 0,
-    };
-    for chunk in chunks {
-        for &(device, epoch, charge) in &chunk.spends {
-            let w = (epoch / window_epochs) as usize;
-            match fold.ledgers[w].record_spend(u64::from(device), u64::from(epoch), charge) {
-                Ok(()) => fold.charges[w].push(charge),
-                Err(_) => fold.double_spends += 1,
-            }
-            digest.write(&device.to_le_bytes());
-            digest.write(&epoch.to_le_bytes());
-            digest.write(&charge.to_bits().to_le_bytes());
-        }
-        fold.excluded.extend_from_slice(&chunk.excluded);
-        fold.dropped += chunk.dropped.len();
-        fold.retry_attempts += chunk.retry_attempts;
-        fold.reports_unacked += chunk.reports_unacked;
-    }
-    fold.ledger_digest = digest.finish();
-    fold
-}
-
-/// Delivered-frame buckets for one chunk: reordered frames are staged
-/// per-frame and appended after the round's in-order bytes in *reverse*
-/// arrival order — the displacement the dedup window must be insensitive
-/// to.
-struct RoundBuckets {
-    normal: Vec<Vec<u8>>,
-    displaced: Vec<Vec<Vec<u8>>>,
-}
-
-impl RoundBuckets {
-    fn new(rounds: usize) -> RoundBuckets {
-        RoundBuckets {
-            normal: vec![Vec::new(); rounds],
-            displaced: vec![Vec::new(); rounds],
-        }
-    }
-
-    fn deliver(&mut self, round: usize, bytes: &[u8], displaced: bool) {
-        if displaced {
-            self.displaced[round].push(bytes.to_vec());
-        } else {
-            self.normal[round].extend_from_slice(bytes);
-        }
-    }
-
-    fn finalize(self) -> Vec<Vec<u8>> {
-        self.normal
-            .into_iter()
-            .zip(self.displaced)
-            .map(|(mut n, d)| {
-                for frame in d.into_iter().rev() {
-                    n.extend_from_slice(&frame);
-                }
-                n
-            })
-            .collect()
-    }
+    /// Frame bytes in flight once the round's sends are made, before its
+    /// arrivals leave the ring.
+    inflight: usize,
 }
 
 /// The simulated fleet: configuration plus the derived noise model.
@@ -576,9 +728,10 @@ impl FleetDriver {
     ///
     /// # Errors
     ///
-    /// [`FleetError::Config`] for empty populations/epochs/shards/chunks or
-    /// an out-of-range threshold; [`FleetError::Privacy`] if the noise
-    /// model cannot be built.
+    /// [`FleetError::Config`] for empty populations/epochs/shards/chunks, a
+    /// URNG width outside `3..=53`, an ADC range `2^adc_bits` the signed
+    /// datapath word cannot hold, or an out-of-range threshold;
+    /// [`FleetError::Privacy`] if the noise model cannot be built.
     pub fn new(cfg: FleetConfig) -> Result<Self, FleetError> {
         if cfg.devices == 0 {
             return Err(FleetError::Config("population must be non-empty"));
@@ -608,6 +761,16 @@ impl FleetDriver {
             chaos
                 .validate()
                 .map_err(|_| FleetError::Config("chaos fault class out of range"))?;
+        }
+        if !(3..=53).contains(&cfg.bu) {
+            return Err(FleetError::Config("URNG width Bu must be in 3..=53"));
+        }
+        // The codes [0, 2^adc_bits] must fit a signed word of `word_bits`
+        // bits, and no word is wider than 63.
+        if u32::from(cfg.adc_bits) + 1 >= u32::from(cfg.word_bits.min(63)) {
+            return Err(FleetError::Config(
+                "ADC range 2^adc_bits must fit the signed datapath word",
+            ));
         }
         let max_code = 1i64 << cfg.adc_bits;
         if !(0..=max_code).contains(&cfg.threshold_code) {
@@ -661,13 +824,14 @@ impl FleetDriver {
     }
 
     /// Runs the full simulation — boot, stream, collect, estimate, audit —
-    /// through the streaming service: the deterministic device traffic is
-    /// offered round-by-round to a [`FleetService`] (one ingest lane per
-    /// simulation chunk plus one for the planted malformed senders),
-    /// windows seal as the watermark passes, live snapshots are served
-    /// from sealed windows, and every sealed window folds into an
-    /// order-canonicalized rollup. [`FleetDriver::one_window`] makes the
-    /// run a single batch.
+    /// through the streaming service, one delivery round at a time: each
+    /// round steps every chunk's devices one epoch, offers the round's
+    /// arrivals to a [`FleetService`] (one ingest lane per simulation chunk
+    /// plus one for the planted malformed senders), and seals the windows
+    /// whose watermark passed, each with its share of the spend log. Live
+    /// snapshots are served from sealed windows, and every sealed window
+    /// folds into an order-canonicalized rollup.
+    /// [`FleetDriver::one_window`] makes the run a single batch.
     ///
     /// Backpressure follows the service contract: a [`crate::Busy`]
     /// refusal triggers a drain and a same-round retry of the *same*
@@ -683,82 +847,67 @@ impl FleetDriver {
     /// the outcome.
     pub fn run_service(&self, svc: &ServiceConfig) -> Result<ServiceOutcome, FleetError> {
         let cfg = &self.cfg;
+        let epochs = cfg.epochs as usize;
         let truth = self.prepare_truth()?;
         let rr = self.model.rr()?;
-        let chunks = self.simulate_fleet(&truth.codes_k, rr)?;
-        let malformed = self.malformed_rounds();
-
-        // Each window's share of the privacy ledger: the fresh spends
-        // whose epoch falls inside the window, in (chunk, device, epoch)
-        // order — the canonical order the rollup audit re-folds. The same
-        // pass is the keyed double-spend audit and the ε-spend digest.
-        let spans = window_spans(cfg.epochs, svc.window_epochs);
-        let SpendFold {
-            ledgers: mut window_ledgers,
-            charges: mut window_charges,
-            ledger_digest,
-            double_spends,
-            excluded,
-            dropped,
-            retry_attempts,
-            reports_unacked,
-        } = fold_spends(&chunks, svc.window_epochs, spans.len());
-        DEVICES.add(cfg.devices as u64);
-        EXCLUDED.record_always(excluded.len() as u64);
-        let reports_per_window = |w: usize| {
-            let (lo, hi) = spans[w];
-            2 * u64::from(hi - lo) * (cfg.devices - excluded.len()) as u64
-        };
-
-        let lanes = chunks.len() + 1;
+        let chunks = self.chunk_sims();
         let malformed_lane = chunks.len();
-        let mut service = FleetService::new(self.fresh_collector(), svc.clone(), lanes, cfg.epochs);
-        let rounds = self.rounds();
-        let mut next_seal = 0usize;
-        let mut seal_window = |service: &mut FleetService, next_seal: &mut usize| {
-            let w = *next_seal;
-            service
-                .seal_active(
-                    std::mem::take(&mut window_ledgers[w]),
-                    std::mem::take(&mut window_charges[w]),
-                    reports_per_window(w),
-                )
-                .expect("windows seal in order");
-            *next_seal += 1;
-        };
-        for round in 0..rounds {
+        let mut service = FleetService::new(
+            self.fresh_collector(),
+            svc.clone(),
+            malformed_lane + 1,
+            cfg.epochs,
+        );
+        let mut log = SpendLog::new(chunks.len());
+        let mut excluded = Vec::new();
+        let mut dropped = 0;
+        let mut retry_attempts = 0;
+        let mut reports_unacked = 0;
+        let mut double_spends = 0;
+        let mut max_inflight_bytes = 0;
+        for round in 0..self.rounds() {
             let _span = EPOCH_SPAN.enter();
-            for (lane, chunk) in chunks.iter().enumerate() {
-                let bytes = &chunk.frames[round];
-                if service.offer(lane, bytes).is_err() {
-                    // Typed backpressure: drain, then retry the same
-                    // bytes — an empty lane always admits.
-                    service.drain();
-                    service.offer(lane, bytes).expect("drained lane admits");
+            let mut inflight = 0;
+            let stepped = self.step_round(&chunks, round, &truth.codes_k, rr)?;
+            for (lane, chunk) in stepped.into_iter().enumerate() {
+                inflight += chunk.inflight;
+                excluded.extend_from_slice(&chunk.excluded);
+                dropped += chunk.dropped;
+                retry_attempts += chunk.retry_attempts;
+                reports_unacked += chunk.reports_unacked;
+                if round < epochs {
+                    log.chunks[lane].push(chunk.spends);
                 }
+                offer(&mut service, lane, &chunk.bytes);
             }
-            if let Some(bytes) = malformed.get(round) {
-                if service.offer(malformed_lane, bytes).is_err() {
-                    service.drain();
-                    service
-                        .offer(malformed_lane, bytes)
-                        .expect("drained lane admits");
-                }
+            max_inflight_bytes = max_inflight_bytes.max(inflight);
+            if round < epochs {
+                offer(
+                    &mut service,
+                    malformed_lane,
+                    &self.malformed_round(round as u32),
+                );
             }
             let completed = round as u32 + 1;
             while service.seal_due(completed) {
-                seal_window(&mut service, &mut next_seal);
+                double_spends += seal_window(&mut service, &log, cfg.devices - excluded.len());
             }
         }
         // Flush-seal windows whose watermark sits past the last round
         // (delivery is over, so the grace can't admit anything more).
         while service.active_window().is_some() {
-            seal_window(&mut service, &mut next_seal);
+            double_spends += seal_window(&mut service, &log, cfg.devices - excluded.len());
         }
         // Deliveries staged after the last seal (backoff/delay slack under
         // a strict watermark) still get classified — as the typed `late`
         // outcome, never a silent drop of admitted bytes.
         service.drain();
+        let ledger_digest = log.digest();
+        // The log's last use: free it before the rollup's finalize, the
+        // run's memory peak.
+        drop(log);
+        DEVICES.add(cfg.devices as u64);
+        EXCLUDED.record_always(excluded.len() as u64);
 
         let snapshot = service.snapshot(&self.model)?;
         let rollup = service.rollup().finalize(svc.quorum);
@@ -804,6 +953,7 @@ impl FleetDriver {
             quarantined: service.collector().quarantined_devices(),
             n_th_k: self.model.n_th_k(),
             seal_ns: service.seal_ns().to_vec(),
+            max_inflight_bytes,
         })
     }
 
@@ -819,32 +969,6 @@ impl FleetDriver {
             2f64.powi(-i32::from(cfg.eps_shift)),
             cfg.seed,
         )?)
-    }
-
-    /// Simulates every device in fixed-size chunks; `par_map` returns
-    /// chunk results in chunk order regardless of schedule.
-    fn simulate_fleet(
-        &self,
-        codes_k: &[i64],
-        rr: RandomizedResponse,
-    ) -> Result<Vec<ChunkResult>, FleetError> {
-        let cfg = &self.cfg;
-        let chunk_starts: Vec<u32> = (0..cfg.devices as u32).step_by(cfg.chunk).collect();
-        let chunk_results: Vec<Result<ChunkResult, FleetError>> = {
-            let _span = SIM_SPAN.enter();
-            ulp_par::par_map(&chunk_starts, |&start| {
-                let end = (start as usize + cfg.chunk).min(cfg.devices) as u32;
-                match self.engine {
-                    DeviceEngine::Batch => self.simulate_chunk_batch(start, end, codes_k, rr),
-                    DeviceEngine::Reference => self.simulate_chunk(start, end, codes_k, rr),
-                }
-            })
-        };
-        let mut chunks = Vec::with_capacity(chunk_results.len());
-        for r in chunk_results {
-            chunks.push(r?);
-        }
-        Ok(chunks)
     }
 
     /// A fresh collector registered for the fleet's two queries.
@@ -873,30 +997,26 @@ impl FleetDriver {
         .with_device_capacity((cfg.devices + cfg.malformed_senders) as u32)
     }
 
-    /// Planted malformed senders: checksum-valid frames for an
-    /// unregistered query, enough per epoch to trip the default strike
-    /// limit in the very first batch. Their ids sit above the population,
-    /// so they touch no truth and no ledger.
-    fn malformed_rounds(&self) -> Vec<Vec<u8>> {
+    /// The planted malformed senders' frames for `epoch`: checksum-valid
+    /// frames for an unregistered query, enough per epoch to trip the
+    /// default strike limit in the very first batch. Their ids sit above
+    /// the population, so they touch no truth and no ledger.
+    fn malformed_round(&self, epoch: u32) -> Vec<u8> {
         let cfg = &self.cfg;
-        (0..cfg.epochs)
-            .map(|epoch| {
-                let mut bytes = Vec::new();
-                for m in 0..cfg.malformed_senders {
-                    let id = (cfg.devices + m) as u32;
-                    for burst in 0..4 {
-                        Report {
-                            device: id,
-                            query: 0x7FFF,
-                            epoch,
-                            payload: Payload::Value(burst),
-                        }
-                        .encode_into(&mut bytes);
-                    }
+        let mut bytes = Vec::new();
+        for m in 0..cfg.malformed_senders {
+            let id = (cfg.devices + m) as u32;
+            for burst in 0..4 {
+                Report {
+                    device: id,
+                    query: 0x7FFF,
+                    epoch,
+                    payload: Payload::Value(burst),
                 }
-                bytes
-            })
-            .collect()
+                .encode_into(&mut bytes);
+            }
+        }
+        bytes
     }
 
     /// Included-population ground truth: exclusion happens before any
@@ -948,172 +1068,197 @@ impl FleetDriver {
         (self.cfg.epochs + self.cfg.delivery_slack()) as usize
     }
 
-    /// Sends one cached report through the uplink: the first attempt plus
-    /// up to `retry_budget` retransmissions of the *same bytes* under
-    /// exponential backoff (attempt `a` departs at `epoch + 2^a − 1`).
-    /// Returns `(extra_attempts, acked)`.
-    fn transmit(
-        &self,
-        chaos: Option<&mut DeviceChaos>,
-        frame: &[u8; crate::wire::FRAME_LEN],
-        epoch: usize,
-        buckets: &mut RoundBuckets,
-    ) -> (u64, bool) {
-        let Some(chaos) = chaos else {
-            // Perfect wire: one attempt, delivered in its own epoch.
-            buckets.deliver(epoch, frame, false);
-            return (0, true);
-        };
-        let mut extra = 0u64;
-        for attempt in 0..=self.cfg.retry_budget {
-            if attempt > 0 {
-                extra += 1;
-            }
-            let send_round = epoch + (1usize << attempt) - 1;
-            let outcome = chaos.attempt(frame);
-            if let Some(d) = outcome.delivery {
-                buckets.deliver(send_round + d.delay_rounds as usize, &d.bytes, d.displaced);
-            }
-            if outcome.acked {
-                return (extra, true);
-            }
-        }
-        (extra, false)
+    /// The run's simulation chunks, `chunk` devices each, none booted yet.
+    fn chunk_sims(&self) -> Vec<Mutex<ChunkSim>> {
+        let cfg = &self.cfg;
+        (0..cfg.devices as u32)
+            .step_by(cfg.chunk)
+            .map(|start| {
+                Mutex::new(ChunkSim {
+                    start,
+                    end: (start as usize + cfg.chunk).min(cfg.devices) as u32,
+                    devices: None,
+                    ring: DeliveryRing::new(cfg.delivery_slack()),
+                })
+            })
+            .collect()
     }
 
-    /// Simulates devices `[start, end)`: boot each through the hardware
-    /// command sequence, privatize **at most once** per `(query, epoch)`,
-    /// and push the cached report bytes through the (possibly chaotic)
-    /// uplink.
-    fn simulate_chunk(
+    /// Steps every chunk through `round` — `par_map` returns the chunks'
+    /// rounds in chunk order regardless of schedule — or returns the first
+    /// chunk's error.
+    fn step_round(
+        &self,
+        chunks: &[Mutex<ChunkSim>],
+        round: usize,
+        codes_k: &[i64],
+        rr: RandomizedResponse,
+    ) -> Result<Vec<ChunkRound>, FleetError> {
+        let _span = SIM_SPAN.enter();
+        ulp_par::par_map(chunks, |chunk| {
+            let mut chunk = chunk.lock().expect("a chunk is stepped by one worker");
+            self.step_chunk(&mut chunk, round, codes_k, rr)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Steps one chunk through `round`: boots it in round 0, steps its
+    /// devices one epoch while it has epochs left (dropping their state
+    /// after the last), and takes the round's arrivals out of its ring.
+    fn step_chunk(
+        &self,
+        chunk: &mut ChunkSim,
+        round: usize,
+        codes_k: &[i64],
+        rr: RandomizedResponse,
+    ) -> Result<ChunkRound, FleetError> {
+        let epochs = self.cfg.epochs as usize;
+        let mut out = ChunkRound::default();
+        if round == 0 {
+            chunk.devices = Some(self.boot_chunk(chunk.start, chunk.end, codes_k, &mut out)?);
+        }
+        if round < epochs {
+            let devices = chunk.devices.as_mut().expect("chunks boot in round 0");
+            self.step_devices(devices, round, codes_k, rr, &mut chunk.ring, &mut out)?;
+            if round + 1 == epochs {
+                chunk.devices = None;
+            }
+        }
+        out.inflight = chunk.ring.held;
+        out.bytes = chunk.ring.take(round, chunk.devices.is_some());
+        Ok(out)
+    }
+
+    /// Boots devices `[start, end)` through the hardware command sequence,
+    /// recording self-test exclusions in `out`. The batch engine boots the
+    /// healthy-URNG devices as one [`DeviceArray`] (lane-parallel power-on
+    /// self-test, memoized CORDIC, no per-device FSM allocation) and each
+    /// device wired through the correlated-bits fault as a scalar [`DpBox`]
+    /// sidecar — those exist to exercise the full fault-latch machinery.
+    /// The reference engine boots every device as a [`DpBox`].
+    fn boot_chunk(
         &self,
         start: u32,
         end: u32,
         codes_k: &[i64],
-        rr: RandomizedResponse,
-    ) -> Result<ChunkResult, FleetError> {
-        let rounds = self.rounds();
-        let mut buckets = RoundBuckets::new(rounds);
-        let mut out = ChunkResult {
-            frames: Vec::new(),
-            spends: Vec::new(),
-            excluded: Vec::new(),
-            dropped: Vec::new(),
-            retry_attempts: 0,
-            reports_unacked: 0,
-        };
-        for id in start..end {
-            self.simulate_device_scalar(id, codes_k[id as usize], rr, &mut buckets, &mut out)?;
-        }
-        out.frames = buckets.finalize();
-        Ok(out)
-    }
-
-    /// One device's full scalar simulation — a [`DpBox`] FSM booted,
-    /// stepped one `noise_value` per epoch, and its cached report bytes
-    /// pushed through the uplink. Shared by the reference engine (every
-    /// device) and the batch engine (faulty-URNG sidecar).
-    fn simulate_device_scalar(
-        &self,
-        id: u32,
-        x_code: i64,
-        rr: RandomizedResponse,
-        buckets: &mut RoundBuckets,
-        out: &mut ChunkResult,
-    ) -> Result<(), FleetError> {
+        out: &mut ChunkRound,
+    ) -> Result<ChunkDevices, FleetError> {
         let cfg = &self.cfg;
-        let epochs = cfg.epochs as usize;
-        {
-            let faulty = Self::is_faulty(cfg, id);
-            let urng = if faulty {
-                FleetUrng::Faulty(CorrelatedBits::new(
-                    Taus88::from_seed(stream_seed(cfg.seed, &[u64::from(id), 1])),
-                    1,
-                    230,
-                ))
-            } else {
-                FleetUrng::Healthy(Taus88::from_seed(stream_seed(
-                    cfg.seed,
-                    &[u64::from(id), 0],
-                )))
-            };
-            let mut dev = DpBox::with_urng(
-                DpBoxConfig {
+        let n = (end - start) as usize;
+        // Healthy devices become array lanes: their RNG streams are
+        // independent, so lockstep advance is safe.
+        let mut lane_of: Vec<Option<u32>> = vec![None; n];
+        let mut seeds = Vec::with_capacity(n);
+        let mut xs = Vec::with_capacity(n);
+        let array = match self.engine {
+            DeviceEngine::Batch => {
+                for id in start..end {
+                    if !Self::is_faulty(cfg, id) {
+                        lane_of[(id - start) as usize] = Some(seeds.len() as u32);
+                        seeds.push(stream_seed(cfg.seed, &[u64::from(id), 0]));
+                        xs.push(codes_k[id as usize]);
+                    }
+                }
+                let array_cfg = DeviceArrayConfig {
                     word_bits: cfg.word_bits,
                     frac_bits: 0,
                     bu: cfg.bu,
                     cordic_iterations: 24,
                     segment_multiples: cfg.multiples.clone(),
-                    seed: 0, // ignored: the URNG is caller-supplied
-                },
-                urng,
-            )?;
-            // Power-on self-test: a short APT window keeps the startup
-            // draw cheap while the lag-correlation test still catches the
-            // wired fault deterministically.
-            dev.set_health_config(
-                HealthConfig::new(40, 64, 4).map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
-            );
-            dev.issue(Command::ResetHealth, 0)?;
-            if dev.phase() == Phase::HealthFault {
-                out.excluded.push(id);
-                return Ok(());
-            }
-            // Initialization phase: budget, then freeze into waiting.
-            dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
-            dev.issue(Command::StartNoising, 0)?;
-            // Waiting phase: per-reading privacy level, range, mode.
-            dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
-            dev.issue(Command::SetSensorRangeLower, 0)?;
-            dev.issue(Command::SetSensorRangeUpper, self.max_code)?;
-            dev.issue(Command::SetThreshold, 0)?; // resampling → thresholding
-            let mut rr_rng = Taus88::from_seed(stream_seed(cfg.seed, &[u64::from(id), 2]));
-            let above = x_code >= cfg.threshold_code;
-            // The transport state is per-device and seeded from the chaos
-            // seed alone, so the fault pattern is independent of chunk
-            // partition and thread schedule.
-            let mut chaos = cfg.chaos.as_ref().map(|c| DeviceChaos::new(c, id));
-            for epoch in 0..epochs {
-                // Privatize AT MOST ONCE per (query, epoch): the encoded
-                // frames below are the cached bytes every retransmission
-                // replays verbatim. A fresh ledger charge is keyed by
-                // (device, epoch) for the double-spend audit.
-                let before = dev.ledger().len();
-                let value_frame = match dev.noise_value(x_code) {
-                    Ok((y, _cycles)) => Report {
-                        device: id,
-                        query: VALUE_QUERY,
-                        epoch: epoch as u32,
-                        payload: Payload::Value(y as i32),
-                    }
-                    .encode(),
-                    // Fail-safe paths (runtime health trip, budget halt):
-                    // the device stops reporting; the fleet records it.
-                    Err(DpBoxError::UrngHealthFault(_)) | Err(DpBoxError::BudgetExhausted) => {
-                        out.dropped.push(id);
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
+                    // The same short-window power-on self-test the scalar
+                    // boot configures via `set_health_config`.
+                    health: HealthConfig::new(40, 64, 4)
+                        .map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
+                    budget_raw: cfg.budget_raw,
+                    eps_shift: cfg.eps_shift,
+                    range_lower: 0,
+                    range_upper: self.max_code,
                 };
-                if dev.ledger().len() > before {
-                    let entry = dev.ledger().entries()[before];
-                    out.spends.push((id, epoch as u32, entry.charge));
-                }
-                let rr_frame = Report {
-                    device: id,
-                    query: RR_QUERY,
-                    epoch: epoch as u32,
-                    payload: Payload::RrBit(rr.privatize(above, &mut rr_rng)),
-                }
-                .encode();
-                for frame in [&value_frame, &rr_frame] {
-                    let (extra, acked) = self.transmit(chaos.as_mut(), frame, epoch, buckets);
-                    out.retry_attempts += extra;
-                    out.reports_unacked += u64::from(!acked);
-                }
+                Some(DeviceArray::new(&array_cfg, &seeds)?)
             }
+            DeviceEngine::Reference => None,
+        };
+        let mut devices = Vec::with_capacity(n);
+        for id in start..end {
+            let noiser = match lane_of[(id - start) as usize] {
+                Some(lane) if array.as_ref().is_some_and(|a| a.is_excluded(lane as usize)) => None,
+                Some(lane) => Some(Noiser::Lane(lane)),
+                None => self
+                    .boot_scalar(id)?
+                    .map(|dev| Noiser::Scalar(Box::new(dev))),
+            };
+            let Some(noiser) = noiser else {
+                out.excluded.push(id);
+                continue;
+            };
+            devices.push(Device {
+                id,
+                noiser,
+                rr_rng: Taus88::from_seed(stream_seed(cfg.seed, &[u64::from(id), 2])),
+                // The transport state is per-device and seeded from the
+                // chaos seed alone, so the fault pattern is independent of
+                // chunk partition and thread schedule.
+                chaos: cfg
+                    .chaos
+                    .as_ref()
+                    .map(|c| Box::new(DeviceChaos::new(c, id))),
+            });
         }
-        Ok(())
+        Ok(ChunkDevices {
+            array,
+            xs,
+            outcomes: Vec::new(),
+            devices,
+        })
+    }
+
+    /// Boots device `id` as a scalar [`DpBox`] FSM; `None` if its power-on
+    /// self-test excluded it.
+    fn boot_scalar(&self, id: u32) -> Result<Option<DpBox<FleetUrng>>, FleetError> {
+        let cfg = &self.cfg;
+        let urng = if Self::is_faulty(cfg, id) {
+            FleetUrng::Faulty(CorrelatedBits::new(
+                Taus88::from_seed(stream_seed(cfg.seed, &[u64::from(id), 1])),
+                1,
+                230,
+            ))
+        } else {
+            FleetUrng::Healthy(Taus88::from_seed(stream_seed(
+                cfg.seed,
+                &[u64::from(id), 0],
+            )))
+        };
+        let mut dev = DpBox::with_urng(
+            DpBoxConfig {
+                word_bits: cfg.word_bits,
+                frac_bits: 0,
+                bu: cfg.bu,
+                cordic_iterations: 24,
+                segment_multiples: cfg.multiples.clone(),
+                seed: 0, // ignored: the URNG is caller-supplied
+            },
+            urng,
+        )?;
+        // Power-on self-test: a short APT window keeps the startup draw
+        // cheap while the lag-correlation test still catches the wired
+        // fault deterministically.
+        dev.set_health_config(
+            HealthConfig::new(40, 64, 4).map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
+        );
+        dev.issue(Command::ResetHealth, 0)?;
+        if dev.phase() == Phase::HealthFault {
+            return Ok(None);
+        }
+        // Initialization phase: budget, then freeze into waiting.
+        dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
+        dev.issue(Command::StartNoising, 0)?;
+        // Waiting phase: per-reading privacy level, range, mode.
+        dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
+        dev.issue(Command::SetSensorRangeLower, 0)?;
+        dev.issue(Command::SetSensorRangeUpper, self.max_code)?;
+        dev.issue(Command::SetThreshold, 0)?; // resampling → thresholding
+        Ok(Some(dev))
     }
 
     /// Whether `id`'s URNG is wired through the correlated-bits fault — a
@@ -1122,130 +1267,168 @@ impl FleetDriver {
         stream_seed(cfg.seed, &[u64::from(id), 7]) % 1000 < u64::from(cfg.faulty_per_mille)
     }
 
-    /// The batch engine: identical power-on self-tests, RNG streams,
-    /// noising dataflow, frame bytes, and spend records as
-    /// [`FleetDriver::simulate_chunk`] — proven bit-for-bit by the
-    /// in-process differential tests — but the chunk's healthy-URNG devices
-    /// advance in lockstep as one [`DeviceArray`] (vectorized startup
-    /// self-test, memoized CORDIC, no per-device FSM allocation). Devices
-    /// wired through the correlated-bits fault keep the scalar [`DpBox`]
-    /// sidecar: they exist to exercise the full fault-latch machinery.
-    ///
-    /// Frames are emitted in device-id order from the precomputed lane
-    /// outcomes, so every round's byte stream — and therefore every ingest
-    /// stat, estimate, and digest — matches the reference engine exactly.
-    fn simulate_chunk_batch(
+    /// Steps a chunk's live devices through `epoch`, in id order: each
+    /// privatizes **at most once** per `(query, epoch)` — the encoded
+    /// frames are the cached bytes every retransmission replays verbatim,
+    /// and a fresh charge is logged under `(device, epoch)` for the
+    /// double-spend audit — and pushes its frames through the uplink into
+    /// the chunk's ring.
+    fn step_devices(
         &self,
-        start: u32,
-        end: u32,
+        chunk: &mut ChunkDevices,
+        epoch: usize,
         codes_k: &[i64],
         rr: RandomizedResponse,
-    ) -> Result<ChunkResult, FleetError> {
-        let cfg = &self.cfg;
-        let epochs = cfg.epochs as usize;
-        let rounds = self.rounds();
-        let mut buckets = RoundBuckets::new(rounds);
-        let mut out = ChunkResult {
-            frames: Vec::new(),
-            spends: Vec::new(),
-            excluded: Vec::new(),
-            dropped: Vec::new(),
-            retry_attempts: 0,
-            reports_unacked: 0,
-        };
-        // Partition the chunk: healthy devices become array lanes (their
-        // RNG streams are independent, so lockstep advance is safe);
-        // faulty devices take the scalar sidecar during emission.
-        let n = (end - start) as usize;
-        let mut lane_of: Vec<Option<u32>> = vec![None; n];
-        let mut seeds = Vec::with_capacity(n);
-        for id in start..end {
-            if !Self::is_faulty(cfg, id) {
-                lane_of[(id - start) as usize] = Some(seeds.len() as u32);
-                seeds.push(stream_seed(cfg.seed, &[u64::from(id), 0]));
+        ring: &mut DeliveryRing,
+        out: &mut ChunkRound,
+    ) -> Result<(), FleetError> {
+        let ChunkDevices {
+            array,
+            xs,
+            outcomes,
+            devices,
+        } = chunk;
+        let block_at = epoch % STEP_BLOCK;
+        if let (Some(array), 0) = (array, block_at) {
+            let block = STEP_BLOCK.min(self.cfg.epochs as usize - epoch);
+            outcomes.resize_with(block, Vec::new);
+            for column in outcomes.iter_mut() {
+                array.step(xs, column);
             }
         }
-        let array_cfg = DeviceArrayConfig {
-            word_bits: cfg.word_bits,
-            frac_bits: 0,
-            bu: cfg.bu,
-            cordic_iterations: 24,
-            segment_multiples: cfg.multiples.clone(),
-            // The same short-window power-on self-test the scalar boot
-            // configures via `set_health_config`.
-            health: HealthConfig::new(40, 64, 4)
-                .map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
-            budget_raw: cfg.budget_raw,
-            eps_shift: cfg.eps_shift,
-            range_lower: 0,
-            range_upper: self.max_code,
-        };
-        let mut array = DeviceArray::new(&array_cfg, &seeds)?;
-        let mut xs = vec![0i64; seeds.len()];
-        for id in start..end {
-            if let Some(lane) = lane_of[(id - start) as usize] {
-                xs[lane as usize] = codes_k[id as usize];
-            }
-        }
-        // Advance every lane through all epochs, column-wise.
-        let matrix: Vec<Vec<LaneOutcome>> = array.step_epochs(&xs, epochs);
-        // Emission in device-id order: the exact per-device frame and spend
-        // sequence the reference engine produces.
-        for id in start..end {
-            let Some(lane) = lane_of[(id - start) as usize] else {
-                self.simulate_device_scalar(id, codes_k[id as usize], rr, &mut buckets, &mut out)?;
+        out.spends.reserve(devices.len());
+        let mut i = 0;
+        while i < devices.len() {
+            let dev = &mut devices[i];
+            let x_code = codes_k[dev.id as usize];
+            let y = match &mut dev.noiser {
+                Noiser::Lane(lane) => match outcomes[block_at][*lane as usize] {
+                    LaneOutcome::Fresh { y, charge } => {
+                        out.spends.push((dev.id, epoch as u32, charge));
+                        Some(y)
+                    }
+                    LaneOutcome::Cached { y } => Some(y),
+                    LaneOutcome::Dropped => None,
+                },
+                Noiser::Scalar(dpbox) => {
+                    let before = dpbox.ledger().len();
+                    match dpbox.noise_value(x_code) {
+                        Ok((y, _cycles)) => {
+                            if let Some(entry) = dpbox.ledger().entries().get(before) {
+                                out.spends.push((dev.id, epoch as u32, entry.charge));
+                            }
+                            Some(y)
+                        }
+                        // Fail-safe paths (runtime health trip, budget
+                        // halt): the device stops reporting.
+                        Err(DpBoxError::UrngHealthFault(_) | DpBoxError::BudgetExhausted) => None,
+                        Err(e) => return Err(e.into()),
+                    }
+                }
+            };
+            let Some(y) = y else {
+                devices.remove(i);
+                out.dropped += 1;
                 continue;
             };
-            let lane = lane as usize;
-            if array.is_excluded(lane) {
-                out.excluded.push(id);
-                continue;
+            let value_frame = Report {
+                device: dev.id,
+                query: VALUE_QUERY,
+                epoch: epoch as u32,
+                payload: Payload::Value(y as i32),
             }
-            let x_code = codes_k[id as usize];
-            let mut rr_rng = Taus88::from_seed(stream_seed(cfg.seed, &[u64::from(id), 2]));
-            let above = x_code >= cfg.threshold_code;
-            let mut chaos = cfg.chaos.as_ref().map(|c| DeviceChaos::new(c, id));
-            for (epoch, col) in matrix.iter().enumerate() {
-                let y = match col[lane] {
-                    LaneOutcome::Fresh { y, charge } => {
-                        out.spends.push((id, epoch as u32, charge));
-                        y
-                    }
-                    LaneOutcome::Cached { y } => y,
-                    LaneOutcome::Dropped => {
-                        out.dropped.push(id);
-                        break;
-                    }
-                };
-                let value_frame = Report {
-                    device: id,
-                    query: VALUE_QUERY,
-                    epoch: epoch as u32,
-                    payload: Payload::Value(y as i32),
-                }
-                .encode();
-                let rr_frame = Report {
-                    device: id,
-                    query: RR_QUERY,
-                    epoch: epoch as u32,
-                    payload: Payload::RrBit(rr.privatize(above, &mut rr_rng)),
-                }
-                .encode();
-                for frame in [&value_frame, &rr_frame] {
-                    let (extra, acked) = self.transmit(chaos.as_mut(), frame, epoch, &mut buckets);
-                    out.retry_attempts += extra;
-                    out.reports_unacked += u64::from(!acked);
-                }
+            .encode();
+            let above = x_code >= self.cfg.threshold_code;
+            let rr_frame = Report {
+                device: dev.id,
+                query: RR_QUERY,
+                epoch: epoch as u32,
+                payload: Payload::RrBit(rr.privatize(above, &mut dev.rr_rng)),
+            }
+            .encode();
+            for frame in [value_frame, rr_frame] {
+                let (extra, acked) =
+                    self.transmit(dev.chaos.as_deref_mut(), dev.id, frame, epoch, ring);
+                out.retry_attempts += extra;
+                out.reports_unacked += u64::from(!acked);
+            }
+            i += 1;
+        }
+        Ok(())
+    }
+
+    /// Sends one cached report from `device` through the uplink into
+    /// `ring`: the first attempt plus up to `retry_budget` retransmissions
+    /// of the *same bytes* under exponential backoff (attempt `a` departs
+    /// at `epoch + 2^a − 1`). Returns `(extra_attempts, acked)`.
+    fn transmit(
+        &self,
+        chaos: Option<&mut DeviceChaos>,
+        device: u32,
+        frame: [u8; FRAME_LEN],
+        epoch: usize,
+        ring: &mut DeliveryRing,
+    ) -> (u64, bool) {
+        let Some(chaos) = chaos else {
+            // Perfect wire: one attempt, delivered in its own epoch.
+            ring.deliver(epoch, device, frame.into(), false);
+            return (0, true);
+        };
+        let mut extra = 0u64;
+        for attempt in 0..=self.cfg.retry_budget {
+            if attempt > 0 {
+                extra += 1;
+            }
+            let send_round = epoch + (1usize << attempt) - 1;
+            let outcome = chaos.attempt(&frame);
+            if let Some(d) = outcome.delivery {
+                ring.deliver(
+                    send_round + d.delay_rounds as usize,
+                    device,
+                    d.bytes,
+                    d.displaced,
+                );
+            }
+            if outcome.acked {
+                return (extra, true);
             }
         }
-        out.frames = buckets.finalize();
-        Ok(out)
+        (extra, false)
     }
+}
+
+/// Offers `bytes` on `lane`. Typed backpressure: a [`crate::Busy`] refusal
+/// drains the service, then retries the same bytes — an empty lane always
+/// admits.
+fn offer(service: &mut FleetService, lane: usize, bytes: &[u8]) {
+    if service.offer(lane, bytes).is_err() {
+        service.drain();
+        service.offer(lane, bytes).expect("drained lane admits");
+    }
+}
+
+/// Seals the service's active window with its share of the spend log — the
+/// fresh spends whose epoch falls inside it — graded against two reports
+/// per epoch from each of the `included` devices. Returns the duplicate
+/// charges its ledger refused.
+fn seal_window(service: &mut FleetService, log: &SpendLog, included: usize) -> u64 {
+    let window = service.active_window().expect("a window is open");
+    let (lo, hi) = (window.epoch_lo(), window.epoch_hi());
+    let fold = log.fold_window(lo, hi);
+    service
+        .seal_active(
+            fold.ledger,
+            fold.charges,
+            2 * u64::from(hi - lo) * included as u64,
+        )
+        .expect("windows seal in order");
+    fold.double_spends
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::window_spans;
     use ldp_core::CompositionLedger;
 
     fn small_cfg(devices: usize) -> FleetConfig {
@@ -1257,8 +1440,13 @@ mod tests {
 
     /// The whole run as one batch: one window over every epoch.
     fn one_window(cfg: FleetConfig) -> ServiceOutcome {
+        driver_run(cfg, FleetDriver::one_window)
+    }
+
+    /// Runs `cfg` under the service configuration `svc` picks for it.
+    fn driver_run(cfg: FleetConfig, svc: impl Fn(&FleetDriver) -> ServiceConfig) -> ServiceOutcome {
         let driver = FleetDriver::new(cfg).unwrap();
-        driver.run_service(&driver.one_window()).unwrap()
+        driver.run_service(&svc(&driver)).unwrap()
     }
 
     #[test]
@@ -1275,6 +1463,12 @@ mod tests {
                 Box::new(|c: &mut FleetConfig| c.threshold_code = 1 << 12),
                 "threshold",
             ),
+            // `1 << 64` overflows: a typed refusal, never a panic or a
+            // wrapped ADC range.
+            (Box::new(|c: &mut FleetConfig| c.adc_bits = 64), "adc_bits"),
+            (Box::new(|c: &mut FleetConfig| c.adc_bits = 19), "adc_bits"),
+            // No sign bit: `bu − 1` must not underflow.
+            (Box::new(|c: &mut FleetConfig| c.bu = 0), "Bu"),
         ] {
             let mut cfg = small_cfg(10);
             mutate(&mut cfg);
@@ -1374,53 +1568,77 @@ mod tests {
         assert_eq!(quiet.devices_excluded, chaotic.devices_excluded);
     }
 
+    impl FleetDriver {
+        /// Every chunk's spend log, through the same round loop
+        /// `run_service` drives (its frames are discarded).
+        fn spend_log(&self) -> SpendLog {
+            let truth = self.prepare_truth().unwrap();
+            let (chunks, rr) = (self.chunk_sims(), self.model.rr().unwrap());
+            let mut log = SpendLog::new(chunks.len());
+            for round in 0..self.cfg.epochs as usize {
+                let stepped = self.step_round(&chunks, round, &truth.codes_k, rr);
+                for (chunk, out) in stepped.unwrap().into_iter().enumerate() {
+                    log.chunks[chunk].push(out.spends);
+                }
+            }
+            log
+        }
+    }
+
     #[test]
     fn planted_double_spends_are_counted_refused_and_digested() {
         let driver = FleetDriver::new(small_cfg(200)).unwrap();
-        let truth = driver.prepare_truth().unwrap();
-        let chunks = driver
-            .simulate_fleet(&truth.codes_k, driver.model.rr().unwrap())
-            .unwrap();
-        assert!(chunks.len() >= 2 && !chunks[0].spends.is_empty());
-        let (device, epoch, first) = chunks[0].spends[0];
+        let log = driver.spend_log();
+        assert!(log.chunks.len() >= 2 && !log.chunks[0][0].is_empty());
+        let (device, epoch, first) = log.chunks[0][0][0];
         let epochs = driver.cfg.epochs;
         // One window over every epoch, then one-epoch windows.
-        for (width, windows) in [(epochs, 1), (1, epochs as usize)] {
-            let clean = fold_spends(&chunks, width, windows);
-            assert_eq!(clean.double_spends, 0);
+        for width in [epochs, 1] {
+            let fold = |log: &SpendLog| -> Vec<WindowSpends> {
+                window_spans(epochs, width)
+                    .into_iter()
+                    .map(|(lo, hi)| log.fold_window(lo, hi))
+                    .collect()
+            };
+            let double_spends =
+                |windows: &[WindowSpends]| windows.iter().map(|w| w.double_spends).sum::<u64>();
+            let clean = fold(&log);
+            assert_eq!(double_spends(&clean), 0);
             // Replays `(device, epoch)` at `second`: right behind its first
-            // charge, or at the end of a later chunk.
+            // charge, or at the end of a later chunk's log.
             let plant = |replays: &[(bool, f64)]| {
-                let mut planted = chunks.clone();
+                let mut planted = log.clone();
                 for &(adjacent, second) in replays {
+                    let at = epoch as usize;
                     if adjacent {
-                        planted[0].spends.insert(1, (device, epoch, second));
+                        planted.chunks[0][at].insert(1, (device, epoch, second));
                     } else {
-                        planted[1].spends.push((device, epoch, second));
+                        planted.chunks[1][at].push((device, epoch, second));
                     }
                 }
-                fold_spends(&planted, width, windows)
+                planted
             };
             assert_eq!(
-                plant(&[(true, first + 0.5), (false, first + 0.5)]).double_spends,
+                double_spends(&fold(&plant(&[(true, first + 0.5), (false, first + 0.5)]))),
                 2
             );
             for adjacent in [true, false] {
-                let fold = plant(&[(adjacent, first + 0.5)]);
-                assert_eq!(fold.double_spends, 1, "adjacent: {adjacent}");
-                // The window ledgers keep only the first charge and still
-                // audit clean against the charges they accepted.
-                assert_eq!(fold.ledgers, clean.ledgers);
-                for (ledger, charges) in fold.ledgers.iter().zip(&fold.charges) {
+                let planted = plant(&[(adjacent, first + 0.5)]);
+                let windows = fold(&planted);
+                assert_eq!(double_spends(&windows), 1, "adjacent: {adjacent}");
+                for (w, c) in windows.iter().zip(&clean) {
+                    // The window ledgers keep only the first charge and
+                    // still audit clean against the charges they accepted.
+                    assert_eq!(w.ledger, c.ledger);
                     let mut accountant = CompositionLedger::new();
-                    accountant.extend(charges.iter().copied());
-                    ledger.audit(&accountant).unwrap();
+                    accountant.extend(w.charges.iter().copied());
+                    w.ledger.audit(&accountant).unwrap();
                 }
                 // The ε-spend digest covers the refused charge too.
-                assert_ne!(fold.ledger_digest, clean.ledger_digest);
+                assert_ne!(planted.digest(), log.digest());
                 assert_ne!(
-                    fold.ledger_digest,
-                    plant(&[(adjacent, first + 0.25)]).ledger_digest
+                    planted.digest(),
+                    plant(&[(adjacent, first + 0.25)]).digest()
                 );
             }
         }
@@ -1559,5 +1777,68 @@ mod tests {
         assert!(strict.stats.accepted < batch.stats.accepted);
         assert!(strict.stats.accepted + strict.stats.late >= batch.stats.accepted);
         assert_eq!(strict.ledger_digest, batch.ledger_digest);
+    }
+    #[test]
+    fn a_watermark_lag_past_the_last_round_seals_at_the_flush() {
+        let cfg = FleetConfig {
+            epochs: 3,
+            ..small_cfg(10)
+        };
+        let driver = FleetDriver::new(cfg).unwrap();
+        let out = driver
+            .run_service(&ServiceConfig::new(1, 64).with_watermark_lag(u32::MAX))
+            .unwrap();
+        // `epoch_hi + lag` saturates instead of wrapping round to an early
+        // seal: every window waits for the flush, so every report lands.
+        assert_eq!(out.windows_sealed, 3);
+        assert_eq!(out.stats.late, 0);
+        let included = 10 - out.devices_excluded as u64;
+        assert_eq!(out.stats.accepted, included * 2 * 3);
+        assert!(out.rollup_seal.is_full());
+    }
+
+    /// One round's frames: a value and an RR bit from every included device.
+    fn round_bytes(out: &ServiceOutcome) -> usize {
+        (out.devices_simulated - out.devices_excluded) * 2 * FRAME_LEN
+    }
+
+    #[test]
+    fn clean_runs_hold_one_round_of_frames_at_any_length() {
+        for epochs in [8, 64] {
+            let out = driver_run(
+                FleetConfig {
+                    epochs,
+                    ..small_cfg(200)
+                },
+                |_| ServiceConfig::new(1, 1 << 20),
+            );
+            assert_eq!(out.devices_dropped, 0);
+            // Each round leaves the devices and reaches the service before
+            // the next is simulated.
+            assert_eq!(out.max_inflight_bytes, round_bytes(&out), "epochs {epochs}");
+        }
+    }
+
+    #[test]
+    fn chaos_keeps_a_bounded_ring_of_rounds_in_flight() {
+        let cfg = FleetConfig {
+            epochs: 64,
+            chaos: Some(chaos(0xBEEF)),
+            ..small_cfg(200)
+        };
+        let slack = cfg.delivery_slack() as usize;
+        let attempts = cfg.retry_budget as usize + 1;
+        let out = driver_run(cfg, |d| d.one_window());
+        assert!(out.retry_attempts > 0 && out.stats.duplicates > 0);
+        // An epoch's sends land within `slack` rounds of it, each report at
+        // most `attempts` times: the ring holds at most `slack + 1` epochs'
+        // worth of them, whatever the run's length. Holding all 64 rounds at
+        // once would exceed this bound more than threefold.
+        let bound = (slack + 1) * attempts * round_bytes(&out);
+        assert!(
+            out.max_inflight_bytes > round_bytes(&out) && out.max_inflight_bytes <= bound,
+            "in flight {} of bound {bound}",
+            out.max_inflight_bytes
+        );
     }
 }

@@ -101,7 +101,8 @@ impl NoiseModel {
     ///
     /// # Errors
     ///
-    /// Propagates [`LdpError`] from the range/config validation or the
+    /// [`LdpError::InvalidPrecision`] for `bu = 0` (no sign bit); otherwise
+    /// propagates [`LdpError`] from the range/config validation or the
     /// threshold solver.
     pub fn for_device(
         bu: u8,
@@ -111,16 +112,20 @@ impl NoiseModel {
         max_k: i64,
         multiples: &[f64],
     ) -> Result<NoiseModel, LdpError> {
+        // One URNG bit is the sign; the rest are magnitude bits.
+        let mag_bits = bu
+            .checked_sub(1)
+            .ok_or(LdpError::InvalidPrecision { bu, max: 53 })?;
         let range = QuantizedRange::new(min_k, max_k, 1.0)?;
         let lambda = (max_k - min_k) as f64 * 2f64.powi(i32::from(eps_shift));
-        let lap_cfg = FxpLaplaceConfig::new(bu - 1, word_bits, 1.0, lambda)?;
+        let lap_cfg = FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, lambda)?;
         let table = segment_table_cached(lap_cfg, range, multiples, LimitMode::Thresholding)?;
         let n_th_k = table.outermost().0;
         let pmf = (*cached_pmf(lap_cfg)).clone();
         // The RR bit is what a zero-threshold DP-Box over a one-step binary
         // grid releases: d = 1 grid unit, so λ_rr = 2^eps_shift.
         let rr_cfg =
-            FxpLaplaceConfig::new(bu - 1, word_bits, 1.0, 2f64.powi(i32::from(eps_shift)))?;
+            FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, 2f64.powi(i32::from(eps_shift)))?;
         let rr_pmf = (*cached_pmf(rr_cfg)).clone();
 
         let support = pmf.support_max_k();
@@ -406,6 +411,12 @@ mod tests {
 
     fn model() -> NoiseModel {
         NoiseModel::for_device(17, 20, 1, 0, 256, &[1.5, 2.0, 2.5, 3.0]).unwrap()
+    }
+
+    #[test]
+    fn a_urng_without_a_sign_bit_is_a_typed_error() {
+        let err = NoiseModel::for_device(0, 20, 1, 0, 256, &[1.5, 2.0]).unwrap_err();
+        assert_eq!(err, LdpError::InvalidPrecision { bu: 0, max: 53 });
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!   deterministic bias envelope;
 //! * [`driver`] — the simulated fleet and its one driver,
 //!   [`FleetDriver::run_service`]: N full DP-Box devices (budget ledgers,
-//!   URNG health self-tests, fail-safe exclusion) streaming epochs through
-//!   the [`service`], every fresh randomization charged once from one spend
-//!   log per chunk into auditable per-window ledgers. A batch run is one
+//!   URNG health self-tests, fail-safe exclusion) streaming through the
+//!   [`service`] round by round — each round simulated, offered and sealed
+//!   before the next, so the driver holds the rounds in flight, not the
+//!   run — every fresh randomization charged once from the run's one spend
+//!   log into an auditable ledger as its window seals. A batch run is one
 //!   window over every epoch ([`FleetDriver::one_window`]). The scalar
 //!   reference device engine and ingest path stay as in-process
 //!   differential-test oracles ([`FleetDriver::with_engine`],
@@ -64,7 +66,7 @@ pub mod wire;
 
 pub use chaos::{
     chaos_seed_from_env, Attempt, ChaosConfig, ChaosConfigError, Delivery, DeviceChaos, FaultClass,
-    FaultKind, CHAOS_SEED_ENV, MAX_DELAY_ROUNDS,
+    FaultKind, InlineFrame, CHAOS_SEED_ENV, MAX_DELAY_ROUNDS,
 };
 pub use collector::{
     ingest_phase_totals, Collector, EpochSeal, IngestPath, IngestPhaseTotals, IngestStats,

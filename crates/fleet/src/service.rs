@@ -368,10 +368,12 @@ impl FleetService {
 
     /// Whether the active window's watermark has passed after
     /// `completed_rounds` delivery rounds: the window seals once the
-    /// clock reaches its last epoch plus the configured grace.
+    /// clock reaches its last epoch plus the configured grace. The sum
+    /// saturates, so a grace past the last round never comes due: such a
+    /// window seals at the driver's end-of-run flush.
     pub fn seal_due(&self, completed_rounds: u32) -> bool {
         match self.windows.get(self.active) {
-            Some(w) => completed_rounds >= w.epoch_hi() + self.cfg.watermark_lag,
+            Some(w) => completed_rounds >= w.epoch_hi().saturating_add(self.cfg.watermark_lag),
             None => false,
         }
     }

@@ -99,9 +99,9 @@ fn digest_identical_across_threads_paths_and_engines() {
     );
 }
 
-/// The shard partition hashes device ids, and every fold is exact integer
-/// arithmetic in shard order: each differential run's canonical outcome is
-/// byte-identical at 1 and 8 collector shards.
+/// Device `d` lives in shard `d mod shards`, and every fold is exact
+/// integer arithmetic in shard order: each differential run's canonical
+/// outcome is byte-identical at 1 and 8 collector shards.
 #[test]
 fn digest_identical_at_1_and_8_shards() {
     for (name, cfg, svc) in common::differential_runs() {
