@@ -10,9 +10,9 @@
 //!
 //! # Bit-exactness contract
 //!
-//! The batch engine is **not** an approximation of [`DpBox`]: every lane
-//! reproduces, bit-for-bit, the trace a scalar `DpBox` produces when booted
-//! through the fleet command sequence
+//! The batch engine is **not** an approximation of
+//! [`DpBox`](crate::DpBox): every lane reproduces, bit-for-bit, the trace a
+//! scalar `DpBox` produces when booted through the fleet command sequence
 //!
 //! ```text
 //! set_health_config(health)
@@ -38,7 +38,8 @@
 //!
 //! Only [`LimitMode::Thresholding`] is modelled — the fleet operating
 //! point. Resampling-mode devices loop a data-dependent number of cycles
-//! per output, which breaks lockstep; they stay on the scalar [`DpBox`].
+//! per output, which breaks lockstep; they stay on the scalar
+//! [`DpBox`](crate::DpBox).
 
 use std::sync::{Arc, Mutex};
 

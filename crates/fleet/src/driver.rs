@@ -466,17 +466,33 @@ impl ServiceOutcome {
 /// one round at a time.
 const STEP_BLOCK: usize = 8;
 
-/// One fresh randomization: `(device, epoch, charge)`.
-type Spend = (u32, u32, f64);
-
 /// The run's one spend log: every fresh randomization, appended round by
 /// round and never rewritten — the input of the keyed double-spend audit,
 /// the window ledgers, and the ε-spend digest. Chaos never touches it: it
 /// is produced by the device simulation alone.
+///
+/// It is the only record of the run's spends that lasts the whole run (the
+/// digest reads all of it at the end), so it keeps 12 B per spend: a
+/// device id and a charge, with the epoch implied by the list's place.
 #[cfg_attr(test, derive(Clone))]
 struct SpendLog {
     /// `chunks[c][e]`: chunk `c`'s spends of epoch `e`, in device order.
-    chunks: Vec<Vec<Vec<Spend>>>,
+    chunks: Vec<Vec<EpochSpends>>,
+}
+
+/// One chunk's fresh spends of one epoch, in device order, as two columns.
+#[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
+struct EpochSpends {
+    devices: Vec<u32>,
+    charges: Vec<f64>,
+}
+
+impl EpochSpends {
+    fn push(&mut self, device: u32, charge: f64) {
+        self.devices.push(device);
+        self.charges.push(charge);
+    }
 }
 
 /// A window's share of the spend log, folded when the window seals.
@@ -493,24 +509,28 @@ struct WindowSpends {
 impl SpendLog {
     fn new(chunks: usize) -> SpendLog {
         SpendLog {
-            chunks: vec![Vec::new(); chunks],
+            chunks: (0..chunks).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Visits a chunk's spends of `epochs` in (device, epoch) order. Each
-    /// epoch's list is in device order, the order the chunk steps its
-    /// devices in, so this is a merge: the smallest device at any list's
-    /// head goes next, with its spends taken list by list in epoch order.
-    fn by_device(epochs: &[Vec<Spend>], mut visit: impl FnMut(&Spend)) {
+    /// Visits a chunk's spends of `epochs`, the lists of epochs `first..`,
+    /// in (device, epoch) order as `(device, epoch, charge)`. Each list is
+    /// in device order, the order the chunk steps its devices in, so this
+    /// is a merge: the smallest device at any list's head goes next, with
+    /// its spends taken list by list in epoch order.
+    fn by_device(epochs: &[EpochSpends], first: u32, mut visit: impl FnMut(u32, u32, f64)) {
         let mut heads = vec![0; epochs.len()];
         let head_device = |heads: &[usize]| {
-            let spends = epochs.iter().zip(heads).filter_map(|(e, &at)| e.get(at));
-            spends.map(|s| s.0).min()
+            let devices = epochs
+                .iter()
+                .zip(heads)
+                .filter_map(|(e, &at)| e.devices.get(at));
+            devices.min().copied()
         };
         while let Some(device) = head_device(&heads) {
-            for (epoch, at) in epochs.iter().zip(&mut heads) {
-                while let Some(spend) = epoch.get(*at).filter(|s| s.0 == device) {
-                    visit(spend);
+            for ((epoch, spends), at) in (first..).zip(epochs).zip(&mut heads) {
+                while spends.devices.get(*at) == Some(&device) {
+                    visit(device, epoch, spends.charges[*at]);
                     *at += 1;
                 }
             }
@@ -519,21 +539,25 @@ impl SpendLog {
 
     /// Folds the spends of epochs `[lo, hi)` into a window ledger through
     /// its keyed `record_spend`, in (chunk, device, epoch) order — the
-    /// canonical order the rollup audit re-folds.
+    /// canonical order the rollup audit re-folds. The window's spends are
+    /// counted first, so the ledger and the charge list are allocated once,
+    /// at their final size.
     ///
     /// A `(device, epoch)` key lands in exactly one window, so the window
     /// ledgers together refuse every duplicate a fleet-wide keyed ledger
     /// would: a retry path that re-privatized surfaces in `double_spends`
     /// as a typed `DoubleSpend`, never as silent extra accumulation.
     fn fold_window(&self, lo: u32, hi: u32) -> WindowSpends {
+        let epochs = lo as usize..hi as usize;
+        let windows = self.chunks.iter().map(|chunk| &chunk[epochs.clone()]);
+        let spends = windows.clone().flatten().map(|e| e.devices.len()).sum();
         let mut fold = WindowSpends {
-            ledger: BudgetLedger::new(),
-            charges: Vec::new(),
+            ledger: BudgetLedger::with_capacity(spends),
+            charges: Vec::with_capacity(spends),
             double_spends: 0,
         };
-        for chunk in &self.chunks {
-            let epochs = &chunk[lo as usize..hi as usize];
-            Self::by_device(epochs, |&(device, epoch, charge)| {
+        for window in windows {
+            Self::by_device(window, lo, |device, epoch, charge| {
                 let ledger = &mut fold.ledger;
                 match ledger.record_spend(device.into(), epoch.into(), charge) {
                     Ok(()) => fold.charges.push(charge),
@@ -551,7 +575,7 @@ impl SpendLog {
     fn digest(&self) -> u64 {
         let mut digest = Fnv64::new();
         for chunk in &self.chunks {
-            Self::by_device(chunk, |&(device, epoch, charge)| {
+            Self::by_device(chunk, 0, |device, epoch, charge| {
                 digest.write(&device.to_le_bytes());
                 digest.write(&epoch.to_le_bytes());
                 digest.write(&charge.to_bits().to_le_bytes());
@@ -694,7 +718,7 @@ struct ChunkRound {
     /// The round's arrivals, as the chunk's lane offers them.
     bytes: Vec<u8>,
     /// Fresh spends of the round's epoch, in device order.
-    spends: Vec<Spend>,
+    spends: EpochSpends,
     /// Devices the power-on self-test excluded (round 0 only), ascending.
     excluded: Vec<u32>,
     /// Devices that stopped reporting this round.
@@ -846,6 +870,17 @@ impl FleetDriver {
     /// they are the fail-safe path working as designed, and are reported in
     /// the outcome.
     pub fn run_service(&self, svc: &ServiceConfig) -> Result<ServiceOutcome, FleetError> {
+        self.serve(svc).map(|(outcome, _)| outcome)
+    }
+
+    /// Runs as [`FleetDriver::run_service`] does, and also hands back the
+    /// service the run went through: its sealed windows, rollup and
+    /// collector, as the run left them.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetDriver::run_service`].
+    pub fn serve(&self, svc: &ServiceConfig) -> Result<(ServiceOutcome, FleetService), FleetError> {
         let cfg = &self.cfg;
         let epochs = cfg.epochs as usize;
         let truth = self.prepare_truth()?;
@@ -903,8 +938,7 @@ impl FleetDriver {
         // outcome, never a silent drop of admitted bytes.
         service.drain();
         let ledger_digest = log.digest();
-        // The log's last use: free it before the rollup's finalize, the
-        // run's memory peak.
+        // The log's last use: free it before the rollup's finalize.
         drop(log);
         DEVICES.add(cfg.devices as u64);
         EXCLUDED.record_always(excluded.len() as u64);
@@ -915,7 +949,7 @@ impl FleetDriver {
         let (numeric, rr_role) = crate::window::query_roles(service.collector().queries());
         let rollup_values = numeric.map(|q| &rollup.totals[q]);
         let rollup_bits = rr_role.map(|q| &rollup.totals[q]);
-        Ok(ServiceOutcome {
+        let outcome = ServiceOutcome {
             devices_simulated: cfg.devices,
             devices_excluded: excluded.len(),
             devices_dropped: dropped,
@@ -954,7 +988,8 @@ impl FleetDriver {
             n_th_k: self.model.n_th_k(),
             seal_ns: service.seal_ns().to_vec(),
             max_inflight_bytes,
-        })
+        };
+        Ok((outcome, service))
     }
 
     /// Draws the population's ground-truth sensor codes from the dataset
@@ -1296,7 +1331,8 @@ impl FleetDriver {
                 array.step(xs, column);
             }
         }
-        out.spends.reserve(devices.len());
+        out.spends.devices.reserve(devices.len());
+        out.spends.charges.reserve(devices.len());
         let mut i = 0;
         while i < devices.len() {
             let dev = &mut devices[i];
@@ -1304,7 +1340,7 @@ impl FleetDriver {
             let y = match &mut dev.noiser {
                 Noiser::Lane(lane) => match outcomes[block_at][*lane as usize] {
                     LaneOutcome::Fresh { y, charge } => {
-                        out.spends.push((dev.id, epoch as u32, charge));
+                        out.spends.push(dev.id, charge);
                         Some(y)
                     }
                     LaneOutcome::Cached { y } => Some(y),
@@ -1315,7 +1351,7 @@ impl FleetDriver {
                     match dpbox.noise_value(x_code) {
                         Ok((y, _cycles)) => {
                             if let Some(entry) = dpbox.ledger().entries().get(before) {
-                                out.spends.push((dev.id, epoch as u32, entry.charge));
+                                out.spends.push(dev.id, entry.charge);
                             }
                             Some(y)
                         }
@@ -1589,8 +1625,8 @@ mod tests {
     fn planted_double_spends_are_counted_refused_and_digested() {
         let driver = FleetDriver::new(small_cfg(200)).unwrap();
         let log = driver.spend_log();
-        assert!(log.chunks.len() >= 2 && !log.chunks[0][0].is_empty());
-        let (device, epoch, first) = log.chunks[0][0][0];
+        assert!(log.chunks.len() >= 2 && !log.chunks[0][0].devices.is_empty());
+        let (epoch, device, first) = (0, log.chunks[0][0].devices[0], log.chunks[0][0].charges[0]);
         let epochs = driver.cfg.epochs;
         // One window over every epoch, then one-epoch windows.
         for width in [epochs, 1] {
@@ -1609,11 +1645,12 @@ mod tests {
             let plant = |replays: &[(bool, f64)]| {
                 let mut planted = log.clone();
                 for &(adjacent, second) in replays {
-                    let at = epoch as usize;
                     if adjacent {
-                        planted.chunks[0][at].insert(1, (device, epoch, second));
+                        let spends = &mut planted.chunks[0][epoch];
+                        spends.devices.insert(1, device);
+                        spends.charges.insert(1, second);
                     } else {
-                        planted.chunks[1][at].push((device, epoch, second));
+                        planted.chunks[1][epoch].push(device, second);
                     }
                 }
                 planted

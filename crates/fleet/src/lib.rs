@@ -41,7 +41,7 @@
 //! * [`window`] — the epoch-window lifecycle (`Open → Accumulating →
 //!   Sealing → Sealed → Compacted`), sealed-window records, and
 //!   order-canonicalized multi-epoch [`Rollup`]s, which own their windows
-//!   and whose merged ledgers stay bitwise auditable;
+//!   and re-audit every window's ledger bitwise in one streaming pass;
 //! * [`service`] — the long-running streaming aggregation service:
 //!   bounded per-lane ingest queues with typed [`Busy`] backpressure,
 //!   watermark-driven window sealing, live snapshot queries over sealed

@@ -43,7 +43,7 @@
 //! offered to it and the round clock — no wall time, no thread schedule —
 //! so a simulated-clock run is byte-identical at any thread count.
 
-use ldp_core::{BudgetLedger, CompositionLedger, LdpError};
+use ldp_core::{audit_series, BudgetLedger, LdpError};
 use ulp_obs::{parse_env, EnvError, Gauge, Histogram};
 
 use crate::collector::{Collector, EpochSeal, IngestStats, QueryConfig};
@@ -380,21 +380,23 @@ impl FleetService {
 
     /// Seals the active window: drains the queues, folds its accumulators
     /// out of the collector, attaches its privacy ledger (audited bitwise
-    /// against an accountant over `charges`), grades coverage against
-    /// `expected`, advances the collector's watermark floor (so later
-    /// frames for this window surface as `late`), absorbs the window into
-    /// the rollup, and opens the next window.
+    /// against `charges` in one [`audit_series`] pass), grades coverage
+    /// against `expected`, advances the collector's watermark floor (so
+    /// later frames for this window surface as `late`), absorbs the window
+    /// into the rollup, and opens the next window.
     ///
     /// `ledger` and `charges` are the window's share of the fleet privacy
     /// ledger in canonical order — the driver splits device spends by
-    /// epoch window.
+    /// epoch window. The ledger's keyed double-spend index has refused
+    /// every duplicate by now and nothing records into a sealed window, so
+    /// the seal releases it ([`BudgetLedger::release_spend_index`]).
     ///
     /// # Errors
     ///
     /// [`WindowStateError`] if no window remains to seal.
     pub fn seal_active(
         &mut self,
-        ledger: BudgetLedger,
+        mut ledger: BudgetLedger,
         charges: Vec<f64>,
         expected: u64,
     ) -> Result<&SealedWindow, WindowStateError> {
@@ -426,11 +428,9 @@ impl FleetService {
         delta.quarantine_latched -= base.quarantine_latched;
         self.window_base = self.stats;
         let seal = EpochSeal::evaluate(expected, delta.accepted, self.cfg.quorum);
-        let mut accountant = CompositionLedger::new();
-        for &c in &charges {
-            accountant.record(c);
-        }
-        let audit_ok = ledger.audit(&accountant).is_ok();
+        let entries = ledger.entries().iter().map(|e| e.charge);
+        let audit_ok = audit_series(entries, charges.iter().copied()).1.is_ok();
+        ledger.release_spend_index();
         window.seal(seal.status)?;
         let sealed = SealedWindow {
             index: window.index(),
@@ -600,6 +600,24 @@ mod tests {
         assert_eq!(coverage, 0.5);
         // No window remains: sealing again is a typed lifecycle error.
         assert!(s.seal_active(BudgetLedger::new(), Vec::new(), 0).is_err());
+    }
+
+    #[test]
+    fn a_charge_one_bit_off_fails_the_seal_and_rollup_audits() {
+        let mut s = service(1024, 4);
+        let mut ledger = BudgetLedger::with_capacity(2);
+        ledger.record_spend(1, 0, 0.5).unwrap();
+        ledger.record_spend(2, 1, 0.25).unwrap();
+        let off = f64::from_bits(0.25f64.to_bits() ^ 1);
+        let sealed = s.seal_active(ledger, vec![0.5, off], 0).unwrap();
+        assert!(!sealed.audit_ok);
+        // The seal released the keyed index and kept the entries.
+        assert_eq!((sealed.ledger.spend_keys(), sealed.ledger.len()), (0, 2));
+        s.seal_active(BudgetLedger::new(), Vec::new(), 0).unwrap();
+        let rollup = s.rollup().finalize(0.9);
+        assert!(!rollup.audit_ok);
+        assert_eq!(rollup.ledger.len(), 2);
+        assert_eq!(rollup.ledger.total(), 0.75);
     }
 
     #[test]

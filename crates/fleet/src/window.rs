@@ -23,23 +23,39 @@
 //! window reopening, or a compaction of an unsealed window, is a lifecycle
 //! bug the caller must see.
 //!
+//! # What a compacted window holds
+//!
+//! Its totals, seal, stats and audit verdict, and its share of the ε-ledger
+//! once: the ledger's entries (24 B per spend) and the charge list it was
+//! audited against (8 B per spend). The ledger's keyed double-spend index
+//! is released at the seal — nothing records into a sealed window — so
+//! [`BudgetLedger::spend_keys`] reads 0 there. The entries and charges stay
+//! for the two re-audits that read them after the run: [`Rollup::finalize`]
+//! and any caller repeating a window's [`BudgetLedger::audit`].
+//!
 //! # Rollup determinism
 //!
-//! `f64` addition is order-sensitive, and [`BudgetLedger::merge`] replays
-//! charges sequentially — so a naive "merge windows as they arrive" fold
-//! would make the rollup's ledger bits depend on arrival order. The
-//! [`Rollup`] therefore *canonicalizes*: it owns the sealed windows, kept
-//! sorted by window index, and [`Rollup::finalize`] folds accumulators and
-//! ledgers in ascending index order regardless of absorption order.
-//! Merging the same sealed windows in any order yields byte-identical
-//! totals, ledger bits, and digests — property-tested in
+//! `f64` addition is order-sensitive, so a naive "merge windows as they
+//! arrive" fold would make the rollup's ledger total depend on arrival
+//! order. The [`Rollup`] therefore *canonicalizes*: it owns the sealed
+//! windows, kept sorted by window index, and [`Rollup::finalize`] folds
+//! accumulators and ledgers in ascending index order regardless of
+//! absorption order. Merging the same sealed windows in any order yields
+//! byte-identical totals, ledger bits, and digests — property-tested in
 //! `tests/service.rs`. The exact `i128` moment accumulators are
 //! associative anyway; the canonical order exists for the ledger (and for
 //! the digest text).
+//!
+//! The ledger fold is one streaming pass, [`ldp_core::audit_series`],
+//! over every window's ledger entries against every window's charges, in
+//! index order. It re-audits the concatenation bitwise and sums the merged
+//! total in the same sequential order [`BudgetLedger::merge`] would,
+//! without building a merged ledger or an accountant: the outcome keeps
+//! only a [`LedgerSummary`].
 
 use std::fmt;
 
-use ldp_core::{BudgetLedger, CompositionLedger};
+use ldp_core::{audit_series, BudgetLedger, LedgerSummary};
 use ulp_obs::Fnv64;
 
 use crate::collector::{EpochSeal, IngestStats, QueryConfig, QueryTotals, SealStatus};
@@ -211,6 +227,11 @@ impl Window {
     }
 }
 
+/// A query's shape: its sketch range if numeric, `None` if RR.
+fn query_shape(t: &QueryTotals) -> Option<(i64, i64)> {
+    t.sketch.as_ref().map(|s| (s.min_k(), s.max_k()))
+}
+
 /// Canonical rendering of one query's exact accumulators (sketch included
 /// as an FNV digest over its bins).
 fn totals_text(t: &QueryTotals) -> String {
@@ -244,17 +265,17 @@ pub struct SealedWindow {
     pub totals: Vec<QueryTotals>,
     /// The window's share of the fleet privacy ledger: every fresh
     /// randomization charged in a covered epoch, replayed in canonical
-    /// (chunk, device, epoch) order.
+    /// (chunk, device, epoch) order. Its keyed spend index was released at
+    /// the seal.
     pub ledger: BudgetLedger,
     /// The charges behind `ledger`, in record order — the rollup re-audits
-    /// the merged ledger against an accountant replaying these.
+    /// the windows' ledgers against these, window after window.
     pub charges: Vec<f64>,
     /// Coverage grade (expected vs accepted, against the service quorum).
     pub seal: EpochSeal,
     /// Ingest deltas attributed to this window's accumulation span.
     pub stats: IngestStats,
-    /// Whether `ledger` audits bitwise against an independently folded
-    /// composition accountant over `charges`.
+    /// Whether `ledger` audited bitwise against `charges` at the seal.
     pub audit_ok: bool,
 }
 
@@ -323,17 +344,18 @@ impl std::error::Error for RollupError {}
 ///
 /// Windows may be absorbed in any order; the rollup owns each one and keeps
 /// them sorted by window index, and [`Rollup::finalize`] folds them in that
-/// order, so the merged `i128` accumulators *and* the merged ledger's `f64`
-/// bits are a pure function of the set of windows, never of absorption
-/// order.
+/// order, so the merged `i128` accumulators *and* the merged ledger total's
+/// `f64` bits are a pure function of the set of windows, never of
+/// absorption order.
 #[derive(Debug, Clone, Default)]
 pub struct Rollup {
     /// Absorbed windows, ascending index, no index twice.
     windows: Vec<SealedWindow>,
 }
 
-/// The fold of a set of sealed windows: merged exact aggregates, a merged
-/// ledger re-audited bitwise, and a digest chaining the per-window digests.
+/// The fold of a set of sealed windows: merged exact aggregates, the
+/// merged ledger's summary re-audited bitwise, and a digest chaining the
+/// per-window digests.
 #[derive(Debug, Clone)]
 pub struct RollupOutcome {
     /// Windows folded.
@@ -344,11 +366,14 @@ pub struct RollupOutcome {
     pub epoch_hi: u32,
     /// Merged per-query accumulators, in query registration order.
     pub totals: Vec<QueryTotals>,
-    /// Every window ledger merged in window-index order.
-    pub ledger: BudgetLedger,
-    /// Whether the merged ledger audits bitwise against a composition
-    /// accountant replaying every window's charges in the same canonical
-    /// order — the proof that the guarantee survived the merge.
+    /// Length and sequential total of every window ledger's charges in
+    /// window-index order — what [`BudgetLedger::merge`] of the windows
+    /// would hold.
+    pub ledger: LedgerSummary,
+    /// Whether every window audited clean at its seal and the windows'
+    /// ledgers, concatenated in index order, audit bitwise against their
+    /// charges in the same order — the proof that the guarantee survived
+    /// the merge.
     pub audit_ok: bool,
     /// Summed ingest deltas.
     pub stats: IngestStats,
@@ -356,7 +381,7 @@ pub struct RollupOutcome {
     /// against the quorum passed to [`Rollup::finalize`].
     pub seal: EpochSeal,
     /// FNV-1a digest chaining every per-window digest (in index order)
-    /// with the merged ledger bits.
+    /// with the merged ledger's total bits and length.
     pub digest: u64,
 }
 
@@ -386,11 +411,13 @@ impl Rollup {
     /// # Errors
     ///
     /// [`RollupError::DuplicateWindow`] if the index was already absorbed;
-    /// [`RollupError::QueryShapeMismatch`] if its query count differs from
-    /// the windows already held.
+    /// [`RollupError::QueryShapeMismatch`] if its queries differ from the
+    /// windows already held in count, in kind, or in sketch range — any of
+    /// which [`Rollup::finalize`] could not merge.
     pub fn absorb(&mut self, window: SealedWindow) -> Result<(), RollupError> {
         if let Some(first) = self.windows.first() {
-            if first.totals.len() != window.totals.len() {
+            let held = first.totals.iter().map(query_shape);
+            if !held.eq(window.totals.iter().map(query_shape)) {
                 return Err(RollupError::QueryShapeMismatch);
             }
         }
@@ -407,10 +434,10 @@ impl Rollup {
     }
 
     /// Folds every absorbed window in ascending index order: merges the
-    /// exact accumulators, replays every window ledger into one merged
-    /// [`BudgetLedger`], re-audits it bitwise against a fresh composition
-    /// accountant over the same canonical charge order, sums coverage and
-    /// grades it against `quorum`, and chains the per-window digests.
+    /// exact accumulators, re-audits every window ledger's entries against
+    /// every window's charges bitwise in one streaming pass (summing the
+    /// merged total on the way), sums coverage and grades it against
+    /// `quorum`, and chains the per-window digests.
     ///
     /// # Panics
     ///
@@ -419,8 +446,6 @@ impl Rollup {
     pub fn finalize(&self, quorum: f64) -> RollupOutcome {
         assert!(!self.windows.is_empty(), "rollup must hold a window");
         let mut totals: Option<Vec<QueryTotals>> = None;
-        let mut ledger = BudgetLedger::new();
-        let mut accountant = CompositionLedger::new();
         let mut stats = IngestStats::default();
         let mut expected = 0u64;
         let mut accepted = 0u64;
@@ -437,10 +462,6 @@ impl Rollup {
                     }
                 }
             }
-            ledger.merge(&w.ledger);
-            for &c in &w.charges {
-                accountant.record(c);
-            }
             audit_ok &= w.audit_ok;
             stats.absorb(w.stats);
             expected += w.seal.expected;
@@ -450,7 +471,14 @@ impl Rollup {
             digest.write(&w.index.to_le_bytes());
             digest.write(&w.digest().to_le_bytes());
         }
-        audit_ok &= ledger.audit(&accountant).is_ok();
+        let (ledger, verdict) = audit_series(
+            self.windows
+                .iter()
+                .flat_map(|w| w.ledger.entries())
+                .map(|e| e.charge),
+            self.windows.iter().flat_map(|w| w.charges.iter().copied()),
+        );
+        audit_ok &= verdict.is_ok();
         digest.write(&ledger.total().to_bits().to_le_bytes());
         digest.write(&(ledger.len() as u64).to_le_bytes());
         RollupOutcome {
@@ -499,9 +527,6 @@ mod tests {
         totals.absorb_value(i64::from(index) - 1);
         let mut ledger = BudgetLedger::new();
         ledger.record(charge);
-        let mut accountant = CompositionLedger::new();
-        accountant.record(charge);
-        let audit_ok = ledger.audit(&accountant).is_ok();
         SealedWindow {
             index,
             epoch_lo: index * 2,
@@ -514,7 +539,7 @@ mod tests {
                 accepted: 1,
                 ..IngestStats::default()
             },
-            audit_ok,
+            audit_ok: true,
         }
     }
 
@@ -573,6 +598,17 @@ mod tests {
         let mut two_queries = sealed(1, 0.5);
         two_queries.totals.push(QueryTotals::default());
         assert_eq!(r.absorb(two_queries), Err(RollupError::QueryShapeMismatch));
+        // One query each, but one `finalize` could not merge: another
+        // sketch range, or RR totals where the rollup holds numeric ones.
+        let mut wider = sealed(1, 0.5);
+        wider.totals = vec![QueryTotals::new_numeric(-8, 8)];
+        assert_eq!(r.absorb(wider), Err(RollupError::QueryShapeMismatch));
+        let mut rr = sealed(1, 0.5);
+        rr.totals = vec![QueryTotals::default()];
+        assert_eq!(r.absorb(rr), Err(RollupError::QueryShapeMismatch));
+        // Refusals leave the rollup whole: it still finalizes.
+        r.absorb(sealed(1, 0.5)).unwrap();
+        assert_eq!(r.finalize(0.9).windows, 2);
     }
 
     #[test]

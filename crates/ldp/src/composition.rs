@@ -39,10 +39,7 @@ impl CompositionLedger {
     /// Panics if `eps` is negative or not finite — a loss is a physical
     /// quantity; charging NaN would silently corrupt the total.
     pub fn record(&mut self, eps: f64) {
-        assert!(
-            eps.is_finite() && eps >= 0.0,
-            "privacy loss must be finite and non-negative, got {eps}"
-        );
+        check_loss(eps);
         self.losses.push(eps);
     }
 
@@ -123,6 +120,18 @@ impl CompositionLedger {
             None => 0.0,
         }
     }
+}
+
+/// The accountant's input check: a loss is a physical quantity.
+///
+/// # Panics
+///
+/// Panics if `eps` is negative or not finite.
+pub(crate) fn check_loss(eps: f64) {
+    assert!(
+        eps.is_finite() && eps >= 0.0,
+        "privacy loss must be finite and non-negative, got {eps}"
+    );
 }
 
 impl FromIterator<f64> for CompositionLedger {

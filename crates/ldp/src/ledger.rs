@@ -9,6 +9,14 @@
 //! (bitwise) equality of per-query spends and totals — any drift, however
 //! produced, is a mismatch, not a tolerance call.
 //!
+//! # One streaming audit
+//!
+//! Every audit is one pass of [`audit_series`] over two charge sequences,
+//! in order: the ledger's and the accountant's. Neither side is copied, so
+//! the same pass audits a single ledger, a fleet window against its
+//! charge list, or the concatenation of many window ledgers — exactly as
+//! auditing their [`BudgetLedger::merge`] would, without building it.
+//!
 //! # The keyed spend index
 //!
 //! [`BudgetLedger::record_spend`] also remembers every `(device, query)`
@@ -28,12 +36,18 @@
 //! `(device, epoch)` keys whose epoch lies in that window. An epoch lies in
 //! exactly one window, so the keys partition by window, and the window
 //! ledgers refuse every duplicate a fleet-wide index would.
+//!
+//! The index lives until the seal. Once a window's fold has refused every
+//! duplicate, nothing records into its ledger again, so the seal calls
+//! [`BudgetLedger::release_spend_index`]: the entries and the total stay,
+//! the index's 24 B per key go, and a later `record_spend` panics as the
+//! lifecycle bug it would be.
 
 use core::fmt;
 
 use ulp_obs::Counter;
 
-use crate::composition::CompositionLedger;
+use crate::composition::{check_loss, CompositionLedger};
 
 /// Clean audits completed process-wide (any ledger instance).
 static AUDITS_OK: Counter = Counter::new("ldp.ledger.audits_ok");
@@ -81,6 +95,34 @@ pub struct BudgetLedger {
     // sorted by key: the derived `PartialEq` is independent of arrival
     // order.
     spends: Vec<((u64, u64), f64)>,
+    // Set by `release_spend_index`: `spends` is freed for good.
+    released: bool,
+}
+
+/// A ledger's length and running total, without its entries: what a fold
+/// over many ledgers keeps once [`audit_series`] has compared them.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LedgerSummary {
+    len: usize,
+    total: f64,
+}
+
+impl LedgerSummary {
+    /// Number of charges summarized.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no charge was summarized.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The charges' sequential `f64` sum from `+0.0`, in charge order — the
+    /// running total a [`BudgetLedger`] recording them holds.
+    pub fn total(&self) -> f64 {
+        self.total
+    }
 }
 
 /// A rejected second fresh-randomization charge for a `(device, query)`
@@ -111,7 +153,8 @@ impl fmt::Display for DoubleSpend {
 
 impl std::error::Error for DoubleSpend {}
 
-/// The first divergence found by [`BudgetLedger::audit`].
+/// The first divergence found by [`audit_series`] (and so by
+/// [`BudgetLedger::audit`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AuditMismatch {
     /// The ledger and the accountant recorded different query counts.
@@ -130,8 +173,9 @@ pub enum AuditMismatch {
         /// The accountant's loss.
         accountant: f64,
     },
-    /// The running totals diverge (possible only if an entry was mutated,
-    /// since matching per-query charges sum identically).
+    /// The running totals diverge — a backstop: matching per-query charges
+    /// sum identically, so no two series with equal counts and charges
+    /// reach it.
     Total {
         /// The ledger's running total.
         ledger: f64,
@@ -171,6 +215,17 @@ impl BudgetLedger {
         Self::default()
     }
 
+    /// Creates an empty ledger with room for `spends` keyed charges, so
+    /// recording that many through [`BudgetLedger::record_spend`]
+    /// reallocates nothing.
+    pub fn with_capacity(spends: usize) -> Self {
+        BudgetLedger {
+            entries: Vec::with_capacity(spends),
+            spends: Vec::with_capacity(spends),
+            ..Self::default()
+        }
+    }
+
     /// Appends one charge, advancing the running total.
     ///
     /// # Panics
@@ -208,7 +263,9 @@ impl BudgetLedger {
     ///
     /// # Panics
     ///
-    /// As [`BudgetLedger::record`], for a non-finite or negative charge.
+    /// As [`BudgetLedger::record`], for a non-finite or negative charge;
+    /// and after [`BudgetLedger::release_spend_index`], which seals the
+    /// ledger against further keyed spends.
     ///
     /// # Cost
     ///
@@ -221,6 +278,10 @@ impl BudgetLedger {
         query: u64,
         charge: f64,
     ) -> Result<(), DoubleSpend> {
+        assert!(
+            !self.released,
+            "record_spend after release_spend_index: a sealed ledger takes no more spends"
+        );
         let key = (device, query);
         let at = match self.spends.last() {
             Some(&(last, _)) if last >= key => {
@@ -245,9 +306,19 @@ impl BudgetLedger {
     }
 
     /// Number of distinct `(device, query)` keys charged through
-    /// [`BudgetLedger::record_spend`].
+    /// [`BudgetLedger::record_spend`] and still indexed: 0 once the index
+    /// is released.
     pub fn spend_keys(&self) -> usize {
         self.spends.len()
+    }
+
+    /// Frees the keyed spend index once no further spend can arrive — a
+    /// sealed window's ledger keeps its entries and total, not the 24 B per
+    /// key that refused its duplicates. Audits are unaffected; a later
+    /// [`BudgetLedger::record_spend`] panics.
+    pub fn release_spend_index(&mut self) {
+        self.spends = Vec::new();
+        self.released = true;
     }
 
     /// Folds another ledger into this one by replaying its charges, in
@@ -307,50 +378,120 @@ impl BudgetLedger {
     /// Cross-checks this ledger against a sequential-composition
     /// accountant: per-query charges, query counts, and totals must all
     /// match **exactly** (bitwise; both sides add the same `f64`s in the
-    /// same order, so even rounding is identical).
+    /// same order, so even rounding is identical). One [`audit_series`]
+    /// pass over the two records.
     ///
     /// # Errors
     ///
     /// The first [`AuditMismatch`] found.
     pub fn audit(&self, accountant: &CompositionLedger) -> Result<(), AuditMismatch> {
-        let result = self.audit_inner(accountant);
-        match result {
-            Ok(()) => AUDITS_OK.inc(),
-            Err(_) => AUDIT_FAILURES.record_always(1),
-        }
-        result
+        let charges = self.entries.iter().map(|e| e.charge);
+        audit_series(charges, accountant.losses().iter().copied()).1
     }
+}
 
-    fn audit_inner(&self, accountant: &CompositionLedger) -> Result<(), AuditMismatch> {
-        let losses = accountant.losses();
-        if self.entries.len() != losses.len() {
-            return Err(AuditMismatch::QueryCount {
-                ledger: self.entries.len() as u64,
-                accountant: losses.len() as u64,
-            });
+/// The one composition audit: compares a ledger's charge sequence against
+/// an accountant's, in order, in a single streaming pass that copies
+/// neither.
+///
+/// `ledger` is the charges a [`BudgetLedger`] recorded, or several
+/// ledgers' charges one after another — which audit exactly as their
+/// [`BudgetLedger::merge`] would. The checks, in [`BudgetLedger::audit`]'s
+/// precedence:
+///
+/// 1. the two counts;
+/// 2. the first charge that differs bitwise, at its 0-based position;
+/// 3. the totals' bits: the ledger side summed from `+0.0`, as
+///    [`BudgetLedger::record`] sums, the accountant side from `-0.0`, as
+///    [`CompositionLedger::total`] sums, both normalized by adding `+0.0`.
+///
+/// Each audit bumps `ldp.ledger.audits_ok` or, at every metrics level,
+/// `ldp.ledger.audit_failures`.
+///
+/// Returns the ledger side's [`LedgerSummary`] — complete even when the
+/// audit fails — and the verdict.
+///
+/// # Panics
+///
+/// Panics on a negative or non-finite accountant charge, as
+/// [`CompositionLedger::record`] does.
+///
+/// ```
+/// use ldp_core::{audit_series, AuditMismatch, BudgetLedger};
+///
+/// let mut window_a = BudgetLedger::new();
+/// let mut window_b = BudgetLedger::new();
+/// window_a.record(0.5);
+/// window_b.record(0.25);
+/// let windows = [&window_a, &window_b];
+/// let entries = || windows.into_iter().flat_map(|w| w.entries()).map(|e| e.charge);
+///
+/// let (summary, verdict) = audit_series(entries(), [0.5, 0.25]);
+/// assert_eq!(verdict, Ok(()));
+/// assert_eq!((summary.len(), summary.total()), (2, 0.75));
+///
+/// let (_, verdict) = audit_series(entries(), [0.5, 0.125]);
+/// let mismatch = AuditMismatch::Charge { query: 1, ledger: 0.25, accountant: 0.125 };
+/// assert_eq!(verdict, Err(mismatch));
+/// ```
+pub fn audit_series<L, A>(ledger: L, accountant: A) -> (LedgerSummary, Result<(), AuditMismatch>)
+where
+    L: IntoIterator<Item = f64>,
+    A: IntoIterator<Item = f64>,
+{
+    let (mut ledger, mut accountant) = (ledger.into_iter(), accountant.into_iter());
+    let mut summary = LedgerSummary::default();
+    // `Iterator::sum` for `f64` starts from `-0.0`.
+    let (mut queries, mut accountant_total) = (0usize, -0.0f64);
+    let mut first_charge = None;
+    loop {
+        let (charge, loss) = match (ledger.next(), accountant.next()) {
+            (None, None) => break,
+            pair => pair,
+        };
+        if let Some(loss) = loss {
+            check_loss(loss);
+            queries += 1;
+            accountant_total += loss;
         }
-        for (entry, &loss) in self.entries.iter().zip(losses) {
-            if entry.charge.to_bits() != loss.to_bits() {
-                return Err(AuditMismatch::Charge {
-                    query: entry.query,
-                    ledger: entry.charge,
-                    accountant: loss,
-                });
+        if let Some(charge) = charge {
+            if let (Some(loss), None) = (loss, first_charge) {
+                if charge.to_bits() != loss.to_bits() {
+                    first_charge = Some(AuditMismatch::Charge {
+                        query: summary.len as u64,
+                        ledger: charge,
+                        accountant: loss,
+                    });
+                }
             }
+            summary.len += 1;
+            summary.total += charge;
         }
-        // `iter().sum::<f64>()` uses `-0.0` as its identity, so an empty
-        // accountant totals `-0.0` while the ledger's running total starts
-        // at `+0.0`. Adding `+0.0` collapses the two zero encodings (and is
-        // exact for every other value), keeping the comparison bitwise.
-        let total = accountant.total() + 0.0;
-        if (self.total + 0.0).to_bits() != total.to_bits() {
-            return Err(AuditMismatch::Total {
-                ledger: self.total,
-                accountant: total,
-            });
-        }
-        Ok(())
     }
+    // An empty accountant totals `-0.0` while the ledger side starts at
+    // `+0.0`. Adding `+0.0` collapses the two zero encodings (and is exact
+    // for every other value), keeping the comparison bitwise.
+    let accountant_total = accountant_total + 0.0;
+    let verdict = if summary.len != queries {
+        Err(AuditMismatch::QueryCount {
+            ledger: summary.len as u64,
+            accountant: queries as u64,
+        })
+    } else if let Some(mismatch) = first_charge {
+        Err(mismatch)
+    } else if (summary.total + 0.0).to_bits() != accountant_total.to_bits() {
+        Err(AuditMismatch::Total {
+            ledger: summary.total,
+            accountant: accountant_total,
+        })
+    } else {
+        Ok(())
+    };
+    match verdict {
+        Ok(()) => AUDITS_OK.inc(),
+        Err(_) => AUDIT_FAILURES.record_always(1),
+    }
+    (summary, verdict)
 }
 
 impl Extend<f64> for BudgetLedger {
@@ -510,6 +651,32 @@ mod tests {
         assert_eq!(ledger.total(), 1.25);
         let msg = err.to_string();
         assert!(msg.contains("device 7") && msg.contains("query 1"), "{msg}");
+    }
+
+    #[test]
+    fn released_index_keeps_entries_and_audits() {
+        let mut ledger = BudgetLedger::with_capacity(2);
+        ledger.record_spend(7, 0, 0.5).unwrap();
+        ledger.record_spend(7, 1, 0.25).unwrap();
+        ledger.release_spend_index();
+        assert_eq!(ledger.spend_keys(), 0);
+        assert_eq!((ledger.len(), ledger.total()), (2, 0.75));
+        ledger.audit(&[0.5, 0.25].into_iter().collect()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "a sealed ledger takes no more spends")]
+    fn record_spend_after_release_panics() {
+        let mut ledger = BudgetLedger::new();
+        ledger.record_spend(7, 0, 0.5).unwrap();
+        ledger.release_spend_index();
+        let _ = ledger.record_spend(8, 0, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "privacy loss must be finite")]
+    fn series_audit_rejects_a_garbage_accountant_charge() {
+        let _ = audit_series([0.5], [f64::NAN]);
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub use composition::CompositionLedger;
 pub use discrete_mech::DiscreteLaplaceMechanism;
 pub use error::LdpError;
 pub use kary::KaryRandomizedResponse;
-pub use ledger::{AuditMismatch, BudgetLedger, DoubleSpend, LedgerEntry};
+pub use ledger::{
+    audit_series, AuditMismatch, BudgetLedger, DoubleSpend, LedgerEntry, LedgerSummary,
+};
 pub use loss::{
     conditional, loss_profile, worst_case_loss_exhaustive, worst_case_loss_extremes,
     ConditionalDist, LimitMode, PrivacyLoss,

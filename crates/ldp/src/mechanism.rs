@@ -109,7 +109,7 @@ impl SamplerPath {
         }
     }
 
-    /// Reads the path from the [`SAMPLER_PATH_ENV`] environment variable
+    /// Reads the path from the `ULP_SAMPLER_PATH` environment variable
     /// (unset selects [`SamplerPath::Fast`]). The evaluation harness uses
     /// this so whole artifact runs can be regenerated on either path
     /// without code changes.

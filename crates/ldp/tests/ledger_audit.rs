@@ -1,14 +1,15 @@
 //! Ledger/accountant audit invariants: the append-only privacy-budget
 //! ledger must stay bitwise-consistent with the sequential-composition
 //! accountant through every path — single responses, batches, mid-batch
-//! exhaustion, and replenishment cycles — and its keyed spend index must
-//! answer exactly as a hash-map reference model does, in any key order.
+//! exhaustion, and replenishment cycles — its keyed spend index must
+//! answer exactly as a hash-map reference model does, in any key order,
+//! and the streaming audit must find what the materialized audit finds.
 
 use std::collections::HashMap;
 
 use ldp_core::{
-    BudgetController, BudgetLedger, CompositionLedger, DoubleSpend, LdpError, LedgerEntry,
-    LimitMode, QuantizedRange, SegmentTable,
+    audit_series, AuditMismatch, BudgetController, BudgetLedger, CompositionLedger, DoubleSpend,
+    LdpError, LedgerEntry, LimitMode, QuantizedRange, SegmentTable,
 };
 use proptest::prelude::*;
 use ulp_rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -102,6 +103,52 @@ impl Model {
             total_after: self.total,
         });
         Ok(())
+    }
+}
+
+/// The audit over two materialized series, as a merged ledger and an
+/// accountant were compared before the streaming pass: counts, then the
+/// first charge, then the normalized totals.
+fn reference_audit(ledger: &[f64], accountant: &[f64]) -> Result<(), AuditMismatch> {
+    if ledger.len() != accountant.len() {
+        return Err(AuditMismatch::QueryCount {
+            ledger: ledger.len() as u64,
+            accountant: accountant.len() as u64,
+        });
+    }
+    for (query, (&l, &a)) in ledger.iter().zip(accountant).enumerate() {
+        if l.to_bits() != a.to_bits() {
+            return Err(AuditMismatch::Charge {
+                query: query as u64,
+                ledger: l,
+                accountant: a,
+            });
+        }
+    }
+    let ledger_total = ledger.iter().fold(0.0, |t, c| t + c);
+    let accountant_total = accountant.iter().sum::<f64>() + 0.0;
+    if (ledger_total + 0.0).to_bits() != accountant_total.to_bits() {
+        return Err(AuditMismatch::Total {
+            ledger: ledger_total,
+            accountant: accountant_total,
+        });
+    }
+    Ok(())
+}
+
+/// Plants one change of kind `kind` into `series` at positions `i` and
+/// `j` (reduced modulo its length): none, one charge a bit off, an extra
+/// charge, a lost charge, or two charges swapped.
+fn plant(series: &mut Vec<f64>, kind: u8, i: usize, j: usize) {
+    let n = series.len();
+    match kind {
+        1 if n > 0 => series[i % n] = f64::from_bits(series[i % n].to_bits() ^ 1),
+        2 => series.insert(i % (n + 1), 0.5),
+        3 if n > 0 => {
+            series.remove(i % n);
+        }
+        4 if n > 0 => series.swap(i % n, j % n),
+        _ => {}
     }
 }
 
@@ -320,5 +367,59 @@ proptest! {
             *moved.last_mut().unwrap() = (device + KEY_SPAN, query, charge);
             prop_assert_ne!(record(&first), record(&moved));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A series split into window ledgers, with one change planted on
+    /// either side, audits through one streaming pass exactly as the
+    /// windows' merged ledger audits against a `CompositionLedger`: the
+    /// same verdict, the same first mismatch, the same length and total.
+    #[test]
+    fn streaming_audit_finds_what_the_merged_audit_finds(
+        raw in collection::vec(0u32..5_000, 0..48),
+        cuts in collection::vec(0usize..48, 0..4),
+        kind in 0u8..5,
+        (i, j) in (0usize..64, 0usize..64),
+        on_ledger_side in any::<bool>(),
+    ) {
+        // Tenths of a nat round in every sum.
+        let clean: Vec<f64> = raw.iter().map(|&q| f64::from(q) * 0.1).collect();
+        let mut planted = clean.clone();
+        plant(&mut planted, kind, i, j);
+        let (ledger_side, accountant_side) = if on_ledger_side {
+            (&planted, &clean)
+        } else {
+            (&clean, &planted)
+        };
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(ledger_side.len())).collect();
+        bounds.extend([0, ledger_side.len()]);
+        bounds.sort_unstable();
+        let windows: Vec<BudgetLedger> = bounds
+            .windows(2)
+            .map(|b| {
+                let mut window = BudgetLedger::new();
+                window.extend(ledger_side[b[0]..b[1]].iter().copied());
+                window
+            })
+            .collect();
+        let mut merged = BudgetLedger::new();
+        windows.iter().for_each(|w| merged.merge(w));
+        let accountant: CompositionLedger = accountant_side.iter().copied().collect();
+
+        let (summary, streamed) = audit_series(
+            windows.iter().flat_map(|w| w.entries()).map(|e| e.charge),
+            accountant_side.iter().copied(),
+        );
+        let expected = reference_audit(ledger_side, accountant_side);
+        prop_assert_eq!(streamed, expected);
+        prop_assert_eq!(merged.audit(&accountant), expected);
+        prop_assert_eq!(summary.len(), merged.len());
+        prop_assert_eq!(summary.total().to_bits(), merged.total().to_bits());
+        // The audit fails exactly when the plant changed the series.
+        let unchanged = planted.iter().map(|c| c.to_bits()).eq(clean.iter().map(|c| c.to_bits()));
+        prop_assert_eq!(expected.is_ok(), unchanged);
     }
 }

@@ -339,7 +339,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use core::ops::Range;
 
-    /// A length specification for [`vec`]: a fixed size or a range.
+    /// A length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -370,7 +370,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

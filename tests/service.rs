@@ -1,16 +1,18 @@
 //! Streaming-service determinism: rollup order-invariance (property),
 //! windowed rollups equal to the one-window run, and the multi-window run's
 //! thread, engine and ingest-path invariance. Its shard-count invariance is
-//! checked with the other differential runs in `fleet.rs`.
+//! checked with the other differential runs in `fleet.rs`. Also the ε-ledger
+//! the service keeps: the rollup's streaming audit against the merged
+//! ledger it replaced, and what a sealed window still holds.
 
 mod common;
 
 use proptest::prelude::*;
 use ulp_ldp::fleet::{
-    Collector, FleetDriver, Payload, QueryConfig, QueryKind, Report, Rollup, SealedWindow,
-    ServiceConfig,
+    Collector, FleetConfig, FleetDriver, Payload, QueryConfig, QueryKind, Report, Rollup,
+    SealedWindow, ServiceConfig,
 };
-use ulp_ldp::ldp::BudgetLedger;
+use ulp_ldp::ldp::{BudgetLedger, CompositionLedger};
 
 const NUMERIC: QueryConfig = QueryConfig {
     id: 0,
@@ -93,22 +95,28 @@ proptest! {
     fn rollup_is_invariant_to_absorption_order(seed in any::<u64>(), windows in 2u32..7) {
         let sealed = sealed_windows(windows);
 
-        let mut baseline = Rollup::new();
+        let mut in_order = Rollup::new();
         for w in &sealed {
-            baseline.absorb(w.clone()).unwrap();
+            in_order.absorb(w.clone()).unwrap();
         }
-        let baseline = baseline.finalize(1.0);
+        let baseline = in_order.finalize(1.0);
 
-        let mut shuffled = Rollup::new();
+        let mut permuted = Rollup::new();
         for &i in &permutation(sealed.len(), seed) {
-            shuffled.absorb(sealed[i].clone()).unwrap();
+            permuted.absorb(sealed[i].clone()).unwrap();
         }
-        let shuffled = shuffled.finalize(1.0);
+        let shuffled = permuted.finalize(1.0);
 
         prop_assert_eq!(shuffled.digest, baseline.digest);
         prop_assert_eq!(&shuffled.totals, &baseline.totals);
-        prop_assert_eq!(&shuffled.ledger, &baseline.ledger);
+        prop_assert_eq!(shuffled.ledger, baseline.ledger);
         prop_assert_eq!(shuffled.ledger.total().to_bits(), baseline.ledger.total().to_bits());
+        // The entry sequence the streaming audit reads, window after window
+        // in index order — what the merged ledger used to replay.
+        let entries = |r: &Rollup| {
+            r.windows().iter().flat_map(|w| w.ledger.entries().to_vec()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(entries(&permuted), entries(&in_order));
         prop_assert_eq!(shuffled.audit_ok, baseline.audit_ok);
         prop_assert_eq!(
             (shuffled.windows, shuffled.epoch_lo, shuffled.epoch_hi),
@@ -176,5 +184,97 @@ fn windowed_rollup_matches_batch_estimates() {
         assert_eq!(w.value.to_bits(), b.value.to_bits());
         assert_eq!(w.stderr.to_bits(), b.stderr.to_bits());
         assert_eq!(w.n, b.n);
+    }
+}
+
+/// The rollup's verdict, entry count and total bits, folded as `finalize`
+/// folded before its streaming pass: every window ledger merged into one
+/// `BudgetLedger`, audited against a `CompositionLedger` over every
+/// window's charges, after the windows' own seal verdicts.
+fn merged_fold(windows: &[SealedWindow]) -> (bool, usize, u64) {
+    let mut ledger = BudgetLedger::new();
+    let mut accountant = CompositionLedger::new();
+    for w in windows {
+        ledger.merge(&w.ledger);
+        accountant.extend(w.charges.iter().copied());
+    }
+    let audit_ok = windows.iter().all(|w| w.audit_ok) && ledger.audit(&accountant).is_ok();
+    (audit_ok, ledger.len(), ledger.total().to_bits())
+}
+
+/// Charges tampered with after the seal — one extra trailing charge, two
+/// charges swapped, one charge a bit off — fail the rollup's streaming
+/// audit, which agrees with the merged-ledger fold in verdict, entry count
+/// and total bits on clean windows and under every mutation.
+#[test]
+fn tampered_charges_fail_the_rollup_audit_like_the_merged_fold() {
+    let sealed = sealed_windows(4);
+    type Tamper = fn(&mut Vec<f64>);
+    let mutations: [(&str, Tamper); 3] = [
+        ("extra trailing charge", |c| c.push(0.5)),
+        ("two charges swapped", |c| c.swap(0, 1)),
+        ("one charge a bit off", |c| {
+            c[2] = f64::from_bits(c[2].to_bits() ^ 1)
+        }),
+    ];
+    let check = |windows: &[SealedWindow], what: &str| -> bool {
+        let mut rollup = Rollup::new();
+        for w in windows.iter().rev() {
+            rollup.absorb(w.clone()).unwrap();
+        }
+        let outcome = rollup.finalize(1.0);
+        let streamed = (
+            outcome.audit_ok,
+            outcome.ledger.len(),
+            outcome.ledger.total().to_bits(),
+        );
+        assert_eq!(streamed, merged_fold(windows), "{what}");
+        outcome.audit_ok
+    };
+    assert!(check(&sealed, "clean"));
+    for (what, mutate) in mutations {
+        for k in 0..sealed.len() {
+            let mut tampered = sealed.clone();
+            mutate(&mut tampered[k].charges);
+            assert!(!check(&tampered, what), "{what} in window {k} audits clean");
+        }
+    }
+}
+
+/// After a multi-window run every sealed window holds its share of the
+/// ε-ledger once: the keyed double-spend index was released at the seal,
+/// and the ledger's entries pair one to one with the charges it was
+/// audited against.
+#[test]
+fn sealed_windows_release_their_spend_index() {
+    let (clean, svc) = common::service_cfg();
+    let chaos = FleetConfig {
+        epochs: 4,
+        ..common::chaos_cfg()
+    };
+    for (name, fleet) in [("service", clean), ("chaos", chaos)] {
+        let (out, service) = FleetDriver::new(fleet).unwrap().serve(&svc).unwrap();
+        assert_eq!(out.windows_sealed, 2, "{name}");
+        assert!(out.audit_ok, "{name}");
+        for w in service.sealed_windows() {
+            assert!(
+                !w.charges.is_empty(),
+                "{name}: window {} charged nothing",
+                w.index
+            );
+            assert_eq!(w.ledger.spend_keys(), 0, "{name}: window {}", w.index);
+            assert_eq!(
+                w.ledger.len(),
+                w.charges.len(),
+                "{name}: window {}",
+                w.index
+            );
+        }
+        let entries: usize = service
+            .sealed_windows()
+            .iter()
+            .map(|w| w.ledger.len())
+            .sum();
+        assert_eq!(out.rollup_ledger_entries, entries, "{name}");
     }
 }
