@@ -1,12 +1,36 @@
 //! Struct-of-arrays batch engine: N DP-Box devices advanced in lockstep.
 //!
 //! [`DeviceArray`] holds the registers of many devices as parallel columns
-//! (staged sample, remaining budget, cached output, health alarm) next to
-//! per-lane URNG and health-monitor state, and advances every lane one
+//! (staged noise, remaining budget, cached output) next to every lane's
+//! URNG and health monitor as [`UrngColumns`], and advances every lane one
 //! reporting epoch per [`DeviceArray::step`] in tight per-column loops.
 //! Lanes that diverge from the common path — power-on self-test failure,
-//! runtime health trip, budget halt — are compacted out of the active set
-//! so the hot loop stays branch-light.
+//! runtime health trip, budget halt — are moved past the active positions
+//! so the hot loops stay dense.
+//!
+//! # One epoch
+//!
+//! 1. Lanes whose last restage tripped their monitor drop.
+//! 2. **Release.** Each active lane noises its sensor value with its
+//!    staged noise index, branch-free: the saturating add, the word and
+//!    window clamps, the overshoot past the range and its segment's charge
+//!    are plain min/max and comparison arithmetic, with no
+//!    data-dependent branch (the noise — Laplace of scale `d · 2^n_m`
+//!    over a `d`-code range — lands on either side of each of those
+//!    comparisons, so a branch on them is unpredictable).
+//! 3. **Restage.** Every lane still active draws its next sample as word
+//!    columns: one sign word, then one magnitude word (two when
+//!    `Bu − 1 > 32`). [`UrngColumns::draw`] screens each column
+//!    lane-parallel and replays only the lanes of a block in which one
+//!    alarms through the scalar monitor, so every alarm is still built by
+//!    [`UrngHealth::observe`](ulp_rng::UrngHealth::observe).
+//!
+//! The noise index of a magnitude word `m` is a pure function of `m` and
+//! the configuration (`DpBox::staged_noise_k`): for `Bu − 1 ≤ 16` it is
+//! read from one memoized table `k[m]` per
+//! `(Bu − 1, CORDIC iterations, d_raw, n_m, word max)`, built once per
+//! process; wider magnitudes evaluate it per draw. Both go through the one
+//! noise function the scalar device uses.
 //!
 //! # Bit-exactness contract
 //!
@@ -27,14 +51,16 @@
 //!
 //! and then issued one `noise_value(x)` per epoch. Equivalence holds
 //! because every URNG word is drawn in the same order through the same
-//! continuous health tests (every lane's power-on self-test runs through
-//! the exact-equivalent lane-parallel [`UrngHealth::startup_lanes`]
-//! kernel), the CORDIC logarithm is a pure function (memoized per
-//! `(Bu, iterations)` instead of recomputed per draw), and the per-epoch
-//! dataflow mirrors `DpBox::tick`'s cycle-2 branch structure line for
-//! line: budget check before staged-sample consumption, cached serves
-//! restage, health trips void the staged sample and surface as a drop at
-//! the *next* epoch.
+//! continuous health tests (the power-on self-test runs through the
+//! exact-equivalent lane-parallel
+//! [`UrngHealth::startup_lanes`](ulp_rng::UrngHealth::startup_lanes) kernel,
+//! later words through [`UrngColumns`]), the noise index is the scalar
+//! device's own arithmetic (memoized or not), and the per-epoch dataflow
+//! mirrors `DpBox::tick`'s cycle-2 branch structure: budget check before
+//! staged-sample consumption, cached serves restage, health trips void the
+//! staged sample and surface as a drop at the *next* epoch. The array has
+//! no reset command, so a lane without an alarm always holds a staged
+//! sample and has drawn as many words as every other such lane.
 //!
 //! Only [`LimitMode::Thresholding`] is modelled — the fleet operating
 //! point. Resampling-mode devices loop a data-dependent number of cycles
@@ -44,13 +70,11 @@
 use std::sync::{Arc, Mutex};
 
 use ldp_core::{LimitMode, QuantizedRange, SegmentTable};
-use ulp_fixed::{Fx, QFormat};
+use ulp_fixed::QFormat;
 use ulp_obs::{full_enabled, Counter, Histogram};
-use ulp_rng::{
-    CordicLn, FxpLaplaceConfig, HealthAlarm, HealthConfig, RandomBits, Taus88, UrngHealth,
-};
+use ulp_rng::{CordicLn, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthConfig, UrngColumns};
 
-use crate::device::LOG_FRAC;
+use crate::device::{cordic_neg_ln, noise_magnitude};
 use crate::error::DpBoxError;
 
 /// Batch epochs advanced across all `DeviceArray`s, process-wide
@@ -62,41 +86,40 @@ static LANE_DIVERGENCES: Counter = Counter::new("dpbox.batch.lane_divergences");
 /// Active-lane count observed at each step (full metrics level only).
 static ACTIVE_LANES: Histogram = Histogram::new("dpbox.batch.active_lanes", "lanes");
 
-/// Magnitude widths up to this get a memoized CORDIC `-ln u` table
+/// Magnitude widths up to this get a memoized noise-index table
 /// (2^16 entries · 8 bytes = 512 KiB at the cap).
 const MAX_MEMO_MAG_BITS: u8 = 16;
 
-/// One memoized CORDIC log table, keyed `(mag_bits, iterations)`.
-type LnTableEntry = ((u8, u8), Arc<Vec<i64>>);
+/// What a noise-index table is a function of:
+/// `(mag_bits, cordic_iterations, d_raw, eps_shift, max_raw)`.
+type NoiseKey = (u8, u8, i64, u32, i64);
 
-/// Process-wide memo of CORDIC log tables. A linear scan is fine: one
+/// Process-wide memo of noise-index tables. A linear scan is fine: one
 /// entry per device configuration in play.
-static LN_TABLES: Mutex<Vec<LnTableEntry>> = Mutex::new(Vec::new());
+static NOISE_TABLES: Mutex<Vec<(NoiseKey, Arc<[i64]>)>> = Mutex::new(Vec::new());
 
-/// `-ln(m · 2^-mag_bits)` at [`LOG_FRAC`] fraction bits, exactly as
-/// `DpBox::stage_sample` computes it for magnitude word `m`.
-fn cordic_neg_ln(cordic: &CordicLn, mag_bits: u8, m: u64) -> i64 {
-    let in_fmt =
-        QFormat::new((mag_bits + 2).min(63), mag_bits).expect("Bu ≤ 53 keeps the format valid");
-    let u = Fx::from_raw(m as i64, in_fmt).expect("m fits the word");
-    let out_fmt = QFormat::new(40, LOG_FRAC).expect("valid log format");
-    -cordic.ln(u, out_fmt).expect("u > 0 by construction").raw()
-}
-
-/// The shared `-ln u` table for `(mag_bits, iterations)`, built on first
-/// use. The CORDIC is a pure function of its inputs, so table lookup and
-/// per-draw evaluation are interchangeable bit-for-bit.
-fn ln_table(mag_bits: u8, iterations: u8) -> Arc<Vec<i64>> {
-    let mut tables = LN_TABLES.lock().expect("ln-table lock");
-    if let Some((_, t)) = tables.iter().find(|(k, _)| *k == (mag_bits, iterations)) {
-        return Arc::clone(t);
+/// The shared table of [`noise_magnitude`] over every magnitude word
+/// (entry `m − 1` for word `m`), built on first use. The CORDIC and the
+/// noise arithmetic are pure functions of their inputs, so table lookup
+/// and per-draw evaluation are interchangeable bit-for-bit.
+fn noise_table(key: NoiseKey) -> Arc<[i64]> {
+    let mut tables = NOISE_TABLES.lock().expect("noise-table lock");
+    if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
     }
+    let (mag_bits, iterations, d_raw, eps_shift, max_raw) = key;
     let cordic = CordicLn::new(iterations);
-    let table: Vec<i64> = (1..=(1u64 << mag_bits))
-        .map(|m| cordic_neg_ln(&cordic, mag_bits, m))
+    let table: Arc<[i64]> = (1..=1u64 << mag_bits)
+        .map(|m| {
+            noise_magnitude(
+                d_raw,
+                cordic_neg_ln(&cordic, mag_bits, m),
+                eps_shift,
+                max_raw,
+            )
+        })
         .collect();
-    let table = Arc::new(table);
-    tables.push(((mag_bits, iterations), Arc::clone(&table)));
+    tables.push((key, Arc::clone(&table)));
     table
 }
 
@@ -148,6 +171,66 @@ pub enum LaneOutcome {
     Dropped,
 }
 
+/// How a released output is noised and charged — the derived context
+/// every lane shares.
+#[derive(Debug, Clone)]
+struct Release {
+    min_raw: i64,
+    max_raw: i64,
+    range_min: i64,
+    range_max: i64,
+    /// The thresholding window `[range_min − n_th, range_max + n_th]`.
+    window: (i64, i64),
+    /// The segment table's overshoot thresholds, ascending.
+    thresholds: Vec<i64>,
+    /// The charge of each overshoot class: the in-range base loss, then
+    /// one loss per segment.
+    losses: Vec<f64>,
+}
+
+impl Release {
+    fn new(fmt: QFormat, range: QuantizedRange, table: &SegmentTable) -> Self {
+        let n_th = table.outermost().0;
+        let (thresholds, segment_losses): (Vec<i64>, Vec<f64>) =
+            table.segments().iter().copied().unzip();
+        Release {
+            min_raw: fmt.min_raw(),
+            max_raw: fmt.max_raw(),
+            range_min: range.min_k(),
+            range_max: range.max_k(),
+            window: (range.min_k() - n_th, range.max_k() + n_th),
+            thresholds,
+            losses: [table.base_loss()]
+                .into_iter()
+                .chain(segment_losses)
+                .collect(),
+        }
+    }
+
+    /// The output for sensor value `x` and noise index `k`: the noised
+    /// value saturated to the word, then clamped to the window.
+    #[inline(always)]
+    fn output(&self, x: i64, k: i64) -> i64 {
+        let tmp = x.saturating_add(k).max(self.min_raw).min(self.max_raw);
+        tmp.max(self.window.0).min(self.window.1)
+    }
+
+    /// `SegmentTable::charge_for_overshoot` of output `y`: class 0 in
+    /// range, else one plus the thresholds the overshoot passes, capped at
+    /// the outermost segment.
+    #[inline(always)]
+    fn charge(&self, y: i64) -> f64 {
+        let overshoot = (self.range_min - y).max(0) + (y - self.range_max).max(0);
+        let passed: usize = self
+            .thresholds
+            .iter()
+            .map(|&t| usize::from(overshoot > t))
+            .sum();
+        let class = usize::from(overshoot > 0) * (1 + passed);
+        self.losses[class.min(self.thresholds.len())]
+    }
+}
+
 /// N DP-Box devices in thresholding mode, advanced one epoch at a time.
 ///
 /// Construction boots every lane (power-on self-test + command sequence);
@@ -158,28 +241,30 @@ pub struct DeviceArray {
     // Shared derived context (identical for every lane).
     mag_bits: u8,
     eps_shift: u32,
-    d_raw: i128,
-    min_raw: i64,
-    max_raw: i64,
-    range_min: i64,
-    range_max: i64,
+    d_raw: i64,
     n_th_k: i64,
-    table: SegmentTable,
-    ln: Option<Arc<Vec<i64>>>,
+    release: Release,
+    /// The memoized noise-index table, for `mag_bits ≤ 16`.
+    noise: Option<Arc<[i64]>>,
     cordic: CordicLn,
-    // Per-lane register columns.
-    rng: Vec<Taus88>,
-    health: Vec<UrngHealth>,
-    /// Staged magnitude word `m` (1-based); 0 = no staged sample.
-    staged_m: Vec<u64>,
-    staged_neg: Vec<bool>,
+    /// Every lane's URNG and health monitor; positions
+    /// `0..urng.active()` are on the common path.
+    urng: UrngColumns,
+    // Per-position register columns, in `urng`'s position order.
+    lane_of: Vec<u32>,
+    /// Staged signed noise index.
+    staged_k: Vec<i64>,
     remaining: Vec<f64>,
     cache: Vec<i64>,
     cache_valid: Vec<bool>,
-    fault: Vec<Option<HealthAlarm>>,
+    /// Word columns reused by every restage.
+    words: [Vec<u32>; 2],
+    // Per-lane state.
+    pos_of: Vec<u32>,
     excluded: Vec<bool>,
-    /// Compacted index list of lanes still on the common path.
-    active: Vec<u32>,
+    /// Lanes whose last restage tripped their monitor: they drop at the
+    /// next step, as a scalar device's next request is rejected.
+    tripped: Vec<u32>,
 }
 
 impl DeviceArray {
@@ -191,10 +276,12 @@ impl DeviceArray {
     ///
     /// Configuration errors mirror [`crate::DpBox`]'s validation of the
     /// same boot sequence ([`DpBoxError::InvalidConfig`] /
-    /// [`DpBoxError::ValueOutOfRange`] / solver errors).
+    /// [`DpBoxError::ValueOutOfRange`] / [`DpBoxError::Rng`], including a
+    /// noise support too wide to hold, / solver errors).
     /// [`DpBoxError::UrngHealthFault`] if a lane's monitor trips while
     /// staging its first sample — the scalar boot sequence fails on its
-    /// next command there, so the array reports it as a boot failure too.
+    /// next command there, so the array reports it as a boot failure too,
+    /// with the alarm of the lowest such lane.
     pub fn new(cfg: &DeviceArrayConfig, seeds: &[u64]) -> Result<Self, DpBoxError> {
         // Synthesis-time validation (`DpBox::with_urng`).
         let fmt = QFormat::new(cfg.word_bits, cfg.frac_bits)
@@ -240,6 +327,7 @@ impl DeviceArray {
         let lambda = d * 2f64.powi(i32::from(cfg.eps_shift));
         let lap_cfg = FxpLaplaceConfig::new(cfg.bu - 1, cfg.word_bits, delta, lambda)
             .map_err(DpBoxError::Rng)?;
+        FxpNoisePmf::check_support(lap_cfg).map_err(DpBoxError::Rng)?;
         let range = QuantizedRange::new(cfg.range_lower, cfg.range_upper, delta)
             .map_err(DpBoxError::Privacy)?;
         let table = ldp_core::segment_table_cached(
@@ -249,69 +337,71 @@ impl DeviceArray {
             LimitMode::Thresholding,
         )
         .map_err(DpBoxError::Privacy)?;
-        let n_th_k = table.outermost().0;
         let mag_bits = cfg.bu - 1;
         let budget = cfg.budget_raw as f64 * delta;
+        let d_raw = cfg.range_upper - cfg.range_lower;
+        let eps_shift = u32::from(cfg.eps_shift);
+        let noise = (mag_bits <= MAX_MEMO_MAG_BITS).then(|| {
+            noise_table((
+                mag_bits,
+                cfg.cordic_iterations,
+                d_raw,
+                eps_shift,
+                fmt.max_raw(),
+            ))
+        });
 
         // Power-on self-test of every lane in one lane-parallel pass.
         let lanes = seeds.len();
-        let mut rng: Vec<Taus88> = seeds.iter().map(|&seed| Taus88::from_seed(seed)).collect();
-        let mut health = vec![UrngHealth::new(cfg.health); lanes];
-        UrngHealth::startup_lanes(&mut rng, &mut health);
-
+        let positions = u32::try_from(lanes)
+            .map_err(|_| DpBoxError::InvalidConfig("at most 2^32 lanes per array"))?;
         let mut arr = DeviceArray {
             mag_bits,
-            eps_shift: u32::from(cfg.eps_shift),
-            d_raw: i128::from(cfg.range_upper - cfg.range_lower),
-            min_raw: fmt.min_raw(),
-            max_raw: fmt.max_raw(),
-            range_min: range.min_k(),
-            range_max: range.max_k(),
-            n_th_k,
-            table,
-            ln: (mag_bits <= MAX_MEMO_MAG_BITS).then(|| ln_table(mag_bits, cfg.cordic_iterations)),
+            eps_shift,
+            d_raw,
+            n_th_k: table.outermost().0,
+            release: Release::new(fmt, range, &table),
+            noise,
             cordic: CordicLn::new(cfg.cordic_iterations),
-            rng,
-            health,
-            staged_m: vec![0; lanes],
-            staged_neg: vec![false; lanes],
+            urng: UrngColumns::boot(cfg.health, seeds),
+            lane_of: (0..positions).collect(),
+            staged_k: vec![0; lanes],
             remaining: vec![budget; lanes],
             cache: vec![0; lanes],
             cache_valid: vec![false; lanes],
-            fault: vec![None; lanes],
+            words: [Vec::with_capacity(lanes), Vec::with_capacity(lanes)],
+            pos_of: (0..positions).collect(),
             excluded: vec![false; lanes],
-            active: Vec::with_capacity(lanes),
+            tripped: Vec::new(),
         };
-        // Stage each lane's first sample in index order — the order the
-        // scalar engine boots devices in, so a boot-staging trip fails at
-        // the same lane.
-        for lane in 0..lanes {
-            if arr.health[lane].is_alarmed() {
-                // Power-on self-test trip: the scalar driver abandons the
-                // device here, before any further draw.
-                arr.excluded[lane] = true;
-                continue;
+        // A power-on self-test trip: the scalar driver abandons the device
+        // before any further draw.
+        for pos in (0..lanes).rev() {
+            if arr.urng.alarm(pos).is_some() {
+                arr.excluded[arr.lane_of[pos] as usize] = true;
+                arr.retire(pos);
             }
-            // `StartNoising` (init): freeze the budget, stage a sample.
-            arr.restage(lane);
-            if let Some(alarm) = arr.fault[lane] {
-                // The boot staging tripped the monitor: the scalar boot's
-                // next command is rejected with this alarm.
-                return Err(DpBoxError::UrngHealthFault(alarm));
-            }
-            arr.active.push(lane as u32);
+        }
+        // `StartNoising` (init): freeze the budget, stage a sample. A trip
+        // fails the scalar boot's next command with the alarm — at the
+        // lowest tripping lane, as the scalar engine boots in lane order.
+        arr.restage();
+        if let Some(&lane) = arr.tripped.iter().min() {
+            let alarm = arr.health_alarm(lane as usize);
+            let alarm = alarm.expect("a tripped lane holds its alarm");
+            return Err(DpBoxError::UrngHealthFault(alarm));
         }
         Ok(arr)
     }
 
     /// Number of lanes (booted devices), including excluded ones.
     pub fn lanes(&self) -> usize {
-        self.staged_m.len()
+        self.lane_of.len()
     }
 
     /// Lanes still on the common path.
     pub fn active_lanes(&self) -> usize {
-        self.active.len()
+        self.urng.active()
     }
 
     /// Whether the lane's power-on self-test tripped (it never reported).
@@ -319,19 +409,24 @@ impl DeviceArray {
         self.excluded[lane]
     }
 
-    /// The lane's latched health alarm, if any.
+    /// The lane's latched health alarm, if any; `None` for an
+    /// [excluded](Self::is_excluded) lane, which never reported.
     pub fn health_alarm(&self, lane: usize) -> Option<HealthAlarm> {
-        self.fault[lane]
+        if self.excluded[lane] {
+            return None;
+        }
+        self.urng.alarm(self.pos_of[lane] as usize)
     }
 
     /// Remaining privacy budget of the lane, nats.
     pub fn remaining_budget(&self, lane: usize) -> f64 {
-        self.remaining[lane]
+        self.remaining[self.pos_of[lane] as usize]
     }
 
     /// The lane's cached (last released) output, if any.
     pub fn cached_output(&self, lane: usize) -> Option<i64> {
-        self.cache_valid[lane].then(|| self.cache[lane])
+        let pos = self.pos_of[lane] as usize;
+        self.cache_valid[pos].then(|| self.cache[pos])
     }
 
     /// The thresholding window bound `n_th` (grid units) every lane runs
@@ -340,56 +435,68 @@ impl DeviceArray {
         self.n_th_k
     }
 
-    /// Draws one URNG word through the lane's continuous health tests —
-    /// `DpBox::draw_word`. A trip latches the alarm and voids the staged
-    /// sample; the word is still returned.
-    #[inline]
-    fn draw(&mut self, lane: usize) -> u32 {
-        let w = self.rng[lane].next_u32();
-        if self.fault[lane].is_none() {
-            if let Err(alarm) = self.health[lane].observe(w) {
-                self.fault[lane] = Some(alarm);
-                self.staged_m[lane] = 0;
+    /// Moves the lane at active position `pos` off the common path,
+    /// mirroring [`UrngColumns::retire`]'s swap in every position column.
+    fn retire(&mut self, pos: usize) {
+        let last = self.urng.retire(pos);
+        self.lane_of.swap(pos, last);
+        self.staged_k.swap(pos, last);
+        self.remaining.swap(pos, last);
+        self.cache.swap(pos, last);
+        self.cache_valid.swap(pos, last);
+        for p in [pos, last] {
+            self.pos_of[self.lane_of[p] as usize] = p as u32;
+        }
+    }
+
+    /// Draws and stages every active lane's next sample —
+    /// `DpBox::stage_sample`, with the noise index taken at once (it is a
+    /// pure function of the staged words, so the timing is invisible). A
+    /// lane whose monitor trips latches its alarm and voids the sample;
+    /// its words are still drawn.
+    fn restage(&mut self) {
+        let n = self.urng.active();
+        let [words, low] = &mut self.words;
+        words.resize(n, 0);
+        let mut tripped = self.urng.draw(words);
+        // Stage the sign (1 = negative) until the magnitude arrives.
+        for (k, &w) in self.staged_k.iter_mut().zip(words.iter()) {
+            *k = i64::from(w >> 31);
+        }
+        tripped |= self.urng.draw(words);
+        let mag_bits = u32::from(self.mag_bits);
+        if mag_bits > 32 {
+            // Two magnitude words, high bits first.
+            low.resize(n, 0);
+            tripped |= self.urng.draw(low);
+        }
+        let staged = self.staged_k[..n].iter_mut().zip(words.iter());
+        match &self.noise {
+            Some(table) => {
+                for (k, &w) in staged {
+                    let mag = table[(w >> (32 - mag_bits)) as usize];
+                    *k = if *k == 1 { -mag } else { mag };
+                }
+            }
+            None => {
+                for (i, (k, &w)) in staged.enumerate() {
+                    let m = if mag_bits <= 32 {
+                        u64::from(w) >> (32 - mag_bits)
+                    } else {
+                        ((u64::from(w) << 32) | u64::from(low[i])) >> (64 - mag_bits)
+                    } + 1;
+                    let neg_ln = cordic_neg_ln(&self.cordic, self.mag_bits, m);
+                    let mag =
+                        noise_magnitude(self.d_raw, neg_ln, self.eps_shift, self.release.max_raw);
+                    *k = if *k == 1 { -mag } else { mag };
+                }
             }
         }
-        w
-    }
-
-    /// Draws and stages one Laplace sample — `DpBox::stage_sample`, minus
-    /// the CORDIC evaluation, which is deferred to consumption (the log is
-    /// a pure function of the staged magnitude, so deferral is invisible).
-    fn restage(&mut self, lane: usize) {
-        let negative = self.draw(lane) >> 31 == 1;
-        let m = if self.mag_bits <= 32 {
-            u64::from(self.draw(lane)) >> (32 - u32::from(self.mag_bits))
-        } else {
-            let hi = u64::from(self.draw(lane));
-            let lo = u64::from(self.draw(lane));
-            ((hi << 32) | lo) >> (64 - u32::from(self.mag_bits))
-        } + 1;
-        if self.fault[lane].is_some() {
-            // The draw tripped the monitor: the sample is uncertified.
-            return;
-        }
-        self.staged_neg[lane] = negative;
-        self.staged_m[lane] = m;
-    }
-
-    /// The staged sample's signed noise index — `DpBox::staged_noise_k`.
-    #[inline]
-    fn noise_k(&self, negative: bool, m: u64) -> i64 {
-        let neg_ln_raw = match &self.ln {
-            Some(t) => t[(m - 1) as usize],
-            None => cordic_neg_ln(&self.cordic, self.mag_bits, m),
-        };
-        let prod = self.d_raw * i128::from(neg_ln_raw);
-        let half = 1i128 << (LOG_FRAC - 1);
-        let mag = ((prod + half) >> LOG_FRAC) << self.eps_shift;
-        let mag = mag.clamp(0, self.max_raw as i128) as i64;
-        if negative {
-            -mag
-        } else {
-            mag
+        if tripped {
+            // Lanes alarmed earlier left the active positions at their
+            // next step, so every alarm among them is new.
+            let alarmed = (0..n).filter(|&pos| self.urng.alarm(pos).is_some());
+            self.tripped.extend(alarmed.map(|pos| self.lane_of[pos]));
         }
     }
 
@@ -405,76 +512,50 @@ impl DeviceArray {
         assert_eq!(xs.len(), self.lanes(), "one sensor value per lane");
         if full_enabled() {
             BATCH_STEPS.inc();
-            ACTIVE_LANES.record(self.active.len() as u64);
+            ACTIVE_LANES.record(self.active_lanes() as u64);
         }
         out.clear();
         out.resize(self.lanes(), LaneOutcome::Dropped);
-        let mut divergences = 0u64;
-        let mut i = 0;
-        while i < self.active.len() {
-            let lane = self.active[i] as usize;
-            // `SetSensorValue` in the fault phase is rejected: the drop
-            // from a restage trip surfaces at the next epoch — here.
-            if self.fault[lane].is_some() {
-                self.active.swap_remove(i);
-                divergences += 1;
-                continue;
-            }
-            // `tick` cycle 2: budget gate before sample consumption.
-            if self.remaining[lane] <= 0.0 {
-                if self.cache_valid[lane] {
-                    out[lane] = LaneOutcome::Cached {
-                        y: self.cache[lane],
-                    };
-                    // `finish(cached, true)` restages on re-entering
-                    // waiting; a trip here drops the lane next epoch.
-                    self.restage(lane);
-                    i += 1;
-                } else {
-                    // Halt with nothing cached: `BudgetExhausted`.
-                    self.active.swap_remove(i);
-                    divergences += 1;
-                }
-                continue;
-            }
-            // Consume the staged sample (staging inline if a previous trip
-            // was reset away — unreachable in fleet use, but mirrored).
-            if self.staged_m[lane] == 0 {
-                self.restage(lane);
-                if self.staged_m[lane] == 0 {
-                    // Tripped mid-draw: the request is abandoned unserved.
-                    self.active.swap_remove(i);
-                    divergences += 1;
-                    continue;
-                }
-            }
-            let m = self.staged_m[lane];
-            self.staged_m[lane] = 0;
-            let k = self.noise_k(self.staged_neg[lane], m);
-            let x = xs[lane];
-            let tmp = x.saturating_add(k).clamp(self.min_raw, self.max_raw);
-            let (lo, hi) = (self.range_min - self.n_th_k, self.range_max + self.n_th_k);
-            let in_window = tmp >= lo && tmp <= hi;
-            let y = if in_window { tmp } else { tmp.clamp(lo, hi) };
-            let overshoot = if y < self.range_min {
-                self.range_min - y
-            } else if y > self.range_max {
-                y - self.range_max
-            } else {
-                0
-            };
-            let charge = self.table.charge_for_overshoot(overshoot);
-            self.remaining[lane] -= charge;
-            self.cache[lane] = y;
-            self.cache_valid[lane] = true;
-            out[lane] = LaneOutcome::Fresh { y, charge };
-            // `finish(y, false)`: restage immediately on re-entering
-            // waiting.
-            self.restage(lane);
-            i += 1;
+        // `SetSensorValue` in the fault phase is rejected: the drop from a
+        // restage trip surfaces at the next epoch — here.
+        let mut divergences = self.tripped.len();
+        while let Some(lane) = self.tripped.pop() {
+            self.retire(self.pos_of[lane as usize] as usize);
         }
+        // `tick` cycle 2: budget gate before sample consumption.
+        let mut halted = false;
+        let n = self.urng.active();
+        let release = &self.release;
+        for pos in 0..n {
+            let lane = self.lane_of[pos] as usize;
+            let y = release.output(xs[lane], self.staged_k[pos]);
+            let charge = release.charge(y);
+            if self.remaining[pos] > 0.0 {
+                self.remaining[pos] -= charge;
+                self.cache[pos] = y;
+                self.cache_valid[pos] = true;
+                out[lane] = LaneOutcome::Fresh { y, charge };
+            } else if self.cache_valid[pos] {
+                // `finish(cached, true)`: a free replay, then a restage.
+                out[lane] = LaneOutcome::Cached { y: self.cache[pos] };
+            } else {
+                // Halt with nothing cached: `BudgetExhausted`.
+                halted = true;
+            }
+        }
+        if halted {
+            for pos in (0..n).rev() {
+                if self.remaining[pos] <= 0.0 && !self.cache_valid[pos] {
+                    self.retire(pos);
+                    divergences += 1;
+                }
+            }
+        }
+        // `finish`: every lane that reported restages on re-entering
+        // waiting.
+        self.restage();
         if divergences > 0 && full_enabled() {
-            LANE_DIVERGENCES.add(divergences);
+            LANE_DIVERGENCES.add(divergences as u64);
         }
     }
 }
@@ -483,6 +564,7 @@ impl DeviceArray {
 mod tests {
     use super::*;
     use crate::{Command, DpBox, DpBoxConfig, DpBoxError, Phase};
+    use ulp_rng::Taus88;
 
     fn fleet_array_config() -> DeviceArrayConfig {
         DeviceArrayConfig {
@@ -689,6 +771,70 @@ mod tests {
                 DeviceArray::new(&cfg, &[1]).is_err(),
                 "bad {what} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn an_oversized_noise_support_is_refused_before_allocating() {
+        // λ = 2^38 · 2^40 over a 40-bit word: a noise support of 2^39
+        // magnitudes, whose PMF would take terabytes. Both engines refuse
+        // the configuration from its width alone.
+        let cfg = DeviceArrayConfig {
+            word_bits: 40,
+            eps_shift: 40,
+            range_upper: 1 << 38,
+            ..fleet_array_config()
+        };
+        let refused = |e| matches!(e, DpBoxError::Rng(ulp_rng::RngError::InvalidConfig(_)));
+        assert!(DeviceArray::new(&cfg, &[1]).is_err_and(refused));
+        let mut dev = scalar_device(&cfg, 1).unwrap();
+        assert!(dev.noise_value(100).is_err_and(refused));
+    }
+
+    #[test]
+    fn branch_free_release_matches_the_segment_table() {
+        for (eps_shift, multiples) in [(1, vec![1.5, 2.0, 2.5, 3.0]), (0, vec![1.1, 4.0])] {
+            let fmt = QFormat::new(20, 0).unwrap();
+            let lambda = 256.0 * 2f64.powi(eps_shift);
+            let lap_cfg = FxpLaplaceConfig::new(16, 20, 1.0, lambda).unwrap();
+            let range = QuantizedRange::new(0, 256, 1.0).unwrap();
+            let table =
+                ldp_core::segment_table_cached(lap_cfg, range, &multiples, LimitMode::Thresholding)
+                    .unwrap();
+            let release = Release::new(fmt, range, &table);
+            let n_th = table.outermost().0;
+            let (lo, hi) = (-n_th, 256 + n_th);
+            // Every output class, both window edges, and past them.
+            for y in lo - 3..=hi + 3 {
+                let overshoot = if y < 0 {
+                    -y
+                } else if y > 256 {
+                    y - 256
+                } else {
+                    0
+                };
+                assert_eq!(
+                    release.charge(y).to_bits(),
+                    table.charge_for_overshoot(overshoot).to_bits(),
+                    "y = {y}"
+                );
+            }
+            // The window clamp, saturation at the word and of the add.
+            for (x, k) in [
+                (100, 5),
+                (0, -n_th - 9),
+                (256, n_th + 9),
+                (0, i64::MIN),
+                (i64::MAX, 7),
+            ] {
+                let tmp = x.saturating_add(k).clamp(fmt.min_raw(), fmt.max_raw());
+                let y = if (lo..=hi).contains(&tmp) {
+                    tmp
+                } else {
+                    tmp.clamp(lo, hi)
+                };
+                assert_eq!(release.output(x, k), y, "x = {x}, k = {k}");
+            }
         }
     }
 }

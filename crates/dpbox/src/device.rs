@@ -29,7 +29,8 @@ use ldp_core::{
 use ulp_fixed::QFormat;
 use ulp_obs::{Counter, Histogram};
 use ulp_rng::{
-    CordicLn, FxpLaplaceConfig, HealthAlarm, HealthConfig, RandomBits, Taus88, UrngHealth,
+    CordicLn, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthConfig, RandomBits, Taus88,
+    UrngHealth,
 };
 
 use crate::command::Command;
@@ -128,9 +129,34 @@ struct StagedSample {
     neg_ln_raw: i64,
 }
 
-/// Fraction bits of the CORDIC logarithm output inside the pipeline
-/// (shared with the batch engine in [`crate::array`]).
-pub(crate) const LOG_FRAC: u8 = 24;
+/// Fraction bits of the CORDIC logarithm output inside the pipeline.
+const LOG_FRAC: u8 = 24;
+
+/// `-ln(m · 2^-mag_bits)` at [`LOG_FRAC`] fraction bits: the CORDIC
+/// logarithm of the uniform a staged magnitude word `m ∈ [1, 2^mag_bits]`
+/// encodes.
+pub(crate) fn cordic_neg_ln(cordic: &CordicLn, mag_bits: u8, m: u64) -> i64 {
+    let in_fmt =
+        QFormat::new((mag_bits + 2).min(63), mag_bits).expect("Bu ≤ 53 keeps the format valid");
+    let u = ulp_fixed::Fx::from_raw(m as i64, in_fmt).expect("m fits the word");
+    let out_fmt = QFormat::new(40, LOG_FRAC).expect("valid log format");
+    -cordic.ln(u, out_fmt).expect("u > 0 by construction").raw()
+}
+
+/// The noise magnitude `|k|`, in grid steps, of a sample with CORDIC
+/// output `neg_ln_raw`: `((d_raw · (−ln u) + ½) >> LOG_FRAC) << n_m`,
+/// saturated to `[0, max_raw]`. The hardware rounder rounds the
+/// `LOG_FRAC`-bit fraction away, then the ε shift applies.
+///
+/// The one copy of the noise arithmetic: [`DpBox`] noises through it per
+/// sample, and [`DeviceArray`](crate::DeviceArray) per sample or through a
+/// memoized table of it.
+pub(crate) fn noise_magnitude(d_raw: i64, neg_ln_raw: i64, eps_shift: u32, max_raw: i64) -> i64 {
+    let prod = i128::from(d_raw) * i128::from(neg_ln_raw);
+    let half = 1i128 << (LOG_FRAC - 1);
+    let mag = ((prod + half) >> LOG_FRAC) << eps_shift;
+    mag.clamp(0, i128::from(max_raw)) as i64
+}
 
 /// The DP-Box hardware module.
 ///
@@ -653,6 +679,7 @@ impl<R: RandomBits> DpBox<R> {
         let lambda = d * 2f64.powi(eps_shift as i32);
         let lap_cfg = FxpLaplaceConfig::new(self.cfg.bu - 1, self.cfg.word_bits, delta, lambda)
             .map_err(DpBoxError::Rng)?;
+        FxpNoisePmf::check_support(lap_cfg).map_err(DpBoxError::Rng)?;
         let range = QuantizedRange::new(r_l, r_u, delta).map_err(DpBoxError::Privacy)?;
         // The table is a pure function of (config, range, multiples, mode);
         // the memoized build makes repeated device construction — e.g. one
@@ -725,35 +752,21 @@ impl<R: RandomBits> DpBox<R> {
             // The draw tripped the monitor: the sample is uncertified.
             return;
         }
-        // u = m · 2^-(Bu-1) as a fixed-point word.
-        let in_fmt =
-            QFormat::new((mag_bits + 2).min(63), mag_bits).expect("Bu ≤ 53 keeps the format valid");
-        let u = ulp_fixed::Fx::from_raw(m as i64, in_fmt).expect("m fits the word");
-        let out_fmt = QFormat::new(40, LOG_FRAC).expect("valid log format");
-        let ln_u = self
-            .cordic
-            .ln(u, out_fmt)
-            .expect("u > 0 by construction")
-            .raw();
         self.staged = Some(StagedSample {
             negative,
-            neg_ln_raw: -ln_u,
+            neg_ln_raw: cordic_neg_ln(&self.cordic, mag_bits, m),
         });
     }
 
     /// Converts the staged sample to a signed noise index on the datapath
-    /// grid: `k = sign · ((d_raw · (-ln u)) >> LOG_FRAC) << n_m`, saturating
-    /// to the output word.
+    /// grid ([`noise_magnitude`] with the sample's sign).
     fn staged_noise_k(&self, staged: StagedSample) -> i64 {
-        let d_raw = (self.r_u.unwrap_or(0) - self.r_l.unwrap_or(0)) as i128;
-        let eps_shift = self.eps_shift.unwrap_or(0) as u32;
-        let prod = d_raw * staged.neg_ln_raw as i128;
-        // Round the LOG_FRAC-bit fraction away (hardware rounder), then
-        // apply the ε shift.
-        let half = 1i128 << (LOG_FRAC - 1);
-        let mag = ((prod + half) >> LOG_FRAC) << eps_shift;
-        let max = self.fmt.max_raw() as i128;
-        let mag = mag.clamp(0, max) as i64;
+        let mag = noise_magnitude(
+            self.r_u.unwrap_or(0) - self.r_l.unwrap_or(0),
+            staged.neg_ln_raw,
+            self.eps_shift.unwrap_or(0) as u32,
+            self.fmt.max_raw(),
+        );
         if staged.negative {
             -mag
         } else {

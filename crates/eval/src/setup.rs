@@ -218,7 +218,7 @@ impl ExperimentSetup {
         let cfg = FxpLaplaceConfig::new(bu, by, 1.0, lambda)?;
         // Memoized: structurally identical to `FxpNoisePmf::closed_form(cfg)`
         // but shared across the thousands of setups a sweep constructs.
-        let pmf = (*cached_pmf(cfg)).clone();
+        let pmf = (*cached_pmf(cfg)?).clone();
         Ok(ExperimentSetup {
             spec: spec.clone(),
             adc,

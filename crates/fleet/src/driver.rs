@@ -1,7 +1,11 @@
 //! The simulated-fleet driver: N DP-Box devices streaming into a collector.
 //!
-//! Each device is a full [`dp_box::DpBox`] instance — FSM, budget ledger,
-//! URNG health monitor — not a shortcut around the device model. The driver
+//! Each healthy-URNG device is a lane of its chunk's [`DeviceArray`]: the
+//! DP-Box datapath — URNG, continuous health monitor, noising, budget
+//! control — advanced column by column, bit-identical to a scalar
+//! [`dp_box::DpBox`] booted through the same command sequence. The scalar
+//! FSM runs the faulty-URNG sidecar devices and is the reference oracle
+//! the lanes are tested against. The driver
 //!
 //! 1. draws a population of sensor values from a dataset spec (via
 //!    [`ldp_eval::GroundTruth`], the shared ground-truth preparation);
@@ -292,16 +296,19 @@ pub struct ServiceOutcome {
     pub rollup_median: Option<Estimate>,
     /// Debiased RR frequency over the rollup's merged bits.
     pub rollup_rr_frequency: Option<Estimate>,
-    /// Total privacy loss in the rollup's merged ledger, in nats.
+    /// Total privacy loss over every sealed window's ledger, in nats: the
+    /// sequential sum of their charges in window order, what one ledger
+    /// merged from them would hold (no merged ledger is built).
     pub rollup_ledger_total: f64,
-    /// Entries in the rollup's merged ledger.
+    /// Charges over every sealed window's ledger.
     pub rollup_ledger_entries: usize,
     /// Coverage seal over the whole rollup.
     pub rollup_seal: EpochSeal,
     /// The rollup's order-canonical digest.
     pub rollup_digest: u64,
-    /// Whether every per-window audit AND the merged-ledger audit passed
-    /// bitwise.
+    /// Whether every window's ledger audited bitwise against its charges
+    /// at its seal AND the rollup's streaming re-audit of the windows'
+    /// ledgers, in window order, passed.
     pub audit_ok: bool,
     /// Service-lifetime ingest totals (including `late` arrivals).
     pub stats: IngestStats,
@@ -1514,6 +1521,28 @@ mod tests {
             };
             assert!(err.to_string().contains(msg), "{err} missing {msg:?}");
         }
+    }
+
+    #[test]
+    fn a_tiny_epsilon_is_a_typed_error_not_an_abort() {
+        // ε = 2^-24 over a 40-bit word: a noise support of ~4.7·10^10
+        // magnitudes, whose PMF would ask for hundreds of GB. The noise
+        // model refuses it from the width alone, before allocating.
+        let cfg = FleetConfig {
+            word_bits: 40,
+            eps_shift: 24,
+            ..FleetConfig::paper_default(64, 1, 7)
+        };
+        let Err(err) = FleetDriver::new(cfg).map(|_| ()) else {
+            panic!("a support past the PMF cap must be refused");
+        };
+        assert!(
+            matches!(
+                err,
+                FleetError::Privacy(LdpError::Rng(ulp_rng::RngError::InvalidConfig(_)))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

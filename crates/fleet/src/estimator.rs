@@ -121,12 +121,12 @@ impl NoiseModel {
         let lap_cfg = FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, lambda)?;
         let table = segment_table_cached(lap_cfg, range, multiples, LimitMode::Thresholding)?;
         let n_th_k = table.outermost().0;
-        let pmf = (*cached_pmf(lap_cfg)).clone();
+        let pmf = (*cached_pmf(lap_cfg)?).clone();
         // The RR bit is what a zero-threshold DP-Box over a one-step binary
         // grid releases: d = 1 grid unit, so λ_rr = 2^eps_shift.
         let rr_cfg =
             FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, 2f64.powi(i32::from(eps_shift)))?;
-        let rr_pmf = (*cached_pmf(rr_cfg)).clone();
+        let rr_pmf = (*cached_pmf(rr_cfg)?).clone();
 
         let support = pmf.support_max_k();
         let len = support as usize + 2;

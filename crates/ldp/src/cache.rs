@@ -125,7 +125,9 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`crate::threshold::exact_threshold`].
+/// Same conditions as [`crate::threshold::exact_threshold`], plus
+/// [`LdpError::Rng`] for a support too wide to hold
+/// ([`ulp_rng::FxpNoisePmf::check_support`]).
 pub fn exact_threshold_cached(
     cfg: FxpLaplaceConfig,
     range: QuantizedRange,
@@ -140,7 +142,7 @@ pub fn exact_threshold_cached(
     THRESHOLD_MISSES.inc();
     // Solve outside the lock: a solve takes milliseconds and concurrent
     // workers frequently race on the same key at sweep startup.
-    let pmf = cached_pmf(cfg);
+    let pmf = cached_pmf(cfg)?;
     let spec = exact_threshold(cfg, &pmf, range, multiple, mode)?;
     write_lock(threshold_cache()).insert(key, spec);
     Ok(spec)
@@ -153,7 +155,8 @@ pub fn exact_threshold_cached(
 ///
 /// # Errors
 ///
-/// Same conditions as [`SegmentTable::build`].
+/// Same conditions as [`SegmentTable::build`], plus [`LdpError::Rng`] for
+/// a support too wide to hold ([`ulp_rng::FxpNoisePmf::check_support`]).
 pub fn segment_table_cached(
     cfg: FxpLaplaceConfig,
     range: QuantizedRange,
@@ -166,7 +169,7 @@ pub fn segment_table_cached(
         return Ok(hit.clone());
     }
     SEGMENT_MISSES.inc();
-    let pmf = cached_pmf(cfg);
+    let pmf = cached_pmf(cfg)?;
     let table = SegmentTable::build(cfg, &pmf, range, multiples, mode)?;
     write_lock(segment_cache()).insert(key, table.clone());
     Ok(table)

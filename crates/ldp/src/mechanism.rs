@@ -513,7 +513,7 @@ fn certify_window(
             "CORDIC sampler has no exact analytic PMF to certify against",
         ));
     }
-    let pmf = cached_pmf(sampler.config());
+    let pmf = cached_pmf(sampler.config())?;
     let realized = worst_case_loss_extremes(&pmf, range, mode, Some(spec.n_th_k));
     if realized.is_bounded_by(spec.guaranteed_loss) {
         SECURE_CERTIFICATIONS.inc();

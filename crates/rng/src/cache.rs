@@ -120,17 +120,23 @@ fn grid_cache() -> &'static GridMap {
 ///
 /// Structurally equal to `FxpNoisePmf::closed_form(cfg)`; the `Arc` lets
 /// concurrent evaluation cells share one copy.
-pub fn cached_pmf(cfg: FxpLaplaceConfig) -> Arc<FxpNoisePmf> {
+///
+/// # Errors
+///
+/// [`RngError::InvalidConfig`] if the support is too wide to hold
+/// ([`FxpNoisePmf::check_support`]); nothing is allocated then.
+pub fn cached_pmf(cfg: FxpLaplaceConfig) -> Result<Arc<FxpNoisePmf>, RngError> {
     let key = PmfKey::new(cfg, false);
     if let Some(hit) = read_lock(cache()).get(&key) {
         PMF_HITS.inc();
-        return Arc::clone(hit);
+        return Ok(Arc::clone(hit));
     }
+    FxpNoisePmf::check_support(cfg)?;
     PMF_MISSES.inc();
     // Build outside the lock: closed_form is O(support) exp() calls and
     // concurrent workers frequently miss on the same key at startup.
     let pmf = Arc::new(FxpNoisePmf::closed_form(cfg));
-    Arc::clone(write_lock(cache()).entry(key).or_insert(pmf))
+    Ok(Arc::clone(write_lock(cache()).entry(key).or_insert(pmf)))
 }
 
 /// The exhaustively enumerated PMF for `cfg`, memoized process-wide — one
@@ -192,7 +198,7 @@ fn cached_alias(
         return Ok(Arc::clone(hit));
     }
     ALIAS_MISSES.inc();
-    let pmf = cached_pmf(cfg);
+    let pmf = cached_pmf(cfg)?;
     let table = Arc::new(match window {
         None => AliasTable::from_pmf(&pmf)?,
         Some((lo, hi)) => AliasTable::from_pmf_window(&pmf, lo, hi)?,
@@ -236,6 +242,7 @@ pub fn alias_cache_len() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmf::MAX_PMF_SUPPORT;
 
     fn cfg(lambda: f64) -> FxpLaplaceConfig {
         FxpLaplaceConfig::new(12, 12, 0.3125, lambda).unwrap()
@@ -244,22 +251,22 @@ mod tests {
     #[test]
     fn cached_pmf_equals_fresh_closed_form() {
         let c = cfg(20.0);
-        let cached = cached_pmf(c);
+        let cached = cached_pmf(c).unwrap();
         assert_eq!(*cached, FxpNoisePmf::closed_form(c));
     }
 
     #[test]
     fn repeated_lookups_share_one_allocation() {
         let c = cfg(21.0);
-        let a = cached_pmf(c);
-        let b = cached_pmf(c);
+        let a = cached_pmf(c).unwrap();
+        let b = cached_pmf(c).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn distinct_configs_get_distinct_entries() {
-        let a = cached_pmf(cfg(22.0));
-        let b = cached_pmf(cfg(23.0));
+        let a = cached_pmf(cfg(22.0)).unwrap();
+        let b = cached_pmf(cfg(23.0)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(*a, *b);
     }
@@ -270,7 +277,7 @@ mod tests {
         let cached = cached_enumerated_pmf(c).unwrap();
         assert_eq!(*cached, FxpNoisePmf::by_enumeration(c).unwrap());
         // Closed-form and enumerated entries do not collide.
-        assert_eq!(*cached, *cached_pmf(c));
+        assert_eq!(*cached, *cached_pmf(c).unwrap());
         let again = cached_enumerated_pmf(c).unwrap();
         assert!(Arc::ptr_eq(&cached, &again));
     }
@@ -289,9 +296,24 @@ mod tests {
     }
 
     #[test]
+    fn oversized_support_is_refused_before_allocating() {
+        // λ = 2^32 over a 40-bit word: ~4.7·10^10 magnitudes, hundreds of
+        // GB of counts. The refusal comes from the width alone.
+        let wide = FxpLaplaceConfig::new(16, 40, 1.0, 256.0 * f64::from(1u32 << 24)).unwrap();
+        assert!(wide.support_max_k() as u64 > MAX_PMF_SUPPORT);
+        assert!(matches!(cached_pmf(wide), Err(RngError::InvalidConfig(_))));
+        assert!(cached_alias_full(wide).is_err());
+        assert!(FxpNoisePmf::check_support(wide).is_err());
+        // The widest support the cap admits is accepted.
+        let at_cap = FxpLaplaceConfig::new(26, 27, 1.0, 1e9).unwrap();
+        assert_eq!(at_cap.support_max_k() as u64, MAX_PMF_SUPPORT - 1);
+        assert!(FxpNoisePmf::check_support(at_cap).is_ok());
+    }
+
+    #[test]
     fn cached_alias_equals_fresh_build() {
         let c = cfg(25.0);
-        let pmf = cached_pmf(c);
+        let pmf = cached_pmf(c).unwrap();
         let full = cached_alias_full(c).unwrap();
         assert_eq!(*full, AliasTable::from_pmf(&pmf).unwrap());
         assert!(Arc::ptr_eq(&full, &cached_alias_full(c).unwrap()));
@@ -307,7 +329,7 @@ mod tests {
     fn alias_window_errors_are_not_cached() {
         let c = cfg(26.0);
         let before = alias_cache_len();
-        let far = cached_pmf(c).support_max_k() + 10;
+        let far = cached_pmf(c).unwrap().support_max_k() + 10;
         assert!(cached_alias_window(c, far, far + 1).is_err());
         assert_eq!(alias_cache_len(), before);
     }

@@ -23,6 +23,23 @@
 //! stuck bit is caught in ~41 words and gross bias or correlation within
 //! one window.
 //!
+//! # Many lanes at once
+//!
+//! The repetition count keeps one run counter per bit lane, bit-sliced:
+//! six planes of 32 bits, so a word's update is a few bitwise operations
+//! on the planes, the same arithmetic for one monitor or a block of them.
+//! Two kernels run many monitors at once, each bit-identical to calling
+//! [`UrngHealth::observe`] word by word (counters included):
+//!
+//! * [`UrngHealth::startup_lanes`] runs many power-on self-tests over a
+//!   word matrix, with carry-save window sums and an exact repetition
+//!   screen;
+//! * [`UrngColumns`](crate::UrngColumns) keeps many lanes' generators and
+//!   monitors as columns and screens one word column per draw. A lane the
+//!   screen flags replays its word through `observe` on a monitor
+//!   materialized from its columns, so every [`HealthAlarm`] is built by
+//!   `observe` alone.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,6 +58,8 @@
 //! assert!(alarm.word_index < 64);
 //! ```
 
+use core::ops::{BitAnd, BitOr, BitXor, Not};
+
 use ulp_obs::Counter;
 
 use crate::error::RngError;
@@ -48,7 +67,7 @@ use crate::source::RandomBits;
 use crate::tausworthe::{next_state, Taus88};
 
 /// Words that passed every online health test.
-static VERDICTS_OK: Counter = Counter::new("rng.health.verdicts_ok");
+pub(crate) static VERDICTS_OK: Counter = Counter::new("rng.health.verdicts_ok");
 /// Newly latched health alarms — recorded at every metrics level, because a
 /// tripped URNG is exactly the event operators must never miss.
 static ALARMS: Counter = Counter::new("rng.health.alarms");
@@ -218,52 +237,99 @@ impl core::fmt::Display for HealthAlarm {
 /// automatic.
 #[derive(Debug, Clone)]
 pub struct UrngHealth {
-    cfg: HealthConfig,
+    pub(crate) cfg: HealthConfig,
     rct_cutoff: u32,
-    apt_cutoff: u64,
-    /// Current run length of identical values, per bit lane, packed eight
-    /// byte lanes per word (`bit`'s run lives in byte `bit % 8` of
-    /// `runs8[bit / 8]`). A healthy run never reaches the cutoff
-    /// (≤ `1 + 60`), so a byte lane cannot overflow and the whole
-    /// repetition-count update is four branchless lane-parallel adds
-    /// instead of a 32-iteration loop — this is the hot path of every
-    /// monitored URNG draw.
-    runs8: [u64; 4],
-    /// Per-byte-lane `0x80 − rct_cutoff`: adding it to a packed run makes
-    /// the lane's MSB the "run reached the cutoff" flag.
-    rct_add: u64,
-    last: u32,
+    pub(crate) apt_cutoff: u64,
+    /// Current run length of identical values, per bit lane, bit-sliced:
+    /// bit `b` of plane `j` is bit `j` of lane `b`'s run. A run never
+    /// passes the cutoff (≤ `1 + 60` < 2^[`RUN_PLANES`]), so the whole
+    /// repetition-count update is a few lane-parallel bitwise operations
+    /// ([`step_runs`]) instead of a 32-iteration loop — this is the hot
+    /// path of every monitored URNG draw.
+    pub(crate) runs: Runs,
+    /// The cutoff's planes, complemented ([`cutoff_planes`]).
+    pub(crate) cut: Runs,
+    pub(crate) last: u32,
     /// The previous `max_lag` words as a shift register: `prev[l]` is the
     /// word drawn `l + 1` observations ago.
-    prev: [u32; 8],
+    pub(crate) prev: [u32; 8],
     /// Words into the current APT/lag window.
-    window_pos: u32,
+    pub(crate) window_pos: u32,
     /// Ones in the current window.
-    ones: u64,
+    pub(crate) ones: u64,
     /// Bitwise agreements per lag (index `lag - 1`) in the current window.
-    agreements: [u64; 8],
+    pub(crate) agreements: [u64; 8],
     /// Lag-test cutoffs for the first window since construction or reset
     /// (index `lag - 1`), which compares `32 · (apt_window − lag)` bit
     /// pairs at each lag. Every later window compares `32 · apt_window`
     /// pairs, as many as the APT counts bits, so it uses `apt_cutoff`.
     first_lag_cutoffs: [u64; 8],
     /// Total words observed since construction or the last reset.
-    words: u64,
-    alarm: Option<HealthAlarm>,
+    pub(crate) words: u64,
+    pub(crate) alarm: Option<HealthAlarm>,
 }
 
-/// Per-byte-lane `0x01` (the lane-parallel "+1").
-const LANE_LSB: u64 = 0x0101_0101_0101_0101;
-/// Per-byte-lane MSB (the lane-parallel carry/flag bit).
-const LANE_MSB: u64 = 0x8080_8080_8080_8080;
+/// Planes of a bit-sliced run counter: runs stay at or below the cutoff,
+/// `1 + alpha_exp ≤ 61 < 2^6`.
+pub(crate) const RUN_PLANES: usize = 6;
 
-/// Expands the low 8 bits of `b` into byte lanes: lane `j` is `0xFF` when
-/// bit `j` is set and `0x00` otherwise.
-#[inline]
-fn byte_mask(b: u64) -> u64 {
-    let spread = b.wrapping_mul(LANE_LSB) & 0x8040_2010_0804_0201;
-    let msb = spread.wrapping_add(!LANE_MSB) & LANE_MSB;
-    (msb >> 7).wrapping_mul(0xFF)
+/// 32 bit lanes' run counters, bit-sliced into [`RUN_PLANES`] planes.
+type Runs = [u32; RUN_PLANES];
+
+/// Every lane's run counter at one: the state after a stream's first word.
+const RUNS_ONE: Runs = [!0, 0, 0, 0, 0, 0];
+
+/// The planes of a run cutoff `c`, complemented: plane `j` is all ones
+/// where bit `j` of `c` is clear, so a run that has not passed `c` equals
+/// it exactly where each of its planes ORed with this one is set.
+fn cutoff_planes(c: u32) -> Runs {
+    core::array::from_fn(|j| if (c >> j) & 1 == 1 { 0 } else { !0 })
+}
+
+/// A word of bit lanes: one `u32`, or several side by side that the
+/// repetition count steps at once ([`UrngColumns`](crate::UrngColumns)).
+pub(crate) trait Bits:
+    Copy + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
+{
+    /// Every bit set.
+    const ONES: Self;
+}
+
+impl Bits for u32 {
+    const ONES: u32 = !0;
+}
+
+/// Adds one to the bit-sliced runs in the bit lanes of `mask`.
+#[inline(always)]
+fn add_where<W: Bits>(mut runs: [W; RUN_PLANES], mask: W) -> [W; RUN_PLANES] {
+    let mut carry = mask;
+    for plane in &mut runs {
+        let sum = *plane ^ carry;
+        carry = carry & *plane;
+        *plane = sum;
+    }
+    runs
+}
+
+/// One repetition-count step: each bit lane's run survives and gains one
+/// where `same` has the lane set, and restarts at one elsewhere. Returns
+/// the new runs and the lanes whose run reached the cutoff planes `cut`
+/// ([`cutoff_planes`]), exact while no run has passed the cutoff.
+#[inline(always)]
+pub(crate) fn step_runs<W: Bits>(
+    mut runs: [W; RUN_PLANES],
+    same: W,
+    cut: &[W; RUN_PLANES],
+) -> ([W; RUN_PLANES], W) {
+    for plane in &mut runs {
+        *plane = *plane & same;
+    }
+    let next = add_where(runs, W::ONES);
+    let mut hit = W::ONES;
+    for (&plane, &cut) in next.iter().zip(cut) {
+        hit = hit & (plane | cut);
+    }
+    (next, hit)
 }
 
 impl UrngHealth {
@@ -282,9 +348,8 @@ impl UrngHealth {
             cfg,
             rct_cutoff: cfg.rct_cutoff(),
             apt_cutoff: cfg.balance_cutoff(window * 32),
-            runs8: [0; 4],
-            // `rct_cutoff ≤ 61 < 0x80`, so the flag offset fits a byte lane.
-            rct_add: LANE_LSB * (0x80 - u64::from(cfg.rct_cutoff())),
+            runs: [0; RUN_PLANES],
+            cut: cutoff_planes(cfg.rct_cutoff()),
             last: 0,
             prev: [0; 8],
             window_pos: 0,
@@ -333,30 +398,21 @@ impl UrngHealth {
         let index = self.words;
 
         // Repetition count, per bit lane, lane-parallel: where the bit
-        // repeated the packed run survives and gains one, elsewhere it
-        // restarts at one. A lane whose new run reaches the cutoff sets
-        // its flag MSB; the first flagged lane (lowest bit position, as in
-        // the per-bit formulation) names the alarm. On the first word
-        // every lane starts a run of one.
+        // repeated the run survives and gains one, elsewhere it restarts at
+        // one. The first lane whose new run reaches the cutoff (lowest bit
+        // position, as in the per-bit formulation) names the alarm. On the
+        // first word every lane starts a run of one.
         if index == 0 {
-            self.runs8 = [LANE_LSB; 4];
+            self.runs = RUNS_ONE;
         } else {
-            let same = u64::from(!(word ^ self.last));
-            let mut trip: Option<u8> = None;
-            for (g, runs) in self.runs8.iter_mut().enumerate() {
-                let next = (*runs & byte_mask((same >> (8 * g)) & 0xFF)) + LANE_LSB;
-                *runs = next;
-                let hit = next.wrapping_add(self.rct_add) & LANE_MSB;
-                if hit != 0 && trip.is_none() {
-                    trip = Some(g as u8 * 8 + (hit.trailing_zeros() / 8) as u8);
-                }
-            }
-            if let Some(bit) = trip {
+            let (runs, hit) = step_runs(self.runs, !(word ^ self.last), &self.cut);
+            self.runs = runs;
+            if hit != 0 {
                 // A run below the cutoff gains at most one per word, so the
                 // tripping run is exactly the cutoff.
                 let alarm = HealthAlarm {
                     test: HealthTest::RepetitionCount {
-                        bit,
+                        bit: hit.trailing_zeros() as u8,
                         run: self.rct_cutoff,
                     },
                     word_index: index,
@@ -595,16 +651,14 @@ impl BootPlan {
             }
             let word = |i: usize| words[i * b + l];
             // One plus the trailing run of constant transitions, per bit.
-            h.runs8 = [LANE_LSB; 4];
+            h.runs = RUNS_ONE;
             let mut alive = !0u32;
             for i in (1..w).rev() {
                 alive &= !(word(i) ^ word(i - 1));
                 if alive == 0 {
                     break;
                 }
-                for (g, runs) in h.runs8.iter_mut().enumerate() {
-                    *runs += byte_mask((u64::from(alive) >> (8 * g)) & 0xFF) & LANE_LSB;
-                }
+                h.runs = add_where(h.runs, alive);
             }
             h.last = word(w - 1);
             h.ones = u64::from(ones[l]);

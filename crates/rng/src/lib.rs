@@ -50,6 +50,7 @@
 
 mod alias;
 mod cache;
+mod columns;
 mod cordic;
 mod cordic_exp;
 mod discrete;
@@ -72,6 +73,7 @@ pub use cache::{
     alias_cache_len, cached_alias_full, cached_alias_laplace_grid, cached_alias_window,
     cached_enumerated_pmf, cached_pmf, pmf_cache_len,
 };
+pub use columns::UrngColumns;
 pub use cordic::CordicLn;
 pub use cordic_exp::CordicExp;
 pub use discrete::DiscreteLaplace;
@@ -82,7 +84,7 @@ pub use fxp::{FxpLaplace, FxpLaplaceConfig, LogPath};
 pub use gaussian::{normal_cdf, normal_icdf, FxpGaussian, FxpGaussianConfig, IdealGaussian};
 pub use health::{BitHealthMonitor, HealthAlarm, HealthConfig, HealthTest, UrngHealth};
 pub use laplace::{IdealExponential, IdealLaplace};
-pub use pmf::FxpNoisePmf;
+pub use pmf::{FxpNoisePmf, MAX_PMF_SUPPORT};
 pub use source::{stream_seed, RandomBits, ScriptedBits, SplitMix64};
 pub use staircase::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
 pub use tausworthe::Taus88;

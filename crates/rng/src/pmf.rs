@@ -11,6 +11,13 @@
 use crate::error::RngError;
 use crate::fxp::FxpLaplaceConfig;
 
+/// The most magnitudes an exact PMF may hold: 2^26, the bound
+/// [`FxpNoisePmf::by_enumeration`] puts on its evaluations. A PMF keeps two
+/// 8-byte words per magnitude, so the cap bounds one at 1 GiB; a
+/// configuration past it (a tiny ε over a wide output word) is refused by
+/// [`FxpNoisePmf::check_support`] before anything is allocated.
+pub const MAX_PMF_SUPPORT: u64 = 1 << 26;
+
 /// Exact PMF of the fixed-point Laplace RNG output `n = kΔ`.
 ///
 /// Probabilities are stored as exact counts: `Pr[n = kΔ] = weight(k) /
@@ -46,7 +53,15 @@ impl FxpNoisePmf {
     /// with `A(t) = 2^Bu · exp(−tΔ/λ)`, the number of uniforms mapping to
     /// magnitude `k ≥ 1` is `⌊A(k−½)⌋ − ⌊A(k+½)⌋`, and the top magnitude
     /// absorbs `⌊A(k_top−½)⌋` (which also models `By`-word saturation).
+    ///
+    /// # Panics
+    ///
+    /// If [`check_support`](Self::check_support) refuses `cfg`;
+    /// [`cached_pmf`](crate::cached_pmf) returns that refusal as an error.
     pub fn closed_form(cfg: FxpLaplaceConfig) -> Self {
+        if let Err(e) = Self::check_support(cfg) {
+            panic!("{e}");
+        }
         let two_bu = cfg.urng_cardinality() as f64;
         let rate = cfg.delta() / cfg.lambda();
         let a = |t: f64| -> f64 { two_bu * (-t * rate).exp() };
@@ -73,19 +88,38 @@ impl FxpNoisePmf {
     /// # Errors
     ///
     /// [`RngError::InvalidConfig`] if `Bu > 26` (enumeration would exceed
-    /// 2^26 evaluations; use [`FxpNoisePmf::closed_form`] instead).
+    /// 2^26 evaluations; use [`FxpNoisePmf::closed_form`] instead) or the
+    /// support is too wide ([`check_support`](Self::check_support)).
     pub fn by_enumeration(cfg: FxpLaplaceConfig) -> Result<Self, RngError> {
         if cfg.bu() > 26 {
             return Err(RngError::InvalidConfig(
                 "enumeration is only supported for Bu ≤ 26",
             ));
         }
+        Self::check_support(cfg)?;
         let mut counts = vec![0u64; (cfg.support_max_k() + 1) as usize];
         for m in 1..=cfg.urng_cardinality() {
             let k = cfg.magnitude_index(m);
             counts[k as usize] += 1;
         }
         Ok(Self::from_counts(cfg.bu(), counts))
+    }
+
+    /// Whether `cfg`'s PMF fits in memory: its support, magnitudes
+    /// `0..=support_max_k`, must hold at most [`MAX_PMF_SUPPORT`]
+    /// magnitudes. Every configuration the reproduction ships holds a few
+    /// thousand.
+    ///
+    /// # Errors
+    ///
+    /// [`RngError::InvalidConfig`] above the cap.
+    pub fn check_support(cfg: FxpLaplaceConfig) -> Result<(), RngError> {
+        if cfg.support_max_k().unsigned_abs() >= MAX_PMF_SUPPORT {
+            return Err(RngError::InvalidConfig(
+                "noise support exceeds 2^26 magnitudes: ε too small for the output word",
+            ));
+        }
+        Ok(())
     }
 
     /// Builds a PMF from raw magnitude counts — the generic entry point for

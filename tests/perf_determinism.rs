@@ -120,7 +120,7 @@ fn rr_curve_is_thread_count_invariant() {
 #[test]
 fn cached_pmf_equals_fresh_closed_form() {
     let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0).unwrap();
-    assert_eq!(*cached_pmf(cfg), FxpNoisePmf::closed_form(cfg));
+    assert_eq!(*cached_pmf(cfg).unwrap(), FxpNoisePmf::closed_form(cfg));
 }
 
 #[test]
