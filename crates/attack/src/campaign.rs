@@ -21,22 +21,9 @@ pub const ATTACK_SEED_ENV: &str = "ULP_ATTACK_SEED";
 ///
 /// [`ulp_obs::EnvError`] for a set-but-malformed value.
 pub fn attack_seed_from_env() -> Result<Option<u64>, ulp_obs::EnvError> {
-    match std::env::var(ATTACK_SEED_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(os)) => Err(ulp_obs::EnvError {
-            var: ATTACK_SEED_ENV,
-            value: os.to_string_lossy().into_owned(),
-            expected: "an unsigned 64-bit integer",
-        }),
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(seed) => Ok(Some(seed)),
-            Err(_) => Err(ulp_obs::EnvError {
-                var: ATTACK_SEED_ENV,
-                value: v,
-                expected: "an unsigned 64-bit integer",
-            }),
-        },
-    }
+    ulp_obs::parse_env(ATTACK_SEED_ENV, "an unsigned 64-bit integer", |s| {
+        s.parse().ok()
+    })
 }
 
 /// How a cell's realized loss relates to its claimed bound.

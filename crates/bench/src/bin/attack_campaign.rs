@@ -624,24 +624,9 @@ fn main() {
     }
 
     // Strict env contract: malformed values exit 2 naming the variable.
-    let attack_seed = match attack_seed_from_env() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("attack_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
-    let threads = match ulp_par::try_threads() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("attack_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = SamplerPath::from_env() {
-        eprintln!("attack_campaign: {e}");
-        std::process::exit(2);
-    }
+    let attack_seed = ldp_bench::require_env("attack_campaign", attack_seed_from_env());
+    let threads = ldp_bench::require_env("attack_campaign", ulp_par::try_threads());
+    ldp_bench::require_env("attack_campaign", SamplerPath::from_env());
 
     let seed = attack_seed.or(seed).unwrap_or(ldp_bench::SEED);
     let trials = trials.unwrap_or(if smoke { 4_000 } else { 200_000 });

@@ -32,8 +32,6 @@
 //!
 //! * `--smoke` — tiny populations (CI-friendly, seconds not minutes);
 //! * `--out <path>` — where to write the JSON report;
-//! * `--compare <baseline.json>` — exit non-zero if any cell present in
-//!   both reports lost more than 25% of its reports/sec;
 //! * `--metrics` — embed the process-wide [`ulp_obs`] snapshot in the JSON
 //!   report.
 //!
@@ -296,90 +294,19 @@ fn render_json(
     out
 }
 
-fn extract_num(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// `(name, reports_per_sec, seconds)` for every cell line in a v1–v4
-/// report (all carry the three keys in each cell object).
-fn parse_baseline(text: &str) -> Vec<(String, f64, f64)> {
-    text.lines()
-        .filter(|l| l.trim_start().starts_with("{\"name\":"))
-        .filter_map(|l| {
-            Some((
-                extract_str(l, "\"name\": \"")?,
-                extract_num(l, "\"reports_per_sec\": ")?,
-                extract_num(l, "\"seconds\": ")?,
-            ))
-        })
-        .collect()
-}
-
-/// Prints the per-cell throughput deltas and returns `true` if any cell
-/// present in both reports lost more than 25% of its reports/sec.
-fn compare_against(baseline_path: &str, cells: &[Cell]) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path:?}: {e}"));
-    let baseline = parse_baseline(&text);
-    assert!(
-        !baseline.is_empty(),
-        "baseline {baseline_path:?} contains no cells"
-    );
-    eprintln!("compare vs {baseline_path}:");
-    // Sub-50ms cells are timer/jitter noise, not throughput signal; report
-    // them but keep them out of the pass/fail decision.
-    const GATE_FLOOR_SECS: f64 = 0.05;
-    let mut regressed = false;
-    for c in cells {
-        let Some((_, old, old_secs)) = baseline.iter().find(|(n, _, _)| *n == c.name) else {
-            eprintln!("  {:<10} (not in baseline)", c.name);
-            continue;
-        };
-        let new = c.reports_per_sec();
-        let ratio = new / old.max(1e-9);
-        let gated = c.seconds >= GATE_FLOOR_SECS && *old_secs >= GATE_FLOOR_SECS;
-        let flag = if !gated {
-            "  (below timing floor, not gated)"
-        } else if ratio < 0.75 {
-            regressed = true;
-            "  REGRESSION (>25%)"
-        } else {
-            ""
-        };
-        eprintln!(
-            "  {:<10} {old:>10.1} -> {new:>10.1} rep/s  ({:+.1}%){flag}",
-            c.name,
-            (ratio - 1.0) * 100.0,
-        );
-    }
-    regressed
-}
-
 fn main() {
     let mut smoke = false;
     let mut metrics = false;
     let mut out_path = String::from("BENCH_fleet.json");
-    let mut compare_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--compare" => compare_path = Some(args.next().expect("--compare needs a path")),
-            other => panic!(
-                "unknown flag {other:?} (expected --smoke, --metrics, --out <path>, \
-                 or --compare <baseline.json>)"
-            ),
+            other => {
+                panic!("unknown flag {other:?} (expected --smoke, --metrics, or --out <path>)")
+            }
         }
     }
 
@@ -470,11 +397,4 @@ fn main() {
     let json = render_json(threads, smoke, &cells, target, metrics_report.as_deref());
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
     eprintln!("wrote {out_path}");
-
-    if let Some(path) = compare_path {
-        if compare_against(&path, &cells) {
-            eprintln!("bench_fleet: throughput regression detected");
-            std::process::exit(1);
-        }
-    }
 }

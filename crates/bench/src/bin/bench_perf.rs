@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use ldp_bench::Artifact;
 use ldp_core::SamplerPath;
-use ulp_obs::{Fnv64, MetricsLevel};
+use ulp_obs::Fnv64;
 
 struct Timed {
     name: &'static str,
@@ -212,36 +212,14 @@ fn main() {
 
     // Validate every ULP_* knob up front: a typo exits with a clear message
     // naming the variable instead of silently selecting a default.
-    let level = match MetricsLevel::from_env() {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bench_perf: {e}");
-            std::process::exit(2);
-        }
-    };
     // `--metrics` with no explicit ULP_METRICS raises the level to `full`
     // so the embedded snapshot actually contains data.
-    let level = if metrics && std::env::var_os(ulp_obs::METRICS_ENV).is_none() {
-        MetricsLevel::Full
-    } else {
-        level
-    };
-    ulp_obs::set_level(level);
-    let threads = match ulp_par::try_threads() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_perf: {e}");
-            std::process::exit(2);
-        }
-    };
-    let sampler_path = match SamplerPath::from_env() {
-        Ok(SamplerPath::Reference) => "reference",
-        Ok(SamplerPath::Fast) => "fast",
-        Ok(SamplerPath::Secure) => "secure",
-        Err(e) => {
-            eprintln!("bench_perf: {e}");
-            std::process::exit(2);
-        }
+    let ldp_bench::FleetEnv { level, threads } =
+        ldp_bench::FleetEnv::validate("bench_perf", metrics);
+    let sampler_path = match ldp_bench::require_env("bench_perf", SamplerPath::from_env()) {
+        SamplerPath::Reference => "reference",
+        SamplerPath::Fast => "fast",
+        SamplerPath::Secure => "secure",
     };
     eprintln!(
         "bench_perf: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \

@@ -12,12 +12,13 @@
 //!
 //! 1. Lanes whose last restage tripped their monitor drop.
 //! 2. **Release.** Each active lane noises its sensor value with its
-//!    staged noise index, branch-free: the saturating add, the word and
-//!    window clamps, the overshoot past the range and its segment's charge
-//!    are plain min/max and comparison arithmetic, with no
-//!    data-dependent branch (the noise — Laplace of scale `d · 2^n_m`
-//!    over a `d`-code range — lands on either side of each of those
-//!    comparisons, so a branch on them is unpredictable).
+//!    staged noise index through the shared context's release, the one
+//!    the scalar device runs too: the saturating add, the word and window
+//!    clamps, the overshoot past the range and its segment's charge are
+//!    plain min/max and comparison arithmetic, with no data-dependent
+//!    branch (the noise — Laplace of scale `d · 2^n_m` over a `d`-code
+//!    range — lands on either side of each of those comparisons, so a
+//!    branch on them is unpredictable).
 //! 3. **Restage.** Every lane still active draws its next sample as word
 //!    columns: one sign word, then one magnitude word (two when
 //!    `Bu − 1 > 32`). [`UrngColumns::draw`] screens each column
@@ -25,31 +26,22 @@
 //!    alarms through the scalar monitor, so every alarm is still built by
 //!    [`UrngHealth::observe`](ulp_rng::UrngHealth::observe).
 //!
-//! The noise index of a magnitude word `m` is a pure function of `m` and
-//! the configuration (`DpBox::staged_noise_k`): for `Bu − 1 ≤ 16` it is
-//! read from one memoized table `k[m]` per
+//! Every lane shares one [`NoisingCtx`], built by the constructor the
+//! scalar device builds its own with, after the checks
+//! [`DpBox::boot`](crate::DpBox::boot) runs, in its command order. The
+//! noise index of a magnitude word `m` is a pure function of `m` and that
+//! context: for `Bu − 1 ≤ 16` it is read from one memoized table `k[m]` per
 //! `(Bu − 1, CORDIC iterations, d_raw, n_m, word max)`, built once per
 //! process; wider magnitudes evaluate it per draw. Both go through the one
-//! noise function the scalar device uses.
+//! noise function the scalar device evaluates per draw.
 //!
 //! # Bit-exactness contract
 //!
 //! The batch engine is **not** an approximation of
 //! [`DpBox`](crate::DpBox): every lane reproduces, bit-for-bit, the trace a
 //! scalar `DpBox` produces when booted through the fleet command sequence
-//!
-//! ```text
-//! set_health_config(health)
-//! ResetHealth                      // power-on self-test (startup words)
-//! SetEpsilon(budget_raw)           // initialization overload: budget
-//! StartNoising                     // freeze budget, stage first sample
-//! SetEpsilon(eps_shift)            // per-report ε = 2^-n_m
-//! SetSensorRangeLower(range_lower)
-//! SetSensorRangeUpper(range_upper)
-//! SetThreshold                     // resampling → thresholding
-//! ```
-//!
-//! and then issued one `noise_value(x)` per epoch. Equivalence holds
+//! ([`DpBox::boot`](crate::DpBox::boot)) on the lane's seed and then issued
+//! one `noise_value(x)` per epoch. Equivalence holds
 //! because every URNG word is drawn in the same order through the same
 //! continuous health tests (the power-on self-test runs through the
 //! exact-equivalent lane-parallel
@@ -67,14 +59,15 @@
 //! per output, which breaks lockstep; they stay on the scalar
 //! [`DpBox`](crate::DpBox).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use ldp_core::{LimitMode, QuantizedRange, SegmentTable};
-use ulp_fixed::QFormat;
+use ldp_core::LimitMode;
 use ulp_obs::{full_enabled, Counter, Histogram};
-use ulp_rng::{CordicLn, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthConfig, UrngColumns};
+use ulp_rng::{CordicLn, HealthAlarm, HealthConfig, UrngColumns};
 
-use crate::device::{cordic_neg_ln, noise_magnitude};
+use crate::datapath::{
+    budget_operand, cordic_neg_ln, eps_shift_operand, synthesize, word_operand, NoisingCtx,
+};
 use crate::error::DpBoxError;
 
 /// Batch epochs advanced across all `DeviceArray`s, process-wide
@@ -90,42 +83,10 @@ static ACTIVE_LANES: Histogram = Histogram::new("dpbox.batch.active_lanes", "lan
 /// (2^16 entries · 8 bytes = 512 KiB at the cap).
 const MAX_MEMO_MAG_BITS: u8 = 16;
 
-/// What a noise-index table is a function of:
-/// `(mag_bits, cordic_iterations, d_raw, eps_shift, max_raw)`.
-type NoiseKey = (u8, u8, i64, u32, i64);
-
-/// Process-wide memo of noise-index tables. A linear scan is fine: one
-/// entry per device configuration in play.
-static NOISE_TABLES: Mutex<Vec<(NoiseKey, Arc<[i64]>)>> = Mutex::new(Vec::new());
-
-/// The shared table of [`noise_magnitude`] over every magnitude word
-/// (entry `m − 1` for word `m`), built on first use. The CORDIC and the
-/// noise arithmetic are pure functions of their inputs, so table lookup
-/// and per-draw evaluation are interchangeable bit-for-bit.
-fn noise_table(key: NoiseKey) -> Arc<[i64]> {
-    let mut tables = NOISE_TABLES.lock().expect("noise-table lock");
-    if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(table);
-    }
-    let (mag_bits, iterations, d_raw, eps_shift, max_raw) = key;
-    let cordic = CordicLn::new(iterations);
-    let table: Arc<[i64]> = (1..=1u64 << mag_bits)
-        .map(|m| {
-            noise_magnitude(
-                d_raw,
-                cordic_neg_ln(&cordic, mag_bits, m),
-                eps_shift,
-                max_raw,
-            )
-        })
-        .collect();
-    tables.push((key, Arc::clone(&table)));
-    table
-}
-
 /// Static configuration of a [`DeviceArray`] — the union of the DP-Box
 /// synthesis parameters and the boot-sequence operands every lane is
-/// configured with (see the module docs for the exact command sequence).
+/// configured with (see [`DpBox::boot`](crate::DpBox::boot) for the exact
+/// command sequence).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceArrayConfig {
     /// Datapath word width in bits.
@@ -171,66 +132,6 @@ pub enum LaneOutcome {
     Dropped,
 }
 
-/// How a released output is noised and charged — the derived context
-/// every lane shares.
-#[derive(Debug, Clone)]
-struct Release {
-    min_raw: i64,
-    max_raw: i64,
-    range_min: i64,
-    range_max: i64,
-    /// The thresholding window `[range_min − n_th, range_max + n_th]`.
-    window: (i64, i64),
-    /// The segment table's overshoot thresholds, ascending.
-    thresholds: Vec<i64>,
-    /// The charge of each overshoot class: the in-range base loss, then
-    /// one loss per segment.
-    losses: Vec<f64>,
-}
-
-impl Release {
-    fn new(fmt: QFormat, range: QuantizedRange, table: &SegmentTable) -> Self {
-        let n_th = table.outermost().0;
-        let (thresholds, segment_losses): (Vec<i64>, Vec<f64>) =
-            table.segments().iter().copied().unzip();
-        Release {
-            min_raw: fmt.min_raw(),
-            max_raw: fmt.max_raw(),
-            range_min: range.min_k(),
-            range_max: range.max_k(),
-            window: (range.min_k() - n_th, range.max_k() + n_th),
-            thresholds,
-            losses: [table.base_loss()]
-                .into_iter()
-                .chain(segment_losses)
-                .collect(),
-        }
-    }
-
-    /// The output for sensor value `x` and noise index `k`: the noised
-    /// value saturated to the word, then clamped to the window.
-    #[inline(always)]
-    fn output(&self, x: i64, k: i64) -> i64 {
-        let tmp = x.saturating_add(k).max(self.min_raw).min(self.max_raw);
-        tmp.max(self.window.0).min(self.window.1)
-    }
-
-    /// `SegmentTable::charge_for_overshoot` of output `y`: class 0 in
-    /// range, else one plus the thresholds the overshoot passes, capped at
-    /// the outermost segment.
-    #[inline(always)]
-    fn charge(&self, y: i64) -> f64 {
-        let overshoot = (self.range_min - y).max(0) + (y - self.range_max).max(0);
-        let passed: usize = self
-            .thresholds
-            .iter()
-            .map(|&t| usize::from(overshoot > t))
-            .sum();
-        let class = usize::from(overshoot > 0) * (1 + passed);
-        self.losses[class.min(self.thresholds.len())]
-    }
-}
-
 /// N DP-Box devices in thresholding mode, advanced one epoch at a time.
 ///
 /// Construction boots every lane (power-on self-test + command sequence);
@@ -238,12 +139,9 @@ impl Release {
 /// again, exactly like a scalar device abandoned in [`crate::Phase::HealthFault`].
 #[derive(Debug, Clone)]
 pub struct DeviceArray {
-    // Shared derived context (identical for every lane).
+    /// The noising context every lane shares.
+    ctx: NoisingCtx,
     mag_bits: u8,
-    eps_shift: u32,
-    d_raw: i64,
-    n_th_k: i64,
-    release: Release,
     /// The memoized noise-index table, for `mag_bits ≤ 16`.
     noise: Option<Arc<[i64]>>,
     cordic: CordicLn,
@@ -274,93 +172,40 @@ impl DeviceArray {
     ///
     /// # Errors
     ///
-    /// Configuration errors mirror [`crate::DpBox`]'s validation of the
-    /// same boot sequence ([`DpBoxError::InvalidConfig`] /
-    /// [`DpBoxError::ValueOutOfRange`] / [`DpBoxError::Rng`], including a
-    /// noise support too wide to hold, / solver errors).
-    /// [`DpBoxError::UrngHealthFault`] if a lane's monitor trips while
+    /// Configuration errors are the first one a scalar device returns from
+    /// [`crate::DpBox::boot`] or its first request: the same checks, in the
+    /// same order. [`DpBoxError::UrngHealthFault`] if a lane's monitor trips while
     /// staging its first sample — the scalar boot sequence fails on its
     /// next command there, so the array reports it as a boot failure too,
     /// with the alarm of the lowest such lane.
     pub fn new(cfg: &DeviceArrayConfig, seeds: &[u64]) -> Result<Self, DpBoxError> {
-        // Synthesis-time validation (`DpBox::with_urng`).
-        let fmt = QFormat::new(cfg.word_bits, cfg.frac_bits)
-            .map_err(|_| DpBoxError::InvalidConfig("bad datapath format"))?;
-        if cfg.bu < 3 || cfg.bu > 53 {
-            return Err(DpBoxError::InvalidConfig("Bu must be in 3..=53"));
-        }
-        if cfg.segment_multiples.is_empty()
-            || cfg.segment_multiples.windows(2).any(|w| w[0] >= w[1])
-            || cfg.segment_multiples.iter().any(|&m| m <= 1.0)
-        {
-            return Err(DpBoxError::InvalidConfig(
-                "segment multiples must be ascending and > 1",
-            ));
-        }
-        // Boot-operand validation, in command order.
-        if !fmt.contains_raw(cfg.budget_raw) {
-            return Err(DpBoxError::ValueOutOfRange {
-                value: cfg.budget_raw,
-                bits: cfg.word_bits,
-            });
-        }
-        if cfg.budget_raw <= 0 {
-            return Err(DpBoxError::InvalidConfig("budget must be positive"));
-        }
-        if i64::from(cfg.eps_shift) > i64::from(cfg.word_bits) {
-            return Err(DpBoxError::InvalidConfig("ε shift n_m out of range"));
-        }
-        for value in [cfg.range_lower, cfg.range_upper] {
-            if !fmt.contains_raw(value) {
-                return Err(DpBoxError::ValueOutOfRange {
-                    value,
-                    bits: cfg.word_bits,
-                });
-            }
-        }
-        if cfg.range_lower >= cfg.range_upper {
-            return Err(DpBoxError::InvalidConfig("range lower must be below upper"));
-        }
-        // Derived noising context (`DpBox::rebuild_ctx_if_needed`).
-        let delta = fmt.delta();
-        let d = (cfg.range_upper - cfg.range_lower) as f64 * delta;
-        let lambda = d * 2f64.powi(i32::from(cfg.eps_shift));
-        let lap_cfg = FxpLaplaceConfig::new(cfg.bu - 1, cfg.word_bits, delta, lambda)
-            .map_err(DpBoxError::Rng)?;
-        FxpNoisePmf::check_support(lap_cfg).map_err(DpBoxError::Rng)?;
-        let range = QuantizedRange::new(cfg.range_lower, cfg.range_upper, delta)
-            .map_err(DpBoxError::Privacy)?;
-        let table = ldp_core::segment_table_cached(
-            lap_cfg,
-            range,
+        // `DpBox::boot`'s checks, in command order: synthesis, then each
+        // boot operand, then the noising context of the first request.
+        let fmt = synthesize(cfg.word_bits, cfg.frac_bits, cfg.bu, &cfg.segment_multiples)?;
+        let budget = budget_operand(fmt, cfg.budget_raw)?;
+        let eps_shift = eps_shift_operand(fmt, i64::from(cfg.eps_shift))?;
+        word_operand(fmt, cfg.range_lower)?;
+        word_operand(fmt, cfg.range_upper)?;
+        let ctx = NoisingCtx::new(
+            fmt,
+            cfg.bu,
             &cfg.segment_multiples,
+            eps_shift,
+            cfg.range_lower,
+            cfg.range_upper,
             LimitMode::Thresholding,
-        )
-        .map_err(DpBoxError::Privacy)?;
+        )?;
         let mag_bits = cfg.bu - 1;
-        let budget = cfg.budget_raw as f64 * delta;
-        let d_raw = cfg.range_upper - cfg.range_lower;
-        let eps_shift = u32::from(cfg.eps_shift);
-        let noise = (mag_bits <= MAX_MEMO_MAG_BITS).then(|| {
-            noise_table((
-                mag_bits,
-                cfg.cordic_iterations,
-                d_raw,
-                eps_shift,
-                fmt.max_raw(),
-            ))
-        });
+        let noise =
+            (mag_bits <= MAX_MEMO_MAG_BITS).then(|| ctx.magnitude_table(cfg.cordic_iterations));
 
         // Power-on self-test of every lane in one lane-parallel pass.
         let lanes = seeds.len();
         let positions = u32::try_from(lanes)
             .map_err(|_| DpBoxError::InvalidConfig("at most 2^32 lanes per array"))?;
         let mut arr = DeviceArray {
+            ctx,
             mag_bits,
-            eps_shift,
-            d_raw,
-            n_th_k: table.outermost().0,
-            release: Release::new(fmt, range, &table),
             noise,
             cordic: CordicLn::new(cfg.cordic_iterations),
             urng: UrngColumns::boot(cfg.health, seeds),
@@ -429,12 +274,6 @@ impl DeviceArray {
         self.cache_valid[pos].then(|| self.cache[pos])
     }
 
-    /// The thresholding window bound `n_th` (grid units) every lane runs
-    /// with.
-    pub fn n_th_k(&self) -> i64 {
-        self.n_th_k
-    }
-
     /// Moves the lane at active position `pos` off the common path,
     /// mirroring [`UrngColumns::retire`]'s swap in every position column.
     fn retire(&mut self, pos: usize) {
@@ -486,9 +325,7 @@ impl DeviceArray {
                         ((u64::from(w) << 32) | u64::from(low[i])) >> (64 - mag_bits)
                     } + 1;
                     let neg_ln = cordic_neg_ln(&self.cordic, self.mag_bits, m);
-                    let mag =
-                        noise_magnitude(self.d_raw, neg_ln, self.eps_shift, self.release.max_raw);
-                    *k = if *k == 1 { -mag } else { mag };
+                    *k = self.ctx.noise_k(*k == 1, neg_ln);
                 }
             }
         }
@@ -525,7 +362,7 @@ impl DeviceArray {
         // `tick` cycle 2: budget gate before sample consumption.
         let mut halted = false;
         let n = self.urng.active();
-        let release = &self.release;
+        let release = self.ctx.release();
         for pos in 0..n {
             let lane = self.lane_of[pos] as usize;
             let y = release.output(xs[lane], self.staged_k[pos]);
@@ -563,7 +400,8 @@ impl DeviceArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Command, DpBox, DpBoxConfig, DpBoxError, Phase};
+    use crate::{DpBox, DpBoxError};
+    use ulp_fixed::QFormat;
     use ulp_rng::Taus88;
 
     fn fleet_array_config() -> DeviceArrayConfig {
@@ -581,34 +419,6 @@ mod tests {
         }
     }
 
-    /// A scalar DP-Box booted through the exact command sequence the array
-    /// models, on the same seed.
-    fn scalar_device(cfg: &DeviceArrayConfig, seed: u64) -> Result<DpBox, DpBoxError> {
-        let mut dev = DpBox::with_urng(
-            DpBoxConfig {
-                word_bits: cfg.word_bits,
-                frac_bits: cfg.frac_bits,
-                bu: cfg.bu,
-                cordic_iterations: cfg.cordic_iterations,
-                segment_multiples: cfg.segment_multiples.clone(),
-                seed: 0,
-            },
-            Taus88::from_seed(seed),
-        )?;
-        dev.set_health_config(cfg.health);
-        dev.issue(Command::ResetHealth, 0)?;
-        if dev.phase() == Phase::HealthFault {
-            return Ok(dev); // excluded: caller checks the phase
-        }
-        dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
-        dev.issue(Command::StartNoising, 0)?;
-        dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
-        dev.issue(Command::SetSensorRangeLower, cfg.range_lower)?;
-        dev.issue(Command::SetSensorRangeUpper, cfg.range_upper)?;
-        dev.issue(Command::SetThreshold, 0)?;
-        Ok(dev)
-    }
-
     #[test]
     fn lanes_match_scalar_devices_through_budget_exhaustion() {
         let cfg = fleet_array_config();
@@ -622,15 +432,15 @@ mod tests {
             array.step(&xs, &mut out);
         }
         for (lane, &seed) in seeds.iter().enumerate() {
-            let mut dev = scalar_device(&cfg, seed).unwrap();
+            let dev = DpBox::boot(&cfg, Taus88::from_seed(seed)).unwrap();
             assert_eq!(
-                dev.phase() == Phase::HealthFault,
+                dev.is_none(),
                 array.is_excluded(lane),
                 "lane {lane} exclusion"
             );
-            if array.is_excluded(lane) {
+            let Some(mut dev) = dev else {
                 continue;
-            }
+            };
             let mut array_clone = DeviceArray::new(&cfg, &seeds).unwrap();
             for epoch in 0..12 {
                 array_clone.step(&xs, &mut out);
@@ -724,8 +534,8 @@ mod tests {
         };
         let mut excluded = 0;
         for (lane, &seed) in seeds.iter().enumerate() {
-            let dev = scalar_device(&cfg, seed).unwrap();
-            assert_eq!(dev.phase() == Phase::HealthFault, array.is_excluded(lane));
+            let dev = DpBox::boot(&cfg, Taus88::from_seed(seed)).unwrap();
+            assert_eq!(dev.is_none(), array.is_excluded(lane));
             excluded += usize::from(array.is_excluded(lane));
         }
         assert!(excluded > 0, "α = 3 must exclude some lanes at startup");
@@ -733,44 +543,42 @@ mod tests {
 
     #[test]
     fn config_validation_mirrors_the_scalar_device() {
+        // The first error a scalar device on the same configuration
+        // returns: from `DpBox::boot`, or from its first request, where the
+        // noising context is built (a range-order error and an oversized
+        // noise support surface only there).
+        let scalar_error = |cfg: &DeviceArrayConfig| match DpBox::boot(cfg, Taus88::from_seed(1)) {
+            Err(e) => Some(e),
+            Ok(dev) => dev
+                .expect("seed 1 passes the self-test")
+                .noise_value(100)
+                .err(),
+        };
         let good = fleet_array_config();
         assert!(DeviceArray::new(&good, &[1]).is_ok());
-        for (mutate, what) in [
-            (
-                Box::new(|c: &mut DeviceArrayConfig| c.bu = 2)
-                    as Box<dyn Fn(&mut DeviceArrayConfig)>,
-                "Bu",
-            ),
-            (
-                Box::new(|c: &mut DeviceArrayConfig| c.budget_raw = 0),
-                "budget",
-            ),
-            (
-                Box::new(|c: &mut DeviceArrayConfig| c.segment_multiples = vec![]),
-                "multiples",
-            ),
-            (
-                Box::new(|c: &mut DeviceArrayConfig| c.eps_shift = 21),
-                "shift",
-            ),
-            (
-                Box::new(|c: &mut DeviceArrayConfig| {
-                    c.range_lower = 10;
-                    c.range_upper = 10;
-                }),
-                "range",
-            ),
-            (
-                Box::new(|c: &mut DeviceArrayConfig| c.budget_raw = 1 << 30),
-                "budget word",
-            ),
-        ] {
+        assert_eq!(scalar_error(&good), None);
+        type Mutation = fn(&mut DeviceArrayConfig);
+        let mutations: [(&str, Mutation); 9] = [
+            ("Bu", |c| c.bu = 2),
+            ("budget", |c| c.budget_raw = 0),
+            ("multiples", |c| c.segment_multiples = vec![]),
+            ("shift", |c| c.eps_shift = 21),
+            ("range", |c| (c.range_lower, c.range_upper) = (10, 10)),
+            ("budget word", |c| c.budget_raw = 1 << 30),
+            ("range word", |c| c.range_upper = 1 << 19),
+            ("shift past a narrower word", |c| {
+                (c.word_bits, c.eps_shift) = (12, 13)
+            }),
+            ("noise support", |c| {
+                (c.word_bits, c.eps_shift, c.range_upper) = (40, 40, 1 << 38);
+            }),
+        ];
+        for (what, mutate) in mutations {
             let mut cfg = fleet_array_config();
             mutate(&mut cfg);
-            assert!(
-                DeviceArray::new(&cfg, &[1]).is_err(),
-                "bad {what} must be rejected"
-            );
+            let err = DeviceArray::new(&cfg, &[1]).err();
+            assert!(err.is_some(), "bad {what} must be rejected");
+            assert_eq!(err, scalar_error(&cfg), "bad {what}: the engines disagree");
         }
     }
 
@@ -787,53 +595,57 @@ mod tests {
         };
         let refused = |e| matches!(e, DpBoxError::Rng(ulp_rng::RngError::InvalidConfig(_)));
         assert!(DeviceArray::new(&cfg, &[1]).is_err_and(refused));
-        let mut dev = scalar_device(&cfg, 1).unwrap();
+        let mut dev = DpBox::boot(&cfg, Taus88::from_seed(1)).unwrap().unwrap();
         assert!(dev.noise_value(100).is_err_and(refused));
     }
 
     #[test]
     fn branch_free_release_matches_the_segment_table() {
-        for (eps_shift, multiples) in [(1, vec![1.5, 2.0, 2.5, 3.0]), (0, vec![1.1, 4.0])] {
-            let fmt = QFormat::new(20, 0).unwrap();
-            let lambda = 256.0 * 2f64.powi(eps_shift);
-            let lap_cfg = FxpLaplaceConfig::new(16, 20, 1.0, lambda).unwrap();
-            let range = QuantizedRange::new(0, 256, 1.0).unwrap();
-            let table =
-                ldp_core::segment_table_cached(lap_cfg, range, &multiples, LimitMode::Thresholding)
-                    .unwrap();
-            let release = Release::new(fmt, range, &table);
-            let n_th = table.outermost().0;
-            let (lo, hi) = (-n_th, 256 + n_th);
-            // Every output class, both window edges, and past them.
-            for y in lo - 3..=hi + 3 {
-                let overshoot = if y < 0 {
-                    -y
-                } else if y > 256 {
-                    y - 256
-                } else {
-                    0
-                };
-                assert_eq!(
-                    release.charge(y).to_bits(),
-                    table.charge_for_overshoot(overshoot).to_bits(),
-                    "y = {y}"
-                );
-            }
-            // The window clamp, saturation at the word and of the add.
-            for (x, k) in [
-                (100, 5),
-                (0, -n_th - 9),
-                (256, n_th + 9),
-                (0, i64::MIN),
-                (i64::MAX, 7),
-            ] {
-                let tmp = x.saturating_add(k).clamp(fmt.min_raw(), fmt.max_raw());
-                let y = if (lo..=hi).contains(&tmp) {
-                    tmp
-                } else {
-                    tmp.clamp(lo, hi)
-                };
-                assert_eq!(release.output(x, k), y, "x = {x}, k = {k}");
+        let fmt = QFormat::new(20, 0).unwrap();
+        let configs = [(1, vec![1.5, 2.0, 2.5, 3.0]), (0, vec![1.1, 4.0])];
+        for mode in [LimitMode::Thresholding, LimitMode::Resampling] {
+            for (eps_shift, multiples) in &configs {
+                let ctx = NoisingCtx::new(fmt, 17, multiples, *eps_shift, 0, 256, mode).unwrap();
+                let (release, table) = (ctx.release(), ctx.table());
+                assert_eq!(table.mode(), mode);
+                let n_th = table.outermost().0;
+                let (lo, hi) = (-n_th, 256 + n_th);
+                // Every output class, both window edges, and past them.
+                for y in lo - 3..=hi + 3 {
+                    let overshoot = if y < 0 {
+                        -y
+                    } else if y > 256 {
+                        y - 256
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        release.charge(y).to_bits(),
+                        table.charge_for_overshoot(overshoot).to_bits(),
+                        "{mode:?}, y = {y}"
+                    );
+                }
+                // The window clamp, saturation at the word and of the add,
+                // and the resampling acceptance test.
+                for (x, k) in [
+                    (100, 5),
+                    (0, -n_th - 9),
+                    (256, n_th + 9),
+                    (0, -n_th),
+                    (256, n_th),
+                    (0, i64::MIN),
+                    (i64::MAX, 7),
+                ] {
+                    let tmp = x.saturating_add(k).clamp(fmt.min_raw(), fmt.max_raw());
+                    let in_window = (lo..=hi).contains(&tmp);
+                    let y = if in_window { tmp } else { tmp.clamp(lo, hi) };
+                    assert_eq!(release.output(x, k), y, "{mode:?}, x = {x}, k = {k}");
+                    assert_eq!(
+                        release.in_window(x, k),
+                        in_window,
+                        "{mode:?}, x = {x}, k = {k}"
+                    );
+                }
             }
         }
     }

@@ -12,6 +12,11 @@
 //! One noise sample is precomputed while the device waits (Section IV-C2),
 //! which is what makes 2-cycle noising possible once a request arrives.
 //!
+//! The FSM sequences the datapath the [`DeviceArray`](crate::DeviceArray)
+//! shares: `StartNoising` builds the [`NoisingCtx`], each command checks
+//! its operand as the array does, and the context's release clamps and
+//! charges in both limiting modes. [`DpBox::boot`] is the fleet boot.
+//!
 //! # Modelling notes (deviations documented in DESIGN.md)
 //!
 //! * The paper's Eq. 17 extracts sign and magnitude from a single uniform
@@ -23,17 +28,18 @@
 //!   would be ROM constants synthesized for the supported (ε, range)
 //!   combinations.
 
-use ldp_core::{
-    AuditMismatch, BudgetLedger, CompositionLedger, LimitMode, QuantizedRange, SegmentTable,
-};
+use ldp_core::{AuditMismatch, BudgetLedger, CompositionLedger, LimitMode};
 use ulp_fixed::QFormat;
 use ulp_obs::{Counter, Histogram};
 use ulp_rng::{
-    CordicLn, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthConfig, RandomBits, Taus88,
-    UrngHealth,
+    CordicLn, FxpLaplaceConfig, HealthAlarm, HealthConfig, RandomBits, Taus88, UrngHealth,
 };
 
+use crate::array::DeviceArrayConfig;
 use crate::command::Command;
+use crate::datapath::{
+    budget_operand, cordic_neg_ln, eps_shift_operand, synthesize, word_operand, NoisingCtx,
+};
 use crate::error::DpBoxError;
 use crate::trace::{Trace, TraceEvent};
 
@@ -112,50 +118,12 @@ pub struct DpBoxStats {
     pub health_alarms: u64,
 }
 
-#[derive(Debug, Clone)]
-struct NoisingCtx {
-    lap_cfg: FxpLaplaceConfig,
-    range: QuantizedRange,
-    table: SegmentTable,
-    n_th_k: i64,
-}
-
-/// A staged noise sample: sign and the CORDIC `-ln u` magnitude at
-/// [`LOG_FRAC`] fraction bits.
+/// A staged noise sample: sign and the CORDIC `-ln u` magnitude.
 #[derive(Debug, Clone, Copy)]
 struct StagedSample {
     negative: bool,
-    /// `-ln(u)` as a fixed-point word with `LOG_FRAC` fraction bits.
+    /// `-ln(u)` as a fixed-point word (see [`cordic_neg_ln`]).
     neg_ln_raw: i64,
-}
-
-/// Fraction bits of the CORDIC logarithm output inside the pipeline.
-const LOG_FRAC: u8 = 24;
-
-/// `-ln(m · 2^-mag_bits)` at [`LOG_FRAC`] fraction bits: the CORDIC
-/// logarithm of the uniform a staged magnitude word `m ∈ [1, 2^mag_bits]`
-/// encodes.
-pub(crate) fn cordic_neg_ln(cordic: &CordicLn, mag_bits: u8, m: u64) -> i64 {
-    let in_fmt =
-        QFormat::new((mag_bits + 2).min(63), mag_bits).expect("Bu ≤ 53 keeps the format valid");
-    let u = ulp_fixed::Fx::from_raw(m as i64, in_fmt).expect("m fits the word");
-    let out_fmt = QFormat::new(40, LOG_FRAC).expect("valid log format");
-    -cordic.ln(u, out_fmt).expect("u > 0 by construction").raw()
-}
-
-/// The noise magnitude `|k|`, in grid steps, of a sample with CORDIC
-/// output `neg_ln_raw`: `((d_raw · (−ln u) + ½) >> LOG_FRAC) << n_m`,
-/// saturated to `[0, max_raw]`. The hardware rounder rounds the
-/// `LOG_FRAC`-bit fraction away, then the ε shift applies.
-///
-/// The one copy of the noise arithmetic: [`DpBox`] noises through it per
-/// sample, and [`DeviceArray`](crate::DeviceArray) per sample or through a
-/// memoized table of it.
-pub(crate) fn noise_magnitude(d_raw: i64, neg_ln_raw: i64, eps_shift: u32, max_raw: i64) -> i64 {
-    let prod = i128::from(d_raw) * i128::from(neg_ln_raw);
-    let half = 1i128 << (LOG_FRAC - 1);
-    let mag = ((prod + half) >> LOG_FRAC) << eps_shift;
-    mag.clamp(0, i128::from(max_raw)) as i64
 }
 
 /// The DP-Box hardware module.
@@ -253,19 +221,7 @@ impl<R: RandomBits> DpBox<R> {
     /// [`DpBoxError::InvalidConfig`] for invalid word widths or segment
     /// multiples.
     pub fn with_urng(cfg: DpBoxConfig, urng: R) -> Result<Self, DpBoxError> {
-        let fmt = QFormat::new(cfg.word_bits, cfg.frac_bits)
-            .map_err(|_| DpBoxError::InvalidConfig("bad datapath format"))?;
-        if cfg.bu < 3 || cfg.bu > 53 {
-            return Err(DpBoxError::InvalidConfig("Bu must be in 3..=53"));
-        }
-        if cfg.segment_multiples.is_empty()
-            || cfg.segment_multiples.windows(2).any(|w| w[0] >= w[1])
-            || cfg.segment_multiples.iter().any(|&m| m <= 1.0)
-        {
-            return Err(DpBoxError::InvalidConfig(
-                "segment multiples must be ascending and > 1",
-            ));
-        }
+        let fmt = synthesize(cfg.word_bits, cfg.frac_bits, cfg.bu, &cfg.segment_multiples)?;
         let cordic = CordicLn::new(cfg.cordic_iterations);
         Ok(DpBox {
             fmt,
@@ -297,6 +253,58 @@ impl<R: RandomBits> DpBox<R> {
             accountant: CompositionLedger::new(),
             cfg,
         })
+    }
+
+    /// Boots a device on `urng` through the fleet command sequence, the
+    /// one every [`DeviceArray`](crate::DeviceArray) lane reproduces:
+    ///
+    /// ```text
+    /// set_health_config(health)
+    /// ResetHealth                      // power-on self-test (startup words)
+    /// SetEpsilon(budget_raw)           // initialization overload: budget
+    /// StartNoising                     // freeze budget, stage first sample
+    /// SetEpsilon(eps_shift)            // per-report ε = 2^-n_m
+    /// SetSensorRangeLower(range_lower)
+    /// SetSensorRangeUpper(range_upper)
+    /// SetThreshold                     // resampling → thresholding
+    /// ```
+    ///
+    /// Returns `None` when the power-on self-test excludes the device. The
+    /// noising context is built at the first request, so a range-order or
+    /// noise-support error surfaces from the first [`DpBox::noise_value`].
+    ///
+    /// # Errors
+    ///
+    /// The first command's error, [`DpBoxError::UrngHealthFault`] included
+    /// when the monitor trips while staging the first sample.
+    pub fn boot(cfg: &DeviceArrayConfig, urng: R) -> Result<Option<Self>, DpBoxError> {
+        let mut dev = DpBox::with_urng(
+            DpBoxConfig {
+                word_bits: cfg.word_bits,
+                frac_bits: cfg.frac_bits,
+                bu: cfg.bu,
+                cordic_iterations: cfg.cordic_iterations,
+                segment_multiples: cfg.segment_multiples.clone(),
+                seed: 0, // ignored: the URNG is caller-supplied
+            },
+            urng,
+        )?;
+        dev.set_health_config(cfg.health);
+        dev.issue(Command::ResetHealth, 0)?;
+        if dev.phase == Phase::HealthFault {
+            return Ok(None);
+        }
+        for (cmd, input) in [
+            (Command::SetEpsilon, cfg.budget_raw),
+            (Command::StartNoising, 0),
+            (Command::SetEpsilon, i64::from(cfg.eps_shift)),
+            (Command::SetSensorRangeLower, cfg.range_lower),
+            (Command::SetSensorRangeUpper, cfg.range_upper),
+            (Command::SetThreshold, 0),
+        ] {
+            dev.issue(cmd, input)?;
+        }
+        Ok(Some(dev))
     }
 
     /// The current FSM phase.
@@ -432,13 +440,13 @@ impl<R: RandomBits> DpBox<R> {
     /// The window threshold (grid units) of the current configuration, if
     /// parameters have been loaded.
     pub fn threshold_k(&self) -> Option<i64> {
-        self.ctx.as_ref().map(|c| c.n_th_k)
+        self.ctx.as_ref().map(NoisingCtx::n_th_k)
     }
 
     /// The fixed-point Laplace RNG configuration the current parameters
     /// induce (for external privacy analysis of this device instance).
     pub fn laplace_config(&self) -> Option<FxpLaplaceConfig> {
-        self.ctx.as_ref().map(|c| c.lap_cfg)
+        self.ctx.as_ref().map(NoisingCtx::laplace_config)
     }
 
     /// Sends one command with its input-port operand.
@@ -476,26 +484,11 @@ impl<R: RandomBits> DpBox<R> {
         result
     }
 
-    fn check_word(&self, input: i64) -> Result<i64, DpBoxError> {
-        if self.fmt.contains_raw(input) {
-            Ok(input)
-        } else {
-            Err(DpBoxError::ValueOutOfRange {
-                value: input,
-                bits: self.cfg.word_bits,
-            })
-        }
-    }
-
     fn issue_init(&mut self, cmd: Command, input: i64) -> Result<(), DpBoxError> {
         match cmd {
             Command::SetEpsilon => {
                 // Initialization overload: budget, in grid units of nats.
-                let raw = self.check_word(input)?;
-                if raw <= 0 {
-                    return Err(DpBoxError::InvalidConfig("budget must be positive"));
-                }
-                self.budget = Some(raw as f64 * self.fmt.delta());
+                self.budget = Some(budget_operand(self.fmt, input)?);
                 Ok(())
             }
             Command::SetSensorRangeUpper => {
@@ -533,24 +526,21 @@ impl<R: RandomBits> DpBox<R> {
     fn issue_waiting(&mut self, cmd: Command, input: i64) -> Result<(), DpBoxError> {
         match cmd {
             Command::SetEpsilon => {
-                if !(0..=(self.cfg.word_bits as i64)).contains(&input) {
-                    return Err(DpBoxError::InvalidConfig("ε shift n_m out of range"));
-                }
-                self.eps_shift = Some(input as u8);
+                self.eps_shift = Some(eps_shift_operand(self.fmt, input)?);
                 self.dirty = true;
                 Ok(())
             }
             Command::SetSensorValue => {
-                self.x_raw = Some(self.check_word(input)?);
+                self.x_raw = Some(word_operand(self.fmt, input)?);
                 Ok(())
             }
             Command::SetSensorRangeUpper => {
-                self.r_u = Some(self.check_word(input)?);
+                self.r_u = Some(word_operand(self.fmt, input)?);
                 self.dirty = true;
                 Ok(())
             }
             Command::SetSensorRangeLower => {
-                self.r_l = Some(self.check_word(input)?);
+                self.r_l = Some(word_operand(self.fmt, input)?);
                 self.dirty = true;
                 Ok(())
             }
@@ -670,30 +660,17 @@ impl<R: RandomBits> DpBox<R> {
         let r_l = self
             .r_l
             .ok_or(DpBoxError::MissingParameters("range lower"))?;
-        if r_l >= r_u {
-            return Err(DpBoxError::InvalidConfig("range lower must be below upper"));
-        }
-        let delta = self.fmt.delta();
-        let d = (r_u - r_l) as f64 * delta;
-        // λ = d / ε = d · 2^n_m (Eq. 16 + 19).
-        let lambda = d * 2f64.powi(eps_shift as i32);
-        let lap_cfg = FxpLaplaceConfig::new(self.cfg.bu - 1, self.cfg.word_bits, delta, lambda)
-            .map_err(DpBoxError::Rng)?;
-        FxpNoisePmf::check_support(lap_cfg).map_err(DpBoxError::Rng)?;
-        let range = QuantizedRange::new(r_l, r_u, delta).map_err(DpBoxError::Privacy)?;
-        // The table is a pure function of (config, range, multiples, mode);
-        // the memoized build makes repeated device construction — e.g. one
-        // DP-Box per fault-campaign trial — O(1) after the first solve.
-        let table =
-            ldp_core::segment_table_cached(lap_cfg, range, &self.cfg.segment_multiples, self.mode)
-                .map_err(DpBoxError::Privacy)?;
-        let n_th_k = table.outermost().0;
-        self.ctx = Some(NoisingCtx {
-            lap_cfg,
-            range,
-            table,
-            n_th_k,
-        });
+        // The segment table is memoized, so repeated device construction —
+        // e.g. one DP-Box per fault-campaign trial — solves it once.
+        self.ctx = Some(NoisingCtx::new(
+            self.fmt,
+            self.cfg.bu,
+            &self.cfg.segment_multiples,
+            eps_shift,
+            r_l,
+            r_u,
+            self.mode,
+        )?);
         self.dirty = false;
         Ok(())
     }
@@ -758,22 +735,6 @@ impl<R: RandomBits> DpBox<R> {
         });
     }
 
-    /// Converts the staged sample to a signed noise index on the datapath
-    /// grid ([`noise_magnitude`] with the sample's sign).
-    fn staged_noise_k(&self, staged: StagedSample) -> i64 {
-        let mag = noise_magnitude(
-            self.r_u.unwrap_or(0) - self.r_l.unwrap_or(0),
-            staged.neg_ln_raw,
-            self.eps_shift.unwrap_or(0) as u32,
-            self.fmt.max_raw(),
-        );
-        if staged.negative {
-            -mag
-        } else {
-            mag
-        }
-    }
-
     /// Advances the clock by one cycle.
     pub fn tick(&mut self) {
         self.cycles += 1;
@@ -799,10 +760,6 @@ impl<R: RandomBits> DpBox<R> {
             return;
         }
         // Cycle 2 onward: noising / resampling.
-        let (range_min, range_max, n_th_k) = {
-            let ctx = self.ctx.as_ref().expect("ctx built at StartNoising");
-            (ctx.range.min_k(), ctx.range.max_k(), ctx.n_th_k)
-        };
         if self.remaining <= 0.0 {
             if let Some(cached) = self.cache {
                 self.finish(cached, true);
@@ -828,35 +785,25 @@ impl<R: RandomBits> DpBox<R> {
             }
         };
         let x = self.x_raw.expect("validated at StartNoising");
-        let k = self.staged_noise_k(staged);
-        let tmp = x
-            .saturating_add(k)
-            .clamp(self.fmt.min_raw(), self.fmt.max_raw());
-        let (lo, hi) = (range_min - n_th_k, range_max + n_th_k);
-        let in_window = tmp >= lo && tmp <= hi;
-        match self.mode {
-            LimitMode::Resampling if !in_window => {
+        let ctx = self.ctx.as_ref().expect("ctx built at StartNoising");
+        let k = ctx.noise_k(staged.negative, staged.neg_ln_raw);
+        let release = ctx.release();
+        // Resampling redraws until the noised value lands in the window;
+        // thresholding clamps it there.
+        let released =
+            (self.mode == LimitMode::Thresholding || release.in_window(x, k)).then(|| {
+                let y = release.output(x, k);
+                (y, release.charge(y))
+            });
+        match released {
+            None => {
                 // Stage a new sample; next tick retries (+1 cycle each).
                 self.stats.resamples += 1;
                 let cycle = self.cycles;
                 self.record(TraceEvent::Resample { cycle });
                 self.stage_sample();
             }
-            _ => {
-                let y = if in_window { tmp } else { tmp.clamp(lo, hi) };
-                let overshoot = if y < range_min {
-                    range_min - y
-                } else if y > range_max {
-                    y - range_max
-                } else {
-                    0
-                };
-                let charge = self
-                    .ctx
-                    .as_ref()
-                    .expect("ctx built at StartNoising")
-                    .table
-                    .charge_for_overshoot(overshoot);
+            Some((y, charge)) => {
                 self.remaining -= charge;
                 self.ledger.record(charge);
                 self.accountant.record(charge);

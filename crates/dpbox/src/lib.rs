@@ -11,6 +11,8 @@
 //!   single-cycle CORDIC logarithm → shift-based `ε = 2^-n_m` scaling
 //!   (Eq. 16–19), resampling/thresholding window enforcement, embedded
 //!   budget control with output caching and timed replenishment;
+//! * [`DeviceArray`] — N devices advanced in lockstep, bit-identical to N
+//!   [`DpBox`]es booted by [`DpBox::boot`], on the same [`NoisingCtx`];
 //! * [`EnergyModel`] — the latency/energy cost model of Sections III-D
 //!   and V, reproducing the paper's 894×/318× energy benefits over
 //!   software noising.
@@ -38,6 +40,7 @@
 
 pub mod array;
 mod command;
+mod datapath;
 mod device;
 mod energy;
 mod error;
@@ -46,11 +49,14 @@ mod vcd;
 
 pub use array::{DeviceArray, DeviceArrayConfig, LaneOutcome};
 pub use command::{Command, DecodeCommandError};
+pub use datapath::NoisingCtx;
 pub use device::{DpBox, DpBoxConfig, DpBoxStats, Phase};
 pub use energy::{EnergyModel, Implementation};
 pub use error::DpBoxError;
 pub use trace::{Trace, TraceEvent};
 pub use vcd::trace_to_vcd;
 // Health-monitoring vocabulary, re-exported so device users can configure
-// the monitor and inspect alarms without depending on `ulp-rng` directly.
+// the monitor and inspect alarms without depending on `ulp-rng` directly,
+// and the datapath format a `NoisingCtx` is built for.
+pub use ulp_fixed::QFormat;
 pub use ulp_rng::{HealthAlarm, HealthConfig, HealthTest, UrngHealth};

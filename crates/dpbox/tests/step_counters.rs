@@ -6,10 +6,7 @@
 //!
 //! The counters are process-global, so this binary holds a single test.
 
-use dp_box::{
-    Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthConfig,
-    LaneOutcome, Phase,
-};
+use dp_box::{DeviceArray, DeviceArrayConfig, DpBox, HealthConfig, LaneOutcome};
 use ulp_obs::{set_level, snapshot, MetricsLevel};
 use ulp_rng::Taus88;
 
@@ -28,34 +25,6 @@ fn counters() -> [u64; 3] {
             .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     })
-}
-
-/// The fleet boot sequence the array models, on one scalar device; `None`
-/// when the power-on self-test excludes it.
-fn scalar_device(cfg: &DeviceArrayConfig, seed: u64) -> Result<Option<DpBox>, DpBoxError> {
-    let mut dev = DpBox::with_urng(
-        DpBoxConfig {
-            word_bits: cfg.word_bits,
-            frac_bits: cfg.frac_bits,
-            bu: cfg.bu,
-            cordic_iterations: cfg.cordic_iterations,
-            segment_multiples: cfg.segment_multiples.clone(),
-            seed: 0,
-        },
-        Taus88::from_seed(seed),
-    )?;
-    dev.set_health_config(cfg.health);
-    dev.issue(Command::ResetHealth, 0)?;
-    if dev.phase() == Phase::HealthFault {
-        return Ok(None);
-    }
-    dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
-    dev.issue(Command::StartNoising, 0)?;
-    dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
-    dev.issue(Command::SetSensorRangeLower, cfg.range_lower)?;
-    dev.issue(Command::SetSensorRangeUpper, cfg.range_upper)?;
-    dev.issue(Command::SetThreshold, 0)?;
-    Ok(Some(dev))
 }
 
 #[test]
@@ -99,7 +68,7 @@ fn array_steps_move_the_counters_as_scalar_devices_do() {
     }
     let mid = counters();
     for (lane, &seed) in seeds.iter().enumerate() {
-        let Some(mut dev) = scalar_device(&cfg, seed).unwrap() else {
+        let Some(mut dev) = DpBox::boot(&cfg, Taus88::from_seed(seed)).unwrap() else {
             continue;
         };
         for _ in 0..epochs {

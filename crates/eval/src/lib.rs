@@ -30,7 +30,6 @@ mod fault_campaign;
 mod frequency;
 mod histogram;
 mod latency;
-mod predict;
 mod report;
 mod rr_eval;
 mod scaling;
@@ -49,7 +48,6 @@ pub use histogram::{
     certified_distinguishing_outputs, distinguishing_bins, sample_histogram, Histogram,
 };
 pub use latency::{latency_row, latency_table, tail_mass_outside, LatencyRow, BASE_CYCLES};
-pub use predict::{noise_sigma, predict_mean_mae, sensors_for_mean_mae};
 pub use report::{fmt_mae, fmt_pct, TextTable};
 pub use rr_eval::{rr_curve, RrPoint};
 pub use scaling::{scaling_curve, ScalingPoint};

@@ -147,12 +147,6 @@ impl Fx {
         self.raw == 0
     }
 
-    /// Whether this value is strictly negative.
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.raw < 0
-    }
-
     /// Re-quantizes into another format.
     ///
     /// Fractional bits are added exactly (left shift) or removed with the

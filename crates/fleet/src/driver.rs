@@ -52,10 +52,7 @@
 use core::fmt;
 use std::sync::Mutex;
 
-use dp_box::{
-    Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthConfig,
-    LaneOutcome, Phase,
-};
+use dp_box::{DeviceArray, DeviceArrayConfig, DpBox, DpBoxError, HealthConfig, LaneOutcome};
 use ldp_core::{BudgetLedger, LdpError, RandomizedResponse};
 use ldp_datasets::DatasetSpec;
 use ldp_eval::GroundTruth;
@@ -744,7 +741,9 @@ struct ChunkRound {
 pub struct FleetDriver {
     cfg: FleetConfig,
     model: NoiseModel,
-    max_code: i64,
+    /// Every device's synthesis parameters and boot operands: the array
+    /// lanes boot with it, and each scalar device through `DpBox::boot`.
+    device: DeviceArrayConfig,
     /// Device-side simulation engine: [`DeviceEngine::Batch`] unless a
     /// differential test selects the reference oracle.
     engine: DeviceEngine,
@@ -815,10 +814,26 @@ impl FleetDriver {
             max_code,
             &cfg.multiples,
         )?;
+        let device = DeviceArrayConfig {
+            word_bits: cfg.word_bits,
+            frac_bits: 0,
+            bu: cfg.bu,
+            cordic_iterations: 24,
+            segment_multiples: cfg.multiples.clone(),
+            // Power-on self-test: a short APT window keeps the startup draw
+            // cheap while the lag-correlation test still catches the wired
+            // fault deterministically.
+            health: HealthConfig::new(40, 64, 4)
+                .map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
+            budget_raw: cfg.budget_raw,
+            eps_shift: cfg.eps_shift,
+            range_lower: 0,
+            range_upper: max_code,
+        };
         Ok(FleetDriver {
             cfg,
             model,
-            max_code,
+            device,
             engine: DeviceEngine::default(),
             ingest_path: IngestPath::default(),
         })
@@ -1202,22 +1217,7 @@ impl FleetDriver {
                         xs.push(codes_k[id as usize]);
                     }
                 }
-                let array_cfg = DeviceArrayConfig {
-                    word_bits: cfg.word_bits,
-                    frac_bits: 0,
-                    bu: cfg.bu,
-                    cordic_iterations: 24,
-                    segment_multiples: cfg.multiples.clone(),
-                    // The same short-window power-on self-test the scalar
-                    // boot configures via `set_health_config`.
-                    health: HealthConfig::new(40, 64, 4)
-                        .map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
-                    budget_raw: cfg.budget_raw,
-                    eps_shift: cfg.eps_shift,
-                    range_lower: 0,
-                    range_upper: self.max_code,
-                };
-                Some(DeviceArray::new(&array_cfg, &seeds)?)
+                Some(DeviceArray::new(&self.device, &seeds)?)
             }
             DeviceEngine::Reference => None,
         };
@@ -1271,36 +1271,7 @@ impl FleetDriver {
                 &[u64::from(id), 0],
             )))
         };
-        let mut dev = DpBox::with_urng(
-            DpBoxConfig {
-                word_bits: cfg.word_bits,
-                frac_bits: 0,
-                bu: cfg.bu,
-                cordic_iterations: 24,
-                segment_multiples: cfg.multiples.clone(),
-                seed: 0, // ignored: the URNG is caller-supplied
-            },
-            urng,
-        )?;
-        // Power-on self-test: a short APT window keeps the startup draw
-        // cheap while the lag-correlation test still catches the wired
-        // fault deterministically.
-        dev.set_health_config(
-            HealthConfig::new(40, 64, 4).map_err(|e| FleetError::Device(DpBoxError::Rng(e)))?,
-        );
-        dev.issue(Command::ResetHealth, 0)?;
-        if dev.phase() == Phase::HealthFault {
-            return Ok(None);
-        }
-        // Initialization phase: budget, then freeze into waiting.
-        dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
-        dev.issue(Command::StartNoising, 0)?;
-        // Waiting phase: per-reading privacy level, range, mode.
-        dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
-        dev.issue(Command::SetSensorRangeLower, 0)?;
-        dev.issue(Command::SetSensorRangeUpper, self.max_code)?;
-        dev.issue(Command::SetThreshold, 0)?; // resampling → thresholding
-        Ok(Some(dev))
+        Ok(DpBox::boot(&self.device, urng)?)
     }
 
     /// Whether `id`'s URNG is wired through the correlated-bits fault — a

@@ -23,10 +23,9 @@
 //! error and, where one is proven, a deterministic bias envelope, so
 //! downstream gates can assert `|estimate − truth| ≤ z·SE + bias_bound`.
 
-use ldp_core::{
-    segment_table_cached, LdpError, LimitMode, QuantizedRange, RandomizedResponse, SegmentTable,
-};
-use ulp_rng::{cached_pmf, FxpLaplaceConfig, FxpNoisePmf};
+use dp_box::{DpBoxError, NoisingCtx, QFormat};
+use ldp_core::{LdpError, LimitMode, RandomizedResponse, SegmentTable};
+use ulp_rng::{cached_pmf, FxpLaplaceConfig, FxpNoisePmf, RngError};
 
 use crate::collector::QueryTotals;
 
@@ -47,27 +46,17 @@ pub struct Estimate {
     pub bias_bound: f64,
 }
 
-/// The collector-side mirror of one device's noising datapath: the exact
-/// noise PMF, the thresholding window, and precomputed tail sums.
-///
-/// Built from the same parameters the [`dp_box::DpBox`] device derives its
-/// context from, so the estimators' corrections are consistent with the
-/// device's own privacy accounting.
+/// The collector-side model of one device's noising datapath: the
+/// device's own [`NoisingCtx`] (built by the constructor the devices use,
+/// so the window and segment table are theirs by construction), its exact
+/// noise PMF, and precomputed tail sums.
 #[derive(Debug, Clone)]
 pub struct NoiseModel {
+    ctx: NoisingCtx,
     pmf: FxpNoisePmf,
-    /// Sampler configuration the PMF and segment table were built from.
-    lap_cfg: FxpLaplaceConfig,
     /// PMF of a zero-threshold DP-Box over a one-step binary grid at the
     /// same ε — the mechanism behind the RR threshold bits.
     rr_pmf: FxpNoisePmf,
-    table: SegmentTable,
-    min_k: i64,
-    max_k: i64,
-    /// Outermost threshold: reports live in `[min_k − n_th, max_k + n_th]`.
-    n_th_k: i64,
-    /// Noise scale λ in codes.
-    lambda: f64,
     /// Unclamped noise variance `E[K²]`, in codes².
     var_k: f64,
     /// Suffix weight sums over magnitudes: `suffix_w[m] = Σ_{mag ≥ m} w(mag)`
@@ -93,17 +82,14 @@ impl NoiseModel {
     /// Builds the noise model for a device configured with URNG width `bu`,
     /// output word width `word_bits`, privacy shift `eps_shift`
     /// (ε = 2^−eps_shift), integer sensor range `[min_k, max_k]` in codes
-    /// (`frac_bits = 0`), and thresholding-mode segment `multiples`.
-    ///
-    /// Mirrors `DpBox::rebuild_ctx_if_needed`: λ = (max_k − min_k)·2^eps_shift,
-    /// the sampler PMF uses `bu − 1` magnitude bits (one URNG bit is the
-    /// sign), and the window bound is the outermost segment threshold.
+    /// (`frac_bits = 0`), and thresholding-mode segment `multiples`, on
+    /// that device's [`NoisingCtx`].
     ///
     /// # Errors
     ///
-    /// [`LdpError::InvalidPrecision`] for `bu = 0` (no sign bit); otherwise
-    /// propagates [`LdpError`] from the range/config validation or the
-    /// threshold solver.
+    /// [`LdpError::InvalidPrecision`] for `bu = 0` (no sign bit),
+    /// [`LdpError::InvalidRange`] for an empty or inverted range, and
+    /// otherwise the sampler's ([`LdpError::Rng`]) or the solver's error.
     pub fn for_device(
         bu: u8,
         word_bits: u8,
@@ -112,20 +98,29 @@ impl NoiseModel {
         max_k: i64,
         multiples: &[f64],
     ) -> Result<NoiseModel, LdpError> {
-        // One URNG bit is the sign; the rest are magnitude bits.
-        let mag_bits = bu
-            .checked_sub(1)
-            .ok_or(LdpError::InvalidPrecision { bu, max: 53 })?;
-        let range = QuantizedRange::new(min_k, max_k, 1.0)?;
-        let lambda = (max_k - min_k) as f64 * 2f64.powi(i32::from(eps_shift));
-        let lap_cfg = FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, lambda)?;
-        let table = segment_table_cached(lap_cfg, range, multiples, LimitMode::Thresholding)?;
-        let n_th_k = table.outermost().0;
+        let fmt = QFormat::new(word_bits, 0)
+            .map_err(|_| LdpError::Rng(RngError::InvalidConfig("bad datapath format")))?;
+        let ctx = NoisingCtx::new(
+            fmt,
+            bu,
+            multiples,
+            eps_shift,
+            min_k,
+            max_k,
+            LimitMode::Thresholding,
+        )
+        .map_err(|e| match e {
+            DpBoxError::Privacy(e) => e,
+            DpBoxError::Rng(e) => LdpError::Rng(e),
+            // The context's one other refusal is an empty or inverted range.
+            _ => LdpError::InvalidRange { min_k, max_k },
+        })?;
+        let lap_cfg = ctx.laplace_config();
         let pmf = (*cached_pmf(lap_cfg)?).clone();
         // The RR bit is what a zero-threshold DP-Box over a one-step binary
         // grid releases: d = 1 grid unit, so λ_rr = 2^eps_shift.
-        let rr_cfg =
-            FxpLaplaceConfig::new(mag_bits, word_bits, 1.0, 2f64.powi(i32::from(eps_shift)))?;
+        let lambda_rr = 2f64.powi(i32::from(eps_shift));
+        let rr_cfg = FxpLaplaceConfig::new(lap_cfg.bu(), word_bits, 1.0, lambda_rr)?;
         let rr_pmf = (*cached_pmf(rr_cfg)?).clone();
 
         let support = pmf.support_max_k();
@@ -145,21 +140,16 @@ impl NoiseModel {
         let var_k = 2.0 * suffix_m2[1] as f64 / total;
 
         // The device rounds the λ/2^eps_shift-scale product *before* the ε
-        // shift (`staged_noise_k`), so its grid is 2^eps_shift codes coarse
+        // shift (`NoisingCtx`'s noise arithmetic), so its grid is 2^eps_shift codes coarse
         // while the PMF models rounding after the full scale: the two
         // disagree by at most 2^(eps_shift−1) + 1/2 codes per draw, plus
         // one code of headroom for the CORDIC log's finite iterations.
         let grid_slack = 2f64.powi(i32::from(eps_shift) - 1) + 1.5;
 
         let mut model = NoiseModel {
+            ctx,
             pmf,
-            lap_cfg,
             rr_pmf,
-            table,
-            min_k,
-            max_k,
-            n_th_k,
-            lambda,
             var_k,
             suffix_w,
             suffix_m1,
@@ -190,31 +180,25 @@ impl NoiseModel {
         &self.pmf
     }
 
-    /// The budget-control segment table (shared with the device context).
+    /// The budget-control segment table (the device context's).
     pub fn table(&self) -> &SegmentTable {
-        &self.table
-    }
-
-    /// The sampler configuration ([`FxpLaplaceConfig`]) the model mirrors,
-    /// for building a device-equivalent sampler on the collector side.
-    pub fn lap_config(&self) -> FxpLaplaceConfig {
-        self.lap_cfg
+        self.ctx.table()
     }
 
     /// Outermost threshold `n_th` in codes: reports are clamped to
     /// `[min_k − n_th, max_k + n_th]`.
     pub fn n_th_k(&self) -> i64 {
-        self.n_th_k
+        self.ctx.n_th_k()
     }
 
     /// Lower edge of the report window, `min_k − n_th`.
     pub fn window_lo(&self) -> i64 {
-        self.min_k - self.n_th_k
+        self.ctx.window().0
     }
 
     /// Upper edge of the report window, `max_k + n_th`.
     pub fn window_hi(&self) -> i64 {
-        self.max_k + self.n_th_k
+        self.ctx.window().1
     }
 
     /// Unclamped noise variance `E[K²]` in codes² (reference value; the
@@ -327,7 +311,8 @@ impl NoiseModel {
             + 6.0 * mean * mean * (t.sum2 as f64 / n)
             - 3.0 * mean.powi(4);
         let var_of_s2 = ((m4 - m2 * m2) / n).max(0.0);
-        let span = (self.max_k - self.min_k) as f64;
+        let range = self.ctx.range();
+        let span = (range.max_k() - range.min_k()) as f64;
         let bias = self.var_envelope
             + span * self.max_clamp_bias
             + self.max_clamp_bias * self.max_clamp_bias
@@ -352,7 +337,7 @@ impl NoiseModel {
     pub fn median(&self, t: &QueryTotals) -> Option<Estimate> {
         let sketch = t.sketch.as_ref()?;
         let med = sketch.quantile(0.5)?;
-        let w = (self.lambda / 8.0).ceil().max(1.0) as i64;
+        let w = (self.ctx.laplace_config().lambda() / 8.0).ceil().max(1.0) as i64;
         let density = sketch.mass_within(med, w) / (2 * w + 1) as f64;
         let n = sketch.total() as f64;
         let stderr = if density > 0.0 {

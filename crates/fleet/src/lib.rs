@@ -82,7 +82,7 @@ pub use service::{
     SERVICE_WINDOW_ENV,
 };
 pub use sketch::GridSketch;
-pub use sweep::{fleet_sweep, render_sweep, FleetSweepRow, GateResult};
+pub use sweep::{render_sweep, FleetSweepRow, GateResult};
 pub use window::{
     window_spans, Rollup, RollupError, RollupOutcome, SealedWindow, Window, WindowPhase,
     WindowStateError,

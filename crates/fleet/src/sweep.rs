@@ -1,8 +1,8 @@
 //! The fleet accuracy sweep: estimates vs ground truth across populations.
 //!
-//! Runs the full simulated fleet at increasing population sizes and lines
-//! each debiased estimate up against the included-population ground truth,
-//! together with its *gate*: the mean, frequency, and count estimators
+//! Lines each debiased estimate of a one-window fleet run up against the
+//! included-population ground truth (`bench_fleet` and `chaos_campaign`
+//! sweep populations and chaos cells this way), together with its *gate*: the mean, frequency, and count estimators
 //! carry analytic standard errors and deterministic bias envelopes, so
 //! `|estimate − truth| ≤ 3·SE + bias_bound` is a checkable soundness claim,
 //! not a vibe. Variance and median are reported for inspection but not
@@ -11,7 +11,7 @@
 
 use ldp_eval::TextTable;
 
-use crate::driver::{FleetConfig, FleetDriver, FleetError, ServiceOutcome};
+use crate::driver::ServiceOutcome;
 use crate::estimator::{Estimate, NoiseModel};
 
 /// One estimator's showing in a sweep row.
@@ -66,9 +66,10 @@ pub struct FleetSweepRow {
 
 impl FleetSweepRow {
     /// Lines a run's rollup estimates up against its included-population
-    /// ground truth — under [`FleetDriver::one_window`], the whole run's
-    /// batch estimates. `None` when the run produced no mean or RR
-    /// frequency (e.g. the entire population excluded).
+    /// ground truth — under
+    /// [`FleetDriver::one_window`](crate::FleetDriver::one_window), the
+    /// whole run's batch estimates. `None` when the run produced no mean or
+    /// RR frequency (e.g. the entire population excluded).
     pub fn from_outcome(out: &ServiceOutcome) -> Option<FleetSweepRow> {
         let mean = out.rollup_mean?;
         let frequency = out.rollup_rr_frequency?;
@@ -94,40 +95,6 @@ impl FleetSweepRow {
             ("count", self.count),
         ]
     }
-
-    /// Whether every gated estimator landed within its bound and the
-    /// ledger audit passed.
-    pub fn all_gates_pass(&self) -> bool {
-        self.gates().iter().all(|(_, g)| g.within_gate) && self.audit_ok
-    }
-}
-
-/// Runs the fleet as one window at each population in `populations`
-/// (sharing every other configuration field of `base`) and compares
-/// estimates to ground truth.
-///
-/// # Errors
-///
-/// [`FleetError`] from driver construction or a run; a fleet whose
-/// estimators return no estimate (e.g. the entire population excluded)
-/// surfaces as [`FleetError::Config`].
-pub fn fleet_sweep(
-    base: &FleetConfig,
-    populations: &[usize],
-) -> Result<Vec<FleetSweepRow>, FleetError> {
-    let mut rows = Vec::with_capacity(populations.len());
-    for &devices in populations {
-        let cfg = FleetConfig {
-            devices,
-            ..base.clone()
-        };
-        let driver = FleetDriver::new(cfg)?;
-        let out = driver.run_service(&driver.one_window())?;
-        rows.push(FleetSweepRow::from_outcome(&out).ok_or(FleetError::Config(
-            "population too small or fully excluded: no estimates",
-        ))?);
-    }
-    Ok(rows)
 }
 
 /// Renders sweep rows as a text table (the `bench_fleet` report body).
@@ -179,18 +146,27 @@ pub fn render_sweep(rows: &[FleetSweepRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{FleetConfig, FleetDriver};
+
+    /// The sweep row of `cfg` run as one window.
+    fn row(cfg: FleetConfig) -> FleetSweepRow {
+        let driver = FleetDriver::new(cfg).unwrap();
+        let out = driver.run_service(&driver.one_window()).unwrap();
+        FleetSweepRow::from_outcome(&out).expect("the run produced estimates")
+    }
 
     #[test]
     fn sweep_gates_pass_at_modest_populations() {
-        let base = FleetConfig {
-            chunk: 256,
-            ..FleetConfig::paper_default(0, 2, 424)
-        };
-        let rows = fleet_sweep(&base, &[500, 2000]).unwrap();
+        let rows = [500, 2000].map(|devices| {
+            row(FleetConfig {
+                chunk: 256,
+                ..FleetConfig::paper_default(devices, 2, 424)
+            })
+        });
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(
-                row.all_gates_pass(),
+                row.gates().iter().all(|(_, g)| g.within_gate) && row.audit_ok,
                 "gates failed at n = {}: mean err {:.3} (bound {:.3}), freq err {:.4} (bound {:.4})",
                 row.devices,
                 row.mean.abs_err,
@@ -205,11 +181,10 @@ mod tests {
 
     #[test]
     fn render_produces_one_block_per_statistic() {
-        let base = FleetConfig {
+        let rows = [row(FleetConfig {
             chunk: 128,
-            ..FleetConfig::paper_default(0, 1, 5)
-        };
-        let rows = fleet_sweep(&base, &[300]).unwrap();
+            ..FleetConfig::paper_default(300, 1, 5)
+        })];
         let table = render_sweep(&rows);
         assert_eq!(table.len(), 5); // mean, frequency, count, variance, median
         let text = table.to_string();

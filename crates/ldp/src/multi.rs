@@ -98,11 +98,6 @@ impl MultiSensorBudget {
         SensorId(self.sensors.len() - 1)
     }
 
-    /// Number of registered sensors.
-    pub fn sensor_count(&self) -> usize {
-        self.sensors.len()
-    }
-
     /// Remaining shared budget.
     pub fn remaining(&self) -> f64 {
         self.remaining

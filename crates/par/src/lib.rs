@@ -63,6 +63,13 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
+/// What `ULP_PAR_THREADS` accepts.
+const THREADS_EXPECTED: &str = "a positive integer (1 = serial)";
+
+fn positive(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
 /// Parses a raw `ULP_PAR_THREADS` value: `None` (unset) selects the
 /// machine default; a positive integer is honored; anything else is a
 /// typed [`EnvError`].
@@ -73,14 +80,11 @@ fn default_threads() -> usize {
 pub fn parse_threads(raw: Option<&str>) -> Result<usize, EnvError> {
     match raw {
         None => Ok(default_threads()),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(EnvError {
-                var: THREADS_ENV,
-                value: v.to_owned(),
-                expected: "a positive integer (1 = serial)",
-            }),
-        },
+        Some(v) => positive(v).ok_or_else(|| EnvError {
+            var: THREADS_ENV,
+            value: v.to_owned(),
+            expected: THREADS_EXPECTED,
+        }),
     }
 }
 
@@ -92,15 +96,8 @@ pub fn parse_threads(raw: Option<&str>) -> Result<usize, EnvError> {
 ///
 /// [`EnvError`] for a set-but-malformed `ULP_PAR_THREADS`.
 pub fn try_threads() -> Result<usize, EnvError> {
-    match std::env::var(THREADS_ENV) {
-        Ok(v) => parse_threads(Some(&v)),
-        Err(std::env::VarError::NotPresent) => parse_threads(None),
-        Err(std::env::VarError::NotUnicode(os)) => Err(EnvError {
-            var: THREADS_ENV,
-            value: os.to_string_lossy().into_owned(),
-            expected: "a positive integer (1 = serial)",
-        }),
-    }
+    let threads = ulp_obs::parse_env(THREADS_ENV, THREADS_EXPECTED, positive)?;
+    Ok(threads.unwrap_or_else(default_threads))
 }
 
 /// The worker count used by [`par_map`] / [`par_for_each`]: the

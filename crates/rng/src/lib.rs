@@ -52,7 +52,6 @@ mod alias;
 mod cache;
 mod columns;
 mod cordic;
-mod cordic_exp;
 mod discrete;
 mod eq17;
 mod error;
@@ -75,7 +74,6 @@ pub use cache::{
 };
 pub use columns::UrngColumns;
 pub use cordic::CordicLn;
-pub use cordic_exp::CordicExp;
 pub use discrete::DiscreteLaplace;
 pub use eq17::Eq17Laplace;
 pub use error::RngError;

@@ -8,43 +8,9 @@
 
 use proptest::prelude::*;
 use ulp_ldp::dpbox::{
-    Command, DeviceArray, DeviceArrayConfig, DpBox, DpBoxConfig, DpBoxError, HealthAlarm,
-    HealthConfig, HealthTest, LaneOutcome, Phase,
+    DeviceArray, DeviceArrayConfig, DpBox, HealthAlarm, HealthConfig, HealthTest, LaneOutcome,
 };
 use ulp_ldp::rng::Taus88;
-
-/// Boots a scalar DP-Box through the exact command sequence the array
-/// models (the fleet driver's boot sequence), on the same seed.
-///
-/// Returns the device still in `HealthFault` phase when the power-on
-/// self-test trips (the caller checks the phase — the fleet excludes such
-/// devices), and an error when a later boot command fails (the array
-/// reports the same as a construction error).
-fn scalar_device(cfg: &DeviceArrayConfig, seed: u64) -> Result<DpBox, DpBoxError> {
-    let mut dev = DpBox::with_urng(
-        DpBoxConfig {
-            word_bits: cfg.word_bits,
-            frac_bits: cfg.frac_bits,
-            bu: cfg.bu,
-            cordic_iterations: cfg.cordic_iterations,
-            segment_multiples: cfg.segment_multiples.clone(),
-            seed: 0,
-        },
-        Taus88::from_seed(seed),
-    )?;
-    dev.set_health_config(cfg.health);
-    dev.issue(Command::ResetHealth, 0)?;
-    if dev.phase() == Phase::HealthFault {
-        return Ok(dev);
-    }
-    dev.issue(Command::SetEpsilon, cfg.budget_raw)?;
-    dev.issue(Command::StartNoising, 0)?;
-    dev.issue(Command::SetEpsilon, i64::from(cfg.eps_shift))?;
-    dev.issue(Command::SetSensorRangeLower, cfg.range_lower)?;
-    dev.issue(Command::SetSensorRangeUpper, cfg.range_upper)?;
-    dev.issue(Command::SetThreshold, 0)?;
-    Ok(dev)
-}
 
 /// Randomized array configurations around the fleet operating point:
 /// small budgets so exhaustion lands mid-run, and health monitors from
@@ -86,10 +52,11 @@ const MAX_LANES: usize = 2 * 64 + 1;
 /// `schedule` (each epoch's sensor codes, cycled over the lanes) and
 /// asserts, every lane and every epoch, that the array's outcome equals
 /// the scalar device's, the remaining budget is bit-identical, exclusion
-/// matches the scalar `HealthFault` phase, and once either side stops
-/// reporting the other has stopped too. A boot failure must be the scalar
-/// boot's failure at the first failing lane. Returns each lane's latched
-/// alarm, scalar and array alike.
+/// matches the scalar self-test's (`DpBox::boot` returns `None`), and once
+/// either side stops reporting the other has stopped too. A boot failure
+/// must be the scalar boot's failure at the first failing lane. Returns
+/// each lane's latched alarm, scalar and array alike (`None` for an
+/// excluded lane, which never reported).
 fn check_lockstep(
     cfg: &DeviceArrayConfig,
     seeds: &[u64],
@@ -101,7 +68,9 @@ fn check_lockstep(
             // A lane's monitor tripped while staging its first sample: the
             // scalar boot sequence must fail the same way on the first
             // such seed (lanes boot in index order).
-            let scalar_err = seeds.iter().find_map(|&s| scalar_device(cfg, s).err());
+            let scalar_err = seeds
+                .iter()
+                .find_map(|&s| DpBox::boot(cfg, Taus88::from_seed(s)).err());
             prop_assert_eq!(
                 format!("{e}"),
                 format!("{}", scalar_err.expect("a scalar boot fails too"))
@@ -112,9 +81,9 @@ fn check_lockstep(
 
     let mut devices = Vec::with_capacity(seeds.len());
     for (lane, &seed) in seeds.iter().enumerate() {
-        let dev = scalar_device(cfg, seed).unwrap();
+        let dev = DpBox::boot(cfg, Taus88::from_seed(seed)).unwrap();
         prop_assert_eq!(
-            dev.phase() == Phase::HealthFault,
+            dev.is_none(),
             array.is_excluded(lane),
             "lane {} exclusion parity",
             lane
@@ -132,6 +101,7 @@ fn check_lockstep(
                 prop_assert_eq!(out[lane], LaneOutcome::Dropped, "excluded lane {}", lane);
                 continue;
             }
+            let dev = dev.as_mut().expect("exclusion parity holds at boot");
             match dev.noise_value(xs[lane]) {
                 Ok((y, _)) => {
                     let ok = matches!(
@@ -176,7 +146,10 @@ fn check_lockstep(
             }
         }
     }
-    Ok(devices.iter().map(DpBox::health_alarm).collect())
+    Ok(devices
+        .iter()
+        .map(|dev| dev.as_ref().and_then(DpBox::health_alarm))
+        .collect())
 }
 
 proptest! {
