@@ -33,9 +33,9 @@
 //! is `ULP_ATTACK_SEED` (strict-parsed: a malformed value exits 2 naming
 //! the variable, never a silent default).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use ldp_bench::json::{Json, Obj};
 use ldp_core::{
     conditional, exact_threshold, refine_threshold, resampling_threshold, thresholding_threshold,
     FxpBaseline, IdealLaplaceMechanism, LdpError, LimitMode, Mechanism, PrivacyLoss,
@@ -523,6 +523,39 @@ fn run_cell(idx: u64, trials: u64, seed: u64) -> CellReport {
     }
 }
 
+fn cell_json(c: &CellReport) -> Json {
+    let realized = match c.verdict {
+        CellVerdict::Certified { realized, .. } | CellVerdict::Violated { realized, .. } => {
+            Json::Fixed(realized, 9)
+        }
+        CellVerdict::Broken => "infinite".into(),
+    };
+    let attack = c.outcome.map(|o| {
+        Obj::new()
+            .with("trials_per_side", o.trials_per_side)
+            .with("hits_x1", o.hits_x1)
+            .with("hits_x2", o.hits_x2)
+            .with("advantage", Json::Fixed(o.advantage, 9))
+            .with("sigma_null", Json::Fixed(o.sigma_null, 9))
+            .with("flagged", o.flagged)
+    });
+    Obj::new()
+        .with("name", c.name)
+        .with("mechanism", c.mechanism)
+        .with("path", c.path)
+        .with("claimed_eps_nats", c.claimed.map(|v| Json::Fixed(v, 6)))
+        .with("realized_loss_nats", realized)
+        .with("verdict", c.verdict_tag())
+        .with("exact_advantage", Json::Sci(c.exact_advantage, 6))
+        .with("n_th_k", c.n_th_k)
+        .with("refine_start", c.refine_start)
+        .with("refine_steps", c.refine_steps)
+        .with("attack", attack)
+        .with("refused", c.refused.as_deref())
+        .with("seconds", Json::Fixed(c.seconds, 3))
+        .into()
+}
+
 fn render_json(
     threads: usize,
     smoke: bool,
@@ -538,61 +571,18 @@ fn render_json(
         .iter()
         .filter(|c| c.path == "secure" && c.refused.is_none())
         .all(|c| c.verdict.is_certified());
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/attack_campaign/v1\",").unwrap();
-    writeln!(out, "  \"threads\": {threads},").unwrap();
-    writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"seed\": {seed},").unwrap();
-    writeln!(out, "  \"trials_per_side\": {trials},").unwrap();
-    writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
-    writeln!(out, "  \"digest\": \"{digest:016x}\",").unwrap();
-    writeln!(out, "  \"any_attack_flagged\": {any_flagged},").unwrap();
-    writeln!(out, "  \"secure_cells_certified\": {secure_certified},").unwrap();
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let claimed = c.claimed.map_or("null".to_string(), |v| format!("{v:.6}"));
-        let realized = match c.verdict {
-            CellVerdict::Certified { realized, .. } | CellVerdict::Violated { realized, .. } => {
-                format!("{realized:.9}")
-            }
-            CellVerdict::Broken => "\"infinite\"".to_string(),
-        };
-        let outcome = match &c.outcome {
-            Some(o) => format!(
-                "{{\"trials_per_side\": {}, \"hits_x1\": {}, \"hits_x2\": {}, \
-                 \"advantage\": {:.9}, \"sigma_null\": {:.9}, \"flagged\": {}}}",
-                o.trials_per_side, o.hits_x1, o.hits_x2, o.advantage, o.sigma_null, o.flagged
-            ),
-            None => "null".to_string(),
-        };
-        let refused = match &c.refused {
-            Some(msg) => format!("\"{}\"", msg.replace('"', "'")),
-            None => "null".to_string(),
-        };
-        let opt_i64 = |v: Option<i64>| v.map_or("null".to_string(), |x| x.to_string());
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"mechanism\": \"{}\", \"path\": \"{}\", \
-             \"claimed_eps_nats\": {claimed}, \"realized_loss_nats\": {realized}, \
-             \"verdict\": \"{}\", \"exact_advantage\": {:.6e}, \
-             \"n_th_k\": {}, \"refine_start\": {}, \"refine_steps\": {}, \
-             \"attack\": {outcome}, \"refused\": {refused}, \"seconds\": {:.3}}}{sep}",
-            c.name,
-            c.mechanism,
-            c.path,
-            c.verdict_tag(),
-            c.exact_advantage,
-            opt_i64(c.n_th_k),
-            opt_i64(c.refine_start),
-            opt_i64(c.refine_steps),
-            c.seconds,
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Obj::new()
+        .with("schema", "ulp-ldp/attack_campaign/v1")
+        .with("threads", threads)
+        .with("smoke", smoke)
+        .with("seed", seed)
+        .with("trials_per_side", trials)
+        .with("total_seconds", Json::Fixed(total, 3))
+        .with("digest", Json::hex(digest))
+        .with("any_attack_flagged", any_flagged)
+        .with("secure_cells_certified", secure_certified)
+        .with("cells", Json::Rows(cells.iter().map(cell_json).collect()))
+        .to_report()
 }
 
 fn main() {

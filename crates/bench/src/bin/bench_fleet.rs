@@ -3,9 +3,9 @@
 //! Sweeps the simulated DP-Box fleet across population sizes (and, at a
 //! fixed population, across collector shard counts), timing the full
 //! pipeline — device simulation, wire encoding, sharded ingest, estimation,
-//! ledger audit — as one-window [`FleetDriver::run_service`] runs, and
-//! writes a machine-readable JSON report (default `BENCH_fleet.json`,
-//! schema `ulp-ldp/bench_fleet/v4`).
+//! ledger audit — as one-window [`ulp_fleet::FleetDriver::run_service`]
+//! runs, and writes a machine-readable JSON report (default
+//! `BENCH_fleet.json`, schema `ulp-ldp/bench_fleet/v4`).
 //!
 //! Each cell records:
 //!
@@ -17,7 +17,7 @@
 //!   frames decoded on the 20-byte grid, and `fleet.decode.fallback_chunks`,
 //!   the corrupt regions handed to the resync scanner (0 on a clean
 //!   stream);
-//! * the [`ServiceOutcome`] determinism digest — rerunning with a
+//! * the [`ulp_fleet::ServiceOutcome`] determinism digest — rerunning with a
 //!   different `ULP_PAR_THREADS` must reproduce every digest bit-for-bit;
 //! * the accuracy gates: mean, RR frequency, and RR count must land within
 //!   `3·SE + bias_bound` of ground truth. A gate failure aborts the run —
@@ -38,20 +38,15 @@
 //! `ULP_*` environment knobs are validated at startup: a set-but-malformed
 //! value exits with status 2 naming the variable — never a silent fallback.
 //!
-//! Throughput is the best of three timed runs at the ambient metrics
-//! level (host noise only ever slows a run down); the phase breakdown
-//! comes from a separate untimed warm-up run at level `full`. All runs
-//! of a cell must produce one digest — instrumentation and repetition
-//! never perturb the pipeline.
+//! Each cell runs through [`ldp_bench::fleet::run_cell`]: a warm-up run
+//! at level `full` gives the phase breakdown, and throughput is the best
+//! of three timed runs at the ambient metrics level (host noise only ever
+//! slows a run down). All runs of a cell must produce one digest —
+//! instrumentation and repetition never perturb the pipeline.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use ulp_fleet::{
-    decode_counter_totals, ingest_phase_totals, render_sweep, sim_phase_ns, FleetConfig,
-    FleetDriver, FleetSweepRow, GateResult, ServiceOutcome,
-};
-use ulp_obs::MetricsLevel;
+use ldp_bench::fleet::{run_cell, Cell};
+use ldp_bench::json::{Json, Obj};
+use ulp_fleet::FleetConfig;
 
 /// The `n1000000` end-to-end throughput from the committed v2 baseline
 /// (`BENCH_fleet.json` before the batch device engine and flat-table
@@ -61,144 +56,44 @@ const V2_BASELINE_RPS: f64 = 683_323.7;
 /// The headline end-to-end throughput goal for the 10⁶-device cell.
 const TARGET_RPS: f64 = 1_000_000.0;
 
-/// Phase attribution for one cell: deltas of the process-wide
-/// `fleet.driver.simulate` / `fleet.collector.*` spans and
-/// `fleet.decode.*` counters across the cell's run.
-#[derive(Clone, Copy, Default)]
-struct PhaseDelta {
-    sim_s: f64,
-    decode_s: f64,
-    accumulate_s: f64,
-    fold_s: f64,
-    batch_frames: u64,
-    fallback_chunks: u64,
-}
-
-struct Cell {
-    name: String,
-    shards: usize,
-    epochs: u32,
-    seconds: f64,
-    phases: PhaseDelta,
-    outcome: ServiceOutcome,
-    /// The outcome's estimates lined up against ground truth.
-    row: FleetSweepRow,
-}
-
-impl Cell {
-    fn reports_per_sec(&self) -> f64 {
-        self.outcome.stats.accepted as f64 / self.seconds.max(1e-9)
-    }
-
-    /// Reports per second through one phase alone (0 when the phase was
-    /// not timed, i.e. metrics below `full`).
-    fn phase_rps(&self, phase_seconds: f64) -> f64 {
-        if phase_seconds > 0.0 {
-            self.outcome.stats.accepted as f64 / phase_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One one-window driver run bracketed by span/counter snapshots,
-/// returning the phase attribution deltas alongside the outcome.
-fn instrumented_run(name: &str, driver: &FleetDriver) -> (ServiceOutcome, PhaseDelta) {
-    let sim0 = sim_phase_ns();
-    let spans0 = ingest_phase_totals();
-    let counters0 = decode_counter_totals();
-    let outcome = driver
-        .run_service(&driver.one_window())
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let sim1 = sim_phase_ns();
-    let spans1 = ingest_phase_totals();
-    let counters1 = decode_counter_totals();
-    let phases = PhaseDelta {
-        sim_s: (sim1 - sim0) as f64 * 1e-9,
-        decode_s: (spans1.decode_ns - spans0.decode_ns) as f64 * 1e-9,
-        accumulate_s: (spans1.accumulate_ns - spans0.accumulate_ns) as f64 * 1e-9,
-        fold_s: (spans1.fold_ns - spans0.fold_ns) as f64 * 1e-9,
-        batch_frames: counters1.batch_frames - counters0.batch_frames,
-        fallback_chunks: counters1.fallback_chunks - counters0.fallback_chunks,
+/// Reports per second through one phase alone (0 when the phase was not
+/// timed).
+fn phase_rps(c: &Cell, phase_seconds: f64) -> Json {
+    let rps = if phase_seconds > 0.0 {
+        c.outcome.stats.accepted as f64 / phase_seconds
+    } else {
+        0.0
     };
-    (outcome, phases)
+    Json::Fixed(rps, 1)
 }
 
-fn run_cell(name: String, cfg: FleetConfig) -> Cell {
-    let (shards, epochs) = (cfg.shards, cfg.epochs);
-    let driver = FleetDriver::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let one_window = driver.one_window();
-
-    // Phase-attribution pass, first: spans only record at `full`, so the
-    // level is raised for one untimed run. Running it before the timing
-    // pass also serves as warm-up — allocator arenas and page mappings
-    // are hot when the clock starts, so cells are comparable regardless
-    // of sweep order.
-    let ambient = ulp_obs::level();
-    ulp_obs::set_level(MetricsLevel::Full);
-    let (profiled, phases) = instrumented_run(&name, &driver);
-    ulp_obs::set_level(ambient);
-
-    // Timing passes at the ambient metrics level: the throughput figures
-    // reflect the configured operating point, not instrumented overhead.
-    // Best-of-3 — on a shared host, scheduler and frequency noise only
-    // ever slows a run down, so the minimum is the honest estimate.
-    let mut outcome = None;
-    let mut seconds = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let run = driver
-            .run_service(&one_window)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-        // Instrumentation must never perturb the pipeline, and reruns
-        // must be bit-identical.
-        assert_eq!(
-            run.digest(),
-            profiled.digest(),
-            "{name}: outcome digest diverged across repeat runs"
-        );
-        outcome = Some(run);
-    }
-    let outcome = outcome.expect("at least one timing pass");
-    let row = FleetSweepRow::from_outcome(&outcome)
-        .unwrap_or_else(|| panic!("{name}: no mean or RR frequency estimate"));
-    let cell = Cell {
-        name,
-        shards,
-        epochs,
-        seconds,
-        phases,
-        outcome,
-        row,
-    };
-    eprintln!(
-        "  {:<10} {seconds:>8.3}s  {:>9} reports  {:>10.0} rep/s  \
-         (sim {:.3}s, decode {:.3}s, accumulate {:.3}s)  digest {:016x}",
-        cell.name,
-        cell.outcome.stats.accepted,
-        cell.reports_per_sec(),
-        cell.phases.sim_s,
-        cell.phases.decode_s,
-        cell.phases.accumulate_s,
-        cell.outcome.digest(),
-    );
-    assert!(
-        cell.outcome.audit_ok,
-        "{}: fleet privacy ledger failed its audit",
-        cell.name
-    );
-    for (stat, gate) in cell.row.gates() {
-        assert!(
-            gate.within_gate,
-            "{}: {stat} estimate {:.4} vs truth {:.4} exceeds 3*SE + bias = {:.4}",
-            cell.name,
-            gate.estimate.value,
-            gate.truth,
-            3.0 * gate.estimate.stderr + gate.estimate.bias_bound,
-        );
-    }
-    cell
+fn cell_json(c: &Cell) -> Json {
+    let (o, p, g) = (&c.outcome, &c.phases, &c.gates);
+    Obj::new()
+        .with("name", c.name.as_str())
+        .with("devices", o.devices_simulated)
+        .with("shards", c.cfg.shards)
+        .with("epochs", c.cfg.epochs)
+        .with("seconds", Json::Fixed(c.seconds, 3))
+        .with("reports", o.stats.accepted)
+        .with("rejected", o.stats.rejected)
+        .with("excluded", o.devices_excluded)
+        .with("reports_per_sec", Json::Fixed(c.reports_per_sec(), 1))
+        .with("sim_seconds", Json::Fixed(p.sim_s, 6))
+        .with("decode_seconds", Json::Fixed(p.decode_s, 6))
+        .with("accumulate_seconds", Json::Fixed(p.accumulate_s, 6))
+        .with("fold_seconds", Json::Fixed(p.fold_s, 6))
+        .with("sim_reports_per_sec", phase_rps(c, p.sim_s))
+        .with("decode_reports_per_sec", phase_rps(c, p.decode_s))
+        .with("accumulate_reports_per_sec", phase_rps(c, p.accumulate_s))
+        .with("batch_frames", p.batch_frames)
+        .with("fallback_chunks", p.fallback_chunks)
+        .with("digest", Json::hex(o.digest()))
+        .with("audit_ok", o.audit_ok)
+        .with("mean", g.mean.to_json(false))
+        .with("frequency", g.frequency.to_json(false))
+        .with("count", g.count.to_json(false))
+        .into()
 }
 
 fn render_json(
@@ -206,92 +101,34 @@ fn render_json(
     smoke: bool,
     cells: &[Cell],
     target: Option<&Cell>,
-    metrics: Option<&str>,
+    metrics: Option<String>,
 ) -> String {
     let total: f64 = cells.iter().map(|c| c.seconds).sum();
     let total_reports: u64 = cells.iter().map(|c| c.outcome.stats.accepted).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/bench_fleet/v4\",").unwrap();
-    writeln!(out, "  \"threads\": {threads},").unwrap();
-    writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
-    writeln!(out, "  \"total_reports\": {total_reports},").unwrap();
+    let mut doc = Obj::new()
+        .with("schema", "ulp-ldp/bench_fleet/v4")
+        .with("threads", threads)
+        .with("smoke", smoke)
+        .with("total_seconds", Json::Fixed(total, 3))
+        .with("total_reports", total_reports);
     if let Some(c) = target {
         let rps = c.reports_per_sec();
-        writeln!(
-            out,
-            "  \"target\": {{\"cell\": \"{}\", \"reports_per_sec\": {rps:.1}, \
-             \"target_rps\": {TARGET_RPS:.1}, \"v2_baseline_rps\": {V2_BASELINE_RPS:.1}, \
-             \"speedup_vs_v2\": {:.2}, \"met\": {}}},",
-            c.name,
-            rps / V2_BASELINE_RPS,
-            rps >= TARGET_RPS,
-        )
-        .unwrap();
+        doc.push(
+            "target",
+            Obj::new()
+                .with("cell", c.name.as_str())
+                .with("reports_per_sec", Json::Fixed(rps, 1))
+                .with("target_rps", Json::Fixed(TARGET_RPS, 1))
+                .with("v2_baseline_rps", Json::Fixed(V2_BASELINE_RPS, 1))
+                .with("speedup_vs_v2", Json::Fixed(rps / V2_BASELINE_RPS, 2))
+                .with("met", rps >= TARGET_RPS),
+        );
     }
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let gate_json = |g: &GateResult| {
-            format!(
-                "{{\"estimate\": {:.6}, \"truth\": {:.6}, \"abs_err\": {:.6}, \
-                 \"bound\": {:.6}, \"pass\": {}}}",
-                g.estimate.value,
-                g.truth,
-                g.abs_err,
-                3.0 * g.estimate.stderr + g.estimate.bias_bound,
-                g.within_gate,
-            )
-        };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"devices\": {}, \"shards\": {}, \"epochs\": {}, \
-             \"seconds\": {:.3}, \"reports\": {}, \"rejected\": {}, \"excluded\": {}, \
-             \"reports_per_sec\": {:.1}, \
-             \"sim_seconds\": {:.6}, \
-             \"decode_seconds\": {:.6}, \"accumulate_seconds\": {:.6}, \
-             \"fold_seconds\": {:.6}, \"sim_reports_per_sec\": {:.1}, \
-             \"decode_reports_per_sec\": {:.1}, \
-             \"accumulate_reports_per_sec\": {:.1}, \
-             \"batch_frames\": {}, \"fallback_chunks\": {}, \
-             \"digest\": \"{:016x}\", \"audit_ok\": {}, \
-             \"mean\": {}, \"frequency\": {}, \"count\": {}}}{sep}",
-            c.name,
-            c.row.devices,
-            c.shards,
-            c.epochs,
-            c.seconds,
-            c.outcome.stats.accepted,
-            c.outcome.stats.rejected,
-            c.outcome.devices_excluded,
-            c.reports_per_sec(),
-            c.phases.sim_s,
-            c.phases.decode_s,
-            c.phases.accumulate_s,
-            c.phases.fold_s,
-            c.phase_rps(c.phases.sim_s),
-            c.phase_rps(c.phases.decode_s),
-            c.phase_rps(c.phases.accumulate_s),
-            c.phases.batch_frames,
-            c.phases.fallback_chunks,
-            c.outcome.digest(),
-            c.outcome.audit_ok,
-            gate_json(&c.row.mean),
-            gate_json(&c.row.frequency),
-            gate_json(&c.row.count),
-        )
-        .unwrap();
+    doc.push("cells", Json::Rows(cells.iter().map(cell_json).collect()));
+    if let Some(report) = metrics {
+        doc.push("metrics", Json::Raw(report));
     }
-    match metrics {
-        Some(report) => {
-            out.push_str("  ],\n");
-            writeln!(out, "  \"metrics\": {report}").unwrap();
-            out.push_str("}\n");
-        }
-        None => out.push_str("  ]\n}\n"),
-    }
-    out
+    doc.to_report()
 }
 
 fn main() {
@@ -314,8 +151,8 @@ fn main() {
     // naming the variable instead of silently selecting a default.
     // `--metrics` with no explicit ULP_METRICS raises the level to `full`
     // so the embedded snapshot actually contains data. (The per-cell phase
-    // breakdown does not need this: it comes from a dedicated
-    // instrumented re-run per cell, whatever the ambient level.)
+    // breakdown does not need this: it comes from each cell's warm-up
+    // run at `full`, whatever the ambient level.)
     let env = ldp_bench::FleetEnv::validate("bench_fleet", metrics);
     let (threads, level) = (env.threads, env.level);
     eprintln!(
@@ -342,17 +179,19 @@ fn main() {
     let mut cells = Vec::new();
     for &devices in populations {
         cells.push(run_cell(
-            format!("n{devices}"),
+            &format!("n{devices}"),
             FleetConfig::paper_default(devices, 1, ldp_bench::SEED),
+            None,
         ));
     }
     for &shards in shard_counts {
         cells.push(run_cell(
-            format!("shards{shards}"),
+            &format!("shards{shards}"),
             FleetConfig {
                 shards,
                 ..FleetConfig::paper_default(shard_pop, 1, ldp_bench::SEED)
             },
+            None,
         ));
     }
 
@@ -360,17 +199,13 @@ fn main() {
     // the matching population cell) shares one digest.
     let shard_digests: Vec<u64> = cells
         .iter()
-        .filter(|c| c.row.devices == shard_pop)
+        .filter(|c| c.cfg.devices == shard_pop)
         .map(|c| c.outcome.digest())
         .collect();
     assert!(
         shard_digests.windows(2).all(|w| w[0] == w[1]),
         "shard sweep digests diverged: {shard_digests:016x?}"
     );
-
-    eprintln!("\nfleet accuracy vs ground truth:");
-    let rows: Vec<FleetSweepRow> = cells.iter().map(|c| c.row.clone()).collect();
-    eprintln!("{}", render_sweep(&rows));
 
     // Grade the headline cell in full mode (smoke populations are too
     // small to say anything about steady-state throughput).
@@ -389,12 +224,8 @@ fn main() {
         );
     }
 
-    let metrics_report = if metrics {
-        Some(ulp_obs::snapshot().to_json())
-    } else {
-        None
-    };
-    let json = render_json(threads, smoke, &cells, target, metrics_report.as_deref());
+    let metrics_report = metrics.then(|| ulp_obs::snapshot().to_json());
+    let json = render_json(threads, smoke, &cells, target, metrics_report);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
     eprintln!("wrote {out_path}");
 }

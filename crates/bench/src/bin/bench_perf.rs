@@ -27,9 +27,9 @@
 //! exits with status 2 and a message naming the variable — never a silent
 //! fallback.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use ldp_bench::json::{Json, Obj};
 use ldp_bench::Artifact;
 use ldp_core::SamplerPath;
 use ulp_obs::Fnv64;
@@ -66,59 +66,43 @@ fn time_artifact(name: &'static str, f: impl FnOnce() -> Artifact) -> Timed {
     }
 }
 
-fn json_escape_free(name: &str) -> &str {
-    // Artifact names are ASCII identifiers; assert rather than escape.
-    assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-        "artifact name {name:?} needs no escaping by construction"
-    );
-    name
-}
-
 fn render_json(
     threads: usize,
     smoke: bool,
     sampler_path: &str,
     results: &[Timed],
-    metrics: Option<&str>,
+    metrics: Option<String>,
 ) -> String {
     let total: f64 = results.iter().map(|r| r.seconds).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/bench_eval/v1\",").unwrap();
-    writeln!(out, "  \"threads\": {threads},").unwrap();
-    writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"sampler_path\": \"{sampler_path}\",").unwrap();
-    writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
-    out.push_str("  \"artifacts\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"cells\": {}, \
-             \"cells_per_sec\": {:.1}, \"digest\": \"{:016x}\"}}{sep}",
-            json_escape_free(r.name),
-            r.seconds,
-            r.cells,
-            r.cells_per_sec(),
-            r.digest,
-        )
-        .unwrap();
+    let artifacts = results
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .with("name", r.name)
+                .with("seconds", Json::Fixed(r.seconds, 3))
+                .with("cells", r.cells)
+                .with("cells_per_sec", Json::Fixed(r.cells_per_sec(), 1))
+                .with("digest", Json::hex(r.digest))
+                .into()
+        })
+        .collect();
+    let mut doc = Obj::new()
+        .with("schema", "ulp-ldp/bench_eval/v1")
+        .with("threads", threads)
+        .with("smoke", smoke)
+        .with("sampler_path", sampler_path)
+        .with("total_seconds", Json::Fixed(total, 3))
+        .with("artifacts", Json::Rows(artifacts));
+    if let Some(report) = metrics {
+        doc.push("metrics", Json::Raw(report));
     }
-    match metrics {
-        Some(report) => {
-            out.push_str("  ],\n");
-            writeln!(out, "  \"metrics\": {report}").unwrap();
-            out.push_str("}\n");
-        }
-        None => out.push_str("  ]\n}\n"),
-    }
-    out
+    doc.to_report()
 }
 
 /// Extracts `(name, cells_per_sec, seconds)` triples from a previous
-/// report. The format is the one `render_json` writes (one artifact object
-/// per line), so a line-oriented scan is a faithful parser for our own
+/// report. The format is the one `render_json` writes through
+/// [`ldp_bench::json`] (one artifact object per line, names that need no
+/// escaping), so a line-oriented scan is a faithful parser for our own
 /// output; fields from newer schema revisions are simply ignored.
 fn parse_baseline(text: &str) -> Vec<(String, f64, f64)> {
     let mut out = Vec::new();
@@ -274,7 +258,7 @@ fn main() {
     ];
 
     let snapshot = metrics.then(|| ulp_obs::snapshot().to_json());
-    let json = render_json(threads, smoke, sampler_path, &results, snapshot.as_deref());
+    let json = render_json(threads, smoke, sampler_path, &results, snapshot);
     std::fs::write(&out_path, &json).expect("write JSON report");
     let total: f64 = results.iter().map(|r| r.seconds).sum();
     eprintln!("total {total:.3}s -> {out_path}");
@@ -284,6 +268,39 @@ fn main() {
         if compare_against(&path, &results) {
             eprintln!("bench_perf: throughput regression detected");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_baseline_reads_what_render_json_writes() {
+        let results = [
+            Timed {
+                name: "utility_mean",
+                seconds: 0.7034,
+                cells: 28,
+                digest: 0xb8a9_a1eb_4154_9097,
+            },
+            Timed {
+                name: "fault_campaign",
+                seconds: 0.0012,
+                cells: 13,
+                digest: 1,
+            },
+        ];
+        let metrics = r#"{"histograms":[{"name":"h","count":1}],"spans":[]}"#;
+        let report = render_json(4, true, "fast", &results, Some(metrics.into()));
+        let parsed = parse_baseline(&report);
+        assert_eq!(parsed.len(), results.len(), "{report}");
+        for (r, (name, cells_per_sec, seconds)) in results.iter().zip(&parsed) {
+            assert_eq!(name, r.name);
+            let written = |v: f64, digits: usize| format!("{v:.digits$}").parse::<f64>().unwrap();
+            assert_eq!(*cells_per_sec, written(r.cells_per_sec(), 1));
+            assert_eq!(*seconds, written(r.seconds, 3));
         }
     }
 }

@@ -18,8 +18,10 @@
 //!   seals `Degraded{coverage}` instead of panicking, and still produces
 //!   debiased estimates.
 //!
-//! Every cell is one one-window [`FleetDriver::run_service`] run whose
-//! watermark lag covers the transport's retry and delay slack. Results
+//! Every cell is a one-window [`ulp_fleet::FleetDriver::run_service`]
+//! configuration whose watermark lag covers the transport's retry and
+//! delay slack, run through [`ldp_bench::fleet::run_cell`]: a warm-up,
+//! then the best of three timed runs, all four with one digest. Results
 //! land in a machine-readable JSON report (default `BENCH_chaos.json`,
 //! schema `ulp-ldp/chaos_campaign/v2`).
 //!
@@ -35,26 +37,12 @@
 //! The chaos seed comes from `ULP_CHAOS_SEED` (strict-parsed: a malformed
 //! value exits 2 naming the variable, never a silent default).
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use ulp_fleet::{
-    chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, FleetDriver, FleetSweepRow,
-    GateResult, SealStatus, ServiceOutcome,
-};
+use ldp_bench::fleet::{run_cell, Cell};
+use ldp_bench::json::{Json, Obj};
+use ulp_fleet::{chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, SealStatus};
 
 /// Default chaos seed when `ULP_CHAOS_SEED` is unset.
 const DEFAULT_CHAOS_SEED: u64 = 2018;
-
-struct Cell {
-    name: String,
-    rates: [f64; 6],
-    retry_budget: u32,
-    seconds: f64,
-    outcome: ServiceOutcome,
-    /// The outcome's estimates lined up against ground truth.
-    row: FleetSweepRow,
-}
 
 /// Rates in flag order: drop, duplicate, reorder, corrupt, truncate, delay.
 fn chaos_from_rates(seed: u64, rates: [f64; 6]) -> ChaosConfig {
@@ -70,7 +58,10 @@ fn chaos_from_rates(seed: u64, rates: [f64; 6]) -> ChaosConfig {
     }
 }
 
-fn run_cell(
+/// One one-window cell of `base` behind the given transport, with the
+/// campaign's own check: quarantine latches exactly the planted
+/// malformed senders.
+fn chaos_cell(
     name: &str,
     base: &FleetConfig,
     chaos_seed: u64,
@@ -83,65 +74,59 @@ fn run_cell(
         retry_budget,
         ..base.clone()
     };
-    let driver = FleetDriver::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let one_window = driver.one_window();
-    let start = Instant::now();
-    let outcome = driver
-        .run_service(&one_window)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let seconds = start.elapsed().as_secs_f64();
-    let row = FleetSweepRow::from_outcome(&outcome)
-        .unwrap_or_else(|| panic!("{name}: no mean or RR frequency estimate"));
-    let cell = Cell {
-        name: name.to_owned(),
-        rates,
-        retry_budget,
-        seconds,
-        outcome,
-        row,
-    };
-    let o = &cell.outcome;
-    eprintln!(
-        "  {:<12} {seconds:>7.2}s  accepted {:>8}  dup {:>6}  corrupt {:>5}  resync {:>4}  \
-         retries {:>6}  coverage {:.4}  seal {}",
-        cell.name,
-        o.stats.accepted,
-        o.stats.duplicates,
-        o.stats.corrupt_frames,
-        o.stats.resyncs,
-        o.retry_attempts,
-        o.rollup_seal.coverage,
-        match o.rollup_seal.status {
-            SealStatus::Full => "full".to_string(),
-            SealStatus::Degraded { coverage } => format!("degraded({coverage:.3})"),
-        },
-    );
-
-    // Invariants every cell must hold, chaotic or not.
-    assert!(o.audit_ok, "{name}: fleet privacy ledger failed its audit");
-    assert_eq!(
-        o.double_spends, 0,
-        "{name}: retry path recorded a double-spend"
-    );
-    for (stat, gate) in cell.row.gates() {
-        assert!(
-            gate.within_gate,
-            "{name}: {stat} estimate {:.4} vs truth {:.4} exceeds 3*SE + bias = {:.4} \
-             (SE from {} surviving reports)",
-            gate.estimate.value,
-            gate.truth,
-            3.0 * gate.estimate.stderr + gate.estimate.bias_bound,
-            gate.estimate.n,
-        );
-    }
+    let cell = run_cell(name, cfg, None);
     let planted: Vec<u32> = (0..base.malformed_senders)
         .map(|m| (base.devices + m) as u32)
         .collect();
     assert_eq!(
-        o.quarantined, planted,
+        cell.outcome.quarantined, planted,
         "{name}: quarantine must latch exactly the planted malformed senders"
     );
     cell
+}
+
+fn cell_json(c: &Cell) -> Json {
+    let (o, g) = (&c.outcome, &c.gates);
+    // A quiet cell runs no chaos transport: every rate is zero.
+    let quiet = chaos_from_rates(0, [0.0; 6]);
+    let chaos = c.cfg.chaos.as_ref().unwrap_or(&quiet);
+    let rates = Obj::new()
+        .with("drop", Json::Float(chaos.drop.rate))
+        .with("duplicate", Json::Float(chaos.duplicate.rate))
+        .with("reorder", Json::Float(chaos.reorder.rate))
+        .with("corrupt", Json::Float(chaos.corrupt.rate))
+        .with("truncate", Json::Float(chaos.truncate.rate))
+        .with("delay", Json::Float(chaos.delay.rate));
+    let seal = match o.rollup_seal.status {
+        SealStatus::Full => "full",
+        SealStatus::Degraded { .. } => "degraded",
+    };
+    Obj::new()
+        .with("name", c.name.as_str())
+        .with("devices", o.devices_simulated)
+        .with("retry_budget", c.cfg.retry_budget)
+        .with("rates", rates)
+        .with("seconds", Json::Fixed(c.seconds, 3))
+        .with("accepted", o.stats.accepted)
+        .with("rejected", o.stats.rejected)
+        .with("duplicates", o.stats.duplicates)
+        .with("stale", o.stats.stale)
+        .with("corrupt_frames", o.stats.corrupt_frames)
+        .with("resyncs", o.stats.resyncs)
+        .with("quarantine_latched", o.stats.quarantine_latched)
+        .with("quarantine_dropped", o.stats.quarantine_dropped)
+        .with("retry_attempts", o.retry_attempts)
+        .with("reports_unacked", o.reports_unacked)
+        .with("coverage", Json::Fixed(o.rollup_seal.coverage, 6))
+        .with("seal", seal)
+        .with("ledger_digest", Json::hex(o.ledger_digest))
+        .with("double_spends", o.double_spends)
+        .with("audit_ok", o.audit_ok)
+        .with("digest", Json::hex(o.digest()))
+        .with("mean", g.mean.to_json(true))
+        .with("frequency", g.frequency.to_json(true))
+        .with("count", g.count.to_json(true))
+        .into()
 }
 
 fn render_json(
@@ -156,86 +141,17 @@ fn render_json(
         .iter()
         .all(|c| c.outcome.ledger_digest == baseline_digest);
     let zero_double_spends = cells.iter().all(|c| c.outcome.double_spends == 0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/chaos_campaign/v2\",").unwrap();
-    writeln!(out, "  \"threads\": {threads},").unwrap();
-    writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"chaos_seed\": {chaos_seed},").unwrap();
-    writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
-    writeln!(
-        out,
-        "  \"baseline_ledger_digest\": \"{baseline_digest:016x}\","
-    )
-    .unwrap();
-    writeln!(out, "  \"ledger_digests_match_baseline\": {digests_match},").unwrap();
-    writeln!(out, "  \"zero_double_spends\": {zero_double_spends},").unwrap();
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let o = &c.outcome;
-        let gate_json = |g: &GateResult| {
-            format!(
-                "{{\"estimate\": {:.6}, \"truth\": {:.6}, \"abs_err\": {:.6}, \
-                 \"bound\": {:.6}, \"n\": {}, \"pass\": {}}}",
-                g.estimate.value,
-                g.truth,
-                g.abs_err,
-                3.0 * g.estimate.stderr + g.estimate.bias_bound,
-                g.estimate.n,
-                g.within_gate,
-            )
-        };
-        let seal = match o.rollup_seal.status {
-            SealStatus::Full => "\"full\"".to_string(),
-            SealStatus::Degraded { .. } => "\"degraded\"".to_string(),
-        };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"devices\": {}, \"retry_budget\": {}, \
-             \"rates\": {{\"drop\": {}, \"duplicate\": {}, \"reorder\": {}, \"corrupt\": {}, \
-             \"truncate\": {}, \"delay\": {}}}, \
-             \"seconds\": {:.3}, \"accepted\": {}, \"rejected\": {}, \"duplicates\": {}, \
-             \"stale\": {}, \"corrupt_frames\": {}, \"resyncs\": {}, \
-             \"quarantine_latched\": {}, \"quarantine_dropped\": {}, \
-             \"retry_attempts\": {}, \"reports_unacked\": {}, \
-             \"coverage\": {:.6}, \"seal\": {seal}, \
-             \"ledger_digest\": \"{:016x}\", \"double_spends\": {}, \"audit_ok\": {}, \
-             \"digest\": \"{:016x}\", \
-             \"mean\": {}, \"frequency\": {}, \"count\": {}}}{sep}",
-            c.name,
-            o.devices_simulated,
-            c.retry_budget,
-            c.rates[0],
-            c.rates[1],
-            c.rates[2],
-            c.rates[3],
-            c.rates[4],
-            c.rates[5],
-            c.seconds,
-            o.stats.accepted,
-            o.stats.rejected,
-            o.stats.duplicates,
-            o.stats.stale,
-            o.stats.corrupt_frames,
-            o.stats.resyncs,
-            o.stats.quarantine_latched,
-            o.stats.quarantine_dropped,
-            o.retry_attempts,
-            o.reports_unacked,
-            o.rollup_seal.coverage,
-            o.ledger_digest,
-            o.double_spends,
-            o.audit_ok,
-            o.digest(),
-            gate_json(&c.row.mean),
-            gate_json(&c.row.frequency),
-            gate_json(&c.row.count),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Obj::new()
+        .with("schema", "ulp-ldp/chaos_campaign/v2")
+        .with("threads", threads)
+        .with("smoke", smoke)
+        .with("chaos_seed", chaos_seed)
+        .with("total_seconds", Json::Fixed(total, 3))
+        .with("baseline_ledger_digest", Json::hex(baseline_digest))
+        .with("ledger_digests_match_baseline", digests_match)
+        .with("zero_double_spends", zero_double_spends)
+        .with("cells", Json::Rows(cells.iter().map(cell_json).collect()))
+        .to_report()
 }
 
 fn parse_rate(flag: &str, raw: Option<String>) -> f64 {
@@ -319,7 +235,7 @@ fn main() {
     // Every cell shares the population config, so per-device ε-spend must
     // be bitwise identical across the whole sweep — the baseline digest is
     // the reference the replay-safety assertion checks against.
-    let mut cells = vec![run_cell("baseline", &base, chaos_seed, [0.0; 6], 2)];
+    let mut cells = vec![chaos_cell("baseline", &base, chaos_seed, [0.0; 6], 2)];
     let baseline_digest = cells[0].outcome.ledger_digest;
     assert!(
         cells[0].outcome.rollup_seal.is_full(),
@@ -330,7 +246,7 @@ fn main() {
 
     match custom {
         Some(rates) => {
-            cells.push(run_cell("custom", &base, chaos_seed, rates, 2));
+            cells.push(chaos_cell("custom", &base, chaos_seed, rates, 2));
         }
         None => {
             // The acceptance cell (10% drop + 10% duplicate + 5% corrupt),
@@ -348,7 +264,7 @@ fn main() {
                 ("blackout", [0.50, 0.0, 0.0, 0.0, 0.0, 0.0], 0),
             ];
             for &(name, rates, retry_budget) in sweep {
-                cells.push(run_cell(name, &base, chaos_seed, rates, retry_budget));
+                cells.push(chaos_cell(name, &base, chaos_seed, rates, retry_budget));
             }
             let blackout = cells.last().expect("blackout cell");
             assert!(

@@ -23,12 +23,14 @@
 //!   byte the same windows as the roomy run (backpressure never loses an
 //!   admitted report).
 //!
-//! Every cell asserts: per-window and rollup ledger audits pass bitwise,
-//! zero double-spends, and every sealed window's live-snapshot mean and
-//! RR-frequency estimates land within `3·SE + bias_bound` of ground
-//! truth. Timing is best-of-3 with the service outcome digest pinned
-//! across repeats — rerunning with a different `ULP_PAR_THREADS` must
-//! reproduce every digest bit-for-bit.
+//! Every cell runs through [`ldp_bench::fleet::run_cell`], which asserts:
+//! per-window and rollup ledger audits pass bitwise, zero double-spends,
+//! every window sealed, and every sealed window's live-snapshot and the
+//! rollup's mean and RR-frequency estimates within `3·SE + bias_bound` of
+//! ground truth. Timing is a warm-up at `full` (which records the
+//! queue-depth histogram), then the best of 3 with the service outcome
+//! digest pinned across repeats — rerunning with a different
+//! `ULP_PAR_THREADS` must reproduce every digest bit-for-bit.
 //!
 //! Flags: `--smoke` (CI-sized populations), `--out <path>`, `--metrics`
 //! (embed the process-wide [`ulp_obs`] snapshot).
@@ -38,92 +40,12 @@
 //! validated at startup: a set-but-malformed value exits with status 2
 //! naming the variable, never a silent fallback.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use ulp_fleet::{
-    ChaosConfig, FaultClass, FleetConfig, FleetDriver, GateResult, ServiceConfig, ServiceOutcome,
-};
-use ulp_obs::MetricsLevel;
+use ldp_bench::fleet::{run_cell, Cell};
+use ldp_bench::json::{Json, Obj};
+use ulp_fleet::{ChaosConfig, FaultClass, FleetConfig, ServiceConfig};
 
 /// The sustained end-to-end throughput goal for the headline cell.
 const TARGET_RPS: f64 = 1_000_000.0;
-
-/// Frames-per-drain histogram buckets, `(floor, count)` — each drain's
-/// staged depth, i.e. the queue-depth distribution the service ran at.
-type DepthHist = Vec<(u64, u64)>;
-
-struct Cell {
-    name: String,
-    devices: usize,
-    epochs: u32,
-    svc: ServiceConfig,
-    chaotic: bool,
-    seconds: f64,
-    outcome: ServiceOutcome,
-    queue_depths: DepthHist,
-}
-
-impl Cell {
-    fn reports_per_sec(&self) -> f64 {
-        self.outcome.stats.accepted as f64 / self.seconds.max(1e-9)
-    }
-
-    /// Per-window live-snapshot gates: `(window, stat, result)` for the
-    /// mean and RR frequency of every sealed window that has estimates.
-    /// Device values are constant across epochs, so every window shares
-    /// the run's truth. Under a long watermark grace a trailing window's
-    /// arrival interval can hold too few stragglers to estimate (`None`);
-    /// those are skipped here and counted by [`Cell::starved_windows`] —
-    /// fault-free cells assert none exist.
-    fn window_gates(&self) -> Vec<(u32, &'static str, GateResult)> {
-        let o = &self.outcome;
-        let mut gates = Vec::new();
-        for w in &o.snapshot.windows {
-            if let Some(mean) = w.mean {
-                gates.push((w.index, "mean", GateResult::new(mean, o.truth_mean)));
-            }
-            if let Some(freq) = w.rr_frequency {
-                gates.push((
-                    w.index,
-                    "frequency",
-                    GateResult::new(freq, o.truth_fraction),
-                ));
-            }
-        }
-        gates
-    }
-
-    /// Sealed windows whose arrival interval held too few reports to
-    /// serve a mean estimate.
-    fn starved_windows(&self) -> usize {
-        self.outcome
-            .snapshot
-            .windows
-            .iter()
-            .filter(|w| w.mean.is_none())
-            .count()
-    }
-
-    /// Rollup gates — the merged accumulators always carry the whole
-    /// run's counts, so these must exist and pass in every cell.
-    fn rollup_gates(&self) -> Vec<(&'static str, GateResult)> {
-        let o = &self.outcome;
-        vec![
-            (
-                "mean",
-                GateResult::new(o.rollup_mean.expect("rollup mean"), o.truth_mean),
-            ),
-            (
-                "frequency",
-                GateResult::new(
-                    o.rollup_rr_frequency.expect("rollup RR frequency"),
-                    o.truth_fraction,
-                ),
-            ),
-        ]
-    }
-}
 
 fn chaos_config(seed: u64) -> ChaosConfig {
     ChaosConfig {
@@ -137,104 +59,49 @@ fn chaos_config(seed: u64) -> ChaosConfig {
     }
 }
 
-fn run_cell(name: &str, cfg: FleetConfig, svc: ServiceConfig) -> Cell {
-    let (devices, epochs, chaotic) = (cfg.devices, cfg.epochs, cfg.chaos.is_some());
-    let driver = FleetDriver::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-
-    // Instrumented pass first (doubles as warm-up): the drain-size
-    // histogram — the queue-depth distribution — only records at `full`.
-    let ambient = ulp_obs::level();
-    ulp_obs::set_level(MetricsLevel::Full);
-    ulp_obs::reset_all();
-    let profiled = driver
-        .run_service(&svc)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let queue_depths: DepthHist = ulp_obs::snapshot()
-        .histograms
-        .iter()
-        .find(|h| h.name == "fleet.service.drain_frames")
-        .map(|h| h.buckets.iter().map(|b| (b.floor, b.count)).collect())
-        .unwrap_or_default();
-    ulp_obs::set_level(ambient);
-
-    // Best-of-3 timing at the ambient level, every repeat pinned to one
-    // digest — instrumentation and repetition never perturb the service.
-    let mut outcome = None;
-    let mut seconds = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let run = driver
-            .run_service(&svc)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-        assert_eq!(
-            run.digest(),
-            profiled.digest(),
-            "{name}: service outcome digest diverged across repeat runs"
-        );
-        outcome = Some(run);
-    }
-    let cell = Cell {
-        name: name.to_owned(),
-        devices,
-        epochs,
-        svc,
-        chaotic,
-        seconds,
-        outcome: outcome.expect("at least one timing pass"),
-        queue_depths,
-    };
-    let o = &cell.outcome;
+fn cell_json(c: &Cell) -> Json {
+    let o = &c.outcome;
     let seal_ns_max = o.seal_ns.iter().copied().max().unwrap_or(0);
-    eprintln!(
-        "  {:<8} {seconds:>7.3}s  {:>9} reports  {:>10.0} rep/s  {} windows  \
-         busy {:>4}  late {:>5}  max seal {:.3}ms  digest {:016x}",
-        cell.name,
-        o.stats.accepted,
-        cell.reports_per_sec(),
-        o.windows_sealed,
-        o.backpressure_rejections,
-        o.stats.late,
-        seal_ns_max as f64 * 1e-6,
-        o.digest(),
-    );
-
-    // Invariants every cell must hold.
-    assert!(o.audit_ok, "{name}: window/rollup ledger audits failed");
-    assert_eq!(o.double_spends, 0, "{name}: recorded a double-spend");
-    assert_eq!(
-        o.windows_sealed,
-        cell.epochs.div_ceil(cell.svc.window_epochs) as usize,
-        "{name}: every window must seal"
-    );
-    if !cell.chaotic {
-        assert_eq!(
-            cell.starved_windows(),
-            0,
-            "{name}: a fault-free window must serve estimates"
-        );
-    }
-    for (window, stat, gate) in cell.window_gates() {
-        assert!(
-            gate.within_gate,
-            "{name}: window {window} {stat} estimate {:.4} vs truth {:.4} exceeds \
-             3*SE + bias = {:.4}",
-            gate.estimate.value,
-            gate.truth,
-            3.0 * gate.estimate.stderr + gate.estimate.bias_bound,
-        );
-    }
-    for (stat, gate) in cell.rollup_gates() {
-        assert!(
-            gate.within_gate,
-            "{name}: rollup {stat} estimate {:.4} vs truth {:.4} exceeds \
-             3*SE + bias = {:.4}",
-            gate.estimate.value,
-            gate.truth,
-            3.0 * gate.estimate.stderr + gate.estimate.bias_bound,
-        );
-    }
-    cell
+    let seal_ns_mean = if o.seal_ns.is_empty() {
+        0
+    } else {
+        o.seal_ns.iter().sum::<u64>() / o.seal_ns.len() as u64
+    };
+    let depth_hist = c
+        .phases
+        .drain_depths
+        .iter()
+        .map(|&(floor, count)| Json::Arr(vec![floor.into(), count.into()]))
+        .collect();
+    Obj::new()
+        .with("name", c.name.as_str())
+        .with("devices", c.cfg.devices)
+        .with("epochs", c.cfg.epochs)
+        .with("window_epochs", c.svc.window_epochs)
+        .with("queue_frames", c.svc.queue_frames)
+        .with("watermark_lag", c.svc.watermark_lag)
+        .with("chaotic", c.cfg.chaos.is_some())
+        .with("seconds", Json::Fixed(c.seconds, 3))
+        .with("reports", o.stats.accepted)
+        .with("reports_per_sec", Json::Fixed(c.reports_per_sec(), 1))
+        .with("windows_sealed", o.windows_sealed)
+        .with("backpressure_rejections", o.backpressure_rejections)
+        .with("late", o.stats.late)
+        .with("max_drain_frames", o.max_drain_frames)
+        .with("seal_ns_mean", seal_ns_mean)
+        .with("seal_ns_max", seal_ns_max)
+        .with("queue_depth_hist", Json::Arr(depth_hist))
+        .with(
+            "window_digests",
+            Json::Arr(o.window_digests.iter().map(|&d| Json::hex(d)).collect()),
+        )
+        .with("rollup_digest", Json::hex(o.rollup_digest))
+        .with("digest", Json::hex(o.digest()))
+        .with("audit_ok", o.audit_ok)
+        .with("double_spends", o.double_spends)
+        .with("starved_windows", c.gates.starved_windows)
+        .with("snapshot_gates_pass", c.gates.pass())
+        .into()
 }
 
 fn render_json(
@@ -242,94 +109,31 @@ fn render_json(
     smoke: bool,
     cells: &[Cell],
     target: Option<&Cell>,
-    metrics: Option<&str>,
+    metrics: Option<String>,
 ) -> String {
     let total: f64 = cells.iter().map(|c| c.seconds).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"ulp-ldp/fleet_service/v2\",").unwrap();
-    writeln!(out, "  \"threads\": {threads},").unwrap();
-    writeln!(out, "  \"smoke\": {smoke},").unwrap();
-    writeln!(out, "  \"total_seconds\": {total:.3},").unwrap();
+    let mut doc = Obj::new()
+        .with("schema", "ulp-ldp/fleet_service/v2")
+        .with("threads", threads)
+        .with("smoke", smoke)
+        .with("total_seconds", Json::Fixed(total, 3));
     if let Some(c) = target {
         let rps = c.reports_per_sec();
-        writeln!(
-            out,
-            "  \"target\": {{\"cell\": \"{}\", \"reports_per_sec\": {rps:.1}, \
-             \"target_rps\": {TARGET_RPS:.1}, \"windows\": {}, \"met\": {}}},",
-            c.name,
-            c.outcome.windows_sealed,
-            rps >= TARGET_RPS,
-        )
-        .unwrap();
+        doc.push(
+            "target",
+            Obj::new()
+                .with("cell", c.name.as_str())
+                .with("reports_per_sec", Json::Fixed(rps, 1))
+                .with("target_rps", Json::Fixed(TARGET_RPS, 1))
+                .with("windows", c.outcome.windows_sealed)
+                .with("met", rps >= TARGET_RPS),
+        );
     }
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let sep = if i + 1 < cells.len() { "," } else { "" };
-        let o = &c.outcome;
-        let window_digests: Vec<String> = o
-            .window_digests
-            .iter()
-            .map(|d| format!("\"{d:016x}\""))
-            .collect();
-        let depth_hist: Vec<String> = c
-            .queue_depths
-            .iter()
-            .map(|(floor, count)| format!("[{floor},{count}]"))
-            .collect();
-        let seal_ns_max = o.seal_ns.iter().copied().max().unwrap_or(0);
-        let seal_ns_mean = if o.seal_ns.is_empty() {
-            0
-        } else {
-            o.seal_ns.iter().sum::<u64>() / o.seal_ns.len() as u64
-        };
-        let gates_pass = c.window_gates().iter().all(|(_, _, g)| g.within_gate)
-            && c.rollup_gates().iter().all(|(_, g)| g.within_gate);
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"devices\": {}, \"epochs\": {}, \
-             \"window_epochs\": {}, \"queue_frames\": {}, \"watermark_lag\": {}, \
-             \"chaotic\": {}, \"seconds\": {:.3}, \"reports\": {}, \
-             \"reports_per_sec\": {:.1}, \"windows_sealed\": {}, \
-             \"backpressure_rejections\": {}, \"late\": {}, \"max_drain_frames\": {}, \
-             \"seal_ns_mean\": {seal_ns_mean}, \"seal_ns_max\": {seal_ns_max}, \
-             \"queue_depth_hist\": [{}], \
-             \"window_digests\": [{}], \"rollup_digest\": \"{:016x}\", \
-             \"digest\": \"{:016x}\", \"audit_ok\": {}, \"double_spends\": {}, \
-             \"starved_windows\": {}, \"snapshot_gates_pass\": {gates_pass}}}{sep}",
-            c.name,
-            c.devices,
-            c.epochs,
-            c.svc.window_epochs,
-            c.svc.queue_frames,
-            c.svc.watermark_lag,
-            c.chaotic,
-            c.seconds,
-            o.stats.accepted,
-            c.reports_per_sec(),
-            o.windows_sealed,
-            o.backpressure_rejections,
-            o.stats.late,
-            o.max_drain_frames,
-            depth_hist.join(","),
-            window_digests.join(","),
-            o.rollup_digest,
-            o.digest(),
-            o.audit_ok,
-            o.double_spends,
-            c.starved_windows(),
-        )
-        .unwrap();
+    doc.push("cells", Json::Rows(cells.iter().map(cell_json).collect()));
+    if let Some(report) = metrics {
+        doc.push("metrics", Json::Raw(report));
     }
-    match metrics {
-        Some(report) => {
-            out.push_str("  ],\n");
-            writeln!(out, "  \"metrics\": {report}").unwrap();
-            out.push_str("}\n");
-        }
-        None => out.push_str("  ]\n}\n"),
-    }
-    out
+    doc.to_report()
 }
 
 fn main() {
@@ -371,7 +175,7 @@ fn main() {
     cells.push(run_cell(
         "stream",
         FleetConfig::paper_default(devices, epochs, ldp_bench::SEED),
-        headline_svc.clone(),
+        Some(headline_svc.clone()),
     ));
 
     // Chaos cell: the watermark grace covers the full backoff + delay
@@ -384,15 +188,12 @@ fn main() {
     let chaos_cell = run_cell(
         "chaos",
         chaos_fleet,
-        ServiceConfig::new(2, headline_svc.queue_frames).with_watermark_lag(slack),
+        Some(ServiceConfig::new(2, headline_svc.queue_frames).with_watermark_lag(slack)),
     );
     assert_eq!(
         chaos_cell.outcome.stats.late, 0,
         "chaos: the watermark grace must cover the transport slack"
     );
-    // Chaos acts only on delivered bytes: the ε-spend digest matches the
-    // fault-free headline ledger semantics (same audit, zero late).
-    assert!(chaos_cell.outcome.audit_ok);
     cells.push(chaos_cell);
 
     // Squeeze cell: undersized queues on the headline traffic shape. The
@@ -403,12 +204,12 @@ fn main() {
     let roomy = run_cell(
         "roomy",
         FleetConfig::paper_default(squeeze_pop, squeeze_epochs, ldp_bench::SEED),
-        ServiceConfig::new(4, 1 << 20),
+        Some(ServiceConfig::new(4, 1 << 20)),
     );
     let squeeze = run_cell(
         "squeeze",
         FleetConfig::paper_default(squeeze_pop, squeeze_epochs, ldp_bench::SEED),
-        ServiceConfig::new(4, 64),
+        Some(ServiceConfig::new(4, 64)),
     );
     assert!(
         squeeze.outcome.backpressure_rejections > 0,
@@ -436,13 +237,7 @@ fn main() {
     });
 
     let metrics_report = metrics.then(|| ulp_obs::snapshot().to_json());
-    let json = render_json(
-        env.threads,
-        smoke,
-        &cells,
-        target,
-        metrics_report.as_deref(),
-    );
+    let json = render_json(env.threads, smoke, &cells, target, metrics_report);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
     eprintln!("wrote {out_path}");
 }

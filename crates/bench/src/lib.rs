@@ -10,6 +10,8 @@
 #![warn(missing_docs)]
 
 mod env;
+pub mod fleet;
+pub mod json;
 mod render;
 
 pub use env::{require_env, FleetEnv};

@@ -268,12 +268,6 @@ impl DeviceArray {
         self.remaining[self.pos_of[lane] as usize]
     }
 
-    /// The lane's cached (last released) output, if any.
-    pub fn cached_output(&self, lane: usize) -> Option<i64> {
-        let pos = self.pos_of[lane] as usize;
-        self.cache_valid[pos].then(|| self.cache[pos])
-    }
-
     /// Moves the lane at active position `pos` off the common path,
     /// mirroring [`UrngColumns::retire`]'s swap in every position column.
     fn retire(&mut self, pos: usize) {
@@ -501,7 +495,6 @@ mod tests {
                         "cached only after spend-down"
                     );
                     assert_eq!(Some(y), last_fresh_y, "cache replays the last fresh output");
-                    assert_eq!(array.cached_output(0), Some(y));
                 }
                 LaneOutcome::Dropped => panic!("healthy lane must not drop"),
             }

@@ -336,11 +336,6 @@ impl<R: RandomBits> DpBox<R> {
         }
     }
 
-    /// The latest noised value in physical units.
-    pub fn output_value(&self) -> Option<f64> {
-        self.output().map(|raw| raw as f64 * self.fmt.delta())
-    }
-
     /// Remaining privacy budget (infinite if never configured).
     pub fn remaining_budget(&self) -> f64 {
         self.remaining
@@ -1105,14 +1100,6 @@ mod tests {
             dev.accountant().total().to_bits()
         );
         assert!(dev.ledger().total() > 0.0, "charges were made");
-    }
-
-    #[test]
-    fn output_value_converts_units() {
-        let mut dev = configured_box(1);
-        let (raw, _) = dev.noise_value(160).unwrap();
-        let v = dev.output_value().unwrap();
-        assert!((v - raw as f64 / 32.0).abs() < 1e-12);
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl QueryTotals {
 
 /// Per-class tallies of the typed wire errors seen by this collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireErrorTally {
+pub(crate) struct WireErrorTally {
     /// [`WireError::Truncated`] count.
     pub truncated: u64,
     /// [`WireError::BadMagic`] count.
@@ -703,11 +703,6 @@ impl Collector {
         self.rejected
     }
 
-    /// Per-class tallies of every typed wire error seen.
-    pub fn wire_errors(&self) -> WireErrorTally {
-        self.wire_errors
-    }
-
     /// The senders currently latched into quarantine, ascending.
     pub fn quarantined_devices(&self) -> Vec<u32> {
         let mut out: Vec<u32> = self
@@ -733,12 +728,6 @@ impl Collector {
     fn route(&self, device: u32) -> (usize, u32) {
         let row = device / self.shards;
         ((device - row * self.shards) as usize, row)
-    }
-
-    /// The first wire error seen (kept for diagnostics; `None` if every
-    /// rejection was a query/kind mismatch rather than a decode failure).
-    pub fn first_error(&self) -> Option<WireError> {
-        self.first_error
     }
 
     fn query_index(&self, report: &Report) -> Option<usize> {
@@ -1084,12 +1073,6 @@ impl Collector {
         &self.queries
     }
 
-    /// The current watermark floor: reports with an older epoch are late
-    /// arrivals for a window the service already sealed.
-    pub fn window_floor(&self) -> u32 {
-        self.window_floor
-    }
-
     /// Raises the watermark floor to `floor` (the first epoch of the
     /// oldest still-open window). Called by the streaming service when it
     /// seals a window; every per-device dedup window, strike count, and
@@ -1247,10 +1230,10 @@ mod tests {
         assert_eq!(stats.corrupt_frames, 1);
         assert_eq!(stats.resyncs, 0, "aligned corruption needs no resync");
         assert!(matches!(
-            c.first_error(),
+            c.first_error,
             Some(WireError::ChecksumMismatch { .. })
         ));
-        assert_eq!(c.wire_errors().checksum_mismatch, 1);
+        assert_eq!(c.wire_errors.checksum_mismatch, 1);
         assert_eq!(c.totals(0).count, 3);
     }
 
@@ -1278,7 +1261,7 @@ mod tests {
         let stats = c.ingest_frames(&batch);
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.rejected, 1);
-        assert_eq!(c.wire_errors().truncated, 1);
+        assert_eq!(c.wire_errors.truncated, 1);
     }
 
     #[test]
@@ -1385,7 +1368,7 @@ mod tests {
         }
         let stats = c.ingest_frames(&batch);
         assert_eq!(stats.quarantine_latched, 1);
-        assert_eq!(c.wire_errors().seq_mismatch, 2);
+        assert_eq!(c.wire_errors.seq_mismatch, 2);
         assert_eq!(c.quarantined_devices(), vec![12]);
     }
 
@@ -1455,8 +1438,8 @@ mod tests {
         assert_eq!(a.totals(1), b.totals(1));
         assert_eq!(a.reports_ingested(), b.reports_ingested());
         assert_eq!(a.frames_rejected(), b.frames_rejected());
-        assert_eq!(a.wire_errors(), b.wire_errors());
-        assert_eq!(a.first_error(), b.first_error());
+        assert_eq!(a.wire_errors, b.wire_errors);
+        assert_eq!(a.first_error, b.first_error);
         assert_eq!(a.quarantined_devices(), b.quarantined_devices());
     }
 
@@ -1490,8 +1473,8 @@ mod tests {
                 assert_eq!(streaming.ingest_streaming(&[&batch[cut..]], block), r2);
                 assert_eq!(streaming.totals(0), reference.totals(0), "block {block}");
                 assert_eq!(streaming.totals(1), reference.totals(1), "block {block}");
-                assert_eq!(streaming.wire_errors(), reference.wire_errors());
-                assert_eq!(streaming.first_error(), reference.first_error());
+                assert_eq!(streaming.wire_errors, reference.wire_errors);
+                assert_eq!(streaming.first_error, reference.first_error);
                 assert_eq!(
                     streaming.quarantined_devices(),
                     reference.quarantined_devices()

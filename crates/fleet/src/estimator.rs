@@ -201,12 +201,6 @@ impl NoiseModel {
         self.ctx.window().1
     }
 
-    /// Unclamped noise variance `E[K²]` in codes² (reference value; the
-    /// variance estimator subtracts the clamped-window variance instead).
-    pub fn unclamped_noise_var(&self) -> f64 {
-        self.var_k
-    }
-
     /// The randomized-response mechanism for the threshold-bit query: a
     /// zero-threshold DP-Box over a one-step binary grid at this model's ε,
     /// flipping the bit with probability `Pr[noise ≥ 1·Δ]` under
@@ -247,13 +241,13 @@ impl NoiseModel {
 
     /// Mean of the window-clamped noise for a sensor value at code `x`:
     /// `E[clamp(K, lo−x, hi−x)] = exceed(x−lo) − exceed(hi−x)`.
-    pub fn clamp_bias(&self, x: i64) -> f64 {
+    fn clamp_bias(&self, x: i64) -> f64 {
         let (t_lo, t_hi) = (x - self.window_lo(), self.window_hi() - x);
         self.exceedance(t_lo) - self.exceedance(t_hi)
     }
 
     /// Variance of the window-clamped noise for a sensor value at code `x`.
-    pub fn clamped_noise_var(&self, x: i64) -> f64 {
+    fn clamped_noise_var(&self, x: i64) -> f64 {
         let (t_lo, t_hi) = (x - self.window_lo(), self.window_hi() - x);
         let second = self.var_k - self.exceedance2(t_lo) - self.exceedance2(t_hi);
         let mean = self.exceedance(t_lo) - self.exceedance(t_hi);
@@ -262,12 +256,13 @@ impl NoiseModel {
 
     /// Deterministic bias envelope for the mean estimator: the worst-case
     /// clamp bias over the sensor range plus the datapath grid slack.
-    pub fn mean_bias_bound(&self) -> f64 {
+    fn mean_bias_bound(&self) -> f64 {
         self.max_clamp_bias + self.grid_slack
     }
 
     /// Population mean estimate (codes): the report mean, which symmetric
-    /// noise leaves unbiased up to [`NoiseModel::mean_bias_bound`].
+    /// noise leaves unbiased up to its `bias_bound`: the worst-case clamp
+    /// bias over the sensor range plus the datapath grid slack.
     ///
     /// Returns `None` for fewer than 2 reports (no sample variance).
     pub fn mean(&self, t: &QueryTotals) -> Option<Estimate> {
@@ -293,8 +288,7 @@ impl NoiseModel {
     /// The envelope covers (a) the x-dependence of the clamped-noise
     /// variance across the range, (b) the covariance between the sensor
     /// value and its clamp bias, and (c) the grid slack's second-moment
-    /// effect. It is an honest but loose bound — the fleet sweep reports
-    /// variance against ground truth without gating on it.
+    /// effect. It is an honest but loose bound, so no artifact gates on it.
     ///
     /// Returns `None` for fewer than 2 reports.
     pub fn variance(&self, t: &QueryTotals) -> Option<Estimate> {
@@ -428,7 +422,7 @@ mod tests {
             .iter()
             .map(|(k, w)| (k * k) as f64 * w as f64 / m.pmf().total_weight() as f64)
             .sum();
-        assert!((m.unclamped_noise_var() - direct).abs() < 1e-6);
+        assert!((m.var_k - direct).abs() < 1e-6);
     }
 
     #[test]
@@ -437,10 +431,10 @@ mod tests {
         for x in [0i64, 64, 128, 200, 256] {
             let v = m.clamped_noise_var(x);
             assert!(v > 0.0);
-            assert!(v <= m.unclamped_noise_var() + 1e-9);
+            assert!(v <= m.var_k + 1e-9);
         }
         // A window many λ wide clamps almost nothing at the midpoint.
-        assert!(m.clamped_noise_var(128) / m.unclamped_noise_var() > 0.5);
+        assert!(m.clamped_noise_var(128) / m.var_k > 0.5);
     }
 
     #[test]

@@ -33,8 +33,6 @@
 //!   reference device engine and ingest path stay as in-process
 //!   differential-test oracles ([`FleetDriver::with_engine`],
 //!   [`FleetDriver::with_ingest_path`]), never as environment knobs;
-//! * [`sweep`] — the accuracy sweep gating `|estimate − truth|` against
-//!   `3·SE + bias_bound` across population sizes;
 //! * [`chaos`] — seeded, deterministic lossy-transport fault injection
 //!   (drop, duplicate, reorder, corrupt, truncate, delay in correlated
 //!   bursts), driving the replay-safe retry and idempotent-ingest paths;
@@ -60,7 +58,6 @@ pub mod driver;
 pub mod estimator;
 pub mod service;
 pub mod sketch;
-pub mod sweep;
 pub mod window;
 pub mod wire;
 
@@ -70,7 +67,7 @@ pub use chaos::{
 };
 pub use collector::{
     ingest_phase_totals, Collector, EpochSeal, IngestPath, IngestPhaseTotals, IngestStats,
-    QueryConfig, QueryKind, QueryTotals, SealStatus, WireErrorTally, DEFAULT_QUARANTINE_STRIKES,
+    QueryConfig, QueryKind, QueryTotals, SealStatus, DEFAULT_QUARANTINE_STRIKES,
 };
 pub use driver::{
     sim_phase_ns, DeviceEngine, FleetConfig, FleetDriver, FleetError, ServiceOutcome, RR_QUERY,
@@ -82,7 +79,6 @@ pub use service::{
     SERVICE_WINDOW_ENV,
 };
 pub use sketch::GridSketch;
-pub use sweep::{render_sweep, FleetSweepRow, GateResult};
 pub use window::{
     window_spans, Rollup, RollupError, RollupOutcome, SealedWindow, Window, WindowPhase,
     WindowStateError,

@@ -18,8 +18,6 @@
 /// ledger.record(0.75);
 /// assert_eq!(ledger.total(), 1.25);
 /// assert_eq!(ledger.queries(), 2);
-/// assert!(ledger.fits_within(2.0));
-/// assert!(!ledger.fits_within(1.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompositionLedger {
@@ -57,68 +55,6 @@ impl CompositionLedger {
     /// external auditor compares against a [`crate::BudgetLedger`]).
     pub fn losses(&self) -> &[f64] {
         &self.losses
-    }
-
-    /// Whether the composed loss stays within `budget`.
-    pub fn fits_within(&self, budget: f64) -> bool {
-        self.total() <= budget
-    }
-
-    /// How many more queries of loss `eps` fit within `budget`.
-    pub fn remaining_queries(&self, budget: f64, eps: f64) -> usize {
-        if eps <= 0.0 {
-            return usize::MAX;
-        }
-        let headroom = budget - self.total();
-        if headroom <= 0.0 {
-            0
-        } else {
-            (headroom / eps).floor() as usize
-        }
-    }
-
-    /// The largest single recorded loss.
-    pub fn max_single(&self) -> Option<f64> {
-        self.losses
-            .iter()
-            .cloned()
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-
-    /// The **advanced composition** bound (Dwork–Rothblum–Vadhan): the
-    /// recorded queries jointly satisfy `(ε', δ)`-DP with
-    /// `ε' = √(2k·ln(1/δ))·ε_max + k·ε_max·(e^{ε_max} − 1)`,
-    /// trading a small failure probability `δ` for a √k (instead of k)
-    /// growth in ε. Returns `None` for an empty ledger.
-    ///
-    /// This is an extension beyond the paper (which uses basic
-    /// composition); it is what a software aggregator consuming DP-Box
-    /// outputs would use to budget long query sequences.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is not in `(0, 1)`.
-    pub fn advanced_total(&self, delta: f64) -> Option<f64> {
-        assert!(
-            delta > 0.0 && delta < 1.0,
-            "δ must be in (0,1), got {delta}"
-        );
-        let eps = self.max_single()?;
-        let k = self.losses.len() as f64;
-        Some((2.0 * k * (1.0 / delta).ln()).sqrt() * eps + k * eps * (eps.exp() - 1.0))
-    }
-
-    /// The tighter of basic and advanced composition at the given `δ`
-    /// (advanced only wins for long sequences of small-ε queries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is not in `(0, 1)`.
-    pub fn best_total(&self, delta: f64) -> f64 {
-        match self.advanced_total(delta) {
-            Some(adv) => adv.min(self.total()),
-            None => 0.0,
-        }
     }
 }
 
@@ -175,8 +111,6 @@ mod tests {
         let l = CompositionLedger::new();
         assert_eq!(l.total(), 0.0);
         assert_eq!(l.queries(), 0);
-        assert_eq!(l.max_single(), None);
-        assert!(l.fits_within(0.0));
     }
 
     #[test]
@@ -187,60 +121,6 @@ mod tests {
         }
         assert!((l.total() - 3.0).abs() < 1e-12);
         assert_eq!(l.queries(), 10);
-    }
-
-    #[test]
-    fn remaining_queries_counts_headroom() {
-        let mut l = CompositionLedger::new();
-        l.record(1.0);
-        assert_eq!(l.remaining_queries(3.0, 0.5), 4);
-        assert_eq!(l.remaining_queries(1.0, 0.5), 0);
-        assert_eq!(l.remaining_queries(3.0, 0.0), usize::MAX);
-    }
-
-    #[test]
-    fn max_single_tracks_largest() {
-        let mut l = CompositionLedger::new();
-        l.record(0.1);
-        l.record(0.9);
-        l.record(0.4);
-        assert_eq!(l.max_single(), Some(0.9));
-    }
-
-    #[test]
-    fn advanced_composition_beats_basic_for_long_sequences() {
-        let mut l = CompositionLedger::new();
-        for _ in 0..10_000 {
-            l.record(0.01);
-        }
-        let basic = l.total(); // 100
-        let adv = l.advanced_total(1e-6).unwrap();
-        assert!(adv < basic, "advanced {adv} vs basic {basic}");
-        assert_eq!(l.best_total(1e-6), adv);
-    }
-
-    #[test]
-    fn basic_composition_wins_for_few_queries() {
-        let mut l = CompositionLedger::new();
-        l.record(0.5);
-        l.record(0.5);
-        let adv = l.advanced_total(1e-6).unwrap();
-        assert!(l.best_total(1e-6) <= adv);
-        assert_eq!(l.best_total(1e-6), l.total().min(adv));
-    }
-
-    #[test]
-    fn advanced_total_empty_is_none() {
-        assert_eq!(CompositionLedger::new().advanced_total(1e-6), None);
-        assert_eq!(CompositionLedger::new().best_total(1e-6), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "δ must be in")]
-    fn advanced_rejects_bad_delta() {
-        let mut l = CompositionLedger::new();
-        l.record(0.1);
-        l.advanced_total(1.5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The regeneration binaries sweep (dataset × mechanism × ε × rep) grids
 //! whose cells are mutually independent once each cell derives its own
 //! seeded RNG stream. This crate provides the minimal `rayon`-style surface
-//! those sweeps need — [`par_map`] and [`par_for_each`] over a slice — built
+//! those sweeps need — [`par_map`] over a slice — built
 //! on `std::thread::scope` with a chunked work-stealing index counter, so it
 //! works in the offline build environment with **no external dependencies**.
 //!
@@ -70,24 +70,6 @@ fn positive(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// Parses a raw `ULP_PAR_THREADS` value: `None` (unset) selects the
-/// machine default; a positive integer is honored; anything else is a
-/// typed [`EnvError`].
-///
-/// # Errors
-///
-/// [`EnvError`] for a set value that is not a positive integer.
-pub fn parse_threads(raw: Option<&str>) -> Result<usize, EnvError> {
-    match raw {
-        None => Ok(default_threads()),
-        Some(v) => positive(v).ok_or_else(|| EnvError {
-            var: THREADS_ENV,
-            value: v.to_owned(),
-            expected: THREADS_EXPECTED,
-        }),
-    }
-}
-
 /// The worker count [`threads`] would use, as a `Result`: binaries call
 /// this at startup so a malformed `ULP_PAR_THREADS` is reported as a
 /// proper error instead of a panic mid-sweep.
@@ -100,7 +82,7 @@ pub fn try_threads() -> Result<usize, EnvError> {
     Ok(threads.unwrap_or_else(default_threads))
 }
 
-/// The worker count used by [`par_map`] / [`par_for_each`]: the
+/// The worker count used by [`par_map`]: the
 /// `ULP_PAR_THREADS` override if set to a positive integer, otherwise the
 /// machine's available parallelism. Read once per process.
 ///
@@ -117,7 +99,7 @@ pub fn threads() -> usize {
 
 /// Whether the calling thread is itself a pool worker (nested sweeps run
 /// serially).
-pub fn in_pool() -> bool {
+fn in_pool() -> bool {
     IN_POOL.with(Cell::get)
 }
 
@@ -193,21 +175,6 @@ where
     labelled.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs `f` for every item on up to [`threads`] workers. Side effects must
-/// be confined to the item (`f` only gets `&T`); use [`par_map`] to collect
-/// results.
-///
-/// # Panics
-///
-/// A panic in `f` is propagated to the caller after the scope unwinds.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map_with(threads(), items, |t| f(t));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,34 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_item() {
-        use std::sync::atomic::AtomicU64;
-        let items: Vec<u64> = (1..=100).collect();
-        let sum = AtomicU64::new(0);
-        par_for_each(&items, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-    }
-
-    #[test]
     fn threads_is_at_least_one() {
         assert!(threads() >= 1);
     }
 
     #[test]
-    fn parse_threads_accepts_positive_integers() {
-        assert_eq!(parse_threads(Some("1")).unwrap(), 1);
-        assert_eq!(parse_threads(Some(" 8 ")).unwrap(), 8);
-        assert!(parse_threads(None).unwrap() >= 1);
+    fn threads_grammar_accepts_positive_integers() {
+        assert_eq!(positive("1"), Some(1));
+        assert_eq!(positive(" 8 "), Some(8));
+        assert!(default_threads() >= 1);
     }
 
     #[test]
-    fn parse_threads_rejects_garbage_instead_of_defaulting() {
+    fn threads_grammar_rejects_garbage_instead_of_defaulting() {
         for bad in ["0", "-2", "all", "", "4x", "1.5"] {
-            let err = parse_threads(Some(bad)).unwrap_err();
-            assert_eq!(err.var, THREADS_ENV, "{bad:?}");
-            assert_eq!(err.value, bad);
+            assert_eq!(positive(bad), None, "{bad:?}");
         }
     }
 }
