@@ -7,7 +7,7 @@
 //! the verdicts into `BENCH_attack.json` and asserts the campaign gates;
 //! this module keeps the analysis logic library-testable.
 
-use ldp_core::{worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange};
+use ldp_core::{worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange};
 use ulp_rng::FxpNoisePmf;
 
 /// Environment variable overriding an attack campaign's master seed.
@@ -74,8 +74,8 @@ impl CellVerdict {
     }
 
     /// Classifies a window-limited configuration directly from the exact
-    /// PMF: computes the realized worst-case loss over the extreme input
-    /// pair and compares it against the claim.
+    /// PMF: computes the realized worst-case loss over every output and
+    /// every input pair and compares it against the claim.
     pub fn for_window(
         pmf: &FxpNoisePmf,
         range: QuantizedRange,
@@ -83,7 +83,7 @@ impl CellVerdict {
         n_th_k: Option<i64>,
         claimed: Option<f64>,
     ) -> Self {
-        CellVerdict::classify(worst_case_loss_extremes(pmf, range, mode, n_th_k), claimed)
+        CellVerdict::classify(worst_case_loss(pmf, range, mode, n_th_k), claimed)
     }
 
     /// Whether the verdict certifies the claimed bound.

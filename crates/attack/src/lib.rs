@@ -21,14 +21,14 @@
 //!   certifies;
 //! * [`campaign`] — seeded campaign plumbing shared by the
 //!   `attack_campaign` binary: the strict `ULP_ATTACK_SEED` contract and
-//!   per-cell verdicts comparing realized worst-case loss against
-//!   claimed ε.
+//!   per-cell verdicts comparing the realized worst-case loss, over every
+//!   output and every input pair, against claimed ε.
 //!
 //! The defense the attacks motivate lives in `ldp-core`:
 //! [`ldp_core::SamplerPath::Secure`] machine-checks claimed bounds before
-//! sampling, and [`ldp_core::refine_threshold`] shrinks unsound
-//! closed-form windows (the Eq. 15 overshoot) until the exact Eq. 4 check
-//! passes.
+//! sampling, and [`ldp_core::refine_threshold`] replaces unsound
+//! closed-form windows (the Eq. 15 overshoot) with the exact Eq. 4 solve,
+//! recording how far the closed form was off.
 
 pub mod campaign;
 pub mod distinguisher;

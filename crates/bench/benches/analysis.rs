@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ldp_core::{
-    exact_threshold, loss_profile, worst_case_loss_extremes, LimitMode, QuantizedRange,
-    SegmentTable,
+    exact_threshold, loss_profile, worst_case_loss, LimitMode, QuantizedRange, SegmentTable,
 };
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -26,18 +25,11 @@ fn bench_loss(c: &mut Criterion) {
     let (_, pmf, range) = paper();
     let mut g = c.benchmark_group("worst_case_loss");
     g.bench_function("naive", |b| {
-        b.iter(|| {
-            black_box(worst_case_loss_extremes(
-                &pmf,
-                range,
-                LimitMode::Thresholding,
-                None,
-            ))
-        })
+        b.iter(|| black_box(worst_case_loss(&pmf, range, LimitMode::Thresholding, None)))
     });
     g.bench_function("thresholding_300", |b| {
         b.iter(|| {
-            black_box(worst_case_loss_extremes(
+            black_box(worst_case_loss(
                 &pmf,
                 range,
                 LimitMode::Thresholding,

@@ -4,7 +4,7 @@
 //! start?
 
 use ldp_core::{
-    exact_threshold, worst_case_loss_extremes, DiscreteLaplaceMechanism, LimitMode, Mechanism,
+    exact_threshold, worst_case_loss, DiscreteLaplaceMechanism, LimitMode, Mechanism,
     QuantizedRange,
 };
 use ldp_eval::TextTable;
@@ -50,7 +50,7 @@ fn main() {
         (
             "FxP thresholding",
             t_spec.n_th_k,
-            worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(t_spec.n_th_k))
+            worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(t_spec.n_th_k))
                 .finite()
                 .expect("bounded"),
             mae_of(&thresh, x, x, reps, 1, cfg.delta()),
@@ -58,7 +58,7 @@ fn main() {
         (
             "FxP resampling",
             r_spec.n_th_k,
-            worst_case_loss_extremes(&pmf, range, LimitMode::Resampling, Some(r_spec.n_th_k))
+            worst_case_loss(&pmf, range, LimitMode::Resampling, Some(r_spec.n_th_k))
                 .finite()
                 .expect("bounded"),
             mae_of(&resamp, x, x, reps, 2, cfg.delta()),

@@ -3,7 +3,7 @@
 //! same sensor and grid.
 
 use ldp_core::{
-    exact_threshold_for_bound, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange,
+    exact_threshold_for_bound, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange,
 };
 use ldp_eval::TextTable;
 use ulp_rng::{
@@ -43,7 +43,7 @@ fn main() {
         ("Gaussian (σ = 20)", gaussian.pmf()),
         ("staircase (ε = .5, γ*)", staircase.pmf()),
     ] {
-        let naive = worst_case_loss_extremes(pmf, range, LimitMode::Thresholding, None);
+        let naive = worst_case_loss(pmf, range, LimitMode::Thresholding, None);
         let naive_txt = match naive {
             PrivacyLoss::Infinite => "∞".to_string(),
             PrivacyLoss::Finite(l) => format!("{l:.3}"),
@@ -51,12 +51,7 @@ fn main() {
         let (window, repaired) =
             match exact_threshold_for_bound(pmf, range, bound, LimitMode::Thresholding) {
                 Ok(spec) => {
-                    let l = worst_case_loss_extremes(
-                        pmf,
-                        range,
-                        LimitMode::Thresholding,
-                        Some(spec.n_th_k),
-                    );
+                    let l = worst_case_loss(pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
                     (
                         format!("±{}", spec.n_th_k),
                         format!("{:.3}", l.finite().expect("bounded")),

@@ -33,9 +33,11 @@
 //! is `ULP_ATTACK_SEED` (strict-parsed: a malformed value exits 2 naming
 //! the variable, never a silent default).
 
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 use ldp_bench::json::{Json, Obj};
+use ldp_bench::{require_flag, unknown_flag};
 use ldp_core::{
     conditional, exact_threshold, refine_threshold, resampling_threshold, thresholding_threshold,
     FxpBaseline, IdealLaplaceMechanism, LdpError, LimitMode, Mechanism, PrivacyLoss,
@@ -49,6 +51,8 @@ use ulp_rng::{
     cached_alias_laplace_grid, stream_seed, FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, RandomBits,
     Taus88,
 };
+
+const BIN: &str = "attack_campaign";
 
 /// The paper's Fig. 4 configuration: Bu = 17, λ = 20, Δ = 10/32, range
 /// [0, 10] (ε = 0.5).
@@ -594,29 +598,21 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
+            "--out" => out_path = require_flag(BIN, "--out", args.next(), "a path"),
             "--trials" => {
-                trials = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--trials needs a positive integer"),
-                );
+                let n: NonZeroU64 =
+                    require_flag(BIN, "--trials", args.next(), "a positive integer");
+                trials = Some(n.get());
             }
-            "--seed" => {
-                seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a u64"),
-                );
-            }
-            other => panic!("unknown flag {other:?} (expected --smoke, --out, --trials, --seed)"),
+            "--seed" => seed = Some(require_flag(BIN, "--seed", args.next(), "a u64")),
+            other => unknown_flag(BIN, other, "--smoke --out --trials --seed"),
         }
     }
 
     // Strict env contract: malformed values exit 2 naming the variable.
-    let attack_seed = ldp_bench::require_env("attack_campaign", attack_seed_from_env());
-    let threads = ldp_bench::require_env("attack_campaign", ulp_par::try_threads());
-    ldp_bench::require_env("attack_campaign", SamplerPath::from_env());
+    let attack_seed = ldp_bench::require_env(BIN, attack_seed_from_env());
+    let threads = ldp_bench::require_env(BIN, ulp_par::try_threads());
+    ldp_bench::require_env(BIN, SamplerPath::from_env());
 
     let seed = attack_seed.or(seed).unwrap_or(ldp_bench::SEED);
     let trials = trials.unwrap_or(if smoke { 4_000 } else { 200_000 });

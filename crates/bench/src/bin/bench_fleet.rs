@@ -46,6 +46,7 @@
 
 use ldp_bench::fleet::{run_cell, Cell};
 use ldp_bench::json::{Json, Obj};
+use ldp_bench::{require_flag, unknown_flag};
 use ulp_fleet::FleetConfig;
 
 /// The `n1000000` end-to-end throughput from the committed v2 baseline
@@ -140,10 +141,8 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => {
-                panic!("unknown flag {other:?} (expected --smoke, --metrics, or --out <path>)")
-            }
+            "--out" => out_path = require_flag("bench_fleet", "--out", args.next(), "a path"),
+            other => unknown_flag("bench_fleet", other, "--smoke --metrics --out"),
         }
     }
 

@@ -31,8 +31,11 @@ use std::time::Instant;
 
 use ldp_bench::json::{Json, Obj};
 use ldp_bench::Artifact;
+use ldp_bench::{require_flag, unknown_flag};
 use ldp_core::SamplerPath;
 use ulp_obs::Fnv64;
+
+const BIN: &str = "bench_perf";
 
 struct Timed {
     name: &'static str,
@@ -184,13 +187,12 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
+            "--out" => out_path = require_flag(BIN, "--out", args.next(), "a path"),
             "--reference" => std::env::set_var("ULP_SAMPLER_PATH", "reference"),
-            "--compare" => compare_path = Some(args.next().expect("--compare needs a path")),
-            other => panic!(
-                "unknown flag {other:?} (expected --smoke, --metrics, --out <path>, \
-                 --reference, or --compare <baseline.json>)"
-            ),
+            "--compare" => {
+                compare_path = Some(require_flag(BIN, "--compare", args.next(), "a path"))
+            }
+            other => unknown_flag(BIN, other, "--smoke --metrics --out --reference --compare"),
         }
     }
 
@@ -198,9 +200,8 @@ fn main() {
     // naming the variable instead of silently selecting a default.
     // `--metrics` with no explicit ULP_METRICS raises the level to `full`
     // so the embedded snapshot actually contains data.
-    let ldp_bench::FleetEnv { level, threads } =
-        ldp_bench::FleetEnv::validate("bench_perf", metrics);
-    let sampler_path = match ldp_bench::require_env("bench_perf", SamplerPath::from_env()) {
+    let ldp_bench::FleetEnv { level, threads } = ldp_bench::FleetEnv::validate(BIN, metrics);
+    let sampler_path = match ldp_bench::require_env(BIN, SamplerPath::from_env()) {
         SamplerPath::Reference => "reference",
         SamplerPath::Fast => "fast",
         SamplerPath::Secure => "secure",

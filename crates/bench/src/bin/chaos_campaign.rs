@@ -37,9 +37,14 @@
 //! The chaos seed comes from `ULP_CHAOS_SEED` (strict-parsed: a malformed
 //! value exits 2 naming the variable, never a silent default).
 
+use std::num::{NonZeroU32, NonZeroUsize};
+
 use ldp_bench::fleet::{run_cell, Cell};
 use ldp_bench::json::{Json, Obj};
+use ldp_bench::{require_flag, unknown_flag};
 use ulp_fleet::{chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, SealStatus};
+
+const BIN: &str = "chaos_campaign";
 
 /// Default chaos seed when `ULP_CHAOS_SEED` is unset.
 const DEFAULT_CHAOS_SEED: u64 = 2018;
@@ -154,12 +159,13 @@ fn render_json(
         .to_report()
 }
 
-fn parse_rate(flag: &str, raw: Option<String>) -> f64 {
-    let raw = raw.unwrap_or_else(|| panic!("{flag} needs a rate in [0, 0.5]"));
-    match raw.parse::<f64>() {
-        Ok(r) if r.is_finite() && (0.0..=0.5).contains(&r) => r,
-        _ => panic!("{flag}: {raw:?} is not a rate in [0, 0.5]"),
+/// The rate after `flag`, in [0, 0.5].
+fn parse_rate(flag: &str, value: Option<String>) -> f64 {
+    let rate: f64 = require_flag(BIN, flag, value, "a rate in [0, 0.5]");
+    if !(0.0..=0.5).contains(&rate) {
+        ldp_bench::reject(BIN, format!("{flag}: {rate} is not a rate in [0, 0.5]"));
     }
+    rate
 }
 
 fn main() {
@@ -176,47 +182,34 @@ fn main() {
         };
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
+            "--out" => out_path = require_flag(BIN, "--out", args.next(), "a path"),
             "--devices" => {
-                devices = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--devices needs a positive integer"),
-                );
+                let n: NonZeroUsize =
+                    require_flag(BIN, "--devices", args.next(), "a positive integer");
+                devices = Some(n.get());
             }
             "--epochs" => {
-                epochs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--epochs needs a positive integer"),
-                );
+                let n: NonZeroU32 =
+                    require_flag(BIN, "--epochs", args.next(), "a positive integer");
+                epochs = Some(n.get());
             }
-            "--seed" => {
-                seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a u64"),
-                );
-            }
+            "--seed" => seed = Some(require_flag(BIN, "--seed", args.next(), "a u64")),
             "--drop" => rate_slot(&mut custom, 0, parse_rate("--drop", args.next())),
             "--duplicate" => rate_slot(&mut custom, 1, parse_rate("--duplicate", args.next())),
             "--reorder" => rate_slot(&mut custom, 2, parse_rate("--reorder", args.next())),
             "--corrupt" => rate_slot(&mut custom, 3, parse_rate("--corrupt", args.next())),
             "--truncate" => rate_slot(&mut custom, 4, parse_rate("--truncate", args.next())),
             "--delay" => rate_slot(&mut custom, 5, parse_rate("--delay", args.next())),
-            other => panic!(
-                "unknown flag {other:?} (expected --smoke, --out, --devices, --epochs, --seed, \
-                 or a per-class rate flag)"
-            ),
+            other => unknown_flag(BIN, other, "--smoke --out --devices --epochs --seed, rates"),
         }
     }
 
     // Validate every ULP_* knob up front (the driver reads the fleet
     // knobs at construction; the shared helper keeps the exit-2 contract:
     // name the variable, never default).
-    let chaos_seed = ldp_bench::require_env("chaos_campaign", chaos_seed_from_env())
-        .unwrap_or(DEFAULT_CHAOS_SEED);
-    let env = ldp_bench::FleetEnv::validate("chaos_campaign", false);
+    let chaos_seed =
+        ldp_bench::require_env(BIN, chaos_seed_from_env()).unwrap_or(DEFAULT_CHAOS_SEED);
+    let env = ldp_bench::FleetEnv::validate(BIN, false);
     let threads = env.threads;
 
     let devices = devices.unwrap_or(if smoke { 2_000 } else { 100_000 });

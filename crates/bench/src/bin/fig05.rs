@@ -2,7 +2,7 @@
 //! Laplace mechanism: finite in the body, infinite past the reachable
 //! window. This is the paper's central negative result.
 
-use ldp_core::{loss_profile, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange};
+use ldp_core::{loss_profile, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange};
 use ldp_eval::TextTable;
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -43,7 +43,7 @@ fn main() {
         ]);
     }
     println!("{t}");
-    let worst = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None);
+    let worst = worst_case_loss(&pmf, range, LimitMode::Thresholding, None);
     println!("worst-case loss over all outputs: {worst:?}");
     println!("=> the naive implementation does NOT satisfy ε-LDP for any finite ε.");
 }

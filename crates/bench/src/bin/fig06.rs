@@ -2,9 +2,7 @@
 //! output is confined to the same window `[m − n_th, M + n_th]`, so the
 //! loss is bounded.
 
-use ldp_core::{
-    exact_threshold, worst_case_loss_extremes, ConditionalDist, LimitMode, QuantizedRange,
-};
+use ldp_core::{exact_threshold, worst_case_loss, ConditionalDist, LimitMode, QuantizedRange};
 use ldp_eval::TextTable;
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -44,7 +42,7 @@ fn main() {
         "acceptance probability per draw: {:.3} (x = m)",
         d_m.norm() as f64 / pmf.total_weight() as f64
     );
-    let worst = worst_case_loss_extremes(&pmf, range, LimitMode::Resampling, Some(spec.n_th_k));
+    let worst = worst_case_loss(&pmf, range, LimitMode::Resampling, Some(spec.n_th_k));
     println!(
         "exact worst-case loss: {worst:?} (target {})",
         spec.guaranteed_loss

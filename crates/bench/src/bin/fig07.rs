@@ -2,9 +2,7 @@
 //! outputs are clamped, piling visible probability atoms at the window
 //! boundaries.
 
-use ldp_core::{
-    exact_threshold, worst_case_loss_extremes, ConditionalDist, LimitMode, QuantizedRange,
-};
+use ldp_core::{exact_threshold, worst_case_loss, ConditionalDist, LimitMode, QuantizedRange};
 use ldp_eval::TextTable;
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -56,7 +54,7 @@ fn main() {
         d_m.prob(hi),
         d_max.prob(hi)
     );
-    let worst = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
+    let worst = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
     println!(
         "exact worst-case loss: {worst:?} (target {})",
         spec.guaranteed_loss

@@ -42,6 +42,7 @@
 
 use ldp_bench::fleet::{run_cell, Cell};
 use ldp_bench::json::{Json, Obj};
+use ldp_bench::{require_flag, unknown_flag};
 use ulp_fleet::{ChaosConfig, FaultClass, FleetConfig, ServiceConfig};
 
 /// The sustained end-to-end throughput goal for the headline cell.
@@ -145,8 +146,8 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => panic!("unknown flag {other:?} (expected --smoke, --metrics, --out <path>)"),
+            "--out" => out_path = require_flag("fleet_service", "--out", args.next(), "a path"),
+            other => unknown_flag("fleet_service", other, "--smoke --metrics --out"),
         }
     }
 

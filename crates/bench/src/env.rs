@@ -1,26 +1,45 @@
-//! Shared strict `ULP_*` startup validation for the campaign binaries.
+//! Shared strict startup validation for the campaign binaries.
 //!
 //! Every campaign binary (`bench_fleet`, `chaos_campaign`,
-//! `fleet_service`, …) enforces the same contract: a set-but-malformed
-//! `ULP_*` variable exits with status 2 and a message naming the variable
-//! — never a silent fallback to a default. This module is the single
-//! implementation of that boilerplate; binaries call
-//! [`FleetEnv::validate`] (or [`require_env`] for their extra knobs)
-//! instead of hand-rolling the match/exit ladder.
+//! `fleet_service`, …) enforces the same contract: a malformed `ULP_*`
+//! variable or command-line flag exits with status 2 and one message naming
+//! it — never a silent default, never a panic. This module is the single
+//! implementation of that boilerplate; binaries call [`FleetEnv::validate`],
+//! [`require_env`] and [`require_flag`] instead of hand-rolling it.
+
+use std::str::FromStr;
 
 use ulp_obs::MetricsLevel;
 
-/// Unwraps a strict environment parse, exiting with status 2 and a
-/// `bin: message` line on stderr when the value is malformed — the
-/// campaign binaries' shared rejection path. The message comes from the
-/// parse error and names the offending variable.
+/// Exits with status 2 and one `bin: message` line on stderr — the
+/// campaign binaries' shared rejection path for a malformed knob or flag.
+pub fn reject(bin: &str, message: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {message}");
+    std::process::exit(2);
+}
+
+/// Unwraps a strict environment parse, exiting through [`reject`] when the
+/// value is malformed. The message comes from the parse error and names
+/// the offending variable.
 pub fn require_env<T, E: std::fmt::Display>(bin: &str, result: Result<T, E>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{bin}: {e}");
-            std::process::exit(2);
-        }
+    result.unwrap_or_else(|e| reject(bin, e))
+}
+
+/// Refuses unknown command-line flag `flag` through [`reject`], listing
+/// the `expected` ones.
+pub fn unknown_flag(bin: &str, flag: &str, expected: &str) -> ! {
+    reject(bin, format!("unknown flag {flag:?} (expected {expected})"))
+}
+
+/// Parses `value`, the argument after command-line flag `flag`, exiting
+/// through [`reject`] with a message naming the flag when it is missing or
+/// is not `expected` ("a path", "a positive integer", …).
+pub fn require_flag<T: FromStr>(bin: &str, flag: &str, value: Option<String>, expected: &str) -> T {
+    match value {
+        Some(raw) => raw
+            .parse()
+            .unwrap_or_else(|_| reject(bin, format!("{flag}: {raw:?} is not {expected}"))),
+        None => reject(bin, format!("{flag} needs {expected}")),
     }
 }
 

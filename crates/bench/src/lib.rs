@@ -14,7 +14,7 @@ pub mod fleet;
 pub mod json;
 mod render;
 
-pub use env::{require_env, FleetEnv};
+pub use env::{reject, require_env, require_flag, unknown_flag, FleetEnv};
 pub use render::{
     render_adversary, render_counting_table, render_fault_campaign, render_latency, render_rr,
     render_scaling, render_svm, render_utility_table, Artifact,

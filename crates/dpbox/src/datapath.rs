@@ -298,3 +298,92 @@ impl NoisingCtx {
         table
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fleet device's noising context at shift `n_m`.
+    fn fleet_ctx(n_m: u8, mode: LimitMode) -> NoisingCtx {
+        let fmt = QFormat::new(20, 0).unwrap();
+        NoisingCtx::new(fmt, 17, &[1.5, 2.0, 2.5, 3.0], n_m, 0, 256, mode).unwrap()
+    }
+
+    #[test]
+    fn no_release_realizes_more_loss_than_it_is_charged() {
+        // Push every input and every noise index, weighted by the model
+        // PMF, through the release the device executes, and compare each
+        // output's realized loss over every input pair with its charge.
+        // Neither the loss evaluator nor the segment table is consulted.
+        let mut failures = Vec::new();
+        for mode in [LimitMode::Thresholding, LimitMode::Resampling] {
+            for n_m in 0..=2u8 {
+                let ctx = fleet_ctx(n_m, mode);
+                let pmf = FxpNoisePmf::closed_form(ctx.laplace_config());
+                let release = ctx.release();
+                let (lo, hi) = ctx.window();
+                // Per input: the weight of each window output, and the
+                // weight accepted (everything, unless resampling rejects).
+                let rows: Vec<(Vec<u64>, u64)> = (0..=256i64)
+                    .map(|x| {
+                        let mut row = vec![0u64; (hi - lo + 1) as usize];
+                        let mut accepted = 0u64;
+                        for (k, w) in pmf.iter() {
+                            if mode == LimitMode::Resampling && !release.in_window(x, k) {
+                                continue;
+                            }
+                            row[(release.output(x, k) - lo) as usize] += w as u64;
+                            accepted += w as u64;
+                        }
+                        (row, accepted)
+                    })
+                    .collect();
+                let prob = |x: usize, i: usize| (u128::from(rows[x].0[i]), u128::from(rows[x].1));
+                let below = |a: (u128, u128), b: (u128, u128)| a.0 * b.1 < b.0 * a.1;
+                let mut over = Vec::new();
+                for y in lo..=hi {
+                    let i = (y - lo) as usize;
+                    let (mut min, mut max) = (prob(0, i), prob(0, i));
+                    for x in 1..rows.len() {
+                        let p = prob(x, i);
+                        if below(p, min) {
+                            min = p;
+                        }
+                        if below(max, p) {
+                            max = p;
+                        }
+                    }
+                    let realized = match (min.0, max.0) {
+                        (_, 0) => continue,
+                        (0, _) => f64::INFINITY,
+                        (a, b) => ((b as f64 * min.1 as f64) / (a as f64 * max.1 as f64)).ln(),
+                    };
+                    let charge = release.charge(y);
+                    if realized > charge + 1e-12 {
+                        over.push((y, realized, charge));
+                    }
+                }
+                if let Some(worst) = over.iter().max_by(|a, b| a.1.total_cmp(&b.1)) {
+                    failures.push(format!(
+                        "{mode:?} n_m={n_m}: {} outputs realize more than their charge; \
+                         worst (y, realized, charge) = {worst:?}",
+                        over.len()
+                    ));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn fleet_segments_keep_the_smaller_loss_at_equal_cut_offs() {
+        let ctx = fleet_ctx(1, LimitMode::Thresholding);
+        assert_eq!(ctx.n_th_k(), 2245);
+        assert_eq!(
+            ctx.table().segments(),
+            &[(1524, 0.75), (1885, 1.0), (2245, 1.5)]
+        );
+        let ctx = fleet_ctx(0, LimitMode::Thresholding);
+        assert_eq!(ctx.table().segments(), &[(999, 1.5), (1186, 2.0)]);
+    }
+}

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use dp_box::{
     Command, DpBox, DpBoxConfig, DpBoxError, HealthAlarm, HealthConfig, Phase, UrngHealth,
 };
-use ldp_core::{worst_case_loss_extremes, ConditionalDist, LimitMode, QuantizedRange};
+use ldp_core::{worst_case_loss, ConditionalDist, LimitMode, QuantizedRange};
 use ulp_obs::{Counter, SpanTimer};
 use ulp_rng::{
     BiasedBits, CorrelatedBits, FxpNoisePmf, OnsetBits, RandomBits, StuckAtBits, Taus88,
@@ -457,8 +457,7 @@ pub fn pre_detection_loss(
     let pmf = FxpNoisePmf::closed_form(lap);
     let range = QuantizedRange::new(0, cc.span, lap.delta())
         .map_err(|_| DpBoxError::InvalidConfig("campaign range"))?;
-    let certified_loss =
-        worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(n_th)).finite();
+    let certified_loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(n_th)).finite();
 
     Ok(PreDetectionLoss {
         fault,

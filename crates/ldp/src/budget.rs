@@ -15,7 +15,7 @@ use ulp_rng::{cached_alias_full, FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Rand
 use crate::composition::CompositionLedger;
 use crate::error::LdpError;
 use crate::ledger::BudgetLedger;
-use crate::loss::{loss_profile, LimitMode, PrivacyLoss};
+use crate::loss::{losses_by_overshoot, LimitMode};
 use crate::mechanism::RESAMPLE_LIMIT;
 use crate::range::QuantizedRange;
 use crate::threshold::exact_threshold;
@@ -61,8 +61,10 @@ pub struct SegmentTable {
 
 impl SegmentTable {
     /// Builds a table from loss multiples (e.g. `[1.5, 2.0, 2.5, 3.0]`
-    /// yielding Fig. 8's dashed thresholds), solving each threshold exactly
-    /// against the PMF.
+    /// yielding Fig. 8's dashed thresholds): solves the outer window once
+    /// and cuts segment `j` at the largest overshoot up to which every
+    /// output, clamp atom included, realizes at most `multiples[j]·ε` under
+    /// it. A multiple that moves no cut-off adds no segment.
     ///
     /// # Errors
     ///
@@ -83,38 +85,21 @@ impl SegmentTable {
             return Err(LdpError::InvalidEpsilon(f64::NAN));
         }
         let eps = range.length() / cfg.lambda();
-        // Base loss: worst pointwise loss over outputs inside [m, M] at the
-        // outermost (largest-window) configuration — dominated by ε plus
-        // quantization raggedness.
-        let outer = exact_threshold(cfg, pmf, range, outer_multiple, mode)?;
-        let profile = loss_profile(pmf, range, mode, Some(outer.n_th_k));
-        let base_loss = profile
-            .iter()
-            .filter(|(y, _)| range.contains_k(*y))
-            .map(|(_, l)| match l {
-                PrivacyLoss::Finite(v) => *v,
-                PrivacyLoss::Infinite => f64::INFINITY,
-            })
-            .fold(0.0f64, f64::max);
-        if !base_loss.is_finite() {
-            return Err(LdpError::Unsatisfiable(
-                "infinite loss inside the sensor range",
-            ));
-        }
+        let outer = exact_threshold(cfg, pmf, range, outer_multiple, mode)?.n_th_k;
+        let by_overshoot = losses_by_overshoot(pmf, range, mode, outer);
+        let base_loss = by_overshoot[0]
+            .finite()
+            .expect("the solved window bounds every output's loss");
         let mut segments = Vec::with_capacity(multiples.len());
-        let mut prev_t = 0i64;
+        let mut cut = 0usize;
         for &m in multiples {
-            let spec = exact_threshold(cfg, pmf, range, m, mode)?;
-            // Degenerate nesting (equal thresholds) collapses to the larger
-            // loss only — keep strictly increasing thresholds.
-            if spec.n_th_k > prev_t {
-                segments.push((spec.n_th_k, m * eps));
-                prev_t = spec.n_th_k;
-            } else if let Some(last) = segments.last_mut() {
-                last.1 = m * eps;
-            } else {
-                segments.push((spec.n_th_k.max(1), m * eps));
-                prev_t = spec.n_th_k.max(1);
+            let loss = m * eps;
+            let prev = cut;
+            while cut < outer as usize && by_overshoot[cut + 1].is_bounded_by(loss) {
+                cut += 1;
+            }
+            if cut > prev {
+                segments.push((cut as i64, loss));
             }
         }
         Ok(SegmentTable {
@@ -134,13 +119,9 @@ impl SegmentTable {
         &self.segments
     }
 
-    /// The outermost threshold — the window the mechanism enforces.
-    ///
-    /// Both constructors ([`SegmentTable::build`] and
-    /// [`SegmentTable::from_rom_words`]) reject empty tables, so the
-    /// fallback arm — a zero-width window at the base loss, i.e. "clamp to
-    /// the sensor range" — is unreachable through public APIs; it exists so
-    /// this accessor cannot panic.
+    /// The outermost threshold — the window the mechanism enforces — and
+    /// its loss. A table whose window solved to zero has no segment; its
+    /// window is the sensor range itself, charged the base loss.
     pub fn outermost(&self) -> (i64, f64) {
         match self.segments.last() {
             Some(&seg) => seg,
@@ -174,63 +155,6 @@ impl SegmentTable {
             }
         }
         (self.segments.len(), self.outermost().1)
-    }
-
-    /// Serializes the table to the ROM words a synthesized DP-Box would
-    /// hard-wire: losses as fixed-point micro-nats, interleaved
-    /// `[mode, base_loss, n, t₁, l₁, …, t_n, l_n]`.
-    pub fn to_rom_words(&self) -> Vec<i64> {
-        let to_unats = |l: f64| (l * 1e6).round() as i64;
-        let mut out = vec![
-            match self.mode {
-                LimitMode::Resampling => 0,
-                LimitMode::Thresholding => 1,
-            },
-            to_unats(self.base_loss),
-            self.segments.len() as i64,
-        ];
-        for &(t, l) in &self.segments {
-            out.push(t);
-            out.push(to_unats(l));
-        }
-        out
-    }
-
-    /// Reconstructs a table from ROM words produced by
-    /// [`SegmentTable::to_rom_words`] (losses round-trip at micro-nat
-    /// precision).
-    ///
-    /// # Errors
-    ///
-    /// [`LdpError::Unsatisfiable`] on malformed words (wrong length, bad
-    /// mode tag, non-increasing segments).
-    pub fn from_rom_words(words: &[i64]) -> Result<Self, LdpError> {
-        let malformed = || LdpError::Unsatisfiable("malformed segment-table ROM");
-        if words.len() < 3 {
-            return Err(malformed());
-        }
-        let mode = match words[0] {
-            0 => LimitMode::Resampling,
-            1 => LimitMode::Thresholding,
-            _ => return Err(malformed()),
-        };
-        let base_loss = words[1] as f64 / 1e6;
-        let n = usize::try_from(words[2]).map_err(|_| malformed())?;
-        if words.len() != 3 + 2 * n || n == 0 {
-            return Err(malformed());
-        }
-        let mut segments = Vec::with_capacity(n);
-        for pair in words[3..].chunks_exact(2) {
-            segments.push((pair[0], pair[1] as f64 / 1e6));
-        }
-        if segments.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(malformed());
-        }
-        Ok(SegmentTable {
-            base_loss,
-            segments,
-            mode,
-        })
     }
 }
 
@@ -582,30 +506,6 @@ mod tests {
         assert!(inside < first);
         assert!(first < beyond + 1e-12);
         assert_eq!(beyond, t.outermost().1);
-    }
-
-    #[test]
-    fn rom_words_roundtrip() {
-        let (t, _, _) = table(LimitMode::Thresholding);
-        let words = t.to_rom_words();
-        let back = SegmentTable::from_rom_words(&words).unwrap();
-        assert_eq!(back.segments(), t.segments());
-        assert_eq!(back.mode(), t.mode());
-        assert!((back.base_loss() - t.base_loss()).abs() < 1e-6);
-        // Charges agree everywhere (micro-nat precision).
-        for o in [0i64, 1, 100, 10_000] {
-            assert!((back.charge_for_overshoot(o) - t.charge_for_overshoot(o)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn rom_words_reject_malformed_input() {
-        assert!(SegmentTable::from_rom_words(&[]).is_err());
-        assert!(SegmentTable::from_rom_words(&[9, 100, 1, 5, 100]).is_err()); // bad mode
-        assert!(SegmentTable::from_rom_words(&[1, 100, 2, 5, 100]).is_err()); // short
-        assert!(SegmentTable::from_rom_words(&[1, 100, 0]).is_err()); // no segments
-        assert!(SegmentTable::from_rom_words(&[1, 100, 2, 7, 100, 5, 200]).is_err()); // unordered
-        assert!(SegmentTable::from_rom_words(&[1, 100, 1, 5, 150]).is_ok());
     }
 
     #[test]

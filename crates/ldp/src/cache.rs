@@ -1,11 +1,11 @@
 //! Process-wide memoization of threshold solutions and segment tables.
 //!
-//! The exact threshold search ([`crate::threshold::exact_threshold`]) runs a
-//! binary search whose every probe builds two exact conditional
-//! distributions — by far the most expensive step of constructing a
-//! mechanism. Every regeneration sweep re-solves the *same* handful of
-//! (config, range, loss-multiple, mode) instances for each of its thousands
-//! of cells, so the solutions are memoized here.
+//! A solve ([`SegmentTable::build`], [`crate::threshold::exact_threshold`])
+//! costs all-pairs loss passes, the most expensive step of building a
+//! mechanism, and callers repeat the *same* few (config, range, multiples,
+//! mode) instances: every sweep for each of its thousands of cells,
+//! `DeviceArray::new` once per 1,024-device chunk, the fault campaign once
+//! per `DpBox`. So the solutions are memoized here.
 //!
 //! # Semantics
 //!

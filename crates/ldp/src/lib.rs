@@ -82,8 +82,7 @@ pub use ledger::{
     audit_series, AuditMismatch, BudgetLedger, DoubleSpend, LedgerEntry, LedgerSummary,
 };
 pub use loss::{
-    conditional, loss_profile, worst_case_loss_exhaustive, worst_case_loss_extremes,
-    ConditionalDist, LimitMode, PrivacyLoss,
+    conditional, loss_profile, worst_case_loss, ConditionalDist, LimitMode, PrivacyLoss,
 };
 pub use mechanism::{
     FxpBaseline, Guarantee, IdealLaplaceMechanism, Mechanism, NoisedOutput, ResamplingMechanism,

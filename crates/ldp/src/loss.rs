@@ -9,7 +9,7 @@
 //! lets the test suite *prove* (for a given configuration) the paper's
 //! claims rather than merely sample them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ulp_rng::FxpNoisePmf;
 
@@ -204,9 +204,7 @@ impl ConditionalDist {
         self.weights.iter().map(|(&k, &w)| (k, w))
     }
 
-    /// Acceptance probability this distribution was renormalized by
-    /// (1 for naive/thresholded; `norm / 2^(Bu+1)` for resampled), as the
-    /// exact pair `(norm, total)`.
+    /// The mean output index `Σ y·Pr[y]`, in grid units.
     pub fn mean(&self) -> f64 {
         let mut acc = 0.0;
         for (&k, &w) in &self.weights {
@@ -321,69 +319,153 @@ pub fn conditional(
     }
 }
 
-/// Worst-case loss between the two **extreme** inputs `m` and `M` — the
-/// adjacent pair with the largest shift, which dominates the loss for the
-/// shift-invariant naive mechanism and (empirically, verified by the
-/// exhaustive variant in tests) for the limited mechanisms too.
-pub fn worst_case_loss_extremes(
-    pmf: &FxpNoisePmf,
-    range: QuantizedRange,
-    mode: LimitMode,
-    n_th_k: Option<i64>,
-) -> PrivacyLoss {
-    let d_min = conditional(pmf, range, mode, n_th_k, range.min_k());
-    let d_max = conditional(pmf, range, mode, n_th_k, range.max_k());
-    d_min.worst_loss(&d_max)
+/// `Σ_{k ≥ j} w(k)` for any `j` (below 1, by the PMF's symmetry).
+fn tail_from(pmf: &FxpNoisePmf, j: i64) -> u128 {
+    if j >= 1 {
+        pmf.tail_weight_ge(j)
+    } else {
+        pmf.total_weight() - pmf.tail_weight_ge(1 - j)
+    }
 }
 
-/// Worst-case loss over **every** pair of inputs in the range — `O(|X|²·|Y|)`;
-/// intended for validation on small ranges.
-pub fn worst_case_loss_exhaustive(
-    pmf: &FxpNoisePmf,
+/// `ln(max / min)` of an output's extreme probabilities, exact fractions
+/// `(weight, normalizer)`: `None` if no input produces it.
+fn extreme_ratio_loss(min: (u128, u128), max: (u128, u128)) -> Option<PrivacyLoss> {
+    match (min.0, max.0) {
+        (_, 0) => None,
+        (0, _) => Some(PrivacyLoss::Infinite),
+        _ => Some(PrivacyLoss::Finite(
+            ((max.0 as f64 * min.1 as f64) / (min.0 as f64 * max.1 as f64)).ln(),
+        )),
+    }
+}
+
+/// The loss of the clamp atoms at overshoot `t`: each weighs the tail
+/// `Σ_{k ≥ t + d} w(k)`, monotone in the distance `d ∈ [0, span]` to its
+/// nearer input, so the extreme pair is exact.
+pub(crate) fn atom_loss(pmf: &FxpNoisePmf, range: QuantizedRange, t: i64) -> Option<PrivacyLoss> {
+    let far = tail_from(pmf, t + range.span_k());
+    extreme_ratio_loss((far, 1), (tail_from(pmf, t), 1))
+}
+
+/// `(min, max)` of every window `a[i..i + len]`, in order, by monotone deques.
+fn window_extrema(a: &[u128], len: usize) -> Vec<(u128, u128)> {
+    let (mut lo, mut hi) = (VecDeque::<usize>::new(), VecDeque::<usize>::new());
+    let mut out = Vec::with_capacity((a.len() + 1).saturating_sub(len));
+    for (i, &v) in a.iter().enumerate() {
+        while lo.back().is_some_and(|&j| a[j] >= v) {
+            lo.pop_back();
+        }
+        lo.push_back(i);
+        while hi.back().is_some_and(|&j| a[j] <= v) {
+            hi.pop_back();
+        }
+        hi.push_back(i);
+        if let Some(start) = (i + 1).checked_sub(len) {
+            while lo[0] < start {
+                lo.pop_front();
+            }
+            while hi[0] < start {
+                hi.pop_front();
+            }
+            out.push((a[lo[0]], a[hi[0]]));
+        }
+    }
+    out
+}
+
+/// Every output with its exact loss over every input pair, ascending and
+/// computed as consumed, so a solver can stop at the first over its bound.
+/// Output `y` has `Pr[y|x] = w(y − x) / Z(x)`; one sliding pass takes the
+/// extremes of the `span + 1` weights each output's inputs see. Without
+/// resampling `Z` is `2^(Bu+1)`, so those are the output's extremes; under
+/// resampling `Z(x)` is `x`'s acceptance weight in the window, and only the
+/// inputs within `Z`'s spread of an extreme weight are compared exactly.
+pub(crate) fn output_losses<'a>(
+    pmf: &'a FxpNoisePmf,
     range: QuantizedRange,
     mode: LimitMode,
     n_th_k: Option<i64>,
-) -> PrivacyLoss {
-    let dists: Vec<ConditionalDist> = (range.min_k()..=range.max_k())
-        .map(|x| conditional(pmf, range, mode, n_th_k, x))
+) -> impl Iterator<Item = (i64, PrivacyLoss)> + 'a {
+    let (m, big_m) = (range.min_k(), range.max_k());
+    let reach = n_th_k.unwrap_or(pmf.support_max_k());
+    assert!(reach >= 0, "threshold must be non-negative");
+    let (lo, hi) = (m - reach, big_m + reach);
+    let clamped = n_th_k.is_some() && mode == LimitMode::Thresholding;
+    let resampled = n_th_k.is_some() && mode == LimitMode::Resampling;
+    // Input M − i sees w(y − M + i), entry y − lo + i of the weights.
+    let weights: Vec<u128> = (lo - big_m..=hi - m).map(|k| pmf.weight(k)).collect();
+    let windows = window_extrema(&weights, (big_m - m) as usize + 1);
+    let norms: Vec<u128> = (m..=big_m)
+        .rev()
+        .filter(|_| resampled)
+        .map(|x| tail_from(pmf, lo - x) - tail_from(pmf, hi - x + 1))
         .collect();
-    let mut worst = PrivacyLoss::Finite(0.0);
-    for i in 0..dists.len() {
-        for j in (i + 1)..dists.len() {
-            worst = worst.max(dists[i].worst_loss(&dists[j]));
-            if worst == PrivacyLoss::Infinite {
-                return worst;
-            }
+    let (z_min, z_max) = (norms.iter().min().copied(), norms.iter().max().copied());
+    // As for [`ConditionalDist::resampled`]: a resampler must halt.
+    assert!(z_min != Some(0), "an input has zero acceptance probability");
+    let atom = atom_loss(pmf, range, reach);
+    let below = |a: (u128, u128), b: (u128, u128)| a.0 * b.1 < b.0 * a.1;
+    (lo..=hi).filter_map(move |y| {
+        if clamped && (y == lo || y == hi) {
+            return atom.map(|l| (y, l));
         }
+        let off = (y - lo) as usize;
+        let (w_min, w_max) = windows[off];
+        let (Some(z_min), Some(z_max)) = (z_min, z_max) else {
+            return extreme_ratio_loss((w_min, 1), (w_max, 1)).map(|l| (y, l));
+        };
+        let (min_cut, max_cut) = (w_min * z_max / z_min, (w_max * z_min).div_ceil(z_max));
+        let probs = weights[off..].iter().copied().zip(norms.iter().copied());
+        let min = probs.clone().filter(|p| p.0 <= min_cut);
+        let max = probs.filter(|p| p.0 >= max_cut);
+        extreme_ratio_loss(
+            min.reduce(|a, b| if below(b, a) { b } else { a })?,
+            max.reduce(|a, b| if below(a, b) { b } else { a })?,
+        )
+        .map(|l| (y, l))
+    })
+}
+
+/// The worst loss at each overshoot `0..=n_th_k`, either side, under window `n_th_k`.
+pub(crate) fn losses_by_overshoot(
+    pmf: &FxpNoisePmf,
+    range: QuantizedRange,
+    mode: LimitMode,
+    n_th_k: i64,
+) -> Vec<PrivacyLoss> {
+    let mut worst = vec![PrivacyLoss::Finite(0.0); n_th_k as usize + 1];
+    for (y, loss) in output_losses(pmf, range, mode, Some(n_th_k)) {
+        let o = (range.min_k() - y).max(0) + (y - range.max_k()).max(0);
+        worst[o as usize] = worst[o as usize].max(loss);
     }
     worst
 }
 
-/// The loss profile of Fig. 8: for each achievable output index `y`, the
-/// worst-case loss over the extreme input pair, reported as
-/// `(y_k, PrivacyLoss)` sorted by `y_k`.
+/// The exact privacy loss of every output the mechanism can release, over
+/// **every** pair of inputs in the range, as `(y_k, PrivacyLoss)` sorted by
+/// `y_k` — the per-output claim Algorithm 1 charges by and Fig. 8 plots.
+/// `n_th_k = None` is the naive mechanism; a negative `n_th_k` panics.
 pub fn loss_profile(
     pmf: &FxpNoisePmf,
     range: QuantizedRange,
     mode: LimitMode,
     n_th_k: Option<i64>,
 ) -> Vec<(i64, PrivacyLoss)> {
-    let d_min = conditional(pmf, range, mode, n_th_k, range.min_k());
-    let d_max = conditional(pmf, range, mode, n_th_k, range.max_k());
-    let (lo1, hi1) = d_min.support_bounds();
-    let (lo2, hi2) = d_max.support_bounds();
-    (lo1.min(lo2)..=hi1.max(hi2))
-        .filter_map(|y| {
-            d_min.loss_at(&d_max, y).map(|l| {
-                let sym = match l {
-                    PrivacyLoss::Finite(v) if v == f64::NEG_INFINITY => PrivacyLoss::Infinite,
-                    PrivacyLoss::Finite(v) => PrivacyLoss::Finite(v.abs()),
-                    PrivacyLoss::Infinite => PrivacyLoss::Infinite,
-                };
-                (y, sym)
-            })
-        })
-        .collect()
+    output_losses(pmf, range, mode, n_th_k).collect()
+}
+
+/// The worst-case loss over every output and every input pair: the maximum
+/// of [`loss_profile`].
+pub fn worst_case_loss(
+    pmf: &FxpNoisePmf,
+    range: QuantizedRange,
+    mode: LimitMode,
+    n_th_k: Option<i64>,
+) -> PrivacyLoss {
+    output_losses(pmf, range, mode, n_th_k)
+        .map(|(_, l)| l)
+        .fold(PrivacyLoss::Finite(0.0), PrivacyLoss::max)
 }
 
 #[cfg(test)]
@@ -403,7 +485,7 @@ mod tests {
     fn naive_mechanism_has_infinite_loss() {
         // The paper's central negative result (Section III-A3).
         let (pmf, range) = paper_pmf();
-        let loss = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None);
+        let loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, None);
         assert_eq!(loss, PrivacyLoss::Infinite);
     }
 
@@ -426,7 +508,7 @@ mod tests {
         let (pmf, range) = paper_pmf();
         // Very conservative threshold: well inside the healthy tail.
         let n_th = 300;
-        let loss = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(n_th));
+        let loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(n_th));
         assert!(
             loss.finite().is_some(),
             "thresholding must yield finite loss"
@@ -437,7 +519,7 @@ mod tests {
     fn resampling_bounds_the_loss() {
         let (pmf, range) = paper_pmf();
         let n_th = 300;
-        let loss = worst_case_loss_extremes(&pmf, range, LimitMode::Resampling, Some(n_th));
+        let loss = worst_case_loss(&pmf, range, LimitMode::Resampling, Some(n_th));
         assert!(loss.finite().is_some(), "resampling must yield finite loss");
     }
 
@@ -510,36 +592,13 @@ mod tests {
     #[test]
     fn smaller_threshold_gives_smaller_loss() {
         let (pmf, range) = paper_pmf();
-        let tight = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(80))
+        let tight = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(80))
             .finite()
             .unwrap();
-        let loose = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(400))
+        let loose = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(400))
             .finite()
             .unwrap();
         assert!(tight <= loose, "tight {tight} vs loose {loose}");
-    }
-
-    #[test]
-    fn extremes_match_exhaustive_on_small_case() {
-        // Small configuration where the exhaustive sweep is cheap.
-        let cfg = FxpLaplaceConfig::new(10, 10, 0.5, 4.0).unwrap();
-        let pmf = FxpNoisePmf::closed_form(cfg);
-        let range = QuantizedRange::new(0, 8, 0.5).unwrap(); // d = 4
-        for mode in [LimitMode::Thresholding, LimitMode::Resampling] {
-            for n_th in [5i64, 10, 20] {
-                let ext = worst_case_loss_extremes(&pmf, range, mode, Some(n_th));
-                let exh = worst_case_loss_exhaustive(&pmf, range, mode, Some(n_th));
-                match (ext, exh) {
-                    (PrivacyLoss::Finite(a), PrivacyLoss::Finite(b)) => {
-                        assert!(
-                            b <= a + 1e-9,
-                            "{mode:?} n_th={n_th}: exhaustive {b} > extremes {a}"
-                        );
-                    }
-                    (a, b) => assert_eq!(a, b, "{mode:?} n_th={n_th}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -547,13 +606,12 @@ mod tests {
         let (pmf, range) = paper_pmf();
         let n_th = 300;
         let profile = loss_profile(&pmf, range, LimitMode::Thresholding, Some(n_th));
-        // The profile's maximum is exactly the worst-case loss over the
-        // extreme pair (consistency between the two evaluators).
+        // The profile's maximum is exactly the worst-case loss.
         let max = profile
             .iter()
             .map(|(_, l)| *l)
             .fold(PrivacyLoss::Finite(0.0), PrivacyLoss::max);
-        let worst = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(n_th));
+        let worst = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(n_th));
         match (max, worst) {
             (PrivacyLoss::Finite(a), PrivacyLoss::Finite(b)) => assert!((a - b).abs() < 1e-9),
             (a, b) => assert_eq!(a, b),

@@ -43,7 +43,7 @@ use ulp_rng::{
 };
 
 use crate::error::LdpError;
-use crate::loss::{worst_case_loss_extremes, LimitMode};
+use crate::loss::{worst_case_loss, LimitMode};
 use crate::range::QuantizedRange;
 use crate::threshold::ThresholdSpec;
 
@@ -492,8 +492,8 @@ fn check_delta(sampler: &FxpLaplace, range: QuantizedRange) -> Result<(), LdpErr
 
 /// Machine-checks a window-limited mechanism's claimed loss bound (the
 /// secure-path gate): computes the exact realized worst-case Eq. 4 loss over
-/// the extreme input pair from the integer-count PMF and compares it with
-/// the claimed `guaranteed_loss`.
+/// every output and every input pair from the integer-count PMF and
+/// compares it with the claimed `guaranteed_loss`.
 ///
 /// # Errors
 ///
@@ -514,7 +514,7 @@ fn certify_window(
         ));
     }
     let pmf = cached_pmf(sampler.config())?;
-    let realized = worst_case_loss_extremes(&pmf, range, mode, Some(spec.n_th_k));
+    let realized = worst_case_loss(&pmf, range, mode, Some(spec.n_th_k));
     if realized.is_bounded_by(spec.guaranteed_loss) {
         SECURE_CERTIFICATIONS.inc();
         Ok(())

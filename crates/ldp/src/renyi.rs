@@ -190,9 +190,9 @@ mod tests {
 
     #[test]
     fn large_alpha_approaches_worst_case_loss() {
-        use crate::loss::worst_case_loss_extremes;
+        use crate::loss::worst_case_loss;
         let (pmf, range) = setup();
-        let worst = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(300))
+        let worst = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(300))
             .finite()
             .unwrap();
         let d = worst_case_renyi(&pmf, range, LimitMode::Thresholding, Some(300), 512.0)
@@ -217,10 +217,9 @@ mod tests {
     fn rdp_accounting_beats_pure_composition() {
         // 500 queries: best RDP order vs pure-ε composition.
         let (pmf, range) = setup();
-        let worst =
-            crate::loss::worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(300))
-                .finite()
-                .unwrap();
+        let worst = crate::loss::worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(300))
+            .finite()
+            .unwrap();
         let eps_pure = 500.0 * worst;
         let eps_rdp = [2.0, 4.0, 8.0, 16.0]
             .iter()

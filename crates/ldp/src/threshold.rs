@@ -3,22 +3,20 @@
 //! Both mechanisms limit the noised-output window to `[m − n_th, M + n_th]`;
 //! the art is picking the largest `n_th` (for utility and, with resampling,
 //! for energy) whose worst-case privacy loss still stays below a target
-//! `n·ε`. Two solvers are provided:
+//! `n·ε`. The paper's **closed forms** (Eqs. 13 and 15), derived by
+//! bracketing the floor/ceiling counts of Eq. 11, give a starting point;
+//! every window the crate ships comes from the **exact solve**
+//! ([`exact_threshold`]) against the all-pairs, per-output loss of
+//! [`crate::loss::loss_profile`], which returns the largest threshold that
+//! provably meets the bound.
 //!
-//! * the paper's **closed forms** (Eqs. 13 and 15), derived by bracketing
-//!   the floor/ceiling counts of Eq. 11 — *sufficient* conditions, slightly
-//!   conservative;
-//! * an **exact search** against the true integer-count loss from
-//!   [`crate::loss`], which returns the largest threshold that provably
-//!   meets the bound.
-//!
-//! Tests assert soundness (closed form ≤ exact) and tightness (within a few
-//! grid steps).
+//! Tests assert soundness (closed form ≤ exact for Eq. 13) and tightness
+//! (within a few grid steps), and pin where Eq. 15 is unsound.
 
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
 use crate::error::LdpError;
-use crate::loss::{worst_case_loss_extremes, LimitMode, PrivacyLoss};
+use crate::loss::{atom_loss, losses_by_overshoot, output_losses, worst_case_loss, LimitMode};
 use crate::range::QuantizedRange;
 
 /// A threshold together with the loss bound it guarantees.
@@ -148,14 +146,8 @@ pub fn closed_form_threshold(
     }
 }
 
-/// A maximal threshold whose **exact** worst-case privacy loss (computed
-/// from the integer-count PMF over the extreme input pair) is at most
-/// `multiple·ε`.
-///
-/// *Maximal* means one grid step further violates the bound. Because the
-/// loss is not perfectly monotone in the threshold (floor/ceiling
-/// raggedness), the binary-search result is verified, walked down while
-/// infeasible, then walked up through any feasible plateau.
+/// The largest threshold whose **exact** worst-case privacy loss, over
+/// every output and every input pair, is at most `multiple·ε`.
 ///
 /// # Errors
 ///
@@ -176,6 +168,11 @@ pub fn exact_threshold(
 /// threshold for *any* exact noise PMF (Laplace, Gaussian, …) against a
 /// loss bound given directly in nats.
 ///
+/// Under thresholding an unclamped output loses the same under every
+/// window, so one pass over the overshoots finds the largest `t` whose
+/// unclamped outputs below `t` and clamp atoms at `t` fit the bound.
+/// Resampling renormalizes per window, so it searches.
+///
 /// # Errors
 ///
 /// [`LdpError::InvalidEpsilon`] for a non-positive bound;
@@ -189,7 +186,7 @@ pub fn exact_threshold_for_bound(
     if !(bound.is_finite() && bound > 0.0) {
         return Err(LdpError::InvalidEpsilon(bound));
     }
-    let ok = |t: i64| worst_case_loss_extremes(pmf, range, mode, Some(t)).is_bounded_by(bound);
+    let ok = |t: i64| output_losses(pmf, range, mode, Some(t)).all(|(_, l)| l.is_bounded_by(bound));
     if !ok(0) {
         return Err(LdpError::Unsatisfiable(
             "even a zero threshold exceeds the loss target",
@@ -199,28 +196,46 @@ pub fn exact_threshold_for_bound(
     // the far input `m` (shift `span`), so `n_th ≤ support − span`; beyond
     // that the loss is trivially infinite.
     let hi_cap = (pmf.support_max_k() - range.span_k()).max(0);
-    let (mut lo, mut hi) = (0i64, hi_cap);
-    // Binary search for the last `true` under an approximately monotone
-    // predicate.
-    while lo < hi {
-        let mid = lo + (hi - lo + 1) / 2;
-        if ok(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
+    let n_th_k = match mode {
+        LimitMode::Thresholding => {
+            let unclamped = losses_by_overshoot(pmf, range, mode, hi_cap);
+            let mut inside = unclamped[0];
+            let mut best = 0;
+            for t in 1..=hi_cap {
+                if !inside.is_bounded_by(bound) {
+                    break;
+                }
+                if atom_loss(pmf, range, t).is_none_or(|l| l.is_bounded_by(bound)) {
+                    best = t;
+                }
+                inside = inside.max(unclamped[t as usize]);
+            }
+            best
         }
-    }
-    // Raggedness guards: ensure feasibility, then extend through any
-    // feasible plateau so the result is locally maximal.
-    let mut t = lo;
-    while t > 0 && !ok(t) {
-        t -= 1;
-    }
-    while t < hi_cap && ok(t + 1) {
-        t += 1;
-    }
+        LimitMode::Resampling => {
+            let (mut lo, mut hi) = (0i64, hi_cap);
+            while lo < hi {
+                let mid = lo + (hi - lo + 1) / 2;
+                if ok(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            // Raggedness guards: ensure feasibility, then extend through
+            // any feasible plateau so the result is locally maximal.
+            let mut t = lo;
+            while t > 0 && !ok(t) {
+                t -= 1;
+            }
+            while t < hi_cap && ok(t + 1) {
+                t += 1;
+            }
+            t
+        }
+    };
     Ok(ThresholdSpec {
-        n_th_k: t,
+        n_th_k,
         guaranteed_loss: bound,
     })
 }
@@ -236,26 +251,22 @@ pub struct RefinedThreshold {
     /// The certified window: `n_th_k` passed the exact Eq. 4 check against
     /// `guaranteed_loss`.
     pub spec: ThresholdSpec,
-    /// Net grid steps the window moved during refinement: positive when the
-    /// interval was shrunk (the closed form overshot), negative when the
-    /// feasible plateau extended past the conservative start.
+    /// Net grid steps from the closed-form start to the certified window:
+    /// positive when the closed form overshot, negative when it was
+    /// conservative.
     pub steps: i64,
     /// The exact realized worst-case loss at the certified window (nats),
     /// always ≤ `spec.guaranteed_loss`.
     pub realized: f64,
 }
 
-/// Interval-refining threshold selection — the secure-mode solver.
+/// The secure-mode solver: the [`exact_threshold`] window, certified
+/// against the paper's closed-form start (Eq. 13 / Eq. 15).
 ///
-/// Starts from the paper's closed-form window (Eq. 13 / Eq. 15) and
-/// *refines the interval* one grid step at a time, machine-checking the
-/// exact Eq. 4 worst-case loss at every step: while the check fails the
-/// window shrinks (this is what rescues Eq. 15 configurations that land in
-/// the RNG's zero-probability gap region, where the closed form's claimed
-/// bound is actually infinite); once feasible it extends through the
-/// feasible plateau so the certified window is locally maximal. The
-/// returned certificate records the trajectory, so callers can report how
-/// far the claimed threshold was from a sound one.
+/// The certificate records how far the claimed closed-form threshold was
+/// from a sound one — Eq. 15 configurations land in the RNG's
+/// zero-probability gap region, where the closed form's claimed bound is
+/// actually infinite — and the exact realized loss at the certified window.
 ///
 /// # Errors
 ///
@@ -268,39 +279,17 @@ pub fn refine_threshold(
     multiple: f64,
     mode: LimitMode,
 ) -> Result<RefinedThreshold, LdpError> {
-    let (eps, _) = validate(cfg, range, multiple)?;
-    let bound = multiple * eps;
-    let ok = |t: i64| worst_case_loss_extremes(pmf, range, mode, Some(t)).is_bounded_by(bound);
-    if !ok(0) {
-        return Err(LdpError::Unsatisfiable(
-            "even a zero threshold exceeds the loss target",
-        ));
-    }
+    let spec = exact_threshold(cfg, pmf, range, multiple, mode)?;
     let start = closed_form_threshold(cfg, range, multiple, mode)
         .map(|s| s.n_th_k)
         .unwrap_or(0);
-    let hi_cap = (pmf.support_max_k() - range.span_k()).max(0);
-    // Shrink while the exact check fails…
-    let mut t = start.clamp(0, hi_cap);
-    while t > 0 && !ok(t) {
-        t -= 1;
-    }
-    // …then extend through the feasible plateau (floor/ceiling raggedness
-    // can make the closed form locally over-conservative).
-    while t < hi_cap && ok(t + 1) {
-        t += 1;
-    }
-    let realized = match worst_case_loss_extremes(pmf, range, mode, Some(t)) {
-        PrivacyLoss::Finite(l) => l,
-        PrivacyLoss::Infinite => unreachable!("ok(t) held, so the loss is finite"),
-    };
+    let realized = worst_case_loss(pmf, range, mode, Some(spec.n_th_k))
+        .finite()
+        .expect("the solved window is feasible, so its loss is finite");
     Ok(RefinedThreshold {
         start_n_th_k: start,
-        spec: ThresholdSpec {
-            n_th_k: t,
-            guaranteed_loss: bound,
-        },
-        steps: start - t,
+        spec,
+        steps: start - spec.n_th_k,
         realized,
     })
 }
@@ -308,7 +297,7 @@ pub fn refine_threshold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::worst_case_loss_extremes;
+    use crate::loss::worst_case_loss;
 
     fn paper_setup() -> (FxpLaplaceConfig, FxpNoisePmf, QuantizedRange) {
         // d = 10, ε = 0.5 → λ = 20; Δ = 10/32; Bu = 17.
@@ -325,8 +314,7 @@ mod tests {
         let (cfg, pmf, range) = paper_setup();
         for multiple in [1.5, 2.0, 3.0] {
             let spec = resampling_threshold(cfg, range, multiple).unwrap();
-            let loss =
-                worst_case_loss_extremes(&pmf, range, LimitMode::Resampling, Some(spec.n_th_k));
+            let loss = worst_case_loss(&pmf, range, LimitMode::Resampling, Some(spec.n_th_k));
             assert!(
                 loss.is_bounded_by(spec.guaranteed_loss + 1e-9),
                 "n={multiple}: threshold {} has loss {loss:?} > {}",
@@ -395,8 +383,7 @@ mod tests {
             eq15.n_th_k,
             exact.n_th_k
         );
-        let at_eq15 =
-            worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(eq15.n_th_k));
+        let at_eq15 = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(eq15.n_th_k));
         assert_eq!(at_eq15, crate::loss::PrivacyLoss::Infinite);
     }
 
@@ -426,7 +413,7 @@ mod tests {
         let exact = exact_threshold(cfg, &pmf, range, 2.0, LimitMode::Resampling).unwrap();
         assert_eq!(refined.spec, exact);
         assert!(refined.steps <= 0, "a sound start never shrinks");
-        let at = worst_case_loss_extremes(
+        let at = worst_case_loss(
             &pmf,
             range,
             LimitMode::Resampling,
@@ -448,11 +435,10 @@ mod tests {
     fn exact_threshold_is_maximal() {
         let (cfg, pmf, range) = paper_setup();
         let spec = exact_threshold(cfg, &pmf, range, 2.0, LimitMode::Thresholding).unwrap();
-        let at = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
+        let at = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
         assert!(at.is_bounded_by(spec.guaranteed_loss));
         // One step further must break the bound (maximality).
-        let beyond =
-            worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k + 1));
+        let beyond = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k + 1));
         assert!(!beyond.is_bounded_by(spec.guaranteed_loss));
     }
 
@@ -507,8 +493,7 @@ mod tests {
         if let Ok(spec) = r {
             // If the formula returns something it must still be sound.
             let pmf = FxpNoisePmf::closed_form(cfg);
-            let loss =
-                worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
+            let loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(spec.n_th_k));
             assert!(loss.is_bounded_by(spec.guaranteed_loss + 1e-9));
         }
     }

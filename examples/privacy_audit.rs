@@ -5,8 +5,7 @@
 //! Run with: `cargo run --example privacy_audit`
 
 use ulp_ldp::ldp::{
-    closed_form_threshold, exact_threshold, worst_case_loss_extremes, LimitMode, PrivacyLoss,
-    QuantizedRange,
+    closed_form_threshold, exact_threshold, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange,
 };
 use ulp_ldp::rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -29,7 +28,7 @@ fn audit(bu: u8, by: u8, adc_bits: u8, eps: f64) -> Result<(), Box<dyn std::erro
     }
 
     // The naive guarantee check.
-    match worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None) {
+    match worst_case_loss(&pmf, range, LimitMode::Thresholding, None) {
         PrivacyLoss::Infinite => {
             println!("  naive noising: worst-case loss ∞ — NOT differentially private")
         }

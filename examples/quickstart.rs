@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use ulp_ldp::ldp::{
-    exact_threshold, worst_case_loss_extremes, LimitMode, Mechanism, PrivacyLoss, QuantizedRange,
+    exact_threshold, worst_case_loss, LimitMode, Mechanism, PrivacyLoss, QuantizedRange,
     ResamplingMechanism, ThresholdingMechanism,
 };
 use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. The naive implementation has INFINITE privacy loss: some outputs
     //    are possible under one sensor value and impossible under another.
-    let naive_loss = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None);
+    let naive_loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, None);
     println!("naive fixed-point noising: worst-case loss = {naive_loss:?}");
     assert_eq!(naive_loss, PrivacyLoss::Infinite);
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (LimitMode::Thresholding, spec.n_th_k),
         (LimitMode::Resampling, rspec.n_th_k),
     ] {
-        let loss = worst_case_loss_extremes(&pmf, range, mode, Some(t));
+        let loss = worst_case_loss(&pmf, range, mode, Some(t));
         println!("{mode:?}: exact worst-case loss = {loss:?}");
         assert!(loss.is_bounded_by(2.0 * eps));
     }

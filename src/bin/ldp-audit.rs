@@ -10,7 +10,7 @@
 //!
 //!   --bu N         URNG width in bits            (default 17)
 //!   --by N         output word width in bits     (default 20)
-//!   --adc-bits N   sensor ADC resolution         (default 8)
+//!   --adc-bits N   sensor ADC resolution         (default 8, at most 12)
 //!   --eps X        privacy parameter ε           (default 0.5)
 //!   --multiple X   loss target as multiple of ε  (default 2.0)
 //! ```
@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 
 use ulp_ldp::ldp::{
-    exact_threshold, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange, SegmentTable,
+    exact_threshold, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange, SegmentTable,
 };
 use ulp_ldp::rng::{FxpLaplaceConfig, FxpNoisePmf};
 
@@ -71,10 +71,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(a: &Args) -> Result<(), String> {
+    // The all-pairs check scans every sensor code for every output.
+    if a.adc_bits > 12 {
+        return Err(format!("--adc-bits {}: at most 12 bits", a.adc_bits));
+    }
     let span = 1i64 << a.adc_bits;
     let lambda = span as f64 / a.eps;
     let cfg = FxpLaplaceConfig::new(a.bu, a.by, 1.0, lambda).map_err(|e| e.to_string())?;
     let range = QuantizedRange::new(0, span, 1.0).map_err(|e| e.to_string())?;
+    FxpNoisePmf::check_support(cfg).map_err(|e| e.to_string())?;
     let pmf = FxpNoisePmf::closed_form(cfg);
 
     println!(
@@ -92,7 +97,7 @@ fn run(a: &Args) -> Result<(), String> {
         }
     );
 
-    match worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None) {
+    match worst_case_loss(&pmf, range, LimitMode::Thresholding, None) {
         PrivacyLoss::Infinite => {
             println!("naive noising: worst-case loss ∞ — NOT differentially private")
         }

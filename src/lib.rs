@@ -33,7 +33,7 @@
 //! ```
 //! use ulp_ldp::ldp::{
 //!     exact_threshold, LimitMode, Mechanism, QuantizedRange, ThresholdingMechanism,
-//!     worst_case_loss_extremes, PrivacyLoss,
+//!     worst_case_loss, PrivacyLoss,
 //! };
 //! use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
 //!
@@ -45,7 +45,7 @@
 //!
 //! // Naive fixed-point noising is NOT private:
 //! assert_eq!(
-//!     worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None),
+//!     worst_case_loss(&pmf, range, LimitMode::Thresholding, None),
 //!     PrivacyLoss::Infinite,
 //! );
 //!

@@ -16,9 +16,9 @@ use ulp_ldp::fleet::{FleetConfig, FleetDriver, ServiceConfig};
 #[test]
 fn differential_runs_reproduce_their_pinned_digests() {
     let pins = [
-        ("clean", 0x5f77_bb64_c58e_5634),
-        ("chaos", 0x4153_6221_f3c6_7b36),
-        ("service", 0x6893_3595_4bcd_c86b),
+        ("clean", 0x3d8c_bed5_d053_1238),
+        ("chaos", 0x9adf_e34c_8876_1612),
+        ("service", 0x3f14_e9ba_7dd4_069b),
     ];
     for ((name, cfg, svc), (pinned, pin)) in differential_runs().into_iter().zip(pins) {
         assert_eq!(name, pinned, "the differential runs changed order");
@@ -48,7 +48,7 @@ fn windowed_chaos_under_backpressure_reproduces_its_pinned_digest() {
         "no retry"
     );
     assert_eq!(out.stats.late, 0);
-    let pin = 0xa3ab_9f68_db58_3ac2;
+    let pin = 0x1287_4b6c_9a67_cfc6;
     assert_eq!(
         out.digest(),
         pin,

@@ -3,7 +3,7 @@
 //! and the same window-limiting machinery repairs any of them.
 
 use ulp_ldp::ldp::{
-    exact_threshold_for_bound, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange,
+    exact_threshold_for_bound, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange,
 };
 use ulp_ldp::rng::{FxpGaussian, FxpGaussianConfig};
 
@@ -17,7 +17,7 @@ fn fixed_point_gaussian_breaks_exactly_like_laplace() {
     assert!(g.pmf().support_max_k() > 0);
     assert!(g.pmf().interior_gap_count() > 0);
     // …⇒ infinite naive loss.
-    let loss = worst_case_loss_extremes(g.pmf(), range, LimitMode::Thresholding, None);
+    let loss = worst_case_loss(g.pmf(), range, LimitMode::Thresholding, None);
     assert_eq!(loss, PrivacyLoss::Infinite);
 }
 
@@ -31,7 +31,7 @@ fn window_limiting_repairs_the_gaussian_too() {
     for mode in [LimitMode::Thresholding, LimitMode::Resampling] {
         let spec = exact_threshold_for_bound(g.pmf(), range, 1.0, mode).expect("solvable");
         assert!(spec.n_th_k > 0, "{mode:?}: nontrivial window expected");
-        let loss = worst_case_loss_extremes(g.pmf(), range, mode, Some(spec.n_th_k));
+        let loss = worst_case_loss(g.pmf(), range, mode, Some(spec.n_th_k));
         assert!(
             loss.is_bounded_by(1.0 + 1e-12),
             "{mode:?}: {loss:?} exceeds 1 nat"
@@ -72,13 +72,12 @@ fn fixed_point_staircase_breaks_and_repairs_identically() {
     let fxp = FxpStaircase::new(cfg, st);
     let range = QuantizedRange::new(0, 32, cfg.delta()).expect("valid range");
     // Break…
-    let naive = worst_case_loss_extremes(fxp.pmf(), range, LimitMode::Thresholding, None);
+    let naive = worst_case_loss(fxp.pmf(), range, LimitMode::Thresholding, None);
     assert_eq!(naive, PrivacyLoss::Infinite);
     // …and repair at a 2ε = 1.0 nat target.
     let spec = exact_threshold_for_bound(fxp.pmf(), range, 1.0, LimitMode::Thresholding)
         .expect("solvable");
-    let fixed =
-        worst_case_loss_extremes(fxp.pmf(), range, LimitMode::Thresholding, Some(spec.n_th_k));
+    let fixed = worst_case_loss(fxp.pmf(), range, LimitMode::Thresholding, Some(spec.n_th_k));
     assert!(fixed.is_bounded_by(1.0 + 1e-12), "{fixed:?}");
 }
 

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use ulp_ldp::ldp::{
-    conditional, exact_threshold, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange,
+    conditional, exact_threshold, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange,
     ResamplingMechanism, ThresholdingMechanism,
 };
 use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -33,7 +33,7 @@ fn sweep() -> Vec<(FxpLaplaceConfig, QuantizedRange)> {
 fn naive_noising_is_never_private() {
     for (cfg, range) in sweep() {
         let pmf = FxpNoisePmf::closed_form(cfg);
-        let loss = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None);
+        let loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, None);
         assert_eq!(
             loss,
             PrivacyLoss::Infinite,
@@ -54,7 +54,7 @@ fn solved_windows_bound_the_loss_everywhere() {
                 Ok(s) => s,
                 Err(_) => continue, // configuration cannot meet the target
             };
-            let loss = worst_case_loss_extremes(&pmf, range, mode, Some(spec.n_th_k));
+            let loss = worst_case_loss(&pmf, range, mode, Some(spec.n_th_k));
             assert!(
                 loss.is_bounded_by(2.0 * eps + 1e-12),
                 "{mode:?} Bu={}: loss {loss:?} > {}",

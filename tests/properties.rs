@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use ulp_ldp::eval::Adc;
 use ulp_ldp::ldp::{
-    exact_threshold, worst_case_loss_extremes, LimitMode, PrivacyLoss, QuantizedRange,
-    ResamplingMechanism, ThresholdingMechanism,
+    exact_threshold, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange, ResamplingMechanism,
+    ThresholdingMechanism,
 };
 use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, RandomBits, Taus88};
 
@@ -40,7 +40,7 @@ proptest! {
     #[test]
     fn naive_loss_is_infinite((cfg, range) in arb_cfg()) {
         let pmf = FxpNoisePmf::closed_form(cfg);
-        let loss = worst_case_loss_extremes(&pmf, range, LimitMode::Thresholding, None);
+        let loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, None);
         prop_assert_eq!(loss, PrivacyLoss::Infinite);
     }
 
@@ -51,10 +51,10 @@ proptest! {
         let eps = range.length() / cfg.lambda();
         for mode in [LimitMode::Resampling, LimitMode::Thresholding] {
             if let Ok(spec) = exact_threshold(cfg, &pmf, range, multiple, mode) {
-                let at = worst_case_loss_extremes(&pmf, range, mode, Some(spec.n_th_k));
+                let at = worst_case_loss(&pmf, range, mode, Some(spec.n_th_k));
                 prop_assert!(at.is_bounded_by(multiple * eps + 1e-12),
                     "{mode:?}: loss {at:?} at solved threshold {}", spec.n_th_k);
-                let beyond = worst_case_loss_extremes(&pmf, range, mode, Some(spec.n_th_k + 1));
+                let beyond = worst_case_loss(&pmf, range, mode, Some(spec.n_th_k + 1));
                 prop_assert!(!beyond.is_bounded_by(multiple * eps),
                     "{mode:?}: threshold {} not maximal", spec.n_th_k);
             }
@@ -132,8 +132,8 @@ proptest! {
         if t1 < 1 || t2 <= t1 { return Ok(()); }
         {
             let mode = LimitMode::Thresholding;
-            let l1 = worst_case_loss_extremes(&pmf, range, mode, Some(t1));
-            let l2 = worst_case_loss_extremes(&pmf, range, mode, Some(t2));
+            let l1 = worst_case_loss(&pmf, range, mode, Some(t1));
+            let l2 = worst_case_loss(&pmf, range, mode, Some(t2));
             match (l1, l2) {
                 (PrivacyLoss::Finite(a), PrivacyLoss::Finite(b)) => {
                     prop_assert!(b >= a - 1e-9, "loss shrank with window: {a} -> {b}")
