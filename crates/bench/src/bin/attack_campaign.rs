@@ -613,6 +613,7 @@ fn main() {
     let attack_seed = ldp_bench::require_env(BIN, attack_seed_from_env());
     let threads = ldp_bench::require_env(BIN, ulp_par::try_threads());
     ldp_bench::require_env(BIN, SamplerPath::from_env());
+    ldp_bench::require_writable(BIN, &out_path);
 
     let seed = attack_seed.or(seed).unwrap_or(ldp_bench::SEED);
     let trials = trials.unwrap_or(if smoke { 4_000 } else { 200_000 });
@@ -685,6 +686,6 @@ fn main() {
     );
 
     let json = render_json(threads, smoke, seed, trials, &cells);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
+    ldp_bench::write_report(BIN, &out_path, &json);
     eprintln!("wrote {out_path}");
 }

@@ -153,6 +153,7 @@ fn main() {
     // breakdown does not need this: it comes from each cell's warm-up
     // run at `full`, whatever the ambient level.)
     let env = ldp_bench::FleetEnv::validate("bench_fleet", metrics);
+    ldp_bench::require_writable("bench_fleet", &out_path);
     let (threads, level) = (env.threads, env.level);
     eprintln!(
         "bench_fleet: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \
@@ -225,6 +226,6 @@ fn main() {
 
     let metrics_report = metrics.then(|| ulp_obs::snapshot().to_json());
     let json = render_json(threads, smoke, &cells, target, metrics_report);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
+    ldp_bench::write_report("bench_fleet", &out_path, &json);
     eprintln!("wrote {out_path}");
 }

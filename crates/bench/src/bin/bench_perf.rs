@@ -137,16 +137,24 @@ fn extract_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Reads the `--compare` baseline before the run, exiting through
+/// [`ldp_bench::reject`] with one line naming the path if it cannot be
+/// read or holds no artifacts.
+fn read_baseline(path: &str) -> Vec<(String, f64, f64)> {
+    let baseline = parse_baseline(&ldp_bench::read_input(BIN, path));
+    if baseline.is_empty() {
+        ldp_bench::reject(BIN, format!("baseline {path:?} contains no artifacts"));
+    }
+    baseline
+}
+
 /// Prints the per-artifact throughput deltas and returns `true` if any
 /// artifact present in both reports lost more than 25% of its cells/sec.
-fn compare_against(baseline_path: &str, results: &[Timed]) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path:?}: {e}"));
-    let baseline = parse_baseline(&text);
-    assert!(
-        !baseline.is_empty(),
-        "baseline {baseline_path:?} contains no artifacts"
-    );
+fn compare_against(
+    baseline_path: &str,
+    baseline: &[(String, f64, f64)],
+    results: &[Timed],
+) -> bool {
     eprintln!("compare vs {baseline_path}:");
     // Sub-50ms artifacts are timer/jitter noise, not throughput signal;
     // report them but keep them out of the pass/fail decision.
@@ -206,6 +214,11 @@ fn main() {
         SamplerPath::Fast => "fast",
         SamplerPath::Secure => "secure",
     };
+    let baseline = compare_path.map(|path| {
+        let baseline = read_baseline(&path);
+        (path, baseline)
+    });
+    ldp_bench::require_writable(BIN, &out_path);
     eprintln!(
         "bench_perf: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \
          {sampler_path} sampler path, metrics {}",
@@ -260,13 +273,13 @@ fn main() {
 
     let snapshot = metrics.then(|| ulp_obs::snapshot().to_json());
     let json = render_json(threads, smoke, sampler_path, &results, snapshot);
-    std::fs::write(&out_path, &json).expect("write JSON report");
+    ldp_bench::write_report(BIN, &out_path, &json);
     let total: f64 = results.iter().map(|r| r.seconds).sum();
     eprintln!("total {total:.3}s -> {out_path}");
     print!("{json}");
 
-    if let Some(path) = compare_path {
-        if compare_against(&path, &results) {
+    if let Some((path, baseline)) = baseline {
+        if compare_against(&path, &baseline, &results) {
             eprintln!("bench_perf: throughput regression detected");
             std::process::exit(1);
         }

@@ -210,6 +210,7 @@ fn main() {
     let chaos_seed =
         ldp_bench::require_env(BIN, chaos_seed_from_env()).unwrap_or(DEFAULT_CHAOS_SEED);
     let env = ldp_bench::FleetEnv::validate(BIN, false);
+    ldp_bench::require_writable(BIN, &out_path);
     let threads = env.threads;
 
     let devices = devices.unwrap_or(if smoke { 2_000 } else { 100_000 });
@@ -276,6 +277,6 @@ fn main() {
     }
 
     let json = render_json(threads, smoke, chaos_seed, baseline_digest, &cells);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
+    ldp_bench::write_report(BIN, &out_path, &json);
     eprintln!("wrote {out_path}");
 }

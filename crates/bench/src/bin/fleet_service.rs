@@ -152,13 +152,14 @@ fn main() {
     }
 
     // Validate every ULP_* knob up front — the fleet set plus the
-    // service's own window/queue overrides.
+    // service's own window/queue overrides — and the report path.
     let env = ldp_bench::FleetEnv::validate("fleet_service", metrics);
     let (headline_w, headline_q) = if smoke { (2, 1 << 14) } else { (2, 1 << 18) };
     let headline_svc = ldp_bench::require_env(
         "fleet_service",
         ServiceConfig::new(headline_w, headline_q).with_env_overrides(),
     );
+    ldp_bench::require_writable("fleet_service", &out_path);
     eprintln!(
         "fleet_service: {} mode, {} worker thread(s), metrics {}, windows of {} epoch(s), \
          {}-frame queues",
@@ -239,6 +240,6 @@ fn main() {
 
     let metrics_report = metrics.then(|| ulp_obs::snapshot().to_json());
     let json = render_json(env.threads, smoke, &cells, target, metrics_report);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path:?}: {e}"));
+    ldp_bench::write_report("fleet_service", &out_path, &json);
     eprintln!("wrote {out_path}");
 }

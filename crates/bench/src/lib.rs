@@ -14,7 +14,10 @@ pub mod fleet;
 pub mod json;
 mod render;
 
-pub use env::{reject, require_env, require_flag, unknown_flag, FleetEnv};
+pub use env::{
+    read_input, reject, require_env, require_flag, require_writable, unknown_flag, write_report,
+    FleetEnv,
+};
 pub use render::{
     render_adversary, render_counting_table, render_fault_campaign, render_latency, render_rr,
     render_scaling, render_svm, render_utility_table, Artifact,

@@ -205,30 +205,35 @@ impl QueryTotals {
         })
     }
 
-    /// Absorbs one numeric report value (grid units).
+    /// Absorbs one numeric report value (grid units). The sums stay
+    /// exact: below 2¹⁵ in magnitude the powers are taken in `i64` (v⁴ <
+    /// 2⁶⁰), above it in `i128`.
+    #[inline]
     pub fn absorb_value(&mut self, v: i64) {
         self.count += 1;
-        let w = i128::from(v);
-        self.sum += w;
-        self.sum2 += w * w;
-        self.sum3 += w * w * w;
-        self.sum4 += w * w * w * w;
+        if v.unsigned_abs() < 1 << 15 {
+            let v2 = v * v;
+            self.sum += i128::from(v);
+            self.sum2 += i128::from(v2);
+            self.sum3 += i128::from(v2 * v);
+            self.sum4 += i128::from(v2 * v2);
+        } else {
+            let w = i128::from(v);
+            self.sum += w;
+            self.sum2 += w * w;
+            self.sum3 += w * w * w;
+            self.sum4 += w * w * w * w;
+        }
         if let Some(s) = self.sketch.as_mut() {
             s.record(v);
         }
     }
 
     /// Absorbs one randomized-response bit.
-    pub fn absorb_bit(&mut self, b: bool) {
+    #[inline]
+    fn absorb_bit(&mut self, b: bool) {
         self.count += 1;
         self.ones += u64::from(b);
-    }
-
-    fn absorb(&mut self, payload: Payload) {
-        match payload {
-            Payload::Value(v) => self.absorb_value(i64::from(v)),
-            Payload::RrBit(b) => self.absorb_bit(b),
-        }
     }
 
     pub(crate) fn merge(&mut self, other: &QueryTotals) {
@@ -468,22 +473,58 @@ struct ShardState {
     flat_latched: Vec<bool>,
 }
 
-/// A decoded batch item, in stream order. Strikes ride alongside accepted
-/// candidates so each shard sees its devices' violations and reports in
-/// their original interleaving.
+/// A decoded batch item, in stream order: a well-formed report for a
+/// registered query index `q`, or an attributable protocol violation.
+/// Strikes ride alongside accepted candidates so each shard sees its
+/// devices' violations and reports in their original interleaving. 16 B.
 #[derive(Clone, Copy)]
 enum Item {
-    /// A well-formed report for registered query index `q`.
-    Report { q: usize, report: Report },
+    /// A reading for a numeric query.
+    Value {
+        q: u16,
+        device: u32,
+        epoch: u32,
+        value: i32,
+    },
+    /// A randomized-response bit for an RR query.
+    Bit {
+        q: u16,
+        device: u32,
+        epoch: u32,
+        one: bool,
+    },
     /// An attributable protocol violation by `device`.
     Strike { device: u32 },
 }
 
 impl Item {
+    #[inline]
     fn device(&self) -> u32 {
-        match self {
-            Item::Report { report, .. } => report.device,
-            Item::Strike { device } => *device,
+        match *self {
+            Item::Value { device, .. } | Item::Bit { device, .. } | Item::Strike { device } => {
+                device
+            }
+        }
+    }
+
+    /// The report's query index and epoch; `None` for a strike.
+    #[inline]
+    fn report(&self) -> Option<(usize, u32)> {
+        match *self {
+            Item::Value { q, epoch, .. } | Item::Bit { q, epoch, .. } => {
+                Some((usize::from(q), epoch))
+            }
+            Item::Strike { .. } => None,
+        }
+    }
+
+    /// Folds the report into its query's totals (a strike folds nothing).
+    #[inline]
+    fn absorb_into(&self, accs: &mut [QueryTotals]) {
+        match *self {
+            Item::Value { q, value, .. } => accs[usize::from(q)].absorb_value(i64::from(value)),
+            Item::Bit { q, one, .. } => accs[usize::from(q)].absorb_bit(one),
+            Item::Strike { .. } => {}
         }
     }
 }
@@ -566,6 +607,16 @@ impl EpochSeal {
     }
 }
 
+/// `⌈2⁶⁴ / shards⌉`, the reciprocal [`Collector::route`] divides by, for
+/// two or more shards (0 for one).
+fn reciprocal(shards: u32) -> u64 {
+    if shards > 1 {
+        u64::MAX / u64::from(shards) + 1
+    } else {
+        0
+    }
+}
+
 /// Sharded per-query accumulators over privatized report batches, with
 /// idempotent (dedup-windowed) ingest and sender quarantine.
 #[derive(Debug, Clone)]
@@ -574,6 +625,8 @@ pub struct Collector {
     shard_states: Vec<ShardState>,
     /// `shard_states.len()`, as the divisor of the device partition.
     shards: u32,
+    /// [`reciprocal`]`(shards)`, for [`Collector::route`].
+    shard_reciprocal: u64,
     strike_limit: u32,
     ingest_path: IngestPath,
     /// Reports with `epoch < window_floor` are late arrivals for a window
@@ -620,6 +673,7 @@ impl Collector {
             queries: queries.to_vec(),
             shard_states,
             shards: shards32,
+            shard_reciprocal: reciprocal(shards32),
             strike_limit: DEFAULT_QUARANTINE_STRIKES,
             ingest_path: IngestPath::default(),
             window_floor: 0,
@@ -628,18 +682,6 @@ impl Collector {
             wire_errors: WireErrorTally::default(),
             first_error: None,
         }
-    }
-
-    /// Overrides the quarantine strike limit (violations before latch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strikes` is zero (a zero limit would quarantine every
-    /// sender preemptively).
-    pub fn with_quarantine_strikes(mut self, strikes: u32) -> Self {
-        assert!(strikes > 0, "strike limit must be positive");
-        self.strike_limit = strikes;
-        self
     }
 
     /// Pre-sizes a flat device-indexed fast path for the per-device dedup,
@@ -722,21 +764,45 @@ impl Collector {
         out
     }
 
-    /// The shard owning `device` and the device's row in it, from one
-    /// division.
+    /// The shard owning `device` and the device's row in it, with no
+    /// hardware divide: the row is `⌊device · r / 2⁶⁴⌋` for the reciprocal
+    /// `r = ⌈2⁶⁴ / shards⌉`, which is `⌊device / shards⌋` exactly for
+    /// every 32-bit id and every shard count from 2 to `u32::MAX` (64
+    /// fraction bits cover a 32-bit numerator over a 32-bit divisor:
+    /// Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+    /// 2019). One shard holds every id at its own row.
     #[inline]
     fn route(&self, device: u32) -> (usize, u32) {
-        let row = device / self.shards;
+        let row = if self.shards == 1 {
+            device
+        } else {
+            ((u128::from(self.shard_reciprocal) * u128::from(device)) >> 64) as u32
+        };
         ((device - row * self.shards) as usize, row)
     }
 
-    fn query_index(&self, report: &Report) -> Option<usize> {
-        let idx = self.queries.iter().position(|q| q.id == report.query)?;
-        let kind_matches = matches!(
-            (self.queries[idx].kind, report.payload),
-            (QueryKind::Numeric { .. }, Payload::Value(_)) | (QueryKind::RrBit, Payload::RrBit(_))
-        );
-        kind_matches.then_some(idx)
+    /// The shard-pass item for a well-formed report: its registered
+    /// query's index and payload, or a strike if no registered query has
+    /// its id and payload kind.
+    #[inline]
+    fn report_item(&self, report: Report) -> Option<Item> {
+        let q = self.queries.iter().position(|q| q.id == report.query)?;
+        let (q, device, epoch) = (q as u16, report.device, report.epoch);
+        match (self.queries[usize::from(q)].kind, report.payload) {
+            (QueryKind::Numeric { .. }, Payload::Value(value)) => Some(Item::Value {
+                q,
+                device,
+                epoch,
+                value,
+            }),
+            (QueryKind::RrBit, Payload::RrBit(one)) => Some(Item::Bit {
+                q,
+                device,
+                epoch,
+                one,
+            }),
+            _ => None,
+        }
     }
 
     /// Ingests a batch of concatenated wire frames.
@@ -787,24 +853,22 @@ impl Collector {
     /// sender can be held to. Shared by both ingest paths — the
     /// strike/report interleaving each shard sees is produced here, so the
     /// paths cannot diverge on it.
+    #[inline]
     fn classify(
         &mut self,
         raw: Result<Report, WireError>,
         stats: &mut IngestStats,
     ) -> Option<Item> {
         match raw {
-            Ok(report) => Some(match self.query_index(&report) {
-                Some(q) => Item::Report { q, report },
-                None => {
-                    // Unknown query id or kind/query mismatch: the frame
-                    // decoded (checksum-valid), so the sender is known and
-                    // the violation is attributable.
-                    stats.rejected += 1;
-                    Item::Strike {
-                        device: report.device,
-                    }
+            Ok(report) => Some(self.report_item(report).unwrap_or_else(|| {
+                // Unknown query id or kind/query mismatch: the frame
+                // decoded (checksum-valid), so the sender is known and
+                // the violation is attributable.
+                stats.rejected += 1;
+                Item::Strike {
+                    device: report.device,
                 }
-            }),
+            })),
             Err(e) => {
                 stats.rejected += 1;
                 self.wire_errors.count(&e);
@@ -820,6 +884,7 @@ impl Collector {
     /// (late-arrival) check, the dedup window, and accumulator absorption.
     /// The single definition of per-item semantics — both ingest paths
     /// route every item through here, in the same per-shard order.
+    #[inline]
     fn apply_item(
         st: &mut ShardState,
         row: u32,
@@ -832,8 +897,8 @@ impl Collector {
         if r < st.flat_latched.len() {
             // Flat route: direct indexing, no hashing. Mirrors the
             // fallback arm below statement-for-statement.
-            match item {
-                Item::Strike { .. } => {
+            match item.report() {
+                None => {
                     if st.flat_latched[r] {
                         return;
                     }
@@ -844,19 +909,19 @@ impl Collector {
                         batch.quarantine_latched += 1;
                     }
                 }
-                Item::Report { q, report } => {
+                Some((q, epoch)) => {
                     if st.flat_latched[r] {
                         batch.quarantine_dropped += 1;
                         return;
                     }
-                    if report.epoch < window_floor {
+                    if epoch < window_floor {
                         batch.late += 1;
                         return;
                     }
                     let nq = st.accs.len();
-                    match st.flat_dedup[r * nq + *q].admit(report.epoch) {
+                    match st.flat_dedup[r * nq + q].admit(epoch) {
                         Admit::Fresh => {
-                            st.accs[*q].absorb(report.payload);
+                            item.absorb_into(&mut st.accs);
                             batch.accepted += 1;
                         }
                         Admit::Duplicate => batch.duplicates += 1,
@@ -867,8 +932,8 @@ impl Collector {
             return;
         }
         let device = item.device();
-        match item {
-            Item::Strike { .. } => {
+        match item.report() {
+            None => {
                 if st.latched.contains(&device) {
                     return;
                 }
@@ -880,12 +945,12 @@ impl Collector {
                     batch.quarantine_latched += 1;
                 }
             }
-            Item::Report { q, report } => {
+            Some((q, epoch)) => {
                 if st.latched.contains(&device) {
                     batch.quarantine_dropped += 1;
                     return;
                 }
-                if report.epoch < window_floor {
+                if epoch < window_floor {
                     batch.late += 1;
                     return;
                 }
@@ -894,9 +959,9 @@ impl Collector {
                     .dedup
                     .entry(device)
                     .or_insert_with(|| vec![DedupSlot::FRESH; nq]);
-                match slots[*q].admit(report.epoch) {
+                match slots[q].admit(epoch) {
                     Admit::Fresh => {
-                        st.accs[*q].absorb(report.payload);
+                        item.absorb_into(&mut st.accs);
                         batch.accepted += 1;
                     }
                     Admit::Duplicate => batch.duplicates += 1,
@@ -1114,6 +1179,15 @@ impl Collector {
 mod tests {
     use super::*;
     use crate::wire::MAGIC;
+
+    impl Collector {
+        /// Overrides the quarantine strike limit (violations before latch).
+        fn with_quarantine_strikes(mut self, strikes: u32) -> Self {
+            assert!(strikes > 0, "strike limit must be positive");
+            self.strike_limit = strikes;
+            self
+        }
+    }
 
     const NUMERIC: QueryConfig = QueryConfig {
         id: 0,
@@ -1670,6 +1744,116 @@ mod tests {
                 proptest::prop_assert_eq!(compact.admit(epoch), reference.admit(epoch));
             }
         }
+    }
+
+    /// Shard counts at the edges of the reciprocal's range: one and two
+    /// shards, powers of two and their neighbours, and the largest.
+    const EDGE_SHARDS: [usize; 10] = [
+        1,
+        2,
+        3,
+        7,
+        1 << 16,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 31) + 1,
+        u32::MAX as usize - 1,
+        u32::MAX as usize,
+    ];
+
+    fn assert_routes_exactly(shards: usize, device: u32) {
+        // The routing fields of a collector over `shards` shards, without
+        // allocating that many.
+        let s = shards as u32;
+        let c = Collector {
+            shards: s,
+            shard_reciprocal: reciprocal(s),
+            ..Collector::new(1, &[NUMERIC])
+        };
+        assert_eq!(
+            c.route(device),
+            ((device % s) as usize, device / s),
+            "device {device} over {shards} shards"
+        );
+    }
+
+    #[test]
+    fn routing_divides_exactly_at_the_edges() {
+        assert_eq!(
+            Collector::new(3, &[NUMERIC]).shard_reciprocal,
+            reciprocal(3)
+        );
+        for shards in EDGE_SHARDS {
+            let s = shards as u32;
+            for device in [0, 1, s - 1, s, s.saturating_add(1), u32::MAX - 1, u32::MAX] {
+                assert_routes_exactly(shards, device);
+            }
+            // Every multiple of the shard count and its neighbours.
+            for k in [1u32, 2, 3, 1000, u32::MAX / s] {
+                let m = k.saturating_mul(s);
+                for device in [m.saturating_sub(1), m, m.saturating_add(1)] {
+                    assert_routes_exactly(shards, device);
+                }
+            }
+        }
+    }
+
+    /// `absorb_value` as first written: every power in `i128`.
+    fn reference_absorb(t: &mut QueryTotals, v: i64) {
+        t.count += 1;
+        let w = i128::from(v);
+        t.sum += w;
+        t.sum2 += w * w;
+        t.sum3 += w * w * w;
+        t.sum4 += w * w * w * w;
+        if let Some(s) = t.sketch.as_mut() {
+            s.record(v);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Division by reciprocal routes every id as `%` and `/` do, at
+        /// any shard count.
+        #[test]
+        fn routing_equals_division(
+            device in proptest::prelude::any::<u32>(),
+            shards in proptest::prop_oneof![
+                1usize..64,
+                1usize..=u32::MAX as usize,
+            ],
+        ) {
+            assert_routes_exactly(shards, device);
+        }
+
+        /// The `i64` powers give the `i128` sums, on both sides of 2¹⁵
+        /// and over the whole `i32` payload range.
+        #[test]
+        fn absorb_value_equals_the_i128_sums(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![
+                    -40_000i64..40_000,
+                    (1i64 << 15) - 2..(1i64 << 15) + 2,
+                    -(1i64 << 15) - 2..-(1i64 << 15) + 2,
+                    i64::from(i32::MIN)..=i64::from(i32::MAX),
+                ],
+                1..64,
+            ),
+        ) {
+            let mut fast = QueryTotals::new(NUMERIC.kind);
+            let mut reference = QueryTotals::new(NUMERIC.kind);
+            for v in values {
+                fast.absorb_value(v);
+                reference_absorb(&mut reference, v);
+            }
+            proptest::prop_assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    fn drain_items_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Item>(), 16);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Report {
     /// The sequence number a conforming privatize-once sender stamps on
     /// this report: the low 8 bits of its per-stream send counter, which
     /// equals `epoch mod 256`.
-    pub fn seq(&self) -> u8 {
+    fn seq(&self) -> u8 {
         (self.epoch & 0xFF) as u8
     }
 }
@@ -238,53 +238,182 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a over the frame body, folded to 16 bits (xor-fold of the 32-bit
-/// hash) — cheap enough for a sensor MCU; corruption slips past the fold
-/// with probability ≈ 2⁻¹⁶ per frame (an integrity check against faults,
-/// not an authenticator).
-fn checksum(body: &[u8]) -> u16 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in body {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// The FNV-1a 32-bit offset basis.
+const FNV_BASIS: u32 = 0x811C_9DC5;
+/// The FNV-1a 32-bit prime.
+const FNV_PRIME: u32 = 0x0100_0193;
+
+/// Folds the low `n` bytes of `word` into the FNV-1a state `h`, least
+/// significant byte first: the order of a little-endian field on the wire.
+#[inline(always)]
+const fn fnv_word(mut h: u32, word: u32, n: u32) -> u32 {
+    let mut i = 0;
+    while i < n {
+        h = (h ^ ((word >> (8 * i)) & 0xFF)).wrapping_mul(FNV_PRIME);
+        i += 1;
     }
+    h
+}
+
+/// The FNV-1a state after a frame's first three bytes: magic, `version`
+/// and `kind`.
+const fn prefix_state(magic: u8, version: u8, kind: u8) -> u32 {
+    let head = magic as u32 | (version as u32) << 8 | (kind as u32) << 16;
+    fnv_word(FNV_BASIS, head, 3)
+}
+
+/// The state after the constant prefix `MAGIC, VERSION, kind` of a v2
+/// frame, indexed by kind (`0` value, `1` RR bit).
+const V2_PREFIX: [u32; 2] = [
+    prefix_state(MAGIC, VERSION, 0),
+    prefix_state(MAGIC, VERSION, 1),
+];
+
+/// The frame checksum, computed from field words: FNV-1a over bytes
+/// `0..18`, continued from `prefix` (the state after bytes `0..3`) through
+/// byte 3 and the four little-endian fields, then folded to 16 bits (the
+/// xor of the hash's halves). The one checksum routine: the encoder and
+/// the decoder both call it. Cheap enough for a sensor MCU; corruption
+/// slips past the fold with probability ≈ 2⁻¹⁶ per frame (an integrity
+/// check against faults, not an authenticator).
+#[inline(always)]
+fn checksum(prefix: u32, byte3: u8, device: u32, query: u16, epoch: u32, payload: u32) -> u16 {
+    let mut h = fnv_word(prefix, u32::from(byte3), 1);
+    h = fnv_word(h, device, 4);
+    h = fnv_word(h, u32::from(query), 2);
+    h = fnv_word(h, epoch, 4);
+    h = fnv_word(h, payload, 4);
     ((h >> 16) ^ (h & 0xFFFF)) as u16
 }
 
+/// A frame's fields, loaded as little-endian words.
+struct Fields {
+    device: u32,
+    query: u16,
+    epoch: u32,
+    payload: u32,
+    stored: u16,
+}
+
+impl Fields {
+    #[inline(always)]
+    fn load(frame: &[u8; FRAME_LEN]) -> Fields {
+        let word = |at: usize| {
+            u32::from_le_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
+        };
+        Fields {
+            device: word(4),
+            query: u16::from_le_bytes([frame[8], frame[9]]),
+            epoch: word(10),
+            payload: word(14),
+            stored: u16::from_le_bytes([frame[18], frame[19]]),
+        }
+    }
+
+    /// The checksum over the frame body these fields were loaded from,
+    /// given the state after its first three bytes.
+    #[inline(always)]
+    fn checksum(&self, prefix: u32, byte3: u8) -> u16 {
+        checksum(
+            prefix,
+            byte3,
+            self.device,
+            self.query,
+            self.epoch,
+            self.payload,
+        )
+    }
+}
+
+/// The fused success check of [`Report::decode`]: `Some` exactly when the
+/// frame is a well-formed v2 report, which is what `decode` returns `Ok`
+/// for on any v2 frame. One pass over the loaded words checks the prefix
+/// bytes, the kind and its payload, the sequence byte and the checksum;
+/// which check failed is not asked here.
+#[inline(always)]
+fn decode_v2(frame: &[u8; FRAME_LEN]) -> Option<Report> {
+    let f = Fields::load(frame);
+    let kind = frame[2];
+    let seq = frame[3];
+    let well_formed = (frame[0] == MAGIC)
+        & (frame[1] == VERSION)
+        & (kind <= 1)
+        & (seq == f.epoch as u8)
+        & ((kind == 0) | (f.payload <= 1));
+    if !well_formed || f.checksum(V2_PREFIX[usize::from(kind & 1)], seq) != f.stored {
+        return None;
+    }
+    let payload = if kind == 0 {
+        Payload::Value(f.payload as i32)
+    } else {
+        Payload::RrBit(f.payload != 0)
+    };
+    Some(Report {
+        device: f.device,
+        query: f.query,
+        epoch: f.epoch,
+        payload,
+    })
+}
+
 impl Report {
-    /// Encodes the report as one [`FRAME_LEN`]-byte v2 frame.
+    /// Encodes the report as one [`FRAME_LEN`]-byte v2 frame. The checksum
+    /// is folded from the field words, continued from the precomputed
+    /// state after the frame's constant prefix.
+    #[inline]
     pub fn encode(&self) -> [u8; FRAME_LEN] {
+        let kind = self.payload.kind();
+        let seq = self.seq();
+        let payload = self.payload.raw() as u32;
+        let sum = checksum(
+            V2_PREFIX[usize::from(kind)],
+            seq,
+            self.device,
+            self.query,
+            self.epoch,
+            payload,
+        );
         let mut frame = [0u8; FRAME_LEN];
-        frame[0] = MAGIC;
-        frame[1] = VERSION;
-        frame[2] = self.payload.kind();
-        frame[3] = self.seq();
+        frame[..4].copy_from_slice(&[MAGIC, VERSION, kind, seq]);
         frame[4..8].copy_from_slice(&self.device.to_le_bytes());
         frame[8..10].copy_from_slice(&self.query.to_le_bytes());
         frame[10..14].copy_from_slice(&self.epoch.to_le_bytes());
-        frame[14..18].copy_from_slice(&self.payload.raw().to_le_bytes());
-        let sum = checksum(&frame[..18]);
+        frame[14..18].copy_from_slice(&payload.to_le_bytes());
         frame[18..20].copy_from_slice(&sum.to_le_bytes());
         frame
     }
 
     /// Appends the encoded frame to `out` (the batch-building path).
+    #[inline]
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.encode());
     }
 
     /// Decodes one frame from the front of `bytes`.
     ///
+    /// A well-formed v2 frame passes one fused check; the typed checks
+    /// run only when it fails.
+    ///
     /// # Errors
     ///
     /// A typed [`WireError`] naming the first integrity violation found:
     /// truncation, magic, version, reserved byte (v1), checksum, sequence
     /// (v2), kind, or RR payload range, checked in that order.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<Report, WireError> {
-        if bytes.len() < FRAME_LEN {
-            return Err(WireError::Truncated { got: bytes.len() });
+        match bytes.first_chunk::<FRAME_LEN>().and_then(decode_v2) {
+            Some(report) => Ok(report),
+            None => Self::decode_typed(bytes),
         }
-        let frame = &bytes[..FRAME_LEN];
+    }
+
+    /// The typed checks, in [`Report::decode`]'s order of precedence, for
+    /// a frame the fused check did not pass: every error, and v1 frames.
+    #[cold]
+    fn decode_typed(bytes: &[u8]) -> Result<Report, WireError> {
+        let Some(frame) = bytes.first_chunk::<FRAME_LEN>() else {
+            return Err(WireError::Truncated { got: bytes.len() });
+        };
         if frame[0] != MAGIC {
             return Err(WireError::BadMagic { found: frame[0] });
         }
@@ -294,23 +423,25 @@ impl Report {
         if frame[1] == VERSION_LEGACY && frame[3] != 0 {
             return Err(WireError::NonZeroReserved { found: frame[3] });
         }
-        let stored = u16::from_le_bytes([frame[18], frame[19]]);
-        let computed = checksum(&frame[..18]);
-        if stored != computed {
-            return Err(WireError::ChecksumMismatch { stored, computed });
+        let f = Fields::load(frame);
+        let computed = f.checksum(prefix_state(frame[0], frame[1], frame[2]), frame[3]);
+        if f.stored != computed {
+            return Err(WireError::ChecksumMismatch {
+                stored: f.stored,
+                computed,
+            });
         }
         // The body is integrity-checked from here on: the device id is
         // trustworthy and errors below can be attributed to the sender.
-        let device = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        let epoch = u32::from_le_bytes([frame[10], frame[11], frame[12], frame[13]]);
-        if frame[1] == VERSION && frame[3] != (epoch & 0xFF) as u8 {
+        let device = f.device;
+        if frame[1] == VERSION && frame[3] != f.epoch as u8 {
             return Err(WireError::SeqMismatch {
                 seq: frame[3],
-                epoch,
+                epoch: f.epoch,
                 device,
             });
         }
-        let raw = i32::from_le_bytes([frame[14], frame[15], frame[16], frame[17]]);
+        let raw = f.payload as i32;
         let payload = match frame[2] {
             0 => Payload::Value(raw),
             1 => match raw {
@@ -332,8 +463,8 @@ impl Report {
         };
         Ok(Report {
             device,
-            query: u16::from_le_bytes([frame[8], frame[9]]),
-            epoch,
+            query: f.query,
+            epoch: f.epoch,
             payload,
         })
     }
@@ -372,7 +503,7 @@ pub fn decode_counter_totals() -> DecodeCounterTotals {
 /// checksum verifies over the body. This is the resync predicate — a
 /// random offset inside a corrupt region passes with probability ≈ 2⁻¹⁶
 /// per candidate, so the scanner re-acquires the true frame boundary.
-pub fn is_sync_point(bytes: &[u8]) -> bool {
+fn is_sync_point(bytes: &[u8]) -> bool {
     if bytes.len() < FRAME_LEN || bytes[0] != MAGIC {
         return false;
     }
@@ -409,16 +540,18 @@ fn is_structural(e: &WireError) -> bool {
 
 /// The resync walk over one byte stream, one decode outcome per step.
 ///
-/// Each step decodes the frame at the current offset with
-/// [`Report::decode`]. A well-formed frame, or one whose error is semantic,
-/// keeps the 20-byte grid. A structural error is one corruption event:
-/// the scanner hunts forward for the next offset satisfying
-/// [`is_sync_point`] and resumes on the grid there (or ends the walk if
-/// none remains). Fewer than [`FRAME_LEN`] trailing bytes are one
-/// `Truncated` event that ends the walk. [`decode_stream`] and the
-/// collector's streaming drain ([`walk_parts`]) both run this walk, so
-/// they cannot diverge on dirty input; the drain pulls it in blocks
-/// ([`StreamWalk::decode_block`]), and the walk keeps no per-block state.
+/// Each step first takes [`Report::decode`]'s fused check of the frame at
+/// the current offset: a clean v2 frame is passed on as it is and keeps
+/// the 20-byte grid. Any other frame gets the typed checks. A well-formed
+/// frame (v1), or one whose error is semantic, keeps the grid. A
+/// structural error is one corruption event: the scanner hunts forward for
+/// the next offset satisfying [`is_sync_point`] and resumes on the grid
+/// there (or ends the walk if none remains). Fewer than [`FRAME_LEN`]
+/// trailing bytes are one `Truncated` event that ends the walk.
+/// [`decode_stream`] and the collector's streaming drain ([`walk_parts`])
+/// both run this walk, so they cannot diverge on dirty input; the drain
+/// pulls it in blocks ([`StreamWalk::decode_block`]), and the walk keeps
+/// no per-block state.
 pub(crate) struct StreamWalk<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -448,25 +581,35 @@ impl<'a> StreamWalk<'a> {
 
     /// Passes up to `cap` decode outcomes to `emit`, in stream order, and
     /// returns how many it passed: fewer than `cap` only once the walk has
-    /// stopped.
+    /// stopped. A clean frame goes to `emit` straight from the fused check.
+    #[inline]
     pub(crate) fn decode_block(
         &mut self,
         cap: usize,
         mut emit: impl FnMut(Result<Report, WireError>),
     ) -> usize {
         let mut n = 0;
-        for item in self.by_ref().take(cap) {
-            emit(item);
+        while n < cap {
+            let rest = &self.bytes[self.pos..];
+            if let Some(report) = rest.first_chunk::<FRAME_LEN>().and_then(decode_v2) {
+                self.pos += FRAME_LEN;
+                self.grid_frames += 1;
+                emit(Ok(report));
+            } else if let Some(item) = self.step() {
+                emit(item);
+            } else {
+                break;
+            }
             n += 1;
         }
         n
     }
-}
 
-impl Iterator for StreamWalk<'_> {
-    type Item = Result<Report, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// One step at a frame the fused check did not pass: the typed
+    /// checks, and the resync hunt after a structural error. `None` once
+    /// the walk has stopped.
+    #[cold]
+    fn step(&mut self) -> Option<Result<Report, WireError>> {
         let rest = &self.bytes[self.pos..];
         if rest.is_empty() || (rest.len() < FRAME_LEN && !self.last) {
             return None;
@@ -476,7 +619,7 @@ impl Iterator for StreamWalk<'_> {
             self.corrupt_frames += 1;
             return Some(Err(WireError::Truncated { got: rest.len() }));
         }
-        let item = Report::decode(rest);
+        let item = Report::decode_typed(rest);
         match item {
             Err(e) if is_structural(&e) => {
                 let from = self.pos;
@@ -552,13 +695,14 @@ pub(crate) fn walk_parts(
 /// Decodes a byte stream frame by frame, recovering from corruption: a
 /// structurally broken region (bad magic, failed checksum, truncation) is
 /// counted as one corruption event and the scanner hunts forward for the
-/// next offset satisfying [`is_sync_point`]. Semantically invalid but
-/// well-formed frames (bad version/kind/sequence/payload) keep alignment
-/// and are stepped over normally. Pure function of the bytes.
+/// next offset that starts a plausible frame (its magic matches and its
+/// checksum verifies). Semantically invalid but well-formed frames (bad
+/// version/kind/sequence/payload) keep alignment and are stepped over
+/// normally. Pure function of the bytes.
 pub fn decode_stream(bytes: &[u8]) -> DecodedStream {
     let mut walk = StreamWalk::new(bytes);
     let mut items = Vec::with_capacity(bytes.len() / FRAME_LEN);
-    items.extend(walk.by_ref());
+    walk.decode_block(usize::MAX, |item| items.push(item));
     DecodedStream {
         items,
         corrupt_frames: walk.corrupt_frames,
@@ -582,10 +726,187 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the frame body byte by byte, folded to 16 bits: the
+    /// checksum as first written, the oracle for the field-word routine.
+    fn byte_checksum(body: &[u8]) -> u16 {
+        let mut h: u32 = 0x811C_9DC5;
+        for &b in body {
+            h ^= u32::from(b);
+            h = h.wrapping_mul(0x0100_0193);
+        }
+        ((h >> 16) ^ (h & 0xFFFF)) as u16
+    }
+
     /// Re-seals bytes `0..18` with a fresh checksum (forging helper).
     fn reseal(frame: &mut [u8; FRAME_LEN]) {
-        let sum = checksum(&frame[..18]);
+        let sum = byte_checksum(&frame[..18]);
         frame[18..20].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// The encoder as first written: every field laid out byte by byte,
+    /// then the checksum read back over bytes `0..18`.
+    fn layout_encode(r: &Report) -> [u8; FRAME_LEN] {
+        let mut frame = [0u8; FRAME_LEN];
+        frame[0] = MAGIC;
+        frame[1] = VERSION;
+        frame[2] = r.payload.kind();
+        frame[3] = (r.epoch & 0xFF) as u8;
+        frame[4..8].copy_from_slice(&r.device.to_le_bytes());
+        frame[8..10].copy_from_slice(&r.query.to_le_bytes());
+        frame[10..14].copy_from_slice(&r.epoch.to_le_bytes());
+        frame[14..18].copy_from_slice(&r.payload.raw().to_le_bytes());
+        reseal(&mut frame);
+        frame
+    }
+
+    /// The decoder as first written: each check in precedence order, the
+    /// checksum over the body bytes.
+    fn reference_decode(bytes: &[u8]) -> Result<Report, WireError> {
+        if bytes.len() < FRAME_LEN {
+            return Err(WireError::Truncated { got: bytes.len() });
+        }
+        let frame = &bytes[..FRAME_LEN];
+        if frame[0] != MAGIC {
+            return Err(WireError::BadMagic { found: frame[0] });
+        }
+        if frame[1] != VERSION && frame[1] != VERSION_LEGACY {
+            return Err(WireError::UnsupportedVersion { found: frame[1] });
+        }
+        if frame[1] == VERSION_LEGACY && frame[3] != 0 {
+            return Err(WireError::NonZeroReserved { found: frame[3] });
+        }
+        let stored = u16::from_le_bytes([frame[18], frame[19]]);
+        let computed = byte_checksum(&frame[..18]);
+        if stored != computed {
+            return Err(WireError::ChecksumMismatch { stored, computed });
+        }
+        let device = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+        let epoch = u32::from_le_bytes([frame[10], frame[11], frame[12], frame[13]]);
+        if frame[1] == VERSION && frame[3] != (epoch & 0xFF) as u8 {
+            return Err(WireError::SeqMismatch {
+                seq: frame[3],
+                epoch,
+                device,
+            });
+        }
+        let raw = i32::from_le_bytes([frame[14], frame[15], frame[16], frame[17]]);
+        let payload = match frame[2] {
+            0 => Payload::Value(raw),
+            1 => match raw {
+                0 => Payload::RrBit(false),
+                1 => Payload::RrBit(true),
+                other => {
+                    return Err(WireError::PayloadOutOfRange {
+                        found: other,
+                        device,
+                    })
+                }
+            },
+            other => {
+                return Err(WireError::UnknownKind {
+                    found: other,
+                    device,
+                })
+            }
+        };
+        Ok(Report {
+            device,
+            query: u16::from_le_bytes([frame[8], frame[9]]),
+            epoch,
+            payload,
+        })
+    }
+
+    fn arb_report() -> impl Strategy<Value = Report> {
+        (
+            any::<u32>(),
+            any::<u16>(),
+            prop_oneof![any::<u32>(), 0u32..600],
+            any::<i32>(),
+            any::<bool>(),
+        )
+            .prop_map(|(device, query, epoch, raw, rr)| Report {
+                device,
+                query,
+                epoch,
+                payload: if rr {
+                    Payload::RrBit(raw & 1 == 1)
+                } else {
+                    Payload::Value(raw)
+                },
+            })
+    }
+
+    /// A frame the decoder must judge: a valid v2 or v1 frame, one with a
+    /// wrong kind, a drifted sequence or an RR payload of 2 (each
+    /// re-sealed, so only that defect remains), a raw overwrite, or
+    /// random bytes; then cut or extended to 0–40 bytes.
+    fn arb_decoder_input() -> impl Strategy<Value = Vec<u8>> {
+        (
+            arb_report(),
+            0u8..7,
+            any::<u8>(),
+            0usize..FRAME_LEN,
+            proptest::collection::vec(any::<u8>(), 0..41),
+            prop_oneof![Just(FRAME_LEN), 0usize..=40],
+        )
+            .prop_map(|(report, defect, byte, at, noise, len)| {
+                let mut frame = Report::encode(&report);
+                match defect {
+                    0 => {}
+                    1 => {
+                        frame[1] = VERSION_LEGACY;
+                        frame[3] = 0;
+                        reseal(&mut frame);
+                    }
+                    2 => {
+                        frame[2] = byte;
+                        reseal(&mut frame);
+                    }
+                    3 => {
+                        frame[3] = frame[3].wrapping_add(byte.max(1));
+                        reseal(&mut frame);
+                    }
+                    4 => {
+                        frame[2] = 1;
+                        frame[14..18].copy_from_slice(&2i32.to_le_bytes());
+                        reseal(&mut frame);
+                    }
+                    5 => frame[at] = byte,
+                    _ => return noise,
+                }
+                let mut bytes = frame.to_vec();
+                bytes.extend_from_slice(&noise);
+                bytes.truncate(len);
+                bytes
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The field-word encoder lays out exactly the bytes of the
+        /// byte-by-byte layout, checksum included, for any report.
+        #[test]
+        fn encode_equals_the_byte_layout_oracle(report in arb_report()) {
+            prop_assert_eq!(report.encode(), layout_encode(&report));
+            let mut out = vec![0xAA];
+            report.encode_into(&mut out);
+            prop_assert_eq!(&out[1..], &layout_encode(&report)[..]);
+        }
+
+        /// The fused decoder gives the reference decoder's verdict — the
+        /// same report or the same typed error — on every input of 0–40
+        /// bytes, and on every single-bit flip of its first frame.
+        #[test]
+        fn decode_equals_the_reference_decoder(bytes in arb_decoder_input()) {
+            prop_assert_eq!(Report::decode(&bytes), reference_decode(&bytes));
+            for bit in 0..bytes.len().min(FRAME_LEN) * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(Report::decode(&flipped), reference_decode(&flipped));
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub trait RandomBits {
     fn next_u32(&mut self) -> u32;
 
     /// Returns the next 64 uniformly distributed bits.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let hi = self.next_u32() as u64;
         let lo = self.next_u32() as u64;
@@ -40,6 +41,7 @@ pub trait RandomBits {
     /// # Panics
     ///
     /// Panics if `n` is zero or greater than 64.
+    #[inline]
     fn bits(&mut self, n: u8) -> u64 {
         assert!((1..=64).contains(&n), "bits: n must be in 1..=64, got {n}");
         if n <= 32 {
