@@ -42,7 +42,9 @@ use std::num::{NonZeroU32, NonZeroUsize};
 use ldp_bench::fleet::{run_cell, Cell};
 use ldp_bench::json::{Json, Obj};
 use ldp_bench::{require_flag, unknown_flag};
-use ulp_fleet::{chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, SealStatus};
+use ulp_fleet::{
+    chaos_seed_from_env, ChaosConfig, FaultClass, FleetConfig, FleetDriver, SealStatus,
+};
 
 const BIN: &str = "chaos_campaign";
 
@@ -220,6 +222,11 @@ fn main() {
         malformed_senders: 3,
         ..FleetConfig::paper_default(devices, epochs, seed)
     };
+    // FleetDriver::new's checks, before any work: the population and the planted
+    // malformed senders must have device ids that fit in u32.
+    if let Err(e) = FleetDriver::new(base.clone()) {
+        ldp_bench::reject(BIN, format!("--devices {devices}: {e}"));
+    }
     eprintln!(
         "chaos_campaign: {} mode, {devices} devices x {epochs} epochs, fleet seed {seed}, \
          chaos seed {chaos_seed} (ULP_CHAOS_SEED to override), {threads} worker thread(s)",

@@ -41,18 +41,20 @@
 //! [`DpBox`](crate::DpBox): every lane reproduces, bit-for-bit, the trace a
 //! scalar `DpBox` produces when booted through the fleet command sequence
 //! ([`DpBox::boot`](crate::DpBox::boot)) on the lane's seed and then issued
-//! one `noise_value(x)` per epoch. Equivalence holds
-//! because every URNG word is drawn in the same order through the same
-//! continuous health tests (the power-on self-test runs through the
-//! exact-equivalent lane-parallel
-//! [`UrngHealth::startup_lanes`](ulp_rng::UrngHealth::startup_lanes) kernel,
-//! later words through [`UrngColumns`]), the noise index is the scalar
-//! device's own arithmetic (memoized or not), and the per-epoch dataflow
-//! mirrors `DpBox::tick`'s cycle-2 branch structure: budget check before
-//! staged-sample consumption, cached serves restage, health trips void the
-//! staged sample and surface as a drop at the *next* epoch. The array has
-//! no reset command, so a lane without an alarm always holds a staged
-//! sample and has drawn as many words as every other such lane.
+//! one `noise_value(x)` per epoch. Equivalence holds because every URNG
+//! word is drawn in the same order through the same continuous health
+//! tests (the power-on self-test runs through [`UrngColumns::boot`]'s
+//! self-test kernel, which writes each passing lane's monitor straight
+//! into the columns and runs the scalar
+//! [`UrngHealth::startup`](ulp_rng::UrngHealth::startup) only for a lane
+//! it flags; later words go through [`UrngColumns::draw`]), the noise
+//! index is the scalar device's own arithmetic (memoized or not), and the
+//! per-epoch dataflow mirrors `DpBox::tick`'s cycle-2 branch structure:
+//! budget check before staged-sample consumption, cached serves restage,
+//! health trips void the staged sample and surface as a drop at the *next*
+//! epoch. The array has no reset command, so a lane without an alarm
+//! always holds a staged sample and has drawn as many words as every other
+//! such lane.
 //!
 //! Only [`LimitMode::Thresholding`] is modelled — the fleet operating
 //! point. Resampling-mode devices loop a data-dependent number of cycles

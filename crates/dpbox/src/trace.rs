@@ -160,11 +160,6 @@ impl Trace {
     pub fn clear(&mut self) {
         self.events.clear();
     }
-
-    /// Events of a given cycle (for waveform-style inspection).
-    pub fn at_cycle(&self, cycle: u64) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.cycle() == cycle)
-    }
 }
 
 #[cfg(test)]
@@ -194,9 +189,10 @@ mod tests {
         t.push(TraceEvent::Resample { cycle: 5 });
         t.push(TraceEvent::Replenish { cycle: 5 });
         t.push(TraceEvent::Resample { cycle: 6 });
-        assert_eq!(t.at_cycle(5).count(), 2);
-        assert_eq!(t.at_cycle(6).count(), 1);
-        assert_eq!(t.at_cycle(7).count(), 0);
+        let at_cycle = |cycle| t.events().filter(|e| e.cycle() == cycle).count();
+        assert_eq!(at_cycle(5), 2);
+        assert_eq!(at_cycle(6), 1);
+        assert_eq!(at_cycle(7), 0);
     }
 
     #[test]

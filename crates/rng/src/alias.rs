@@ -337,11 +337,6 @@ impl AliasTable {
         self.word_bits
     }
 
-    /// Whether draws are rejection-free (power-of-two total weight).
-    pub fn is_rejection_free(&self) -> bool {
-        self.cap_is_pow2
-    }
-
     /// The positive-weight `(outcome, weight)` pairs the table was built
     /// from, in construction order.
     pub fn outcomes(&self) -> &[(i64, u128)] {
@@ -484,7 +479,7 @@ mod tests {
         let pmf = small_pmf();
         let t = AliasTable::from_pmf(&pmf).unwrap();
         assert!(t.verify_exact());
-        assert!(t.is_rejection_free(), "2^(Bu+1) total weight is pow2");
+        assert!(t.cap_is_pow2, "2^(Bu+1) total weight is pow2");
         assert!(t.word_bits() <= 32);
     }
 
@@ -534,7 +529,7 @@ mod tests {
     fn non_pow2_capacity_rejects_and_stays_exact() {
         // Total weight 5: draws need 3 offset bits with rejection of r ≥ 5.
         let t = AliasTable::from_weights(&[(-1, 2), (0, 2), (1, 1)]).unwrap();
-        assert!(!t.is_rejection_free());
+        assert!(!t.cap_is_pow2);
         assert!(t.verify_exact());
         let mut rng = Taus88::from_seed(10);
         let n = 250_000;

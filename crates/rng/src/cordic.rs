@@ -135,17 +135,6 @@ impl CordicLn {
         }
         2 * z
     }
-
-    /// Convenience wrapper: `ln` of a real value through the fixed-point
-    /// datapath, reported as `f64` (used by analysis code and tests).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CordicLn::ln`].
-    pub fn ln_f64(&self, x: f64, in_fmt: QFormat, out_fmt: QFormat) -> Result<f64, RngError> {
-        let fx = Fx::from_f64(x, in_fmt, Rounding::NearestTiesAway).map_err(RngError::Fixed)?;
-        Ok(self.ln(fx, out_fmt)?.to_f64())
-    }
 }
 
 impl Default for CordicLn {
@@ -161,6 +150,13 @@ mod tests {
 
     fn q(t: u8, f: u8) -> QFormat {
         QFormat::new(t, f).unwrap()
+    }
+
+    /// `ln` of a real value through `unit`'s fixed-point datapath, reported
+    /// as `f64`.
+    fn ln_f64(unit: &CordicLn, x: f64, in_fmt: QFormat, out_fmt: QFormat) -> Result<f64, RngError> {
+        let fx = Fx::from_f64(x, in_fmt, Rounding::NearestTiesAway).map_err(RngError::Fixed)?;
+        Ok(unit.ln(fx, out_fmt)?.to_f64())
     }
 
     #[test]
@@ -180,7 +176,7 @@ mod tests {
         for &x in &[
             0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.999, 1.0, 1.5, 2.0, 7.3, 100.0, 65535.0,
         ] {
-            let got = unit.ln_f64(x, in_fmt, out_fmt).unwrap();
+            let got = ln_f64(&unit, x, in_fmt, out_fmt).unwrap();
             let want = x.ln();
             assert!((got - want).abs() < 1e-6, "ln({x}): got {got}, want {want}");
         }
@@ -192,7 +188,7 @@ mod tests {
         let fmt = q(48, 24);
         for e in [-10i32, -3, 1, 5, 12] {
             let x = 2f64.powi(e);
-            let got = unit.ln_f64(x, fmt, fmt).unwrap();
+            let got = ln_f64(&unit, x, fmt, fmt).unwrap();
             let want = e as f64 * std::f64::consts::LN_2;
             assert!(
                 (got - want).abs() < 1e-5,
@@ -216,7 +212,7 @@ mod tests {
         let unit = CordicLn::new(36);
         let in_fmt = q(40, 20);
         let out_fmt = q(40, 20);
-        let got = unit.ln_f64(2f64.powi(-17), in_fmt, out_fmt).unwrap();
+        let got = ln_f64(&unit, 2f64.powi(-17), in_fmt, out_fmt).unwrap();
         let want = -17.0 * std::f64::consts::LN_2;
         assert!((got - want).abs() < 1e-4, "got {got}, want {want}");
     }
@@ -227,8 +223,8 @@ mod tests {
         let fine = CordicLn::new(32);
         let fmt = q(48, 30);
         let x = 1.37;
-        let err_coarse = (coarse.ln_f64(x, fmt, fmt).unwrap() - x.ln()).abs();
-        let err_fine = (fine.ln_f64(x, fmt, fmt).unwrap() - x.ln()).abs();
+        let err_coarse = (ln_f64(&coarse, x, fmt, fmt).unwrap() - x.ln()).abs();
+        let err_fine = (ln_f64(&fine, x, fmt, fmt).unwrap() - x.ln()).abs();
         assert!(err_fine <= err_coarse);
         assert!(err_fine < 1e-6);
     }
@@ -238,7 +234,7 @@ mod tests {
         let unit = CordicLn::new(32);
         let in_fmt = q(32, 16);
         let out = q(12, 4); // Δ = 1/16
-        let got = unit.ln_f64(10.0, in_fmt, out).unwrap();
+        let got = ln_f64(&unit, 10.0, in_fmt, out).unwrap();
         let want = 10f64.ln();
         assert!((got - want).abs() <= out.delta() / 2.0 + 1e-9);
         // Result is on the coarse grid.

@@ -28,17 +28,13 @@
 //! The repetition count keeps one run counter per bit lane, bit-sliced:
 //! six planes of 32 bits, so a word's update is a few bitwise operations
 //! on the planes, the same arithmetic for one monitor or a block of them.
-//! Two kernels run many monitors at once, each bit-identical to calling
-//! [`UrngHealth::observe`] word by word (counters included):
-//!
-//! * [`UrngHealth::startup_lanes`] runs many power-on self-tests over a
-//!   word matrix, with carry-save window sums and an exact repetition
-//!   screen;
-//! * [`UrngColumns`](crate::UrngColumns) keeps many lanes' generators and
-//!   monitors as columns and screens one word column per draw. A lane the
-//!   screen flags replays its word through `observe` on a monitor
-//!   materialized from its columns, so every [`HealthAlarm`] is built by
-//!   `observe` alone.
+//! [`UrngColumns`](crate::UrngColumns) runs many monitors at once as
+//! columns, bit-identical to calling [`UrngHealth::observe`] word by word
+//! (counters included): its boot runs every lane's power-on self-test in
+//! one kernel, and each draw screens one word column. A lane either
+//! kernel flags goes through the scalar monitor, so every [`HealthAlarm`]
+//! is built by `observe` alone, and [`UrngHealth::startup`] stays the
+//! reference for both.
 //!
 //! # Examples
 //!
@@ -64,7 +60,6 @@ use ulp_obs::Counter;
 
 use crate::error::RngError;
 use crate::source::RandomBits;
-use crate::tausworthe::{next_state, Taus88};
 
 /// Words that passed every online health test.
 pub(crate) static VERDICTS_OK: Counter = Counter::new("rng.health.verdicts_ok");
@@ -134,7 +129,7 @@ impl HealthConfig {
     /// Deviation cutoff for a balance test over `n_bits` fair bits: trips
     /// when `|ones − n/2| ≥ t` with `t = ⌈√(n·(alpha_exp+1)·ln2 / 2)⌉`
     /// (Hoeffding bound solved at `α = 2^-alpha_exp`).
-    pub fn balance_cutoff(&self, n_bits: u64) -> u64 {
+    pub(crate) fn balance_cutoff(&self, n_bits: u64) -> u64 {
         let t = (n_bits as f64 * (f64::from(self.alpha_exp) + 1.0) * core::f64::consts::LN_2 / 2.0)
             .sqrt();
         t.ceil() as u64
@@ -263,7 +258,7 @@ pub struct UrngHealth {
     /// (index `lag - 1`), which compares `32 · (apt_window − lag)` bit
     /// pairs at each lag. Every later window compares `32 · apt_window`
     /// pairs, as many as the APT counts bits, so it uses `apt_cutoff`.
-    first_lag_cutoffs: [u64; 8],
+    pub(crate) first_lag_cutoffs: [u64; 8],
     /// Total words observed since construction or the last reset.
     pub(crate) words: u64,
     pub(crate) alarm: Option<HealthAlarm>,
@@ -277,7 +272,7 @@ pub(crate) const RUN_PLANES: usize = 6;
 type Runs = [u32; RUN_PLANES];
 
 /// Every lane's run counter at one: the state after a stream's first word.
-const RUNS_ONE: Runs = [!0, 0, 0, 0, 0, 0];
+pub(crate) const RUNS_ONE: Runs = [!0, 0, 0, 0, 0, 0];
 
 /// The planes of a run cutoff `c`, complemented: plane `j` is all ones
 /// where bit `j` of `c` is clear, so a run that has not passed `c` equals
@@ -301,7 +296,7 @@ impl Bits for u32 {
 
 /// Adds one to the bit-sliced runs in the bit lanes of `mask`.
 #[inline(always)]
-fn add_where<W: Bits>(mut runs: [W; RUN_PLANES], mask: W) -> [W; RUN_PLANES] {
+pub(crate) fn add_where<W: Bits>(mut runs: [W; RUN_PLANES], mask: W) -> [W; RUN_PLANES] {
     let mut carry = mask;
     for plane in &mut runs {
         let sum = *plane ^ carry;
@@ -462,56 +457,6 @@ impl UrngHealth {
         Ok(())
     }
 
-    /// Boots many fresh monitors at once: for each lane, exactly what
-    /// [`startup`](Self::startup) of `monitors[i]` on `rngs[i]` does, in
-    /// one lane-parallel kernel. A lane's verdict is its monitor's latched
-    /// alarm: [`alarm`](Self::alarm) is `None` exactly where `startup`
-    /// returns `Ok`. Verdicts, monitor states, generator positions and the
-    /// `rng.taus88.words_drawn`, `rng.health.verdicts_ok` and
-    /// `rng.health.alarms` counter deltas are bit-identical to the scalar
-    /// loop.
-    ///
-    /// The kernel boots blocks of lanes of `monitors[0]`'s configuration.
-    /// Per block it steps the generators as state columns into a word
-    /// matrix (word `i` of every lane in one row), sums each lane's window
-    /// counts with carry-save popcounts down the rows, screens the block
-    /// for repetition-count trips, and evaluates each lane's window close
-    /// in closed form. A lane the screen flags, or whose monitor is not
-    /// fresh or has another configuration, runs the scalar `startup` from
-    /// its untouched generator instead.
-    ///
-    /// # Panics
-    ///
-    /// If `rngs` and `monitors` differ in length.
-    pub fn startup_lanes(rngs: &mut [Taus88], monitors: &mut [UrngHealth]) {
-        assert_eq!(rngs.len(), monitors.len(), "one monitor per generator");
-        let Some(first) = monitors.first() else {
-            return;
-        };
-        let plan = BootPlan::new(first.cfg);
-        let (mut words, mut trans) = (Vec::new(), Vec::new());
-        for (rngs, monitors) in rngs
-            .chunks_mut(plan.lanes)
-            .zip(monitors.chunks_mut(plan.lanes))
-        {
-            let ends = fill_words(rngs, plan.w, &mut words);
-            let replay = plan.evaluate(&words, monitors, &mut trans);
-            let mut drawn = 0;
-            for (l, (rng, monitor)) in rngs.iter_mut().zip(monitors).enumerate() {
-                if replay[l] {
-                    // The verdict stays latched in the monitor.
-                    let _ = monitor.startup(rng);
-                } else {
-                    rng.set_state([ends[0][l], ends[1][l], ends[2][l]]);
-                    drawn += plan.w as u64;
-                }
-            }
-            if drawn > 0 {
-                Taus88::note_words_drawn(drawn);
-            }
-        }
-    }
-
     /// Evaluates the windowed tests and resets the window accumulators.
     fn close_window(&mut self, index: u64) -> Result<(), HealthAlarm> {
         let window = u64::from(self.cfg.apt_window);
@@ -558,264 +503,6 @@ impl UrngHealth {
 impl Default for UrngHealth {
     fn default() -> Self {
         UrngHealth::new(HealthConfig::default())
-    }
-}
-
-/// Lanes per block of [`UrngHealth::startup_lanes`].
-const BLOCK_LANES: usize = 64;
-/// Words a block's word matrix may hold: windows longer than
-/// `BLOCK_WORDS / BLOCK_LANES` boot fewer lanes per block, so the matrix
-/// stays cache-sized.
-const BLOCK_WORDS: usize = 8192;
-
-/// Configuration-derived constants of one [`UrngHealth::startup_lanes`]
-/// call.
-struct BootPlan {
-    cfg: HealthConfig,
-    /// Words per startup pass, `W`: exactly one window, so the pass ends
-    /// with the window close.
-    w: usize,
-    /// Lanes per block.
-    lanes: usize,
-    /// A lane trips the repetition count iff `m = rct_cutoff − 1`
-    /// consecutive transitions keep one of its bits constant.
-    m: usize,
-    /// With `2m ≥ W`, every run of `m` transitions (transition `t` takes
-    /// word `t` to word `t + 1`) covers the core `[W − 1 − m, m − 1]`, so
-    /// a lane whose same-bit masks AND to zero over the core cannot trip.
-    core: Option<(usize, usize)>,
-}
-
-impl BootPlan {
-    fn new(cfg: HealthConfig) -> Self {
-        let w = cfg.startup_words() as usize;
-        let m = cfg.rct_cutoff() as usize - 1;
-        BootPlan {
-            cfg,
-            w,
-            lanes: (BLOCK_WORDS / w).clamp(1, BLOCK_LANES),
-            m,
-            core: (2 * m >= w && m < w).then(|| (w - 1 - m, m - 1)),
-        }
-    }
-
-    /// Stages 2–4 for one block. `words` is the block's `W × lanes` word
-    /// matrix (lane `l`'s word `i` at `words[i * lanes + l]`, with
-    /// `lanes = monitors.len()`). Each lane's monitor ends up holding
-    /// exactly the state and verdict of scalar `startup` over the lane's
-    /// words, except where the returned flag asks for that scalar replay:
-    /// the lane's window trips the repetition count somewhere, or its
-    /// monitor is not fresh or not of the plan's configuration. Those
-    /// monitors are left untouched.
-    fn evaluate(
-        &self,
-        words: &[u32],
-        monitors: &mut [UrngHealth],
-        trans: &mut Vec<u32>,
-    ) -> [bool; BLOCK_LANES] {
-        let (w, b) = (self.w, monitors.len());
-        assert_eq!(words.len(), w * b, "one W-word column per lane");
-        let mut replay = [false; BLOCK_LANES];
-        if b == 0 {
-            return replay;
-        }
-        let max_lag = usize::from(self.cfg.max_lag);
-
-        // Stage 2: window sums. Lag `slot + 1` counts disagreements, the
-        // complement of agreements, over the pairs from word `slot + 1` on.
-        let mut ones = [0u32; BLOCK_LANES];
-        popcount_rows::<false>(words, words, b, &mut ones);
-        let mut disagreements = [[0u32; BLOCK_LANES]; 8];
-        for (slot, sums) in disagreements.iter_mut().enumerate().take(max_lag) {
-            let lag = slot + 1;
-            popcount_rows::<true>(&words[lag * b..], &words[..(w - lag) * b], b, sums);
-        }
-
-        // Stage 3: the exact repetition-count screen, behind the core
-        // prefilter when the configuration has a core.
-        let screen = match self.core {
-            Some((lo, hi)) => core_nonzero(words, b, lo, hi),
-            None => self.m < w,
-        };
-        if screen {
-            rct_screen(words, b, self.m, trans, &mut replay[..b]);
-        }
-
-        // Stage 4: each surviving lane's post-window state in closed form,
-        // then the window close `observe` runs on the final word.
-        let (mut ok_words, mut alarms) = (0, 0);
-        for (l, h) in monitors.iter_mut().enumerate() {
-            if replay[l] || h.words != 0 || h.alarm.is_some() || h.cfg != self.cfg {
-                replay[l] = true;
-                continue;
-            }
-            let word = |i: usize| words[i * b + l];
-            // One plus the trailing run of constant transitions, per bit.
-            h.runs = RUNS_ONE;
-            let mut alive = !0u32;
-            for i in (1..w).rev() {
-                alive &= !(word(i) ^ word(i - 1));
-                if alive == 0 {
-                    break;
-                }
-                h.runs = add_where(h.runs, alive);
-            }
-            h.last = word(w - 1);
-            h.ones = u64::from(ones[l]);
-            for (slot, d) in disagreements.iter().enumerate().take(max_lag) {
-                h.prev[slot] = word(w - 1 - slot);
-                h.agreements[slot] = (w - 1 - slot) as u64 * 32 - u64::from(d[l]);
-            }
-            h.words = w as u64;
-            h.window_pos = self.cfg.apt_window;
-            match h.close_window(w as u64 - 1) {
-                Ok(()) => ok_words += w as u64,
-                Err(alarm) => {
-                    // The final word's verdict is the alarm, so it is not
-                    // counted as OK; accumulators stay un-reset, as on the
-                    // scalar trip path.
-                    h.alarm = Some(alarm);
-                    alarms += 1;
-                    ok_words += w as u64 - 1;
-                }
-            }
-        }
-        if ok_words > 0 {
-            VERDICTS_OK.add(ok_words);
-        }
-        if alarms > 0 {
-            ALARMS.record_always(alarms);
-        }
-        replay
-    }
-}
-
-/// Stage 1: steps the block's generators as `s1`/`s2`/`s3` state columns
-/// and writes the `w × rngs.len()` word matrix, row `i` holding every
-/// lane's word `i`. The generators themselves are not advanced; the
-/// columns' final states are returned.
-fn fill_words(rngs: &[Taus88], w: usize, words: &mut Vec<u32>) -> [[u32; BLOCK_LANES]; 3] {
-    let b = rngs.len();
-    let mut s = [[0u32; BLOCK_LANES]; 3];
-    for (l, rng) in rngs.iter().enumerate() {
-        [s[0][l], s[1][l], s[2][l]] = rng.state();
-    }
-    words.clear();
-    words.resize(w * b, 0);
-    let [s1, s2, s3] = &mut s;
-    let (s1, s2, s3) = (&mut s1[..b], &mut s2[..b], &mut s3[..b]);
-    for row in words.chunks_exact_mut(b) {
-        for (((x, a), c), d) in row.iter_mut().zip(&mut *s1).zip(&mut *s2).zip(&mut *s3) {
-            [*a, *c, *d] = next_state([*a, *c, *d]);
-            *x = *a ^ *c ^ *d;
-        }
-    }
-    s
-}
-
-/// Carry-save adder: the bitwise carry and sum of `a + b + c`.
-#[inline(always)]
-fn csa(a: u32, b: u32, c: u32) -> (u32, u32) {
-    let u = a ^ b;
-    ((a & b) | (u & c), u ^ c)
-}
-
-/// Stage 2: adds to `sums[l]` the popcounts of lane `l` over the rows of
-/// `cur` (each XORed with the same row of `prev` when `XOR`), both
-/// `rows × b` matrices. A Harley–Seal carry-save tree down the rows takes
-/// one popcount per 8 rows; the rows past the last group of 8 take plain
-/// popcounts.
-fn popcount_rows<const XOR: bool>(cur: &[u32], prev: &[u32], b: usize, sums: &mut [u32]) {
-    let sums = &mut sums[..b];
-    let (mut ones, mut twos, mut fours) = (
-        [0u32; BLOCK_LANES],
-        [0u32; BLOCK_LANES],
-        [0u32; BLOCK_LANES],
-    );
-    let (ones, twos, fours) = (&mut ones[..b], &mut twos[..b], &mut fours[..b]);
-    let mut cur8 = cur.chunks_exact(8 * b);
-    let mut prev8 = prev.chunks_exact(8 * b);
-    for (c, p) in (&mut cur8).zip(&mut prev8) {
-        let c: [&[u32]; 8] = core::array::from_fn(|k| &c[k * b..][..b]);
-        let p: [&[u32]; 8] = core::array::from_fn(|k| &p[k * b..][..b]);
-        for l in 0..b {
-            let x = |k: usize| if XOR { c[k][l] ^ p[k][l] } else { c[k][l] };
-            let (twos_a, o) = csa(ones[l], x(0), x(1));
-            let (twos_b, o) = csa(o, x(2), x(3));
-            let (fours_a, t) = csa(twos[l], twos_a, twos_b);
-            let (twos_a, o) = csa(o, x(4), x(5));
-            let (twos_b, o) = csa(o, x(6), x(7));
-            let (fours_b, t) = csa(t, twos_a, twos_b);
-            let (eights, f) = csa(fours[l], fours_a, fours_b);
-            (ones[l], twos[l], fours[l]) = (o, t, f);
-            sums[l] += 8 * eights.count_ones();
-        }
-    }
-    for (c, p) in cur8
-        .remainder()
-        .chunks_exact(b)
-        .zip(prev8.remainder().chunks_exact(b))
-    {
-        for ((sum, &c), &p) in sums.iter_mut().zip(c).zip(p) {
-            *sum += if XOR { c ^ p } else { c }.count_ones();
-        }
-    }
-    for (((sum, o), t), f) in sums.iter_mut().zip(&*ones).zip(&*twos).zip(&*fours) {
-        *sum += o.count_ones() + 2 * t.count_ones() + 4 * f.count_ones();
-    }
-}
-
-/// Stage 3 prefilter: whether some lane's core — the AND of its same-bit
-/// masks `!(word[t + 1] ^ word[t])` over transitions `lo..=hi` — is
-/// nonzero.
-fn core_nonzero(words: &[u32], b: usize, lo: usize, hi: usize) -> bool {
-    let mut core = [!0u32; BLOCK_LANES];
-    let core = &mut core[..b];
-    for t in lo..=hi {
-        let (row, next) = (&words[t * b..][..b], &words[(t + 1) * b..][..b]);
-        for ((k, x), y) in core.iter_mut().zip(row).zip(next) {
-            *k &= !(x ^ y);
-        }
-    }
-    core.iter().any(|&k| k != 0)
-}
-
-/// Stage 3: flags exactly the lanes in which some `m` consecutive
-/// transitions keep one bit constant — the lanes whose scalar startup
-/// trips the repetition count. A sliding-window AND over the same-bit
-/// masks by doubling (AND is idempotent, so the two covering sub-windows
-/// may overlap), row-parallel across the block. Needs `m < W`.
-fn rct_screen(words: &[u32], b: usize, m: usize, trans: &mut Vec<u32>, flagged: &mut [bool]) {
-    let w = words.len() / b;
-    trans.clear();
-    trans.extend(
-        words[b..]
-            .iter()
-            .zip(words)
-            .map(|(next, row)| !(next ^ row)),
-    );
-    let (mut len, mut span) = (w - 1, 1);
-    while span * 2 <= m {
-        for i in 0..len - span {
-            let (head, tail) = trans.split_at_mut((i + span) * b);
-            for (x, y) in head[i * b..][..b].iter_mut().zip(&tail[..b]) {
-                *x &= y;
-            }
-        }
-        len -= span;
-        span *= 2;
-    }
-    let rem = m - span;
-    let mut hits = [0u32; BLOCK_LANES];
-    let hits = &mut hits[..b];
-    for i in 0..len - rem {
-        let (x, y) = (&trans[i * b..][..b], &trans[(i + rem) * b..][..b]);
-        for ((h, x), y) in hits.iter_mut().zip(x).zip(y) {
-            *h |= x & y;
-        }
-    }
-    for (f, &h) in flagged.iter_mut().zip(&*hits) {
-        *f = h != 0;
     }
 }
 
@@ -881,8 +568,6 @@ impl Default for BitHealthMonitor {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use super::*;
     use crate::fault::{BiasedBits, CorrelatedBits, StuckAtBits};
     use crate::tausworthe::Taus88;
@@ -1234,357 +919,6 @@ mod tests {
                 assert_eq!(fast.alarm().copied(), scalar.alarm);
             }
         }
-    }
-
-    /// Asserts that two monitors hold the same state, field by field.
-    fn assert_same_monitor(a: &UrngHealth, b: &UrngHealth, what: &str) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: monitor state");
-    }
-
-    /// Feeds the same two windows of fresh words through both monitors and
-    /// asserts identical verdicts: the monitors behave alike from here on.
-    fn assert_same_future(a: &mut UrngHealth, b: &mut UrngHealth, what: &str) {
-        let mut probe = Taus88::from_seed(0x9E37_79B9);
-        for i in 0..2 * a.cfg.apt_window() {
-            let word = probe.next_u32();
-            assert_eq!(
-                a.observe(word),
-                b.observe(word),
-                "{what}: observe {i} after startup"
-            );
-        }
-    }
-
-    /// Boots one lane per seed through `startup_lanes` and, lane by lane,
-    /// through scalar `startup` from identical (monitor, generator) pairs,
-    /// and asserts bitwise-equivalent results: verdict, generator position,
-    /// full monitor state, and behaviour over two more windows. Returns
-    /// each lane's latched alarm.
-    fn assert_startup_lanes_equivalence(
-        cfg: HealthConfig,
-        seeds: impl IntoIterator<Item = u64>,
-    ) -> Vec<Option<HealthAlarm>> {
-        let mut rngs: Vec<Taus88> = seeds.into_iter().map(Taus88::from_seed).collect();
-        let mut scalar_rngs = rngs.clone();
-        let mut monitors = vec![UrngHealth::new(cfg); rngs.len()];
-        UrngHealth::startup_lanes(&mut rngs, &mut monitors);
-        let alarms = monitors.iter().map(|h| h.alarm().copied()).collect();
-        for (lane, kernel) in monitors.iter_mut().enumerate() {
-            let what = format!("alpha {} lane {lane}", cfg.alpha_exp());
-            let mut scalar = UrngHealth::new(cfg);
-            let verdict = scalar.startup(&mut scalar_rngs[lane]);
-            assert_eq!(verdict.err().as_ref(), kernel.alarm(), "{what}");
-            assert_eq!(scalar_rngs[lane], rngs[lane], "{what}: generator position");
-            assert_same_monitor(&scalar, kernel, &what);
-            assert_same_future(&mut scalar, kernel, &what);
-        }
-        alarms
-    }
-
-    #[test]
-    fn startup_lanes_matches_the_scalar_startup() {
-        // Low alpha_exp makes healthy Taus88 windows trip the repetition
-        // count often (exercising the scalar replay); alpha 40 is the
-        // always-clean fleet operating point. 200 lanes span several
-        // kernel blocks and end in a partial one.
-        let configs = [
-            HealthConfig::new(4, 64, 4).unwrap(),
-            HealthConfig::new(6, 64, 8).unwrap(),
-            HealthConfig::new(8, 128, 2).unwrap(),
-            HealthConfig::new(12, 64, 0).unwrap(),
-            HealthConfig::new(40, 64, 4).unwrap(),
-            HealthConfig::new(60, 64, 1).unwrap(),
-            HealthConfig::new(40, 1024, 4).unwrap(),
-        ];
-        let mut rct_trips = 0u32;
-        let mut clean = 0u32;
-        for cfg in configs {
-            for alarm in assert_startup_lanes_equivalence(cfg, 0..200) {
-                match alarm {
-                    None => clean += 1,
-                    Some(a) => {
-                        if let HealthTest::RepetitionCount { .. } = a.test {
-                            rct_trips += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert!(rct_trips > 50, "sweep exercised only {rct_trips} RCT trips");
-        assert!(clean > 50, "sweep exercised only {clean} clean startups");
-        assert!(assert_startup_lanes_equivalence(HealthConfig::default(), []).is_empty());
-    }
-
-    #[test]
-    fn startup_lanes_window_trip_matches_the_scalar_startup() {
-        // A window-close trip on a *healthy* Taus88 is a designed-rare
-        // false positive (p ≈ 2^-alpha_exp per window), so the seed is
-        // pinned by offline search: at alpha_exp 12 this window survives
-        // every repetition-count check and then trips at window close,
-        // covering the kernel's closed-form trip state. Its neighbours in
-        // the block pass or trip the repetition count.
-        let cfg = HealthConfig::new(12, 64, 4).unwrap();
-        let seeds = WINDOW_TRIP_SEED - 3..WINDOW_TRIP_SEED + 4;
-        let alarms = assert_startup_lanes_equivalence(cfg, seeds);
-        let alarm = alarms[3].expect("pinned seed must trip at window close");
-        assert!(
-            !matches!(alarm.test, HealthTest::RepetitionCount { .. }),
-            "pinned seed tripped RCT ({alarm}), not a windowed test"
-        );
-    }
-
-    /// Found by scanning seeds for a windowed (APT / lag-correlation) trip
-    /// at `HealthConfig::new(12, 64, 4)`; see the test above.
-    const WINDOW_TRIP_SEED: u64 = 28816;
-
-    #[test]
-    fn startup_lanes_mid_stream_falls_back_to_scalar() {
-        // Lane 1 observed one word out of band and lane 2 runs another
-        // configuration: both miss the kernel's fresh-monitor precondition
-        // and must take the scalar loop, while lanes 0 and 3 take the
-        // kernel.
-        let cfg = HealthConfig::new(40, 64, 4).unwrap();
-        let other = HealthConfig::new(40, 128, 4).unwrap();
-        let mut monitors = vec![
-            UrngHealth::new(cfg),
-            UrngHealth::new(cfg),
-            UrngHealth::new(other),
-            UrngHealth::new(cfg),
-        ];
-        assert!(monitors[1].observe(0x1234_5678).is_ok());
-        let mut scalar = monitors.clone();
-        let mut rngs: Vec<Taus88> = (3..7).map(Taus88::from_seed).collect();
-        let mut scalar_rngs = rngs.clone();
-        UrngHealth::startup_lanes(&mut rngs, &mut monitors);
-        for lane in 0..4 {
-            let what = format!("lane {lane}");
-            let verdict = scalar[lane].startup(&mut scalar_rngs[lane]);
-            assert_eq!(verdict.err().as_ref(), monitors[lane].alarm(), "{what}");
-            assert_eq!(scalar_rngs[lane], rngs[lane], "{what}: generator position");
-            assert_same_monitor(&scalar[lane], &monitors[lane], &what);
-        }
-        assert_eq!(monitors[1].words(), 65);
-        assert_eq!(monitors[2].words(), 128);
-    }
-
-    /// The first word at which a scalar `observe` loop over `stream`
-    /// alarms, with the monitor it leaves.
-    fn observe_all(cfg: HealthConfig, stream: &[u32]) -> (Result<(), HealthAlarm>, UrngHealth) {
-        let mut h = UrngHealth::new(cfg);
-        let verdict = stream.iter().try_for_each(|&x| h.observe(x));
-        (verdict, h)
-    }
-
-    /// Lays per-lane streams out as the kernel's word matrix.
-    fn word_matrix(streams: &[Vec<u32>]) -> Vec<u32> {
-        let w = streams.first().map_or(0, Vec::len);
-        (0..w)
-            .flat_map(|i| streams.iter().map(move |s| s[i]))
-            .collect()
-    }
-
-    /// Planted `W`-word streams for `cfg`, each named by the verdict it is
-    /// built to draw from a scalar `observe` loop.
-    fn planted_streams(cfg: HealthConfig, seed: u64) -> Vec<(String, Vec<u32>)> {
-        let w = cfg.startup_words() as usize;
-        let m = cfg.rct_cutoff() as usize - 1;
-        let mut rng = Taus88::from_seed(seed);
-        let mut random = || -> Vec<u32> { (0..w).map(|_| rng.next_u32()).collect() };
-        // Holds bit `bit` at one value over words `first..=last` and at the
-        // other value just outside them: a run of exactly that length.
-        let run = |mut s: Vec<u32>, bit: u32, first: usize, last: usize| {
-            let mask = 1 << bit;
-            for (i, x) in s.iter_mut().enumerate() {
-                if (first..=last).contains(&i) {
-                    *x |= mask;
-                } else if i + 1 == first || i == last + 1 {
-                    *x &= !mask;
-                }
-            }
-            s
-        };
-        let mut planted = vec![
-            ("clean".to_string(), random()),
-            ("rct first words".to_string(), run(random(), 3, 0, m)),
-            (
-                "rct middle words".to_string(),
-                run(random(), 17, (w - m) / 2, (w + m) / 2),
-            ),
-            (
-                "rct last words".to_string(),
-                run(random(), 31, w - 1 - m, w - 1),
-            ),
-        ];
-        if 2 * m >= w {
-            // The bit stays put across exactly the core's transitions:
-            // the core is nonzero, but the run is far short of `m`.
-            planted.push(("core".to_string(), run(random(), 9, w - 1 - m, m)));
-        }
-        // Each bit is one with probability 5/8.
-        let (a, b, c) = (random(), random(), random());
-        let biased = (0..w).map(|i| a[i] | (b[i] & c[i])).collect();
-        planted.push(("apt".to_string(), biased));
-        for lag in 1..=cfg.max_lag().max(1) {
-            // Bits copy the word `lag` draws earlier with probability 3/8.
-            let mut src = CorrelatedBits::new(Taus88::from_seed(seed), lag, 96);
-            let s = (0..w).map(|_| src.next_u32()).collect();
-            planted.push((format!("lag {lag}"), s));
-        }
-        planted
-    }
-
-    /// Runs the evaluation stage over one block of named planted streams
-    /// and checks each lane against a scalar `observe` loop over its
-    /// stream. Records each planted (non-clean) stream's scalar verdict as
-    /// `"name: verdict"` in `kinds`.
-    fn check_block(cfg: HealthConfig, block: &[(String, Vec<u32>)], kinds: &mut BTreeSet<String>) {
-        let streams: Vec<Vec<u32>> = block.iter().map(|(_, s)| s.clone()).collect();
-        let mut monitors = vec![UrngHealth::new(cfg); block.len()];
-        let words = word_matrix(&streams);
-        let replay = BootPlan::new(cfg).evaluate(&words, &mut monitors, &mut Vec::new());
-        assert!(
-            replay[block.len()..].iter().all(|&r| !r),
-            "flags past the block"
-        );
-        for (((name, stream), kernel), replay) in block.iter().zip(&mut monitors).zip(replay) {
-            let what = format!("alpha {} W {} {name}", cfg.alpha_exp(), cfg.apt_window());
-            let (expected, mut scalar) = observe_all(cfg, stream);
-            let kind = match expected {
-                Ok(()) => "pass".to_string(),
-                Err(a) => match a.test {
-                    HealthTest::RepetitionCount { .. } => format!("rct at {}", a.word_index),
-                    HealthTest::AdaptiveProportion { .. } => "apt".to_string(),
-                    HealthTest::LagCorrelation { lag, .. } => format!("lag {lag}"),
-                },
-            };
-            // Exactly the lanes whose scalar loop trips the repetition
-            // count are sent to the scalar replay, untouched.
-            assert_eq!(
-                replay,
-                kind.starts_with("rct"),
-                "{what}: {kind}, replay {replay}"
-            );
-            if replay {
-                assert_same_monitor(&UrngHealth::new(cfg), kernel, &what);
-            } else {
-                assert_eq!(expected.err().as_ref(), kernel.alarm(), "{what}");
-                assert_same_monitor(&scalar, kernel, &what);
-                assert_same_future(&mut scalar, kernel, &what);
-            }
-            if !name.starts_with("clean") {
-                kinds.insert(format!("{name}: {kind}"));
-            }
-        }
-    }
-
-    #[test]
-    fn evaluation_stage_matches_scalar_observe_on_planted_streams() {
-        let configs = [
-            // 2m ≥ W: the core prefilter decides whether a block screens.
-            HealthConfig::new(40, 64, 4).unwrap(),
-            HealthConfig::new(36, 64, 8).unwrap(),
-            HealthConfig::new(60, 120, 0).unwrap(),
-            // 2m < W: every block screens.
-            HealthConfig::new(20, 64, 0).unwrap(),
-            HealthConfig::new(40, 128, 8).unwrap(),
-            HealthConfig::new(24, 100, 3).unwrap(),
-        ];
-        for cfg in configs {
-            let plan = BootPlan::new(cfg);
-            // Enough lanes for a full block and a partial last one.
-            let mut lanes = Vec::new();
-            for seed in 0.. {
-                lanes.extend(planted_streams(cfg, seed));
-                if lanes.len() > plan.lanes {
-                    break;
-                }
-            }
-            let mut kinds = BTreeSet::new();
-            // Each stream alone, so no other lane's core can make its
-            // block screen, then the streams packed into blocks.
-            for block in lanes.chunks(1).chain(lanes.chunks(plan.lanes)) {
-                check_block(cfg, block, &mut kinds);
-            }
-            // Every planted stream drew the verdict it was built for.
-            let (w, m) = (cfg.apt_window() as usize, cfg.rct_cutoff() as usize - 1);
-            let mut want = vec![
-                format!("rct first words: rct at {m}"),
-                format!("rct middle words: rct at {}", (w + m) / 2),
-                format!("rct last words: rct at {}", w - 1),
-                "apt: apt".to_string(),
-            ];
-            if 2 * m >= w {
-                want.push("core: pass".to_string());
-            }
-            for lag in 1..=cfg.max_lag() {
-                want.push(format!("lag {lag}: lag {lag}"));
-            }
-            for kind in want {
-                assert!(
-                    kinds.contains(&kind),
-                    "alpha {} W {w}: no `{kind}` in {kinds:?}",
-                    cfg.alpha_exp()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn core_prefilter_sees_every_tripping_run_and_nothing_shorter() {
-        let cfg = HealthConfig::new(40, 64, 4).unwrap();
-        let (w, m) = (64, 40);
-        // Every run of `m` transitions covers transitions 23..=39.
-        let (lo, hi) = (w - 1 - m, m - 1);
-        let (plan_lo, plan_hi) = BootPlan::new(cfg).core.expect("2m ≥ W");
-        let prefilter =
-            |block: &[Vec<u32>]| core_nonzero(&word_matrix(block), block.len(), plan_lo, plan_hi);
-        let mut rng = Taus88::from_seed(77);
-        let mut random = || -> Vec<u32> { (0..w).map(|_| rng.next_u32()).collect() };
-        // Holds bit 5 constant across exactly transitions `first..=last`.
-        let hold = |mut s: Vec<u32>, first: usize, last: usize| {
-            for x in &mut s[first..=last + 1] {
-                *x |= 1 << 5;
-            }
-            for edge in [first.wrapping_sub(1), last + 2] {
-                if let Some(x) = s.get_mut(edge) {
-                    *x &= !(1 << 5);
-                }
-            }
-            s
-        };
-        let clean: Vec<Vec<u32>> = (0..7).map(|_| random()).collect();
-        assert!(!prefilter(&clean));
-        let with = |lane: Vec<u32>| {
-            let mut block = clean.clone();
-            block[4] = lane;
-            block
-        };
-        // A tripping run anywhere, even at either end of the window, shows
-        // in the core; so does a run of exactly the core.
-        for (first, last) in [(0, m - 1), (11, m + 10), (w - 1 - m, w - 2), (lo, hi)] {
-            assert!(
-                prefilter(&with(hold(random(), first, last))),
-                "run {first}..={last}"
-            );
-        }
-        // One transition short of the core at either end: the core is zero,
-        // so the block skips the screen.
-        for (first, last) in [(lo + 1, hi), (lo, hi - 1)] {
-            assert!(
-                !prefilter(&with(hold(random(), first, last))),
-                "run {first}..={last}"
-            );
-        }
-    }
-
-    #[test]
-    fn evaluation_stage_accepts_zero_lanes() {
-        let plan = BootPlan::new(HealthConfig::default());
-        assert_eq!(
-            plan.evaluate(&[], &mut [], &mut Vec::new()),
-            [false; BLOCK_LANES]
-        );
-        UrngHealth::startup_lanes(&mut [], &mut []);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl IdealStaircase {
         self.d
     }
 
-    /// The step split `γ`.
-    pub fn gamma(self) -> f64 {
-        self.gamma
-    }
-
     fn b(self) -> f64 {
         (-self.eps).exp()
     }
@@ -144,7 +139,7 @@ impl IdealStaircase {
     /// # Errors
     ///
     /// [`RngError::OutOfDomain`] if `u` is outside `(0, 1]` or NaN.
-    pub fn survival_inverse(self, u: f64) -> Result<f64, RngError> {
+    fn survival_inverse(self, u: f64) -> Result<f64, RngError> {
         if !(u > 0.0 && u <= 1.0) {
             return Err(RngError::OutOfDomain("survival inverse domain is (0,1]"));
         }
@@ -493,7 +488,7 @@ mod tests {
     #[test]
     fn optimal_gamma_formula() {
         let st = IdealStaircase::optimal(2.0, 1.0).unwrap();
-        assert!((st.gamma() - 1.0 / (1.0 + 1.0f64.exp())).abs() < 1e-12);
+        assert!((st.gamma - 1.0 / (1.0 + 1.0f64.exp())).abs() < 1e-12);
     }
 
     #[test]

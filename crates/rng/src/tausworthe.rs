@@ -38,7 +38,7 @@ impl Taus88 {
     /// States below the per-component minima (2, 8, 16) would land in the
     /// degenerate all-zero LFSR cycle and are bumped up automatically, as
     /// hardware seeding logic does.
-    pub fn from_state(s1: u32, s2: u32, s3: u32) -> Self {
+    fn from_state(s1: u32, s2: u32, s3: u32) -> Self {
         Taus88 {
             s1: s1.max(2),
             s2: s2.max(8),

@@ -1,12 +1,13 @@
 //! The power-on self-test kernel's counter contract:
-//! `UrngHealth::startup_lanes` moves `rng.taus88.words_drawn`,
+//! `UrngColumns::boot` moves `rng.taus88.words_drawn`,
 //! `rng.health.verdicts_ok` and `rng.health.alarms` by exactly what scalar
-//! `startup` moves them by over the same lanes.
+//! `startup` moves them by over the same lanes: clean lanes, lanes that
+//! trip the repetition count, and a lane that trips at window close.
 //!
 //! The counters are process-global, so this binary holds a single test.
 
 use ulp_obs::{set_level, snapshot, MetricsLevel};
-use ulp_rng::{HealthConfig, HealthTest, Taus88, UrngHealth};
+use ulp_rng::{HealthConfig, HealthTest, Taus88, UrngColumns, UrngHealth};
 
 const COUNTERS: [&str; 3] = [
     "rng.taus88.words_drawn",
@@ -26,7 +27,7 @@ fn counters() -> [u64; 3] {
 }
 
 #[test]
-fn startup_lanes_moves_the_counters_as_scalar_startup_does() {
+fn boot_moves_the_counters_as_scalar_startup_does() {
     set_level(MetricsLevel::Full);
     // At α = 2^-12 about a third of healthy 64-word windows trip the
     // repetition count; seed 28816 passes it and trips at window close.
@@ -43,11 +44,9 @@ fn startup_lanes_moves_the_counters_as_scalar_startup_does() {
         })
         .collect();
     let mid = counters();
-    let mut rngs: Vec<Taus88> = seeds.iter().map(|&seed| Taus88::from_seed(seed)).collect();
-    let mut monitors = vec![UrngHealth::new(cfg); seeds.len()];
-    UrngHealth::startup_lanes(&mut rngs, &mut monitors);
+    let columns = UrngColumns::boot(cfg, &seeds);
     let after = counters();
-    let kernel: Vec<_> = monitors.iter().map(|h| h.alarm().copied()).collect();
+    let kernel: Vec<_> = (0..seeds.len()).map(|pos| columns.alarm(pos)).collect();
     assert_eq!(kernel, scalar);
 
     let clean = kernel.iter().filter(|a| a.is_none()).count();
