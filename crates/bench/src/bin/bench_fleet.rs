@@ -20,8 +20,9 @@
 //! * the [`ulp_fleet::ServiceOutcome`] determinism digest — rerunning with a
 //!   different `ULP_PAR_THREADS` must reproduce every digest bit-for-bit;
 //! * the accuracy gates: mean, RR frequency, and RR count must land within
-//!   `3·SE + bias_bound` of ground truth. A gate failure aborts the run —
-//!   a benchmark that quietly reports wrong estimates is worse than none.
+//!   `3·SE + bias_bound` of ground truth. A gate failure ends the run with
+//!   exit 1 and one line naming the cell, before any report is written — a
+//!   benchmark that quietly reports wrong estimates is worse than none.
 //!
 //! Full (non-smoke) reports also carry a `target` block grading the
 //! 10⁶-device cell against the 1M reports/sec end-to-end goal (no
@@ -176,22 +177,23 @@ fn main() {
         (100_000, &[1, 2, 8])
     };
 
+    let run = |name: String, cfg| {
+        run_cell(&name, cfg, None).unwrap_or_else(|e| ldp_bench::fail("bench_fleet", e))
+    };
     let mut cells = Vec::new();
     for &devices in populations {
-        cells.push(run_cell(
-            &format!("n{devices}"),
+        cells.push(run(
+            format!("n{devices}"),
             FleetConfig::paper_default(devices, 1, ldp_bench::SEED),
-            None,
         ));
     }
     for &shards in shard_counts {
-        cells.push(run_cell(
-            &format!("shards{shards}"),
+        cells.push(run(
+            format!("shards{shards}"),
             FleetConfig {
                 shards,
                 ..FleetConfig::paper_default(shard_pop, 1, ldp_bench::SEED)
             },
-            None,
         ));
     }
 
@@ -202,10 +204,12 @@ fn main() {
         .filter(|c| c.cfg.devices == shard_pop)
         .map(|c| c.outcome.digest())
         .collect();
-    assert!(
-        shard_digests.windows(2).all(|w| w[0] == w[1]),
-        "shard sweep digests diverged: {shard_digests:016x?}"
-    );
+    if shard_digests.windows(2).any(|w| w[0] != w[1]) {
+        ldp_bench::fail(
+            "bench_fleet",
+            format!("shards: shard sweep digests diverged: {shard_digests:016x?}"),
+        );
+    }
 
     // Grade the headline cell in full mode (smoke populations are too
     // small to say anything about steady-state throughput).

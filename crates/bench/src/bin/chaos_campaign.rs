@@ -67,7 +67,7 @@ fn chaos_from_rates(seed: u64, rates: [f64; 6]) -> ChaosConfig {
 
 /// One one-window cell of `base` behind the given transport, with the
 /// campaign's own check: quarantine latches exactly the planted
-/// malformed senders.
+/// malformed senders. A broken promise ends the campaign with exit 1.
 fn chaos_cell(
     name: &str,
     base: &FleetConfig,
@@ -81,14 +81,19 @@ fn chaos_cell(
         retry_budget,
         ..base.clone()
     };
-    let cell = run_cell(name, cfg, None);
+    let cell = run_cell(name, cfg, None).unwrap_or_else(|e| ldp_bench::fail(BIN, e));
     let planted: Vec<u32> = (0..base.malformed_senders)
         .map(|m| (base.devices + m) as u32)
         .collect();
-    assert_eq!(
-        cell.outcome.quarantined, planted,
-        "{name}: quarantine must latch exactly the planted malformed senders"
-    );
+    if cell.outcome.quarantined != planted {
+        ldp_bench::fail(
+            BIN,
+            format!(
+                "{name}: quarantine latched {:?}, not exactly the planted malformed senders {planted:?}",
+                cell.outcome.quarantined
+            ),
+        );
+    }
     cell
 }
 
@@ -237,13 +242,17 @@ fn main() {
     // be bitwise identical across the whole sweep — the baseline digest is
     // the reference the replay-safety assertion checks against.
     let mut cells = vec![chaos_cell("baseline", &base, chaos_seed, [0.0; 6], 2)];
-    let baseline_digest = cells[0].outcome.ledger_digest;
-    assert!(
-        cells[0].outcome.rollup_seal.is_full(),
-        "baseline must seal full"
-    );
-    assert_eq!(cells[0].outcome.stats.duplicates, 0);
-    assert_eq!(cells[0].outcome.stats.corrupt_frames, 0);
+    let baseline = &cells[0].outcome;
+    let baseline_digest = baseline.ledger_digest;
+    if !baseline.rollup_seal.is_full() {
+        ldp_bench::fail(BIN, "baseline: a clean wire must seal full");
+    }
+    if (baseline.stats.duplicates, baseline.stats.corrupt_frames) != (0, 0) {
+        ldp_bench::fail(
+            BIN,
+            "baseline: a clean wire must deliver no duplicate and no corrupt frame",
+        );
+    }
 
     match custom {
         Some(rates) => {
@@ -268,18 +277,25 @@ fn main() {
                 cells.push(chaos_cell(name, &base, chaos_seed, rates, retry_budget));
             }
             let blackout = cells.last().expect("blackout cell");
-            assert!(
-                !blackout.outcome.rollup_seal.is_full(),
-                "a 50% bursty blackout with no retries must degrade the seal"
-            );
+            if blackout.outcome.rollup_seal.is_full() {
+                ldp_bench::fail(
+                    BIN,
+                    "blackout: a 50% bursty blackout with no retries must degrade the seal",
+                );
+            }
         }
     }
 
-    for c in &cells {
-        assert_eq!(
-            c.outcome.ledger_digest, baseline_digest,
-            "{}: per-device ε-spend diverged from the no-fault baseline",
-            c.name
+    if let Some(c) = cells
+        .iter()
+        .find(|c| c.outcome.ledger_digest != baseline_digest)
+    {
+        ldp_bench::fail(
+            BIN,
+            format!(
+                "{}: per-device ε-spend diverged from the no-fault baseline",
+                c.name
+            ),
         );
     }
 

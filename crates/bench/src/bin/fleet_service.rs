@@ -23,11 +23,12 @@
 //!   byte the same windows as the roomy run (backpressure never loses an
 //!   admitted report).
 //!
-//! Every cell runs through [`ldp_bench::fleet::run_cell`], which asserts:
+//! Every cell runs through [`ldp_bench::fleet::run_cell`], which checks:
 //! per-window and rollup ledger audits pass bitwise, zero double-spends,
 //! every window sealed, and every sealed window's live-snapshot and the
 //! rollup's mean and RR-frequency estimates within `3·SE + bias_bound` of
-//! ground truth. Timing is a warm-up at `full` (which records the
+//! ground truth. A broken promise ends the run with exit 1 and one line
+//! naming the cell. Timing is a warm-up at `full` (which records the
 //! queue-depth histogram), then the best of 3 with the service outcome
 //! digest pinned across repeats — rerunning with a different
 //! `ULP_PAR_THREADS` must reproduce every digest bit-for-bit.
@@ -173,11 +174,14 @@ fn main() {
     let (devices, epochs) = if smoke { (2_000, 8) } else { (100_000, 16) };
     let (chaos_devices, chaos_epochs) = if smoke { (1_000, 4) } else { (20_000, 8) };
 
+    let run = |name: &str, cfg, svc| {
+        run_cell(name, cfg, Some(svc)).unwrap_or_else(|e| ldp_bench::fail("fleet_service", e))
+    };
     let mut cells = Vec::new();
-    cells.push(run_cell(
+    cells.push(run(
         "stream",
         FleetConfig::paper_default(devices, epochs, ldp_bench::SEED),
-        Some(headline_svc.clone()),
+        headline_svc.clone(),
     ));
 
     // Chaos cell: the watermark grace covers the full backoff + delay
@@ -187,15 +191,17 @@ fn main() {
         ..FleetConfig::paper_default(chaos_devices, chaos_epochs, ldp_bench::SEED)
     };
     let slack = chaos_fleet.delivery_slack();
-    let chaos_cell = run_cell(
+    let chaos_cell = run(
         "chaos",
         chaos_fleet,
-        Some(ServiceConfig::new(2, headline_svc.queue_frames).with_watermark_lag(slack)),
+        ServiceConfig::new(2, headline_svc.queue_frames).with_watermark_lag(slack),
     );
-    assert_eq!(
-        chaos_cell.outcome.stats.late, 0,
-        "chaos: the watermark grace must cover the transport slack"
-    );
+    if chaos_cell.outcome.stats.late != 0 {
+        ldp_bench::fail(
+            "fleet_service",
+            "chaos: the watermark grace must cover the transport slack",
+        );
+    }
     cells.push(chaos_cell);
 
     // Squeeze cell: undersized queues on the headline traffic shape. The
@@ -203,25 +209,32 @@ fn main() {
     // digests match a roomy run of the same population bit-for-bit.
     let squeeze_pop = if smoke { 1_000 } else { 10_000 };
     let squeeze_epochs = if smoke { 4 } else { 8 };
-    let roomy = run_cell(
+    let roomy = run(
         "roomy",
         FleetConfig::paper_default(squeeze_pop, squeeze_epochs, ldp_bench::SEED),
-        Some(ServiceConfig::new(4, 1 << 20)),
+        ServiceConfig::new(4, 1 << 20),
     );
-    let squeeze = run_cell(
+    let squeeze = run(
         "squeeze",
         FleetConfig::paper_default(squeeze_pop, squeeze_epochs, ldp_bench::SEED),
-        Some(ServiceConfig::new(4, 64)),
+        ServiceConfig::new(4, 64),
     );
-    assert!(
-        squeeze.outcome.backpressure_rejections > 0,
-        "squeeze: undersized queues must produce typed Busy rejections"
-    );
-    assert_eq!(
-        squeeze.outcome.window_digests, roomy.outcome.window_digests,
-        "squeeze: backpressure must not change a single sealed window"
-    );
-    assert_eq!(squeeze.outcome.rollup_digest, roomy.outcome.rollup_digest);
+    if squeeze.outcome.backpressure_rejections == 0 {
+        ldp_bench::fail(
+            "fleet_service",
+            "squeeze: undersized queues must produce typed Busy rejections",
+        );
+    }
+    if (
+        &squeeze.outcome.window_digests,
+        squeeze.outcome.rollup_digest,
+    ) != (&roomy.outcome.window_digests, roomy.outcome.rollup_digest)
+    {
+        ldp_bench::fail(
+            "fleet_service",
+            "squeeze: backpressure must not change a single sealed window",
+        );
+    }
     cells.push(roomy);
     cells.push(squeeze);
 

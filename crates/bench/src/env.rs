@@ -3,9 +3,11 @@
 //! Every campaign binary (`bench_fleet`, `chaos_campaign`,
 //! `fleet_service`, …) enforces the same contract: a malformed `ULP_*`
 //! variable or command-line flag exits with status 2 and one message naming
-//! it — never a silent default, never a panic. This module is the single
-//! implementation of that boilerplate; binaries call [`FleetEnv::validate`],
-//! [`require_env`] and [`require_flag`] instead of hand-rolling it.
+//! it — never a silent default, never a panic — and a run that breaks a
+//! promise exits with status 1 and one message naming the cell. This
+//! module is the single implementation of that boilerplate; binaries call
+//! [`FleetEnv::validate`], [`require_env`] and [`require_flag`] instead of
+//! hand-rolling it.
 
 use std::str::FromStr;
 
@@ -16,6 +18,15 @@ use ulp_obs::MetricsLevel;
 pub fn reject(bin: &str, message: impl std::fmt::Display) -> ! {
     eprintln!("{bin}: {message}");
     std::process::exit(2);
+}
+
+/// Exits with status 1 and one `bin: message` line on stderr — the
+/// campaign binaries' ending for a run that broke a promise (a cell that
+/// failed its checks), as against [`reject`]'s exit 2 for a malformed
+/// input.
+pub fn fail(bin: &str, message: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {message}");
+    std::process::exit(1);
 }
 
 /// Unwraps a strict environment parse, exiting through [`reject`] when the

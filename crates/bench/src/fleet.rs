@@ -11,8 +11,9 @@
 //! `(device, epoch)` is spent twice, every window seals, no window starves
 //! of estimates on a clean wire, and every sealed window's and the
 //! rollup's mean and RR frequency, and the rollup's RR count, lie within
-//! `3·SE + bias_bound` of the truth. A broken promise aborts the binary
-//! before it writes a report. What only one artifact promises — equal
+//! `3·SE + bias_bound` of the truth. A broken promise is returned, naming
+//! the cell, and the binary ends on it with exit 1 before it writes a
+//! report ([`crate::fail`]). What only one artifact promises — equal
 //! digests across a shard sweep, the chaos baseline and quarantine, the
 //! service's backpressure — stays in its binary.
 
@@ -214,18 +215,15 @@ impl Cell {
 /// through; `None` runs the fleet as one window
 /// ([`FleetDriver::one_window`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics, naming the cell, if the driver refuses `cfg`, a run fails, or
+/// One `name: message` line if the driver refuses `cfg`, a run fails, or
 /// the outcome breaks a promise.
-pub fn run_cell(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Cell {
-    let driver = FleetDriver::new(cfg.clone()).unwrap_or_else(|e| panic!("{name}: {e}"));
+pub fn run_cell(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Result<Cell, String> {
+    let named = |e: &dyn std::fmt::Display| format!("{name}: {e}");
+    let driver = FleetDriver::new(cfg.clone()).map_err(|e| named(&e))?;
     let svc = svc.unwrap_or_else(|| driver.one_window());
-    let run = || {
-        driver
-            .run_service(&svc)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-    };
+    let run = || driver.run_service(&svc).map_err(|e| named(&e));
 
     // The warm-up also leaves allocator arenas and page mappings hot when
     // the clock starts, so cells compare whatever their order.
@@ -235,12 +233,13 @@ pub fn run_cell(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Cel
     let warm_up = run();
     let phases = Totals::now().since(&before);
     ulp_obs::set_level(ambient);
+    let warm_up = warm_up?;
 
     let mut digests = vec![warm_up.digest()];
     let mut fastest: Option<(f64, ServiceOutcome)> = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let outcome = run();
+        let outcome = run()?;
         let seconds = start.elapsed().as_secs_f64();
         digests.push(outcome.digest());
         if fastest.as_ref().is_none_or(|(best, _)| seconds < *best) {
@@ -257,9 +256,8 @@ pub fn run_cell(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Cel
         outcome.digest(),
     );
     let windows = cfg.epochs.div_ceil(svc.window_epochs) as usize;
-    let gates = check(&outcome, windows, cfg.chaos.is_none(), &digests)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    Cell {
+    let gates = check(&outcome, windows, cfg.chaos.is_none(), &digests).map_err(|e| named(&e))?;
+    Ok(Cell {
         name: name.to_owned(),
         cfg,
         svc,
@@ -267,7 +265,7 @@ pub fn run_cell(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Cel
         phases,
         outcome,
         gates,
-    }
+    })
 }
 
 /// The module's promises for one outcome, given the `digests` of every
@@ -347,18 +345,38 @@ fn check(
 mod tests {
     use super::*;
 
-    /// A small windowed cell: 256 devices, 4 epochs, 2-epoch windows. Run
-    /// once per process: the runner sets the process-wide metrics level,
-    /// so two concurrent runs would blur each other's warm-up.
+    /// [`run_cell`], one call at a time: the runner sets the process-wide
+    /// metrics level, so two concurrent runs would blur each other's
+    /// warm-up.
+    fn run_alone(name: &str, cfg: FleetConfig, svc: Option<ServiceConfig>) -> Result<Cell, String> {
+        static RUNNER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _alone = RUNNER.lock().unwrap_or_else(|e| e.into_inner());
+        run_cell(name, cfg, svc)
+    }
+
+    /// A small windowed cell: 256 devices, 4 epochs, 2-epoch windows, run
+    /// once per process.
     fn small_cell() -> &'static Cell {
         static CELL: std::sync::OnceLock<Cell> = std::sync::OnceLock::new();
         CELL.get_or_init(|| {
-            run_cell(
+            run_alone(
                 "small",
                 FleetConfig::paper_default(256, 4, 2018),
                 Some(ServiceConfig::new(2, 1 << 14)),
             )
+            .expect("the small cell keeps every promise")
         })
+    }
+
+    #[test]
+    fn a_broken_promise_is_returned_naming_the_cell() {
+        // One device serves no window estimate on a clean wire.
+        let err = run_alone("tiny", FleetConfig::paper_default(1, 1, 2018), None).unwrap_err();
+        assert_eq!(err, "tiny: 1 window(s) served no estimate on a clean wire");
+        // A fleet the driver refuses is returned the same way.
+        let zero_epochs = FleetConfig::paper_default(8, 0, 2018);
+        let err = run_alone("empty", zero_epochs, None).unwrap_err();
+        assert!(err.starts_with("empty: "), "{err}");
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub mod json;
 mod render;
 
 pub use env::{
-    read_input, reject, require_env, require_flag, require_writable, unknown_flag, write_report,
-    FleetEnv,
+    fail, read_input, reject, require_env, require_flag, require_writable, unknown_flag,
+    write_report, FleetEnv,
 };
 pub use render::{
     render_adversary, render_counting_table, render_fault_campaign, render_latency, render_rr,

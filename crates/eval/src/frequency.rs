@@ -69,7 +69,7 @@ impl FrequencyOracle {
     }
 
     /// The bin index of a value (clamped into range).
-    pub fn bin_of(self, x: f64) -> usize {
+    fn bin_of(self, x: f64) -> usize {
         let w = (self.max - self.min) / self.bins as f64;
         (((x - self.min) / w) as usize).min(self.bins - 1)
     }

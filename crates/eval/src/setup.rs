@@ -77,7 +77,7 @@ impl GroundTruth {
     }
 
     /// Generates and encodes the dataset for an already-built setup.
-    pub fn from_setup(setup: ExperimentSetup, seed: u64) -> Self {
+    fn from_setup(setup: ExperimentSetup, seed: u64) -> Self {
         let data = generate(&setup.spec, seed);
         let adc = setup.adc;
         let codes_k: Vec<i64> = data.iter().map(|&x| adc.encode(x)).collect();
@@ -98,24 +98,6 @@ impl GroundTruth {
     /// Whether the realization is empty (a zero-entry spec).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// True population mean, in ADC codes.
-    pub fn mean_code(&self) -> f64 {
-        self.codes_k.iter().map(|&k| k as f64).sum::<f64>() / self.len().max(1) as f64
-    }
-
-    /// True population variance (biased, `/n`), in squared ADC codes.
-    pub fn variance_code(&self) -> f64 {
-        let m = self.mean_code();
-        self.codes_k
-            .iter()
-            .map(|&k| {
-                let d = k as f64 - m;
-                d * d
-            })
-            .sum::<f64>()
-            / self.len().max(1) as f64
     }
 
     /// True fraction of entries at or above `threshold_k` codes — the
@@ -351,19 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn ground_truth_statistics_are_exact() {
+    fn threshold_fractions_bracket_the_data() {
         let spec = statlog_heart();
         let gt = GroundTruth::prepare(&spec, 0.5, 11).unwrap();
-        let n = gt.len() as f64;
-        let mean = gt.codes_k.iter().map(|&k| k as f64).sum::<f64>() / n;
-        assert_eq!(gt.mean_code(), mean);
-        let var = gt
-            .codes_k
-            .iter()
-            .map(|&k| (k as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        assert!((gt.variance_code() - var).abs() < 1e-9);
         // Thresholding at the extremes brackets every entry.
         assert_eq!(gt.fraction_at_or_above(0), 1.0);
         assert_eq!(gt.fraction_at_or_above(gt.setup.adc.max_code() + 1), 0.0);

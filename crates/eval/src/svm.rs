@@ -126,7 +126,7 @@ impl LinearSvm {
     }
 
     /// Predicts a label in `{-1, +1}`.
-    pub fn predict(&self, x: &[f64]) -> f64 {
+    fn predict(&self, x: &[f64]) -> f64 {
         if dot(&self.w, x) + self.b >= 0.0 {
             1.0
         } else {

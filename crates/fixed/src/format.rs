@@ -68,7 +68,7 @@ impl QFormat {
 
     /// Number of integer bits, including the sign bit.
     #[inline]
-    pub fn int_bits(self) -> u8 {
+    fn int_bits(self) -> u8 {
         self.total_bits - self.frac_bits
     }
 

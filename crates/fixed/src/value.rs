@@ -102,24 +102,6 @@ impl Fx {
         Fx { raw: 0, fmt }
     }
 
-    /// The smallest representable value in `fmt`.
-    #[inline]
-    pub fn min_of(fmt: QFormat) -> Self {
-        Fx {
-            raw: fmt.min_raw(),
-            fmt,
-        }
-    }
-
-    /// The largest representable value in `fmt`.
-    #[inline]
-    pub fn max_of(fmt: QFormat) -> Self {
-        Fx {
-            raw: fmt.max_raw(),
-            fmt,
-        }
-    }
-
     /// The underlying two's-complement word.
     #[inline]
     pub fn raw(self) -> i64 {
@@ -204,20 +186,6 @@ impl Fx {
             }
         };
         Self::from_raw(raw, target)
-    }
-
-    /// Re-quantizes into another format, saturating on overflow.
-    pub fn resize_saturating(self, target: QFormat, rounding: Rounding) -> Self {
-        match self.resize(target, rounding) {
-            Ok(v) => v,
-            Err(_) => {
-                if self.raw >= 0 {
-                    Fx::max_of(target)
-                } else {
-                    Fx::min_of(target)
-                }
-            }
-        }
     }
 
     fn require_same_format(self, other: Fx) -> Result<(), FixedError> {
@@ -335,15 +303,6 @@ impl Fx {
         Self::from_raw(-self.raw, self.fmt)
     }
 
-    /// Absolute value.
-    ///
-    /// # Errors
-    ///
-    /// [`FixedError::Overflow`] for the most negative word.
-    pub fn checked_abs(self) -> Result<Self, FixedError> {
-        Self::from_raw(self.raw.abs(), self.fmt)
-    }
-
     /// Arithmetic right shift by `n` bits (divide by `2^n`, toward -∞),
     /// the hardware scaling used when ε is a power of two (paper Eq. 19).
     #[allow(clippy::should_implement_trait)] // deliberate: models the hardware shifter, not ops::Shr
@@ -370,7 +329,7 @@ impl Fx {
 
     /// Absolute difference `|self − other|`, saturating to the format's
     /// maximum when the true difference exceeds the word (which
-    /// `checked_sub` + `checked_abs` would reject near the word edges).
+    /// [`Fx::checked_sub`] would reject near the word edges).
     ///
     /// # Panics
     ///
@@ -382,12 +341,6 @@ impl Fx {
             raw: d.min(self.fmt.max_raw() as u64) as i64,
             fmt: self.fmt,
         }
-    }
-
-    /// The sign of the value: −1, 0, or +1 in the same format's integer
-    /// grid (saturating to the grid if the format is a pure fraction).
-    pub fn signum_raw(self) -> i64 {
-        self.raw.signum()
     }
 
     /// The smaller of two values.
@@ -551,10 +504,16 @@ mod tests {
         assert_eq!(a.checked_sub(b).unwrap().to_f64(), 1.75);
     }
 
+    /// The most negative and the largest word of `fmt`.
+    fn extremes(fmt: QFormat) -> (Fx, Fx) {
+        let word = |raw| Fx::from_raw(raw, fmt).unwrap();
+        (word(fmt.min_raw()), word(fmt.max_raw()))
+    }
+
     #[test]
     fn add_detects_overflow() {
         let fmt = q(8, 0);
-        let max = Fx::max_of(fmt);
+        let (_, max) = extremes(fmt);
         let one = Fx::from_raw(1, fmt).unwrap();
         assert!(matches!(
             max.checked_add(one),
@@ -613,32 +572,29 @@ mod tests {
     #[test]
     fn saturating_ops_clamp_to_bounds() {
         let fmt = q(8, 0);
-        let max = Fx::max_of(fmt);
+        let (min, max) = extremes(fmt);
         let one = Fx::from_raw(1, fmt).unwrap();
         assert_eq!(max.saturating_add(one), max);
-        let min = Fx::min_of(fmt);
         assert_eq!(min.saturating_sub(one), min);
     }
 
     #[test]
     fn wrapping_add_wraps_like_hardware() {
         let fmt = q(8, 0);
-        let max = Fx::max_of(fmt); // 127
+        let (min, max) = extremes(fmt); // -128, 127
         let one = Fx::from_raw(1, fmt).unwrap();
         assert_eq!(max.wrapping_add(one).raw(), -128);
-        let min = Fx::min_of(fmt);
         let neg1 = Fx::from_raw(-1, fmt).unwrap();
         assert_eq!(min.wrapping_add(neg1).raw(), 127);
     }
 
     #[test]
-    fn neg_and_abs_handle_most_negative() {
+    fn neg_handles_most_negative() {
         let fmt = q(8, 0);
-        let min = Fx::min_of(fmt);
+        let (min, _) = extremes(fmt);
         assert!(min.checked_neg().is_err());
-        assert!(min.checked_abs().is_err());
         let v = Fx::from_raw(-5, fmt).unwrap();
-        assert_eq!(v.checked_abs().unwrap().raw(), 5);
+        assert_eq!(v.checked_neg().unwrap().raw(), 5);
     }
 
     #[test]
@@ -660,13 +616,6 @@ mod tests {
         let neg = Fx::from_f64(-1.75, q(16, 8), Rounding::Floor).unwrap();
         assert_eq!(neg.resize(q(8, 0), Rounding::TowardZero).unwrap().raw(), -1);
         assert_eq!(neg.resize(q(8, 0), Rounding::Floor).unwrap().raw(), -2);
-    }
-
-    #[test]
-    fn resize_saturating_clamps() {
-        let a = Fx::from_f64(100.0, q(16, 4), Rounding::Floor).unwrap();
-        let b = a.resize_saturating(q(4, 0), Rounding::Floor);
-        assert_eq!(b, Fx::max_of(q(4, 0)));
     }
 
     #[test]
@@ -699,15 +648,12 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_signum() {
+    fn min_and_max() {
         let fmt = q(8, 2);
         let a = Fx::from_raw(-4, fmt).unwrap();
         let b = Fx::from_raw(9, fmt).unwrap();
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.signum_raw(), -1);
-        assert_eq!(b.signum_raw(), 1);
-        assert_eq!(Fx::zero(fmt).signum_raw(), 0);
     }
 
     #[test]

@@ -43,10 +43,12 @@
 //!
 //! # Shards
 //!
-//! Device `d` belongs to shard `d mod shards`, at row `d / shards` of that
-//! shard's flat tables — a property of the report, never of a schedule.
-//! Dedup windows, strike counts and quarantine latches live *inside* the
-//! owning shard, and [`Collector::totals`] folds shards in index order.
+//! Device `d` belongs to shard `d mod shards` — a property of the report,
+//! never of a schedule. Its dedup windows, strike count and quarantine
+//! latch live *inside* the owning shard, in one row of the shard's state
+//! columns: row `d / shards` for an id under the device capacity
+//! ([`Collector::with_device_capacity`]), otherwise a row appended at the
+//! id's first arrival. [`Collector::totals`] folds shards in index order.
 //! Accumulator updates are exact integer additions and per-device state
 //! never crosses shards, so the folded totals are **bit-identical for any
 //! shard count and any thread count** — the same discipline (results are a
@@ -445,32 +447,58 @@ impl DedupSlot {
     }
 }
 
-/// One shard's persistent state: accumulators plus the per-device dedup
-/// and quarantine records for the devices it owns (`d mod shards`).
+/// Per-device dedup, strike and quarantine state, one row per device, in
+/// three columns.
+#[derive(Debug, Clone, Default)]
+struct DeviceRows {
+    /// Row-major dedup windows: one [`DedupSlot`] per registered query
+    /// per row.
+    dedup: Vec<DedupSlot>,
+    /// Attributable-violation strike counts for unlatched devices.
+    strikes: Vec<u32>,
+    /// Latch flags: a latched (quarantined) sender stays latched, like
+    /// `HealthFault`.
+    latched: Vec<bool>,
+}
+
+impl DeviceRows {
+    /// `rows` fresh rows for `nq` queries.
+    fn new(rows: usize, nq: usize) -> DeviceRows {
+        DeviceRows {
+            dedup: vec![DedupSlot::FRESH; rows * nq],
+            strikes: vec![0; rows],
+            latched: vec![false; rows],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.latched.len()
+    }
+}
+
+/// One shard's persistent state: accumulators plus one row of per-device
+/// state for each device it owns (`d mod shards`) that has reported.
 ///
-/// Device `d` sits at row `d / shards`. Rows below the flat tables' length
-/// — the shard's ids under [`Collector::with_device_capacity`]'s cap —
-/// index directly into the tables, so the accumulate inner loop touches no
-/// hash map at all. Ids at or above the cap (forged ids recovered from a
-/// corrupted stream, or a collector built without a capacity) take the
-/// hash-map fallback, keyed by device id. Both routes run the identical
-/// admit/strike/latch logic, so which route a device takes is unobservable
-/// in the stats, totals, and quarantine state.
+/// The shard's ids under [`Collector::with_device_capacity`]'s cap have
+/// their rows in `capacity`, device `d` at row `d / shards`, so the
+/// accumulate inner loop finds them with one comparison and no hash map.
+/// An id at or above the cap (a forged id recovered from a corrupted
+/// stream, or any id of a collector built without a capacity) gets a row
+/// appended to `appended` at its first arrival, found again through
+/// `appended_ids`. The capacity rows are allocated once and never grow: a
+/// forged id that reallocated them would move the heap layout, and with it
+/// the peak RSS (+6 MiB on a 25k-device chaos run). Every row runs the same
+/// latch, strike, watermark, dedup and absorb steps, so where a device's
+/// row sits is unobservable in the stats, totals, and quarantine state.
 #[derive(Debug, Clone)]
 struct ShardState {
     accs: Vec<QueryTotals>,
-    /// Per device, one [`DedupSlot`] per registered query.
-    dedup: HashMap<u32, Vec<DedupSlot>>,
-    /// Attributable-violation strike counts for unlatched devices.
-    strikes: HashMap<u32, u32>,
-    /// Latched (quarantined) senders — permanent, like `HealthFault`.
-    latched: std::collections::HashSet<u32>,
-    /// `rows × nq` dedup windows, row-major.
-    flat_dedup: Vec<DedupSlot>,
-    /// Strike counts for unlatched devices, by row.
-    flat_strikes: Vec<u32>,
-    /// Latch flags, by row; its length is the shard's flat row count.
-    flat_latched: Vec<bool>,
+    /// Rows of the ids under the capacity.
+    capacity: DeviceRows,
+    /// Rows of the ids at or above the capacity, in first-arrival order.
+    appended: DeviceRows,
+    /// The row in `appended` of each id at or above the capacity.
+    appended_ids: HashMap<u32, u32>,
 }
 
 /// A decoded batch item, in stream order: a well-formed report for a
@@ -661,12 +689,9 @@ impl Collector {
         let shard_states = (0..shards)
             .map(|_| ShardState {
                 accs: queries.iter().map(|q| QueryTotals::new(q.kind)).collect(),
-                dedup: HashMap::new(),
-                strikes: HashMap::new(),
-                latched: std::collections::HashSet::new(),
-                flat_dedup: Vec::new(),
-                flat_strikes: Vec::new(),
-                flat_latched: Vec::new(),
+                capacity: DeviceRows::default(),
+                appended: DeviceRows::default(),
+                appended_ids: HashMap::new(),
             })
             .collect();
         Collector {
@@ -684,18 +709,18 @@ impl Collector {
         }
     }
 
-    /// Pre-sizes a flat device-indexed fast path for the per-device dedup,
-    /// strike, and quarantine state covering ids below `cap`.
+    /// Pre-sizes the per-device dedup, strike, and quarantine columns for
+    /// the ids below `cap`, each at a row its id computes.
     ///
-    /// The accumulate inner loop is dominated by per-(device, query) hash
-    /// lookups once populations reach ~10⁶ devices; ids below the cap
-    /// index straight into flat per-shard tables allocated here instead.
-    /// Shard `s` holds only its own ids below the cap, `⌈(cap − s) /
-    /// shards⌉` rows. Ids at or above the cap (e.g. forged ids recovered
-    /// from a corrupted stream) fall back to the hash maps. Both routes run
-    /// the same admit/strike/latch code, so stats, totals,
-    /// `Duplicate`/`Stale` counters, and quarantine state are
-    /// byte-identical at any `cap` — only the lookup cost changes.
+    /// Without a capacity every id takes the row appended at its first
+    /// arrival, found again through a hash map, and at ~10⁶ devices that
+    /// lookup dominates the accumulate inner loop. Shard `s` holds only its
+    /// own ids below the cap, `⌈(cap − s) / shards⌉` rows allocated here.
+    /// Ids at or above the cap (e.g. forged ids recovered from a corrupted
+    /// stream) still take appended rows. Every row runs the same
+    /// admit/strike/latch code, so stats, totals, `Duplicate`/`Stale`
+    /// counters, and quarantine state are byte-identical at any `cap` —
+    /// only the lookup cost changes.
     ///
     /// # Panics
     ///
@@ -710,9 +735,7 @@ impl Collector {
         let shards = self.shards;
         for (s, st) in (0u32..).zip(&mut self.shard_states) {
             let rows = cap.saturating_sub(s).div_ceil(shards) as usize;
-            st.flat_dedup = vec![DedupSlot::FRESH; rows * nq];
-            st.flat_strikes = vec![0; rows];
-            st.flat_latched = vec![false; rows];
+            st.capacity = DeviceRows::new(rows, nq);
         }
         self
     }
@@ -747,18 +770,18 @@ impl Collector {
 
     /// The senders currently latched into quarantine, ascending.
     pub fn quarantined_devices(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .shard_states
-            .iter()
-            .flat_map(|s| s.latched.iter().copied())
-            .collect();
+        let mut out = Vec::new();
         for (s, st) in (0u32..).zip(&self.shard_states) {
-            out.extend(
-                (0u32..)
-                    .zip(&st.flat_latched)
-                    .filter(|&(_, &latched)| latched)
-                    .map(|(row, _)| row * self.shards + s),
-            );
+            let capacity_rows = (0u32..)
+                .zip(&st.capacity.latched)
+                .filter(|&(_, &latched)| latched)
+                .map(|(row, _)| row * self.shards + s);
+            let appended_rows = st
+                .appended_ids
+                .iter()
+                .filter(|&(_, &row)| st.appended.latched[row as usize])
+                .map(|(&device, _)| device);
+            out.extend(capacity_rows.chain(appended_rows));
         }
         out.sort_unstable();
         out
@@ -879,11 +902,13 @@ impl Collector {
         }
     }
 
-    /// Applies one item to its owning shard, where the device sits at
-    /// `row`: the quarantine latch, strike counting, the watermark
-    /// (late-arrival) check, the dedup window, and accumulator absorption.
-    /// The single definition of per-item semantics — both ingest paths
-    /// route every item through here, in the same per-shard order.
+    /// Applies one item to its owning shard, where the device's id
+    /// computes `row`: the quarantine latch, strike counting, the watermark
+    /// (late-arrival) check, the dedup window, and accumulator absorption,
+    /// on the device's row of the shard's columns (an appended row for an
+    /// id at or above the capacity). The single definition of per-item
+    /// semantics — both ingest paths route every item through here, in the
+    /// same per-shard order.
     #[inline]
     fn apply_item(
         st: &mut ShardState,
@@ -893,60 +918,27 @@ impl Collector {
         item: &Item,
         batch: &mut ShardBatch,
     ) {
-        let r = row as usize;
-        if r < st.flat_latched.len() {
-            // Flat route: direct indexing, no hashing. Mirrors the
-            // fallback arm below statement-for-statement.
-            match item.report() {
-                None => {
-                    if st.flat_latched[r] {
-                        return;
-                    }
-                    st.flat_strikes[r] += 1;
-                    if st.flat_strikes[r] >= strike_limit {
-                        st.flat_strikes[r] = 0;
-                        st.flat_latched[r] = true;
-                        batch.quarantine_latched += 1;
-                    }
-                }
-                Some((q, epoch)) => {
-                    if st.flat_latched[r] {
-                        batch.quarantine_dropped += 1;
-                        return;
-                    }
-                    if epoch < window_floor {
-                        batch.late += 1;
-                        return;
-                    }
-                    let nq = st.accs.len();
-                    match st.flat_dedup[r * nq + q].admit(epoch) {
-                        Admit::Fresh => {
-                            item.absorb_into(&mut st.accs);
-                            batch.accepted += 1;
-                        }
-                        Admit::Duplicate => batch.duplicates += 1,
-                        Admit::Stale => batch.stale += 1,
-                    }
-                }
-            }
-            return;
-        }
-        let device = item.device();
+        let nq = st.accs.len();
+        let (rows, r) = if (row as usize) < st.capacity.len() {
+            (&mut st.capacity, row as usize)
+        } else {
+            let r = Self::appended_row(&mut st.appended_ids, &mut st.appended, item.device(), nq);
+            (&mut st.appended, r)
+        };
         match item.report() {
             None => {
-                if st.latched.contains(&device) {
+                if rows.latched[r] {
                     return;
                 }
-                let strikes = st.strikes.entry(device).or_insert(0);
-                *strikes += 1;
-                if *strikes >= strike_limit {
-                    st.strikes.remove(&device);
-                    st.latched.insert(device);
+                rows.strikes[r] += 1;
+                if rows.strikes[r] >= strike_limit {
+                    rows.strikes[r] = 0;
+                    rows.latched[r] = true;
                     batch.quarantine_latched += 1;
                 }
             }
             Some((q, epoch)) => {
-                if st.latched.contains(&device) {
+                if rows.latched[r] {
                     batch.quarantine_dropped += 1;
                     return;
                 }
@@ -954,12 +946,7 @@ impl Collector {
                     batch.late += 1;
                     return;
                 }
-                let nq = st.accs.len();
-                let slots = st
-                    .dedup
-                    .entry(device)
-                    .or_insert_with(|| vec![DedupSlot::FRESH; nq]);
-                match slots[q].admit(epoch) {
+                match rows.dedup[r * nq + q].admit(epoch) {
                     Admit::Fresh => {
                         item.absorb_into(&mut st.accs);
                         batch.accepted += 1;
@@ -969,6 +956,28 @@ impl Collector {
                 }
             }
         }
+    }
+
+    /// The row in `appended` of `device`, an id at or above the shard's
+    /// capacity: appended at its first arrival and found again through
+    /// `ids` after that.
+    #[cold]
+    #[inline(never)]
+    fn appended_row(
+        ids: &mut HashMap<u32, u32>,
+        appended: &mut DeviceRows,
+        device: u32,
+        nq: usize,
+    ) -> usize {
+        // At most one row per id the shard owns, so a row fits in a u32.
+        let next = appended.len();
+        let row = *ids.entry(device).or_insert(next as u32) as usize;
+        if row == next {
+            appended.dedup.resize((next + 1) * nq, DedupSlot::FRESH);
+            appended.strikes.push(0);
+            appended.latched.push(false);
+        }
+        row
     }
 
     /// Folds per-shard batch results into the call's stats.
@@ -1614,8 +1623,31 @@ mod tests {
         (batch, violators)
     }
 
+    /// The ids that took an appended row in each shard, ascending, after
+    /// checking that each holds exactly one appended row of every column.
+    fn appended_ids(c: &Collector) -> Vec<Vec<u32>> {
+        let nq = c.queries.len();
+        c.shard_states
+            .iter()
+            .map(|st| {
+                let rows = st.appended_ids.len();
+                let a = &st.appended;
+                assert_eq!(
+                    (a.latched.len(), a.strikes.len(), a.dedup.len()),
+                    (rows, rows, rows * nq)
+                );
+                let mut taken: Vec<u32> = st.appended_ids.values().copied().collect();
+                taken.sort_unstable();
+                assert!(taken.iter().copied().eq(0..rows as u32));
+                let mut ids: Vec<u32> = st.appended_ids.keys().copied().collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect()
+    }
+
     #[test]
-    fn flat_device_tables_match_the_hash_fallback() {
+    fn capacity_rows_match_appended_rows() {
         let hostile = hostile_stream();
         // A cap that is a multiple of no shard count below, so the last
         // rows of the shards differ in length.
@@ -1628,36 +1660,47 @@ mod tests {
                         .with_quarantine_strikes(3)
                         .with_ingest_path(path)
                 };
-                let mut hashed = collector();
+                // Without a capacity, every id takes an appended row.
+                let mut appended = collector();
                 // The cap covers the hostile stream's 300-device population
                 // but not its 9000 violator, and splits the edge senders,
-                // so the flat route and the hash fallback run side by side
-                // in the same pass.
+                // so capacity rows and appended rows run side by side in
+                // the same pass.
                 let mut flat = collector().with_device_capacity(cap);
                 let cut = hostile.len() / 2 - 3;
                 for bytes in [&hostile[..cut], &hostile[cut..], &edges[..]] {
-                    assert_eq!(hashed.ingest_frames(bytes), flat.ingest_frames(bytes));
+                    assert_eq!(appended.ingest_frames(bytes), flat.ingest_frames(bytes));
                 }
-                assert_same_state(&hashed, &flat);
+                assert_same_state(&appended, &flat);
 
                 // Shard s holds exactly its own ids below the cap.
                 let rows: Vec<usize> = flat
                     .shard_states
                     .iter()
-                    .map(|st| st.flat_latched.len())
+                    .map(|st| st.capacity.len())
                     .collect();
                 assert_eq!(rows.iter().sum::<usize>(), cap as usize, "{shards} shards");
-                // Ids below the cap never reach a hash map; ids at or above
-                // it always do, in the shard of the same partition.
-                for (s, st) in (0u32..).zip(&flat.shard_states) {
-                    assert!(st.dedup.keys().chain(&st.latched).all(|&d| d >= cap));
-                    assert!(st.dedup.keys().all(|&d| d % shards == s));
+                // Only ids at or above the cap take an appended row, once
+                // each, in the shard of their partition; without a cap,
+                // every sender does.
+                let flat_ids = appended_ids(&flat);
+                let mut senders = Vec::new();
+                for (s, (ids, all)) in (0u32..).zip(flat_ids.iter().zip(appended_ids(&appended))) {
+                    assert!(ids.iter().all(|&d| d >= cap && d % shards == s));
+                    assert!(all.iter().all(|&d| d % shards == s));
+                    senders.extend(all);
                 }
-                for d in [cap, cap + shards] {
-                    let (shard, _) = flat.route(d);
-                    assert!(flat.shard_states[shard].dedup.contains_key(&d));
-                }
-                // Every last-row violator is latched on the flat route and
+                senders.sort_unstable();
+                let mut expected: Vec<u32> = (0..300).chain([9000]).collect();
+                expected.extend([cap - 1, cap, cap + shards]);
+                expected.extend(&violators);
+                expected.sort_unstable();
+                expected.dedup();
+                assert_eq!(senders, expected, "{shards} shards");
+                let mut overflow = flat_ids.concat();
+                overflow.sort_unstable();
+                assert_eq!(overflow, [cap, cap + shards, 9000]);
+                // Every last-row violator is latched in a capacity row and
                 // listed under its global id.
                 let quarantined = flat.quarantined_devices();
                 for &v in &violators {

@@ -13,8 +13,8 @@
 //!   truncated frames, and the resync walk ([`decode_stream`]) that
 //!   decodes a stream on the 20-byte grid and scans past corrupt regions;
 //! * [`collector`] — per-query moment accumulators plus an exact grid
-//!   quantile [`sketch`], sharded by device id (`d mod shards`, with flat
-//!   per-shard tables for each shard's own ids), ingesting report batches
+//!   quantile [`sketch`], sharded by device id (`d mod shards`, each shard
+//!   keeping one row of per-device state per sender), ingesting report batches
 //!   through one sequential streaming drain — decode and classify a block,
 //!   then accumulate it — with bit-identical totals at any thread or shard
 //!   count (and vs the scalar reference path, an in-process test oracle);
@@ -36,10 +36,10 @@
 //! * [`chaos`] — seeded, deterministic lossy-transport fault injection
 //!   (drop, duplicate, reorder, corrupt, truncate, delay in correlated
 //!   bursts), driving the replay-safe retry and idempotent-ingest paths;
-//! * [`window`] — the epoch-window lifecycle (`Open → Accumulating →
-//!   Sealing → Sealed → Compacted`), sealed-window records, and
-//!   order-canonicalized multi-epoch [`Rollup`]s, which own their windows
-//!   and re-audit every window's ledger bitwise in one streaming pass;
+//! * [`window`] — epoch-window spans (pending → accepting → sealed into
+//!   the rollup), sealed-window records, and order-canonicalized
+//!   multi-epoch [`Rollup`]s, which own their windows and re-audit every
+//!   window's ledger bitwise in one streaming pass;
 //! * [`service`] — the long-running streaming aggregation service:
 //!   bounded per-lane ingest queues with typed [`Busy`] backpressure,
 //!   watermark-driven window sealing, live snapshot queries over sealed
@@ -75,14 +75,11 @@ pub use driver::{
 };
 pub use estimator::{Estimate, NoiseModel};
 pub use service::{
-    Busy, FleetService, ServiceConfig, ServiceSnapshot, WindowEstimates, SERVICE_QUEUE_ENV,
-    SERVICE_WINDOW_ENV,
+    AllWindowsSealed, Busy, FleetService, ServiceConfig, ServiceSnapshot, WindowEstimates,
+    SERVICE_QUEUE_ENV, SERVICE_WINDOW_ENV,
 };
 pub use sketch::GridSketch;
-pub use window::{
-    window_spans, Rollup, RollupError, RollupOutcome, SealedWindow, Window, WindowPhase,
-    WindowStateError,
-};
+pub use window::{window_spans, Rollup, RollupError, RollupOutcome, SealedWindow, Window};
 pub use wire::{
     decode_counter_totals, decode_stream, DecodeCounterTotals, DecodedStream, Payload, Report,
     WireError, FRAME_LEN, MAGIC, VERSION, VERSION_LEGACY,

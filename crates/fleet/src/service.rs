@@ -16,8 +16,10 @@
 //!   lane accepts any single batch, so a retry after a drain always
 //!   succeeds and the queue depth is bounded by `queue_frames` plus one
 //!   batch.
-//! * **Window lifecycle under a watermark.** The epoch axis is split into
-//!   fixed-width windows ([`crate::window`]). A window stays open for
+//! * **Windows under a watermark.** The epoch axis is split into
+//!   fixed-width windows ([`crate::window`]), and one of them, the active
+//!   window, accepts reports: those before it are sealed, those after it
+//!   are pending. The active window stays open for
 //!   `watermark_lag` delivery rounds past its last epoch — delayed frames
 //!   arriving within the grace land normally — then seals: queues are
 //!   drained, the window's accumulators are folded out of the collector,
@@ -48,12 +50,12 @@ use ulp_obs::{parse_env, EnvError, Gauge, Histogram};
 
 use crate::collector::{Collector, EpochSeal, IngestStats, QueryConfig};
 use crate::estimator::{Estimate, NoiseModel};
-use crate::window::{query_roles, window_spans, Rollup, SealedWindow, Window, WindowStateError};
+use crate::window::{query_roles, window_spans, Rollup, SealedWindow, Window};
 use crate::wire::FRAME_LEN;
 
 /// Frames currently staged across all ingest lanes.
 static QUEUE_DEPTH: Gauge = Gauge::new("fleet.service.queue_depth");
-/// Windows opened but not yet sealed (1 in steady state).
+/// Windows accepting reports: 1 until the last one seals.
 static OPEN_WINDOWS: Gauge = Gauge::new("fleet.service.open_windows");
 /// Batches refused with [`Busy`] — recorded at every metrics level:
 /// backpressure is load-shedding the operator must see.
@@ -166,6 +168,21 @@ impl core::fmt::Display for Busy {
 
 impl std::error::Error for Busy {}
 
+/// A seal asked of a service whose windows are all sealed already.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllWindowsSealed {
+    /// The service's window count, every one of them sealed.
+    pub windows: u32,
+}
+
+impl core::fmt::Display for AllWindowsSealed {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "no window left to seal: all {} are sealed", self.windows)
+    }
+}
+
+impl std::error::Error for AllWindowsSealed {}
+
 /// Debiased estimates served from one sealed window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowEstimates {
@@ -197,9 +214,11 @@ pub struct FleetService {
     collector: Collector,
     cfg: ServiceConfig,
     queries: Vec<QueryConfig>,
-    /// Lifecycle records, indexed by window index.
+    /// Every window's span, by index.
     windows: Vec<Window>,
-    /// Index of the window currently accepting reports.
+    /// Index of the window accepting reports: the windows before it are
+    /// sealed into `rollup`, the ones after it are pending. `windows.len()`
+    /// once every window is sealed.
     active: usize,
     /// Per-lane staged wire bytes.
     lanes: Vec<Vec<u8>>,
@@ -222,7 +241,7 @@ pub struct FleetService {
 impl FleetService {
     /// Wraps a *fresh* collector (nothing ingested yet) with `lanes`
     /// producer queues, splitting `[0, epochs)` into
-    /// `cfg.window_epochs`-wide windows. Window 0 opens immediately.
+    /// `cfg.window_epochs`-wide windows. Window 0 accepts reports at once.
     ///
     /// # Panics
     ///
@@ -238,7 +257,7 @@ impl FleetService {
         let windows: Vec<Window> = spans
             .iter()
             .enumerate()
-            .map(|(i, &(lo, hi))| Window::open(i as u32, lo, hi))
+            .map(|(i, &(lo, hi))| Window::new(i as u32, lo, hi))
             .collect();
         OPEN_WINDOWS.set(1);
         let queries = collector.queries().to_vec();
@@ -267,11 +286,6 @@ impl FleetService {
     /// The window currently accepting reports, if any remain.
     pub fn active_window(&self) -> Option<&Window> {
         self.windows.get(self.active)
-    }
-
-    /// Every window's lifecycle record, by index.
-    pub fn windows(&self) -> &[Window] {
-        &self.windows
     }
 
     /// Every sealed window so far, ascending index (the rollup's
@@ -356,13 +370,6 @@ impl FleetService {
         self.lane_frames.iter_mut().for_each(|n| *n = 0);
         QUEUE_DEPTH.set(0);
         self.stats.absorb(delta);
-        if delta.accepted > 0 {
-            if let Some(w) = self.windows.get_mut(self.active) {
-                // Cannot fail: the active window is Open or Accumulating
-                // by construction (seals advance `active` atomically).
-                w.mark_accumulating().expect("active window accepts");
-            }
-        }
         delta
     }
 
@@ -382,8 +389,8 @@ impl FleetService {
     /// out of the collector, attaches its privacy ledger (audited bitwise
     /// against `charges` in one [`audit_series`] pass), grades coverage
     /// against `expected`, advances the collector's watermark floor (so
-    /// later frames for this window surface as `late`), absorbs the window
-    /// into the rollup, and opens the next window.
+    /// later frames for this window surface as `late`), moves the window
+    /// into the rollup, and makes the next window the active one.
     ///
     /// `ledger` and `charges` are the window's share of the fleet privacy
     /// ledger in canonical order — the driver splits device spends by
@@ -393,27 +400,22 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// [`WindowStateError`] if no window remains to seal.
+    /// [`AllWindowsSealed`] if no window remains to seal.
     pub fn seal_active(
         &mut self,
         mut ledger: BudgetLedger,
         charges: Vec<f64>,
         expected: u64,
-    ) -> Result<&SealedWindow, WindowStateError> {
-        if self.active >= self.windows.len() {
-            return Err(WindowStateError {
-                window: self.windows.len() as u32,
-                from: "Compacted",
-                to: "Sealing",
+    ) -> Result<&SealedWindow, AllWindowsSealed> {
+        let Some(&window) = self.windows.get(self.active) else {
+            return Err(AllWindowsSealed {
+                windows: self.windows.len() as u32,
             });
-        }
-        // Flush staged bytes so nothing admitted for this window is lost
-        // (drain before the phase transition: it may mark Accumulating).
+        };
+        // Flush staged bytes so nothing admitted for this window is lost.
         // The drain is ingest, so the seal's clock starts after it.
         self.drain();
         let t0 = std::time::Instant::now();
-        let window = &mut self.windows[self.active];
-        window.begin_seal()?;
         let totals = self.collector.take_window_totals();
         let mut delta = self.stats;
         let base = self.window_base;
@@ -431,7 +433,6 @@ impl FleetService {
         let entries = ledger.entries().iter().map(|e| e.charge);
         let audit_ok = audit_series(entries, charges.iter().copied()).1.is_ok();
         ledger.release_spend_index();
-        window.seal(seal.status)?;
         let sealed = SealedWindow {
             index: window.index(),
             epoch_lo: window.epoch_lo(),
@@ -447,7 +448,6 @@ impl FleetService {
         self.rollup
             .absorb(sealed)
             .expect("window indices are unique");
-        window.compact().expect("freshly sealed window compacts");
         self.active += 1;
         OPEN_WINDOWS.set(i64::from(self.active < self.windows.len()));
         let ns = t0.elapsed().as_nanos() as u64;
@@ -497,7 +497,6 @@ impl FleetService {
 mod tests {
     use super::*;
     use crate::collector::{QueryKind, SealStatus};
-    use crate::window::WindowPhase;
     use crate::wire::{Payload, Report};
 
     const NUMERIC: QueryConfig = QueryConfig {
@@ -583,7 +582,6 @@ mod tests {
         assert_eq!(sealed.index, 0);
         assert_eq!(sealed.stats.accepted, 2);
         assert!(sealed.seal.is_full());
-        assert_eq!(s.windows()[0].phase(), WindowPhase::Compacted);
         // A frame for sealed window 0 arriving now is a late arrival —
         // typed and counted, never folded.
         s.offer(0, &frames(&[value_at(1, 1, 9), value_at(2, 2, 5)]))
@@ -598,8 +596,13 @@ mod tests {
             panic!("1 of 2 expected must degrade");
         };
         assert_eq!(coverage, 0.5);
-        // No window remains: sealing again is a typed lifecycle error.
-        assert!(s.seal_active(BudgetLedger::new(), Vec::new(), 0).is_err());
+        // No window remains: sealing again is a typed error.
+        assert!(s.active_window().is_none());
+        let err = s
+            .seal_active(BudgetLedger::new(), Vec::new(), 0)
+            .unwrap_err();
+        assert_eq!(err, AllWindowsSealed { windows: 2 });
+        assert_eq!(err.to_string(), "no window left to seal: all 2 are sealed");
     }
 
     #[test]

@@ -1,29 +1,31 @@
-//! Epoch-window lifecycle and multi-epoch rollups.
+//! Epoch windows and multi-epoch rollups.
 //!
 //! The streaming service ([`crate::service::FleetService`]) partitions the
-//! epoch axis into fixed-width **windows** and runs each through an
-//! explicit state machine:
+//! epoch axis into fixed-width **windows**. Until it seals, a window is
+//! only its span, a [`Window`]: an index and the epochs it covers. Where
+//! each window stands follows from the service's one active index:
 //!
 //! ```text
-//! Open ──▶ Accumulating ──▶ Sealing ──▶ Sealed{Full|Degraded} ──▶ Compacted
-//!   └──────────────────────────▲ (an empty window can seal directly)
+//! pending ──▶ accepting ──▶ sealed into the rollup
 //! ```
 //!
-//! * **Open** — the window exists; no report has been routed to it yet.
-//! * **Accumulating** — at least one batch has been folded into it.
-//! * **Sealing** — the watermark passed; the service is draining queues
-//!   and folding the window's accumulators. No further report can enter.
-//! * **Sealed** — the window carries its final totals, its own
-//!   [`BudgetLedger`], a coverage grade ([`SealStatus::Full`] or
-//!   [`SealStatus::Degraded`]), and a ledger audit verdict.
-//! * **Compacted** — the window's aggregates were merged into a
-//!   [`Rollup`]; the window itself is now only a historical record.
+//! * **pending** — a window after the active one; nothing is routed to it
+//!   yet.
+//! * **accepting** — the active window: every drained batch folds into the
+//!   collector's accumulators, which its seal takes.
+//! * **sealed** — its watermark passed, and the service drained the
+//!   queues, folded the accumulators into a [`SealedWindow`] (final
+//!   totals, its own [`BudgetLedger`], a coverage grade and a ledger audit
+//!   verdict) and moved that into the [`Rollup`], which holds the only
+//!   copy. The active index then moves past it, so a sealed window never
+//!   reopens: a frame for it that arrives later is counted `late`.
 //!
-//! Illegal transitions are typed errors, not silent corrections: a sealed
-//! window reopening, or a compaction of an unsealed window, is a lifecycle
-//! bug the caller must see.
+//! The service takes each step in one fixed order, inside its `drain` and
+//! `seal_active`; the one step that can be asked out of turn, a seal past
+//! the last window, is a typed error
+//! ([`crate::service::AllWindowsSealed`]).
 //!
-//! # What a compacted window holds
+//! # What a sealed window holds
 //!
 //! Its totals, seal, stats and audit verdict, and its share of the ε-ledger
 //! once: the ledger's entries (24 B per spend) and the charge list it was
@@ -60,78 +62,27 @@ use ulp_obs::Fnv64;
 
 use crate::collector::{EpochSeal, IngestStats, QueryConfig, QueryTotals, SealStatus};
 
-/// Lifecycle phase of one epoch window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WindowPhase {
-    /// Created; nothing routed to it yet.
-    Open,
-    /// At least one batch folded in.
-    Accumulating,
-    /// Watermark passed; accumulators are being folded. No more reports.
-    Sealing,
-    /// Final totals and ledger attached, coverage graded.
-    Sealed(SealStatus),
-    /// Aggregates merged into a rollup.
-    Compacted,
-}
-
-impl WindowPhase {
-    fn name(&self) -> &'static str {
-        match self {
-            WindowPhase::Open => "Open",
-            WindowPhase::Accumulating => "Accumulating",
-            WindowPhase::Sealing => "Sealing",
-            WindowPhase::Sealed(_) => "Sealed",
-            WindowPhase::Compacted => "Compacted",
-        }
-    }
-}
-
-/// An attempted lifecycle transition the state machine forbids.
+/// One epoch window's span: its index and the epochs it covers. The
+/// service keeps one per window and seals them in index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowStateError {
-    /// Window index the transition was attempted on.
-    pub window: u32,
-    /// Phase the window was in.
-    pub from: &'static str,
-    /// Transition that was attempted.
-    pub to: &'static str,
-}
-
-impl fmt::Display for WindowStateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "window {} cannot move {} -> {}",
-            self.window, self.from, self.to
-        )
-    }
-}
-
-impl std::error::Error for WindowStateError {}
-
-/// One epoch window's lifecycle record.
-#[derive(Debug, Clone, PartialEq)]
 pub struct Window {
     index: u32,
     epoch_lo: u32,
     epoch_hi: u32,
-    phase: WindowPhase,
 }
 
 impl Window {
-    /// Opens window `index` covering epochs `[epoch_lo, epoch_hi)`.
+    /// Window `index`, covering epochs `[epoch_lo, epoch_hi)`.
     ///
     /// # Panics
     ///
     /// Panics on an empty epoch range.
-    pub fn open(index: u32, epoch_lo: u32, epoch_hi: u32) -> Window {
+    pub(crate) fn new(index: u32, epoch_lo: u32, epoch_hi: u32) -> Window {
         assert!(epoch_lo < epoch_hi, "window must cover at least one epoch");
         Window {
             index,
             epoch_lo,
             epoch_hi,
-            phase: WindowPhase::Open,
         }
     }
 
@@ -148,82 +99,6 @@ impl Window {
     /// One past the last epoch the window covers.
     pub fn epoch_hi(&self) -> u32 {
         self.epoch_hi
-    }
-
-    /// Current lifecycle phase.
-    pub fn phase(&self) -> WindowPhase {
-        self.phase
-    }
-
-    fn forbid(&self, to: &'static str) -> WindowStateError {
-        WindowStateError {
-            window: self.index,
-            from: self.phase.name(),
-            to,
-        }
-    }
-
-    /// `Open → Accumulating`: the first batch was routed into the window.
-    /// Idempotent while accumulating (every subsequent batch re-marks).
-    ///
-    /// # Errors
-    ///
-    /// [`WindowStateError`] once sealing has begun — a report folded into
-    /// a sealing window would escape its seal.
-    pub fn mark_accumulating(&mut self) -> Result<(), WindowStateError> {
-        match self.phase {
-            WindowPhase::Open | WindowPhase::Accumulating => {
-                self.phase = WindowPhase::Accumulating;
-                Ok(())
-            }
-            _ => Err(self.forbid("Accumulating")),
-        }
-    }
-
-    /// `Open|Accumulating → Sealing`: the watermark passed. An empty
-    /// window seals directly from `Open`.
-    ///
-    /// # Errors
-    ///
-    /// [`WindowStateError`] if sealing already began or finished.
-    pub fn begin_seal(&mut self) -> Result<(), WindowStateError> {
-        match self.phase {
-            WindowPhase::Open | WindowPhase::Accumulating => {
-                self.phase = WindowPhase::Sealing;
-                Ok(())
-            }
-            _ => Err(self.forbid("Sealing")),
-        }
-    }
-
-    /// `Sealing → Sealed`: final totals are attached and coverage graded.
-    ///
-    /// # Errors
-    ///
-    /// [`WindowStateError`] unless the window is mid-seal.
-    pub fn seal(&mut self, status: SealStatus) -> Result<(), WindowStateError> {
-        match self.phase {
-            WindowPhase::Sealing => {
-                self.phase = WindowPhase::Sealed(status);
-                Ok(())
-            }
-            _ => Err(self.forbid("Sealed")),
-        }
-    }
-
-    /// `Sealed → Compacted`: the window's aggregates joined a rollup.
-    ///
-    /// # Errors
-    ///
-    /// [`WindowStateError`] unless the window is sealed.
-    pub fn compact(&mut self) -> Result<(), WindowStateError> {
-        match self.phase {
-            WindowPhase::Sealed(_) => {
-                self.phase = WindowPhase::Compacted;
-                Ok(())
-            }
-            _ => Err(self.forbid("Compacted")),
-        }
     }
 }
 
@@ -541,50 +416,6 @@ mod tests {
             },
             audit_ok: true,
         }
-    }
-
-    #[test]
-    fn lifecycle_happy_path() {
-        let mut w = Window::open(0, 0, 2);
-        assert_eq!(w.phase(), WindowPhase::Open);
-        w.mark_accumulating().unwrap();
-        w.mark_accumulating().unwrap(); // idempotent while accumulating
-        w.begin_seal().unwrap();
-        w.seal(SealStatus::Full).unwrap();
-        assert_eq!(w.phase(), WindowPhase::Sealed(SealStatus::Full));
-        w.compact().unwrap();
-        assert_eq!(w.phase(), WindowPhase::Compacted);
-    }
-
-    #[test]
-    fn empty_window_seals_directly_from_open() {
-        let mut w = Window::open(3, 6, 8);
-        w.begin_seal().unwrap();
-        w.seal(SealStatus::Degraded { coverage: 0.0 }).unwrap();
-    }
-
-    #[test]
-    fn illegal_transitions_are_typed_errors() {
-        let mut w = Window::open(1, 2, 4);
-        // Cannot seal or compact before the watermark passes.
-        assert!(w.seal(SealStatus::Full).is_err());
-        assert!(w.compact().is_err());
-        w.begin_seal().unwrap();
-        // A sealing window accepts no more batches and cannot re-seal.
-        let err = w.mark_accumulating().unwrap_err();
-        assert_eq!(err.from, "Sealing");
-        assert_eq!(err.to, "Accumulating");
-        assert!(w.begin_seal().is_err());
-        w.seal(SealStatus::Full).unwrap();
-        // Sealed windows never reopen.
-        assert!(w.mark_accumulating().is_err());
-        assert!(w.begin_seal().is_err());
-        w.compact().unwrap();
-        assert!(w.compact().is_err());
-        assert_eq!(
-            w.compact().unwrap_err().to_string(),
-            "window 1 cannot move Compacted -> Compacted"
-        );
     }
 
     #[test]

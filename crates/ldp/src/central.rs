@@ -68,7 +68,7 @@ impl CentralLaplaceMean {
     }
 
     /// The noise scale used for `n` values: `λ = GS/ε = d/(n·ε)`.
-    pub fn noise_scale(self, n: usize) -> f64 {
+    fn noise_scale(self, n: usize) -> f64 {
         mean_sensitivity(self.max - self.min, n) / self.eps
     }
 
@@ -88,12 +88,6 @@ impl CentralLaplaceMean {
         let lap =
             IdealLaplace::new(self.noise_scale(data.len())).expect("scale > 0 by construction");
         mean + lap.sample(rng)
-    }
-
-    /// Expected absolute error of one answer over `n` values: `E|Lap(λ)| =
-    /// λ = d/(n·ε)`.
-    pub fn expected_error(self, n: usize) -> f64 {
-        self.noise_scale(n)
     }
 }
 
@@ -147,7 +141,8 @@ mod tests {
         // The textbook gap: central error ∝ 1/n, local mean error ∝ 1/√n.
         let mech = CentralLaplaceMean::new(0.0, 100.0, 0.5).unwrap();
         let n = 10_000;
-        let central = mech.expected_error(n);
+        // Central: one answer over n values has E|Lap(λ)| = λ = d/(n·ε).
+        let central = mech.noise_scale(n);
         // Local: each report carries Lap(d/ε) noise, σ = √2·d/ε, and the
         // mean of n such reports has E|err| = √(2/π)·σ/√n.
         let local = (2.0 / std::f64::consts::PI).sqrt() * (std::f64::consts::SQRT_2 * 100.0 / 0.5)

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use ulp_rng::{AliasTable, DiscreteLaplace, RandomBits};
 
 use crate::error::LdpError;
-use crate::loss::PrivacyLoss;
 use crate::mechanism::{
     batch_via_single, Guarantee, Mechanism, NoisedOutput, SamplerPath, RESAMPLE_LIMIT,
 };
@@ -102,14 +101,6 @@ impl DiscreteLaplaceMechanism {
     /// The sensor range.
     pub fn range(&self) -> QuantizedRange {
         self.range
-    }
-
-    /// The exact worst-case privacy loss of the window-limited mechanism,
-    /// computed by direct enumeration over the window for the extreme input
-    /// pair (the shift-invariance argument that makes extremes worst-case
-    /// for the naive mechanism applies here too).
-    pub fn exact_worst_loss(&self) -> PrivacyLoss {
-        PrivacyLoss::Finite(self.exact_loss)
     }
 
     fn worst_loss(dl: &DiscreteLaplace, range: QuantizedRange, n_th_k: i64) -> f64 {

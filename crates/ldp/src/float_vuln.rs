@@ -26,7 +26,7 @@ use ulp_rng::RandomBits;
 use crate::error::LdpError;
 
 /// Largest uniform-grid width the enumeration accepts (`2^bu` outputs).
-pub const MAX_ENUM_BU: u8 = 24;
+const MAX_ENUM_BU: u8 = 24;
 
 fn check_bu(bu: u8) -> Result<(), LdpError> {
     if (1..=MAX_ENUM_BU).contains(&bu) {
@@ -46,7 +46,7 @@ fn check_bu(bu: u8) -> Result<(), LdpError> {
 /// # Errors
 ///
 /// [`LdpError::InvalidPrecision`] if `bu` is 0 or greater than
-/// [`MAX_ENUM_BU`] (the enumeration is `2^bu`).
+/// 24 (the enumeration is `2^bu`).
 pub fn reachable_outputs(x: f64, lambda: f64, bu: u8) -> Result<BTreeSet<u64>, LdpError> {
     check_bu(bu)?;
     let scale = 2f64.powi(-(bu as i32));
@@ -81,28 +81,11 @@ pub fn sample_output(
     Ok((x + lambda * (-u.ln())).to_bits())
 }
 
-/// Number of outputs reachable from exactly one of two adjacent inputs —
-/// each such output has infinite privacy loss under the naive
-/// floating-point mechanism.
-///
-/// # Errors
-///
-/// [`LdpError::InvalidPrecision`] under the same conditions as
-/// [`reachable_outputs`].
-pub fn distinguishing_output_count(
-    x1: f64,
-    x2: f64,
-    lambda: f64,
-    bu: u8,
-) -> Result<usize, LdpError> {
-    let a = reachable_outputs(x1, lambda, bu)?;
-    let b = reachable_outputs(x2, lambda, bu)?;
-    Ok(a.symmetric_difference(&b).count())
-}
-
-/// Fraction of all reachable outputs that are distinguishing. Values near
-/// 1.0 mean the floating-point mechanism almost *never* produces an output
-/// that keeps the input ambiguous.
+/// Fraction of all reachable outputs that are distinguishing: reachable
+/// from exactly one of two adjacent inputs, so each has infinite privacy
+/// loss under the naive floating-point mechanism. Values near 1.0 mean the
+/// floating-point mechanism almost *never* produces an output that keeps
+/// the input ambiguous.
 ///
 /// # Errors
 ///
@@ -134,8 +117,8 @@ mod tests {
 
     #[test]
     fn nonzero_even_for_nearby_inputs() {
-        let count = distinguishing_output_count(5.0, 5.125, 20.0, 12).unwrap();
-        assert!(count > 0);
+        let frac = distinguishing_fraction(5.0, 5.125, 20.0, 12).unwrap();
+        assert!(frac > 0.0);
     }
 
     #[test]
@@ -147,7 +130,7 @@ mod tests {
 
     #[test]
     fn identical_inputs_are_indistinguishable() {
-        assert_eq!(distinguishing_output_count(3.0, 3.0, 20.0, 10).unwrap(), 0);
+        assert_eq!(distinguishing_fraction(3.0, 3.0, 20.0, 10).unwrap(), 0.0);
     }
 
     #[test]
@@ -171,7 +154,6 @@ mod tests {
                 reachable_outputs(0.0, 1.0, bad).unwrap_err(),
                 LdpError::InvalidPrecision { bu: bad, max: 24 }
             );
-            assert!(distinguishing_output_count(0.0, 1.0, 1.0, bad).is_err());
             assert!(distinguishing_fraction(0.0, 1.0, 1.0, bad).is_err());
             let mut rng = Taus88::from_seed(1);
             assert!(sample_output(0.0, 1.0, bad, &mut rng).is_err());

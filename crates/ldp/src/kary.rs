@@ -23,7 +23,7 @@ use crate::error::LdpError;
 ///
 /// // 4 categories at ε = ln 3 — keep probability p = 0.5.
 /// let rr = KaryRandomizedResponse::with_epsilon(4, 3f64.ln())?;
-/// assert!((rr.keep_prob() - 0.5).abs() < 1e-12);
+/// assert!((rr.epsilon() - 3f64.ln()).abs() < 1e-12);
 ///
 /// let mut rng = Taus88::from_seed(1);
 /// let report = rr.privatize(2, &mut rng);
@@ -68,11 +68,6 @@ impl KaryRandomizedResponse {
     /// Number of categories.
     pub fn categories(self) -> usize {
         self.k
-    }
-
-    /// Probability of reporting the true category.
-    pub fn keep_prob(self) -> f64 {
-        self.keep_prob
     }
 
     /// The LDP parameter `ε = ln(p(k−1)/(1−p))`.
@@ -186,9 +181,9 @@ mod tests {
         // report never equals the truth by construction, so the rate is p.
         let rate = kept as f64 / n as f64;
         assert!(
-            (rate - rr.keep_prob()).abs() < 0.005,
+            (rate - rr.keep_prob).abs() < 0.005,
             "keep rate {rate} vs p {}",
-            rr.keep_prob()
+            rr.keep_prob
         );
     }
 
@@ -224,7 +219,7 @@ mod tests {
     fn more_categories_at_fixed_eps_means_lower_keep_prob() {
         let few = KaryRandomizedResponse::with_epsilon(3, 1.0).unwrap();
         let many = KaryRandomizedResponse::with_epsilon(30, 1.0).unwrap();
-        assert!(many.keep_prob() < few.keep_prob());
+        assert!(many.keep_prob < few.keep_prob);
     }
 
     #[test]

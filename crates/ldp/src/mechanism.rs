@@ -81,7 +81,7 @@ pub enum SamplerPath {
 }
 
 /// Environment variable selecting the batched sampler path.
-pub const SAMPLER_PATH_ENV: &str = "ULP_SAMPLER_PATH";
+const SAMPLER_PATH_ENV: &str = "ULP_SAMPLER_PATH";
 
 impl SamplerPath {
     /// Parses a raw value: `fast`, `reference`, or `secure`

@@ -99,11 +99,6 @@ impl QuantizedRange {
         self.max_k as f64 * self.delta
     }
 
-    /// Whether a grid index lies inside the range.
-    pub fn contains_k(self, k: i64) -> bool {
-        k >= self.min_k && k <= self.max_k
-    }
-
     /// Quantizes a physical sensor value onto the grid, clamping into the
     /// range (hardware saturating ADC behaviour).
     pub fn quantize(self, x: f64) -> i64 {
@@ -167,14 +162,5 @@ mod tests {
         let r = QuantizedRange::new(10, 20, 0.125).unwrap();
         assert_eq!(r.to_value(16), 2.0);
         assert_eq!(r.quantize(2.0), 16);
-    }
-
-    #[test]
-    fn contains_k_checks_inclusive_bounds() {
-        let r = QuantizedRange::new(-3, 7, 1.0).unwrap();
-        assert!(r.contains_k(-3));
-        assert!(r.contains_k(7));
-        assert!(!r.contains_k(-4));
-        assert!(!r.contains_k(8));
     }
 }

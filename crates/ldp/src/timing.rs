@@ -69,13 +69,6 @@ impl ConstantTimeResampling {
         &self.inner
     }
 
-    /// Probability that a whole batch misses the window for the worst-case
-    /// input (an upper bound on the residual timing-variation rate), from
-    /// the exact PMF.
-    pub fn batch_miss_probability(&self, accept_prob: f64) -> f64 {
-        (1.0 - accept_prob).powi(self.batch as i32)
-    }
-
     /// Privatizes on the grid, returning `(y_k, extra_batches)`.
     ///
     /// Exactly `batch` noise indices are drawn per round; the first
@@ -208,16 +201,6 @@ mod tests {
             .map(|_| ct.privatize_index(range.min_k(), &mut rng).unwrap().1)
             .sum();
         assert_eq!(rounds, 0, "16-draw batches should never all miss here");
-    }
-
-    #[test]
-    fn miss_probability_decays_exponentially() {
-        let (ct4, _, _) = build(4);
-        let (ct8, _, _) = build(8);
-        let p4 = ct4.batch_miss_probability(0.5);
-        let p8 = ct8.batch_miss_probability(0.5);
-        assert!((p4 - 0.0625).abs() < 1e-12);
-        assert!((p8 - p4 * p4).abs() < 1e-12);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub struct SpanSnapshot {
 
 /// Everything the observability layer knows, at one instant.
 ///
-/// Produced by [`snapshot`]; rendered with
-/// [`MetricsReport::to_json`] / [`MetricsReport::to_text`]. Entries are
+/// Produced by [`snapshot`]; rendered with [`MetricsReport::to_json`].
+/// Entries are
 /// sorted by name so renderings are deterministic regardless of
 /// registration order (which is first-record order and thread-dependent).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,59 +237,6 @@ impl MetricsReport {
         out.push_str("]}");
         out
     }
-
-    /// Renders the report as aligned human-readable text.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("metrics level: {}\n", self.level.name()));
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            let width = self
-                .counters
-                .iter()
-                .map(|c| c.name.len())
-                .max()
-                .unwrap_or(0);
-            for c in &self.counters {
-                out.push_str(&format!("  {:<width$}  {}\n", c.name, c.value));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let width = self.gauges.iter().map(|g| g.name.len()).max().unwrap_or(0);
-            for g in &self.gauges {
-                out.push_str(&format!("  {:<width$}  {}\n", g.name, g.value));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for h in &self.histograms {
-                let mean = h.sum.checked_div(h.count).unwrap_or(0);
-                out.push_str(&format!(
-                    "  {}  count={} sum={}{unit} mean={}{unit}\n",
-                    h.name,
-                    h.count,
-                    h.sum,
-                    mean,
-                    unit = h.unit
-                ));
-                for b in &h.buckets {
-                    out.push_str(&format!("    >= {:<12} {}\n", b.floor, b.count));
-                }
-            }
-        }
-        if !self.spans.is_empty() {
-            out.push_str("spans:\n");
-            for s in &self.spans {
-                let mean = s.total_ns.checked_div(s.calls).unwrap_or(0);
-                out.push_str(&format!(
-                    "  {}  calls={} total={}ns mean={}ns max={}ns\n",
-                    s.name, s.calls, s.total_ns, mean, s.max_ns
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -325,8 +272,6 @@ mod tests {
         assert!(json.contains("\"test.report.a\":1"), "json: {json}");
         assert!(json.contains("\"test.report.b\":2"), "json: {json}");
         assert!(json.starts_with("{\"level\":"));
-        let text = report.to_text();
-        assert!(text.contains("test.report.a"));
         set_level(MetricsLevel::Off);
     }
 

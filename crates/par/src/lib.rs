@@ -52,7 +52,7 @@ use std::sync::OnceLock;
 pub use ulp_obs::EnvError;
 
 /// Environment variable overriding the worker count (`1` = serial).
-pub const THREADS_ENV: &str = "ULP_PAR_THREADS";
+const THREADS_ENV: &str = "ULP_PAR_THREADS";
 
 thread_local! {
     // Set while executing inside a worker; nested calls degrade to serial.

@@ -31,8 +31,8 @@ use crate::source::RandomBits;
 /// let s = Eq17Laplace::new(17, 12, 10.0 / 32.0, 20.0)?;
 /// let mut rng = Taus88::from_seed(1);
 /// let k = s.sample_index(&mut rng);
-/// // Same support as the equivalent sign+magnitude sampler.
-/// assert!(k.abs() <= s.equivalent_config().natural_max_k());
+/// // Outputs stay on the By = 12 bit signed grid.
+/// assert!(k.abs() < 1 << 11);
 /// # Ok::<(), ulp_rng::RngError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,20 +65,13 @@ impl Eq17Laplace {
         })
     }
 
-    /// The sign+magnitude configuration this fold is equivalent to
-    /// (`Bu_eff = Bu − 1`).
-    pub fn equivalent_config(self) -> FxpLaplaceConfig {
-        FxpLaplaceConfig::new(self.bu - 1, self.by, self.delta, self.lambda)
-            .expect("validated at construction")
-    }
-
     /// Maps one full-width uniform index `m ∈ [1, 2^Bu]` through Eq. 17 to
     /// a signed output index.
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
-    pub fn index_from_uniform(self, m: u64) -> i64 {
+    fn index_from_uniform(self, m: u64) -> i64 {
         let card = 1u64 << self.bu;
         assert!(m >= 1 && m <= card, "uniform index out of range");
         let u = m as f64 / card as f64;
@@ -115,6 +108,12 @@ mod tests {
     use crate::tausworthe::Taus88;
     use std::collections::HashMap;
 
+    /// The sign+magnitude configuration the fold is equivalent to
+    /// (`Bu_eff = Bu − 1`).
+    fn equivalent_config(s: Eq17Laplace) -> FxpLaplaceConfig {
+        FxpLaplaceConfig::new(s.bu - 1, s.by, s.delta, s.lambda).unwrap()
+    }
+
     fn exhaustive_histogram(s: Eq17Laplace) -> HashMap<i64, u64> {
         let mut h = HashMap::new();
         for m in 1..=(1u64 << s.bu) {
@@ -137,7 +136,7 @@ mod tests {
         // resulting exact distribution with the Bu−1 sign+magnitude PMF.
         let s = Eq17Laplace::new(12, 12, 0.25, 5.0).unwrap();
         let hist = exhaustive_histogram(s);
-        let pmf = FxpNoisePmf::closed_form(s.equivalent_config());
+        let pmf = FxpNoisePmf::closed_form(equivalent_config(s));
         // Eq. 17 counts are over 2^Bu = 2^(Bu_eff+1) words — the same
         // denominator the PMF's signed weights use.
         let mut mismatches = 0u64;
@@ -168,7 +167,7 @@ mod tests {
     #[test]
     fn sampled_spread_matches_equivalent_sampler() {
         let s = Eq17Laplace::new(17, 12, 10.0 / 32.0, 20.0).unwrap();
-        let eq = FxpLaplace::analytic(s.equivalent_config());
+        let eq = FxpLaplace::analytic(equivalent_config(s));
         let mut rng1 = Taus88::from_seed(9);
         let mut rng2 = Taus88::from_seed(10);
         let n = 100_000;

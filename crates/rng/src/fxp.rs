@@ -102,7 +102,7 @@ impl FxpLaplaceConfig {
 
     /// The magnitude index produced by the rarest uniform (`m = 1`), before
     /// output-word saturation: `round(λ·Bu·ln2 / Δ)`.
-    pub fn natural_max_k(self) -> i64 {
+    fn natural_max_k(self) -> i64 {
         (self.lambda * self.bu as f64 * std::f64::consts::LN_2 / self.delta).round() as i64
     }
 

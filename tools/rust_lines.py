@@ -25,11 +25,11 @@ EXCLUDED_TOP = {"perfbench", "shims", "target"}
 TEST_DIRS = {"tests", "benches"}
 
 
-def rust_files(root):
+def rust_files(root, excluded_top=EXCLUDED_TOP):
     for dirpath, dirnames, filenames in os.walk(root):
         rel = os.path.relpath(dirpath, root)
         parts = [] if rel == "." else rel.split(os.sep)
-        if parts and parts[0] in EXCLUDED_TOP:
+        if parts and parts[0] in excluded_top:
             dirnames[:] = []
             continue
         dirnames[:] = sorted(
