@@ -105,7 +105,7 @@ where
 /// With a `fill` that privatizes entries in order with the same RNG, this
 /// scores exactly the same trials as the per-entry evaluator; batching
 /// exists so table-driven mechanisms can amortize their per-draw overhead
-/// (see `ldp_core::Mechanism::privatize_batch`).
+/// (see `ldp_core::Mechanism::privatize_index_batch`).
 ///
 /// # Panics
 ///

@@ -111,20 +111,6 @@ impl EnergyModel {
     pub fn energy_benefit(&self, sw: Implementation) -> f64 {
         self.energy_per_noising(sw, 0) / self.energy_per_noising(Implementation::HardwareDpBox, 0)
     }
-
-    /// Total session energy (joules) for a device's activity counters, per
-    /// implementation: each fresh noising at its base cost, each resample
-    /// at its *marginal* cost (one cycle in hardware, a full re-run in
-    /// software), and each cached reply at one memory-read's worth (a
-    /// single hardware cycle).
-    pub fn session_energy(&self, imp: Implementation, stats: &crate::DpBoxStats) -> f64 {
-        let base = self.energy_per_noising(imp, 0);
-        let marginal_resample = self.energy_per_noising(imp, 1) - base;
-        let cached_read = self.dpbox_power_w / self.clock_hz; // one cycle of the module
-        stats.noisings as f64 * base
-            + stats.resamples as f64 * marginal_resample
-            + stats.cached as f64 * cached_read
-    }
 }
 
 impl Default for EnergyModel {
@@ -173,27 +159,6 @@ mod tests {
         let sw0 = m.cycles_per_noising(Implementation::SoftwareFixedPoint, 0);
         let sw1 = m.cycles_per_noising(Implementation::SoftwareFixedPoint, 1);
         assert_eq!(sw1, 2 * sw0, "software repeats the full sampling routine");
-    }
-
-    #[test]
-    fn session_energy_accounts_all_activity() {
-        let m = EnergyModel::paper_65nm();
-        let stats = crate::DpBoxStats {
-            noisings: 100,
-            cached: 10,
-            resamples: 5,
-            busy_cycles: 0,
-            health_alarms: 0,
-        };
-        let hw = m.session_energy(Implementation::HardwareDpBox, &stats);
-        // 100 noisings × 4 cycles + 5 resample cycles + 10 read cycles,
-        // all at the DP-Box power.
-        let cycles = 100.0 * 4.0 + 5.0 + 10.0;
-        let want = cycles / m.clock_hz * m.dpbox_power_w;
-        assert!((hw / want - 1.0).abs() < 1e-12, "hw {hw} vs {want}");
-        // Software pays the full routine per resample — much more energy.
-        let sw = m.session_energy(Implementation::SoftwareFixedPoint, &stats);
-        assert!(sw > 500.0 * hw);
     }
 
     #[test]

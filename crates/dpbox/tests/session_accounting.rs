@@ -1,7 +1,7 @@
-//! Session-level accounting: trace, stats, VCD, and energy model agree
-//! about what one device session did.
+//! Session-level accounting: trace, stats and VCD agree about what one
+//! device session did.
 
-use dp_box::{trace_to_vcd, Command, DpBox, DpBoxConfig, EnergyModel, Implementation, TraceEvent};
+use dp_box::{trace_to_vcd, Command, DpBox, DpBoxConfig, TraceEvent};
 
 fn run_session(seed: u64, requests: usize) -> DpBox {
     let cfg = DpBoxConfig {
@@ -23,7 +23,7 @@ fn run_session(seed: u64, requests: usize) -> DpBox {
 }
 
 #[test]
-fn trace_stats_and_energy_agree() {
+fn trace_and_stats_agree() {
     let dev = run_session(0xACC7, 40);
     let stats = dev.stats();
     let trace = dev.trace().expect("enabled");
@@ -45,14 +45,6 @@ fn trace_stats_and_energy_agree() {
         .sum();
     // stats has no charged field; reconstruct from remaining: budget 3.0.
     assert!((3.0 - dev.remaining_budget() - charged).abs() < 1e-9);
-
-    // The energy model prices the same counters for all implementations,
-    // with the hardware orders of magnitude cheaper.
-    let m = EnergyModel::paper_65nm();
-    let hw = m.session_energy(Implementation::HardwareDpBox, &stats);
-    let sw = m.session_energy(Implementation::SoftwareFixedPoint, &stats);
-    assert!(hw > 0.0);
-    assert!(sw / hw > 100.0, "session benefit {}", sw / hw);
 }
 
 #[test]

@@ -78,10 +78,11 @@ pub fn latency_row(
     let mut total_resamples: u64 = 0;
     let mut count: u64 = 0;
     for _ in 0..trials {
-        for &code in &gt.codes {
+        for &code in &gt.codes_k {
             // Single `privatize` is always cycle-faithful regardless of the
             // sampler path: latency models the hardware redraw loop.
-            total_resamples += resampling.privatize(code, &mut rng)?.resamples as u64;
+            let x = setup.range.to_value(code);
+            total_resamples += resampling.privatize(x, &mut rng)?.resamples as u64;
             count += 1;
         }
     }

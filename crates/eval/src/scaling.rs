@@ -66,17 +66,16 @@ pub fn scaling_curve(
             };
             let mut rng = Taus88::from_seed(seed ^ ((kind as u64) << 24) ^ n as u64);
             let adc = setup.adc;
-            // Pre-hoisted encodings + one batched pass per trial
-            // (reference-path draw order matches the old per-entry loop
-            // exactly).
-            let codes = &gt.codes;
-            let mut noised = vec![0.0f64; codes.len()];
+            // Pre-hoisted encodings + one batched pass per trial on the
+            // grid, whose indices are ADC codes (`Δ = 1`, `min_k = 0`).
+            let xs_k = &gt.codes_k;
+            let mut y_k = vec![0i64; xs_k.len()];
             let result = evaluate_query_batched(
                 &gt.data,
                 |out: &mut [f64]| -> Result<(), LdpError> {
-                    mech.privatize_batch(codes, &mut rng, &mut noised)?;
-                    for (slot, &v) in out.iter_mut().zip(noised.iter()) {
-                        *slot = adc.decode(v.round() as i64);
+                    mech.privatize_index_batch(xs_k, &mut rng, &mut y_k)?;
+                    for (slot, &y) in out.iter_mut().zip(y_k.iter()) {
+                        *slot = adc.decode(y);
                     }
                     Ok(())
                 },

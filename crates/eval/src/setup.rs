@@ -34,11 +34,8 @@ pub struct GroundTruth {
     pub setup: ExperimentSetup,
     /// The generated physical sensor values.
     pub data: Vec<f64>,
-    /// `data` encoded to ADC codes, as `f64` (the batched-privatization
-    /// input format).
-    pub codes: Vec<f64>,
-    /// `data` encoded to ADC codes, as grid indices (the index-batch /
-    /// device input format).
+    /// `data` encoded to ADC codes, as grid indices (the batched
+    /// privatization and device input format).
     pub codes_k: Vec<i64>,
 }
 
@@ -81,11 +78,9 @@ impl GroundTruth {
         let data = generate(&setup.spec, seed);
         let adc = setup.adc;
         let codes_k: Vec<i64> = data.iter().map(|&x| adc.encode(x)).collect();
-        let codes: Vec<f64> = codes_k.iter().map(|&k| k as f64).collect();
         GroundTruth {
             setup,
             data,
-            codes,
             codes_k,
         }
     }
@@ -98,12 +93,6 @@ impl GroundTruth {
     /// Whether the realization is empty (a zero-entry spec).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// True fraction of entries at or above `threshold_k` codes — the
-    /// ground truth for the RR-backed count/frequency queries.
-    pub fn fraction_at_or_above(&self, threshold_k: i64) -> f64 {
-        self.codes_k.iter().filter(|&&k| k >= threshold_k).count() as f64 / self.len().max(1) as f64
     }
 }
 
@@ -319,28 +308,15 @@ mod tests {
         let gt = GroundTruth::prepare(&spec, 0.5, 7).unwrap();
         let data = ldp_datasets::generate(&spec, 7);
         assert_eq!(gt.data, data);
-        let codes: Vec<f64> = data
-            .iter()
-            .map(|&x| gt.setup.adc.encode(x) as f64)
-            .collect();
-        assert_eq!(gt.codes, codes);
-        // The i64 encodings equal the `quantize` path the sweeps used
-        // before the hoist (unit grid, min_k = 0).
-        let xs_k: Vec<i64> = codes.iter().map(|&c| gt.setup.range.quantize(c)).collect();
-        assert_eq!(gt.codes_k, xs_k);
+        let codes_k: Vec<i64> = data.iter().map(|&x| gt.setup.adc.encode(x)).collect();
+        assert_eq!(gt.codes_k, codes_k);
+        // On the unit grid (min_k = 0) every code is its own grid index:
+        // `quantize` of the code as a value gives it back.
+        for &k in &codes_k {
+            assert_eq!(gt.setup.range.quantize(gt.setup.range.to_value(k)), k);
+        }
         assert_eq!(gt.len(), spec.entries);
         assert!(!gt.is_empty());
-    }
-
-    #[test]
-    fn threshold_fractions_bracket_the_data() {
-        let spec = statlog_heart();
-        let gt = GroundTruth::prepare(&spec, 0.5, 11).unwrap();
-        // Thresholding at the extremes brackets every entry.
-        assert_eq!(gt.fraction_at_or_above(0), 1.0);
-        assert_eq!(gt.fraction_at_or_above(gt.setup.adc.max_code() + 1), 0.0);
-        let mid = gt.fraction_at_or_above(128);
-        assert!(mid > 0.0 && mid < 1.0, "mid-range threshold splits: {mid}");
     }
 
     #[test]

@@ -69,38 +69,14 @@ pub fn utility_row(
             let mut rng = Taus88::from_seed(seed ^ (kind as u64) << 32 ^ 0xCE11);
             let adc = setup.adc;
             // Encodings come pre-hoisted from the shared `GroundTruth`;
-            // each trial is one batched privatization pass. The grid fast
-            // path (`privatize_index_batch`) takes the pre-quantized
-            // indices; on the reference path it declines (`Ok(None)`) and
-            // the f64 fallback below runs the exact pre-existing draw
-            // sequence, so reference digests are unchanged.
-            let codes = &gt.codes;
-            let range = setup.range;
+            // each trial is one batched privatization pass on the grid,
+            // whose indices are ADC codes (`Δ = 1`, `min_k = 0`).
             let xs_k = &gt.codes_k;
-            let mut y_k = vec![0i64; codes.len()];
-            let mut noised = vec![0.0f64; codes.len()];
-            let (dec_min, dec_lsb) = (adc.decode(0), adc.lsb());
+            let mut y_k = vec![0i64; xs_k.len()];
             let fill = |out: &mut [f64]| -> Result<(), LdpError> {
-                if mech
-                    .privatize_index_batch(xs_k, &mut rng, &mut y_k)?
-                    .is_some()
-                {
-                    if range.delta() == 1.0 {
-                        // Unit grid (every `ExperimentSetup`): the index is
-                        // the ADC code, so decoding is one fused mul-add.
-                        for (slot, &y) in out.iter_mut().zip(y_k.iter()) {
-                            *slot = dec_min + y as f64 * dec_lsb;
-                        }
-                    } else {
-                        for (slot, &y) in out.iter_mut().zip(y_k.iter()) {
-                            *slot = dec_min + range.to_value(y).round() * dec_lsb;
-                        }
-                    }
-                    return Ok(());
-                }
-                mech.privatize_batch(codes, &mut rng, &mut noised)?;
-                for (slot, &v) in out.iter_mut().zip(noised.iter()) {
-                    *slot = adc.decode(v.round() as i64);
+                mech.privatize_index_batch(xs_k, &mut rng, &mut y_k)?;
+                for (slot, &y) in out.iter_mut().zip(y_k.iter()) {
+                    *slot = adc.decode(y);
                 }
                 Ok(())
             };

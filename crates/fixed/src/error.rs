@@ -42,8 +42,6 @@ pub enum FixedError {
     },
     /// A conversion from `f64` was attempted on a NaN or infinite input.
     NotFinite,
-    /// Division by zero.
-    DivisionByZero,
 }
 
 impl fmt::Display for FixedError {
@@ -63,7 +61,6 @@ impl fmt::Display for FixedError {
                 "invalid fixed-point format: {total_bits} total bits, {frac_bits} fractional bits"
             ),
             FixedError::NotFinite => write!(f, "input value is NaN or infinite"),
-            FixedError::DivisionByZero => write!(f, "division by zero"),
         }
     }
 }

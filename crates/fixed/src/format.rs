@@ -23,7 +23,7 @@ use crate::error::FixedError;
 /// // The paper's DP-Box uses a 20-bit datapath.
 /// let fmt = QFormat::new(20, 10)?;
 /// assert_eq!(fmt.delta(), 2f64.powi(-10));
-/// assert_eq!(fmt.max_value(), (2f64.powi(19) - 1.0) * 2f64.powi(-10));
+/// assert_eq!(fmt.max_raw(), (1 << 19) - 1);
 /// # Ok::<(), ulp_fixed::FixedError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -92,28 +92,10 @@ impl QFormat {
         (1i64 << (self.total_bits - 1)) - 1
     }
 
-    /// Smallest representable real value.
-    #[inline]
-    pub fn min_value(self) -> f64 {
-        self.min_raw() as f64 * self.delta()
-    }
-
-    /// Largest representable real value.
-    #[inline]
-    pub fn max_value(self) -> f64 {
-        self.max_raw() as f64 * self.delta()
-    }
-
     /// Whether `raw` fits in this format's word.
     #[inline]
     pub fn contains_raw(self, raw: i64) -> bool {
         raw >= self.min_raw() && raw <= self.max_raw()
-    }
-
-    /// Number of distinct representable values, `2^total_bits`.
-    #[inline]
-    pub fn cardinality(self) -> u64 {
-        1u64 << self.total_bits
     }
 }
 
@@ -155,7 +137,6 @@ mod tests {
         let f = QFormat::new(8, 0).unwrap();
         assert_eq!(f.min_raw(), -128);
         assert_eq!(f.max_raw(), 127);
-        assert_eq!(f.cardinality(), 256);
     }
 
     #[test]
@@ -164,14 +145,6 @@ mod tests {
         assert_eq!(f.delta(), 1.0 / 1024.0);
         let pure_int = QFormat::new(16, 0).unwrap();
         assert_eq!(pure_int.delta(), 1.0);
-    }
-
-    #[test]
-    fn value_bounds_scale_by_delta() {
-        let f = QFormat::new(4, 2).unwrap();
-        // raw in [-8, 7], delta 0.25 -> [-2.0, 1.75]
-        assert_eq!(f.min_value(), -2.0);
-        assert_eq!(f.max_value(), 1.75);
     }
 
     #[test]

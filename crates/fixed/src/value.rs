@@ -70,32 +70,6 @@ impl Fx {
         Self::from_raw(rounding.apply(scaled), fmt)
     }
 
-    /// Quantizes a real value, saturating to the format bounds on overflow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::NotFinite`] for NaN/infinite input.
-    pub fn from_f64_saturating(
-        x: f64,
-        fmt: QFormat,
-        rounding: Rounding,
-    ) -> Result<Self, FixedError> {
-        if !x.is_finite() {
-            return Err(FixedError::NotFinite);
-        }
-        let scaled = x / fmt.delta();
-        let raw = if scaled.abs() >= 2f64.powi(63) {
-            if scaled > 0.0 {
-                fmt.max_raw()
-            } else {
-                fmt.min_raw()
-            }
-        } else {
-            rounding.apply(scaled).clamp(fmt.min_raw(), fmt.max_raw())
-        };
-        Ok(Fx { raw, fmt })
-    }
-
     /// The zero value in `fmt`.
     #[inline]
     pub fn zero(fmt: QFormat) -> Self {
@@ -121,12 +95,6 @@ impl Fx {
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.raw as f64 * self.fmt.delta()
-    }
-
-    /// Whether this value is zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.raw == 0
     }
 
     /// Re-quantizes into another format.
@@ -237,28 +205,6 @@ impl Fx {
         Self::from_raw(raw, self.fmt)
     }
 
-    /// Divides `self` by `other` (same format), rounding to `f` fractional
-    /// bits.
-    ///
-    /// # Errors
-    ///
-    /// [`FixedError::FormatMismatch`] if formats differ;
-    /// [`FixedError::DivisionByZero`] if `other` is zero;
-    /// [`FixedError::Overflow`] if the quotient does not fit.
-    pub fn checked_div(self, other: Fx, rounding: Rounding) -> Result<Self, FixedError> {
-        self.require_same_format(other)?;
-        if other.raw == 0 {
-            return Err(FixedError::DivisionByZero);
-        }
-        // (a * 2^f) / b, rounded. Work at double precision then round.
-        let num = (self.raw as i128) << (self.fmt.frac_bits() as u32 + 1);
-        let den = other.raw as i128;
-        let doubled = num / den; // quotient at f+1 fractional bits
-        let raw = round_shift_right(doubled, 1, rounding);
-        let raw = i64::try_from(raw).map_err(|_| FixedError::Overflow { format: self.fmt })?;
-        Self::from_raw(raw, self.fmt)
-    }
-
     /// Adds, saturating to the format bounds instead of failing.
     ///
     /// # Panics
@@ -301,16 +247,6 @@ impl Fx {
     /// [`FixedError::Overflow`] when negating the most negative word.
     pub fn checked_neg(self) -> Result<Self, FixedError> {
         Self::from_raw(-self.raw, self.fmt)
-    }
-
-    /// Arithmetic right shift by `n` bits (divide by `2^n`, toward -∞),
-    /// the hardware scaling used when ε is a power of two (paper Eq. 19).
-    #[allow(clippy::should_implement_trait)] // deliberate: models the hardware shifter, not ops::Shr
-    pub fn shr(self, n: u32) -> Self {
-        Fx {
-            raw: self.raw >> n.min(63),
-            fmt: self.fmt,
-        }
     }
 
     /// Left shift by `n` bits (multiply by `2^n`).
@@ -487,15 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn from_f64_saturating_clamps() {
-        let fmt = q(8, 0);
-        let hi = Fx::from_f64_saturating(1e9, fmt, Rounding::Floor).unwrap();
-        assert_eq!(hi.raw(), 127);
-        let lo = Fx::from_f64_saturating(-1e9, fmt, Rounding::Floor).unwrap();
-        assert_eq!(lo.raw(), -128);
-    }
-
-    #[test]
     fn add_sub_are_exact() {
         let fmt = q(16, 8);
         let a = Fx::from_f64(1.5, fmt, Rounding::Floor).unwrap();
@@ -547,26 +474,7 @@ mod tests {
         let eps = Fx::from_raw(1, fmt).unwrap(); // 2^-8
                                                  // eps * eps = 2^-16, rounds to 0 at 8 fractional bits (ties-even).
         let p = eps.checked_mul(eps, Rounding::NearestTiesEven).unwrap();
-        assert!(p.is_zero());
-    }
-
-    #[test]
-    fn div_computes_rounded_quotient() {
-        let fmt = q(16, 8);
-        let a = Fx::from_f64(1.0, fmt, Rounding::Floor).unwrap();
-        let b = Fx::from_f64(3.0, fmt, Rounding::Floor).unwrap();
-        let d = a.checked_div(b, Rounding::NearestTiesAway).unwrap();
-        assert!((d.to_f64() - 1.0 / 3.0).abs() <= fmt.delta());
-    }
-
-    #[test]
-    fn div_by_zero_is_reported() {
-        let fmt = q(16, 8);
-        let a = Fx::from_f64(1.0, fmt, Rounding::Floor).unwrap();
-        assert_eq!(
-            a.checked_div(Fx::zero(fmt), Rounding::Floor),
-            Err(FixedError::DivisionByZero)
-        );
+        assert_eq!(p.raw(), 0);
     }
 
     #[test]
@@ -616,13 +524,6 @@ mod tests {
         let neg = Fx::from_f64(-1.75, q(16, 8), Rounding::Floor).unwrap();
         assert_eq!(neg.resize(q(8, 0), Rounding::TowardZero).unwrap().raw(), -1);
         assert_eq!(neg.resize(q(8, 0), Rounding::Floor).unwrap().raw(), -2);
-    }
-
-    #[test]
-    fn shr_scales_by_power_of_two() {
-        let fmt = q(16, 8);
-        let a = Fx::from_f64(5.0, fmt, Rounding::Floor).unwrap();
-        assert_eq!(a.shr(2).to_f64(), 1.25);
     }
 
     #[test]

@@ -199,19 +199,11 @@ impl QueryTotals {
         }
     }
 
-    /// Empty totals for a numeric query sketching `[min_k, max_k]`.
-    pub fn new_numeric(sketch_min_k: i64, sketch_max_k: i64) -> Self {
-        QueryTotals::new(QueryKind::Numeric {
-            sketch_min_k,
-            sketch_max_k,
-        })
-    }
-
     /// Absorbs one numeric report value (grid units). The sums stay
     /// exact: below 2¹⁵ in magnitude the powers are taken in `i64` (v⁴ <
     /// 2⁶⁰), above it in `i128`.
     #[inline]
-    pub fn absorb_value(&mut self, v: i64) {
+    pub(crate) fn absorb_value(&mut self, v: i64) {
         self.count += 1;
         if v.unsigned_abs() < 1 << 15 {
             let v2 = v * v;

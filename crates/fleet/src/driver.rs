@@ -1978,7 +1978,10 @@ mod tests {
         // `late` outcome instead of vanishing (chaos run at these rates
         // reliably delays frames past their epoch).
         let strict = driver
-            .run_service(&ServiceConfig::new(1, 1 << 20).with_quorum(0.5))
+            .run_service(&ServiceConfig {
+                quorum: 0.5,
+                ..ServiceConfig::new(1, 1 << 20)
+            })
             .unwrap();
         assert!(strict.stats.late > 0, "delays must surface as late");
         // Late frames are refusals, not absorptions: the strict run

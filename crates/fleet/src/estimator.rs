@@ -386,7 +386,7 @@ impl NoiseModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::QueryTotals;
+    use crate::collector::{QueryKind, QueryTotals};
 
     fn model() -> NoiseModel {
         NoiseModel::for_device(17, 20, 1, 0, 256, &[1.5, 2.0, 2.5, 3.0]).unwrap()
@@ -503,7 +503,10 @@ mod tests {
     #[test]
     fn median_reads_off_the_sketch() {
         let m = model();
-        let mut t = QueryTotals::new_numeric(m.window_lo(), m.window_hi());
+        let mut t = QueryTotals::new(QueryKind::Numeric {
+            sketch_min_k: m.window_lo(),
+            sketch_max_k: m.window_hi(),
+        });
         for k in 0..1001i64 {
             t.absorb_value(k - 500 + 128);
         }

@@ -110,20 +110,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the per-window seal quorum.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `quorum` is finite and in `[0, 1]`.
-    pub fn with_quorum(mut self, quorum: f64) -> ServiceConfig {
-        assert!(
-            quorum.is_finite() && (0.0..=1.0).contains(&quorum),
-            "quorum must be in [0, 1], got {quorum}"
-        );
-        self.quorum = quorum;
-        self
-    }
-
     /// Applies the strict `ULP_SERVICE_*` environment overrides to this
     /// configuration: [`SERVICE_WINDOW_ENV`] (a positive integer of
     /// epochs) and [`SERVICE_QUEUE_ENV`] (a positive integer of frames).
@@ -703,12 +689,10 @@ mod tests {
     fn env_overrides_parse_strictly() {
         // `parse_env` reads the real environment; exercise the underlying
         // validators through a scrubbed config instead of mutating env.
-        let cfg = ServiceConfig::new(2, 64)
-            .with_watermark_lag(3)
-            .with_quorum(0.8);
+        let cfg = ServiceConfig::new(2, 64).with_watermark_lag(3);
         assert_eq!(cfg.window_epochs, 2);
         assert_eq!(cfg.queue_frames, 64);
         assert_eq!(cfg.watermark_lag, 3);
-        assert_eq!(cfg.quorum, 0.8);
+        assert_eq!(cfg.quorum, 0.9);
     }
 }

@@ -396,9 +396,13 @@ pub(crate) fn query_roles(queries: &[QueryConfig]) -> (Option<usize>, Option<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::QueryKind;
 
     fn sealed(index: u32, charge: f64) -> SealedWindow {
-        let mut totals = QueryTotals::new_numeric(-4, 4);
+        let mut totals = QueryTotals::new(QueryKind::Numeric {
+            sketch_min_k: -4,
+            sketch_max_k: 4,
+        });
         totals.absorb_value(i64::from(index) - 1);
         let mut ledger = BudgetLedger::new();
         ledger.record(charge);
@@ -432,7 +436,10 @@ mod tests {
         // One query each, but one `finalize` could not merge: another
         // sketch range, or RR totals where the rollup holds numeric ones.
         let mut wider = sealed(1, 0.5);
-        wider.totals = vec![QueryTotals::new_numeric(-8, 8)];
+        wider.totals = vec![QueryTotals::new(QueryKind::Numeric {
+            sketch_min_k: -8,
+            sketch_max_k: 8,
+        })];
         assert_eq!(r.absorb(wider), Err(RollupError::QueryShapeMismatch));
         let mut rr = sealed(1, 0.5);
         rr.totals = vec![QueryTotals::default()];

@@ -156,6 +156,40 @@ impl SegmentTable {
         }
         (self.segments.len(), self.outermost().1)
     }
+
+    /// Algorithm 1's release step for input `x_k` on `range`: draws
+    /// `x_k + k` from `draw`, and an output that overshoots the outermost
+    /// threshold is clamped onto it (thresholding) or redrawn (resampling).
+    /// Returns the output with its segment class and charge.
+    ///
+    /// # Errors
+    ///
+    /// [`LdpError::ResampleBudgetExhausted`] after 100 000 consecutive
+    /// redraws.
+    pub(crate) fn release(
+        &self,
+        range: QuantizedRange,
+        x_k: i64,
+        draw: &mut dyn FnMut() -> i64,
+    ) -> Result<(i64, usize, f64), LdpError> {
+        let (outer_t, _) = self.outermost();
+        let (lo, hi) = (range.min_k() - outer_t, range.max_k() + outer_t);
+        let mut rejections = 0u32;
+        loop {
+            let y_k = x_k + draw();
+            let overshoot = (range.min_k() - y_k).max(y_k - range.max_k()).max(0);
+            // A clamped output sits on the outermost threshold, which
+            // `classify` charges for every overshoot beyond it.
+            if overshoot <= outer_t || self.mode == LimitMode::Thresholding {
+                let (class, charge) = self.classify(overshoot);
+                return Ok((y_k.clamp(lo, hi), class, charge));
+            }
+            rejections += 1;
+            if rejections >= RESAMPLE_LIMIT {
+                return Err(LdpError::ResampleBudgetExhausted);
+            }
+        }
+    }
 }
 
 /// Statistics kept by the budget controller.
@@ -204,15 +238,6 @@ pub struct BudgetController {
     ledger: BudgetLedger,
     accountant: CompositionLedger,
     last_class: Option<usize>,
-}
-
-/// How a [`BudgetController::respond_index_batch`] call was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BudgetBatchOutcome {
-    /// Entries answered with fresh noise (each one charged and ledgered).
-    pub served: u64,
-    /// Entries answered by replaying the cached output (free).
-    pub replayed: u64,
 }
 
 impl BudgetController {
@@ -330,116 +355,16 @@ impl BudgetController {
         self.respond_with(x, &mut || table.draw(&mut *rng))
     }
 
-    /// Grid-native batched responding: Algorithm 1 applied element by
-    /// element, drawing noise from the cached alias table when the sampler
-    /// is analytic (the exact same distribution at O(1) per draw) and from
-    /// the cycle-faithful datapath otherwise.
-    ///
-    /// The batch **never overdraws**: each element re-checks the budget, so
-    /// the charge sequence — and therefore the ledger and accountant — is
-    /// identical to issuing the same requests one
-    /// [`BudgetController::respond`] at a time. Once the budget runs out
-    /// mid-batch, the remaining entries replay the cached output for free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs_k` and `out` have different lengths.
-    ///
-    /// # Errors
-    ///
-    /// [`LdpError::BudgetExhausted`] if exhaustion is reached with no
-    /// output ever cached — entries before the failing one are already
-    /// written to `out` and their charges are ledgered (the partial state
-    /// stays audit-consistent); [`LdpError::ResampleBudgetExhausted`] as in
-    /// [`BudgetController::respond`]; alias-table construction errors.
-    pub fn respond_index_batch(
-        &mut self,
-        xs_k: &[i64],
-        sampler: &FxpLaplace,
-        rng: &mut dyn RandomBits,
-        out: &mut [i64],
-    ) -> Result<BudgetBatchOutcome, LdpError> {
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "respond_index_batch: length mismatch"
-        );
-        let table = if sampler.is_analytic() {
-            Some(cached_alias_full(sampler.config())?)
-        } else {
-            None
-        };
-        let mut outcome = BudgetBatchOutcome::default();
-        for (&x_k, slot) in xs_k.iter().zip(out.iter_mut()) {
-            if self.exhausted() {
-                let Some(k) = self.cached_k else {
-                    return Err(LdpError::BudgetExhausted);
-                };
-                self.stats.cached += 1;
-                CACHE_REPLAYS.inc();
-                *slot = k;
-                outcome.replayed += 1;
-                continue;
-            }
-            *slot = match &table {
-                Some(t) => self.respond_index_with(x_k, &mut || t.draw(&mut *rng))?,
-                None => self.respond_index_with(x_k, &mut || sampler.sample_index(&mut *rng))?,
-            };
-            outcome.served += 1;
-        }
-        Ok(outcome)
-    }
-
-    /// Algorithm 1's core, parameterized over the noise-index source.
+    /// Algorithm 1, parameterized over the noise-index source.
     fn respond_with(&mut self, x: f64, draw: &mut dyn FnMut() -> i64) -> Result<f64, LdpError> {
-        let x_k = self.range.quantize(x);
-        let y_k = self.respond_index_with(x_k, draw)?;
-        Ok(self.range.to_value(y_k))
-    }
-
-    /// Algorithm 1's core in grid-index space.
-    fn respond_index_with(
-        &mut self,
-        x_k: i64,
-        draw: &mut dyn FnMut() -> i64,
-    ) -> Result<i64, LdpError> {
         if self.exhausted() {
             self.stats.cached += 1;
             CACHE_REPLAYS.inc();
-            return self.cached_k.ok_or(LdpError::BudgetExhausted);
+            let y_k = self.cached_k.ok_or(LdpError::BudgetExhausted)?;
+            return Ok(self.range.to_value(y_k));
         }
-        let (outer_t, _) = self.table.outermost();
-        let lo = self.range.min_k() - outer_t;
-        let hi = self.range.max_k() + outer_t;
-        let mut rejections = 0u32;
-        let (y_k, class, charge) = loop {
-            let tmp = x_k + draw();
-            let overshoot = if tmp < self.range.min_k() {
-                self.range.min_k() - tmp
-            } else if tmp > self.range.max_k() {
-                tmp - self.range.max_k()
-            } else {
-                0
-            };
-            if overshoot <= outer_t {
-                let (class, charge) = self.table.classify(overshoot);
-                break (tmp, class, charge);
-            }
-            match self.table.mode() {
-                LimitMode::Thresholding => {
-                    let clamped = tmp.clamp(lo, hi);
-                    let (class, charge) = (self.table.segments().len(), self.table.outermost().1);
-                    break (clamped, class, charge);
-                }
-                LimitMode::Resampling => {
-                    rejections += 1;
-                    if rejections >= RESAMPLE_LIMIT {
-                        return Err(LdpError::ResampleBudgetExhausted);
-                    }
-                    continue;
-                }
-            }
-        };
+        let x_k = self.range.quantize(x);
+        let (y_k, class, charge) = self.table.release(self.range, x_k, draw)?;
         self.remaining -= charge;
         self.stats.served += 1;
         self.stats.charged += charge;
@@ -453,7 +378,7 @@ impl BudgetController {
             self.last_class = Some(class);
         }
         self.cached_k = Some(y_k);
-        Ok(y_k)
+        Ok(self.range.to_value(y_k))
     }
 }
 

@@ -10,13 +10,11 @@
 //! what the paper's fixed-point-Laplace-plus-threshold approach gives up
 //! against it.
 
-use std::collections::HashMap;
-
-use ulp_rng::{AliasTable, DiscreteLaplace, RandomBits};
+use ulp_rng::{DiscreteLaplace, RandomBits};
 
 use crate::error::LdpError;
 use crate::mechanism::{
-    batch_via_single, Guarantee, Mechanism, NoisedOutput, SamplerPath, RESAMPLE_LIMIT,
+    reference_batch, same_len, Guarantee, Mechanism, NoisedOutput, RESAMPLE_LIMIT,
 };
 use crate::range::QuantizedRange;
 
@@ -49,7 +47,6 @@ pub struct DiscreteLaplaceMechanism {
     range: QuantizedRange,
     n_th_k: i64,
     exact_loss: f64,
-    path: SamplerPath,
 }
 
 impl DiscreteLaplaceMechanism {
@@ -79,18 +76,7 @@ impl DiscreteLaplaceMechanism {
             range,
             n_th_k,
             exact_loss,
-            path: SamplerPath::Reference,
         })
-    }
-
-    /// Selects the batched sampler path (see
-    /// [`SamplerPath`](crate::SamplerPath)). The discrete fast path draws
-    /// from a per-window alias table built from `f64` PMF weights quantized
-    /// at `2^52` — equal to the rejection sampler's conditional law up to
-    /// that quantization, which is why it is opt-in rather than the default.
-    pub fn with_sampler_path(mut self, path: SamplerPath) -> Self {
-        self.path = path;
-        self
     }
 
     /// The window extension in grid units.
@@ -141,37 +127,17 @@ impl Mechanism for DiscreteLaplaceMechanism {
         }
     }
 
-    fn privatize_batch(
+    /// Always the reference batch: this mechanism carries no
+    /// [`SamplerPath`](crate::SamplerPath), so it has no table to draw
+    /// from and no Secure mode to certify.
+    fn privatize_index_batch(
         &self,
-        xs: &[f64],
+        xs_k: &[i64],
         rng: &mut dyn RandomBits,
-        out: &mut [f64],
+        out: &mut [i64],
     ) -> Result<u64, LdpError> {
-        if self.path == SamplerPath::Reference {
-            return batch_via_single(self, xs, rng, out);
-        }
-        assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-        let (lo, hi) = (
-            self.range.min_k() - self.n_th_k,
-            self.range.max_k() + self.n_th_k,
-        );
-        // One conditional table per distinct input index, built lazily from
-        // the window-restricted geometric PMF. Datasets quantize onto a few
-        // dozen indices, so the map stays tiny.
-        let mut tables: HashMap<i64, AliasTable> = HashMap::new();
-        for (x, slot) in xs.iter().zip(out.iter_mut()) {
-            let x_k = self.range.quantize(*x);
-            let table = match tables.entry(x_k) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let weights: Vec<(i64, f64)> =
-                        (lo - x_k..=hi - x_k).map(|k| (k, self.dl.pmf(k))).collect();
-                    e.insert(AliasTable::from_f64_weights(&weights)?)
-                }
-            };
-            *slot = self.range.to_value(x_k + table.draw(rng));
-        }
-        Ok(0)
+        same_len(xs_k, out);
+        reference_batch(self, self.range, xs_k, rng, out)
     }
 
     fn guarantee(&self) -> Guarantee {
@@ -245,19 +211,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_batch_tracks_reference_distribution() {
-        use crate::mechanism::SamplerPath;
+    fn index_batch_respects_the_window_and_tracks_the_mean() {
         let r = paper_range();
-        let m = DiscreteLaplaceMechanism::new(r, 0.5, 300)
-            .unwrap()
-            .with_sampler_path(SamplerPath::Fast);
+        let m = DiscreteLaplaceMechanism::new(r, 0.5, 300).unwrap();
         let mut rng = Taus88::from_seed(6);
-        let xs = vec![5.0; 20_000];
-        let mut out = vec![0.0; xs.len()];
-        m.privatize_batch(&xs, &mut rng, &mut out).unwrap();
-        let (lo, hi) = (r.to_value(r.min_k() - 300), r.to_value(r.max_k() + 300));
-        assert!(out.iter().all(|&y| y >= lo - 1e-9 && y <= hi + 1e-9));
-        let mean = out.iter().sum::<f64>() / out.len() as f64;
+        let xs_k = vec![r.quantize(5.0); 20_000];
+        let mut out = vec![0i64; xs_k.len()];
+        m.privatize_index_batch(&xs_k, &mut rng, &mut out).unwrap();
+        let (lo, hi) = (r.min_k() - 300, r.max_k() + 300);
+        assert!(out.iter().all(|&y| y >= lo && y <= hi));
+        let mean = out.iter().map(|&y| r.to_value(y)).sum::<f64>() / out.len() as f64;
         assert!((mean - 5.0).abs() < 2.0, "mean {mean}");
     }
 

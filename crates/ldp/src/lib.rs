@@ -71,7 +71,7 @@ pub mod theory;
 pub mod threshold;
 mod timing;
 
-pub use budget::{BudgetBatchOutcome, BudgetController, BudgetStats, SegmentTable};
+pub use budget::{BudgetController, BudgetStats, SegmentTable};
 pub use cache::{exact_threshold_cached, segment_table_cached};
 pub use central::{count_sensitivity, mean_sensitivity, CentralLaplaceMean};
 pub use composition::CompositionLedger;

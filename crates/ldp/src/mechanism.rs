@@ -11,12 +11,15 @@
 //!
 //! # Sampler paths
 //!
-//! Every mechanism carries a [`SamplerPath`]. On the default
-//! [`SamplerPath::Reference`] path, single draws go through the cycle-faithful
-//! sampler datapath (URNG word → `ln` → round → sign, redraw loops executed
-//! draw by draw) — this is the path whose per-request `resamples`/latency
-//! model hardware. On [`SamplerPath::Fast`], *batched* privatization
-//! ([`Mechanism::privatize_batch`]) draws from a cached
+//! Every mechanism privatizes batches on the grid through one method,
+//! [`Mechanism::privatize_index_batch`]. The four table mechanisms carry a
+//! [`SamplerPath`] that picks how the batch is drawn; the discrete-Laplace
+//! mechanism and the constant-time wrapper carry none and always draw the
+//! reference batch. On the default [`SamplerPath::Reference`] path the batch
+//! is one cycle-faithful [`Mechanism::privatize`] per element, in order (URNG
+//! word → `ln` → round → sign, redraw loops executed draw by draw) — this is
+//! the path whose per-request `resamples`/latency model hardware. On
+//! [`SamplerPath::Fast`] the batch draws from a cached
 //! [`ulp_rng::AliasTable`] built from the exact PMF — the same distribution
 //! bit-for-bit, at O(1) per draw with no `ln` and no rejection loop. Single
 //! [`Mechanism::privatize`] calls always use the reference path, so
@@ -39,7 +42,7 @@ use std::sync::Arc;
 use ulp_obs::{parse_env, Counter, EnvError, Histogram};
 use ulp_rng::{
     cached_alias_full, cached_alias_laplace_grid, cached_alias_window, cached_pmf, AliasTable,
-    FxpLaplace, FxpLaplaceConfig, IdealLaplace, RandomBits, ZigguratExp,
+    FxpLaplace, FxpLaplaceConfig, IdealLaplace, RandomBits,
 };
 
 use crate::error::LdpError;
@@ -66,12 +69,11 @@ pub(crate) const RESAMPLE_LIMIT: u32 = 100_000;
 ///
 /// See the module docs: `Reference` is cycle-faithful, `Fast` is
 /// distribution-identical table-driven sampling for simulation throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerPath {
     /// Alias-table draws for batched privatization (simulation fast path).
     Fast,
     /// The cycle-faithful sampler datapath everywhere (hardware model).
-    #[default]
     Reference,
     /// Certified sampling: batched privatization machine-checks the realized
     /// worst-case loss against the claimed bound before drawing from exact
@@ -82,21 +84,18 @@ pub enum SamplerPath {
 
 /// Environment variable selecting the batched sampler path.
 const SAMPLER_PATH_ENV: &str = "ULP_SAMPLER_PATH";
+/// The values [`SamplerPath::parse`] accepts.
+const SAMPLER_PATHS: &str = "fast | reference | secure";
 
 impl SamplerPath {
-    /// Parses a raw value: `fast`, `reference`, or `secure`
-    /// (case-insensitive). `None` (unset) selects [`SamplerPath::Fast`] —
-    /// the documented default for simulation throughput.
+    /// Parses `fast`, `reference` or `secure` (case-insensitive).
     ///
     /// # Errors
     ///
     /// [`EnvError`] for anything else: a misspelling like `refrence` used
     /// to silently select the fast path, which is exactly the invisible
     /// misconfiguration strict parsing exists to prevent.
-    pub fn parse(raw: Option<&str>) -> Result<Self, EnvError> {
-        let Some(raw) = raw else {
-            return Ok(SamplerPath::Fast);
-        };
+    pub fn parse(raw: &str) -> Result<Self, EnvError> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "fast" => Ok(SamplerPath::Fast),
             "reference" => Ok(SamplerPath::Reference),
@@ -104,27 +103,25 @@ impl SamplerPath {
             _ => Err(EnvError {
                 var: SAMPLER_PATH_ENV,
                 value: raw.to_string(),
-                expected: "fast | reference | secure",
+                expected: SAMPLER_PATHS,
             }),
         }
     }
 
-    /// Reads the path from the `ULP_SAMPLER_PATH` environment variable
-    /// (unset selects [`SamplerPath::Fast`]). The evaluation harness uses
-    /// this so whole artifact runs can be regenerated on either path
-    /// without code changes.
+    /// Reads the path from the `ULP_SAMPLER_PATH` environment variable;
+    /// unset selects [`SamplerPath::Fast`], the default for simulation
+    /// throughput. The evaluation harness uses this so whole artifact runs
+    /// can be regenerated on any path without code changes.
     ///
     /// # Errors
     ///
     /// [`LdpError::InvalidEnv`] on a set-but-unrecognized value — never a
     /// silent fallback.
     pub fn from_env() -> Result<Self, LdpError> {
-        match parse_env(SAMPLER_PATH_ENV, "fast | reference | secure", |s| {
-            SamplerPath::parse(Some(s)).ok()
-        })? {
-            Some(p) => Ok(p),
-            None => Ok(SamplerPath::Fast),
-        }
+        let path = parse_env(SAMPLER_PATH_ENV, SAMPLER_PATHS, |s| {
+            SamplerPath::parse(s).ok()
+        })?;
+        Ok(path.unwrap_or(SamplerPath::Fast))
     }
 }
 
@@ -172,58 +169,34 @@ pub trait Mechanism {
     /// its redraw cap (broken threshold/range configuration).
     fn privatize(&self, x: f64, rng: &mut dyn RandomBits) -> Result<NoisedOutput, LdpError>;
 
-    /// Privatizes a slice of readings into `out`, returning the total
-    /// resample count across the batch.
+    /// Privatizes a batch on the grid, returning the batch's total resample
+    /// count.
     ///
-    /// The default implementation loops [`Mechanism::privatize`] and is
-    /// byte-identical to it for the same RNG stream. Mechanisms configured
-    /// with [`SamplerPath::Fast`] override this with table-driven sampling:
-    /// the output *distribution* is identical but the word stream differs,
-    /// so digests of fast-path artifacts differ from reference ones.
+    /// `xs_k` are input grid indices ([`QuantizedRange::quantize`] of the
+    /// raw readings): callers that privatize the same readings repeatedly
+    /// (the evaluation trial loops) quantize once. `out` receives output
+    /// grid indices ([`QuantizedRange::to_value`] recovers values). Every
+    /// [`SamplerPath`] answers: `Reference` consumes the words of one
+    /// [`Mechanism::privatize`] per element, in order, and rounds each
+    /// output to its nearest grid index without clamping; `Fast` draws from
+    /// alias tables of the same law; `Secure` certifies the claimed bound
+    /// first (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `xs` and `out` have different lengths.
+    /// Panics if `xs_k` and `out` have different lengths.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Mechanism::privatize`].
-    fn privatize_batch(
-        &self,
-        xs: &[f64],
-        rng: &mut dyn RandomBits,
-        out: &mut [f64],
-    ) -> Result<u64, LdpError> {
-        batch_via_single(self, xs, rng, out)
-    }
-
-    /// Grid-native batched privatization — the index-space fast path.
-    ///
-    /// `xs_k` are pre-quantized grid indices ([`QuantizedRange::quantize`]
-    /// of the raw readings). Callers that privatize the *same* readings
-    /// repeatedly (the evaluation trial loops) quantize once and call this
-    /// per trial, so the per-entry `f64` divide/round of `quantize` is paid
-    /// once instead of per trial. `out` receives output grid indices
-    /// ([`QuantizedRange::to_value`] recovers values); a continuous
-    /// mechanism rounds to the nearest grid index.
-    ///
-    /// Returns `Ok(None)` when no grid fast path applies — the reference
-    /// path is selected, or the sampler is non-analytic (CORDIC) — and the
-    /// caller must fall back to [`Mechanism::privatize_batch`].
-    /// `Ok(Some(n))` reports the batch's total resample count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Mechanism::privatize`].
+    /// Same conditions as [`Mechanism::privatize`]; on
+    /// [`SamplerPath::Secure`], [`LdpError::Uncertifiable`] or
+    /// [`LdpError::CertificationFailed`].
     fn privatize_index_batch(
         &self,
         xs_k: &[i64],
         rng: &mut dyn RandomBits,
         out: &mut [i64],
-    ) -> Result<Option<u64>, LdpError> {
-        let _ = (xs_k, rng, out);
-        Ok(None)
-    }
+    ) -> Result<u64, LdpError>;
 
     /// The privacy guarantee this mechanism provides.
     fn guarantee(&self) -> Guarantee;
@@ -232,56 +205,37 @@ pub trait Mechanism {
     fn name(&self) -> &'static str;
 }
 
-/// The default batched privatization: one reference-path `privatize` per
-/// element, in order — byte-identical to a caller-side loop.
-pub(crate) fn batch_via_single<M: Mechanism + ?Sized>(
+/// Every implementor's [`SamplerPath::Reference`] batch: one `privatize`
+/// per element, in order, each output rounded to its nearest grid index.
+/// Nothing is clamped — the ideal and baseline outputs leave the range.
+pub(crate) fn reference_batch<M: Mechanism + ?Sized>(
     mech: &M,
-    xs: &[f64],
+    range: QuantizedRange,
+    xs_k: &[i64],
     rng: &mut dyn RandomBits,
-    out: &mut [f64],
+    out: &mut [i64],
 ) -> Result<u64, LdpError> {
-    assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
     let mut resamples = 0u64;
-    for (x, slot) in xs.iter().zip(out.iter_mut()) {
-        let r = mech.privatize(*x, rng)?;
-        *slot = r.value;
+    for (&x_k, slot) in xs_k.iter().zip(out.iter_mut()) {
+        let r = mech.privatize(range.to_value(x_k), rng)?;
+        *slot = (r.value / range.delta()).round() as i64;
         resamples += u64::from(r.resamples);
     }
     Ok(resamples)
 }
 
-/// Bulk-buffer size cap for fast-path noise generation: bounds scratch
-/// memory for huge batches while keeping per-chunk fill overhead
-/// negligible (one `fill_batch` amortizes over 32k draws).
-const NOISE_BULK: usize = 1 << 15;
+/// The length contract of [`Mechanism::privatize_index_batch`].
+pub(crate) fn same_len(xs_k: &[i64], out: &[i64]) {
+    assert_eq!(
+        xs_k.len(),
+        out.len(),
+        "privatize_index_batch: length mismatch"
+    );
+}
 
-/// Runs `apply(x, noise)` over the batch with noise drawn in bulk: one
-/// [`AliasTable::fill_batch`] per `NOISE_BULK` chunk, then a fused scalar
-/// loop — no per-draw virtual calls or buffer bookkeeping on the hot path.
-/// `apply` must consume exactly one draw per element (mechanisms whose
-/// consumption is data-dependent handle their own refills).
-#[inline]
-fn bulk_noise_apply(
-    table: &AliasTable,
-    xs: &[f64],
-    rng: &mut dyn RandomBits,
-    out: &mut [f64],
-    mut apply: impl FnMut(f64, i64) -> f64,
-) {
-    let mut noise = vec![0i64; xs.len().min(NOISE_BULK)];
-    let mut start = 0usize;
-    while start < xs.len() {
-        let n = (xs.len() - start).min(noise.len());
-        table.fill_batch(rng, &mut noise[..n]);
-        for ((slot, &x), &nz) in out[start..start + n]
-            .iter_mut()
-            .zip(&xs[start..start + n])
-            .zip(&noise[..n])
-        {
-            *slot = apply(x, nz);
-        }
-        start += n;
-    }
+/// The output window `[m − n_th, M + n_th]` in grid units.
+fn window(range: QuantizedRange, n_th_k: i64) -> (i64, i64) {
+    (range.min_k() - n_th_k, range.max_k() + n_th_k)
 }
 
 /// Resolves one out-of-window element for the resampling fast path.
@@ -384,81 +338,42 @@ impl Mechanism for IdealLaplaceMechanism {
         })
     }
 
-    fn privatize_batch(
-        &self,
-        xs: &[f64],
-        rng: &mut dyn RandomBits,
-        out: &mut [f64],
-    ) -> Result<u64, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return Err(ideal_uncertifiable());
-        }
-        if self.path == SamplerPath::Reference {
-            return batch_via_single(self, xs, rng, out);
-        }
-        assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-        // Ziggurat Laplace: O(1) expected per draw (no unconditional `ln`),
-        // same continuous Lap(λ) distribution as the reference inversion
-        // sampler (moment + chi-square pinned in `ulp_rng::ziggurat`).
-        let lambda = self.lap.lambda();
-        let zig = ZigguratExp::new();
-        for (x, slot) in xs.iter().zip(out.iter_mut()) {
-            *slot = self.range.to_value(self.range.quantize(*x)) + zig.sample_laplace(rng, lambda);
-        }
-        Ok(0)
-    }
-
     fn privatize_index_batch(
         &self,
         xs_k: &[i64],
         rng: &mut dyn RandomBits,
         out: &mut [i64],
-    ) -> Result<Option<u64>, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return Err(ideal_uncertifiable());
+    ) -> Result<u64, LdpError> {
+        same_len(xs_k, out);
+        match self.path {
+            SamplerPath::Reference => return reference_batch(self, self.range, xs_k, rng, out),
+            // Continuous `f64` Laplace cannot be realized exactly in finite
+            // precision (the Mironov attack is precisely the gap between the
+            // real-valued ideal and its `f64` image), so there is no exact
+            // output distribution to certify.
+            SamplerPath::Secure => {
+                return Err(LdpError::Uncertifiable(
+                    "continuous f64 Laplace cannot be realized exactly in finite precision; \
+                     use a certified fixed-point mechanism",
+                ))
+            }
+            SamplerPath::Fast => {}
         }
-        if self.path == SamplerPath::Reference {
-            return Ok(None);
-        }
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
         // Grid-unit noise: Lap(λ) in value space is Lap(λ/Δ) on the grid,
         // and the continuous output rounds to its nearest grid index. The
         // offset law `round(x_k + L) − x_k` is the rounded-Laplace PMF
         // `F(j+1/2) − F(j−1/2)` — independent of `x_k` (ties are measure
         // zero) — so a cached alias table samples it in O(1) per draw.
+        // Scales too wide to tabulate take the reference arm: the same law.
         let lambda_k = self.lap.lambda() / self.range.delta();
-        if let Ok(table) = cached_alias_laplace_grid(lambda_k) {
-            table.fill_batch(rng, out);
-            for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-                *slot += x_k;
-            }
-            return Ok(Some(0));
+        let Ok(table) = cached_alias_laplace_grid(lambda_k) else {
+            return reference_batch(self, self.range, xs_k, rng, out);
+        };
+        table.fill_batch(rng, out);
+        for (slot, &x_k) in out.iter_mut().zip(xs_k) {
+            *slot += x_k;
         }
-        // Scales too wide to tabulate stream through the bulk ziggurat
-        // fill (one virtual word-fill per chunk) instead.
-        let zig = ZigguratExp::new();
-        let mut lap = vec![0.0f64; xs_k.len().min(NOISE_BULK)];
-        let mut start = 0usize;
-        while start < xs_k.len() {
-            let n = (xs_k.len() - start).min(lap.len());
-            zig.fill_laplace(rng, lambda_k, &mut lap[..n]);
-            for ((slot, &x_k), &nz) in out[start..start + n]
-                .iter_mut()
-                .zip(&xs_k[start..start + n])
-                .zip(&lap[..n])
-            {
-                // Round half away from zero without the `round()` libm
-                // call (identical for every in-range magnitude).
-                let v = x_k as f64 + nz;
-                *slot = (v + if v >= 0.0 { 0.5 } else { -0.5 }) as i64;
-            }
-            start += n;
-        }
-        Ok(Some(0))
+        Ok(0)
     }
 
     fn guarantee(&self) -> Guarantee {
@@ -468,17 +383,6 @@ impl Mechanism for IdealLaplaceMechanism {
     fn name(&self) -> &'static str {
         "ideal-laplace"
     }
-}
-
-/// The ideal mechanism's secure-path refusal: continuous `f64` Laplace
-/// cannot be realized exactly in finite precision (the Mironov attack is
-/// precisely the gap between the real-valued ideal and its `f64` image), so
-/// there is no exact output distribution to certify.
-fn ideal_uncertifiable() -> LdpError {
-    LdpError::Uncertifiable(
-        "continuous f64 Laplace cannot be realized exactly in finite precision; \
-         use a certified fixed-point mechanism",
-    )
 }
 
 fn check_delta(sampler: &FxpLaplace, range: QuantizedRange) -> Result<(), LdpError> {
@@ -523,20 +427,6 @@ fn certify_window(
             claimed: spec.guaranteed_loss,
             realized,
         })
-    }
-}
-
-/// Resolves the full-support alias table for a fast-path mechanism, or
-/// `None` when the fast path does not apply (reference path selected, or a
-/// CORDIC sampler whose distribution the analytic PMF does not describe).
-fn fast_table(
-    path: SamplerPath,
-    sampler: &FxpLaplace,
-) -> Result<Option<Arc<AliasTable>>, LdpError> {
-    if path == SamplerPath::Fast && sampler.is_analytic() {
-        Ok(Some(cached_alias_full(sampler.config())?))
-    } else {
-        Ok(None)
     }
 }
 
@@ -594,49 +484,30 @@ impl Mechanism for FxpBaseline {
         })
     }
 
-    fn privatize_batch(
-        &self,
-        xs: &[f64],
-        rng: &mut dyn RandomBits,
-        out: &mut [f64],
-    ) -> Result<u64, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return Err(baseline_uncertifiable());
-        }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return batch_via_single(self, xs, rng, out);
-        };
-        assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-        let range = self.range;
-        bulk_noise_apply(&table, xs, rng, out, |x, noise| {
-            range.to_value(range.quantize(x) + noise)
-        });
-        Ok(0)
-    }
-
     fn privatize_index_batch(
         &self,
         xs_k: &[i64],
         rng: &mut dyn RandomBits,
         out: &mut [i64],
-    ) -> Result<Option<u64>, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return Err(baseline_uncertifiable());
+    ) -> Result<u64, LdpError> {
+        same_len(xs_k, out);
+        match self.path {
+            // The guarantee is `Broken` by construction: there is no
+            // claimed bound to certify against.
+            SamplerPath::Secure => Err(LdpError::Uncertifiable(
+                "fxp-baseline claims no loss bound (guarantee is Broken); there is nothing to certify",
+            )),
+            SamplerPath::Fast if self.sampler.is_analytic() => {
+                // `out` doubles as the noise buffer: one bulk fill, one
+                // fused add.
+                cached_alias_full(self.sampler.config())?.fill_batch(rng, out);
+                for (slot, &x_k) in out.iter_mut().zip(xs_k) {
+                    *slot += x_k;
+                }
+                Ok(0)
+            }
+            _ => reference_batch(self, self.range, xs_k, rng, out),
         }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return Ok(None);
-        };
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
-        // `out` doubles as the noise buffer: one bulk fill, one fused add.
-        table.fill_batch(rng, out);
-        for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-            *slot += x_k;
-        }
-        Ok(Some(0))
     }
 
     fn guarantee(&self) -> Guarantee {
@@ -646,33 +517,6 @@ impl Mechanism for FxpBaseline {
     fn name(&self) -> &'static str {
         "fxp-baseline"
     }
-}
-
-/// Adapts a secure index-batch path to `f64` values: quantize, draw on the
-/// grid, map back. Certification (and the length check) happens inside the
-/// index path.
-fn secure_value_batch(
-    xs: &[f64],
-    out: &mut [f64],
-    range: QuantizedRange,
-    draw: impl FnOnce(&[i64], &mut [i64]) -> Result<u64, LdpError>,
-) -> Result<u64, LdpError> {
-    assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-    let xs_k: Vec<i64> = xs.iter().map(|&x| range.quantize(x)).collect();
-    let mut idx = vec![0i64; xs.len()];
-    let resamples = draw(&xs_k, &mut idx)?;
-    for (slot, &k) in out.iter_mut().zip(&idx) {
-        *slot = range.to_value(k);
-    }
-    Ok(resamples)
-}
-
-/// The baseline's secure-path refusal: its guarantee is [`Guarantee::Broken`]
-/// by construction, so there is no claimed bound to certify against.
-fn baseline_uncertifiable() -> LdpError {
-    LdpError::Uncertifiable(
-        "fxp-baseline claims no loss bound (guarantee is Broken); there is nothing to certify",
-    )
 }
 
 /// Resampling (Section III-B1): noise is redrawn until the noised output
@@ -737,42 +581,6 @@ impl ResamplingMechanism {
         self.sampler.sample_index(rng)
     }
 
-    /// The secure batch path: certify the claimed bound against the exact
-    /// PMF, then draw every output from its input's certified conditional
-    /// window table — rejection-free, exactly one table draw per output, so
-    /// word consumption is input-independent (no resampling-count side
-    /// channel) and `resamples` is 0 by construction.
-    fn secure_index_batch(
-        &self,
-        xs_k: &[i64],
-        rng: &mut dyn RandomBits,
-        out: &mut [i64],
-    ) -> Result<u64, LdpError> {
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
-        certify_window(&self.sampler, self.range, LimitMode::Resampling, self.spec)?;
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        let cfg = self.sampler.config();
-        // Memoize the last window table: sensor batches are strongly
-        // run-length correlated, so most lookups skip the cache lock.
-        let mut last: Option<(i64, Arc<AliasTable>)> = None;
-        for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-            let table = match &last {
-                Some((k, t)) if *k == x_k => t,
-                _ => {
-                    let t = cached_alias_window(cfg, lo - x_k, hi - x_k)?;
-                    &last.insert((x_k, t)).1
-                }
-            };
-            *slot = x_k + table.draw(rng);
-        }
-        Ok(0)
-    }
-
     /// Privatizes on the grid, returning `(y_k, resamples)`.
     ///
     /// # Errors
@@ -786,8 +594,7 @@ impl ResamplingMechanism {
         x_k: i64,
         rng: &mut dyn RandomBits,
     ) -> Result<(i64, u32), LdpError> {
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
+        let (lo, hi) = window(self.range, self.spec.n_th_k);
         let mut resamples = 0u32;
         loop {
             let y = x_k + self.sampler.sample_index(rng);
@@ -814,80 +621,56 @@ impl Mechanism for ResamplingMechanism {
         })
     }
 
-    fn privatize_batch(
-        &self,
-        xs: &[f64],
-        rng: &mut dyn RandomBits,
-        out: &mut [f64],
-    ) -> Result<u64, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return secure_value_batch(xs, out, self.range, |xs_k, idx| {
-                self.secure_index_batch(xs_k, rng, idx)
-            });
-        }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return batch_via_single(self, xs, rng, out);
-        };
-        assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        let cfg = self.sampler.config();
-        let range = self.range;
-        let mut resamples = 0u64;
-        let mut noise = vec![0i64; xs.len().min(NOISE_BULK)];
-        let mut start = 0usize;
-        while start < xs.len() {
-            let n = (xs.len() - start).min(noise.len());
-            table.fill_batch(rng, &mut noise[..n]);
-            for ((slot, &x), &nz) in out[start..start + n]
-                .iter_mut()
-                .zip(&xs[start..start + n])
-                .zip(&noise[..n])
-            {
-                let x_k = range.quantize(x);
-                let mut y = x_k + nz;
-                if y < lo || y > hi {
-                    y = resample_miss(&table, cfg, x_k, lo, hi, rng, &mut resamples)?;
-                }
-                *slot = range.to_value(y);
-            }
-            start += n;
-        }
-        Ok(resamples)
-    }
-
     fn privatize_index_batch(
         &self,
         xs_k: &[i64],
         rng: &mut dyn RandomBits,
         out: &mut [i64],
-    ) -> Result<Option<u64>, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return self.secure_index_batch(xs_k, rng, out).map(Some);
-        }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return Ok(None);
-        };
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
+    ) -> Result<u64, LdpError> {
+        same_len(xs_k, out);
+        let (lo, hi) = window(self.range, self.spec.n_th_k);
         let cfg = self.sampler.config();
-        let mut resamples = 0u64;
-        // `out` doubles as the noise buffer; misses resolve individually.
-        table.fill_batch(rng, out);
-        for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-            let y = x_k + *slot;
-            *slot = if y < lo || y > hi {
-                resample_miss(&table, cfg, x_k, lo, hi, rng, &mut resamples)?
-            } else {
-                y
-            };
+        match self.path {
+            // Certify the claimed bound against the exact PMF, then draw
+            // every output from its input's certified conditional window
+            // table — rejection-free, exactly one table draw per output, so
+            // word consumption is input-independent (no resampling-count
+            // side channel) and `resamples` is 0 by construction.
+            SamplerPath::Secure => {
+                certify_window(&self.sampler, self.range, LimitMode::Resampling, self.spec)?;
+                // Memoize the last window table: sensor batches are strongly
+                // run-length correlated, so most lookups skip the cache lock.
+                let mut last: Option<(i64, Arc<AliasTable>)> = None;
+                for (slot, &x_k) in out.iter_mut().zip(xs_k) {
+                    let table = match &last {
+                        Some((k, t)) if *k == x_k => t,
+                        _ => {
+                            let t = cached_alias_window(cfg, lo - x_k, hi - x_k)?;
+                            &last.insert((x_k, t)).1
+                        }
+                    };
+                    *slot = x_k + table.draw(rng);
+                }
+                Ok(0)
+            }
+            SamplerPath::Fast if self.sampler.is_analytic() => {
+                let table = cached_alias_full(cfg)?;
+                let mut resamples = 0u64;
+                // `out` doubles as the noise buffer; misses resolve
+                // individually.
+                table.fill_batch(rng, out);
+                for (slot, &x_k) in out.iter_mut().zip(xs_k) {
+                    let y = x_k + *slot;
+                    *slot = if y < lo || y > hi {
+                        resample_miss(&table, cfg, x_k, lo, hi, rng, &mut resamples)?
+                    } else {
+                        y
+                    };
+                }
+                Ok(resamples)
+            }
+            _ => reference_batch(self, self.range, xs_k, rng, out),
         }
-        Ok(Some(resamples))
     }
 
     fn guarantee(&self) -> Guarantee {
@@ -957,51 +740,17 @@ impl ThresholdingMechanism {
 
     /// Privatizes on the grid, returning the output index.
     pub fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        let y = x_k + self.sampler.sample_index(rng);
+        self.clamp(x_k + self.sampler.sample_index(rng))
+    }
+
+    /// Clamps a noised index into the window, counting the clamps.
+    fn clamp(&self, y: i64) -> i64 {
+        let (lo, hi) = window(self.range, self.spec.n_th_k);
         let clamped = y.clamp(lo, hi);
         if clamped != y {
             THRESHOLD_CLAMPS.inc();
         }
         clamped
-    }
-
-    /// The secure batch path: certify the claimed bound, then draw from the
-    /// full-support table and clamp. Clamping a full-support draw *is* the
-    /// thresholded law (boundary atoms included) — and that is exactly the
-    /// distribution the certification checked — with one draw per output,
-    /// so word consumption is input-independent.
-    fn secure_index_batch(
-        &self,
-        xs_k: &[i64],
-        rng: &mut dyn RandomBits,
-        out: &mut [i64],
-    ) -> Result<u64, LdpError> {
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
-        certify_window(
-            &self.sampler,
-            self.range,
-            LimitMode::Thresholding,
-            self.spec,
-        )?;
-        let table = cached_alias_full(self.sampler.config())?;
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        table.fill_batch(rng, out);
-        for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-            let y = x_k + *slot;
-            let clamped = y.clamp(lo, hi);
-            if clamped != y {
-                THRESHOLD_CLAMPS.inc();
-            }
-            *slot = clamped;
-        }
-        Ok(0)
     }
 }
 
@@ -1014,68 +763,32 @@ impl Mechanism for ThresholdingMechanism {
         })
     }
 
-    fn privatize_batch(
-        &self,
-        xs: &[f64],
-        rng: &mut dyn RandomBits,
-        out: &mut [f64],
-    ) -> Result<u64, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return secure_value_batch(xs, out, self.range, |xs_k, idx| {
-                self.secure_index_batch(xs_k, rng, idx)
-            });
-        }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return batch_via_single(self, xs, rng, out);
-        };
-        assert_eq!(xs.len(), out.len(), "privatize_batch: length mismatch");
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        // Clamping a full-support draw *is* the thresholded distribution
-        // (boundary atoms included) — zero rejections by construction.
-        let range = self.range;
-        bulk_noise_apply(&table, xs, rng, out, |x, noise| {
-            let y = range.quantize(x) + noise;
-            let clamped = y.clamp(lo, hi);
-            if clamped != y {
-                THRESHOLD_CLAMPS.inc();
-            }
-            range.to_value(clamped)
-        });
-        Ok(0)
-    }
-
     fn privatize_index_batch(
         &self,
         xs_k: &[i64],
         rng: &mut dyn RandomBits,
         out: &mut [i64],
-    ) -> Result<Option<u64>, LdpError> {
-        if self.path == SamplerPath::Secure {
-            return self.secure_index_batch(xs_k, rng, out).map(Some);
+    ) -> Result<u64, LdpError> {
+        same_len(xs_k, out);
+        match self.path {
+            SamplerPath::Secure => certify_window(
+                &self.sampler,
+                self.range,
+                LimitMode::Thresholding,
+                self.spec,
+            )?,
+            SamplerPath::Fast if self.sampler.is_analytic() => {}
+            _ => return reference_batch(self, self.range, xs_k, rng, out),
         }
-        let Some(table) = fast_table(self.path, &self.sampler)? else {
-            return Ok(None);
-        };
-        assert_eq!(
-            xs_k.len(),
-            out.len(),
-            "privatize_index_batch: length mismatch"
-        );
-        let lo = self.range.min_k() - self.spec.n_th_k;
-        let hi = self.range.max_k() + self.spec.n_th_k;
-        // `out` doubles as the noise buffer; clamping realizes the
-        // thresholded law exactly (boundary atoms included).
-        table.fill_batch(rng, out);
+        // Clamping a full-support draw *is* the thresholded law (boundary
+        // atoms included) — the distribution the secure path certified —
+        // with one draw per output, so word consumption is
+        // input-independent. `out` doubles as the noise buffer.
+        cached_alias_full(self.sampler.config())?.fill_batch(rng, out);
         for (slot, &x_k) in out.iter_mut().zip(xs_k) {
-            let y = x_k + *slot;
-            let clamped = y.clamp(lo, hi);
-            if clamped != y {
-                THRESHOLD_CLAMPS.inc();
-            }
-            *slot = clamped;
+            *slot = self.clamp(x_k + *slot);
         }
-        Ok(Some(0))
+        Ok(0)
     }
 
     fn guarantee(&self) -> Guarantee {
@@ -1252,28 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_is_byte_identical_to_single_loop() {
-        let (sampler, range, pmf, cfg) = setup();
-        let spec = exact_threshold(cfg, &pmf, range, 2.0, LimitMode::Resampling).unwrap();
-        let mech = ResamplingMechanism::new(sampler, range, spec).unwrap();
-        let xs: Vec<f64> = (0..200).map(|i| (i % 33) as f64 * range.delta()).collect();
-        let mut a = Taus88::from_seed(40);
-        let mut b = a.clone();
-        let mut batched = vec![0.0; xs.len()];
-        let batch_resamples = mech.privatize_batch(&xs, &mut a, &mut batched).unwrap();
-        let mut singles = Vec::with_capacity(xs.len());
-        let mut single_resamples = 0u64;
-        for &x in &xs {
-            let r = mech.privatize(x, &mut b).unwrap();
-            singles.push(r.value);
-            single_resamples += u64::from(r.resamples);
-        }
-        assert_eq!(batched, singles);
-        assert_eq!(batch_resamples, single_resamples);
-        assert_eq!(a.next_u32(), b.next_u32());
-    }
-
-    #[test]
     fn fast_path_single_privatize_stays_on_reference() {
         // Single draws must remain cycle-faithful even when the mechanism is
         // configured for fast batches: same outputs, same word consumption.
@@ -1292,21 +983,22 @@ mod tests {
         assert_eq!(a.next_u32(), b.next_u32());
     }
 
+    /// The batch's mean output in physical units.
+    fn mean_value(range: QuantizedRange, ys_k: &[i64]) -> f64 {
+        ys_k.iter().map(|&y| range.to_value(y)).sum::<f64>() / ys_k.len() as f64
+    }
+
     #[test]
     fn fast_batches_respect_windows_and_track_the_mean() {
         let (sampler, range, pmf, cfg) = setup();
         let mut rng = Taus88::from_seed(42);
-        let xs: Vec<f64> = (0..4_000)
-            .map(|i| (i % 33) as f64 * range.delta())
-            .collect();
-        let mut out = vec![0.0; xs.len()];
+        let xs_k: Vec<i64> = (0..4_000).map(|i| i % 33).collect();
+        let mean_in = mean_value(range, &xs_k);
+        let mut out = vec![0i64; xs_k.len()];
 
         for mode in [LimitMode::Resampling, LimitMode::Thresholding] {
             let spec = exact_threshold(cfg, &pmf, range, 2.0, mode).unwrap();
-            let (lo, hi) = (
-                range.to_value(range.min_k() - spec.n_th_k),
-                range.to_value(range.max_k() + spec.n_th_k),
-            );
+            let (lo, hi) = window(range, spec.n_th_k);
             let mech: Box<dyn Mechanism> = match mode {
                 LimitMode::Resampling => Box::new(
                     ResamplingMechanism::new(sampler.clone(), range, spec)
@@ -1319,10 +1011,10 @@ mod tests {
                         .with_sampler_path(SamplerPath::Fast),
                 ),
             };
-            mech.privatize_batch(&xs, &mut rng, &mut out).unwrap();
-            assert!(out.iter().all(|&y| y >= lo - 1e-9 && y <= hi + 1e-9));
-            let mean_in = xs.iter().sum::<f64>() / xs.len() as f64;
-            let mean_out = out.iter().sum::<f64>() / out.len() as f64;
+            mech.privatize_index_batch(&xs_k, &mut rng, &mut out)
+                .unwrap();
+            assert!(out.iter().all(|&y| y >= lo && y <= hi));
+            let mean_out = mean_value(range, &out);
             assert!(
                 (mean_out - mean_in).abs() < 2.0,
                 "{mode:?}: mean {mean_out} vs {mean_in}"
@@ -1332,16 +1024,19 @@ mod tests {
         let baseline = FxpBaseline::new(sampler.clone(), range)
             .unwrap()
             .with_sampler_path(SamplerPath::Fast);
-        baseline.privatize_batch(&xs, &mut rng, &mut out).unwrap();
-        let mean_out = out.iter().sum::<f64>() / out.len() as f64;
-        let mean_in = xs.iter().sum::<f64>() / xs.len() as f64;
+        baseline
+            .privatize_index_batch(&xs_k, &mut rng, &mut out)
+            .unwrap();
+        let mean_out = mean_value(range, &out);
         assert!((mean_out - mean_in).abs() < 2.0, "baseline mean {mean_out}");
 
         let ideal = IdealLaplaceMechanism::new(range, 0.5)
             .unwrap()
             .with_sampler_path(SamplerPath::Fast);
-        ideal.privatize_batch(&xs, &mut rng, &mut out).unwrap();
-        let mean_out = out.iter().sum::<f64>() / out.len() as f64;
+        ideal
+            .privatize_index_batch(&xs_k, &mut rng, &mut out)
+            .unwrap();
+        let mean_out = mean_value(range, &out);
         assert!((mean_out - mean_in).abs() < 3.0, "ideal mean {mean_out}");
     }
 
@@ -1356,48 +1051,57 @@ mod tests {
         let mech = FxpBaseline::new(sampler, range)
             .unwrap()
             .with_sampler_path(SamplerPath::Fast);
-        let xs = [0.0, 1.0, 2.0, 3.0];
+        let xs_k = [0, 4, 8, 12];
         let mut a = Taus88::from_seed(43);
         let mut b = a.clone();
-        let mut batched = [0.0; 4];
-        mech.privatize_batch(&xs, &mut a, &mut batched).unwrap();
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(batched[i], mech.privatize(x, &mut b).unwrap().value);
+        let mut batched = [0i64; 4];
+        mech.privatize_index_batch(&xs_k, &mut a, &mut batched)
+            .unwrap();
+        for (&y, &x_k) in batched.iter().zip(&xs_k) {
+            let single = mech.privatize(range.to_value(x_k), &mut b).unwrap();
+            assert_eq!(range.to_value(y), single.value);
         }
+        assert_eq!(a.next_u32(), b.next_u32());
+    }
+
+    #[test]
+    fn ideal_scales_too_wide_to_tabulate_take_the_reference_arm() {
+        // ε = 0.01 puts λ at 3,200 grid steps, past the grid table's 1,024.
+        let (_, range, _, _) = setup();
+        let reference = IdealLaplaceMechanism::new(range, 0.01).unwrap();
+        let fast = reference.clone().with_sampler_path(SamplerPath::Fast);
+        let xs_k: Vec<i64> = (0..64).map(|i| i % 33).collect();
+        let (mut a, mut b) = (Taus88::from_seed(48), Taus88::from_seed(48));
+        let (mut ref_out, mut fast_out) = (vec![0i64; 64], vec![0i64; 64]);
+        reference
+            .privatize_index_batch(&xs_k, &mut a, &mut ref_out)
+            .unwrap();
+        fast.privatize_index_batch(&xs_k, &mut b, &mut fast_out)
+            .unwrap();
+        assert_eq!(ref_out, fast_out);
         assert_eq!(a.next_u32(), b.next_u32());
     }
 
     #[test]
     fn sampler_path_env_parsing() {
         // Don't mutate the environment (tests run in parallel): exercise
-        // the default and the documented contract only.
-        assert_eq!(SamplerPath::default(), SamplerPath::Reference);
-        assert_eq!(
-            SamplerPath::parse(Some("secure")).unwrap(),
-            SamplerPath::Secure
-        );
-        assert_eq!(
-            SamplerPath::parse(Some(" SECURE ")).unwrap(),
-            SamplerPath::Secure
-        );
-        let err = SamplerPath::parse(Some("secure-ish")).unwrap_err();
+        // the documented contract only.
+        assert_eq!(SamplerPath::parse("secure").unwrap(), SamplerPath::Secure);
+        assert_eq!(SamplerPath::parse(" SECURE ").unwrap(), SamplerPath::Secure);
+        let err = SamplerPath::parse("secure-ish").unwrap_err();
         assert_eq!(err.expected, "fast | reference | secure");
     }
 
     #[test]
     fn secure_batches_are_certified_windowed_and_resample_free() {
         let (sampler, range, pmf, cfg) = setup();
-        let xs: Vec<f64> = (0..4_000)
-            .map(|i| (i % 33) as f64 * range.delta())
-            .collect();
-        let mut out = vec![0.0; xs.len()];
+        let xs_k: Vec<i64> = (0..4_000).map(|i| i % 33).collect();
+        let mean_in = mean_value(range, &xs_k);
+        let mut out = vec![0i64; xs_k.len()];
         let mut rng = Taus88::from_seed(44);
         for mode in [LimitMode::Resampling, LimitMode::Thresholding] {
             let spec = exact_threshold(cfg, &pmf, range, 2.0, mode).unwrap();
-            let (lo, hi) = (
-                range.to_value(range.min_k() - spec.n_th_k),
-                range.to_value(range.max_k() + spec.n_th_k),
-            );
+            let (lo, hi) = window(range, spec.n_th_k);
             let mech: Box<dyn Mechanism> = match mode {
                 LimitMode::Resampling => Box::new(
                     ResamplingMechanism::new(sampler.clone(), range, spec)
@@ -1410,11 +1114,12 @@ mod tests {
                         .with_sampler_path(SamplerPath::Secure),
                 ),
             };
-            let resamples = mech.privatize_batch(&xs, &mut rng, &mut out).unwrap();
+            let resamples = mech
+                .privatize_index_batch(&xs_k, &mut rng, &mut out)
+                .unwrap();
             assert_eq!(resamples, 0, "{mode:?}: certified draws never resample");
-            assert!(out.iter().all(|&y| y >= lo - 1e-9 && y <= hi + 1e-9));
-            let mean_in = xs.iter().sum::<f64>() / xs.len() as f64;
-            let mean_out = out.iter().sum::<f64>() / out.len() as f64;
+            assert!(out.iter().all(|&y| y >= lo && y <= hi));
+            let mean_out = mean_value(range, &out);
             assert!(
                 (mean_out - mean_in).abs() < 2.0,
                 "{mode:?}: mean {mean_out} vs {mean_in}"
@@ -1451,14 +1156,14 @@ mod tests {
     fn secure_path_refuses_uncertifiable_mechanisms() {
         let (sampler, range, _, _) = setup();
         let mut rng = Taus88::from_seed(46);
-        let xs = [0.0, 1.0];
-        let mut out = [0.0; 2];
+        let xs_k = [0, 4];
+        let mut out = [0i64; 2];
 
         let baseline = FxpBaseline::new(sampler, range)
             .unwrap()
             .with_sampler_path(SamplerPath::Secure);
         assert!(matches!(
-            baseline.privatize_batch(&xs, &mut rng, &mut out),
+            baseline.privatize_index_batch(&xs_k, &mut rng, &mut out),
             Err(LdpError::Uncertifiable(_))
         ));
 
@@ -1466,7 +1171,7 @@ mod tests {
             .unwrap()
             .with_sampler_path(SamplerPath::Secure);
         assert!(matches!(
-            ideal.privatize_batch(&xs, &mut rng, &mut out),
+            ideal.privatize_index_batch(&xs_k, &mut rng, &mut out),
             Err(LdpError::Uncertifiable(_))
         ));
 
@@ -1482,7 +1187,7 @@ mod tests {
             .unwrap()
             .with_sampler_path(SamplerPath::Secure);
         assert!(matches!(
-            mech.privatize_batch(&xs, &mut rng, &mut out),
+            mech.privatize_index_batch(&xs_k, &mut rng, &mut out),
             Err(LdpError::Uncertifiable(_))
         ));
     }
@@ -1505,8 +1210,7 @@ mod tests {
         let mut out = vec![0i64; n];
         let mut rng = Taus88::from_seed(47);
         mech.privatize_index_batch(&xs_k, &mut rng, &mut out)
-            .unwrap()
-            .expect("secure path is a grid fast path");
+            .unwrap();
         let mut counts = std::collections::BTreeMap::new();
         for &y in &out {
             *counts.entry(y).or_insert(0u64) += 1;

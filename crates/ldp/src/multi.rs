@@ -10,7 +10,6 @@ use ulp_rng::{FxpLaplace, RandomBits};
 
 use crate::budget::SegmentTable;
 use crate::error::LdpError;
-use crate::loss::LimitMode;
 use crate::range::QuantizedRange;
 
 /// One sensor's slot in the shared-budget device: its segment table, range,
@@ -125,7 +124,8 @@ impl MultiSensorBudget {
     ///
     /// [`LdpError::BudgetExhausted`] if the pool is spent and this sensor
     /// has no cached reply; [`LdpError::InvalidRange`] for an unknown
-    /// handle.
+    /// handle; [`LdpError::ResampleBudgetExhausted`] if resampling mode
+    /// rejects 100 000 consecutive draws.
     pub fn respond<R: RandomBits + ?Sized>(
         &mut self,
         id: SensorId,
@@ -141,25 +141,10 @@ impl MultiSensorBudget {
             return slot.cache.ok_or(LdpError::BudgetExhausted);
         }
         let x_k = slot.range.quantize(x);
-        let (outer_t, outer_loss) = slot.table.outermost();
-        let (lo, hi) = (slot.range.min_k() - outer_t, slot.range.max_k() + outer_t);
-        let (y_k, charge) = loop {
-            let tmp = x_k + slot.sampler.sample_index(rng);
-            let overshoot = if tmp < slot.range.min_k() {
-                slot.range.min_k() - tmp
-            } else if tmp > slot.range.max_k() {
-                tmp - slot.range.max_k()
-            } else {
-                0
-            };
-            if overshoot <= outer_t {
-                break (tmp, slot.table.charge_for_overshoot(overshoot));
-            }
-            match slot.table.mode() {
-                LimitMode::Thresholding => break (tmp.clamp(lo, hi), outer_loss),
-                LimitMode::Resampling => continue,
-            }
-        };
+        let sampler = &slot.sampler;
+        let (y_k, _, charge) = slot
+            .table
+            .release(slot.range, x_k, &mut || sampler.sample_index(&mut *rng))?;
         self.remaining -= charge;
         self.served += 1;
         let y = slot.range.to_value(y_k);
@@ -171,6 +156,7 @@ impl MultiSensorBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::LimitMode;
     use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf, Taus88};
 
     fn pool(budget: f64) -> (MultiSensorBudget, SensorId, SensorId) {
@@ -226,6 +212,38 @@ mod tests {
         let (served_before, _) = shared.counters();
         shared.respond(a, 5.0, &mut rng).unwrap();
         assert_eq!(shared.counters().0, served_before + 1);
+    }
+
+    #[test]
+    fn one_sensor_pool_answers_like_the_controller() {
+        // The pool and the controller share Algorithm 1's release step: on
+        // the same table, range, sampler, budget and seed they give the same
+        // outputs and charges, through exhaustion and replay.
+        use crate::budget::BudgetController;
+        let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0).unwrap();
+        let pmf = FxpNoisePmf::closed_form(cfg);
+        let range = QuantizedRange::new(0, 32, cfg.delta()).unwrap();
+        let sampler = FxpLaplace::analytic(cfg);
+        for mode in [LimitMode::Thresholding, LimitMode::Resampling] {
+            let table = SegmentTable::build(cfg, &pmf, range, &[1.5, 2.0, 3.0], mode).unwrap();
+            let mut pool = MultiSensorBudget::new(3.0).unwrap();
+            let id = pool.register(table.clone(), range, sampler.clone());
+            let mut ctrl = BudgetController::new(table, range, 3.0).unwrap();
+            let (mut a, mut b) = (Taus88::from_seed(5), Taus88::from_seed(5));
+            for i in 0..40 {
+                let x = f64::from(i % 11);
+                assert_eq!(
+                    pool.respond(id, x, &mut a),
+                    ctrl.respond(x, &sampler, &mut b),
+                    "{mode:?}: request {i}"
+                );
+            }
+            let stats = ctrl.stats();
+            assert_eq!(pool.counters(), (stats.served, stats.cached));
+            assert!(stats.cached > 0, "{mode:?}: the budget must run out");
+            assert_eq!(pool.remaining().to_bits(), ctrl.remaining().to_bits());
+            assert_eq!(a.next_u32(), b.next_u32());
+        }
     }
 
     #[test]

@@ -89,16 +89,6 @@ impl QuantizedRange {
         self.span_k() as f64 * self.delta
     }
 
-    /// Lower bound in physical units.
-    pub fn min_value(self) -> f64 {
-        self.min_k as f64 * self.delta
-    }
-
-    /// Upper bound in physical units.
-    pub fn max_value(self) -> f64 {
-        self.max_k as f64 * self.delta
-    }
-
     /// Quantizes a physical sensor value onto the grid, clamping into the
     /// range (hardware saturating ADC behaviour).
     pub fn quantize(self, x: f64) -> i64 {
@@ -137,8 +127,8 @@ mod tests {
     #[test]
     fn from_values_covers_physical_range() {
         let r = QuantizedRange::from_values(9.3, 46.6, 0.25).unwrap();
-        assert!(r.min_value() <= 9.3);
-        assert!(r.max_value() >= 46.6);
+        assert!(r.to_value(r.min_k()) <= 9.3);
+        assert!(r.to_value(r.max_k()) >= 46.6);
     }
 
     #[test]

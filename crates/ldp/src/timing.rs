@@ -15,7 +15,9 @@
 use ulp_rng::RandomBits;
 
 use crate::error::LdpError;
-use crate::mechanism::{Guarantee, Mechanism, NoisedOutput, ResamplingMechanism};
+use crate::mechanism::{
+    reference_batch, same_len, Guarantee, Mechanism, NoisedOutput, ResamplingMechanism,
+};
 
 /// A constant-activity wrapper around [`ResamplingMechanism`].
 ///
@@ -116,6 +118,18 @@ impl Mechanism for ConstantTimeResampling {
             value: self.inner.range().to_value(y),
             resamples: rounds,
         })
+    }
+
+    /// Always the reference batch: constant activity per request is the
+    /// point of this wrapper, whatever path the inner mechanism carries.
+    fn privatize_index_batch(
+        &self,
+        xs_k: &[i64],
+        rng: &mut dyn RandomBits,
+        out: &mut [i64],
+    ) -> Result<u64, LdpError> {
+        same_len(xs_k, out);
+        reference_batch(self, self.inner.range(), xs_k, rng, out)
     }
 
     fn guarantee(&self) -> Guarantee {

@@ -1,7 +1,7 @@
 //! Ledger/accountant audit invariants: the append-only privacy-budget
 //! ledger must stay bitwise-consistent with the sequential-composition
-//! accountant through every path — single responses, batches, mid-batch
-//! exhaustion, and replenishment cycles — its keyed spend index must
+//! accountant through every path — single responses, runs of requests,
+//! exhaustion mid-run, and replenishment cycles — its keyed spend index must
 //! answer exactly as a hash-map reference model does, in any key order,
 //! and the streaming audit must find what the materialized audit finds.
 
@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use ldp_core::{
     audit_series, AuditMismatch, BudgetController, BudgetLedger, CompositionLedger, DoubleSpend,
-    LdpError, LedgerEntry, LimitMode, QuantizedRange, SegmentTable,
+    LedgerEntry, LimitMode, QuantizedRange, SegmentTable,
 };
 use proptest::prelude::*;
 use ulp_rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -152,92 +152,60 @@ fn plant(series: &mut Vec<f64>, kind: u8, i: usize, j: usize) {
     }
 }
 
+/// Serves `n` requests for `x` through the alias table, returning the
+/// outputs.
+fn respond_n(
+    ctrl: &mut BudgetController,
+    sampler: &FxpLaplace,
+    rng: &mut Taus88,
+    n: usize,
+) -> Vec<f64> {
+    (0..n)
+        .map(|_| {
+            ctrl.respond_alias(8.0, sampler, rng)
+                .expect("served or replayed")
+        })
+        .collect()
+}
+
 #[test]
 fn mid_batch_exhaustion_replays_instead_of_overdrawing() {
-    // A budget good for only a handful of fresh responses, hit with a batch
-    // far larger: the tail must replay the cache, never draw fresh noise.
+    // A budget good for only a handful of fresh responses, hit with a run
+    // of requests far longer: the tail must replay the cache, never draw
+    // fresh noise.
     let (mut ctrl, sampler) = controller(2.0);
     let mut rng = Taus88::from_seed(41);
-    let xs = vec![8i64; 64];
-    let mut out = vec![0i64; 64];
-    let outcome = ctrl
-        .respond_index_batch(&xs, &sampler, &mut rng, &mut out)
-        .expect("first entry is served, so the batch succeeds");
-    assert!(outcome.served >= 1, "some entries served fresh");
-    assert!(outcome.replayed >= 1, "budget must exhaust mid-batch");
-    assert_eq!(outcome.served + outcome.replayed, 64);
+    let out = respond_n(&mut ctrl, &sampler, &mut rng, 64);
+    let stats = ctrl.stats();
+    assert!(stats.served >= 1, "some requests served fresh");
+    assert!(stats.cached >= 1, "budget must exhaust mid-run");
+    assert_eq!(stats.served + stats.cached, 64);
     // Only fresh responses are charged, and they never overdraw by more
     // than one final charge (Algorithm 1 checks before serving).
-    assert_eq!(ctrl.ledger().len() as u64, outcome.served);
+    assert_eq!(ctrl.ledger().len() as u64, stats.served);
     assert!(ctrl.remaining() > -ctrl.ledger().entries().last().unwrap().charge - 1e-12);
     // Replays are verbatim copies of the last fresh output.
-    let last_fresh = out[outcome.served as usize - 1];
-    for &y in &out[outcome.served as usize..] {
+    let last_fresh = out[stats.served as usize - 1];
+    for &y in &out[stats.served as usize..] {
         assert_eq!(y, last_fresh, "replays must echo the cached output");
     }
-    ctrl.audit().expect("partial batch stays audit-consistent");
+    ctrl.audit().expect("partial run stays audit-consistent");
 }
 
 #[test]
 fn exhausted_batch_replays_for_free_and_audits_clean() {
     // A 1e-9-nat budget is overdrawn by the very first response, so every
-    // subsequent batch starts exhausted — with exactly one cached output.
+    // later request finds it exhausted — with exactly one cached output.
     let (mut ctrl, sampler) = controller(1e-9);
     let mut rng = Taus88::from_seed(42);
     let first = ctrl.respond(8.0, &sampler, &mut rng).expect("first serve");
     assert!(first.is_finite());
     assert!(ctrl.exhausted());
-    let xs = vec![8i64; 5];
-    let mut out = vec![0i64; 5];
-    let outcome = ctrl
-        .respond_index_batch(&xs, &sampler, &mut rng, &mut out)
-        .expect("cache exists, so replays succeed");
-    assert_eq!(outcome.served, 0);
-    assert_eq!(outcome.replayed, 5);
+    let out = respond_n(&mut ctrl, &sampler, &mut rng, 5);
+    assert!(out.iter().all(|&y| y == first), "replays echo the cache");
+    assert_eq!((ctrl.stats().served, ctrl.stats().cached), (1, 5));
     assert_eq!(ctrl.ledger().len(), 1, "replays append nothing");
     ctrl.audit().expect("audit clean after replays");
-    // A cacheless exhausted controller is unreachable through the public
-    // API (a charge implies a prior serve, which caches), so the
-    // `BudgetExhausted` branch of the batch is purely defensive; assert
-    // the documented error shape is still what callers would see.
-    assert_eq!(
-        LdpError::BudgetExhausted.to_string(),
-        LdpError::BudgetExhausted.to_string()
-    );
-}
-
-#[test]
-fn batch_charges_match_sequential_responses() {
-    // The batch path must produce the identical charge sequence (and thus
-    // identical ledgers) to one-at-a-time responses on the same RNG stream.
-    // Both sides draw from the cached alias table (the sampler is analytic),
-    // so the word streams — and every output — line up exactly.
-    let (mut batch_ctrl, sampler) = controller(4.0);
-    let (mut seq_ctrl, _) = controller(4.0);
-    let xs = vec![8i64; 32];
-    let mut out = vec![0i64; 32];
-    let mut rng_a = Taus88::from_seed(77);
-    batch_ctrl
-        .respond_index_batch(&xs, &sampler, &mut rng_a, &mut out)
-        .expect("batch");
-    let mut rng_b = Taus88::from_seed(77);
-    for _ in 0..32 {
-        seq_ctrl
-            .respond_alias(8.0, &sampler, &mut rng_b)
-            .expect("serve");
-    }
-    assert_eq!(batch_ctrl.ledger().len(), seq_ctrl.ledger().len());
-    for (a, b) in batch_ctrl
-        .ledger()
-        .entries()
-        .iter()
-        .zip(seq_ctrl.ledger().entries())
-    {
-        assert_eq!(a.charge.to_bits(), b.charge.to_bits());
-        assert_eq!(a.total_after.to_bits(), b.total_after.to_bits());
-    }
-    batch_ctrl.audit().expect("batch audit");
-    seq_ctrl.audit().expect("sequential audit");
 }
 
 proptest! {
@@ -287,13 +255,11 @@ proptest! {
     ) {
         let (mut ctrl, sampler) = controller(1.5);
         let mut rng = Taus88::from_seed(seed);
-        let xs = vec![8i64; n];
-        let mut out = vec![0i64; n];
-        let outcome = ctrl
-            .respond_index_batch(&xs, &sampler, &mut rng, &mut out)
-            .expect("first entry always serves under a 1.5-nat budget");
-        prop_assert_eq!(outcome.served + outcome.replayed, n as u64);
-        prop_assert_eq!(ctrl.ledger().len() as u64, outcome.served);
+        // The first request always serves under a 1.5-nat budget.
+        respond_n(&mut ctrl, &sampler, &mut rng, n);
+        let stats = ctrl.stats();
+        prop_assert_eq!(stats.served + stats.cached, n as u64);
+        prop_assert_eq!(ctrl.ledger().len() as u64, stats.served);
         ctrl.audit().expect("audit clean for any exhaustion point");
     }
 }

@@ -10,16 +10,17 @@ use crate::env::{parse_env, EnvError};
 
 /// Environment variable selecting the metrics level.
 pub const METRICS_ENV: &str = "ULP_METRICS";
+/// The values [`MetricsLevel::parse`] accepts.
+const METRICS_LEVELS: &str = "off | counters | full";
 
 /// How much the observability layer records.
 ///
 /// Ordered: `Off < Counters < Full`, so a site gated at
 /// [`MetricsLevel::Counters`] is also active at [`MetricsLevel::Full`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum MetricsLevel {
     /// Nothing is recorded; every site costs one atomic load + branch.
-    #[default]
     Off = 0,
     /// Counters only (cheap relaxed adds on hot paths).
     Counters = 1,
@@ -28,17 +29,13 @@ pub enum MetricsLevel {
 }
 
 impl MetricsLevel {
-    /// Parses a raw value: `off`, `counters`, or `full` (case-insensitive).
-    /// `None` (unset) selects [`MetricsLevel::Off`].
+    /// Parses `off`, `counters`, or `full` (case-insensitive).
     ///
     /// # Errors
     ///
     /// [`EnvError`] for any other value — misspellings like `ful` must be
     /// surfaced, not silently treated as `off`.
-    pub fn parse(raw: Option<&str>) -> Result<Self, EnvError> {
-        let Some(raw) = raw else {
-            return Ok(MetricsLevel::Off);
-        };
+    pub fn parse(raw: &str) -> Result<Self, EnvError> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "off" => Ok(MetricsLevel::Off),
             "counters" => Ok(MetricsLevel::Counters),
@@ -46,25 +43,22 @@ impl MetricsLevel {
             _ => Err(EnvError {
                 var: METRICS_ENV,
                 value: raw.to_string(),
-                expected: "off | counters | full",
+                expected: METRICS_LEVELS,
             }),
         }
     }
 
     /// Reads and validates [`METRICS_ENV`] without touching the cached
-    /// process-wide level. Binaries call this at startup so a typo aborts
-    /// with a clear message instead of silently disabling metrics.
+    /// process-wide level; unset selects [`MetricsLevel::Off`]. Binaries
+    /// call this at startup so a typo aborts with a clear message instead
+    /// of silently disabling metrics.
     ///
     /// # Errors
     ///
     /// [`EnvError`] on a set-but-invalid value.
     pub fn from_env() -> Result<Self, EnvError> {
-        match parse_env(METRICS_ENV, "off | counters | full", |s| {
-            MetricsLevel::parse(Some(s)).ok()
-        })? {
-            Some(l) => Ok(l),
-            None => Ok(MetricsLevel::Off),
-        }
+        let level = parse_env(METRICS_ENV, METRICS_LEVELS, |s| MetricsLevel::parse(s).ok())?;
+        Ok(level.unwrap_or(MetricsLevel::Off))
     }
 
     /// Short lowercase name (`"off"`, `"counters"`, `"full"`).
@@ -135,19 +129,15 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_three_levels_case_insensitively() {
-        assert_eq!(MetricsLevel::parse(Some("off")), Ok(MetricsLevel::Off));
-        assert_eq!(
-            MetricsLevel::parse(Some("Counters")),
-            Ok(MetricsLevel::Counters)
-        );
-        assert_eq!(MetricsLevel::parse(Some(" FULL ")), Ok(MetricsLevel::Full));
-        assert_eq!(MetricsLevel::parse(None), Ok(MetricsLevel::Off));
+        assert_eq!(MetricsLevel::parse("off"), Ok(MetricsLevel::Off));
+        assert_eq!(MetricsLevel::parse("Counters"), Ok(MetricsLevel::Counters));
+        assert_eq!(MetricsLevel::parse(" FULL "), Ok(MetricsLevel::Full));
     }
 
     #[test]
     fn parse_rejects_misspellings_with_a_typed_error() {
         for bad in ["ful", "on", "1", "count", "OFFf"] {
-            let err = MetricsLevel::parse(Some(bad)).unwrap_err();
+            let err = MetricsLevel::parse(bad).unwrap_err();
             assert_eq!(err.var, METRICS_ENV);
             assert_eq!(err.value, bad);
         }
@@ -166,7 +156,7 @@ mod tests {
             MetricsLevel::Counters,
             MetricsLevel::Full,
         ] {
-            assert_eq!(MetricsLevel::parse(Some(l.name())), Ok(l));
+            assert_eq!(MetricsLevel::parse(l.name()), Ok(l));
         }
     }
 }

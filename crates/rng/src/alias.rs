@@ -167,8 +167,8 @@ impl AliasTable {
             };
         }
 
-        // All public constructors (from_pmf, from_pmf_window, laplace_grid,
-        // from_f64_weights) funnel through here, so this counts every build.
+        // All public constructors (from_pmf, from_pmf_window, laplace_grid)
+        // funnel through here, so this counts every build.
         static BUILDS: Counter = Counter::new("rng.alias.builds");
         BUILDS.inc();
 
@@ -235,7 +235,7 @@ impl AliasTable {
     ///
     /// [`RngError::InvalidConfig`] if `lambda` is not finite and positive,
     /// or exceeds 1024 (wider scales would need more than 2^16 buckets at
-    /// this mass resolution; callers fall back to a streaming sampler).
+    /// this mass resolution; callers fall back to their reference sampler).
     pub fn laplace_grid(lambda: f64) -> Result<Self, RngError> {
         if !(lambda.is_finite() && lambda > 0.0) {
             return Err(RngError::InvalidConfig(
@@ -288,38 +288,6 @@ impl AliasTable {
         }
         mode.1 = adjusted as u128;
         Self::from_weights(&outcomes)
-    }
-
-    /// Builds a table from floating-point weights by quantizing them to
-    /// integers at ~2^52 total mass.
-    ///
-    /// Unlike the integer constructors this is **not** bit-exact with
-    /// respect to the real-valued distribution: relative quantization error
-    /// is O(2^-52) per outcome. Use it only where the source distribution is
-    /// itself irrational (e.g. the two-sided-geometric discrete mechanism).
-    ///
-    /// # Errors
-    ///
-    /// [`RngError::InvalidConfig`] if any weight is negative or non-finite,
-    /// or no outcome survives quantization.
-    pub fn from_f64_weights(outcomes: &[(i64, f64)]) -> Result<Self, RngError> {
-        if outcomes.iter().any(|&(_, w)| !w.is_finite() || w < 0.0) {
-            return Err(RngError::InvalidConfig(
-                "alias weights must be finite and non-negative",
-            ));
-        }
-        let sum: f64 = outcomes.iter().map(|&(_, w)| w).sum();
-        if !(sum.is_finite() && sum > 0.0) {
-            return Err(RngError::InvalidConfig(
-                "alias weights must have positive finite total",
-            ));
-        }
-        let scale = (1u64 << 52) as f64 / sum;
-        let quantized: Vec<(i64, u128)> = outcomes
-            .iter()
-            .map(|&(k, w)| (k, (w * scale).round() as u128))
-            .collect();
-        Self::from_weights(&quantized)
     }
 
     /// Number of alias buckets (a power of two).
@@ -582,22 +550,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn f64_weights_quantize_to_a_valid_table() {
-        let alpha: f64 = 0.8;
-        let outcomes: Vec<(i64, f64)> = (-30i64..=30)
-            .map(|k| (k, alpha.powi(k.abs() as i32)))
-            .collect();
-        let t = AliasTable::from_f64_weights(&outcomes).unwrap();
-        assert!(
-            t.verify_exact(),
-            "quantized table still exact w.r.t. itself"
-        );
-        assert!(AliasTable::from_f64_weights(&[(0, f64::NAN)]).is_err());
-        assert!(AliasTable::from_f64_weights(&[(0, -1.0)]).is_err());
-        assert!(AliasTable::from_f64_weights(&[(0, 0.0)]).is_err());
     }
 
     #[test]

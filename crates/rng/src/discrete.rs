@@ -79,12 +79,6 @@ impl DiscreteLaplace {
         (1.0 - self.alpha) / (1.0 + self.alpha) * self.alpha.powi(k.unsigned_abs() as i32)
     }
 
-    /// The per-step log-likelihood ratio `ln(Pr[k]/Pr[k+1]) = 1/scale_k`,
-    /// i.e. the ε consumed per unit of sensitivity measured in grid steps.
-    pub fn eps_per_step(self) -> f64 {
-        1.0 / self.scale_k
-    }
-
     /// Draws a signed grid index, rejecting values beyond `max_k`.
     pub fn sample_index<R: RandomBits + ?Sized>(self, rng: &mut R) -> i64 {
         loop {
@@ -133,11 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn pmf_ratio_is_exactly_eps_per_step() {
+    fn pmf_ratio_is_exactly_one_over_scale() {
+        // `ln(Pr[k]/Pr[k+1]) = 1/scale_k`: the ε consumed per unit of
+        // sensitivity measured in grid steps.
         let dl = DiscreteLaplace::new(64.0, 2047).unwrap();
         for k in [0i64, 1, 10, 100] {
             let ratio = (dl.pmf(k) / dl.pmf(k + 1)).ln();
-            assert!((ratio - dl.eps_per_step()).abs() < 1e-12);
+            assert!((ratio - 1.0 / 64.0).abs() < 1e-12);
         }
     }
 

@@ -66,7 +66,6 @@ mod source;
 mod staircase;
 mod tausworthe;
 mod xorshift;
-mod ziggurat;
 
 pub use alias::AliasTable;
 pub use cache::{
@@ -88,4 +87,3 @@ pub use source::{stream_seed, RandomBits, ScriptedBits, SplitMix64};
 pub use staircase::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
 pub use tausworthe::{Taus88, Taus88Lanes};
 pub use xorshift::Xorshift64Star;
-pub use ziggurat::ZigguratExp;

@@ -94,7 +94,7 @@ proptest! {
     fn discrete_laplace_ratio_is_constant(scale in 2.0f64..128.0, k in 0i64..200) {
         let dl = DiscreteLaplace::new(scale, 100_000).expect("valid");
         let ratio = (dl.pmf(k) / dl.pmf(k + 1)).ln();
-        prop_assert!((ratio - dl.eps_per_step()).abs() < 1e-9);
+        prop_assert!((ratio - 1.0 / scale).abs() < 1e-9);
     }
 
     #[test]

@@ -170,7 +170,8 @@ fn rr_frequency_recovered_within_three_se_with_faulted_subset_excluded() {
         seed,
     )
     .unwrap();
-    let full_truth = full.fraction_at_or_above(threshold);
+    let above = full.codes_k.iter().filter(|&&k| k >= threshold).count();
+    let full_truth = above as f64 / full.len() as f64;
     assert!(
         (est.value - full_truth).abs() <= gate + 0.01,
         "RR frequency {:.4} vs full-population truth {:.4} exceeds 3·SE + subsample slack",

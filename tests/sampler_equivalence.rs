@@ -8,7 +8,9 @@
 //! 2. **Seeded chi-square** — empirical draw frequencies at small bit-widths
 //!    match the exact probabilities;
 //! 3. **Batch ≡ single** — `fill_batch` consumes the identical word stream
-//!    as repeated `draw` calls (proptest over geometry, window, seed, len).
+//!    as repeated `draw` calls (proptest over geometry, window, seed, len),
+//!    and every mechanism's reference-path batch is one `privatize` per
+//!    element.
 //!
 //! Plus a microbench smoke check: on whatever host runs this suite, the
 //! alias path must be strictly faster than the CORDIC reference sampler —
@@ -18,6 +20,9 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use proptest::prelude::*;
+use ulp_ldp::datasets::statlog_heart;
+use ulp_ldp::eval::ExperimentSetup;
+use ulp_ldp::ldp::{ConstantTimeResampling, DiscreteLaplaceMechanism, Mechanism, SamplerPath};
 use ulp_ldp::rng::{
     cached_alias_full, cached_alias_window, AliasTable, CordicLn, FxpLaplace, FxpLaplaceConfig,
     FxpNoisePmf, RandomBits, Taus88,
@@ -174,6 +179,64 @@ proptest! {
         let singles: Vec<i64> = (0..len).map(|_| table.draw(&mut rng_single)).collect();
         prop_assert_eq!(batch, singles);
         prop_assert_eq!(rng_batch.next_u32(), rng_single.next_u32());
+    }
+}
+
+#[test]
+fn reference_batches_replay_single_draws() {
+    // On the reference path a batch is one `privatize` per element, in
+    // order: the same outputs as grid indices, the same resample total, and
+    // the generator left where that loop leaves it — for the four
+    // mechanisms an `ExperimentSetup` builds, the discrete mechanism and
+    // the constant-time wrapper.
+    let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5)
+        .expect("paper setup")
+        .with_sampler_path(SamplerPath::Reference);
+    let range = setup.range;
+    assert_eq!(range.delta(), 1.0, "grid indices are ADC codes");
+    let resampling = setup.resampling(2.0).expect("resampling");
+    let mechs: Vec<Box<dyn Mechanism>> = vec![
+        Box::new(setup.ideal().expect("ideal")),
+        Box::new(setup.baseline().expect("baseline")),
+        Box::new(resampling.clone()),
+        Box::new(setup.thresholding(2.0).expect("thresholding")),
+        Box::new(DiscreteLaplaceMechanism::new(range, 0.5, 300).expect("discrete")),
+        Box::new(ConstantTimeResampling::new(resampling, 4).expect("constant-time")),
+    ];
+    // Runs of equal inputs, at both range edges and inside the range.
+    let xs_k: Vec<i64> = [0, 0, 0, 17, 17, 128, 255, 256, 256, 40]
+        .into_iter()
+        .cycle()
+        .take(400)
+        .collect();
+    for (seed, mech) in (60..).zip(&mechs) {
+        let mut a = Taus88::from_seed(seed);
+        let mut b = a.clone();
+        let mut batched = vec![0i64; xs_k.len()];
+        let batch_resamples = mech
+            .privatize_index_batch(&xs_k, &mut a, &mut batched)
+            .expect("reference batch");
+        let mut single_resamples = 0u64;
+        let singles: Vec<i64> = xs_k
+            .iter()
+            .map(|&x_k| {
+                let r = mech.privatize(x_k as f64, &mut b).expect("single draw");
+                single_resamples += u64::from(r.resamples);
+                r.value.round() as i64
+            })
+            .collect();
+        let name = mech.name();
+        assert_eq!(batched, singles, "{name}: outputs");
+        assert_eq!(batch_resamples, single_resamples, "{name}: resamples");
+        assert_eq!(a.next_u32(), b.next_u32(), "{name}: generator position");
+        // Outputs leave the sensor range, so the comparison also pins that
+        // nothing is clamped into it.
+        assert!(
+            batched
+                .iter()
+                .any(|&y| y < range.min_k() || y > range.max_k()),
+            "{name}: no output left the range"
+        );
     }
 }
 
