@@ -2,7 +2,7 @@
 //! ablation): URNG throughput, CORDIC logarithm, and the four samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ulp_fixed::{Fx, QFormat, Rounding};
+use ulp_fixed::{Fx, QFormat};
 use ulp_rng::{
     CordicLn, DiscreteLaplace, FxpGaussian, FxpGaussianConfig, FxpLaplace, FxpLaplaceConfig,
     FxpStaircase, FxpStaircaseConfig, IdealLaplace, IdealStaircase, RandomBits, Taus88,
@@ -26,10 +26,27 @@ fn bench_urngs(c: &mut Criterion) {
 
 fn bench_cordic(c: &mut Criterion) {
     let unit = CordicLn::new(24);
-    let fmt = QFormat::new(32, 20).expect("valid format");
-    let x = Fx::from_f64(0.3173, fmt, Rounding::NearestTiesAway).expect("fits");
+    // The fleet's 2^16 magnitude words (Bu = 17) into the DP-Box's log
+    // word, visited in a scattered order, so the timing is that of varying
+    // words and not of one input whose step directions the branch
+    // predictor has learned.
+    let in_fmt = QFormat::new(18, 16).expect("valid format");
+    let out = QFormat::new(40, 24).expect("valid format");
+    let mut m = 0;
     c.bench_function("cordic_ln_24iter", |b| {
-        b.iter(|| black_box(unit.ln(black_box(x), fmt).expect("positive input")))
+        b.iter(|| {
+            m = (m + 40_503) & 0xffff;
+            let x = Fx::from_raw(m + 1, in_fmt).expect("fits");
+            black_box(unit.ln(black_box(x), out).expect("positive input"))
+        })
+    });
+    // The whole 16-bit grid the k[m] table is built from.
+    let mut grid = vec![0; 1 << 16];
+    c.bench_function("cordic_ln_grid_16bit", |b| {
+        b.iter(|| {
+            unit.ln_grid(16, out, &mut grid).expect("fits");
+            black_box(grid[0])
+        })
     });
 }
 

@@ -82,7 +82,9 @@ static LANE_DIVERGENCES: Counter = Counter::new("dpbox.batch.lane_divergences");
 static ACTIVE_LANES: Histogram = Histogram::new("dpbox.batch.active_lanes", "lanes");
 
 /// Magnitude widths up to this get a memoized noise-index table
-/// (2^16 entries · 8 bytes = 512 KiB at the cap).
+/// (2^16 entries · 8 bytes = 512 KiB at the cap), built from the CORDIC's
+/// ln grid in about 3 ms at the cap; wider magnitudes evaluate the CORDIC
+/// per draw.
 const MAX_MEMO_MAG_BITS: u8 = 16;
 
 /// Static configuration of a [`DeviceArray`] — the union of the DP-Box

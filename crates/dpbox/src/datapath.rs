@@ -15,6 +15,11 @@ use crate::error::DpBoxError;
 /// Fraction bits of the CORDIC logarithm output inside the pipeline.
 const LOG_FRAC: u8 = 24;
 
+/// The CORDIC logarithm's output word: [`LOG_FRAC`] fraction bits in 40.
+fn log_format() -> QFormat {
+    QFormat::new(40, LOG_FRAC).expect("valid log format")
+}
+
 /// `-ln(m · 2^-mag_bits)` at [`LOG_FRAC`] fraction bits: the CORDIC
 /// logarithm of the uniform a staged magnitude word `m ∈ [1, 2^mag_bits]`
 /// encodes.
@@ -22,8 +27,10 @@ pub(crate) fn cordic_neg_ln(cordic: &CordicLn, mag_bits: u8, m: u64) -> i64 {
     let in_fmt =
         QFormat::new((mag_bits + 2).min(63), mag_bits).expect("Bu ≤ 53 keeps the format valid");
     let u = ulp_fixed::Fx::from_raw(m as i64, in_fmt).expect("m fits the word");
-    let out_fmt = QFormat::new(40, LOG_FRAC).expect("valid log format");
-    -cordic.ln(u, out_fmt).expect("u > 0 by construction").raw()
+    -cordic
+        .ln(u, log_format())
+        .expect("u > 0 by construction")
+        .raw()
 }
 
 /// The noise magnitude `|k|`, in grid steps, of a sample with CORDIC
@@ -276,7 +283,10 @@ impl NoisingCtx {
 
     /// The noise magnitude of every magnitude word `m` (entry `m − 1`)
     /// through a CORDIC of `cordic_iterations`, built on first use and
-    /// shared process-wide; bit-identical to [`NoisingCtx::noise_k`].
+    /// shared process-wide; bit-identical to [`NoisingCtx::noise_k`] of
+    /// [`cordic_neg_ln`]. The table is built in place from the CORDIC's
+    /// ln grid ([`CordicLn::ln_grid`]: one evaluation per odd `m`, eight
+    /// lanes at a time), then mapped through the noise arithmetic.
     pub(crate) fn magnitude_table(&self, cordic_iterations: u8) -> Arc<[i64]> {
         let mag_bits = self.lap_cfg.bu();
         let key = (
@@ -290,10 +300,14 @@ impl NoisingCtx {
         if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
             return Arc::clone(table);
         }
-        let cordic = CordicLn::new(cordic_iterations);
-        let table: Arc<[i64]> = (1..=1u64 << mag_bits)
-            .map(|m| self.noise_k(false, cordic_neg_ln(&cordic, mag_bits, m)))
-            .collect();
+        let mut table: Arc<[i64]> = std::iter::repeat_n(0, 1 << mag_bits).collect();
+        let words = Arc::get_mut(&mut table).expect("a new table has one owner");
+        CordicLn::new(cordic_iterations)
+            .ln_grid(mag_bits, log_format(), words)
+            .expect("ln u of u ∈ (0, 1] fits the log format");
+        for word in words {
+            *word = self.noise_k(false, -*word);
+        }
         tables.push((key, Arc::clone(&table)));
         table
     }
@@ -373,6 +387,41 @@ mod tests {
             }
         }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// The table word by word through the per-draw path it memoizes.
+    fn per_word_table(ctx: &NoisingCtx, cordic_iterations: u8) -> Vec<i64> {
+        let cordic = CordicLn::new(cordic_iterations);
+        let mag_bits = ctx.laplace_config().bu();
+        (1..=1u64 << mag_bits)
+            .map(|m| ctx.noise_k(false, cordic_neg_ln(&cordic, mag_bits, m)))
+            .collect()
+    }
+
+    #[test]
+    fn magnitude_table_matches_the_per_draw_noise_index() {
+        // The fleet device's 2^16-word table, at its 24 iterations.
+        let ctx = fleet_ctx(1, LimitMode::Thresholding);
+        assert_eq!(*ctx.magnitude_table(24), *per_word_table(&ctx, 24));
+        // Every shift on a 2^12-word URNG, and a 12-bit word whose maximum
+        // saturates the largest magnitudes.
+        for (word_bits, n_m, iterations) in [(20, 0, 16), (20, 1, 24), (20, 2, 40), (12, 1, 24)] {
+            let fmt = QFormat::new(word_bits, 0).unwrap();
+            let ctx = NoisingCtx::new(fmt, 13, &[1.5, 2.0], n_m, 0, 256, LimitMode::Thresholding)
+                .unwrap();
+            let table = ctx.magnitude_table(iterations);
+            assert_eq!(
+                *table,
+                *per_word_table(&ctx, iterations),
+                "word {word_bits}, n_m {n_m}"
+            );
+            let saturated = table.iter().filter(|&&k| k == fmt.max_raw()).count();
+            assert_eq!(
+                saturated > 0,
+                word_bits == 12,
+                "word {word_bits}, n_m {n_m}"
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@ use ulp_rng::{stream_seed, Taus88};
 /// h.add(42.0); // overflow
 /// assert_eq!(h.count(0), 1);
 /// assert_eq!(h.count(9), 1);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 3);
+/// assert_eq!(h.total(), 3); // the overflow counts too
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -76,16 +75,6 @@ impl Histogram {
     /// Panics if `i` is out of range.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper edge.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Total samples added.
@@ -244,8 +233,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.add(-0.1);
         h.add(1.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!((h.underflow, h.overflow), (1, 1));
         assert_eq!(h.total(), 2);
     }
 
@@ -289,7 +277,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(0), 2);
         assert_eq!(a.count(1), 1);
-        assert_eq!(a.underflow(), 1);
+        assert_eq!(a.underflow, 1);
         assert_eq!(a.total(), 4);
     }
 

@@ -105,6 +105,7 @@ impl Fx {
     /// # Errors
     ///
     /// Returns [`FixedError::Overflow`] if the value does not fit `target`.
+    #[inline]
     pub fn resize(self, target: QFormat, rounding: Rounding) -> Result<Self, FixedError> {
         let src_f = self.fmt.frac_bits() as i32;
         let dst_f = target.frac_bits() as i32;
@@ -115,43 +116,9 @@ impl Fx {
                 .filter(|r| (r >> shift) == self.raw)
                 .ok_or(FixedError::Overflow { format: target })?
         } else {
-            let shift = src_f - dst_f;
-            // Round raw / 2^shift; do it in f64-free integer arithmetic.
-            let div = 1i64 << shift;
-            let q = self.raw.div_euclid(div);
-            let r = self.raw.rem_euclid(div);
-            let half = div / 2;
-            match rounding {
-                Rounding::Floor => q,
-                Rounding::Ceil => {
-                    if r == 0 {
-                        q
-                    } else {
-                        q + 1
-                    }
-                }
-                Rounding::TowardZero => {
-                    if self.raw < 0 && r != 0 {
-                        q + 1
-                    } else {
-                        q
-                    }
-                }
-                Rounding::NearestTiesAway => {
-                    if r > half || (r == half && self.raw >= 0) {
-                        q + 1
-                    } else {
-                        q
-                    }
-                }
-                Rounding::NearestTiesEven => {
-                    if r > half || (r == half && q % 2 != 0) {
-                        q + 1
-                    } else {
-                        q
-                    }
-                }
-            }
+            let shift = (src_f - dst_f) as u32;
+            let raw = round_shift_right(i128::from(self.raw), shift, rounding);
+            i64::try_from(raw).map_err(|_| FixedError::Overflow { format: target })?
         };
         Self::from_raw(raw, target)
     }
@@ -323,46 +290,25 @@ impl Fx {
     }
 }
 
-/// Rounds `wide >> shift` according to `rounding`.
+/// Rounds `wide · 2^−shift` (`shift < 128`) to an integer according to
+/// `rounding`: the one narrowing rule of the crate, which [`Fx::resize`]
+/// and [`Fx::checked_mul`] share. An arithmetic shift gives the floor
+/// quotient and a mask the Euclidean remainder; nothing divides.
 fn round_shift_right(wide: i128, shift: u32, rounding: Rounding) -> i128 {
     if shift == 0 {
         return wide;
     }
-    let div = 1i128 << shift;
-    let q = wide.div_euclid(div);
-    let r = wide.rem_euclid(div);
-    let half = div / 2;
-    match rounding {
-        Rounding::Floor => q,
-        Rounding::Ceil => {
-            if r == 0 {
-                q
-            } else {
-                q + 1
-            }
-        }
-        Rounding::TowardZero => {
-            if wide < 0 && r != 0 {
-                q + 1
-            } else {
-                q
-            }
-        }
-        Rounding::NearestTiesAway => {
-            if r > half || (r == half && wide >= 0) {
-                q + 1
-            } else {
-                q
-            }
-        }
-        Rounding::NearestTiesEven => {
-            if r > half || (r == half && q % 2 != 0) {
-                q + 1
-            } else {
-                q
-            }
-        }
-    }
+    let q = wide >> shift;
+    let r = wide & ((1i128 << shift) - 1);
+    let half = 1i128 << (shift - 1);
+    let up = match rounding {
+        Rounding::Floor => false,
+        Rounding::Ceil => r != 0,
+        Rounding::TowardZero => wide < 0 && r != 0,
+        Rounding::NearestTiesAway => r > half || (r == half && wide >= 0),
+        Rounding::NearestTiesEven => r > half || (r == half && q & 1 != 0),
+    };
+    q + i128::from(up)
 }
 
 impl PartialOrd for Fx {

@@ -17,6 +17,99 @@ fn arb_pair() -> impl Strategy<Value = (Fx, Fx)> {
     arb_format().prop_flat_map(|fmt| (arb_fx(fmt), arb_fx(fmt)))
 }
 
+const MODES: [Rounding; 5] = [
+    Rounding::NearestTiesAway,
+    Rounding::NearestTiesEven,
+    Rounding::Floor,
+    Rounding::Ceil,
+    Rounding::TowardZero,
+];
+
+/// `raw · 2^−shift` rounded by `mode`, from i128 floor division: the exact
+/// reference for a narrowing [`Fx::resize`].
+fn exact_narrowing(raw: i64, shift: u32, mode: Rounding) -> i128 {
+    let (raw, d) = (i128::from(raw), 1i128 << shift);
+    let floor = raw.div_euclid(d);
+    let ceil = floor + i128::from(floor * d != raw);
+    // Twice the remainder against the divisor: below, at or above a half.
+    let half_way = (2 * (raw - floor * d)).cmp(&d);
+    let nearest = |tie| match half_way {
+        std::cmp::Ordering::Less => floor,
+        std::cmp::Ordering::Greater => ceil,
+        std::cmp::Ordering::Equal => tie,
+    };
+    match mode {
+        Rounding::Floor => floor,
+        Rounding::Ceil => ceil,
+        Rounding::TowardZero => {
+            if raw < 0 {
+                ceil
+            } else {
+                floor
+            }
+        }
+        Rounding::NearestTiesAway => nearest(if raw < 0 { floor } else { ceil }),
+        Rounding::NearestTiesEven => nearest(if floor % 2 == 0 { floor } else { ceil }),
+    }
+}
+
+/// Checks one narrowing `resize` of `raw` from `src` to `dst` against
+/// [`exact_narrowing`]: the exact result, or an overflow when it does not
+/// fit `dst`.
+fn check_narrowing(raw: i64, src: QFormat, dst: QFormat, mode: Rounding) -> Result<(), String> {
+    let shift = u32::from(src.frac_bits() - dst.frac_bits());
+    let want = exact_narrowing(raw, shift, mode);
+    let got = Fx::from_raw(raw, src).unwrap().resize(dst, mode);
+    let fits = i64::try_from(want).is_ok_and(|w| dst.contains_raw(w));
+    match got {
+        Ok(v) if fits && i128::from(v.raw()) == want => Ok(()),
+        Err(_) if !fits => Ok(()),
+        _ => Err(format!(
+            "{raw} from {src:?} to {dst:?} under {mode:?}: got {got:?}, want {want}"
+        )),
+    }
+}
+
+#[test]
+fn resize_narrows_every_extreme_exactly_at_every_shift() {
+    let mut failures = Vec::new();
+    for shift in 1..=63u8 {
+        for src in [
+            QFormat::new(63, 63).unwrap(),
+            QFormat::new(63, shift).unwrap(),
+        ] {
+            let dst_frac = src.frac_bits() - shift;
+            let dsts = [8, 63].map(|t| QFormat::new(t.max(dst_frac), dst_frac).unwrap());
+            let (min, max) = (src.min_raw(), src.max_raw());
+            let half = 1i64 << (shift - 1).min(61);
+            let raws = [
+                0,
+                1,
+                -1,
+                min,
+                min + 1,
+                max,
+                max - 1,
+                half,
+                -half,
+                half * 3,
+                -half * 3,
+            ];
+            for raw in raws.into_iter().filter(|&r| src.contains_raw(r)) {
+                for (dst, mode) in dsts.iter().flat_map(|&d| MODES.map(|m| (d, m))) {
+                    failures.extend(check_narrowing(raw, src, dst, mode).err());
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failures:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 /// Number of distinct representable values, `2^total_bits`.
 fn cardinality(fmt: QFormat) -> u64 {
     1u64 << fmt.total_bits()
@@ -108,6 +201,24 @@ proptest! {
         let narrow = QFormat::new(fmt.total_bits(), fmt.frac_bits() - 2).unwrap();
         let n = a.resize(narrow, Rounding::NearestTiesAway).unwrap();
         prop_assert!((n.to_f64() - a.to_f64()).abs() <= narrow.delta() / 2.0);
+    }
+
+    #[test]
+    fn resize_narrows_as_exact_rounding(
+        shift in 1u8..=63,
+        src_total in 1u8..=63,
+        frac_pick in any::<u8>(),
+        dst_total in 1u8..=63,
+        raw in any::<i64>(),
+        mode in 0usize..5,
+    ) {
+        let src_total = src_total.max(shift);
+        let src_frac = shift + frac_pick % (src_total - shift + 1);
+        let src = QFormat::new(src_total, src_frac).unwrap();
+        let dst_frac = src.frac_bits() - shift;
+        let dst = QFormat::new(dst_total.max(dst_frac), dst_frac).unwrap();
+        let raw = raw.rem_euclid(cardinality(src) as i64) + src.min_raw();
+        prop_assert_eq!(check_narrowing(raw, src, dst, MODES[mode]), Ok(()));
     }
 
     #[test]

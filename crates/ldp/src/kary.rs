@@ -65,11 +65,6 @@ impl KaryRandomizedResponse {
         Self::new(k, e / (e + k as f64 - 1.0))
     }
 
-    /// Number of categories.
-    pub fn categories(self) -> usize {
-        self.k
-    }
-
     /// The LDP parameter `ε = ln(p(k−1)/(1−p))`.
     pub fn epsilon(self) -> f64 {
         (self.keep_prob * (self.k as f64 - 1.0) / (1.0 - self.keep_prob)).ln()

@@ -282,7 +282,7 @@ fn resample_miss(
 /// use ldp_core::{IdealLaplaceMechanism, Mechanism, QuantizedRange};
 /// use ulp_rng::Taus88;
 ///
-/// let range = QuantizedRange::from_values(94.0, 200.0, 0.5)?;
+/// let range = QuantizedRange::new(188, 400, 0.5)?; // 94..=200 on a 0.5 grid
 /// let mech = IdealLaplaceMechanism::new(range, 0.5)?;
 /// let mut rng = Taus88::from_seed(1);
 /// let out = mech.privatize(131.5, &mut rng)?;

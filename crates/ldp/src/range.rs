@@ -15,7 +15,7 @@ use crate::error::LdpError;
 /// use ldp_core::QuantizedRange;
 ///
 /// // Statlog blood pressure: 94..=200 mmHg on a Δ = 0.5 grid.
-/// let range = QuantizedRange::from_values(94.0, 200.0, 0.5)?;
+/// let range = QuantizedRange::new(188, 400, 0.5)?;
 /// assert_eq!(range.span_k(), 212);
 /// assert_eq!(range.length(), 106.0);
 /// # Ok::<(), ldp_core::LdpError>(())
@@ -44,23 +44,6 @@ impl QuantizedRange {
             max_k,
             delta,
         })
-    }
-
-    /// Creates a range by quantizing physical bounds onto the `Δ` grid
-    /// (lower bound floors, upper bound ceils, so the physical range is
-    /// always covered).
-    ///
-    /// # Errors
-    ///
-    /// [`LdpError::InvalidRange`] if the quantized range is empty or the
-    /// inputs are not finite.
-    pub fn from_values(min: f64, max: f64, delta: f64) -> Result<Self, LdpError> {
-        if !(min.is_finite() && max.is_finite() && delta.is_finite() && delta > 0.0) {
-            return Err(LdpError::InvalidRange { min_k: 0, max_k: 0 });
-        }
-        let min_k = (min / delta).floor() as i64;
-        let max_k = (max / delta).ceil() as i64;
-        Self::new(min_k, max_k, delta)
     }
 
     /// Lower bound, in grid units.
@@ -122,13 +105,6 @@ mod tests {
         assert!(QuantizedRange::new(4, 5, 0.0).is_err());
         assert!(QuantizedRange::new(4, 5, -1.0).is_err());
         assert!(QuantizedRange::new(4, 5, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn from_values_covers_physical_range() {
-        let r = QuantizedRange::from_values(9.3, 46.6, 0.25).unwrap();
-        assert!(r.to_value(r.min_k()) <= 9.3);
-        assert!(r.to_value(r.max_k()) >= 46.6);
     }
 
     #[test]

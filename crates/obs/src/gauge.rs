@@ -15,10 +15,10 @@ use crate::registry::{register_once, registry};
 ///
 /// static QUEUE_DEPTH: Gauge = Gauge::new("fleet.service.queue_depth");
 /// QUEUE_DEPTH.add(3); // no-op unless ULP_METRICS is counters/full
-/// QUEUE_DEPTH.sub(1);
+/// QUEUE_DEPTH.add(-1);
 /// ```
 ///
-/// [`Gauge::set`]/[`Gauge::add`]/[`Gauge::sub`] are gated on the metrics
+/// [`Gauge::set`]/[`Gauge::add`] are gated on the metrics
 /// level exactly like [`crate::Counter::add`]: when metrics are off each
 /// site costs one relaxed atomic load and a branch.
 #[derive(Debug)]
@@ -52,19 +52,13 @@ impl Gauge {
         }
     }
 
-    /// Raises the level by `n` if counters are enabled.
+    /// Moves the level by `n` (down when negative) if counters are enabled.
     #[inline]
     pub fn add(&'static self, n: i64) {
         if counters_enabled() {
             register_once(&self.registered, &registry().gauges, self);
             self.value.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Lowers the level by `n` if counters are enabled.
-    #[inline]
-    pub fn sub(&'static self, n: i64) {
-        self.add(n.wrapping_neg());
     }
 
     /// The current level.
@@ -95,10 +89,10 @@ mod tests {
         set_level(MetricsLevel::Counters);
         G.set(9);
         G.add(4);
-        G.sub(3);
+        G.add(-3);
         assert_eq!(G.get(), 10);
         set_level(MetricsLevel::Off);
-        G.sub(10);
+        G.add(-10);
         assert_eq!(G.get(), 10);
         set_level(MetricsLevel::Counters);
         G.reset();
@@ -112,7 +106,7 @@ mod tests {
         let _guard = test_lock();
         set_level(MetricsLevel::Counters);
         G.reset();
-        G.sub(2);
+        G.add(-2);
         assert_eq!(G.get(), -2);
         set_level(MetricsLevel::Off);
     }

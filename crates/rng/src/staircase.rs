@@ -116,7 +116,7 @@ impl IdealStaircase {
     /// # Errors
     ///
     /// [`RngError::OutOfDomain`] if `x < 0` or `x` is NaN.
-    pub fn survival(self, x: f64) -> Result<f64, RngError> {
+    fn survival(self, x: f64) -> Result<f64, RngError> {
         if x < 0.0 || x.is_nan() {
             return Err(RngError::OutOfDomain("survival is defined for x ≥ 0"));
         }
