@@ -11,9 +11,9 @@ use ldp_core::{worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange};
 use ulp_rng::FxpNoisePmf;
 
 /// Environment variable overriding an attack campaign's master seed.
-pub const ATTACK_SEED_ENV: &str = "ULP_ATTACK_SEED";
+const ATTACK_SEED_ENV: &str = "ULP_ATTACK_SEED";
 
-/// Reads [`ATTACK_SEED_ENV`]: `Ok(None)` if unset, the parsed seed if a
+/// Reads `ULP_ATTACK_SEED`: `Ok(None)` if unset, the parsed seed if a
 /// valid `u64`, and a typed error otherwise — a misspelled seed must never
 /// silently fall back to a default campaign.
 ///

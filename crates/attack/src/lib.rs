@@ -35,7 +35,7 @@ pub mod distinguisher;
 pub mod float;
 pub mod support;
 
-pub use campaign::{attack_seed_from_env, CellVerdict, ATTACK_SEED_ENV};
+pub use campaign::{attack_seed_from_env, CellVerdict};
 pub use distinguisher::{AttackOutcome, SupportGapAttack};
 pub use float::FloatSupportAttack;
 pub use support::{pmf_support, table_dist, table_matches_dist, table_support};

@@ -1,5 +1,5 @@
 //! Noise-generation kernels (Fig. 4's machinery plus the discrete-Laplace
-//! ablation): URNG throughput, CORDIC logarithm, and the four samplers.
+//! ablation): URNG throughput, the CORDIC logarithm, and the samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ulp_fixed::{Fx, QFormat};
@@ -63,11 +63,6 @@ fn bench_samplers(c: &mut Criterion) {
     let analytic = FxpLaplace::analytic(cfg);
     g.bench_function("fxp_analytic", |b| {
         b.iter(|| black_box(analytic.sample_index(&mut rng)))
-    });
-
-    let hw = FxpLaplace::cordic(cfg, CordicLn::new(24));
-    g.bench_function("fxp_cordic", |b| {
-        b.iter(|| black_box(hw.sample_index(&mut rng)))
     });
 
     // Ablation: the OpenDP-style discrete mechanism at the same scale.

@@ -599,7 +599,6 @@ fn main() {
     // Strict env contract: malformed values exit 2 naming the variable.
     let attack_seed = ldp_bench::require_env(BIN, attack_seed_from_env());
     let threads = ldp_bench::require_env(BIN, ulp_par::try_threads());
-    ldp_bench::require_env(BIN, SamplerPath::from_env());
     ldp_bench::require_writable(BIN, &out_path);
 
     let seed = attack_seed.or(seed).unwrap_or(ldp_bench::SEED);

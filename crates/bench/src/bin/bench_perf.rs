@@ -13,17 +13,17 @@
 //!
 //! * `--smoke` — tiny repetition counts (CI-friendly, seconds not minutes);
 //! * `--out <path>` — where to write the JSON report;
-//! * `--reference` — pin the cycle-faithful reference samplers (equivalent
-//!   to `ULP_SAMPLER_PATH=reference`); without it the alias fast path is
-//!   used for batch privatization;
 //! * `--compare <baseline.json>` — print per-artifact cells/sec deltas
 //!   against a previous report and exit non-zero if any shared artifact
 //!   regressed by more than 25%;
 //! * `--metrics` — embed the process-wide [`ulp_obs`] snapshot in the JSON
 //!   report (raises the level to `full` unless `ULP_METRICS` pins it).
 //!
-//! All `ULP_*` environment knobs (`ULP_METRICS`, `ULP_PAR_THREADS`,
-//! `ULP_SAMPLER_PATH`) are validated at startup: a set-but-malformed value
+//! Batch privatization always draws from the alias fast path
+//! (`ldp_core::SamplerPath::Fast`).
+//!
+//! Both `ULP_*` environment knobs (`ULP_METRICS`, `ULP_PAR_THREADS`) are
+//! validated at startup: a set-but-malformed value
 //! exits with status 2 and a message naming the variable — never a silent
 //! fallback.
 
@@ -32,7 +32,6 @@ use std::time::Instant;
 use ldp_bench::json::{Json, Obj};
 use ldp_bench::Artifact;
 use ldp_bench::{require_flag, unknown_flag};
-use ldp_core::SamplerPath;
 use ulp_obs::Fnv64;
 
 const BIN: &str = "bench_perf";
@@ -69,13 +68,7 @@ fn time_artifact(name: &'static str, f: impl FnOnce() -> Artifact) -> Timed {
     }
 }
 
-fn render_json(
-    threads: usize,
-    smoke: bool,
-    sampler_path: &str,
-    results: &[Timed],
-    metrics: Option<String>,
-) -> String {
+fn render_json(threads: usize, smoke: bool, results: &[Timed], metrics: Option<String>) -> String {
     let total: f64 = results.iter().map(|r| r.seconds).sum();
     let artifacts = results
         .iter()
@@ -90,10 +83,9 @@ fn render_json(
         })
         .collect();
     let mut doc = Obj::new()
-        .with("schema", "ulp-ldp/bench_eval/v1")
+        .with("schema", "ulp-ldp/bench_eval/v2")
         .with("threads", threads)
         .with("smoke", smoke)
-        .with("sampler_path", sampler_path)
         .with("total_seconds", Json::Fixed(total, 3))
         .with("artifacts", Json::Rows(artifacts));
     if let Some(report) = metrics {
@@ -196,11 +188,10 @@ fn main() {
             "--smoke" => smoke = true,
             "--metrics" => metrics = true,
             "--out" => out_path = require_flag(BIN, "--out", args.next(), "a path"),
-            "--reference" => std::env::set_var("ULP_SAMPLER_PATH", "reference"),
             "--compare" => {
                 compare_path = Some(require_flag(BIN, "--compare", args.next(), "a path"))
             }
-            other => unknown_flag(BIN, other, "--smoke --metrics --out --reference --compare"),
+            other => unknown_flag(BIN, other, "--smoke --metrics --out --compare"),
         }
     }
 
@@ -209,11 +200,6 @@ fn main() {
     // `--metrics` with no explicit ULP_METRICS raises the level to `full`
     // so the embedded snapshot actually contains data.
     let ldp_bench::FleetEnv { level, threads } = ldp_bench::FleetEnv::validate(BIN, metrics);
-    let sampler_path = match ldp_bench::require_env(BIN, SamplerPath::from_env()) {
-        SamplerPath::Reference => "reference",
-        SamplerPath::Fast => "fast",
-        SamplerPath::Secure => "secure",
-    };
     let baseline = compare_path.map(|path| {
         let baseline = read_baseline(&path);
         (path, baseline)
@@ -221,7 +207,7 @@ fn main() {
     ldp_bench::require_writable(BIN, &out_path);
     eprintln!(
         "bench_perf: {} mode, {threads} worker thread(s) (ULP_PAR_THREADS to override), \
-         {sampler_path} sampler path, metrics {}",
+         metrics {}",
         if smoke { "smoke" } else { "full" },
         level.name(),
     );
@@ -272,7 +258,7 @@ fn main() {
     ];
 
     let snapshot = metrics.then(|| ulp_obs::snapshot().to_json());
-    let json = render_json(threads, smoke, sampler_path, &results, snapshot);
+    let json = render_json(threads, smoke, &results, snapshot);
     ldp_bench::write_report(BIN, &out_path, &json);
     let total: f64 = results.iter().map(|r| r.seconds).sum();
     eprintln!("total {total:.3}s -> {out_path}");
@@ -307,7 +293,7 @@ mod tests {
             },
         ];
         let metrics = r#"{"histograms":[{"name":"h","count":1}],"spans":[]}"#;
-        let report = render_json(4, true, "fast", &results, Some(metrics.into()));
+        let report = render_json(4, true, &results, Some(metrics.into()));
         let parsed = parse_baseline(&report);
         assert_eq!(parsed.len(), results.len(), "{report}");
         for (r, (name, cells_per_sec, seconds)) in results.iter().zip(&parsed) {

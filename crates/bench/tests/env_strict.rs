@@ -13,7 +13,6 @@ use std::process::Command;
 const CASES: &[(&str, &str)] = &[
     (env!("CARGO_BIN_EXE_bench_perf"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_bench_perf"), "ULP_PAR_THREADS"),
-    (env!("CARGO_BIN_EXE_bench_perf"), "ULP_SAMPLER_PATH"),
     (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_METRICS"),
     (env!("CARGO_BIN_EXE_bench_fleet"), "ULP_PAR_THREADS"),
     (env!("CARGO_BIN_EXE_chaos_campaign"), "ULP_CHAOS_SEED"),
@@ -31,7 +30,6 @@ const CASES: &[(&str, &str)] = &[
     ),
     (env!("CARGO_BIN_EXE_attack_campaign"), "ULP_ATTACK_SEED"),
     (env!("CARGO_BIN_EXE_attack_campaign"), "ULP_PAR_THREADS"),
-    (env!("CARGO_BIN_EXE_attack_campaign"), "ULP_SAMPLER_PATH"),
 ];
 
 /// All knobs, for scrubbing the inherited environment so a caller's own
@@ -39,7 +37,6 @@ const CASES: &[(&str, &str)] = &[
 const ALL_VARS: &[&str] = &[
     "ULP_METRICS",
     "ULP_PAR_THREADS",
-    "ULP_SAMPLER_PATH",
     "ULP_CHAOS_SEED",
     "ULP_ATTACK_SEED",
     "ULP_SERVICE_WINDOW_EPOCHS",
@@ -94,7 +91,6 @@ fn valid_env_values_are_accepted() {
         .args(["--smoke", "--out", out_file.to_str().expect("utf-8 tmp")])
         .env("ULP_METRICS", "counters")
         .env("ULP_PAR_THREADS", "2")
-        .env("ULP_SAMPLER_PATH", "fast")
         .env("ULP_ATTACK_SEED", "7")
         .output()
         .expect("spawn attack_campaign");

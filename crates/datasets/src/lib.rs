@@ -38,19 +38,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod csv;
 mod mae;
 mod query;
 mod spec;
 mod synth;
 mod uci;
 
-pub use csv::{from_csv, to_csv, ParseCsvError};
-pub use mae::{evaluate_query, evaluate_query_batched, evaluate_query_debiased, MaeResult};
+pub use mae::{evaluate_query, evaluate_query_batched, MaeResult};
 pub use query::Query;
 pub use spec::{DatasetSpec, Shape};
 pub use synth::{generate, summarize, Summary};
-pub use uci::{
-    all_benchmarks, auto_mpg, human_activity, person_localization, postural_transitions,
-    robot_sensors, statlog_heart, ujiindoorloc,
-};
+pub use uci::{all_benchmarks, robot_sensors, statlog_heart, ujiindoorloc};

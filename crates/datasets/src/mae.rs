@@ -66,7 +66,7 @@ where
 /// # Panics
 ///
 /// Panics if `raw` is empty or `trials` is zero.
-pub fn evaluate_query_debiased<F>(
+fn evaluate_query_debiased<F>(
     raw: &[f64],
     mut privatize: F,
     query: Query,
@@ -98,9 +98,14 @@ where
     }
 }
 
-/// [`evaluate_query_debiased`] for *batched* privatizers: `fill` receives
-/// the output buffer for one whole trial (same length as `raw`) and may
-/// fail, e.g. with a mechanism error.
+/// [`evaluate_query`] for *batched* privatizers: `fill` receives the
+/// output buffer for one whole trial (same length as `raw`) and may fail,
+/// e.g. with a mechanism error.
+///
+/// `debias` is a known additive bias subtracted from every noised query
+/// result before scoring. The canonical use is the variance query: the noise
+/// distribution is public, so an aggregator subtracts its variance (`2λ²`
+/// for the Laplace mechanism) from the variance of the noised reports.
 ///
 /// With a `fill` that privatizes entries in order with the same RNG, this
 /// scores exactly the same trials as the per-entry evaluator; batching

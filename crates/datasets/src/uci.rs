@@ -12,7 +12,7 @@
 use crate::spec::{DatasetSpec, Shape};
 
 /// Auto MPG: fuel economy of 1970s–80s cars (miles per gallon).
-pub fn auto_mpg() -> DatasetSpec {
+fn auto_mpg() -> DatasetSpec {
     DatasetSpec::new(
         "auto-mpg",
         398,
@@ -57,7 +57,7 @@ pub fn statlog_heart() -> DatasetSpec {
 
 /// Human Activity Recognition (smartphone accelerometer, body acceleration,
 /// normalized to [-1, 1]).
-pub fn human_activity() -> DatasetSpec {
+fn human_activity() -> DatasetSpec {
     DatasetSpec::new(
         "human-activity",
         10_299,
@@ -70,7 +70,7 @@ pub fn human_activity() -> DatasetSpec {
 }
 
 /// Localization Data for Person Activity: tag coordinates in metres.
-pub fn person_localization() -> DatasetSpec {
+fn person_localization() -> DatasetSpec {
     DatasetSpec::new(
         "person-localization",
         164_860,
@@ -97,7 +97,7 @@ pub fn ujiindoorloc() -> DatasetSpec {
 
 /// Smartphone-Based Recognition of Human Activities and Postural
 /// Transitions: body acceleration magnitudes.
-pub fn postural_transitions() -> DatasetSpec {
+fn postural_transitions() -> DatasetSpec {
     DatasetSpec::new(
         "postural-transitions",
         10_929,

@@ -1,6 +1,6 @@
 //! Property-based tests for the dataset generators and queries.
 
-use ldp_datasets::{evaluate_query, from_csv, generate, to_csv, DatasetSpec, Query, Shape};
+use ldp_datasets::{evaluate_query, generate, DatasetSpec, Query, Shape};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = DatasetSpec> {
@@ -43,12 +43,6 @@ proptest! {
     #[test]
     fn generation_is_deterministic(spec in arb_spec(), seed in any::<u64>()) {
         prop_assert_eq!(generate(&spec, seed), generate(&spec, seed));
-    }
-
-    #[test]
-    fn csv_roundtrips_any_generated_dataset(spec in arb_spec(), seed in any::<u64>()) {
-        let data = generate(&spec, seed);
-        prop_assert_eq!(from_csv(&to_csv(&data)).unwrap(), data);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! budget, the DP-Box starts replaying its cached output and the estimate's
 //! accuracy is capped.
 
-use ldp_core::{segment_table_cached, BudgetController, LdpError, LimitMode, SamplerPath};
+use ldp_core::{segment_table_cached, BudgetController, LdpError, LimitMode};
 use ulp_obs::{Counter, SpanTimer};
 use ulp_rng::{FxpLaplace, Taus88};
 
@@ -53,7 +53,6 @@ pub fn averaging_attack(
     let mut ctrl = BudgetController::new(table, setup.range, budget.unwrap_or(1e18))?;
     let sampler = FxpLaplace::analytic(setup.cfg);
     let mut rng = Taus88::from_seed(seed ^ 0x0ADE_5A47);
-    let fast = setup.sampler_path == SamplerPath::Fast;
     let x_code = setup.adc.encode(x) as f64;
     let d_codes = setup.range.span_k() as f64;
     let mut sum = 0.0f64;
@@ -62,12 +61,7 @@ pub fn averaging_attack(
     let total = *checkpoints.last().expect("nonempty");
     let mut next_cp = 0usize;
     while n < total {
-        let y = if fast {
-            ctrl.respond_alias(x_code, &sampler, &mut rng)?
-        } else {
-            ctrl.respond(x_code, &sampler, &mut rng)?
-        };
-        sum += y;
+        sum += ctrl.respond_alias(x_code, &sampler, &mut rng)?;
         n += 1;
         if next_cp < checkpoints.len() && n == checkpoints[next_cp] {
             let mean = sum / n as f64;

@@ -6,7 +6,7 @@
 //! the Tausworthe URNG is actually uniform. The campaign quantifies what
 //! the continuous health tests buy when the second leg breaks:
 //!
-//! * [`inject_fault`] — one device run with a fault switched on mid-mission
+//! * `inject_fault` — one device run with a fault switched on mid-mission
 //!   ([`ulp_rng::OnsetBits`]), measuring detection latency in URNG words and
 //!   device cycles, and collecting the outputs released between onset and
 //!   alarm;
@@ -144,7 +144,7 @@ impl Default for CampaignConfig {
 
 /// Outcome of one fault-injection run ([`inject_fault`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultInjection {
+struct FaultInjection {
     /// The injected fault.
     pub fault: FaultKind,
     /// Whether the health monitor tripped within the noising budget.
@@ -186,7 +186,7 @@ fn configure<R: RandomBits>(dev: &mut DpBox<R>, cc: &CampaignConfig) -> Result<(
 /// # Panics
 ///
 /// Panics if `x_code` lies outside `[0, cc.span]`.
-pub fn inject_fault(
+fn inject_fault(
     fault: FaultKind,
     cc: &CampaignConfig,
     x_code: i64,

@@ -132,6 +132,10 @@ impl MechKind {
 }
 
 /// A fully configured experiment for one dataset at one privacy level.
+///
+/// Every mechanism it builds privatizes batches on
+/// [`SamplerPath::Fast`]; single draws stay on the cycle-faithful reference
+/// datapath.
 #[derive(Debug, Clone)]
 pub struct ExperimentSetup {
     /// The dataset specification.
@@ -146,11 +150,6 @@ pub struct ExperimentSetup {
     pub pmf: FxpNoisePmf,
     /// The privacy parameter ε.
     pub eps: f64,
-    /// Which sampler datapath batched privatization uses (read from the
-    /// `ULP_SAMPLER_PATH` environment variable; see
-    /// [`SamplerPath::from_env`]). Single draws always stay on the
-    /// cycle-faithful reference path.
-    pub sampler_path: SamplerPath,
 }
 
 impl ExperimentSetup {
@@ -170,9 +169,8 @@ impl ExperimentSetup {
     ///
     /// # Errors
     ///
-    /// [`LdpError::InvalidEpsilon`] for a non-positive ε;
-    /// [`LdpError::InvalidEnv`] for an unrecognized `ULP_SAMPLER_PATH`
-    /// value; RNG configuration errors propagate.
+    /// [`LdpError::InvalidEpsilon`] for a non-positive ε; RNG configuration
+    /// errors propagate.
     pub fn with_output_bits(
         spec: &DatasetSpec,
         eps: f64,
@@ -197,14 +195,7 @@ impl ExperimentSetup {
             cfg,
             pmf,
             eps,
-            sampler_path: SamplerPath::from_env()?,
         })
-    }
-
-    /// Overrides the sampler path for every mechanism this setup builds.
-    pub fn with_sampler_path(mut self, path: SamplerPath) -> Self {
-        self.sampler_path = path;
-        self
     }
 
     /// The paper's default operating point: `Bu = 17`, 8-bit ADC.
@@ -222,7 +213,7 @@ impl ExperimentSetup {
     ///
     /// Propagates constructor validation.
     pub fn ideal(&self) -> Result<IdealLaplaceMechanism, LdpError> {
-        Ok(IdealLaplaceMechanism::new(self.range, self.eps)?.with_sampler_path(self.sampler_path))
+        Ok(IdealLaplaceMechanism::new(self.range, self.eps)?.with_sampler_path(SamplerPath::Fast))
     }
 
     /// The naive fixed-point baseline.
@@ -233,7 +224,7 @@ impl ExperimentSetup {
     pub fn baseline(&self) -> Result<FxpBaseline, LdpError> {
         Ok(
             FxpBaseline::new(FxpLaplace::analytic(self.cfg), self.range)?
-                .with_sampler_path(self.sampler_path),
+                .with_sampler_path(SamplerPath::Fast),
         )
     }
 
@@ -246,7 +237,7 @@ impl ExperimentSetup {
         let spec = exact_threshold_cached(self.cfg, self.range, multiple, LimitMode::Resampling)?;
         Ok(
             ResamplingMechanism::new(FxpLaplace::analytic(self.cfg), self.range, spec)?
-                .with_sampler_path(self.sampler_path),
+                .with_sampler_path(SamplerPath::Fast),
         )
     }
 
@@ -259,7 +250,7 @@ impl ExperimentSetup {
         let spec = exact_threshold_cached(self.cfg, self.range, multiple, LimitMode::Thresholding)?;
         Ok(
             ThresholdingMechanism::new(FxpLaplace::analytic(self.cfg), self.range, spec)?
-                .with_sampler_path(self.sampler_path),
+                .with_sampler_path(SamplerPath::Fast),
         )
     }
 }

@@ -164,7 +164,7 @@ pub enum SvmPrivacy {
 /// # Errors
 ///
 /// Mechanism-construction errors propagate.
-pub fn svm_accuracy(
+fn svm_accuracy(
     train_size: usize,
     privacy: SvmPrivacy,
     test: &[Sample],
@@ -230,7 +230,7 @@ pub fn svm_accuracy(
 ///
 /// # Errors
 ///
-/// Propagates [`svm_accuracy`] errors.
+/// Mechanism-construction errors propagate.
 pub fn svm_grid(
     privacies: &[SvmPrivacy],
     sizes: &[usize],

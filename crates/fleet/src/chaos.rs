@@ -535,9 +535,9 @@ impl DeviceChaos {
 }
 
 /// Environment variable overriding a chaos campaign's master seed.
-pub const CHAOS_SEED_ENV: &str = "ULP_CHAOS_SEED";
+pub(crate) const CHAOS_SEED_ENV: &str = "ULP_CHAOS_SEED";
 
-/// Reads [`CHAOS_SEED_ENV`]: `Ok(None)` if unset, the parsed seed if a
+/// Reads `ULP_CHAOS_SEED`: `Ok(None)` if unset, the parsed seed if a
 /// valid `u64`, and a typed error otherwise — a misspelled seed must never
 /// silently fall back to a default campaign.
 ///

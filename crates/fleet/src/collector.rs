@@ -353,7 +353,7 @@ impl IngestStats {
 /// How many epochs one dedup block covers (window = two blocks).
 const DEDUP_BLOCK: u32 = 64;
 /// Attributable protocol violations before a sender is latched out.
-pub const DEFAULT_QUARANTINE_STRIKES: u32 = 3;
+const DEFAULT_QUARANTINE_STRIKES: u32 = 3;
 /// Items per block of the streaming drain: one block is decoded and
 /// classified, then accumulated, before the next is decoded.
 pub(crate) const DRAIN_BLOCK: usize = 4096;
@@ -660,8 +660,8 @@ pub struct Collector {
 
 impl Collector {
     /// Creates a collector with `shards` accumulator partitions for the
-    /// given query streams, latching senders out after
-    /// [`DEFAULT_QUARANTINE_STRIKES`] attributable violations.
+    /// given query streams, latching senders out after three attributable
+    /// violations.
     ///
     /// # Panics
     ///

@@ -969,6 +969,10 @@ impl FleetDriver {
     ///
     /// # Errors
     ///
+    /// [`FleetError::Config`] for a service that cannot run: a window of
+    /// zero epochs, a queue of zero frames, or a quorum that is not a
+    /// number in `[0, 1]` (checked before any device boots, since the
+    /// fields are public and skip [`ServiceConfig::new`]'s asserts).
     /// Propagates device-boot and mechanism-construction failures. Devices
     /// excluded by the self-test or dropped mid-stream are *not* errors —
     /// they are the fail-safe path working as designed, and are reported in
@@ -985,6 +989,21 @@ impl FleetDriver {
     ///
     /// As [`FleetDriver::run_service`].
     pub fn serve(&self, svc: &ServiceConfig) -> Result<(ServiceOutcome, FleetService), FleetError> {
+        if svc.window_epochs == 0 {
+            return Err(FleetError::Config(
+                "service window must cover at least one epoch",
+            ));
+        }
+        if svc.queue_frames == 0 {
+            return Err(FleetError::Config(
+                "service queue must hold at least one frame",
+            ));
+        }
+        if !(0.0..=1.0).contains(&svc.quorum) {
+            return Err(FleetError::Config(
+                "service quorum must be a number in [0, 1]",
+            ));
+        }
         let cfg = &self.cfg;
         let epochs = cfg.epochs as usize;
         let truth = self.prepare_truth()?;
@@ -1993,6 +2012,49 @@ mod tests {
         assert!(strict.stats.accepted + strict.stats.late >= batch.stats.accepted);
         assert_eq!(strict.ledger_digest, batch.ledger_digest);
     }
+
+    #[test]
+    fn unrunnable_service_configs_are_typed_errors() {
+        let driver = FleetDriver::new(small_cfg(10)).unwrap();
+        let valid = ServiceConfig::new(1, 64);
+        for (svc, field) in [
+            (
+                ServiceConfig {
+                    window_epochs: 0,
+                    ..valid.clone()
+                },
+                "window",
+            ),
+            (
+                ServiceConfig {
+                    queue_frames: 0,
+                    ..valid.clone()
+                },
+                "queue",
+            ),
+            (
+                ServiceConfig {
+                    quorum: 1.5,
+                    ..valid.clone()
+                },
+                "quorum",
+            ),
+            (
+                ServiceConfig {
+                    quorum: f64::NAN,
+                    ..valid.clone()
+                },
+                "quorum",
+            ),
+        ] {
+            match driver.run_service(&svc) {
+                Err(FleetError::Config(msg)) => assert!(msg.contains(field), "{svc:?}: {msg}"),
+                other => panic!("{svc:?}: expected a config error, got {other:?}"),
+            }
+        }
+        assert!(driver.run_service(&valid).is_ok());
+    }
+
     #[test]
     fn a_watermark_lag_past_the_last_round_seals_at_the_flush() {
         let cfg = FleetConfig {

@@ -63,11 +63,11 @@ pub mod wire;
 
 pub use chaos::{
     chaos_seed_from_env, Attempt, ChaosConfig, ChaosConfigError, Delivery, DeviceChaos, FaultClass,
-    FaultKind, InlineFrame, CHAOS_SEED_ENV, MAX_DELAY_ROUNDS,
+    FaultKind, InlineFrame, MAX_DELAY_ROUNDS,
 };
 pub use collector::{
     ingest_phase_totals, Collector, EpochSeal, IngestPath, IngestPhaseTotals, IngestStats,
-    QueryConfig, QueryKind, QueryTotals, SealStatus, DEFAULT_QUARANTINE_STRIKES,
+    QueryConfig, QueryKind, QueryTotals, SealStatus,
 };
 pub use driver::{
     sim_phase_ns, DeviceEngine, FleetConfig, FleetDriver, FleetError, ServiceOutcome, RR_QUERY,
@@ -76,11 +76,10 @@ pub use driver::{
 pub use estimator::{Estimate, NoiseModel};
 pub use service::{
     AllWindowsSealed, Busy, FleetService, ServiceConfig, ServiceSnapshot, WindowEstimates,
-    SERVICE_QUEUE_ENV, SERVICE_WINDOW_ENV,
 };
 pub use sketch::GridSketch;
 pub use window::{window_spans, Rollup, RollupError, RollupOutcome, SealedWindow, Window};
 pub use wire::{
     decode_counter_totals, decode_stream, DecodeCounterTotals, DecodedStream, Payload, Report,
-    WireError, FRAME_LEN, MAGIC, VERSION, VERSION_LEGACY,
+    WireError, FRAME_LEN,
 };

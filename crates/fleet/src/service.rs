@@ -66,9 +66,9 @@ static DRAIN_FRAMES: Histogram = Histogram::new("fleet.service.drain_frames", "f
 static SEAL_NS: Histogram = Histogram::new("fleet.service.seal_ns", "ns");
 
 /// Environment variable overriding the service window width (epochs).
-pub const SERVICE_WINDOW_ENV: &str = "ULP_SERVICE_WINDOW_EPOCHS";
+pub(crate) const SERVICE_WINDOW_ENV: &str = "ULP_SERVICE_WINDOW_EPOCHS";
 /// Environment variable overriding the per-lane queue capacity (frames).
-pub const SERVICE_QUEUE_ENV: &str = "ULP_SERVICE_QUEUE_FRAMES";
+pub(crate) const SERVICE_QUEUE_ENV: &str = "ULP_SERVICE_QUEUE_FRAMES";
 
 /// Streaming-service parameters.
 #[derive(Debug, Clone)]
@@ -111,8 +111,9 @@ impl ServiceConfig {
     }
 
     /// Applies the strict `ULP_SERVICE_*` environment overrides to this
-    /// configuration: [`SERVICE_WINDOW_ENV`] (a positive integer of
-    /// epochs) and [`SERVICE_QUEUE_ENV`] (a positive integer of frames).
+    /// configuration: `ULP_SERVICE_WINDOW_EPOCHS` (a positive integer of
+    /// epochs) and `ULP_SERVICE_QUEUE_FRAMES` (a positive integer of
+    /// frames).
     ///
     /// # Errors
     ///

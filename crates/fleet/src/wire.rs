@@ -54,11 +54,11 @@ use core::fmt;
 use ulp_obs::{Counter, Histogram};
 
 /// Frame magic byte (first byte of every report frame).
-pub const MAGIC: u8 = 0xD9;
+pub(crate) const MAGIC: u8 = 0xD9;
 /// Current wire-format version (sequence-numbered frames).
-pub const VERSION: u8 = 2;
+pub(crate) const VERSION: u8 = 2;
 /// The legacy wire version (reserved byte must be zero) still decoded.
-pub const VERSION_LEGACY: u8 = 1;
+pub(crate) const VERSION_LEGACY: u8 = 1;
 /// Encoded size of one report frame, in bytes.
 pub const FRAME_LEN: usize = 20;
 
@@ -128,7 +128,7 @@ pub enum WireError {
         /// Bytes actually available.
         got: usize,
     },
-    /// Byte 0 was not [`MAGIC`].
+    /// Byte 0 was not the frame magic byte `0xD9`.
     BadMagic {
         /// The byte found instead.
         found: u8,

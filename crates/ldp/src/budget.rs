@@ -334,9 +334,7 @@ impl BudgetController {
 
     /// Serves one request drawing noise from the cached alias table instead
     /// of the sampler datapath — the same output distribution (the table is
-    /// built from the exact PMF) at O(1) per draw. Falls back to
-    /// [`BudgetController::respond`] for CORDIC samplers, whose distribution
-    /// the analytic PMF does not describe.
+    /// built from the exact PMF) at O(1) per draw.
     ///
     /// # Errors
     ///
@@ -348,9 +346,6 @@ impl BudgetController {
         sampler: &FxpLaplace,
         rng: &mut dyn RandomBits,
     ) -> Result<f64, LdpError> {
-        if !sampler.is_analytic() {
-            return self.respond(x, sampler, rng);
-        }
         let table = cached_alias_full(sampler.config())?;
         self.respond_with(x, &mut || table.draw(&mut *rng))
     }

@@ -13,14 +13,9 @@ use crate::error::LdpError;
 /// Global sensitivity of the mean query over `n` values in a range of
 /// length `d` (Section II-A): changing one value moves the mean by at most
 /// `d/n`.
-pub fn mean_sensitivity(range_length: f64, n: usize) -> f64 {
+fn mean_sensitivity(range_length: f64, n: usize) -> f64 {
     assert!(n > 0, "need at least one value");
     range_length / n as f64
-}
-
-/// Global sensitivity of the counting query: 1, independent of `n`.
-pub fn count_sensitivity() -> f64 {
-    1.0
 }
 
 /// A trusted-curator Laplace mechanism for the mean query.
@@ -107,7 +102,6 @@ mod tests {
     fn sensitivity_shrinks_with_n() {
         assert_eq!(mean_sensitivity(100.0, 10), 10.0);
         assert_eq!(mean_sensitivity(100.0, 1000), 0.1);
-        assert_eq!(count_sensitivity(), 1.0);
     }
 
     #[test]

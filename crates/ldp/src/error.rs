@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use ulp_obs::EnvError;
 use ulp_rng::RngError;
 
 use crate::loss::PrivacyLoss;
@@ -13,10 +12,6 @@ pub enum LdpError {
     /// A segment table was requested with no loss multiples: budget control
     /// needs at least one segment to bound the output window.
     EmptySegmentTable,
-    /// A `ULP_*` environment variable held an unrecognized value. Surfaced
-    /// as a typed error so a misspelling (e.g. `ULP_SAMPLER_PATH=refrence`)
-    /// aborts loudly instead of silently selecting a default path.
-    InvalidEnv(EnvError),
     /// A sensor range was empty, inverted, or non-finite.
     InvalidRange {
         /// Offending lower bound (grid index).
@@ -76,7 +71,6 @@ impl fmt::Display for LdpError {
             LdpError::EmptySegmentTable => {
                 write!(f, "segment table needs at least one loss multiple")
             }
-            LdpError::InvalidEnv(e) => write!(f, "{e}"),
             LdpError::InvalidRange { min_k, max_k } => {
                 write!(f, "invalid sensor range: [{min_k}, {max_k}] grid units")
             }
@@ -122,7 +116,6 @@ impl std::error::Error for LdpError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LdpError::Rng(e) => Some(e),
-            LdpError::InvalidEnv(e) => Some(e),
             _ => None,
         }
     }
@@ -131,11 +124,5 @@ impl std::error::Error for LdpError {
 impl From<RngError> for LdpError {
     fn from(e: RngError) -> Self {
         LdpError::Rng(e)
-    }
-}
-
-impl From<EnvError> for LdpError {
-    fn from(e: EnvError) -> Self {
-        LdpError::InvalidEnv(e)
     }
 }

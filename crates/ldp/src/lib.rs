@@ -65,7 +65,6 @@ pub mod loss;
 mod mechanism;
 mod multi;
 mod range;
-mod renyi;
 mod rr;
 pub mod theory;
 pub mod threshold;
@@ -73,7 +72,7 @@ mod timing;
 
 pub use budget::{BudgetController, BudgetStats, SegmentTable};
 pub use cache::{exact_threshold_cached, segment_table_cached};
-pub use central::{count_sensitivity, mean_sensitivity, CentralLaplaceMean};
+pub use central::CentralLaplaceMean;
 pub use composition::CompositionLedger;
 pub use discrete_mech::DiscreteLaplaceMechanism;
 pub use error::LdpError;
@@ -90,7 +89,6 @@ pub use mechanism::{
 };
 pub use multi::{MultiSensorBudget, SensorId};
 pub use range::QuantizedRange;
-pub use renyi::{renyi_divergence, worst_case_renyi, RdpAccountant};
 pub use rr::RandomizedResponse;
 pub use threshold::{
     closed_form_threshold, exact_threshold, exact_threshold_for_bound, refine_threshold,

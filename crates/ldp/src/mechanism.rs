@@ -31,15 +31,15 @@
 //! integer-count PMF, and draws then come from certified per-window
 //! conditional alias tables — rejection-free, constant word consumption per
 //! output (no data-dependent redraw loop to leak through timing). Mechanisms
-//! that cannot be certified (no claimed bound, a continuous `f64` sampler, or
-//! a CORDIC sampler with no exact PMF) refuse loudly with
-//! [`LdpError::Uncertifiable`]; a claimed bound the exact check contradicts
-//! surfaces as [`LdpError::CertificationFailed`]. The secure path never
-//! silently falls back.
+//! that cannot be certified (no claimed bound, or a continuous `f64`
+//! sampler) refuse loudly with [`LdpError::Uncertifiable`]; a claimed bound
+//! the exact check contradicts surfaces as
+//! [`LdpError::CertificationFailed`]. The secure path never silently falls
+//! back.
 
 use std::sync::Arc;
 
-use ulp_obs::{parse_env, Counter, EnvError, Histogram};
+use ulp_obs::{Counter, Histogram};
 use ulp_rng::{
     cached_alias_full, cached_alias_laplace_grid, cached_alias_window, cached_pmf, AliasTable,
     FxpLaplace, FxpLaplaceConfig, IdealLaplace, RandomBits,
@@ -80,49 +80,6 @@ pub enum SamplerPath {
     /// conditional tables, and refuses uncertifiable mechanisms (see the
     /// module docs).
     Secure,
-}
-
-/// Environment variable selecting the batched sampler path.
-const SAMPLER_PATH_ENV: &str = "ULP_SAMPLER_PATH";
-/// The values [`SamplerPath::parse`] accepts.
-const SAMPLER_PATHS: &str = "fast | reference | secure";
-
-impl SamplerPath {
-    /// Parses `fast`, `reference` or `secure` (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvError`] for anything else: a misspelling like `refrence` used
-    /// to silently select the fast path, which is exactly the invisible
-    /// misconfiguration strict parsing exists to prevent.
-    pub fn parse(raw: &str) -> Result<Self, EnvError> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "fast" => Ok(SamplerPath::Fast),
-            "reference" => Ok(SamplerPath::Reference),
-            "secure" => Ok(SamplerPath::Secure),
-            _ => Err(EnvError {
-                var: SAMPLER_PATH_ENV,
-                value: raw.to_string(),
-                expected: SAMPLER_PATHS,
-            }),
-        }
-    }
-
-    /// Reads the path from the `ULP_SAMPLER_PATH` environment variable;
-    /// unset selects [`SamplerPath::Fast`], the default for simulation
-    /// throughput. The evaluation harness uses this so whole artifact runs
-    /// can be regenerated on any path without code changes.
-    ///
-    /// # Errors
-    ///
-    /// [`LdpError::InvalidEnv`] on a set-but-unrecognized value — never a
-    /// silent fallback.
-    pub fn from_env() -> Result<Self, LdpError> {
-        let path = parse_env(SAMPLER_PATH_ENV, SAMPLER_PATHS, |s| {
-            SamplerPath::parse(s).ok()
-        })?;
-        Ok(path.unwrap_or(SamplerPath::Fast))
-    }
 }
 
 /// One privatized sensor reading.
@@ -401,8 +358,6 @@ fn check_delta(sampler: &FxpLaplace, range: QuantizedRange) -> Result<(), LdpErr
 ///
 /// # Errors
 ///
-/// [`LdpError::Uncertifiable`] for a CORDIC sampler (its distribution is
-/// not the analytic PMF, so there is nothing exact to check against);
 /// [`LdpError::CertificationFailed`] when the exact check contradicts the
 /// claimed bound — e.g. a threshold from the paper's closed-form Eq. 15,
 /// which can overshoot into the RNG's zero-probability gap region.
@@ -412,11 +367,6 @@ fn certify_window(
     mode: LimitMode,
     spec: ThresholdSpec,
 ) -> Result<(), LdpError> {
-    if !sampler.is_analytic() {
-        return Err(LdpError::Uncertifiable(
-            "CORDIC sampler has no exact analytic PMF to certify against",
-        ));
-    }
     let pmf = cached_pmf(sampler.config())?;
     let realized = worst_case_loss(&pmf, range, mode, Some(spec.n_th_k));
     if realized.is_bounded_by(spec.guaranteed_loss) {
@@ -456,9 +406,7 @@ impl FxpBaseline {
         })
     }
 
-    /// Selects the batched sampler path (see [`SamplerPath`]). The fast
-    /// path only engages for analytic samplers; CORDIC samplers always run
-    /// the reference datapath.
+    /// Selects the batched sampler path (see [`SamplerPath`]).
     pub fn with_sampler_path(mut self, path: SamplerPath) -> Self {
         self.path = path;
         self
@@ -497,7 +445,7 @@ impl Mechanism for FxpBaseline {
             SamplerPath::Secure => Err(LdpError::Uncertifiable(
                 "fxp-baseline claims no loss bound (guarantee is Broken); there is nothing to certify",
             )),
-            SamplerPath::Fast if self.sampler.is_analytic() => {
+            SamplerPath::Fast => {
                 // `out` doubles as the noise buffer: one bulk fill, one
                 // fused add.
                 cached_alias_full(self.sampler.config())?.fill_batch(rng, out);
@@ -506,7 +454,7 @@ impl Mechanism for FxpBaseline {
                 }
                 Ok(0)
             }
-            _ => reference_batch(self, self.range, xs_k, rng, out),
+            SamplerPath::Reference => reference_batch(self, self.range, xs_k, rng, out),
         }
     }
 
@@ -557,9 +505,7 @@ impl ResamplingMechanism {
         })
     }
 
-    /// Selects the batched sampler path (see [`SamplerPath`]). The fast
-    /// path only engages for analytic samplers; CORDIC samplers always run
-    /// the reference datapath.
+    /// Selects the batched sampler path (see [`SamplerPath`]).
     pub fn with_sampler_path(mut self, path: SamplerPath) -> Self {
         self.path = path;
         self
@@ -653,7 +599,7 @@ impl Mechanism for ResamplingMechanism {
                 }
                 Ok(0)
             }
-            SamplerPath::Fast if self.sampler.is_analytic() => {
+            SamplerPath::Fast => {
                 let table = cached_alias_full(cfg)?;
                 let mut resamples = 0u64;
                 // `out` doubles as the noise buffer; misses resolve
@@ -669,7 +615,7 @@ impl Mechanism for ResamplingMechanism {
                 }
                 Ok(resamples)
             }
-            _ => reference_batch(self, self.range, xs_k, rng, out),
+            SamplerPath::Reference => reference_batch(self, self.range, xs_k, rng, out),
         }
     }
 
@@ -720,9 +666,7 @@ impl ThresholdingMechanism {
         })
     }
 
-    /// Selects the batched sampler path (see [`SamplerPath`]). The fast
-    /// path only engages for analytic samplers; CORDIC samplers always run
-    /// the reference datapath.
+    /// Selects the batched sampler path (see [`SamplerPath`]).
     pub fn with_sampler_path(mut self, path: SamplerPath) -> Self {
         self.path = path;
         self
@@ -777,8 +721,8 @@ impl Mechanism for ThresholdingMechanism {
                 LimitMode::Thresholding,
                 self.spec,
             )?,
-            SamplerPath::Fast if self.sampler.is_analytic() => {}
-            _ => return reference_batch(self, self.range, xs_k, rng, out),
+            SamplerPath::Fast => {}
+            SamplerPath::Reference => return reference_batch(self, self.range, xs_k, rng, out),
         }
         // Clamping a full-support draw *is* the thresholded law (boundary
         // atoms included) — the distribution the secure path certified —
@@ -1041,30 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn cordic_sampler_ignores_fast_flag() {
-        // A CORDIC sampler's distribution is not the analytic PMF, so the
-        // fast flag must not reroute it: batches stay byte-identical to the
-        // single-draw loop.
-        let cfg = FxpLaplaceConfig::new(12, 12, 0.25, 5.0).unwrap();
-        let sampler = FxpLaplace::cordic(cfg, ulp_rng::CordicLn::new(24));
-        let range = QuantizedRange::new(0, 16, 0.25).unwrap();
-        let mech = FxpBaseline::new(sampler, range)
-            .unwrap()
-            .with_sampler_path(SamplerPath::Fast);
-        let xs_k = [0, 4, 8, 12];
-        let mut a = Taus88::from_seed(43);
-        let mut b = a.clone();
-        let mut batched = [0i64; 4];
-        mech.privatize_index_batch(&xs_k, &mut a, &mut batched)
-            .unwrap();
-        for (&y, &x_k) in batched.iter().zip(&xs_k) {
-            let single = mech.privatize(range.to_value(x_k), &mut b).unwrap();
-            assert_eq!(range.to_value(y), single.value);
-        }
-        assert_eq!(a.next_u32(), b.next_u32());
-    }
-
-    #[test]
     fn ideal_scales_too_wide_to_tabulate_take_the_reference_arm() {
         // ε = 0.01 puts λ at 3,200 grid steps, past the grid table's 1,024.
         let (_, range, _, _) = setup();
@@ -1080,16 +1000,6 @@ mod tests {
             .unwrap();
         assert_eq!(ref_out, fast_out);
         assert_eq!(a.next_u32(), b.next_u32());
-    }
-
-    #[test]
-    fn sampler_path_env_parsing() {
-        // Don't mutate the environment (tests run in parallel): exercise
-        // the documented contract only.
-        assert_eq!(SamplerPath::parse("secure").unwrap(), SamplerPath::Secure);
-        assert_eq!(SamplerPath::parse(" SECURE ").unwrap(), SamplerPath::Secure);
-        let err = SamplerPath::parse("secure-ish").unwrap_err();
-        assert_eq!(err.expected, "fast | reference | secure");
     }
 
     #[test]
@@ -1172,22 +1082,6 @@ mod tests {
             .with_sampler_path(SamplerPath::Secure);
         assert!(matches!(
             ideal.privatize_index_batch(&xs_k, &mut rng, &mut out),
-            Err(LdpError::Uncertifiable(_))
-        ));
-
-        // CORDIC sampler: no exact PMF to certify against.
-        let cfg = FxpLaplaceConfig::new(12, 12, 0.25, 5.0).unwrap();
-        let cordic = FxpLaplace::cordic(cfg, ulp_rng::CordicLn::new(24));
-        let c_range = QuantizedRange::new(0, 16, 0.25).unwrap();
-        let spec = ThresholdSpec {
-            n_th_k: 10,
-            guaranteed_loss: 2.0,
-        };
-        let mech = ThresholdingMechanism::new(cordic, c_range, spec)
-            .unwrap()
-            .with_sampler_path(SamplerPath::Secure);
-        assert!(matches!(
-            mech.privatize_index_batch(&xs_k, &mut rng, &mut out),
             Err(LdpError::Uncertifiable(_))
         ));
     }

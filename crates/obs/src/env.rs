@@ -3,9 +3,10 @@
 //! Every `ULP_*` knob in this workspace is parsed through [`parse_env`]:
 //! an unset variable selects the documented default, a well-formed value is
 //! honored, and **anything else is a typed error** — never a silent
-//! fallback. The motivating bug class: `ULP_SAMPLER_PATH=refrence` used to
-//! quietly select the fast path, which is exactly the kind of invisible
-//! misconfiguration the paper warns about for privacy parameters.
+//! fallback. The motivating bug class: a misspelled sampler path
+//! (`refrence`) once quietly selected the fast path, which is exactly the
+//! kind of invisible misconfiguration the paper warns about for privacy
+//! parameters.
 
 use core::fmt;
 

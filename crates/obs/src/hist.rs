@@ -29,7 +29,7 @@ pub struct Histogram {
 
 /// Index of the bucket holding `v`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {

@@ -32,13 +32,13 @@ pub use counter::Counter;
 pub use env::{parse_env, EnvError};
 pub use fnv::Fnv64;
 pub use gauge::Gauge;
-pub use hist::{bucket_floor, bucket_index, Histogram, BUCKETS};
+pub use hist::{bucket_floor, Histogram, BUCKETS};
 pub use level::{counters_enabled, full_enabled, level, set_level, MetricsLevel, METRICS_ENV};
 pub use report::{
-    reset_all, snapshot, BucketSnapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot,
-    MetricsReport, SpanSnapshot,
+    snapshot, BucketSnapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsReport,
+    SpanSnapshot,
 };
-pub use span::{span_stack, SpanGuard, SpanTimer};
+pub use span::{SpanGuard, SpanTimer};
 
 /// Serializes tests that mutate the process-wide metrics level.
 #[cfg(test)]

@@ -142,25 +142,6 @@ pub fn snapshot() -> MetricsReport {
     }
 }
 
-/// Resets every registered metric to zero (the registries keep their
-/// entries; only values clear). Benches call this between phases so each
-/// snapshot covers exactly one phase.
-pub fn reset_all() {
-    let reg = registry();
-    for c in lock(&reg.counters).iter() {
-        c.reset();
-    }
-    for g in lock(&reg.gauges).iter() {
-        g.reset();
-    }
-    for h in lock(&reg.histograms).iter() {
-        h.reset();
-    }
-    for s in lock(&reg.spans).iter() {
-        s.reset();
-    }
-}
-
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -272,18 +253,6 @@ mod tests {
         assert!(json.contains("\"test.report.a\":1"), "json: {json}");
         assert!(json.contains("\"test.report.b\":2"), "json: {json}");
         assert!(json.starts_with("{\"level\":"));
-        set_level(MetricsLevel::Off);
-    }
-
-    #[test]
-    fn reset_all_clears_registered_values() {
-        static C: Counter = Counter::new("test.report.reset");
-        let _guard = test_lock();
-        set_level(MetricsLevel::Counters);
-        C.add(7);
-        assert!(C.get() >= 7);
-        reset_all();
-        assert_eq!(C.get(), 0);
         set_level(MetricsLevel::Off);
     }
 }

@@ -16,8 +16,7 @@ thread_local! {
 ///
 /// [`SpanTimer::enter`] returns a guard; dropping the guard records the
 /// elapsed nanoseconds. While the guard lives, the span's name sits on a
-/// thread-local stack ([`span_stack`]), so nested instrumentation can see
-/// *where* it is running. Spans are gated at
+/// thread-local stack, outermost first. Spans are gated at
 /// [`MetricsLevel::Full`](crate::MetricsLevel::Full); when disabled,
 /// `enter` costs one relaxed load and returns an inert guard.
 ///
@@ -123,17 +122,17 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The names of the spans currently open on this thread, outermost first
-/// (empty unless the level is `full`).
-pub fn span_stack() -> Vec<&'static str> {
-    SPAN_STACK.with(|s| s.borrow().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::level::{set_level, MetricsLevel};
     use crate::test_lock;
+
+    /// The names of the spans currently open on this thread, outermost
+    /// first (empty unless the level is `full`).
+    fn span_stack() -> Vec<&'static str> {
+        SPAN_STACK.with(|s| s.borrow().clone())
+    }
 
     #[test]
     fn spans_record_and_nest() {

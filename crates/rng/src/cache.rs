@@ -74,17 +74,15 @@ struct PmfKey {
     by: u8,
     delta_bits: u64,
     lambda_bits: u64,
-    enumerated: bool,
 }
 
 impl PmfKey {
-    fn new(cfg: FxpLaplaceConfig, enumerated: bool) -> Self {
+    fn new(cfg: FxpLaplaceConfig) -> Self {
         PmfKey {
             bu: cfg.bu(),
             by: cfg.by(),
             delta_bits: cfg.delta().to_bits(),
             lambda_bits: cfg.lambda().to_bits(),
-            enumerated,
         }
     }
 }
@@ -126,7 +124,7 @@ fn grid_cache() -> &'static GridMap {
 /// [`RngError::InvalidConfig`] if the support is too wide to hold
 /// ([`FxpNoisePmf::check_support`]); nothing is allocated then.
 pub fn cached_pmf(cfg: FxpLaplaceConfig) -> Result<Arc<FxpNoisePmf>, RngError> {
-    let key = PmfKey::new(cfg, false);
+    let key = PmfKey::new(cfg);
     if let Some(hit) = read_lock(cache()).get(&key) {
         PMF_HITS.inc();
         return Ok(Arc::clone(hit));
@@ -136,24 +134,6 @@ pub fn cached_pmf(cfg: FxpLaplaceConfig) -> Result<Arc<FxpNoisePmf>, RngError> {
     // Build outside the lock: closed_form is O(support) exp() calls and
     // concurrent workers frequently miss on the same key at startup.
     let pmf = Arc::new(FxpNoisePmf::closed_form(cfg));
-    Ok(Arc::clone(write_lock(cache()).entry(key).or_insert(pmf)))
-}
-
-/// The exhaustively enumerated PMF for `cfg`, memoized process-wide — one
-/// `O(2^Bu)` enumeration is shared by every subsequent solve at any ε.
-///
-/// # Errors
-///
-/// [`RngError::InvalidConfig`] if `Bu > 26` (see
-/// [`FxpNoisePmf::by_enumeration`]).
-pub fn cached_enumerated_pmf(cfg: FxpLaplaceConfig) -> Result<Arc<FxpNoisePmf>, RngError> {
-    let key = PmfKey::new(cfg, true);
-    if let Some(hit) = read_lock(cache()).get(&key) {
-        PMF_HITS.inc();
-        return Ok(Arc::clone(hit));
-    }
-    PMF_MISSES.inc();
-    let pmf = Arc::new(FxpNoisePmf::by_enumeration(cfg)?);
     Ok(Arc::clone(write_lock(cache()).entry(key).or_insert(pmf)))
 }
 
@@ -190,7 +170,7 @@ fn cached_alias(
     window: Option<(i64, i64)>,
 ) -> Result<Arc<AliasTable>, RngError> {
     let key = AliasKey {
-        pmf: PmfKey::new(cfg, false),
+        pmf: PmfKey::new(cfg),
         window,
     };
     if let Some(hit) = read_lock(alias_cache()).get(&key) {
@@ -229,16 +209,6 @@ pub fn cached_alias_laplace_grid(lambda: f64) -> Result<Arc<AliasTable>, RngErro
     ))
 }
 
-/// Number of distinct PMFs currently memoized (diagnostics/tests).
-pub fn pmf_cache_len() -> usize {
-    read_lock(cache()).len()
-}
-
-/// Number of distinct alias tables currently memoized (diagnostics/tests).
-pub fn alias_cache_len() -> usize {
-    read_lock(alias_cache()).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,30 +239,6 @@ mod tests {
         let b = cached_pmf(cfg(23.0)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(*a, *b);
-    }
-
-    #[test]
-    fn enumerated_cache_matches_fresh_enumeration() {
-        let c = cfg(24.0);
-        let cached = cached_enumerated_pmf(c).unwrap();
-        assert_eq!(*cached, FxpNoisePmf::by_enumeration(c).unwrap());
-        // Closed-form and enumerated entries do not collide.
-        assert_eq!(*cached, *cached_pmf(c).unwrap());
-        let again = cached_enumerated_pmf(c).unwrap();
-        assert!(Arc::ptr_eq(&cached, &again));
-    }
-
-    #[test]
-    fn enumeration_width_limit_is_preserved() {
-        let wide = FxpLaplaceConfig::new(30, 12, 0.25, 50.0).unwrap();
-        assert!(cached_enumerated_pmf(wide).is_err());
-    }
-
-    #[test]
-    fn cache_len_grows_monotonically() {
-        let before = pmf_cache_len();
-        let _ = cached_pmf(cfg(123.456));
-        assert!(pmf_cache_len() >= before);
     }
 
     #[test]
@@ -328,9 +274,12 @@ mod tests {
     #[test]
     fn alias_window_errors_are_not_cached() {
         let c = cfg(26.0);
-        let before = alias_cache_len();
         let far = cached_pmf(c).unwrap().support_max_k() + 10;
         assert!(cached_alias_window(c, far, far + 1).is_err());
-        assert_eq!(alias_cache_len(), before);
+        let key = AliasKey {
+            pmf: PmfKey::new(c),
+            window: Some((far, far + 1)),
+        };
+        assert!(!read_lock(alias_cache()).contains_key(&key));
     }
 }

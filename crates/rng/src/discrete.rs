@@ -64,11 +64,6 @@ impl DiscreteLaplace {
         })
     }
 
-    /// The decay factor `α = exp(-Δ/λ)`.
-    pub fn alpha(self) -> f64 {
-        self.alpha
-    }
-
     /// Truncation bound.
     pub fn max_k(self) -> i64 {
         self.max_k

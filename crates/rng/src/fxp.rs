@@ -7,9 +7,6 @@
 //! is `λ·Bu·ln 2` — the bounded support that breaks the naive Laplace
 //! mechanism's privacy guarantee.
 
-use ulp_fixed::{Fx, QFormat};
-
-use crate::cordic::CordicLn;
 use crate::error::RngError;
 use crate::source::RandomBits;
 
@@ -143,17 +140,6 @@ impl FxpLaplaceConfig {
     }
 }
 
-/// Which datapath computes the logarithm inside the sampler.
-#[derive(Debug, Clone)]
-pub enum LogPath {
-    /// Double-precision `ln` — the exact mathematical model of Section
-    /// III-A2, used for analysis (its distribution matches
-    /// [`crate::FxpNoisePmf`] exactly).
-    Analytic,
-    /// Fixed-point CORDIC `ln` — the hardware datapath of Section IV-B.
-    Cordic(CordicLn),
-}
-
 /// The fixed-point Laplace RNG (Fig. 3): URNG → ICDF → rounder → sign.
 ///
 /// # Examples
@@ -172,25 +158,14 @@ pub enum LogPath {
 #[derive(Debug, Clone)]
 pub struct FxpLaplace {
     cfg: FxpLaplaceConfig,
-    path: LogPath,
 }
 
 impl FxpLaplace {
-    /// Creates a sampler using double-precision `ln` (the analysis model).
+    /// Creates a sampler using double-precision `ln`, the exact
+    /// mathematical model of Section III-A2: its output distribution is
+    /// exactly [`crate::FxpNoisePmf`].
     pub fn analytic(cfg: FxpLaplaceConfig) -> Self {
-        FxpLaplace {
-            cfg,
-            path: LogPath::Analytic,
-        }
-    }
-
-    /// Creates a sampler whose logarithm runs through the fixed-point
-    /// CORDIC datapath.
-    pub fn cordic(cfg: FxpLaplaceConfig, unit: CordicLn) -> Self {
-        FxpLaplace {
-            cfg,
-            path: LogPath::Cordic(unit),
-        }
+        FxpLaplace { cfg }
     }
 
     /// The sampler's configuration.
@@ -198,47 +173,11 @@ impl FxpLaplace {
         self.cfg
     }
 
-    /// Whether the logarithm runs through the analytic (double-precision)
-    /// datapath, whose output distribution is exactly [`crate::FxpNoisePmf`].
-    /// Table-driven fast paths are only valid for analytic samplers; the
-    /// CORDIC datapath may flip boundary magnitudes and must be simulated
-    /// draw by draw.
-    pub fn is_analytic(&self) -> bool {
-        matches!(self.path, LogPath::Analytic)
-    }
-
-    /// Maps a URNG index `m ∈ [1, 2^Bu]` to a magnitude index through the
-    /// configured log datapath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range.
-    pub fn magnitude_index(&self, m: u64) -> i64 {
-        match &self.path {
-            LogPath::Analytic => self.cfg.magnitude_index(m),
-            LogPath::Cordic(unit) => {
-                assert!(
-                    m >= 1 && m <= self.cfg.urng_cardinality(),
-                    "URNG index m={m} out of range"
-                );
-                // u = m · 2^-Bu as a fixed-point word with Bu fraction bits.
-                let in_fmt = QFormat::new((self.cfg.bu + 2).min(63), self.cfg.bu)
-                    .expect("Bu+2 ≤ 54 is a valid format");
-                let u = Fx::from_raw(m as i64, in_fmt).expect("m fits Bu+2 bits");
-                // -ln u ≤ Bu·ln2 < 37: 24 fraction bits with 7+ integer bits.
-                let out_fmt = QFormat::new(32, 24).expect("valid format");
-                let ln_u = unit.ln(u, out_fmt).expect("u > 0 by construction").to_f64();
-                let k = (self.cfg.lambda * (-ln_u) / self.cfg.delta).round() as i64;
-                k.clamp(0, self.cfg.max_output_k())
-            }
-        }
-    }
-
     /// Draws one signed magnitude index `k` (so the noise value is `kΔ`).
     pub fn sample_index<R: RandomBits + ?Sized>(&self, rng: &mut R) -> i64 {
         let negative = rng.bit();
         let m = rng.bits(self.cfg.bu) + 1;
-        let k = self.magnitude_index(m);
+        let k = self.cfg.magnitude_index(m);
         if negative {
             -k
         } else {
@@ -340,30 +279,6 @@ mod tests {
         let mut src = ScriptedBits::new(vec![0x8000_0000, 0x0000_0000]);
         let k = s.sample_index(&mut src);
         assert_eq!(k, -cfg.natural_max_k());
-    }
-
-    #[test]
-    fn cordic_path_matches_analytic_almost_everywhere() {
-        let cfg = FxpLaplaceConfig::new(12, 12, 0.25, 5.0).unwrap();
-        let analytic = FxpLaplace::analytic(cfg);
-        let hw = FxpLaplace::cordic(cfg, CordicLn::new(32));
-        let mut disagreements = 0u64;
-        for m in 1..=cfg.urng_cardinality() {
-            let ka = analytic.magnitude_index(m);
-            let kh = hw.magnitude_index(m);
-            assert!(
-                (ka - kh).abs() <= 1,
-                "m={m}: analytic {ka} vs cordic {kh} differ by more than 1 step"
-            );
-            if ka != kh {
-                disagreements += 1;
-            }
-        }
-        // Boundary flips only: a tiny fraction of the 4096 inputs.
-        assert!(
-            disagreements < cfg.urng_cardinality() / 100,
-            "{disagreements} CORDIC/analytic disagreements"
-        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The paper argues the infinite-loss problem is not Laplace-specific:
 //! *any* DP noise distribution (Laplace, Gaussian, staircase) realized on
 //! finite-precision hardware has bounded support and quantized tail
-//! probabilities. This module provides an inversion-method Gaussian in both
-//! ideal (`f64`) and fixed-point flavours; its exact PMF plugs into the
-//! same loss analysis via [`crate::FxpNoisePmf::from_magnitude_counts`],
+//! probabilities. This module provides an inversion-method fixed-point
+//! Gaussian; its exact PMF plugs into the same loss analysis via [`crate::FxpNoisePmf::from_magnitude_counts`],
 //! and the workspace tests show the same break-and-fix story holds.
 
 use crate::error::RngError;
@@ -15,7 +14,7 @@ use crate::source::RandomBits;
 /// Standard normal CDF `Φ(x)`, via the Abramowitz–Stegun 7.1.26 erf
 /// approximation (|error| < 1.5e-7 — far below any grid resolution used
 /// here).
-pub fn normal_cdf(x: f64) -> f64 {
+fn normal_cdf(x: f64) -> f64 {
     let z = x / std::f64::consts::SQRT_2;
     let t = 1.0 / (1.0 + 0.327_591_1 * z.abs());
     let poly = t
@@ -33,7 +32,7 @@ pub fn normal_cdf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)`.
-pub fn normal_icdf(p: f64) -> f64 {
+fn normal_icdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "icdf domain is (0,1), got {p}");
     // Acklam coefficients.
     const A: [f64; 6] = [
@@ -84,51 +83,6 @@ pub fn normal_icdf(p: f64) -> f64 {
     let e = normal_cdf(x) - p;
     let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
     x - u / (1.0 + x * u / 2.0)
-}
-
-/// An inversion-method ideal Gaussian sampler `N(0, σ²)`.
-///
-/// # Examples
-///
-/// ```
-/// use ulp_rng::{IdealGaussian, Taus88};
-///
-/// let g = IdealGaussian::new(2.0)?;
-/// let mut rng = Taus88::from_seed(1);
-/// assert!(g.sample(&mut rng).is_finite());
-/// # Ok::<(), ulp_rng::RngError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdealGaussian {
-    sigma: f64,
-}
-
-impl IdealGaussian {
-    /// Creates a sampler with standard deviation `σ`.
-    ///
-    /// # Errors
-    ///
-    /// [`RngError::InvalidConfig`] unless `σ` is finite and positive.
-    pub fn new(sigma: f64) -> Result<Self, RngError> {
-        if !(sigma.is_finite() && sigma > 0.0) {
-            return Err(RngError::InvalidConfig("σ must be finite and positive"));
-        }
-        Ok(IdealGaussian { sigma })
-    }
-
-    /// The standard deviation `σ`.
-    pub fn sigma(self) -> f64 {
-        self.sigma
-    }
-
-    /// Draws one sample by inversion on a 53-bit uniform.
-    pub fn sample<R: RandomBits + ?Sized>(self, rng: &mut R) -> f64 {
-        let m = rng.bits(53) + 1;
-        // u ∈ (0, 1); shift by half a grid step to stay inside the open
-        // interval at both ends.
-        let u = (m as f64 - 0.5) * 2f64.powi(-53);
-        self.sigma * normal_icdf(u)
-    }
 }
 
 /// Configuration of the fixed-point Gaussian RNG: same structure as the
@@ -306,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_gaussian_moments() {
-        let g = IdealGaussian::new(3.0).unwrap();
-        let mut rng = Taus88::from_seed(5);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| g.sample(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var / 9.0 - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
     fn fxp_gaussian_support_is_bounded() {
         let cfg = FxpGaussianConfig::new(16, 14, 0.25, 8.0).unwrap();
         let g = FxpGaussian::new(cfg);
@@ -378,11 +320,5 @@ mod tests {
         assert!(FxpGaussianConfig::new(16, 1, 0.5, 1.0).is_err());
         assert!(FxpGaussianConfig::new(16, 12, 0.0, 1.0).is_err());
         assert!(FxpGaussianConfig::new(16, 12, 0.5, -1.0).is_err());
-    }
-
-    #[test]
-    fn ideal_gaussian_validation() {
-        assert!(IdealGaussian::new(0.0).is_err());
-        assert!(IdealGaussian::new(f64::NAN).is_err());
     }
 }

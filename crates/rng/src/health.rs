@@ -506,66 +506,6 @@ impl Default for UrngHealth {
     }
 }
 
-/// An offline URNG diagnostic: counts ones per bit position over a window
-/// and flags positions whose frequency leaves `[0.5 − tol, 0.5 + tol]`.
-///
-/// This is the naive precursor of [`UrngHealth`] — useful for post-hoc
-/// characterization of a captured stream, but with no principled cutoff and
-/// no latching; the continuous tests above are what the fail-safe device
-/// pipeline gates on.
-#[derive(Debug, Clone)]
-pub struct BitHealthMonitor {
-    ones: [u64; 32],
-    samples: u64,
-}
-
-impl BitHealthMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        BitHealthMonitor {
-            ones: [0; 32],
-            samples: 0,
-        }
-    }
-
-    /// Feeds one 32-bit word.
-    pub fn observe(&mut self, word: u32) {
-        self.samples += 1;
-        for (i, count) in self.ones.iter_mut().enumerate() {
-            *count += u64::from((word >> i) & 1);
-        }
-    }
-
-    /// Number of observed words.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Bit positions whose ones-frequency is outside `0.5 ± tol`.
-    pub fn unhealthy_bits(&self, tol: f64) -> Vec<u8> {
-        if self.samples == 0 {
-            return Vec::new();
-        }
-        (0..32u8)
-            .filter(|&i| {
-                let f = self.ones[i as usize] as f64 / self.samples as f64;
-                (f - 0.5).abs() > tol
-            })
-            .collect()
-    }
-
-    /// Whether every bit position looks fair at tolerance `tol`.
-    pub fn healthy(&self, tol: f64) -> bool {
-        self.unhealthy_bits(tol).is_empty()
-    }
-}
-
-impl Default for BitHealthMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,48 +859,5 @@ mod tests {
                 assert_eq!(fast.alarm().copied(), scalar.alarm);
             }
         }
-    }
-
-    #[test]
-    fn health_monitor_passes_a_good_urng() {
-        let mut rng = Taus88::from_seed(2);
-        let mut mon = BitHealthMonitor::new();
-        for _ in 0..50_000 {
-            mon.observe(rng.next_u32());
-        }
-        assert!(
-            mon.healthy(0.02),
-            "bad bits: {:?}",
-            mon.unhealthy_bits(0.02)
-        );
-    }
-
-    #[test]
-    fn health_monitor_catches_a_stuck_bit() {
-        let mut rng = StuckAtBits::new(Taus88::from_seed(3), 13, true);
-        let mut mon = BitHealthMonitor::new();
-        for _ in 0..50_000 {
-            mon.observe(rng.next_u32());
-        }
-        assert_eq!(mon.unhealthy_bits(0.02), vec![13]);
-    }
-
-    #[test]
-    fn health_monitor_catches_broad_bias() {
-        let mut rng = BiasedBits::new(Taus88::from_seed(4), 64);
-        let mut mon = BitHealthMonitor::new();
-        for _ in 0..50_000 {
-            mon.observe(rng.next_u32());
-        }
-        assert!(
-            mon.unhealthy_bits(0.02).len() > 16,
-            "bias should show on most bits: {:?}",
-            mon.unhealthy_bits(0.02)
-        );
-    }
-
-    #[test]
-    fn empty_monitor_is_vacuously_healthy() {
-        assert!(BitHealthMonitor::new().healthy(0.01));
     }
 }

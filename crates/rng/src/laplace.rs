@@ -85,54 +85,6 @@ impl IdealLaplace {
     }
 }
 
-/// An inversion-method exponential sampler, `Exp(λ)` with mean `λ`.
-///
-/// The magnitude half of a Laplace variate; exposed separately because the
-/// resampling analysis works with one-sided tails.
-///
-/// # Examples
-///
-/// ```
-/// use ulp_rng::{IdealExponential, Taus88};
-///
-/// let exp = IdealExponential::new(5.0)?;
-/// let mut rng = Taus88::from_seed(2);
-/// assert!(exp.sample(&mut rng) >= 0.0);
-/// # Ok::<(), ulp_rng::RngError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdealExponential {
-    lambda: f64,
-}
-
-impl IdealExponential {
-    /// Creates a sampler with mean `λ`.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::RngError::InvalidConfig`] if `λ` is not finite and positive.
-    pub fn new(lambda: f64) -> Result<Self, crate::RngError> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(crate::RngError::InvalidConfig(
-                "exponential mean must be finite and positive",
-            ));
-        }
-        Ok(IdealExponential { lambda })
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: RandomBits + ?Sized>(self, rng: &mut R) -> f64 {
-        let m = rng.bits(53) + 1;
-        let u = m as f64 * 2f64.powi(-53);
-        -self.lambda * u.ln()
-    }
-
-    /// The mean `λ`.
-    pub fn lambda(self) -> f64 {
-        self.lambda
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +95,6 @@ mod tests {
         assert!(IdealLaplace::new(0.0).is_err());
         assert!(IdealLaplace::new(-1.0).is_err());
         assert!(IdealLaplace::new(f64::NAN).is_err());
-        assert!(IdealExponential::new(0.0).is_err());
     }
 
     #[test]
@@ -206,16 +157,5 @@ mod tests {
                 "quantile {q}: sample {emp}, expected near {want}"
             );
         }
-    }
-
-    #[test]
-    fn exponential_is_positive_with_mean_lambda() {
-        let e = IdealExponential::new(4.0).unwrap();
-        let mut rng = Taus88::from_seed(3);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| e.sample(&mut rng)).collect();
-        assert!(xs.iter().all(|&x| x >= 0.0));
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean / 4.0 - 1.0).abs() < 0.03, "mean {mean}");
     }
 }

@@ -11,9 +11,8 @@
 //!   down specific paths in tests.
 //! * [`CordicLn`] — the fixed-point hyperbolic-CORDIC natural logarithm that
 //!   evaluates the Laplace inverse CDF in hardware.
-//! * [`IdealLaplace`] / [`IdealExponential`] — continuous double-precision
-//!   inversion samplers (the mathematical reference the paper compares
-//!   against).
+//! * [`IdealLaplace`] — the continuous double-precision inversion sampler
+//!   (the mathematical reference the paper compares against).
 //! * [`FxpLaplace`] — the fixed-point Laplace RNG of Fig. 3: `Bu`-bit
 //!   uniform → ICDF → round to `kΔ` on a `By`-bit word → random sign. Its
 //!   support is **bounded** and its tail has **zero-probability gaps**; these
@@ -68,21 +67,18 @@ mod tausworthe;
 mod xorshift;
 
 pub use alias::AliasTable;
-pub use cache::{
-    alias_cache_len, cached_alias_full, cached_alias_laplace_grid, cached_alias_window,
-    cached_enumerated_pmf, cached_pmf, pmf_cache_len,
-};
+pub use cache::{cached_alias_full, cached_alias_laplace_grid, cached_alias_window, cached_pmf};
 pub use columns::UrngColumns;
 pub use cordic::CordicLn;
 pub use discrete::DiscreteLaplace;
 pub use eq17::Eq17Laplace;
 pub use error::RngError;
 pub use fault::{BiasedBits, CorrelatedBits, OnsetBits, StuckAtBits};
-pub use fxp::{FxpLaplace, FxpLaplaceConfig, LogPath};
-pub use gaussian::{normal_cdf, normal_icdf, FxpGaussian, FxpGaussianConfig, IdealGaussian};
-pub use health::{BitHealthMonitor, HealthAlarm, HealthConfig, HealthTest, UrngHealth};
-pub use laplace::{IdealExponential, IdealLaplace};
-pub use pmf::{FxpNoisePmf, MAX_PMF_SUPPORT};
+pub use fxp::{FxpLaplace, FxpLaplaceConfig};
+pub use gaussian::{FxpGaussian, FxpGaussianConfig};
+pub use health::{HealthAlarm, HealthConfig, HealthTest, UrngHealth};
+pub use laplace::IdealLaplace;
+pub use pmf::FxpNoisePmf;
 pub use source::{stream_seed, RandomBits, ScriptedBits, SplitMix64};
 pub use staircase::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
 pub use tausworthe::{Taus88, Taus88Lanes};

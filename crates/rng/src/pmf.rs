@@ -16,7 +16,7 @@ use crate::fxp::FxpLaplaceConfig;
 /// 8-byte words per magnitude, so the cap bounds one at 1 GiB; a
 /// configuration past it (a tiny ε over a wide output word) is refused by
 /// [`FxpNoisePmf::check_support`] before anything is allocated.
-pub const MAX_PMF_SUPPORT: u64 = 1 << 26;
+pub(crate) const MAX_PMF_SUPPORT: u64 = 1 << 26;
 
 /// Exact PMF of the fixed-point Laplace RNG output `n = kΔ`.
 ///
@@ -106,9 +106,8 @@ impl FxpNoisePmf {
     }
 
     /// Whether `cfg`'s PMF fits in memory: its support, magnitudes
-    /// `0..=support_max_k`, must hold at most [`MAX_PMF_SUPPORT`]
-    /// magnitudes. Every configuration the reproduction ships holds a few
-    /// thousand.
+    /// `0..=support_max_k`, must hold at most 2^26 magnitudes. Every
+    /// configuration the reproduction ships holds a few thousand.
     ///
     /// # Errors
     ///

@@ -4,9 +4,7 @@
 
 use ulp_ldp::datasets::{generate, statlog_heart, Query};
 use ulp_ldp::eval::ExperimentSetup;
-use ulp_ldp::ldp::{
-    CompositionLedger, KaryRandomizedResponse, Mechanism, RandomizedResponse, RdpAccountant,
-};
+use ulp_ldp::ldp::{CompositionLedger, KaryRandomizedResponse, Mechanism, RandomizedResponse};
 use ulp_ldp::rng::Taus88;
 
 #[test]
@@ -93,36 +91,4 @@ fn kary_survey_recovers_category_shares() {
     let mut order: Vec<usize> = (0..5).collect();
     order.sort_by(|&a, &b| est[b].partial_cmp(&est[a]).expect("no NaN"));
     assert_eq!(order, vec![0, 1, 2, 3, 4]);
-}
-
-#[test]
-fn rdp_accounting_for_a_streaming_sensor() {
-    // A sensor reporting every minute for a day: RDP accounting gives the
-    // aggregator a meaningful (ε, δ) even though pure composition explodes.
-    let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5).expect("setup");
-    let spec = ulp_ldp::ldp::exact_threshold(
-        setup.cfg,
-        &setup.pmf,
-        setup.range,
-        2.0,
-        ulp_ldp::ldp::LimitMode::Thresholding,
-    )
-    .expect("solvable");
-    let d2 = ulp_ldp::ldp::worst_case_renyi(
-        &setup.pmf,
-        setup.range,
-        ulp_ldp::ldp::LimitMode::Thresholding,
-        Some(spec.n_th_k),
-        2.0,
-    )
-    .finite()
-    .expect("bounded");
-    let mut acc = RdpAccountant::new(2.0).expect("valid order");
-    let reports_per_day = 24 * 60;
-    for _ in 0..reports_per_day {
-        acc.record(d2);
-    }
-    let eps_day = acc.to_approx_dp(1e-9);
-    let pure_day = reports_per_day as f64 * spec.guaranteed_loss;
-    assert!(eps_day < pure_day, "RDP day-ε {eps_day} vs pure {pure_day}");
 }

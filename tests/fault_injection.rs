@@ -5,7 +5,8 @@
 
 use ulp_ldp::ldp::{exact_threshold, LimitMode, QuantizedRange, ThresholdingMechanism};
 use ulp_ldp::rng::{
-    BitHealthMonitor, FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, RandomBits, StuckAtBits, Taus88,
+    FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthTest, RandomBits, StuckAtBits,
+    Taus88, UrngHealth,
 };
 
 fn mechanism() -> (ThresholdingMechanism, QuantizedRange, i64) {
@@ -16,6 +17,21 @@ fn mechanism() -> (ThresholdingMechanism, QuantizedRange, i64) {
     let mech =
         ThresholdingMechanism::new(FxpLaplace::analytic(cfg), range, spec).expect("constructible");
     (mech, range, spec.n_th_k)
+}
+
+/// Feeds `words` words of `src` through the continuous health monitor the
+/// DP-Box gates on, returning its first alarm.
+fn first_alarm(src: &mut dyn RandomBits, words: u32) -> Option<HealthAlarm> {
+    let mut health = UrngHealth::default();
+    (0..words).find_map(|_| health.observe(src.next_u32()).err())
+}
+
+/// The bit lane a repetition-count alarm names.
+fn stuck_lane(alarm: Option<HealthAlarm>) -> Option<u8> {
+    match alarm?.test {
+        HealthTest::RepetitionCount { bit, .. } => Some(bit),
+        _ => None,
+    }
 }
 
 #[test]
@@ -62,17 +78,9 @@ fn stuck_sign_bit_skews_the_output_distribution() {
 fn health_monitor_gates_the_guarantee() {
     // The deployment rule the module docs prescribe: run the URNG through
     // the health monitor; only claim ε-LDP while it reports healthy.
-    let mut mon_ok = BitHealthMonitor::new();
-    let mut rng_ok = Taus88::from_seed(3);
-    let mut mon_bad = BitHealthMonitor::new();
-    let mut rng_bad = StuckAtBits::new(Taus88::from_seed(3), 5, false);
-    for _ in 0..30_000 {
-        mon_ok.observe(rng_ok.next_u32());
-        mon_bad.observe(rng_bad.next_u32());
-    }
-    assert!(mon_ok.healthy(0.02));
-    assert!(!mon_bad.healthy(0.02));
-    assert_eq!(mon_bad.unhealthy_bits(0.02), vec![5]);
+    assert_eq!(first_alarm(&mut Taus88::from_seed(3), 30_000), None);
+    let mut stuck = StuckAtBits::new(Taus88::from_seed(3), 5, false);
+    assert_eq!(stuck_lane(first_alarm(&mut stuck, 30_000)), Some(5));
 }
 
 #[test]
@@ -93,10 +101,6 @@ fn magnitude_lsb_fault_is_subtle_but_detectable() {
     let rel = (sd(&mut healthy) / sd(&mut broken) - 1.0).abs();
     assert!(rel < 0.05, "LSB fault should barely move σ: {rel}");
     // …but the monitor still flags it.
-    let mut mon = BitHealthMonitor::new();
-    let mut rng = StuckAtBits::new(Taus88::from_seed(5), 0, true);
-    for _ in 0..30_000 {
-        mon.observe(rng.next_u32());
-    }
-    assert_eq!(mon.unhealthy_bits(0.02), vec![0]);
+    let mut stuck = StuckAtBits::new(Taus88::from_seed(5), 0, true);
+    assert_eq!(stuck_lane(first_alarm(&mut stuck, 30_000)), Some(0));
 }

@@ -12,9 +12,9 @@
 //!    and every mechanism's reference-path batch is one `privatize` per
 //!    element.
 //!
-//! Plus a microbench smoke check: on whatever host runs this suite, the
-//! alias path must be strictly faster than the CORDIC reference sampler —
-//! the entire point of the fast path.
+//! Plus a microbench smoke check: on whatever host runs this suite, a
+//! mechanism's batch on the alias fast path must be strictly faster than the
+//! same mechanism's reference batch — the entire point of the fast path.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -24,8 +24,8 @@ use ulp_ldp::datasets::statlog_heart;
 use ulp_ldp::eval::ExperimentSetup;
 use ulp_ldp::ldp::{ConstantTimeResampling, DiscreteLaplaceMechanism, Mechanism, SamplerPath};
 use ulp_ldp::rng::{
-    cached_alias_full, cached_alias_window, AliasTable, CordicLn, FxpLaplace, FxpLaplaceConfig,
-    FxpNoisePmf, RandomBits, Taus88,
+    cached_alias_full, cached_alias_window, AliasTable, FxpLaplaceConfig, FxpNoisePmf, RandomBits,
+    Taus88,
 };
 
 fn paper_cfg() -> FxpLaplaceConfig {
@@ -189,17 +189,29 @@ fn reference_batches_replay_single_draws() {
     // the generator left where that loop leaves it — for the four
     // mechanisms an `ExperimentSetup` builds, the discrete mechanism and
     // the constant-time wrapper.
-    let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5)
-        .expect("paper setup")
-        .with_sampler_path(SamplerPath::Reference);
+    let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5).expect("paper setup");
     let range = setup.range;
     assert_eq!(range.delta(), 1.0, "grid indices are ADC codes");
-    let resampling = setup.resampling(2.0).expect("resampling");
+    let reference = SamplerPath::Reference;
+    let resampling = setup
+        .resampling(2.0)
+        .expect("resampling")
+        .with_sampler_path(reference);
     let mechs: Vec<Box<dyn Mechanism>> = vec![
-        Box::new(setup.ideal().expect("ideal")),
-        Box::new(setup.baseline().expect("baseline")),
+        Box::new(setup.ideal().expect("ideal").with_sampler_path(reference)),
+        Box::new(
+            setup
+                .baseline()
+                .expect("baseline")
+                .with_sampler_path(reference),
+        ),
         Box::new(resampling.clone()),
-        Box::new(setup.thresholding(2.0).expect("thresholding")),
+        Box::new(
+            setup
+                .thresholding(2.0)
+                .expect("thresholding")
+                .with_sampler_path(reference),
+        ),
         Box::new(DiscreteLaplaceMechanism::new(range, 0.5, 300).expect("discrete")),
         Box::new(ConstantTimeResampling::new(resampling, 4).expect("constant-time")),
     ];
@@ -241,32 +253,39 @@ fn reference_batches_replay_single_draws() {
 }
 
 #[test]
-fn alias_path_is_strictly_faster_than_cordic_on_this_host() {
-    // The fast path's reason to exist; best-of-3 per side keeps shared-CI
-    // scheduling noise from flipping what is a many-fold gap.
-    let cfg = paper_cfg();
-    let table = cached_alias_full(cfg).expect("analytic geometry");
-    let cordic = FxpLaplace::cordic(cfg, CordicLn::new(24));
-    let n = 200_000usize;
+fn fast_batches_are_strictly_faster_than_reference_batches_on_this_host() {
+    // The fast path's reason to exist: one mechanism's batch on alias
+    // tables against the same mechanism's cycle-faithful reference batch.
+    // Best-of-3 per side keeps shared-CI scheduling noise from flipping
+    // what is a many-fold gap.
+    let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5).expect("paper setup");
+    let fast = setup
+        .thresholding(2.0)
+        .expect("thresholding")
+        .with_sampler_path(SamplerPath::Fast);
+    let reference = fast.clone().with_sampler_path(SamplerPath::Reference);
+    let xs_k: Vec<i64> = (0..200_000).map(|i| i % 257).collect();
     let mut rng = Taus88::from_seed(0xBE9C);
-    let mut out = vec![0i64; n];
+    let mut out = vec![0i64; xs_k.len()];
     let mut sink = 0i64;
-    let mut alias_best = f64::INFINITY;
-    let mut cordic_best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        table.fill_batch(&mut rng, &mut out);
-        alias_best = alias_best.min(t.elapsed().as_secs_f64());
-        sink ^= out[n - 1];
-        let t = Instant::now();
-        for _ in 0..n {
-            sink ^= cordic.sample_index(&mut rng);
+    let mut best = |mech: &dyn Mechanism| {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t = Instant::now();
+            mech.privatize_index_batch(&xs_k, &mut rng, &mut out)
+                .expect("batch");
+            best = best.min(t.elapsed().as_secs_f64());
+            sink ^= out[out.len() - 1];
         }
-        cordic_best = cordic_best.min(t.elapsed().as_secs_f64());
-    }
+        best
+    };
+    let fast_best = best(&fast);
+    let reference_best = best(&reference);
     assert_ne!(sink, i64::MIN, "keep the draws observable");
     assert!(
-        alias_best < cordic_best,
-        "alias batch ({alias_best:.4}s) must beat CORDIC ({cordic_best:.4}s) for {n} draws"
+        fast_best < reference_best,
+        "fast batch ({fast_best:.4}s) must beat the reference batch ({reference_best:.4}s) \
+         for {} draws",
+        xs_k.len()
     );
 }
