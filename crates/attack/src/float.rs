@@ -66,11 +66,6 @@ impl FloatSupportAttack {
         })
     }
 
-    /// The planned test over bit patterns.
-    pub fn attack(&self) -> &SupportGapAttack<u64> {
-        &self.attack
-    }
-
     /// The exact distinguishing advantage.
     pub fn exact_advantage(&self) -> f64 {
         self.attack.exact_advantage()

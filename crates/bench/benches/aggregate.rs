@@ -47,7 +47,7 @@ fn bench_queries(c: &mut Criterion) {
         Query::Variance,
         Query::Count { threshold: 147.0 },
     ] {
-        g.bench_function(q.name(), |b| b.iter(|| black_box(q.exec(&data))));
+        g.bench_function(&q.to_string(), |b| b.iter(|| black_box(q.exec(&data))));
     }
     g.finish();
 }

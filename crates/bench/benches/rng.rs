@@ -4,9 +4,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ulp_fixed::{Fx, QFormat};
 use ulp_rng::{
-    CordicLn, DiscreteLaplace, FxpGaussian, FxpGaussianConfig, FxpLaplace, FxpLaplaceConfig,
-    FxpStaircase, FxpStaircaseConfig, IdealLaplace, IdealStaircase, RandomBits, Taus88,
-    Xorshift64Star,
+    CordicLn, DiscreteLaplace, FxpLaplace, FxpLaplaceConfig, IdealLaplace, RandomBits, SplitMix64,
+    Taus88,
 };
 
 fn paper_cfg() -> FxpLaplaceConfig {
@@ -17,10 +16,8 @@ fn bench_urngs(c: &mut Criterion) {
     let mut g = c.benchmark_group("urng");
     let mut taus = Taus88::from_seed(1);
     g.bench_function("taus88_u32", |b| b.iter(|| black_box(taus.next_u32())));
-    let mut xs = Xorshift64Star::from_seed(1);
-    g.bench_function("xorshift64star_u64", |b| {
-        b.iter(|| black_box(xs.next_u64()))
-    });
+    let mut sm = SplitMix64::new(1);
+    g.bench_function("splitmix64_u64", |b| b.iter(|| black_box(sm.next_u64())));
     g.finish();
 }
 
@@ -69,21 +66,6 @@ fn bench_samplers(c: &mut Criterion) {
     let discrete = DiscreteLaplace::new(64.0, 2047).expect("valid scale");
     g.bench_function("discrete_laplace", |b| {
         b.iter(|| black_box(discrete.sample_index(&mut rng)))
-    });
-
-    // The other noise families of Section III-A4.
-    let gauss = FxpGaussian::new(
-        FxpGaussianConfig::new(17, 16, 10.0 / 32.0, 20.0).expect("gaussian config"),
-    );
-    g.bench_function("fxp_gaussian", |b| {
-        b.iter(|| black_box(gauss.sample_index(&mut rng)))
-    });
-    let stair = FxpStaircase::new(
-        FxpStaircaseConfig::new(17, 16, 10.0 / 32.0).expect("staircase config"),
-        IdealStaircase::optimal(0.5, 10.0).expect("staircase distribution"),
-    );
-    g.bench_function("fxp_staircase", |b| {
-        b.iter(|| black_box(stair.sample_index(&mut rng)))
     });
     g.finish();
 }

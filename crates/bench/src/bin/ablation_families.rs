@@ -27,7 +27,8 @@ fn main() {
     let staircase = FxpStaircase::new(
         FxpStaircaseConfig::new(17, 16, delta).expect("staircase config"),
         IdealStaircase::optimal(0.5, 10.0).expect("staircase distribution"),
-    );
+    )
+    .expect("staircase support");
 
     println!("Noise-family ablation — sensor [0, 10], Δ = 10/32, Bu = 17, target 1.0 nat\n");
     let mut t = TextTable::new(vec![

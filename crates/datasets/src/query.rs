@@ -79,7 +79,7 @@ impl Query {
     }
 
     /// Short name for report rows.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Query::Mean => "mean",
             Query::Median => "median",

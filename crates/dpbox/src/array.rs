@@ -244,7 +244,7 @@ impl DeviceArray {
     }
 
     /// Number of lanes (booted devices), including excluded ones.
-    pub fn lanes(&self) -> usize {
+    fn lanes(&self) -> usize {
         self.lane_of.len()
     }
 
@@ -338,7 +338,7 @@ impl DeviceArray {
     /// Advances every active lane one reporting epoch: the equivalent of
     /// issuing `noise_value(xs[lane])` on a scalar device per lane.
     ///
-    /// `out` is resized to [`DeviceArray::lanes`] and every entry
+    /// `out` is resized to one entry per lane and every entry
     /// overwritten: active lanes get their epoch outcome; excluded and
     /// previously-diverged lanes read [`LaneOutcome::Dropped`] (a scalar
     /// device in those states rejects the request). Lanes that return
@@ -604,7 +604,6 @@ mod tests {
             for (eps_shift, multiples) in &configs {
                 let ctx = NoisingCtx::new(fmt, 17, multiples, *eps_shift, 0, 256, mode).unwrap();
                 let (release, table) = (ctx.release(), ctx.table());
-                assert_eq!(table.mode(), mode);
                 let n_th = table.outermost().0;
                 let (lo, hi) = (-n_th, 256 + n_th);
                 // Every output class, both window edges, and past them.

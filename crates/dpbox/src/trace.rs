@@ -155,11 +155,6 @@ impl Trace {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
-
-    /// Drops all retained events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -193,13 +188,5 @@ mod tests {
         assert_eq!(at_cycle(5), 2);
         assert_eq!(at_cycle(6), 1);
         assert_eq!(at_cycle(7), 0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = Trace::bounded(4);
-        t.push(TraceEvent::Replenish { cycle: 1 });
-        t.clear();
-        assert!(t.is_empty());
     }
 }

@@ -40,11 +40,6 @@ impl Adc {
         Adc { min, max, bits }
     }
 
-    /// Number of resolution bits.
-    pub fn bits(self) -> u8 {
-        self.bits
-    }
-
     /// Top code value, `2^bits`.
     pub fn max_code(self) -> i64 {
         1i64 << self.bits

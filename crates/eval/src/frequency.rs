@@ -81,7 +81,7 @@ impl FrequencyOracle {
     }
 
     /// One device's private report: its bin, passed through k-RR.
-    pub fn report<R: RandomBits + ?Sized>(self, x: f64, rng: &mut R) -> usize {
+    fn report<R: RandomBits + ?Sized>(self, x: f64, rng: &mut R) -> usize {
         self.rr
             .privatize(self.bin_of(x.clamp(self.min, self.max)), rng)
     }

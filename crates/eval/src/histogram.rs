@@ -3,20 +3,19 @@
 use ulp_obs::{Counter, SpanTimer};
 use ulp_rng::{stream_seed, Taus88};
 
-/// A fixed-bin histogram over a closed interval.
+/// A fixed-bin histogram over a closed interval, filled by
+/// [`sample_histogram`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ldp_eval::Histogram;
+/// use ldp_eval::{distinguishing_bins, sample_histogram};
 ///
-/// let mut h = Histogram::new(0.0, 10.0, 10);
-/// h.add(0.5);
-/// h.add(9.9);
-/// h.add(42.0); // overflow
-/// assert_eq!(h.count(0), 1);
-/// assert_eq!(h.count(9), 1);
-/// assert_eq!(h.total(), 3); // the overflow counts too
+/// // Outputs that never overlap: both occupied bins distinguish.
+/// let a = sample_histogram(0.0, 10.0, 10, 100, 1, |_| 0.5);
+/// let b = sample_histogram(0.0, 10.0, 10, 100, 2, |_| 9.5);
+/// assert_eq!(a.bins(), 10);
+/// assert_eq!(distinguishing_bins(&a, &b), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -33,7 +32,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
+    fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(lo < hi, "empty histogram range");
         assert!(bins > 0, "at least one bin required");
         Histogram {
@@ -56,7 +55,7 @@ impl Histogram {
     }
 
     /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
+    fn add(&mut self, x: f64) {
         if x < self.lo {
             self.underflow += 1;
         } else if x >= self.hi {
@@ -73,33 +72,8 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn count(&self, i: usize) -> u64 {
+    fn count(&self, i: usize) -> u64 {
         self.counts[i]
-    }
-
-    /// Total samples added.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.bin_width()
-    }
-
-    /// Normalized density of bin `i` (count / total / width), 0 if empty.
-    pub fn density(&self, i: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / total as f64 / self.bin_width()
-        }
-    }
-
-    /// Iterates over `(bin_center, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        (0..self.counts.len()).map(move |i| (self.bin_center(i), self.counts[i]))
     }
 
     /// Adds every count of `other` (same binning) into `self`.
@@ -107,7 +81,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if the histograms have different binning.
-    pub fn merge(&mut self, other: &Histogram) {
+    fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bins(), other.bins(), "histograms must share binning");
         assert_eq!(self.lo, other.lo, "histograms must share range");
         assert_eq!(self.hi, other.hi, "histograms must share range");
@@ -225,7 +199,6 @@ mod tests {
         assert_eq!(h.count(1), 1);
         assert_eq!(h.count(2), 1);
         assert_eq!(h.count(3), 1);
-        assert_eq!(h.total(), 5);
     }
 
     #[test]
@@ -234,17 +207,7 @@ mod tests {
         h.add(-0.1);
         h.add(1.0);
         assert_eq!((h.underflow, h.overflow), (1, 1));
-        assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn density_integrates_to_one_without_outliers() {
-        let mut h = Histogram::new(0.0, 2.0, 8);
-        for i in 0..1000 {
-            h.add((i % 200) as f64 / 100.0);
-        }
-        let integral: f64 = (0..h.bins()).map(|i| h.density(i) * h.bin_width()).sum();
-        assert!((integral - 1.0).abs() < 1e-12);
+        assert_eq!(h.counts, [0, 0]);
     }
 
     #[test]
@@ -277,8 +240,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(0), 2);
         assert_eq!(a.count(1), 1);
-        assert_eq!(a.underflow, 1);
-        assert_eq!(a.total(), 4);
+        assert_eq!((a.underflow, a.overflow), (1, 0));
     }
 
     #[test]
@@ -290,7 +252,8 @@ mod tests {
         let h1 = sample_histogram(0.0, 1.0, 16, n, 9, draw);
         let h2 = sample_histogram(0.0, 1.0, 16, n, 9, draw);
         assert_eq!(h1, h2);
-        assert_eq!(h1.total(), n as u64);
+        assert_eq!(h1.counts.iter().sum::<u64>(), n as u64);
+        assert_eq!((h1.underflow, h1.overflow), (0, 0));
         // Roughly uniform: every bin populated at this sample count.
         assert!((0..h1.bins()).all(|i| h1.count(i) > 0));
     }

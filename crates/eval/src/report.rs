@@ -49,16 +49,6 @@ impl TextTable {
         self.rows.push(cells);
         self
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for TextTable {
@@ -137,13 +127,5 @@ mod tests {
     #[test]
     fn pct_formatting() {
         assert_eq!(fmt_pct(0.086), "8.6%");
-    }
-
-    #[test]
-    fn empty_and_len() {
-        let mut t = TextTable::new(vec!["a"]);
-        assert!(t.is_empty());
-        t.row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
     }
 }

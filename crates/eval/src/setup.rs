@@ -45,7 +45,7 @@ impl GroundTruth {
     ///
     /// # Errors
     ///
-    /// See [`ExperimentSetup::new`].
+    /// See [`ExperimentSetup::paper_default`].
     pub fn prepare(spec: &DatasetSpec, eps: f64, seed: u64) -> Result<Self, LdpError> {
         Ok(Self::from_setup(
             ExperimentSetup::paper_default(spec, eps)?,
@@ -58,7 +58,8 @@ impl GroundTruth {
     ///
     /// # Errors
     ///
-    /// See [`ExperimentSetup::with_output_bits`].
+    /// [`LdpError::InvalidEpsilon`] for a non-positive ε; RNG configuration
+    /// errors propagate.
     pub fn with_output_bits(
         spec: &DatasetSpec,
         eps: f64,
@@ -160,7 +161,7 @@ impl ExperimentSetup {
     ///
     /// [`LdpError::InvalidEpsilon`] for a non-positive ε; RNG configuration
     /// errors propagate.
-    pub fn new(spec: &DatasetSpec, eps: f64, bu: u8, adc_bits: u8) -> Result<Self, LdpError> {
+    fn new(spec: &DatasetSpec, eps: f64, bu: u8, adc_bits: u8) -> Result<Self, LdpError> {
         Self::with_output_bits(spec, eps, bu, 20, adc_bits)
     }
 
@@ -171,7 +172,7 @@ impl ExperimentSetup {
     ///
     /// [`LdpError::InvalidEpsilon`] for a non-positive ε; RNG configuration
     /// errors propagate.
-    pub fn with_output_bits(
+    fn with_output_bits(
         spec: &DatasetSpec,
         eps: f64,
         bu: u8,
@@ -202,7 +203,8 @@ impl ExperimentSetup {
     ///
     /// # Errors
     ///
-    /// See [`ExperimentSetup::new`].
+    /// [`LdpError::InvalidEpsilon`] for a non-positive ε; RNG configuration
+    /// errors propagate.
     pub fn paper_default(spec: &DatasetSpec, eps: f64) -> Result<Self, LdpError> {
         Self::new(spec, eps, 17, 8)
     }
@@ -265,7 +267,7 @@ mod tests {
     #[test]
     fn paper_default_builds_all_mechanisms() {
         let setup = ExperimentSetup::paper_default(&statlog_heart(), 0.5).unwrap();
-        assert_eq!(setup.adc.bits(), 8);
+        assert_eq!(setup.adc.max_code(), 1 << 8);
         assert_eq!(setup.range.span_k(), 256);
         let mut rng = Taus88::from_seed(1);
         for mech in [

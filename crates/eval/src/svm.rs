@@ -139,7 +139,7 @@ impl LinearSvm {
     /// # Panics
     ///
     /// Panics if `data` is empty.
-    pub fn accuracy(&self, data: &[Sample]) -> f64 {
+    fn accuracy(&self, data: &[Sample]) -> f64 {
         assert!(!data.is_empty(), "empty test set");
         let correct = data.iter().filter(|s| self.predict(&s.x) == s.y).count();
         correct as f64 / data.len() as f64

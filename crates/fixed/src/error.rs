@@ -23,16 +23,6 @@ pub enum FixedError {
         /// Format the result was supposed to fit in.
         format: QFormat,
     },
-    /// A binary operation was attempted on operands with different formats.
-    ///
-    /// Hardware datapaths have a single wire width; mixing formats is a
-    /// modelling bug, so it is reported rather than silently coerced.
-    FormatMismatch {
-        /// Format of the left-hand operand.
-        lhs: QFormat,
-        /// Format of the right-hand operand.
-        rhs: QFormat,
-    },
     /// A [`QFormat`] was requested with zero width or more than 63 bits.
     InvalidFormat {
         /// Requested total width in bits.
@@ -49,9 +39,6 @@ impl fmt::Display for FixedError {
         match self {
             FixedError::Overflow { format } => {
                 write!(f, "result does not fit in fixed-point format {format}")
-            }
-            FixedError::FormatMismatch { lhs, rhs } => {
-                write!(f, "operand formats differ: {lhs} vs {rhs}")
             }
             FixedError::InvalidFormat {
                 total_bits,

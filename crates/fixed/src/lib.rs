@@ -18,7 +18,7 @@
 //! let fmt = QFormat::new(20, 10)?;
 //! let reading = Fx::from_f64(131.5, fmt, Rounding::NearestTiesAway)?;
 //! let noise = Fx::from_f64(-12.25, fmt, Rounding::NearestTiesAway)?;
-//! let noised = reading.checked_add(noise)?;
+//! let noised = Fx::from_raw(reading.raw() + noise.raw(), fmt)?;
 //! assert!((noised.to_f64() - 119.25).abs() < fmt.delta());
 //! # Ok::<(), ulp_fixed::FixedError>(())
 //! ```
@@ -27,11 +27,9 @@
 //!
 //! * Formats are runtime data ([`QFormat`]), not type parameters: the
 //!   simulators sweep widths as experiment parameters.
-//! * Binary operations on mismatched formats are errors, not coercions —
-//!   hardware wires have one width; silent widening would hide modelling
-//!   bugs.
-//! * Checked, saturating, and wrapping arithmetic are all provided; they
-//!   model guarded, clamping, and unguarded adders respectively.
+//! * The datapaths add, multiply and shift raw `i64`/`i128` words, as
+//!   hardware does; an [`Fx`] is checked against its format where it is
+//!   built, and [`Fx::resize`] is the one explicit wire-width adapter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +37,6 @@
 mod error;
 mod fmt_impls;
 mod format;
-mod parse;
 mod round;
 mod value;
 

@@ -133,55 +133,6 @@ proptest! {
     }
 
     #[test]
-    fn add_commutes((a, b) in arb_pair()) {
-        prop_assert_eq!(a.checked_add(b).ok(), b.checked_add(a).ok());
-    }
-
-    #[test]
-    fn add_sub_inverse((a, b) in arb_pair()) {
-        if let Ok(sum) = a.checked_add(b) {
-            prop_assert_eq!(sum.checked_sub(b).unwrap(), a);
-        }
-    }
-
-    #[test]
-    fn saturating_add_stays_in_range((a, b) in arb_pair()) {
-        let s = a.saturating_add(b);
-        prop_assert!(s.raw() >= a.format().min_raw());
-        prop_assert!(s.raw() <= a.format().max_raw());
-    }
-
-    #[test]
-    fn wrapping_add_matches_checked_when_no_overflow((a, b) in arb_pair()) {
-        if let Ok(sum) = a.checked_add(b) {
-            prop_assert_eq!(a.wrapping_add(b), sum);
-        }
-    }
-
-    #[test]
-    fn wrapping_add_stays_in_range((a, b) in arb_pair()) {
-        let s = a.wrapping_add(b);
-        prop_assert!(a.format().contains_raw(s.raw()));
-    }
-
-    #[test]
-    fn mul_commutes((a, b) in arb_pair()) {
-        prop_assert_eq!(
-            a.checked_mul(b, Rounding::NearestTiesEven).ok(),
-            b.checked_mul(a, Rounding::NearestTiesEven).ok()
-        );
-    }
-
-    #[test]
-    fn mul_error_at_most_half_ulp((a, b) in arb_pair()) {
-        prop_assume!(a.format().total_bits() <= 26); // keep exact in f64
-        if let Ok(p) = a.checked_mul(b, Rounding::NearestTiesAway) {
-            let exact = a.to_f64() * b.to_f64();
-            prop_assert!((p.to_f64() - exact).abs() <= a.format().delta() / 2.0 + 1e-12);
-        }
-    }
-
-    #[test]
     fn resize_widen_is_exact(fmt in arb_format(), raw in any::<i64>()) {
         prop_assume!(fmt.total_bits() <= 40);
         let raw = raw.rem_euclid(cardinality(fmt) as i64) + fmt.min_raw();
@@ -227,14 +178,6 @@ proptest! {
         let by_fx = a.partial_cmp(&b).unwrap();
         let by_f64 = a.to_f64().partial_cmp(&b.to_f64()).unwrap();
         prop_assert_eq!(by_fx, by_f64);
-    }
-
-    #[test]
-    fn clamp_is_idempotent((a, b) in arb_pair()) {
-        let (lo, hi) = if a.raw() <= b.raw() { (a, b) } else { (b, a) };
-        let c = a.clamp(lo, hi);
-        prop_assert_eq!(c.clamp(lo, hi), c);
-        prop_assert!(c >= lo && c <= hi);
     }
 
     #[test]

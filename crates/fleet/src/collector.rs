@@ -48,7 +48,8 @@
 //! latch live *inside* the owning shard, in one row of the shard's state
 //! columns: row `d / shards` for an id under the device capacity
 //! ([`Collector::with_device_capacity`]), otherwise a row appended at the
-//! id's first arrival. [`Collector::totals`] folds shards in index order.
+//! id's first arrival. [`Collector::take_window_totals`] folds shards in
+//! index order.
 //! Accumulator updates are exact integer additions and per-device state
 //! never crosses shards, so the folded totals are **bit-identical for any
 //! shard count and any thread count** — the same discipline (results are a
@@ -104,7 +105,7 @@ pub struct IngestPhaseTotals {
     pub decode_ns: u64,
     /// Nanoseconds in the shard pass (latch, dedup, absorb).
     pub accumulate_ns: u64,
-    /// Nanoseconds folding shard accumulators in [`Collector::totals`].
+    /// Nanoseconds folding shard accumulators into query totals.
     pub fold_ns: u64,
 }
 
@@ -740,16 +741,6 @@ impl Collector {
         self
     }
 
-    /// The ingest path this collector runs.
-    pub fn ingest_path(&self) -> IngestPath {
-        self.ingest_path
-    }
-
-    /// Number of accumulator shards.
-    pub fn shards(&self) -> usize {
-        self.shard_states.len()
-    }
-
     /// Reports accepted over the collector's lifetime.
     pub fn reports_ingested(&self) -> u64 {
         self.ingested
@@ -1119,7 +1110,7 @@ impl Collector {
     /// # Panics
     ///
     /// Panics if `query_id` was not registered.
-    pub fn totals(&self, query_id: u16) -> QueryTotals {
+    fn totals(&self, query_id: u16) -> QueryTotals {
         let _span = FOLD_SPAN.enter();
         let idx = self
             .queries
@@ -1158,8 +1149,8 @@ impl Collector {
         self.window_floor = floor;
     }
 
-    /// Drains the accumulators of every registered query — the fold of
-    /// [`Collector::totals`] over all queries, in registration order —
+    /// Drains the accumulators of every registered query — each query's
+    /// shards folded in shard-index order, queries in registration order —
     /// and resets them to empty for the next window. Dedup windows,
     /// strikes, and quarantine latches persist; only the aggregates move
     /// out. The streaming service calls this at each window seal.

@@ -341,13 +341,14 @@ pub struct ServiceOutcome {
     /// The thresholding window bound `n_th` (codes).
     pub n_th_k: i64,
     /// Wall-clock nanoseconds per seal — observability only, **never**
-    /// rendered into [`ServiceOutcome::canonical_text`].
+    /// rendered into the canonical text [`ServiceOutcome::digest`] hashes.
     pub seal_ns: Vec<u64>,
     /// Peak frame bytes sent by the devices but not yet offered to the
     /// service, over every round: one round's reports on a perfect wire,
     /// plus what retries and delays keep in flight under chaos — bounded by
     /// the delivery ring, not by the run's length. Memory observability
-    /// only, **never** rendered into [`ServiceOutcome::canonical_text`].
+    /// only, **never** rendered into the canonical text
+    /// [`ServiceOutcome::digest`] hashes.
     pub max_inflight_bytes: usize,
 }
 
@@ -355,7 +356,7 @@ impl ServiceOutcome {
     /// Canonical rendering of every schedule-independent field — the text
     /// the service determinism digest is computed over. Exact float bits
     /// are rendered via [`f64::to_bits`]; wall-clock timings are excluded.
-    pub fn canonical_text(&self) -> String {
+    fn canonical_text(&self) -> String {
         fn est(e: &Option<Estimate>) -> String {
             match e {
                 None => "none".to_string(),
@@ -456,8 +457,9 @@ impl ServiceOutcome {
         out
     }
 
-    /// FNV-1a 64-bit digest of [`ServiceOutcome::canonical_text`]: equal
-    /// digests witness bit-identical runs across thread counts, shard
+    /// FNV-1a 64-bit digest of the canonical rendering of every
+    /// schedule-independent field (exact float bits, no wall-clock
+    /// timings): equal digests witness bit-identical runs across thread counts, shard
     /// counts, device engines, and ingest paths.
     pub fn digest(&self) -> u64 {
         Fnv64::hash(self.canonical_text().as_bytes())

@@ -24,7 +24,7 @@
 //! downstream gates can assert `|estimate − truth| ≤ z·SE + bias_bound`.
 
 use dp_box::{DpBoxError, NoisingCtx, QFormat};
-use ldp_core::{LdpError, LimitMode, RandomizedResponse, SegmentTable};
+use ldp_core::{LdpError, LimitMode, RandomizedResponse};
 use ulp_rng::{cached_pmf, FxpLaplaceConfig, FxpNoisePmf, RngError};
 
 use crate::collector::QueryTotals;
@@ -173,16 +173,6 @@ impl NoiseModel {
         model.max_clamp_bias = max_bias;
         model.var_envelope = max_var_dev;
         Ok(model)
-    }
-
-    /// The exact sampler output PMF this model is built on.
-    pub fn pmf(&self) -> &FxpNoisePmf {
-        &self.pmf
-    }
-
-    /// The budget-control segment table (the device context's).
-    pub fn table(&self) -> &SegmentTable {
-        self.ctx.table()
     }
 
     /// Outermost threshold `n_th` in codes: reports are clamped to
@@ -401,10 +391,10 @@ mod tests {
     #[test]
     fn exceedance_matches_direct_pmf_sum() {
         let m = model();
-        for t in [0i64, 1, 100, 2000, m.pmf().support_max_k() + 5] {
-            let direct: f64 = (1..=m.pmf().support_max_k())
+        for t in [0i64, 1, 100, 2000, m.pmf.support_max_k() + 5] {
+            let direct: f64 = (1..=m.pmf.support_max_k())
                 .filter(|&k| k > t)
-                .map(|k| (k - t) as f64 * m.pmf().prob(k))
+                .map(|k| (k - t) as f64 * m.pmf.prob(k))
                 .sum();
             assert!(
                 (m.exceedance(t) - direct).abs() < 1e-9,
@@ -418,9 +408,9 @@ mod tests {
     fn unclamped_variance_matches_pmf_second_moment() {
         let m = model();
         let direct: f64 = m
-            .pmf()
+            .pmf
             .iter()
-            .map(|(k, w)| (k * k) as f64 * w as f64 / m.pmf().total_weight() as f64)
+            .map(|(k, w)| (k * k) as f64 * w as f64 / m.pmf.total_weight() as f64)
             .sum();
         assert!((m.var_k - direct).abs() < 1e-6);
     }

@@ -265,11 +265,6 @@ impl FleetService {
         }
     }
 
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
     /// The window currently accepting reports, if any remain.
     pub fn active_window(&self) -> Option<&Window> {
         self.windows.get(self.active)

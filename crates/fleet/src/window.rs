@@ -51,7 +51,8 @@
 //! The ledger fold is one streaming pass, [`ldp_core::audit_series`],
 //! over every window's ledger entries against every window's charges, in
 //! index order. It re-audits the concatenation bitwise and sums the merged
-//! total in the same sequential order [`BudgetLedger::merge`] would,
+//! total in the same sequential order one [`BudgetLedger`] recording every
+//! window's charges would,
 //! without building a merged ledger or an accountant: the outcome keeps
 //! only a [`LedgerSummary`].
 
@@ -157,7 +158,7 @@ pub struct SealedWindow {
 impl SealedWindow {
     /// Canonical rendering of every schedule-independent field; float bits
     /// are rendered exactly via [`f64::to_bits`].
-    pub fn canonical_text(&self) -> String {
+    fn canonical_text(&self) -> String {
         let seal = match self.seal.status {
             SealStatus::Full => "full".to_string(),
             SealStatus::Degraded { coverage } => format!("degraded:{:016x}", coverage.to_bits()),
@@ -189,7 +190,8 @@ impl SealedWindow {
         )
     }
 
-    /// FNV-1a 64-bit digest of [`SealedWindow::canonical_text`].
+    /// FNV-1a 64-bit digest of the window's canonical rendering: every
+    /// schedule-independent field, float bits exact.
     pub fn digest(&self) -> u64 {
         Fnv64::hash(self.canonical_text().as_bytes())
     }
@@ -242,7 +244,7 @@ pub struct RollupOutcome {
     /// Merged per-query accumulators, in query registration order.
     pub totals: Vec<QueryTotals>,
     /// Length and sequential total of every window ledger's charges in
-    /// window-index order — what [`BudgetLedger::merge`] of the windows
+    /// window-index order — what one [`BudgetLedger`] recording them all
     /// would hold.
     pub ledger: LedgerSummary,
     /// Whether every window audited clean at its seal and the windows'
@@ -264,16 +266,6 @@ impl Rollup {
     /// An empty rollup.
     pub fn new() -> Rollup {
         Rollup::default()
-    }
-
-    /// Sealed windows absorbed so far.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether no window has been absorbed yet.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 
     /// The absorbed windows, ascending index.

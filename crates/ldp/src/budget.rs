@@ -129,11 +129,6 @@ impl SegmentTable {
         }
     }
 
-    /// Which limiting mode the table was built for.
-    pub fn mode(&self) -> LimitMode {
-        self.mode
-    }
-
     /// The loss charged for an output that overshot the sensor range by
     /// `overshoot_k` grid steps (0 = inside the range). Overshoots beyond
     /// the outermost threshold charge the outermost loss (the output will
@@ -269,11 +264,6 @@ impl BudgetController {
         self.remaining
     }
 
-    /// The configured per-period budget.
-    pub fn budget(&self) -> f64 {
-        self.budget
-    }
-
     /// Counters for served/cached requests and charged loss.
     pub fn stats(&self) -> BudgetStats {
         self.stats
@@ -283,12 +273,6 @@ impl BudgetController {
     /// (across replenishment periods; replays append nothing).
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
-    }
-
-    /// The independently accumulated sequential-composition accountant
-    /// (recorded charge by charge alongside the ledger).
-    pub fn accountant(&self) -> &CompositionLedger {
-        &self.accountant
     }
 
     /// Cross-checks the ledger against the composition accountant: query
@@ -302,7 +286,7 @@ impl BudgetController {
     }
 
     /// Whether the next request will be served from cache.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.remaining <= 0.0
     }
 
@@ -487,7 +471,7 @@ mod tests {
         }
         ctrl.replenish();
         assert!(!ctrl.exhausted());
-        assert_eq!(ctrl.remaining(), ctrl.budget());
+        assert_eq!(ctrl.remaining(), ctrl.budget);
         let y = ctrl.respond(5.0, &sampler, &mut rng).unwrap();
         assert!(y.is_finite());
     }

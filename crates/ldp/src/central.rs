@@ -57,11 +57,6 @@ impl CentralLaplaceMean {
         Ok(CentralLaplaceMean { min, max, eps })
     }
 
-    /// The privacy parameter ε.
-    pub fn epsilon(self) -> f64 {
-        self.eps
-    }
-
     /// The noise scale used for `n` values: `λ = GS/ε = d/(n·ε)`.
     fn noise_scale(self, n: usize) -> f64 {
         mean_sensitivity(self.max - self.min, n) / self.eps

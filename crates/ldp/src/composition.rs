@@ -16,8 +16,7 @@
 /// let mut ledger = CompositionLedger::new();
 /// ledger.record(0.5);
 /// ledger.record(0.75);
-/// assert_eq!(ledger.total(), 1.25);
-/// assert_eq!(ledger.queries(), 2);
+/// assert_eq!(ledger.losses(), [0.5, 0.75]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompositionLedger {
@@ -39,16 +38,6 @@ impl CompositionLedger {
     pub fn record(&mut self, eps: f64) {
         check_loss(eps);
         self.losses.push(eps);
-    }
-
-    /// The composed total loss, `Σ ε_i`.
-    pub fn total(&self) -> f64 {
-        self.losses.iter().sum()
-    }
-
-    /// Number of recorded queries.
-    pub fn queries(&self) -> usize {
-        self.losses.len()
     }
 
     /// The recorded per-query losses, in record order (the raw series an
@@ -99,28 +88,28 @@ mod tests {
     #[test]
     fn collects_from_iterators() {
         let ledger: CompositionLedger = [0.1, 0.2, 0.3].into_iter().collect();
-        assert_eq!(ledger.queries(), 3);
-        assert!((ledger.total() - 0.6).abs() < 1e-12);
+        assert_eq!(ledger.losses(), [0.1, 0.2, 0.3]);
         let mut ledger = ledger;
         ledger.extend([0.4]);
-        assert!((ledger.total() - 1.0).abs() < 1e-12);
+        assert_eq!(ledger.losses(), [0.1, 0.2, 0.3, 0.4]);
     }
 
     #[test]
-    fn empty_ledger_has_zero_total() {
-        let l = CompositionLedger::new();
-        assert_eq!(l.total(), 0.0);
-        assert_eq!(l.queries(), 0);
+    fn empty_ledger_has_no_losses() {
+        assert!(CompositionLedger::new().losses().is_empty());
     }
 
     #[test]
-    fn totals_compose_additively() {
+    fn records_keep_their_order() {
         let mut l = CompositionLedger::new();
-        for _ in 0..10 {
-            l.record(0.3);
+        for q in 0..10 {
+            l.record(0.3 + f64::from(q));
         }
-        assert!((l.total() - 3.0).abs() < 1e-12);
-        assert_eq!(l.queries(), 10);
+        assert!(l
+            .losses()
+            .iter()
+            .zip(0..)
+            .all(|(&e, q)| e == 0.3 + f64::from(q)));
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl DiscreteLaplaceMechanism {
         })
     }
 
-    /// The window extension in grid units.
-    pub fn threshold_k(&self) -> i64 {
-        self.n_th_k
-    }
-
-    /// The sensor range.
-    pub fn range(&self) -> QuantizedRange {
-        self.range
-    }
-
     fn worst_loss(dl: &DiscreteLaplace, range: QuantizedRange, n_th_k: i64) -> f64 {
         let (lo, hi) = (range.min_k() - n_th_k, range.max_k() + n_th_k);
         let z = |x: i64| -> f64 { (lo - x..=hi - x).map(|k| dl.pmf(k)).sum() };

@@ -44,7 +44,7 @@ impl KaryRandomizedResponse {
     /// [`LdpError::InvalidEpsilon`] unless `k ≥ 2` and
     /// `1/k < p < 1` (below `1/k` the report is anti-correlated with the
     /// truth; at `1` there is no privacy).
-    pub fn new(k: usize, keep_prob: f64) -> Result<Self, LdpError> {
+    fn new(k: usize, keep_prob: f64) -> Result<Self, LdpError> {
         if k < 2 || !keep_prob.is_finite() || keep_prob <= 1.0 / k as f64 || keep_prob >= 1.0 {
             return Err(LdpError::InvalidEpsilon(keep_prob));
         }

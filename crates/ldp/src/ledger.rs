@@ -15,7 +15,8 @@
 //! in order: the ledger's and the accountant's. Neither side is copied, so
 //! the same pass audits a single ledger, a fleet window against its
 //! charge list, or the concatenation of many window ledgers — exactly as
-//! auditing their [`BudgetLedger::merge`] would, without building it.
+//! auditing one ledger that recorded all their charges in order would,
+//! without building it.
 //!
 //! # The keyed spend index
 //!
@@ -84,7 +85,7 @@ pub struct LedgerEntry {
 ///     ledger.record(eps);
 ///     accountant.record(eps);
 /// }
-/// assert_eq!(ledger.total(), accountant.total());
+/// assert_eq!(ledger.total(), accountant.losses().iter().sum::<f64>());
 /// ledger.audit(&accountant).expect("ledger matches accountant");
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -321,40 +322,6 @@ impl BudgetLedger {
         self.released = true;
     }
 
-    /// Folds another ledger into this one by replaying its charges, in
-    /// order, through [`BudgetLedger::record`].
-    ///
-    /// This is the fleet-level aggregation path: per-device ledgers merge
-    /// into one fleet ledger whose running total is the plain sequential
-    /// `f64` sum of every charge in fold order. An accountant kept in
-    /// lockstep — a [`CompositionLedger`] extended with the same charges in
-    /// the same order — therefore still audits **bitwise** clean (including
-    /// the `−0.0` sum-identity normalization for all-empty folds): merging
-    /// never loses the accountant equivalence guarantee.
-    ///
-    /// ```
-    /// use ldp_core::{BudgetLedger, CompositionLedger};
-    ///
-    /// let mut dev_a = BudgetLedger::new();
-    /// let mut dev_b = BudgetLedger::new();
-    /// dev_a.record(0.5);
-    /// dev_b.record(0.25);
-    /// dev_b.record(0.1);
-    ///
-    /// let mut fleet = BudgetLedger::new();
-    /// let mut accountant = CompositionLedger::new();
-    /// for dev in [&dev_a, &dev_b] {
-    ///     fleet.merge(dev);
-    ///     accountant.extend(dev.entries().iter().map(|e| e.charge));
-    /// }
-    /// fleet.audit(&accountant).expect("fold preserves audit equivalence");
-    /// ```
-    pub fn merge(&mut self, other: &BudgetLedger) {
-        for e in &other.entries {
-            self.record(e.charge);
-        }
-    }
-
     /// The audited entries, in charge order.
     pub fn entries(&self) -> &[LedgerEntry] {
         &self.entries
@@ -395,15 +362,15 @@ impl BudgetLedger {
 /// neither.
 ///
 /// `ledger` is the charges a [`BudgetLedger`] recorded, or several
-/// ledgers' charges one after another — which audit exactly as their
-/// [`BudgetLedger::merge`] would. The checks, in [`BudgetLedger::audit`]'s
+/// ledgers' charges one after another — which audit exactly as one ledger
+/// recording them all in order would. The checks, in [`BudgetLedger::audit`]'s
 /// precedence:
 ///
 /// 1. the two counts;
 /// 2. the first charge that differs bitwise, at its 0-based position;
 /// 3. the totals' bits: the ledger side summed from `+0.0`, as
 ///    [`BudgetLedger::record`] sums, the accountant side from `-0.0`, as
-///    [`CompositionLedger::total`] sums, both normalized by adding `+0.0`.
+///    `f64`'s `Sum` does, both normalized by adding `+0.0`.
 ///
 /// Each audit bumps `ldp.ledger.audits_ok` or, at every metrics level,
 /// `ldp.ledger.audit_failures`.
@@ -518,8 +485,11 @@ mod tests {
             acct.record(eps);
         }
         ledger.audit(&acct).unwrap();
-        assert_eq!(ledger.total().to_bits(), acct.total().to_bits());
-        assert_eq!(ledger.len(), acct.queries());
+        assert_eq!(
+            ledger.total().to_bits(),
+            acct.losses().iter().sum::<f64>().to_bits()
+        );
+        assert_eq!(ledger.len(), acct.losses().len());
     }
 
     #[test]
@@ -566,47 +536,6 @@ mod tests {
     #[should_panic(expected = "privacy charge must be finite")]
     fn nan_charge_panics() {
         BudgetLedger::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn merge_replays_charges_and_preserves_bitwise_audit() {
-        // Three "device" ledgers with charges chosen to exercise f64
-        // rounding (0.1 + 0.2 != 0.3 exactly).
-        let device_charges: [&[f64]; 3] = [&[0.1, 0.2], &[], &[0.3, 1e-9, 5.0]];
-        let mut fleet = BudgetLedger::new();
-        let mut acct = CompositionLedger::new();
-        let mut sequential = BudgetLedger::new();
-        for charges in device_charges {
-            let mut dev = BudgetLedger::new();
-            for &c in charges {
-                dev.record(c);
-                sequential.record(c);
-            }
-            fleet.merge(&dev);
-            acct.extend(dev.entries().iter().map(|e| e.charge));
-        }
-        // The fold is indistinguishable from recording sequentially...
-        assert_eq!(fleet, sequential);
-        assert_eq!(fleet.len(), 5);
-        // ...and still audits bitwise against the lockstep accountant.
-        fleet.audit(&acct).unwrap();
-        assert_eq!(fleet.total().to_bits(), (acct.total() + 0.0).to_bits());
-        // Entries were renumbered into the fleet's query space.
-        let queries: Vec<u64> = fleet.entries().iter().map(|e| e.query).collect();
-        assert_eq!(queries, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn merging_only_empty_ledgers_keeps_the_zero_identity_audit() {
-        let mut fleet = BudgetLedger::new();
-        let acct = CompositionLedger::new();
-        for _ in 0..3 {
-            fleet.merge(&BudgetLedger::new());
-        }
-        // +0.0 running total vs the accountant's −0.0 sum identity: the
-        // normalization in `audit` must keep this bitwise clean.
-        fleet.audit(&acct).unwrap();
-        assert!(fleet.is_empty());
     }
 
     #[test]

@@ -204,15 +204,6 @@ impl ConditionalDist {
         self.weights.iter().map(|(&k, &w)| (k, w))
     }
 
-    /// The mean output index `Σ y·Pr[y]`, in grid units.
-    pub fn mean(&self) -> f64 {
-        let mut acc = 0.0;
-        for (&k, &w) in &self.weights {
-            acc += k as f64 * w as f64;
-        }
-        acc / self.norm as f64
-    }
-
     /// Privacy loss at a single output between this distribution (`x₁`) and
     /// another (`x₂`): `ln(Pr[y|x₁]/Pr[y|x₂])`, exact in the zero cases.
     ///
@@ -685,12 +676,5 @@ mod tests {
         let c = ConditionalDist::from_weights([(9, 1u128)]).unwrap();
         assert_eq!(a.worst_common_support_loss(&c), None);
         assert_eq!(a.disjoint_mass(&c), 1.0);
-    }
-
-    #[test]
-    fn naive_dist_mean_is_near_input() {
-        let (pmf, range) = paper_pmf();
-        let d = ConditionalDist::naive(&pmf, range.max_k());
-        assert!((d.mean() - range.max_k() as f64).abs() < 1.0);
     }
 }

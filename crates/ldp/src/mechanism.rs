@@ -279,11 +279,6 @@ impl IdealLaplaceMechanism {
         self.path = path;
         self
     }
-
-    /// The sensor range.
-    pub fn range(&self) -> QuantizedRange {
-        self.range
-    }
 }
 
 impl Mechanism for IdealLaplaceMechanism {
@@ -412,13 +407,8 @@ impl FxpBaseline {
         self
     }
 
-    /// The sensor range.
-    pub fn range(&self) -> QuantizedRange {
-        self.range
-    }
-
     /// Privatizes on the grid, returning the output index.
-    pub fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
+    fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
         x_k + self.sampler.sample_index(rng)
     }
 }
@@ -535,11 +525,7 @@ impl ResamplingMechanism {
     /// fall outside the window — an acceptance probability this low means
     /// the threshold/range configuration is broken (real configurations
     /// accept > 90% of draws).
-    pub fn privatize_index(
-        &self,
-        x_k: i64,
-        rng: &mut dyn RandomBits,
-    ) -> Result<(i64, u32), LdpError> {
+    fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> Result<(i64, u32), LdpError> {
         let (lo, hi) = window(self.range, self.spec.n_th_k);
         let mut resamples = 0u32;
         loop {
@@ -677,13 +663,8 @@ impl ThresholdingMechanism {
         self.spec
     }
 
-    /// The sensor range.
-    pub fn range(&self) -> QuantizedRange {
-        self.range
-    }
-
     /// Privatizes on the grid, returning the output index.
-    pub fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
+    fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
         self.clamp(x_k + self.sampler.sample_index(rng))
     }
 

@@ -66,11 +66,6 @@ impl ConstantTimeResampling {
         self.batch
     }
 
-    /// The wrapped mechanism.
-    pub fn inner(&self) -> &ResamplingMechanism {
-        &self.inner
-    }
-
     /// Privatizes on the grid, returning `(y_k, extra_batches)`.
     ///
     /// Exactly `batch` noise indices are drawn per round; the first
@@ -81,11 +76,7 @@ impl ConstantTimeResampling {
     ///
     /// [`LdpError::ResampleBudgetExhausted`] if 10 000 consecutive rounds
     /// all miss the window (broken threshold/range configuration).
-    pub fn privatize_index(
-        &self,
-        x_k: i64,
-        rng: &mut dyn RandomBits,
-    ) -> Result<(i64, u32), LdpError> {
+    fn privatize_index(&self, x_k: i64, rng: &mut dyn RandomBits) -> Result<(i64, u32), LdpError> {
         let range = self.inner.range();
         let n_th = self.inner.threshold().n_th_k;
         let (lo, hi) = (range.min_k() - n_th, range.max_k() + n_th);
@@ -165,13 +156,13 @@ mod tests {
     #[test]
     fn zero_batch_is_rejected() {
         let (ct, _, _) = build(4);
-        assert!(ConstantTimeResampling::new(ct.inner().clone(), 0).is_err());
+        assert!(ConstantTimeResampling::new(ct.inner.clone(), 0).is_err());
     }
 
     #[test]
     fn outputs_respect_window() {
         let (ct, _, range) = build(8);
-        let n_th = ct.inner().threshold().n_th_k;
+        let n_th = ct.inner.threshold().n_th_k;
         let mut rng = Taus88::from_seed(1);
         for _ in 0..10_000 {
             let (y, _) = ct.privatize_index(range.min_k(), &mut rng).unwrap();
@@ -184,7 +175,7 @@ mod tests {
         // First-accepted-of-batch = resampling distribution; compare
         // empirical frequencies against the exact conditional distribution.
         let (ct, pmf, range) = build(8);
-        let n_th = ct.inner().threshold().n_th_k;
+        let n_th = ct.inner.threshold().n_th_k;
         let x_k = range.max_k();
         let dist = conditional(&pmf, range, LimitMode::Resampling, Some(n_th), x_k);
         let mut rng = Taus88::from_seed(2);
@@ -220,7 +211,7 @@ mod tests {
     #[test]
     fn guarantee_passes_through() {
         let (ct, _, _) = build(4);
-        assert_eq!(ct.guarantee(), ct.inner().guarantee());
+        assert_eq!(ct.guarantee(), ct.inner.guarantee());
         assert_eq!(ct.name(), "resampling-constant-time");
     }
 }

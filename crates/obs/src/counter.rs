@@ -74,11 +74,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero (snapshot isolation in tests/benches).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -86,6 +81,13 @@ mod tests {
     use super::*;
     use crate::level::{set_level, MetricsLevel};
     use crate::test_lock;
+
+    impl Counter {
+        /// Resets to zero, isolating a test from earlier ones.
+        fn reset(&self) {
+            self.value.store(0, Ordering::Relaxed);
+        }
+    }
 
     #[test]
     fn gated_increments_respect_the_level() {

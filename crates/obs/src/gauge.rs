@@ -65,11 +65,6 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero (snapshot isolation in tests/benches).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -77,6 +72,13 @@ mod tests {
     use super::*;
     use crate::level::{set_level, MetricsLevel};
     use crate::test_lock;
+
+    impl Gauge {
+        /// Resets to zero, isolating a test from earlier ones.
+        fn reset(&self) {
+            self.value.store(0, Ordering::Relaxed);
+        }
+    }
 
     #[test]
     fn gated_updates_respect_the_level() {

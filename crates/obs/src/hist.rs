@@ -102,15 +102,6 @@ impl Histogram {
         }
         out
     }
-
-    /// Resets all buckets and totals to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -118,6 +109,18 @@ mod tests {
     use super::*;
     use crate::level::{set_level, MetricsLevel};
     use crate::test_lock;
+
+    impl Histogram {
+        /// Resets all buckets and totals to zero, isolating a test from
+        /// earlier ones.
+        fn reset(&self) {
+            for b in &self.buckets {
+                b.store(0, Ordering::Relaxed);
+            }
+            self.count.store(0, Ordering::Relaxed);
+            self.sum.store(0, Ordering::Relaxed);
+        }
+    }
 
     #[test]
     fn bucket_indexing_is_log2() {

@@ -35,7 +35,7 @@ impl MetricsLevel {
     ///
     /// [`EnvError`] for any other value — misspellings like `ful` must be
     /// surfaced, not silently treated as `off`.
-    pub fn parse(raw: &str) -> Result<Self, EnvError> {
+    fn parse(raw: &str) -> Result<Self, EnvError> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "off" => Ok(MetricsLevel::Off),
             "counters" => Ok(MetricsLevel::Counters),

@@ -233,8 +233,7 @@ mod tests {
         static CA: Counter = Counter::new("test.report.a");
         let _guard = test_lock();
         set_level(MetricsLevel::Counters);
-        CB.reset();
-        CA.reset();
+        // Both counters belong to this test alone, so they start at zero.
         CB.add(2);
         CA.add(1);
         let report = snapshot();

@@ -83,13 +83,6 @@ impl SpanTimer {
         self.max_ns.load(Ordering::Relaxed)
     }
 
-    /// Resets all totals to zero.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-
     fn finish(&'static self, started: Instant) {
         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         register_once(&self.registered, &registry().spans, self);
@@ -127,6 +120,15 @@ mod tests {
     use super::*;
     use crate::level::{set_level, MetricsLevel};
     use crate::test_lock;
+
+    impl SpanTimer {
+        /// Resets all totals to zero, isolating a test from earlier ones.
+        fn reset(&self) {
+            self.calls.store(0, Ordering::Relaxed);
+            self.total_ns.store(0, Ordering::Relaxed);
+            self.max_ns.store(0, Ordering::Relaxed);
+        }
+    }
 
     /// The names of the spans currently open on this thread, outermost
     /// first (empty unless the level is `full`).

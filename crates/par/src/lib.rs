@@ -28,7 +28,7 @@
 //!
 //! A set-but-malformed `ULP_PAR_THREADS` (`0`, `"all"`, an empty string…)
 //! is **rejected, never silently defaulted**: [`try_threads`] returns the
-//! typed [`EnvError`] for binaries that want to report it, and [`threads`]
+//! typed [`EnvError`] for binaries that want to report it, and [`par_map`]
 //! panics with the same message. The variable is read once per process.
 //! Nested `par_map` calls from inside a worker run serially (no thread
 //! explosion): the outermost sweep owns the pool.
@@ -70,7 +70,7 @@ fn positive(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
-/// The worker count [`threads`] would use, as a `Result`: binaries call
+/// The worker count [`par_map`] uses, as a `Result`: binaries call
 /// this at startup so a malformed `ULP_PAR_THREADS` is reported as a
 /// proper error instead of a panic mid-sweep.
 ///
@@ -92,7 +92,7 @@ pub fn try_threads() -> Result<usize, EnvError> {
 /// thread-count override must never be silently replaced by a different
 /// pool width. Binaries that prefer an error value call [`try_threads`]
 /// first.
-pub fn threads() -> usize {
+fn threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| try_threads().unwrap_or_else(|e| panic!("{e}")))
 }
@@ -103,7 +103,7 @@ fn in_pool() -> bool {
     IN_POOL.with(Cell::get)
 }
 
-/// Maps `f` over `items` on up to [`threads`] workers, returning results in
+/// Maps `f` over `items` on up to [`try_threads`] workers, returning results in
 /// item order — byte-identical to `items.iter().map(f).collect()` for any
 /// thread count.
 ///

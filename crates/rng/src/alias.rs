@@ -82,7 +82,7 @@ impl AliasTable {
     /// [`RngError::InvalidConfig`] if no outcome has positive weight, the
     /// total weight exceeds `u64::MAX`, or the combined bucket + offset
     /// width exceeds 64 bits.
-    pub fn from_weights(outcomes: &[(i64, u128)]) -> Result<Self, RngError> {
+    fn from_weights(outcomes: &[(i64, u128)]) -> Result<Self, RngError> {
         let outcomes: Vec<(i64, u128)> = outcomes.iter().copied().filter(|&(_, w)| w > 0).collect();
         if outcomes.is_empty() {
             return Err(RngError::InvalidConfig(
@@ -191,8 +191,8 @@ impl AliasTable {
     ///
     /// # Errors
     ///
-    /// Propagates [`AliasTable::from_weights`] errors (a valid
-    /// [`FxpNoisePmf`] cannot trigger them in practice).
+    /// [`RngError::InvalidConfig`] if the table cannot be built (a valid
+    /// [`FxpNoisePmf`] cannot trigger it in practice).
     pub fn from_pmf(pmf: &FxpNoisePmf) -> Result<Self, RngError> {
         let outcomes: Vec<(i64, u128)> = pmf.iter().filter(|&(_, w)| w > 0).collect();
         Self::from_weights(&outcomes)
@@ -295,16 +295,6 @@ impl AliasTable {
         self.buckets.len()
     }
 
-    /// Per-bucket capacity = total source weight.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bits consumed per accepted draw (0 for a single-outcome table).
-    pub fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
     /// The positive-weight `(outcome, weight)` pairs the table was built
     /// from, in construction order.
     pub fn outcomes(&self) -> &[(i64, u128)] {
@@ -321,8 +311,8 @@ impl AliasTable {
         Some(if r < b.cut { b.self_k } else { b.alias_k })
     }
 
-    /// Draws one outcome. Consumes one `u32` word when
-    /// [`AliasTable::word_bits`] ≤ 32 (else one `u64`) per attempt; with a
+    /// Draws one outcome. Consumes one `u32` word when the bucket and
+    /// offset bits total ≤ 32 (else one `u64`) per attempt; with a
     /// power-of-two total weight the first attempt always succeeds.
     #[inline]
     pub fn draw<R: RandomBits + ?Sized>(&self, rng: &mut R) -> i64 {
@@ -448,7 +438,7 @@ mod tests {
         let t = AliasTable::from_pmf(&pmf).unwrap();
         assert!(t.verify_exact());
         assert!(t.cap_is_pow2, "2^(Bu+1) total weight is pow2");
-        assert!(t.word_bits() <= 32);
+        assert!(t.word_bits <= 32);
     }
 
     #[test]
@@ -457,7 +447,7 @@ mod tests {
         let t = AliasTable::from_pmf_window(&pmf, -10, 25).unwrap();
         assert!(t.verify_exact());
         let total: u128 = (-10..=25).map(|k| pmf.weight(k)).sum();
-        assert_eq!(t.capacity() as u128, total);
+        assert_eq!(t.capacity as u128, total);
     }
 
     #[test]
@@ -471,7 +461,7 @@ mod tests {
     #[test]
     fn single_outcome_is_degenerate_and_free() {
         let t = AliasTable::from_weights(&[(42, 7)]).unwrap();
-        assert_eq!(t.word_bits(), 0);
+        assert_eq!(t.word_bits, 0);
         // Draw must not consume randomness.
         let mut src = ScriptedBits::new(vec![0xDEAD_BEEF]);
         assert_eq!(t.draw(&mut src), 42);
@@ -556,7 +546,7 @@ mod tests {
     fn wide_table_uses_u64_words() {
         // Capacity 2^40 forces word_bits > 32.
         let t = AliasTable::from_weights(&[(0, 1u128 << 39), (1, 1u128 << 39)]).unwrap();
-        assert!(t.word_bits() > 32);
+        assert!(t.word_bits > 32);
         let mut a = Taus88::from_seed(5);
         let mut b = a.clone();
         // One draw consumes one u64 = two u32 words.

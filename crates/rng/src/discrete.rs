@@ -64,11 +64,6 @@ impl DiscreteLaplace {
         })
     }
 
-    /// Truncation bound.
-    pub fn max_k(self) -> i64 {
-        self.max_k
-    }
-
     /// Exact PMF on the *untruncated* lattice.
     pub fn pmf(self, k: i64) -> f64 {
         (1.0 - self.alpha) / (1.0 + self.alpha) * self.alpha.powi(k.unsigned_abs() as i32)

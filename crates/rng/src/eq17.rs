@@ -8,105 +8,84 @@
 //!
 //! The DP-Box folds one `Bu`-bit uniform into a signed Laplace sample: the
 //! top bit acts as the sign and the remaining bits as the magnitude
-//! uniform. This module implements that fold literally and proves (by
-//! exhaustive enumeration, in tests) that it induces **exactly** the same
-//! output distribution as the sign-bit + `(Bu−1)`-bit magnitude split used
-//! by [`crate::FxpLaplace`] — the equivalence the device model relies on.
-
-use crate::error::RngError;
-use crate::fxp::FxpLaplaceConfig;
-use crate::source::RandomBits;
-
-/// The single-uniform Eq. 17 Laplace sampler.
-///
-/// Configured by the same parameters as [`FxpLaplaceConfig`], with `Bu`
-/// being the *full* uniform width (one bit of which the fold consumes as
-/// the sign).
-///
-/// # Examples
-///
-/// ```
-/// use ulp_rng::{Eq17Laplace, Taus88};
-///
-/// let s = Eq17Laplace::new(17, 12, 10.0 / 32.0, 20.0)?;
-/// let mut rng = Taus88::from_seed(1);
-/// let k = s.sample_index(&mut rng);
-/// // Outputs stay on the By = 12 bit signed grid.
-/// assert!(k.abs() < 1 << 11);
-/// # Ok::<(), ulp_rng::RngError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Eq17Laplace {
-    bu: u8,
-    by: u8,
-    delta: f64,
-    lambda: f64,
-}
-
-impl Eq17Laplace {
-    /// Creates the sampler.
-    ///
-    /// # Errors
-    ///
-    /// [`RngError::InvalidConfig`] with the same bounds as
-    /// [`FxpLaplaceConfig::new`] (requiring `Bu ≥ 2` so a magnitude bit
-    /// remains after the sign fold).
-    pub fn new(bu: u8, by: u8, delta: f64, lambda: f64) -> Result<Self, RngError> {
-        if bu < 2 {
-            return Err(RngError::InvalidConfig("Eq. 17 needs Bu ≥ 2"));
-        }
-        // Validate ranges by constructing the equivalent config.
-        FxpLaplaceConfig::new(bu - 1, by, delta, lambda)?;
-        Ok(Eq17Laplace {
-            bu,
-            by,
-            delta,
-            lambda,
-        })
-    }
-
-    /// Maps one full-width uniform index `m ∈ [1, 2^Bu]` through Eq. 17 to
-    /// a signed output index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range.
-    fn index_from_uniform(self, m: u64) -> i64 {
-        let card = 1u64 << self.bu;
-        assert!(m >= 1 && m <= card, "uniform index out of range");
-        let u = m as f64 / card as f64;
-        let i_u = if u < 0.5 {
-            (2.0 * u).ln() // negative branch
-        } else {
-            // u = 1 would need −ln 0; the hardware's modulo wrap maps the
-            // all-ones word to the deepest negative magnitude instead —
-            // model that by reusing 2(1−u) + one LSB.
-            let v = 2.0 * (1.0 - u) + if m == card { 2.0 / card as f64 } else { 0.0 };
-            -v.ln()
-        };
-        let k = (self.lambda * i_u / self.delta).round() as i64;
-        let max = (1i64 << (self.by - 1)) - 1;
-        k.clamp(-max, max)
-    }
-
-    /// Draws one signed output index from a single `Bu`-bit uniform.
-    pub fn sample_index<R: RandomBits + ?Sized>(self, rng: &mut R) -> i64 {
-        self.index_from_uniform(rng.bits(self.bu) + 1)
-    }
-
-    /// Draws one noise value `kΔ`.
-    pub fn sample<R: RandomBits + ?Sized>(self, rng: &mut R) -> f64 {
-        self.sample_index(rng) as f64 * self.delta
-    }
-}
+//! uniform. This module's tests implement that fold literally and prove
+//! (by exhaustive enumeration) that it induces **exactly** the same output
+//! distribution as the sign-bit + `(Bu−1)`-bit magnitude split used by
+//! [`crate::FxpLaplace`] — the equivalence the device model relies on.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fxp::FxpLaplace;
+    use crate::error::RngError;
+    use crate::fxp::{FxpLaplace, FxpLaplaceConfig};
     use crate::pmf::FxpNoisePmf;
+    use crate::source::RandomBits;
     use crate::tausworthe::Taus88;
     use std::collections::HashMap;
+
+    /// The single-uniform Eq. 17 Laplace sampler.
+    ///
+    /// Configured by the same parameters as [`FxpLaplaceConfig`], with `Bu`
+    /// being the *full* uniform width (one bit of which the fold consumes as
+    /// the sign).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Eq17Laplace {
+        bu: u8,
+        by: u8,
+        delta: f64,
+        lambda: f64,
+    }
+
+    impl Eq17Laplace {
+        /// Creates the sampler.
+        ///
+        /// # Errors
+        ///
+        /// [`RngError::InvalidConfig`] with the same bounds as
+        /// [`FxpLaplaceConfig::new`] (requiring `Bu ≥ 2` so a magnitude bit
+        /// remains after the sign fold).
+        fn new(bu: u8, by: u8, delta: f64, lambda: f64) -> Result<Self, RngError> {
+            if bu < 2 {
+                return Err(RngError::InvalidConfig("Eq. 17 needs Bu ≥ 2"));
+            }
+            // Validate ranges by constructing the equivalent config.
+            FxpLaplaceConfig::new(bu - 1, by, delta, lambda)?;
+            Ok(Eq17Laplace {
+                bu,
+                by,
+                delta,
+                lambda,
+            })
+        }
+
+        /// Maps one full-width uniform index `m ∈ [1, 2^Bu]` through Eq. 17 to
+        /// a signed output index.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `m` is out of range.
+        fn index_from_uniform(self, m: u64) -> i64 {
+            let card = 1u64 << self.bu;
+            assert!(m >= 1 && m <= card, "uniform index out of range");
+            let u = m as f64 / card as f64;
+            let i_u = if u < 0.5 {
+                (2.0 * u).ln() // negative branch
+            } else {
+                // u = 1 would need −ln 0; the hardware's modulo wrap maps the
+                // all-ones word to the deepest negative magnitude instead —
+                // model that by reusing 2(1−u) + one LSB.
+                let v = 2.0 * (1.0 - u) + if m == card { 2.0 / card as f64 } else { 0.0 };
+                -v.ln()
+            };
+            let k = (self.lambda * i_u / self.delta).round() as i64;
+            let max = (1i64 << (self.by - 1)) - 1;
+            k.clamp(-max, max)
+        }
+
+        /// Draws one noise value `kΔ` from a single `Bu`-bit uniform.
+        fn sample<R: RandomBits + ?Sized>(self, rng: &mut R) -> f64 {
+            self.index_from_uniform(rng.bits(self.bu) + 1) as f64 * self.delta
+        }
+    }
 
     /// The sign+magnitude configuration the fold is equivalent to
     /// (`Bu_eff = Bu − 1`).
@@ -176,7 +155,9 @@ mod tests {
             (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
         };
         let a: Vec<f64> = (0..n).map(|_| s.sample(&mut rng1)).collect();
-        let b: Vec<f64> = (0..n).map(|_| eq.sample(&mut rng2)).collect();
+        let b: Vec<f64> = (0..n)
+            .map(|_| eq.sample_index(&mut rng2) as f64 * s.delta)
+            .collect();
         let (sa, sb) = (sd(&a), sd(&b));
         assert!((sa / sb - 1.0).abs() < 0.02, "σ {sa} vs {sb}");
     }

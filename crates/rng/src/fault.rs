@@ -154,16 +154,6 @@ impl<R: RandomBits> CorrelatedBits<R> {
         }
     }
 
-    /// The correlation lag, in words.
-    pub fn lag(&self) -> u8 {
-        self.lag
-    }
-
-    /// The copy probability numerator (`ρ = rho_256 / 256`).
-    pub fn rho_256(&self) -> u8 {
-        self.rho_256
-    }
-
     /// A mask whose bits are independently 1 with probability exactly
     /// `rho_256 / 256`, built by a bit-sliced `byte < rho_256` comparison
     /// across eight auxiliary words (MSB-first).
@@ -250,16 +240,6 @@ impl<A: RandomBits, B: RandomBits> OnsetBits<A, B> {
             recovery,
             drawn: 0,
         }
-    }
-
-    /// Words drawn so far.
-    pub fn drawn(&self) -> u64 {
-        self.drawn
-    }
-
-    /// The draw index at which the fault switches on.
-    pub fn onset(&self) -> u64 {
-        self.onset
     }
 }
 
@@ -366,6 +346,6 @@ mod tests {
                 0x1111_1111,
             ]
         );
-        assert_eq!(src.drawn(), 7);
+        assert_eq!(src.drawn, 7);
     }
 }

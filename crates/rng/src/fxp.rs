@@ -23,7 +23,6 @@ use crate::source::RandomBits;
 ///
 /// // The paper's Fig. 4 setting: Bu=17, By=12, Δ=10/2^5, Lap(20).
 /// let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0)?;
-/// assert_eq!(cfg.max_output_k(), 2047);
 /// // Largest generatable magnitude ≈ λ·Bu·ln2 ≈ 235.7, on the Δ grid.
 /// assert_eq!(cfg.max_magnitude(), 754.0 * 10.0 / 32.0);
 /// # Ok::<(), ulp_rng::RngError>(())
@@ -93,7 +92,7 @@ impl FxpLaplaceConfig {
     /// Largest representable magnitude index in the `By`-bit signed output
     /// word: `2^(By-1) - 1` (sign-magnitude generation yields a symmetric
     /// range).
-    pub fn max_output_k(self) -> i64 {
+    fn max_output_k(self) -> i64 {
         (1i64 << (self.by - 1)) - 1
     }
 
@@ -150,9 +149,9 @@ impl FxpLaplaceConfig {
 /// let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0)?;
 /// let sampler = FxpLaplace::analytic(cfg);
 /// let mut rng = Taus88::from_seed(2018);
-/// let n = sampler.sample(&mut rng);
+/// let k = sampler.sample_index(&mut rng);
 /// // Bounded support — this is the nonideality the paper exploits.
-/// assert!(n.abs() <= cfg.max_magnitude());
+/// assert!(k.abs() <= cfg.support_max_k());
 /// # Ok::<(), ulp_rng::RngError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -183,11 +182,6 @@ impl FxpLaplace {
         } else {
             k
         }
-    }
-
-    /// Draws one noise value `n = kΔ`.
-    pub fn sample<R: RandomBits + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_index(rng) as f64 * self.cfg.delta
     }
 }
 
@@ -288,7 +282,7 @@ mod tests {
         let mut rng = Taus88::from_seed(1);
         let n = 200_000;
         let within_one_lambda = (0..n)
-            .map(|_| s.sample(&mut rng))
+            .map(|_| s.sample_index(&mut rng) as f64 * cfg.delta())
             .filter(|x| x.abs() <= 20.0)
             .count();
         // Ideal Lap(20): P(|X| ≤ λ) = 1 − e^-1 ≈ 0.632.

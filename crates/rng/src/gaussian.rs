@@ -8,8 +8,7 @@
 //! and the workspace tests show the same break-and-fix story holds.
 
 use crate::error::RngError;
-use crate::pmf::FxpNoisePmf;
-use crate::source::RandomBits;
+use crate::pmf::{FxpNoisePmf, MAX_PMF_SUPPORT};
 
 /// Standard normal CDF `Φ(x)`, via the Abramowitz–Stegun 7.1.26 erf
 /// approximation (|error| < 1.5e-7 — far below any grid resolution used
@@ -100,8 +99,9 @@ impl FxpGaussianConfig {
     ///
     /// # Errors
     ///
-    /// [`RngError::InvalidConfig`] for out-of-range word widths or
-    /// non-positive `Δ`/`σ`.
+    /// [`RngError::InvalidConfig`] for out-of-range word widths,
+    /// non-positive `Δ`/`σ`, or a support of 2^26 magnitudes or more (the
+    /// PMF is built by enumeration over its support).
     pub fn new(bu: u8, by: u8, delta: f64, sigma: f64) -> Result<Self, RngError> {
         if !(1..=26).contains(&bu) {
             return Err(RngError::InvalidConfig(
@@ -117,46 +117,33 @@ impl FxpGaussianConfig {
         if !(sigma.is_finite() && sigma > 0.0) {
             return Err(RngError::InvalidConfig("σ must be finite and positive"));
         }
-        Ok(FxpGaussianConfig {
+        let cfg = FxpGaussianConfig {
             bu,
             by,
             delta,
             sigma,
-        })
-    }
-
-    /// URNG magnitude width `Bu`.
-    pub fn bu(self) -> u8 {
-        self.bu
-    }
-
-    /// Output word width `By`.
-    pub fn by(self) -> u8 {
-        self.by
-    }
-
-    /// Grid step `Δ`.
-    pub fn delta(self) -> f64 {
-        self.delta
-    }
-
-    /// Standard deviation `σ`.
-    pub fn sigma(self) -> f64 {
-        self.sigma
+        };
+        if cfg.magnitude_index(1).unsigned_abs() >= MAX_PMF_SUPPORT {
+            return Err(RngError::InvalidConfig(
+                "Gaussian support exceeds 2^26 magnitudes: Δ too small for σ and the output word",
+            ));
+        }
+        Ok(cfg)
     }
 
     /// Largest representable magnitude index.
-    pub fn max_output_k(self) -> i64 {
+    fn max_output_k(self) -> i64 {
         (1i64 << (self.by - 1)) - 1
     }
 
     /// The magnitude map: uniform index `m ∈ [1, 2^Bu]` to grid index, via
-    /// the half-normal ICDF `σ·Φ⁻¹(1 − u/2)`.
+    /// the half-normal ICDF `σ·Φ⁻¹(1 − u/2)`. It falls as `m` grows, so
+    /// `m = 1` gives the top of the support.
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
-    pub fn magnitude_index(self, m: u64) -> i64 {
+    fn magnitude_index(self, m: u64) -> i64 {
         assert!(
             m >= 1 && m <= (1u64 << self.bu),
             "uniform index out of range"
@@ -171,47 +158,36 @@ impl FxpGaussianConfig {
     }
 }
 
-/// The fixed-point Gaussian RNG (sign bit + ICDF magnitude path).
+/// The fixed-point Gaussian RNG (sign bit + ICDF magnitude path), as its
+/// exact output PMF.
 ///
 /// # Examples
 ///
 /// ```
-/// use ulp_rng::{FxpGaussian, FxpGaussianConfig, Taus88};
+/// use ulp_rng::{FxpGaussian, FxpGaussianConfig};
 ///
 /// let cfg = FxpGaussianConfig::new(16, 12, 0.25, 8.0)?;
 /// let g = FxpGaussian::new(cfg);
-/// let mut rng = Taus88::from_seed(7);
-/// let k = g.sample_index(&mut rng);
 /// // Bounded support — the same nonideality as the Laplace RNG.
-/// assert!(k.abs() <= g.pmf().support_max_k());
+/// assert_eq!(g.pmf().support_max_k(), 138);
 /// # Ok::<(), ulp_rng::RngError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FxpGaussian {
-    cfg: FxpGaussianConfig,
     pmf: FxpNoisePmf,
 }
 
 impl FxpGaussian {
-    /// Creates the sampler and builds its exact PMF by enumeration.
+    /// Builds the sampler's exact PMF by enumerating every magnitude
+    /// uniform.
     pub fn new(cfg: FxpGaussianConfig) -> Self {
-        let mut counts = vec![0u64; (cfg.max_output_k() + 1) as usize];
-        let mut top = 0usize;
+        let mut counts = vec![0u64; cfg.magnitude_index(1) as usize + 1];
         for m in 1..=(1u64 << cfg.bu) {
-            let k = cfg.magnitude_index(m) as usize;
-            counts[k] += 1;
-            top = top.max(k);
+            counts[cfg.magnitude_index(m) as usize] += 1;
         }
-        counts.truncate(top + 1);
         FxpGaussian {
-            cfg,
-            pmf: FxpNoisePmf::from_magnitude_counts(cfg.bu(), counts),
+            pmf: FxpNoisePmf::from_magnitude_counts(cfg.bu, counts),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> FxpGaussianConfig {
-        self.cfg
     }
 
     /// The exact output PMF (shared analysis machinery with the Laplace
@@ -219,29 +195,11 @@ impl FxpGaussian {
     pub fn pmf(&self) -> &FxpNoisePmf {
         &self.pmf
     }
-
-    /// Draws one signed magnitude index.
-    pub fn sample_index<R: RandomBits + ?Sized>(&self, rng: &mut R) -> i64 {
-        let negative = rng.bit();
-        let m = rng.bits(self.cfg.bu) + 1;
-        let k = self.cfg.magnitude_index(m);
-        if negative {
-            -k
-        } else {
-            k
-        }
-    }
-
-    /// Draws one noise value `kΔ`.
-    pub fn sample<R: RandomBits + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_index(rng) as f64 * self.cfg.delta
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tausworthe::Taus88;
 
     #[test]
     fn icdf_cdf_roundtrip() {
@@ -269,23 +227,27 @@ mod tests {
     }
 
     #[test]
-    fn fxp_gaussian_pmf_matches_sampler() {
-        let cfg = FxpGaussianConfig::new(12, 12, 0.5, 4.0).unwrap();
-        let g = FxpGaussian::new(cfg);
-        let mut rng = Taus88::from_seed(8);
-        let n = 300_000;
-        let mut hist = std::collections::HashMap::new();
-        for _ in 0..n {
-            *hist.entry(g.sample_index(&mut rng)).or_insert(0u64) += 1;
-        }
-        for k in -8i64..=8 {
-            let p = g.pmf().prob(k);
-            let emp = *hist.get(&k).unwrap_or(&0) as f64 / n as f64;
-            assert!(
-                (emp - p).abs() < 5.0 * (p / n as f64).sqrt() + 1e-4,
-                "k={k}: emp {emp} vs pmf {p}"
-            );
-        }
+    fn a_wide_output_word_keeps_the_small_support() {
+        // The PMF is sized by its support, not by the 2^61-magnitude word.
+        let wide = FxpGaussian::new(FxpGaussianConfig::new(17, 62, 0.25, 8.0).unwrap());
+        let narrow = FxpGaussian::new(FxpGaussianConfig::new(17, 16, 0.25, 8.0).unwrap());
+        assert_eq!(wide.pmf().support_max_k(), 143);
+        assert_eq!(
+            wide.pmf().iter().collect::<Vec<_>>(),
+            narrow.pmf().iter().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_support_too_wide_to_enumerate_is_a_typed_error() {
+        assert!(matches!(
+            FxpGaussianConfig::new(17, 62, 1e-30, 8.0),
+            Err(RngError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            FxpGaussianConfig::new(17, 62, 8.0 / (1 << 24) as f64, 8.0),
+            Err(RngError::InvalidConfig(_))
+        ));
     }
 
     #[test]

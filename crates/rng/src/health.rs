@@ -356,11 +356,6 @@ impl UrngHealth {
         }
     }
 
-    /// The monitor's configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Words observed since construction or the last [`reset`](Self::reset).
     pub fn words(&self) -> u64 {
         self.words

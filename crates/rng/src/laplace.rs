@@ -69,26 +69,22 @@ impl IdealLaplace {
             1.0 - 0.5 * (-x / self.lambda).exp()
         }
     }
-
-    /// Inverse CDF (quantile) for `p ∈ (0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1)`.
-    pub fn icdf(self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "icdf domain is (0,1), got {p}");
-        if p < 0.5 {
-            self.lambda * (2.0 * p).ln()
-        } else {
-            -self.lambda * (2.0 * (1.0 - p)).ln()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tausworthe::Taus88;
+
+    /// The inverse CDF (quantile) of `lap` at `p ∈ (0, 1)`.
+    fn icdf(lap: IdealLaplace, p: f64) -> f64 {
+        assert!(p > 0.0 && p < 1.0, "icdf domain is (0,1), got {p}");
+        if p < 0.5 {
+            lap.lambda * (2.0 * p).ln()
+        } else {
+            -lap.lambda * (2.0 * (1.0 - p)).ln()
+        }
+    }
 
     #[test]
     fn rejects_bad_scale() {
@@ -114,7 +110,7 @@ mod tests {
     fn cdf_icdf_roundtrip() {
         let lap = IdealLaplace::new(3.0).unwrap();
         for &p in &[0.01, 0.1, 0.4, 0.5, 0.6, 0.9, 0.99] {
-            let x = lap.icdf(p);
+            let x = icdf(lap, p);
             assert!((lap.cdf(x) - p).abs() < 1e-12, "p={p}");
         }
     }
@@ -151,7 +147,7 @@ mod tests {
         for &q in &[0.05, 0.25, 0.5, 0.75, 0.95] {
             let idx = (q * n as f64) as usize;
             let emp = xs[idx];
-            let want = lap.icdf(q);
+            let want = icdf(lap, q);
             assert!(
                 (lap.cdf(emp) - q).abs() < 0.01,
                 "quantile {q}: sample {emp}, expected near {want}"

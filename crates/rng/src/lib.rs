@@ -6,9 +6,9 @@
 //!
 //! * [`RandomBits`] — raw uniform bit sources: the [`Taus88`] combined
 //!   Tausworthe generator the paper uses (and [`Taus88Lanes`], several of
-//!   them stepped together), an [`Xorshift64Star`] alternative,
-//!   [`SplitMix64`] for seeding, and [`ScriptedBits`] for forcing samplers
-//!   down specific paths in tests.
+//!   them stepped together), [`SplitMix64`] for seeding (and as a second,
+//!   non-Tausworthe source in tests), and [`ScriptedBits`] for forcing
+//!   samplers down specific paths in tests.
 //! * [`CordicLn`] — the fixed-point hyperbolic-CORDIC natural logarithm that
 //!   evaluates the Laplace inverse CDF in hardware.
 //! * [`IdealLaplace`] — the continuous double-precision inversion sampler
@@ -36,8 +36,8 @@
 //! let sampler = FxpLaplace::analytic(cfg);
 //! let mut urng = Taus88::from_seed(2018);
 //!
-//! let noise = sampler.sample(&mut urng);
-//! assert!(noise.abs() <= cfg.max_magnitude()); // bounded support!
+//! let k = sampler.sample_index(&mut urng);
+//! assert!(k.abs() <= cfg.support_max_k()); // bounded support!
 //!
 //! // The exact PMF exposes the tail gaps that ruin the DP guarantee.
 //! let pmf = FxpNoisePmf::closed_form(cfg);
@@ -64,14 +64,12 @@ mod pmf;
 mod source;
 mod staircase;
 mod tausworthe;
-mod xorshift;
 
 pub use alias::AliasTable;
 pub use cache::{cached_alias_full, cached_alias_laplace_grid, cached_alias_window, cached_pmf};
 pub use columns::UrngColumns;
 pub use cordic::CordicLn;
 pub use discrete::DiscreteLaplace;
-pub use eq17::Eq17Laplace;
 pub use error::RngError;
 pub use fault::{BiasedBits, CorrelatedBits, OnsetBits, StuckAtBits};
 pub use fxp::{FxpLaplace, FxpLaplaceConfig};
@@ -82,4 +80,3 @@ pub use pmf::FxpNoisePmf;
 pub use source::{stream_seed, RandomBits, ScriptedBits, SplitMix64};
 pub use staircase::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
 pub use tausworthe::{Taus88, Taus88Lanes};
-pub use xorshift::Xorshift64Star;

@@ -164,11 +164,6 @@ impl FxpNoisePmf {
         }
     }
 
-    /// URNG width `Bu` this PMF was built for.
-    pub fn bu(&self) -> u8 {
-        self.bu
-    }
-
     /// Largest magnitude index with (possibly zero) allocated mass.
     pub fn support_max_k(&self) -> i64 {
         self.support_max_k

@@ -3,7 +3,7 @@
 //! Hardware RNGs are bit generators; everything else (uniform fractions,
 //! Laplace noise) is built by post-processing. Keeping the bit source as a
 //! small object-safe trait lets the samplers run on the Tausworthe generator
-//! the paper uses, on an xorshift alternative, or on scripted sources in
+//! the paper uses, on SplitMix64, or on scripted sources in
 //! tests.
 
 /// A deterministic source of uniformly distributed bits.

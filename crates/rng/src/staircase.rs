@@ -14,8 +14,7 @@
 //! evaluation in the datapath at all).
 
 use crate::error::RngError;
-use crate::pmf::FxpNoisePmf;
-use crate::source::RandomBits;
+use crate::pmf::{FxpNoisePmf, MAX_PMF_SUPPORT};
 
 /// The continuous staircase distribution with privacy parameter `ε`,
 /// period (sensitivity) `d`, and step-split `γ ∈ (0, 1)`.
@@ -28,15 +27,11 @@ use crate::source::RandomBits;
 /// # Examples
 ///
 /// ```
-/// use ulp_rng::{IdealStaircase, Taus88};
+/// use ulp_rng::IdealStaircase;
 ///
-/// let st = IdealStaircase::new(0.5, 10.0, 0.5)?;
-/// let mut rng = Taus88::from_seed(1);
-/// let x = st.sample(&mut rng);
-/// assert!(x.is_finite());
-/// // ε-DP ratio property of the density:
-/// assert!((st.pdf(3.0) / st.pdf(3.0 + 10.0) - (0.5f64).exp()).abs() < 1e-12);
-/// # Ok::<(), ulp_rng::RngError>(())
+/// // The utility-optimal split γ* for ε = 0.5 over a period of 10.
+/// assert!(IdealStaircase::optimal(0.5, 10.0).is_ok());
+/// assert!(IdealStaircase::optimal(0.0, 10.0).is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdealStaircase {
@@ -52,7 +47,7 @@ impl IdealStaircase {
     ///
     /// [`RngError::InvalidConfig`] unless `ε > 0`, `d > 0`, and
     /// `0 < γ < 1` (all finite).
-    pub fn new(eps: f64, d: f64, gamma: f64) -> Result<Self, RngError> {
+    fn new(eps: f64, d: f64, gamma: f64) -> Result<Self, RngError> {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(RngError::InvalidConfig("ε must be finite and positive"));
         }
@@ -69,7 +64,8 @@ impl IdealStaircase {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`IdealStaircase::new`].
+    /// [`RngError::InvalidConfig`] unless `ε > 0` and `d > 0` (both
+    /// finite).
     pub fn optimal(eps: f64, d: f64) -> Result<Self, RngError> {
         if !(eps.is_finite() && eps > 0.0) {
             return Err(RngError::InvalidConfig("ε must be finite and positive"));
@@ -77,37 +73,14 @@ impl IdealStaircase {
         Self::new(eps, d, 1.0 / (1.0 + (eps / 2.0).exp()))
     }
 
-    /// The privacy parameter ε.
-    pub fn eps(self) -> f64 {
-        self.eps
-    }
-
-    /// The period (sensitivity) `d`.
-    pub fn d(self) -> f64 {
-        self.d
-    }
-
     fn b(self) -> f64 {
         (-self.eps).exp()
     }
 
     /// The density normalizer `a(γ)`.
-    pub fn a(self) -> f64 {
+    fn a(self) -> f64 {
         let b = self.b();
         (1.0 - b) / (2.0 * self.d * (self.gamma + b * (1.0 - self.gamma)))
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(self, x: f64) -> f64 {
-        let t = x.abs();
-        let k = (t / self.d).floor();
-        let frac = t - k * self.d;
-        let base = self.a() * self.b().powf(k);
-        if frac < self.gamma * self.d {
-            base
-        } else {
-            base * self.b()
-        }
     }
 
     /// Survival of the magnitude, `S(x) = Pr[|X| ≥ x]` for `x ≥ 0`, with
@@ -157,17 +130,6 @@ impl IdealStaircase {
         };
         Ok(k * self.d + t.clamp(0.0, self.d))
     }
-
-    /// Draws one sample (sign + magnitude by inversion).
-    pub fn sample<R: RandomBits + ?Sized>(self, rng: &mut R) -> f64 {
-        let sign = if rng.bit() { -1.0 } else { 1.0 };
-        let m = rng.bits(53) + 1;
-        let u = m as f64 * 2f64.powi(-53);
-        let mag = self
-            .survival_inverse(u)
-            .expect("m + 1 over 2^53 is always in (0, 1]");
-        sign * mag
-    }
 }
 
 /// Configuration of the fixed-point staircase RNG.
@@ -199,57 +161,42 @@ impl FxpStaircaseConfig {
         Ok(FxpStaircaseConfig { bu, by, delta })
     }
 
-    /// URNG magnitude width.
-    pub fn bu(self) -> u8 {
-        self.bu
-    }
-
-    /// Output word width.
-    pub fn by(self) -> u8 {
-        self.by
-    }
-
-    /// Grid step.
-    pub fn delta(self) -> f64 {
-        self.delta
-    }
-
     /// Largest representable magnitude index.
-    pub fn max_output_k(self) -> i64 {
+    fn max_output_k(self) -> i64 {
         (1i64 << (self.by - 1)) - 1
     }
 }
 
 /// The fixed-point staircase RNG: `Bu`-bit uniform → piecewise-linear
-/// inverse survival → round to `kΔ` → sign.
+/// inverse survival → round to `kΔ` → sign, as its exact output PMF.
 ///
 /// # Examples
 ///
 /// ```
-/// use ulp_rng::{FxpStaircase, FxpStaircaseConfig, IdealStaircase, Taus88};
+/// use ulp_rng::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
 ///
 /// let st = IdealStaircase::optimal(0.5, 10.0)?;
 /// let cfg = FxpStaircaseConfig::new(17, 14, 10.0 / 32.0)?;
-/// let fxp = FxpStaircase::new(cfg, st);
-/// let mut rng = Taus88::from_seed(2);
-/// let k = fxp.sample_index(&mut rng);
-/// assert!(k.abs() <= fxp.pmf().support_max_k()); // bounded, like Laplace
+/// let fxp = FxpStaircase::new(cfg, st)?;
+/// assert!(fxp.pmf().interior_gap_count() > 0); // tail gaps, like Laplace
 /// # Ok::<(), ulp_rng::RngError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FxpStaircase {
-    cfg: FxpStaircaseConfig,
-    dist: IdealStaircase,
     pmf: FxpNoisePmf,
 }
 
 impl FxpStaircase {
-    /// Creates the sampler and derives its exact PMF from the survival
-    /// function: the number of uniforms mapping to magnitude `k` is
+    /// Derives the sampler's exact PMF from the survival function: the
+    /// number of uniforms mapping to magnitude `k` is
     /// `⌊2^Bu·S((k-½)Δ)⌋ − ⌊2^Bu·S((k+½)Δ)⌋` — the same interval-count
     /// structure as the Laplace Eq. 11.
-    pub fn new(cfg: FxpStaircaseConfig, dist: IdealStaircase) -> Self {
-        let two_bu = (1u64 << cfg.bu()) as f64;
+    ///
+    /// # Errors
+    ///
+    /// [`RngError::InvalidConfig`] if the support reaches 2^26 magnitudes.
+    pub fn new(cfg: FxpStaircaseConfig, dist: IdealStaircase) -> Result<Self, RngError> {
+        let two_bu = (1u64 << cfg.bu) as f64;
         let s = |x: f64| -> f64 {
             if x <= 0.0 {
                 1.0
@@ -261,22 +208,27 @@ impl FxpStaircase {
         let top_val = dist
             .survival_inverse(1.0 / two_bu)
             .expect("2^-Bu is in (0, 1] for Bu in 1..=52");
-        let top = ((top_val / cfg.delta()).round() as i64).min(cfg.max_output_k());
+        let top = ((top_val / cfg.delta).round() as i64).min(cfg.max_output_k());
+        if top.unsigned_abs() >= MAX_PMF_SUPPORT {
+            return Err(RngError::InvalidConfig(
+                "staircase support exceeds 2^26 magnitudes: Δ too small for the output word",
+            ));
+        }
         let mut counts = vec![0u64; (top + 1) as usize];
         if top == 0 {
-            counts[0] = 1u64 << cfg.bu();
+            counts[0] = 1u64 << cfg.bu;
         } else {
-            counts[0] = (1u64 << cfg.bu()) - (two_bu * s(0.5 * cfg.delta())).floor() as u64;
+            counts[0] = (1u64 << cfg.bu) - (two_bu * s(0.5 * cfg.delta)).floor() as u64;
             for k in 1..top {
-                let hi = (two_bu * s((k as f64 - 0.5) * cfg.delta())).floor() as u64;
-                let lo = (two_bu * s((k as f64 + 0.5) * cfg.delta())).floor() as u64;
+                let hi = (two_bu * s((k as f64 - 0.5) * cfg.delta)).floor() as u64;
+                let lo = (two_bu * s((k as f64 + 0.5) * cfg.delta)).floor() as u64;
                 counts[k as usize] = hi.saturating_sub(lo);
             }
-            counts[top as usize] = (two_bu * s((top as f64 - 0.5) * cfg.delta())).floor() as u64;
+            counts[top as usize] = (two_bu * s((top as f64 - 0.5) * cfg.delta)).floor() as u64;
             // Repair any floor-rounding drift so the counts partition 2^Bu
             // exactly (drift can only be ±1 on the top bin).
             let sum: u64 = counts.iter().sum();
-            let want = 1u64 << cfg.bu();
+            let want = 1u64 << cfg.bu;
             let top_idx = top as usize;
             if sum > want {
                 counts[top_idx] -= sum - want;
@@ -284,66 +236,31 @@ impl FxpStaircase {
                 counts[top_idx] += want - sum;
             }
         }
-        FxpStaircase {
-            cfg,
-            dist,
-            pmf: FxpNoisePmf::from_magnitude_counts(cfg.bu(), counts),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> FxpStaircaseConfig {
-        self.cfg
-    }
-
-    /// The underlying continuous distribution.
-    pub fn distribution(&self) -> IdealStaircase {
-        self.dist
+        Ok(FxpStaircase {
+            pmf: FxpNoisePmf::from_magnitude_counts(cfg.bu, counts),
+        })
     }
 
     /// The exact output PMF.
     pub fn pmf(&self) -> &FxpNoisePmf {
         &self.pmf
     }
-
-    /// Maps a uniform index to a magnitude index (the hardware datapath).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is outside `[1, 2^Bu]`.
-    pub fn magnitude_index(&self, m: u64) -> i64 {
-        assert!(
-            m >= 1 && m <= (1u64 << self.cfg.bu()),
-            "uniform index out of range"
-        );
-        let u = m as f64 * 2f64.powi(-(self.cfg.bu() as i32));
-        let mag = self
-            .dist
-            .survival_inverse(u)
-            .expect("m in [1, 2^Bu] keeps u in (0, 1]");
-        ((mag / self.cfg.delta()).round() as i64).min(self.cfg.max_output_k())
-    }
-
-    /// Draws one signed magnitude index.
-    pub fn sample_index<R: RandomBits + ?Sized>(&self, rng: &mut R) -> i64 {
-        let negative = rng.bit();
-        let m = rng.bits(self.cfg.bu()) + 1;
-        let k = self.magnitude_index(m);
-        if negative {
-            -k
-        } else {
-            k
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tausworthe::Taus88;
 
     fn dist() -> IdealStaircase {
         IdealStaircase::new(0.5, 10.0, 0.5).unwrap()
+    }
+
+    /// The hardware datapath's magnitude map: uniform index `m ∈ [1, 2^Bu]`
+    /// to magnitude index, by inverse survival.
+    fn magnitude_index(cfg: FxpStaircaseConfig, dist: IdealStaircase, m: u64) -> i64 {
+        let u = m as f64 * 2f64.powi(-(cfg.bu as i32));
+        let mag = dist.survival_inverse(u).unwrap();
+        ((mag / cfg.delta).round() as i64).min(cfg.max_output_k())
     }
 
     #[test]
@@ -354,33 +271,6 @@ mod tests {
         assert!(IdealStaircase::new(1.0, 1.0, 1.0).is_err());
         assert!(FxpStaircaseConfig::new(0, 12, 0.5).is_err());
         assert!(FxpStaircaseConfig::new(17, 12, -1.0).is_err());
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let st = dist();
-        let (hi, steps) = (200.0, 400_000);
-        let h = 2.0 * hi / steps as f64;
-        let integral: f64 = (0..steps)
-            .map(|i| st.pdf(-hi + (i as f64 + 0.5) * h) * h)
-            .sum();
-        // The truncated tail holds exactly S(hi) mass — a consistency check
-        // between the density and the survival function.
-        let want = 1.0 - st.survival(hi).unwrap();
-        assert!(
-            (integral - want).abs() < 1e-6,
-            "integral {integral} vs {want}"
-        );
-    }
-
-    #[test]
-    fn dp_ratio_property_holds_pointwise() {
-        // f(x)/f(x+d) = e^ε exactly, everywhere.
-        let st = dist();
-        for x in [0.0, 1.0, 4.9, 5.1, 7.3, 23.0] {
-            let ratio = (st.pdf(x) / st.pdf(x + 10.0)).ln();
-            assert!((ratio - 0.5).abs() < 1e-12, "x={x}: {ratio}");
-        }
     }
 
     #[test]
@@ -428,26 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn ideal_sample_magnitude_distribution() {
-        let st = dist();
-        let mut rng = Taus88::from_seed(3);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| st.sample(&mut rng)).collect();
-        // Median of |X|: S(x) = 0.5.
-        let med_want = st.survival_inverse(0.5).unwrap();
-        let mut mags: Vec<f64> = xs.iter().map(|x| x.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let med = mags[n / 2];
-        assert!((med - med_want).abs() < 0.3, "median {med} vs {med_want}");
-        // Symmetry.
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
     fn fxp_pmf_mass_is_exact() {
         let cfg = FxpStaircaseConfig::new(14, 14, 10.0 / 32.0).unwrap();
-        let fxp = FxpStaircase::new(cfg, dist());
+        let fxp = FxpStaircase::new(cfg, dist()).unwrap();
         let total: u128 = fxp.pmf().iter().map(|(_, w)| w).sum();
         assert_eq!(total, fxp.pmf().total_weight());
     }
@@ -456,12 +329,12 @@ mod tests {
     fn fxp_pmf_matches_enumerated_sampler() {
         let cfg = FxpStaircaseConfig::new(12, 14, 0.5).unwrap();
         let st = IdealStaircase::new(1.0, 4.0, 0.5).unwrap();
-        let fxp = FxpStaircase::new(cfg, st);
+        let fxp = FxpStaircase::new(cfg, st).unwrap();
         // Enumerate the sampler's deterministic magnitude map and compare
         // with the survival-derived counts.
         let mut counts = vec![0u64; (fxp.pmf().support_max_k() + 1) as usize];
-        for m in 1..=(1u64 << cfg.bu()) {
-            counts[fxp.magnitude_index(m) as usize] += 1;
+        for m in 1..=(1u64 << cfg.bu) {
+            counts[magnitude_index(cfg, st, m) as usize] += 1;
         }
         let mut mismatch = 0u64;
         for (k, &c) in counts.iter().enumerate() {
@@ -471,7 +344,7 @@ mod tests {
         }
         // Boundary-rounding disagreements only: a vanishing fraction.
         assert!(
-            mismatch <= (1u64 << cfg.bu()) / 500,
+            mismatch <= (1u64 << cfg.bu) / 500,
             "{mismatch} count mismatches"
         );
     }
@@ -479,7 +352,7 @@ mod tests {
     #[test]
     fn fxp_support_is_bounded_with_tail_gaps() {
         let cfg = FxpStaircaseConfig::new(17, 16, 10.0 / 64.0).unwrap();
-        let fxp = FxpStaircase::new(cfg, dist());
+        let fxp = FxpStaircase::new(cfg, dist()).unwrap();
         // Bounded support: ~ d·Bu·ε⁻¹·ln2 periods deep.
         assert!(fxp.pmf().support_max_k() > 0);
         assert!(fxp.pmf().interior_gap_count() > 0, "expected tail gaps");
@@ -492,13 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn sampler_respects_support() {
-        let cfg = FxpStaircaseConfig::new(14, 14, 0.25).unwrap();
-        let fxp = FxpStaircase::new(cfg, dist());
-        let mut rng = Taus88::from_seed(6);
-        for _ in 0..20_000 {
-            let k = fxp.sample_index(&mut rng);
-            assert!(k.abs() <= fxp.pmf().support_max_k());
-        }
+    fn a_support_too_wide_to_enumerate_is_a_typed_error() {
+        let cfg = FxpStaircaseConfig::new(17, 62, 1e-30).unwrap();
+        let st = IdealStaircase::optimal(0.5, 10.0).unwrap();
+        assert!(matches!(
+            FxpStaircase::new(cfg, st),
+            Err(RngError::InvalidConfig(_))
+        ));
     }
 }

@@ -56,9 +56,10 @@ fn mixed_numeric_and_categorical_collection() {
     );
 
     // …and the ledger reflects per-participant loss (2 queries each).
-    assert_eq!(ledger.queries(), 2 * cohort.len());
+    assert_eq!(ledger.losses().len(), 2 * cohort.len());
     let per_participant = mech.guarantee().bound().unwrap() + rr.epsilon();
-    assert!((ledger.total() - per_participant * cohort.len() as f64).abs() < 1e-9);
+    let total: f64 = ledger.losses().iter().sum();
+    assert!((total - per_participant * cohort.len() as f64).abs() < 1e-9);
 }
 
 #[test]

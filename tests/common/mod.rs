@@ -83,16 +83,16 @@ pub fn assert_oracles_agree(
         .unwrap()
         .with_engine(DeviceEngine::Reference);
     assert_eq!(
-        production.canonical_text(),
-        run(engine, svc).canonical_text(),
+        production.digest(),
+        run(engine, svc).digest(),
         "{name}: batch engine vs reference engine"
     );
     let ingest = FleetDriver::new(cfg)
         .unwrap()
         .with_ingest_path(IngestPath::Reference);
     assert_eq!(
-        production.canonical_text(),
-        run(ingest, svc).canonical_text(),
+        production.digest(),
+        run(ingest, svc).digest(),
         "{name}: columnar ingest vs reference ingest"
     );
     // The 5‰ fault plant fires, so the batch engine's scalar sidecar and

@@ -3,11 +3,20 @@
 //! the *distributional* ε bound does not — and the health monitor is what
 //! stands between the two.
 
-use ulp_ldp::ldp::{exact_threshold, LimitMode, QuantizedRange, ThresholdingMechanism};
+use ulp_ldp::ldp::{exact_threshold, LimitMode, Mechanism, QuantizedRange, ThresholdingMechanism};
 use ulp_ldp::rng::{
     FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, HealthAlarm, HealthTest, RandomBits, StuckAtBits,
     Taus88, UrngHealth,
 };
+
+/// One output index for input `x_k`, through the one-element batch the
+/// mechanism serves production with.
+fn privatize(mech: &ThresholdingMechanism, x_k: i64, rng: &mut dyn RandomBits) -> i64 {
+    let mut y = [0];
+    mech.privatize_index_batch(&[x_k], rng, &mut y)
+        .expect("thresholding never refuses");
+    y[0]
+}
 
 fn mechanism() -> (ThresholdingMechanism, QuantizedRange, i64) {
     let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0).expect("paper configuration");
@@ -41,7 +50,7 @@ fn window_bound_survives_any_bit_source() {
     let (mech, range, n_th) = mechanism();
     let mut broken = StuckAtBits::new(Taus88::from_seed(1), 31, true);
     for _ in 0..10_000 {
-        let y = mech.privatize_index(range.max_k(), &mut broken);
+        let y = privatize(&mech, range.max_k(), &mut broken);
         assert!(y >= range.min_k() - n_th && y <= range.max_k() + n_th);
     }
 }
@@ -56,7 +65,7 @@ fn stuck_sign_bit_skews_the_output_distribution() {
     let n = 20_000;
     let mean = |rng: &mut dyn RandomBits| -> f64 {
         (0..n)
-            .map(|_| mech.privatize_index(16, rng) as f64)
+            .map(|_| privatize(&mech, 16, rng) as f64)
             .sum::<f64>()
             / n as f64
     };
@@ -70,7 +79,7 @@ fn stuck_sign_bit_skews_the_output_distribution() {
     // And strictly one-sided: no output ever exceeds the input.
     let mut broken2 = StuckAtBits::new(Taus88::from_seed(6), 31, true);
     for _ in 0..5_000 {
-        assert!(mech.privatize_index(16, &mut broken2) <= 16);
+        assert!(privatize(&mech, 16, &mut broken2) <= 16);
     }
 }
 
@@ -92,9 +101,7 @@ fn magnitude_lsb_fault_is_subtle_but_detectable() {
     let mut broken = StuckAtBits::new(Taus88::from_seed(4), 0, true);
     let n = 20_000;
     let sd = |rng: &mut dyn RandomBits| -> f64 {
-        let xs: Vec<f64> = (0..n)
-            .map(|_| mech.privatize_index(16, rng) as f64)
-            .collect();
+        let xs: Vec<f64> = (0..n).map(|_| privatize(&mech, 16, rng) as f64).collect();
         let m = xs.iter().sum::<f64>() / n as f64;
         (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64).sqrt()
     };

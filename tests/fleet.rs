@@ -113,7 +113,7 @@ fn digest_identical_at_1_and_8_shards() {
             common::run(FleetDriver::new(cfg).unwrap(), svc.as_ref())
         };
         let (one, eight) = (at(1), at(8));
-        assert_eq!(one.canonical_text(), eight.canonical_text(), "{name}");
+        assert_eq!(one.digest(), eight.digest(), "{name}");
     }
 }
 

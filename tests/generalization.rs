@@ -69,8 +69,8 @@ fn fixed_point_staircase_breaks_and_repairs_identically() {
     use ulp_ldp::rng::{FxpStaircase, FxpStaircaseConfig, IdealStaircase};
     let st = IdealStaircase::optimal(0.5, 10.0).expect("valid staircase");
     let cfg = FxpStaircaseConfig::new(17, 16, 10.0 / 32.0).expect("valid config");
-    let fxp = FxpStaircase::new(cfg, st);
-    let range = QuantizedRange::new(0, 32, cfg.delta()).expect("valid range");
+    let fxp = FxpStaircase::new(cfg, st).expect("enumerable support");
+    let range = QuantizedRange::new(0, 32, 10.0 / 32.0).expect("valid range");
     // Break…
     let naive = worst_case_loss(fxp.pmf(), range, LimitMode::Thresholding, None);
     assert_eq!(naive, PrivacyLoss::Infinite);

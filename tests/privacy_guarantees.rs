@@ -7,10 +7,20 @@
 use std::collections::HashMap;
 
 use ulp_ldp::ldp::{
-    conditional, exact_threshold, worst_case_loss, LimitMode, PrivacyLoss, QuantizedRange,
-    ResamplingMechanism, ThresholdingMechanism,
+    conditional, exact_threshold, worst_case_loss, LimitMode, Mechanism, PrivacyLoss,
+    QuantizedRange, ResamplingMechanism, ThresholdingMechanism,
 };
-use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
+use ulp_ldp::rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, RandomBits, Taus88};
+
+/// One output index for input `x_k`, through the one-element batch the
+/// mechanisms serve production with, and the redraws it took.
+fn privatize(mech: &dyn Mechanism, x_k: i64, rng: &mut dyn RandomBits) -> (i64, u64) {
+    let mut y = [0];
+    let redraws = mech
+        .privatize_index_batch(&[x_k], rng, &mut y)
+        .expect("in-support window");
+    (y[0], redraws)
+}
 
 fn sweep() -> Vec<(FxpLaplaceConfig, QuantizedRange)> {
     // (Bu, By, Δ, λ, range span) across resolutions and scales.
@@ -83,7 +93,7 @@ fn empirical_output_frequencies_match_certified_distribution() {
     let n = 400_000usize;
     let mut hist: HashMap<i64, u64> = HashMap::new();
     for _ in 0..n {
-        *hist.entry(mech.privatize_index(x_k, &mut rng)).or_insert(0) += 1;
+        *hist.entry(privatize(&mech, x_k, &mut rng).0).or_insert(0) += 1;
     }
     // Every emitted output must be in the certified support…
     for &y in hist.keys() {
@@ -118,10 +128,7 @@ fn resampling_empirical_acceptance_matches_analysis() {
     let n = 100_000u32;
     let mut redraws = 0u64;
     for _ in 0..n {
-        redraws += mech
-            .privatize_index(x_k, &mut rng)
-            .expect("in-support window")
-            .1 as u64;
+        redraws += privatize(&mech, x_k, &mut rng).1;
     }
     let expected_redraws = 1.0 / accept - 1.0;
     let measured = redraws as f64 / n as f64;
@@ -136,16 +143,16 @@ fn guarantee_survives_any_uniform_source() {
     // The LDP guarantee is a property of the mapping, not the bit source:
     // swapping the URNG family must keep outputs inside the certified
     // support.
-    use ulp_ldp::rng::Xorshift64Star;
+    use ulp_ldp::rng::SplitMix64;
     let cfg = FxpLaplaceConfig::new(17, 12, 10.0 / 32.0, 20.0).expect("paper configuration");
     let range = QuantizedRange::new(0, 32, cfg.delta()).expect("valid range");
     let pmf = FxpNoisePmf::closed_form(cfg);
     let spec = exact_threshold(cfg, &pmf, range, 2.0, LimitMode::Thresholding).expect("solvable");
     let mech =
         ThresholdingMechanism::new(FxpLaplace::analytic(cfg), range, spec).expect("constructible");
-    let mut rng = Xorshift64Star::from_seed(99);
+    let mut rng = SplitMix64::new(99);
     for _ in 0..20_000 {
-        let y = mech.privatize_index(range.max_k(), &mut rng);
+        let (y, _) = privatize(&mech, range.max_k(), &mut rng);
         assert!(y >= range.min_k() - spec.n_th_k && y <= range.max_k() + spec.n_th_k);
     }
 }
@@ -164,7 +171,7 @@ fn post_processing_preserves_the_guarantee() {
         ThresholdingMechanism::new(FxpLaplace::analytic(cfg), range, spec).expect("constructible");
     let mut rng = Taus88::from_seed(7);
     let rounded_mean = |x_k: i64, rng: &mut Taus88| -> i64 {
-        let s: i64 = (0..64).map(|_| mech.privatize_index(x_k, rng)).sum();
+        let s: i64 = (0..64).map(|_| privatize(&mech, x_k, rng).0).sum();
         (s as f64 / 64.0 / 16.0).round() as i64 // coarse post-processing
     };
     let mut a = std::collections::HashSet::new();

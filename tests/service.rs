@@ -188,14 +188,14 @@ fn windowed_rollup_matches_batch_estimates() {
 }
 
 /// The rollup's verdict, entry count and total bits, folded as `finalize`
-/// folded before its streaming pass: every window ledger merged into one
-/// `BudgetLedger`, audited against a `CompositionLedger` over every
+/// folded before its streaming pass: every window ledger's charges
+/// recorded into one `BudgetLedger`, audited against a `CompositionLedger` over every
 /// window's charges, after the windows' own seal verdicts.
 fn merged_fold(windows: &[SealedWindow]) -> (bool, usize, u64) {
     let mut ledger = BudgetLedger::new();
     let mut accountant = CompositionLedger::new();
     for w in windows {
-        ledger.merge(&w.ledger);
+        ledger.extend(w.ledger.entries().iter().map(|e| e.charge));
         accountant.extend(w.charges.iter().copied());
     }
     let audit_ok = windows.iter().all(|w| w.audit_ok) && ledger.audit(&accountant).is_ok();

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Tests for `unreached_pub.py`, each on a small synthetic tree.
+"""Tests for `unreached_pub.py`, each on a tiny cargo workspace with no
+dependencies (the scan runs `cargo check --offline` on it).
 
-Usage (standard library only):
+Usage (standard library and `cargo` only):
 
     python3 -m unittest discover -s tools
 """
@@ -19,29 +20,39 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import unreached_pub  # noqa: E402
 
+PACKAGE = '[package]\nname = "{}"\nversion = "0.1.0"\nedition = "2021"\n'
 
-class SyntheticTree(unittest.TestCase):
-    """Each test writes a workspace with one library crate, `crates/a`, and
-    scans it."""
 
-    def setUp(self):
-        self._dir = tempfile.TemporaryDirectory()
-        self.root = self._dir.name
-        self.write("Cargo.toml", "[workspace]\n")
-        self.write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n")
+class Workspace(unittest.TestCase):
+    """A workspace with one library crate, `crates/a`, that each test class
+    fills in and scans."""
 
-    def tearDown(self):
-        self._dir.cleanup()
+    FILES = {}
 
-    def write(self, rel, text):
-        path = os.path.join(self.root, rel)
+    @classmethod
+    def setUpClass(cls):
+        cls._dir = tempfile.TemporaryDirectory()
+        cls.root = cls._dir.name
+        cls.write("Cargo.toml", '[workspace]\nmembers = ["crates/a"]\nresolver = "2"\n')
+        cls.write("crates/a/Cargo.toml", PACKAGE.format("a"))
+        for rel, text in cls.FILES.items():
+            cls.write(rel, text)
+
+    @classmethod
+    def tearDownClass(cls):
+        cls._dir.cleanup()
+
+    @classmethod
+    def write(cls, rel, text):
+        path = os.path.join(cls.root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             f.write(textwrap.dedent(text))
 
-    def unreached(self):
-        _, unreached = unreached_pub.scan(self.root)
-        return {name for _, _, _, name in unreached}
+    @classmethod
+    def unreached(cls):
+        _, unreached = unreached_pub.scan(cls.root)
+        return {(rel.replace(os.sep, "/"), name) for rel, _, _, name in unreached}
 
     def run_main(self, allowed):
         out = io.StringIO()
@@ -52,94 +63,146 @@ class SyntheticTree(unittest.TestCase):
         return status, out.getvalue()
 
 
-class ReexportRule(SyntheticTree):
-    def setUp(self):
-        super().setUp()
-        self.write("crates/a/src/util.rs", """\
-            pub fn helper() -> Thing { Thing }
-            pub const LIMIT: u32 = 3;
-            pub struct Thing;
-            pub fn called() {}
-        """)
-        self.write("crates/a/src/lib.rs", """\
+class WhatCountsAsAUse(Workspace):
+    FILES = {
+        "crates/a/src/lib.rs": """\
+            pub mod one;
+            pub mod two;
             mod util;
             pub use util::{
-                called, helper,
-                Thing, LIMIT,
+                helper,
+                Thing,
             };
-        """)
-        self.write("crates/a/src/bin/tool.rs", """\
-            fn main() {
-                a::called();
+
+            /// Calls [`util::within`]; a doc comment naming
+            /// `own_file_only` is not a use.
+            pub fn make() -> u32 {
+                pick(
+                    "a string that spans lines,
+                    use starting one of them",
+                    util::within(),
+                )
             }
-        """)
 
-    def test_a_fn_named_only_in_a_multi_line_pub_use_is_unreached(self):
-        self.assertIn("helper", self.unreached())
+            fn pick(_: &str, v: u32) -> u32 {
+                v
+            }
 
-    def test_a_const_named_only_in_a_pub_use_is_unreached(self):
-        self.assertIn("LIMIT", self.unreached())
+            pub fn read() -> u32 {
+                util::holder().value
+            }
 
-    def test_a_type_named_only_in_a_pub_use_stays_reached(self):
-        self.assertNotIn("Thing", self.unreached())
-
-    def test_a_called_fn_is_reached(self):
-        self.assertNotIn("called", self.unreached())
-
-
-class WhatIsNotAMention(SyntheticTree):
-    def setUp(self):
-        super().setUp()
-        self.write("crates/a/src/lib.rs", """\
-            pub mod probe;
-            pub mod other;
-        """)
-        self.write("crates/a/src/probe.rs", "pub fn hook() {}\n")
-
-    def test_a_comment_is_not_a_mention(self):
-        self.write("crates/a/src/other.rs", """\
-            /// Runs after [`crate::probe::hook`].
-            pub fn other() {} // hook() would go here
-        """)
-        self.assertIn("hook", self.unreached())
-
-    def test_a_test_module_is_not_a_mention(self):
-        self.write("crates/a/src/other.rs", """\
-            pub fn other() {}
+            pub fn consumed() {}
 
             #[cfg(test)]
             mod tests {
                 #[test]
                 fn t() {
-                    crate::probe::hook();
+                    crate::one::Counter.reset();
+                    crate::util::helper();
                 }
             }
-        """)
-        self.assertIn("hook", self.unreached())
+        """,
+        "crates/a/src/one.rs": """\
+            pub struct Counter;
 
-    def test_a_same_name_definition_is_not_a_mention(self):
-        self.write("crates/a/src/other.rs", "pub fn hook() {}\n")
-        _, unreached = unreached_pub.scan(self.root)
-        files = {rel.replace(os.sep, "/") for rel, _, _, name in unreached
-                 if name == "hook"}
-        self.assertEqual({"crates/a/src/probe.rs", "crates/a/src/other.rs"}, files)
+            impl Counter {
+                pub fn reset(&self) {}
+            }
+        """,
+        "crates/a/src/two.rs": """\
+            pub struct Gauge;
 
-    def test_a_string_holding_slashes_is_code(self):
-        self.write("crates/a/src/other.rs", """\
-            pub fn other() -> &'static str { let _ = "//"; crate::probe::hook(); "" }
-        """)
-        self.assertNotIn("hook", self.unreached())
+            impl Gauge {
+                pub fn reset(&self) {}
+            }
+        """,
+        "crates/a/src/util.rs": """\
+            pub fn helper() {}
+
+            pub struct Thing;
+
+            pub struct Holder {
+                pub value: u32,
+            }
+
+            pub fn holder() -> Holder {
+                Holder { value: 1 }
+            }
+
+            pub fn within() -> u32 {
+                own_file_only()
+            }
+
+            pub fn own_file_only() -> u32 {
+                7
+            }
+        """,
+        "crates/a/src/bin/tool.rs": """\
+            fn main() {
+                a::two::Gauge.reset();
+                let _ = a::make();
+            }
+        """,
+        "perfbench/e2e/Cargo.toml": PACKAGE.format("e2e")
+        + '\n[workspace]\n\n[dependencies]\na = { path = "../../crates/a" }\n',
+        "perfbench/e2e/src/main.rs": """\
+            fn main() {
+                a::consumed();
+                let _ = a::read();
+            }
+        """,
+    }
+
+    @classmethod
+    def setUpClass(cls):
+        super().setUpClass()
+        cls.found = cls.unreached()
+
+    def test_a_same_name_method_does_not_hide_an_unreached_one(self):
+        # `Counter::reset` is called only from a test module; `Gauge::reset`
+        # from a binary. A word scan sees "reset" used and reads both reached.
+        self.assertIn(("crates/a/src/one.rs", "reset"), self.found)
+        self.assertNotIn(("crates/a/src/two.rs", "reset"), self.found)
+
+    def test_a_fn_named_only_in_a_multi_line_pub_use_is_unreached(self):
+        self.assertIn(("crates/a/src/util.rs", "helper"), self.found)
+
+    def test_a_type_named_only_in_a_pub_use_is_reached(self):
+        self.assertNotIn(("crates/a/src/util.rs", "Thing"), self.found)
+
+    def test_a_use_in_the_items_own_file_does_not_count(self):
+        self.assertIn(("crates/a/src/util.rs", "own_file_only"), self.found)
+        self.assertNotIn(("crates/a/src/util.rs", "within"), self.found)
+
+    def test_a_use_from_a_consumer_manifest_counts(self):
+        self.assertNotIn(("crates/a/src/lib.rs", "consumed"), self.found)
+        self.assertNotIn(("crates/a/src/lib.rs", "read"), self.found)
+
+    def test_a_field_read_in_another_file_reaches_its_struct(self):
+        self.assertNotIn(("crates/a/src/util.rs", "Holder"), self.found)
+
+    def test_a_string_line_starting_with_use_is_not_a_use_declaration(self):
+        # `util::within()` is called right after a string line that begins
+        # with "use", before any `;`: the call still counts.
+        self.assertNotIn(("crates/a/src/util.rs", "within"), self.found)
+
+    def test_a_comment_is_not_a_use(self):
+        self.assertIn(("crates/a/src/util.rs", "own_file_only"), self.found)
+
+    def test_items_of_test_modules_and_binaries_are_not_scanned(self):
+        self.assertFalse({rel for rel, _ in self.found} & {"crates/a/src/bin/tool.rs"})
 
 
-class Allowed(SyntheticTree):
-    def setUp(self):
-        super().setUp()
-        self.write("crates/a/src/lib.rs", """\
+class Allowed(Workspace):
+    FILES = {
+        "crates/a/src/lib.rs": """\
             pub mod one;
             pub mod two;
-        """)
-        self.write("crates/a/src/one.rs", "pub fn hook() {}\n")
-        self.write("crates/a/src/two.rs", "pub fn hook() {}\n")
+        """,
+        "crates/a/src/one.rs": "pub fn hook() {}\n",
+        "crates/a/src/two.rs": "pub fn hook() {}\n",
+    }
 
     def test_a_key_exempts_only_its_own_file(self):
         allowed = {"crates/a/src/one.rs:hook": "a test hook"}
@@ -163,12 +226,32 @@ class Allowed(SyntheticTree):
             "crates/a/src/two.rs:hook": "a test hook",
             "crates/a/src/gone.rs:deleted": "its item was deleted",
         }
-        _, _, new, stale = unreached_pub.check(self.root, allowed)
-        self.assertEqual([], new)
-        self.assertEqual(["crates/a/src/gone.rs:deleted"], stale)
         status, out = self.run_main(allowed)
         self.assertEqual(1, status)
         self.assertIn("crates/a/src/gone.rs:deleted", out)
+
+
+class ProbeFailures(Workspace):
+    FILES = {"crates/a/src/lib.rs": "pub fn f() {}\n"}
+
+    def test_a_probe_that_does_not_compile_exits_2(self):
+        self.write("crates/a/src/bin/broken.rs", "fn main() { a::missing(); }\n")
+        try:
+            status, out = self.run_main({})
+        finally:
+            os.remove(os.path.join(self.root, "crates/a/src/bin/broken.rs"))
+        self.assertEqual(2, status)
+        self.assertEqual(1, len(out.splitlines()), out)
+        self.assertIn("failed", out)
+
+    def test_a_tree_that_already_allows_deprecated_exits_2(self):
+        self.write("crates/a/src/bin/quiet.rs", "#[allow(deprecated)]\nfn main() { a::f(); }\n")
+        try:
+            status, out = self.run_main({})
+        finally:
+            os.remove(os.path.join(self.root, "crates/a/src/bin/quiet.rs"))
+        self.assertEqual(2, status)
+        self.assertIn("crates/a/src/bin/quiet.rs:1", out)
 
 
 if __name__ == "__main__":
