@@ -36,9 +36,9 @@ const DRAIN_FRAMES: &str = "fleet.service.drain_frames";
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// The estimate (value, SE, report count, bias envelope).
-    pub estimate: Estimate,
+    estimate: Estimate,
     /// The matching ground truth.
-    pub truth: f64,
+    truth: f64,
 }
 
 impl Gate {

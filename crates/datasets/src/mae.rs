@@ -17,8 +17,6 @@ pub struct MaeResult {
     pub std: f64,
     /// `mae` normalized by the query's error scale (range length, etc.).
     pub relative: f64,
-    /// Number of trials.
-    pub trials: usize,
 }
 
 /// Evaluates the MAE of a privatization function on a dataset for a query.
@@ -94,7 +92,6 @@ where
         mae,
         std: var.sqrt(),
         relative: mae / error_scale,
-        trials,
     }
 }
 
@@ -145,7 +142,6 @@ where
         mae,
         std: var.sqrt(),
         relative: mae / error_scale,
-        trials,
     })
 }
 
@@ -167,7 +163,6 @@ mod tests {
         let r = evaluate_query(&raw, |x| x + 2.0, Query::Mean, 7, 10.0);
         assert!((r.mae - 2.0).abs() < 1e-12);
         assert!((r.relative - 0.2).abs() < 1e-12);
-        assert_eq!(r.trials, 7);
     }
 
     #[test]

@@ -105,16 +105,10 @@ pub fn generate(spec: &DatasetSpec, seed: u64) -> Vec<f64> {
 /// Summary statistics of a generated dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
-    /// Sample minimum.
-    pub min: f64,
-    /// Sample maximum.
-    pub max: f64,
     /// Sample mean.
     pub mean: f64,
     /// Sample standard deviation (population convention).
     pub std: f64,
-    /// Number of entries.
-    pub n: usize,
 }
 
 /// Computes [`Summary`] statistics for a dataset.
@@ -127,14 +121,9 @@ pub fn summarize(data: &[f64]) -> Summary {
     let n = data.len() as f64;
     let mean = data.iter().sum::<f64>() / n;
     let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     Summary {
-        min,
-        max,
         mean,
         std: var.sqrt(),
-        n: data.len(),
     }
 }
 

@@ -143,7 +143,7 @@ mod tests {
             let data = generate(&spec, 2018);
             let sum = summarize(&data);
             let d = spec.range_length();
-            assert_eq!(sum.n, spec.entries, "{}", spec.name);
+            assert_eq!(data.len(), spec.entries, "{}", spec.name);
             assert!(
                 (sum.mean - spec.mean).abs() < 0.08 * d,
                 "{}: mean {} vs spec {}",
@@ -158,7 +158,11 @@ mod tests {
                 sum.std,
                 spec.std
             );
-            assert!(sum.min >= spec.min && sum.max <= spec.max, "{}", spec.name);
+            assert!(
+                data.iter().all(|x| (spec.min..=spec.max).contains(x)),
+                "{}",
+                spec.name
+            );
         }
     }
 

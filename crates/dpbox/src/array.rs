@@ -185,7 +185,13 @@ impl DeviceArray {
     pub fn new(cfg: &DeviceArrayConfig, seeds: &[u64]) -> Result<Self, DpBoxError> {
         // `DpBox::boot`'s checks, in command order: synthesis, then each
         // boot operand, then the noising context of the first request.
-        let fmt = synthesize(cfg.word_bits, cfg.frac_bits, cfg.bu, &cfg.segment_multiples)?;
+        let fmt = synthesize(
+            cfg.word_bits,
+            cfg.frac_bits,
+            cfg.bu,
+            cfg.cordic_iterations,
+            &cfg.segment_multiples,
+        )?;
         let budget = budget_operand(fmt, cfg.budget_raw)?;
         let eps_shift = eps_shift_operand(fmt, i64::from(cfg.eps_shift))?;
         word_operand(fmt, cfg.range_lower)?;
@@ -555,10 +561,15 @@ mod tests {
         assert!(DeviceArray::new(&good, &[1]).is_ok());
         assert_eq!(scalar_error(&good), None);
         type Mutation = fn(&mut DeviceArrayConfig);
-        let mutations: [(&str, Mutation); 9] = [
+        let mutations: [(&str, Mutation); 12] = [
             ("Bu", |c| c.bu = 2),
             ("budget", |c| c.budget_raw = 0),
             ("multiples", |c| c.segment_multiples = vec![]),
+            ("NaN multiple", |c| {
+                c.segment_multiples = vec![f64::NAN, 2.0]
+            }),
+            ("0 CORDIC iterations", |c| c.cordic_iterations = 0),
+            ("41 CORDIC iterations", |c| c.cordic_iterations = 41),
             ("shift", |c| c.eps_shift = 21),
             ("range", |c| (c.range_lower, c.range_upper) = (10, 10)),
             ("budget word", |c| c.budget_raw = 1 << 30),
@@ -644,5 +655,281 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A GF(2) system over the 88 significant state bits of one Taus88
+    /// generator (`s1` bits 1–31, `s2` bits 3–31, `s3` bits 4–31; the rest
+    /// never reach an output), grown one equation at a time.
+    struct Gf2 {
+        /// `rows[b]`: the row whose lowest variable is `b`, as (variables,
+        /// right-hand side); its other variables are all above `b`.
+        rows: [Option<(u128, bool)>; 88],
+        rank: usize,
+    }
+
+    impl Gf2 {
+        fn new() -> Gf2 {
+            Gf2 {
+                rows: [None; 88],
+                rank: 0,
+            }
+        }
+
+        /// Adds `vars · state = rhs`; false if it contradicts the rows.
+        fn add(&mut self, mut vars: u128, mut rhs: bool) -> bool {
+            while vars != 0 {
+                let b = vars.trailing_zeros() as usize;
+                match self.rows[b] {
+                    Some((row, r)) => {
+                        vars ^= row;
+                        rhs ^= r;
+                    }
+                    None => {
+                        self.rows[b] = Some((vars, rhs));
+                        self.rank += 1;
+                        return true;
+                    }
+                }
+            }
+            !rhs
+        }
+
+        /// The state bits, once all 88 are pinned.
+        fn solve(&self) -> u128 {
+            assert_eq!(self.rank, 88);
+            let mut state = 0u128;
+            for b in (0..88).rev() {
+                let (row, rhs) = self.rows[b].unwrap();
+                let rest = (row & !(1 << b) & state).count_ones() & 1 == 1;
+                state |= u128::from(rhs ^ rest) << b;
+            }
+            state
+        }
+    }
+
+    /// A 32-bit word whose bit `i` is the XOR of the state bits in `w[i]`.
+    type Word = [u128; 32];
+
+    fn shl(w: &Word, n: usize) -> Word {
+        std::array::from_fn(|i| if i >= n { w[i - n] } else { 0 })
+    }
+
+    fn shr(w: &Word, n: usize) -> Word {
+        std::array::from_fn(|i| if i + n < 32 { w[i + n] } else { 0 })
+    }
+
+    fn xor(a: &Word, b: &Word) -> Word {
+        std::array::from_fn(|i| a[i] ^ b[i])
+    }
+
+    fn and(w: &Word, mask: u32) -> Word {
+        std::array::from_fn(|i| if mask >> i & 1 == 1 { w[i] } else { 0 })
+    }
+
+    /// Taus88 over symbolic words: L'Ecuyer's step, as `next_state`.
+    struct SymbolicTaus88([Word; 3]);
+
+    impl SymbolicTaus88 {
+        /// The unknown state: one variable per significant bit.
+        fn unknown() -> SymbolicTaus88 {
+            let mut next = 0;
+            let mut component = |low: usize| -> Word {
+                std::array::from_fn(|i| {
+                    if i < low {
+                        return 0;
+                    }
+                    next += 1;
+                    1u128 << (next - 1)
+                })
+            };
+            SymbolicTaus88([component(1), component(3), component(4)])
+        }
+
+        fn next_word(&mut self) -> Word {
+            let [s1, s2, s3] = &self.0;
+            let b1 = shr(&xor(&shl(s1, 13), s1), 19);
+            let b2 = shr(&xor(&shl(s2, 2), s2), 25);
+            let b3 = shr(&xor(&shl(s3, 3), s3), 11);
+            self.0 = [
+                xor(&shl(&and(s1, 0xFFFF_FFFE), 12), &b1),
+                xor(&shl(&and(s2, 0xFFFF_FFF8), 4), &b2),
+                xor(&shl(&and(s3, 0xFFFF_FFF0), 17), &b3),
+            ];
+            let [s1, s2, s3] = &self.0;
+            xor(&xor(s1, s2), s3)
+        }
+    }
+
+    /// What the collector knows of a device: the public configuration,
+    /// the k[m] table and the window, never the URNG stream.
+    struct Collector {
+        /// Per noise magnitude, the indices `m` with `k[m]` equal to it:
+        /// an interval, the table being monotone.
+        magnitudes: std::collections::HashMap<i64, (u32, u32)>,
+        window: (i64, i64),
+    }
+
+    impl Collector {
+        fn of(array: &DeviceArray) -> Collector {
+            let table = array.noise.as_ref().expect("Bu 17 memoizes its table");
+            let mut magnitudes = std::collections::HashMap::new();
+            for (m, &k) in (0u32..).zip(table.iter()) {
+                let (_, hi) = magnitudes.entry(k).or_insert((m, m));
+                // The table is monotone: equal entries are adjacent.
+                assert!(*hi == m || *hi + 1 == m, "k[m] is monotone");
+                *hi = m;
+            }
+            Collector {
+                magnitudes,
+                window: array.ctx.window(),
+            }
+        }
+
+        /// Adds what output `y` of input `x` says about the epoch's two
+        /// words: the sign is the top bit of the first, and `m`, the top 16
+        /// bits of the second, shares the high bits of its interval. False
+        /// if the system becomes inconsistent; a clamped `y` says nothing.
+        fn observe(&self, gf2: &mut Gf2, [sign, index]: &[Word; 2], x: i64, y: i64) -> bool {
+            if y <= self.window.0 || y >= self.window.1 {
+                return true;
+            }
+            let k = y - x;
+            let Some(&(lo, hi)) = self.magnitudes.get(&k.abs()) else {
+                return false;
+            };
+            let mut consistent = k == 0 || gf2.add(sign[31], k < 0);
+            let common = (lo ^ hi).leading_zeros().saturating_sub(16);
+            for j in (16 - common..16).map(|j| j as usize) {
+                consistent &= gf2.add(index[16 + j], lo >> j & 1 == 1);
+            }
+            consistent
+        }
+    }
+
+    /// Each lane's released outputs over `epochs` epochs of inputs `xs`.
+    fn released(
+        array: &mut DeviceArray,
+        epochs: usize,
+        xs: impl Fn(usize, usize) -> i64,
+    ) -> Vec<Vec<i64>> {
+        let lanes = array.lanes();
+        let mut ys = vec![Vec::new(); lanes];
+        let mut out = Vec::new();
+        for e in 0..epochs {
+            let inputs: Vec<i64> = (0..lanes).map(|lane| xs(lane, e)).collect();
+            array.step(&inputs, &mut out);
+            for (lane, o) in out.iter().enumerate() {
+                match *o {
+                    LaneOutcome::Fresh { y, .. } => ys[lane].push(y),
+                    _ if array.is_excluded(lane) => {}
+                    other => panic!("lane {lane} epoch {e}: {other:?}: the budget never binds"),
+                }
+            }
+        }
+        ys
+    }
+
+    /// The symbolic words of `epochs` epochs, two per epoch, from the state
+    /// after the power-on self-test.
+    fn epoch_words(epochs: usize) -> Vec<[Word; 2]> {
+        let mut taus = SymbolicTaus88::unknown();
+        (0..epochs)
+            .map(|_| [taus.next_word(), taus.next_word()])
+            .collect()
+    }
+
+    fn value(word: &Word, state: u128) -> u32 {
+        (0..32).fold(0, |v, i| v | ((word[i] & state).count_ones() & 1) << i)
+    }
+
+    /// The collector alone recovers a device's Taus88 state from its
+    /// released outputs, then reads its later inputs exactly. This pins an
+    /// open defect: Taus88 is linear over GF(2), so the 88 state bits the
+    /// device's noise depends on are a linear system the releases fill in.
+    /// When the generator is replaced by a nonlinear one, recovery must
+    /// fail and these assertions flip.
+    #[test]
+    fn the_collector_recovers_the_urng_state_from_released_outputs() {
+        let cfg = DeviceArrayConfig {
+            budget_raw: (1 << 19) - 1,
+            ..fleet_array_config()
+        };
+        let seeds: Vec<u64> = (0..256).map(|i| 0xA77AC4 + i).collect();
+        let withheld = 200;
+
+        // Known inputs: each epoch's x is known to the attacker.
+        let known = |lane: usize, e: usize| ((lane * 7919 + e * 104_729) % 257) as i64;
+        let mut array = DeviceArray::new(&cfg, &seeds).unwrap();
+        let collector = Collector::of(&array);
+        let epochs = 32 + withheld;
+        let ys = released(&mut array, epochs, known);
+        let words = epoch_words(epochs);
+        let (mut pinned_at, mut read) = (Vec::new(), 0);
+        for (lane, ys) in ys.iter().enumerate().filter(|(_, ys)| !ys.is_empty()) {
+            let mut gf2 = Gf2::new();
+            let mut e = 0;
+            while gf2.rank < 88 {
+                assert!(collector.observe(&mut gf2, &words[e], known(lane, e), ys[e]));
+                e += 1;
+            }
+            pinned_at.push(e);
+            // The next inputs, withheld from the solver, read from y.
+            let state = gf2.solve();
+            for later in e..e + withheld {
+                let y = ys[later];
+                if y <= collector.window.0 || y >= collector.window.1 {
+                    continue;
+                }
+                let [sign, index] = &words[later];
+                let table = array.noise.as_ref().unwrap();
+                let magnitude = table[(value(index, state) >> 16) as usize];
+                let k = if value(sign, state) >> 31 == 1 {
+                    -magnitude
+                } else {
+                    magnitude
+                };
+                assert_eq!(y - k, known(lane, later), "lane {lane} epoch {later}");
+                read += 1;
+            }
+        }
+        assert!(pinned_at.len() > 250, "{} lanes booted", pinned_at.len());
+        let (first, last) = (pinned_at.iter().min(), pinned_at.iter().max());
+        assert_eq!(
+            (first, last),
+            (Some(&9), Some(&14)),
+            "epochs to pin the state"
+        );
+        // 50,715 of them here: every unclamped output of 200 epochs.
+        assert!(read > 50_000, "{read} later inputs read");
+
+        // Constant inputs, as the fleet's `codes_k[id]`: of the 257
+        // candidate x, only the true one leaves the system consistent.
+        let constant = |lane: usize, _: usize| ((lane * 97) % 257) as i64;
+        let epochs = 24;
+        let mut array = DeviceArray::new(&cfg, &seeds).unwrap();
+        let ys = released(&mut array, epochs, constant);
+        let words = epoch_words(epochs);
+        let mut decided_at = Vec::new();
+        for (lane, ys) in ys.iter().enumerate().filter(|(_, ys)| !ys.is_empty()) {
+            let mut last_refuted = 0;
+            for x in 0..=256 {
+                let mut gf2 = Gf2::new();
+                let refuted =
+                    (0..epochs).find(|&e| !collector.observe(&mut gf2, &words[e], x, ys[e]));
+                if x == constant(lane, 0) {
+                    assert_eq!(refuted, None, "lane {lane}: the true x is consistent");
+                } else {
+                    let e = refuted.unwrap_or_else(|| panic!("lane {lane}: x = {x} survives"));
+                    last_refuted = last_refuted.max(e + 1);
+                }
+            }
+            decided_at.push(last_refuted);
+        }
+        let (first, last) = (decided_at.iter().min(), decided_at.iter().max());
+        assert_eq!(
+            (first, last),
+            (Some(&11), Some(&16)),
+            "epochs to single out x"
+        );
     }
 }

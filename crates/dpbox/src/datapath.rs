@@ -53,12 +53,13 @@ type MagnitudeKey = (u8, u8, i64, u32, i64);
 /// entry per device configuration in play.
 static MAGNITUDE_TABLES: Mutex<Vec<(MagnitudeKey, Arc<[i64]>)>> = Mutex::new(Vec::new());
 
-/// The synthesis-time checks (datapath format, `Bu`, segment multiples);
-/// returns the datapath format.
+/// The synthesis-time checks (datapath format, `Bu`, CORDIC iterations,
+/// segment multiples); returns the datapath format.
 pub(crate) fn synthesize(
     word_bits: u8,
     frac_bits: u8,
     bu: u8,
+    cordic_iterations: u8,
     multiples: &[f64],
 ) -> Result<QFormat, DpBoxError> {
     let fmt = QFormat::new(word_bits, frac_bits)
@@ -66,10 +67,15 @@ pub(crate) fn synthesize(
     if !(3..=53).contains(&bu) {
         return Err(DpBoxError::InvalidConfig("Bu must be in 3..=53"));
     }
-    if multiples.is_empty()
-        || multiples.windows(2).any(|w| w[0] >= w[1])
-        || multiples.iter().any(|&m| m <= 1.0)
-    {
+    if !(1..=40).contains(&cordic_iterations) {
+        return Err(DpBoxError::InvalidConfig(
+            "CORDIC iterations must be in 1..=40",
+        ));
+    }
+    // Stated as what must hold, so that a NaN multiple fails it.
+    let ascending = multiples.windows(2).all(|w| w[0] < w[1]);
+    let above_one = multiples.iter().all(|&m| m > 1.0);
+    if multiples.is_empty() || !ascending || !above_one {
         return Err(DpBoxError::InvalidConfig(
             "segment multiples must be ascending and > 1",
         ));

@@ -48,11 +48,11 @@ pub struct EnergyModel {
     /// Microcontroller active power in watts.
     pub mcu_power_w: f64,
     /// Host-visible DP-Box cycles per noising (conservative 4 in the paper).
-    pub hw_cycles: u64,
+    hw_cycles: u64,
     /// Software fixed-point cycles per noising.
-    pub sw_fxp_cycles: u64,
+    sw_fxp_cycles: u64,
     /// Software half-float cycles per noising.
-    pub sw_half_cycles: u64,
+    sw_half_cycles: u64,
     /// Gate count of the synthesized module (for area reporting).
     pub gate_count: u64,
 }

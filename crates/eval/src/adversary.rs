@@ -12,11 +12,10 @@ use ulp_rng::{FxpLaplace, Taus88};
 
 use crate::setup::ExperimentSetup;
 
-/// One point on the adversary's learning curve.
+/// One point on the adversary's learning curve, at one of the requested
+/// checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryPoint {
-    /// Number of requests made so far.
-    pub requests: u64,
     /// Relative error of the running-mean estimate, `|mean − x| / d`.
     pub relative_error: f64,
 }
@@ -66,7 +65,6 @@ pub fn averaging_attack(
         if next_cp < checkpoints.len() && n == checkpoints[next_cp] {
             let mean = sum / n as f64;
             points.push(AdversaryPoint {
-                requests: n,
                 relative_error: (mean - x_code).abs() / d_codes,
             });
             next_cp += 1;

@@ -125,9 +125,11 @@ pub struct CampaignConfig {
     pub n_m: i64,
     /// URNG word index at which the fault switches on.
     pub onset_word: u64,
-    /// Give up (fault undetected) after this many noising requests.
-    pub max_noisings: u64,
 }
+
+/// Noising requests after which an injection run gives up (fault
+/// undetected).
+const MAX_NOISINGS: u64 = 4096;
 
 impl Default for CampaignConfig {
     /// The quickstart operating point: `[0, 320]` codes (= `[0, 10.0]` at
@@ -137,7 +139,6 @@ impl Default for CampaignConfig {
             span: 320,
             n_m: 1,
             onset_word: 256,
-            max_noisings: 4096,
         }
     }
 }
@@ -146,23 +147,23 @@ impl Default for CampaignConfig {
 #[derive(Debug, Clone, PartialEq)]
 struct FaultInjection {
     /// The injected fault.
-    pub fault: FaultKind,
+    fault: FaultKind,
     /// Whether the health monitor tripped within the noising budget.
-    pub detected: bool,
+    detected: bool,
     /// The alarm that latched, if any.
-    pub alarm: Option<HealthAlarm>,
+    alarm: Option<HealthAlarm>,
     /// Words consumed between fault onset and the alarm (inclusive of the
     /// tripping word).
-    pub latency_words: Option<u64>,
+    latency_words: Option<u64>,
     /// Device cycles elapsed between the first post-onset noising request
     /// and the alarm.
-    pub latency_cycles: Option<u64>,
+    latency_cycles: Option<u64>,
     /// Outputs released from samples drawn at least partly after onset but
     /// before the alarm — the privacy-relevant exposure window.
-    pub pre_detection_outputs: Vec<i64>,
+    pre_detection_outputs: Vec<i64>,
     /// Whether every pre-detection output stayed inside the structural
     /// window `[−n_th, span + n_th]`.
-    pub contained: bool,
+    contained: bool,
 }
 
 fn configure<R: RandomBits>(dev: &mut DpBox<R>, cc: &CampaignConfig) -> Result<(), DpBoxError> {
@@ -210,7 +211,7 @@ fn inject_fault(
     // Device cycle count when the first post-onset request started;
     // recorded conservatively at the request boundary.
     let mut onset_cycles: Option<u64> = None;
-    for _ in 0..cc.max_noisings {
+    for _ in 0..MAX_NOISINGS {
         let cycles_before = dev.cycles();
         let result = dev.noise_value(x_code);
         if let Some(alarm) = dev.health_alarm() {
@@ -265,8 +266,6 @@ fn inject_fault(
 /// Aggregated detection statistics for one fault across `trials` seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRow {
-    /// The injected fault.
-    pub fault: FaultKind,
     /// Trials run.
     pub trials: u64,
     /// Trials in which the monitor tripped.
@@ -332,7 +331,6 @@ pub fn campaign_row(
         }
     }
     Ok(CampaignRow {
-        fault,
         trials,
         detected,
         mean_latency_words: (detected > 0).then(|| sum_words as f64 / detected as f64),
@@ -364,10 +362,6 @@ pub fn healthy_alarm_count(words: u64, cfg: HealthConfig, seed: u64) -> u64 {
 /// The privacy exposure of the detection window for one fault.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreDetectionLoss {
-    /// The injected fault.
-    pub fault: FaultKind,
-    /// Trials per extreme input.
-    pub trials: u64,
     /// Pre-detection outputs collected at `x = 0` across all trials.
     pub samples_lo: u64,
     /// Pre-detection outputs collected at `x = span` across all trials.
@@ -460,8 +454,6 @@ pub fn pre_detection_loss(
     let certified_loss = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(n_th)).finite();
 
     Ok(PreDetectionLoss {
-        fault,
-        trials,
         samples_lo,
         samples_hi,
         empirical_loss,
@@ -480,7 +472,6 @@ mod tests {
         span: 320,
         n_m: 1,
         onset_word: 256,
-        max_noisings: 4096,
     };
 
     #[test]

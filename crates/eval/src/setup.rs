@@ -150,7 +150,7 @@ pub struct ExperimentSetup {
     /// The exact output PMF of the noise RNG.
     pub pmf: FxpNoisePmf,
     /// The privacy parameter ε.
-    pub eps: f64,
+    eps: f64,
 }
 
 impl ExperimentSetup {

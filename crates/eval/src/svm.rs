@@ -18,9 +18,9 @@ use crate::setup::ExperimentSetup;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Feature vector.
-    pub x: Vec<f64>,
+    x: Vec<f64>,
     /// Label in `{-1, +1}`.
-    pub y: f64,
+    y: f64,
 }
 
 /// Generates a halfspace-separable dataset: labels are the sign of `w*·x`
@@ -64,9 +64,9 @@ pub fn halfspace_dataset(n: usize, dim: usize, margin: f64, seed: u64) -> Vec<Sa
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvm {
     /// Weight vector.
-    pub w: Vec<f64>,
+    w: Vec<f64>,
     /// Bias term.
-    pub b: f64,
+    b: f64,
 }
 
 impl LinearSvm {

@@ -15,8 +15,6 @@ use crate::setup::{GroundTruth, MechKind};
 /// One cell of a utility table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilityCell {
-    /// Which mechanism setting this cell evaluates.
-    pub kind: MechKind,
     /// MAE ± std and relative error.
     pub result: MaeResult,
     /// Whether the mechanism carries an LDP guarantee (the "LDP?" flag of
@@ -95,7 +93,6 @@ pub fn utility_row(
             };
             let result = evaluate_query_batched(data, fill, query, trials, scale, debias)?;
             Ok(UtilityCell {
-                kind,
                 result,
                 ldp: mech.guarantee().bound().is_some(),
             })
@@ -169,11 +166,10 @@ mod tests {
         for query in [Query::Mean, Query::Median] {
             let r = row(query);
             let ideal = r.cells[0].result.mae;
-            for cell in &r.cells[2..] {
+            for (kind, cell) in MechKind::all().iter().zip(&r.cells).skip(2) {
                 assert!(
                     cell.result.mae < 3.0 * ideal + 1.0,
-                    "{query}: {:?} mae {} vs ideal {ideal}",
-                    cell.kind,
+                    "{query}: {kind:?} mae {} vs ideal {ideal}",
                     cell.result.mae
                 );
             }

@@ -9,10 +9,10 @@ use crate::format::QFormat;
 /// # Examples
 ///
 /// ```
-/// use ulp_fixed::{Fx, QFormat, FixedError, Rounding};
+/// use ulp_fixed::{Fx, QFormat, FixedError};
 ///
 /// let fmt = QFormat::new(8, 4)?;
-/// let err = Fx::from_f64(1.0e9, fmt, Rounding::NearestTiesAway).unwrap_err();
+/// let err = Fx::from_raw(1 << 9, fmt).unwrap_err();
 /// assert!(matches!(err, FixedError::Overflow { .. }));
 /// # Ok::<(), FixedError>(())
 /// ```
@@ -30,8 +30,6 @@ pub enum FixedError {
         /// Requested fractional bits.
         frac_bits: u8,
     },
-    /// A conversion from `f64` was attempted on a NaN or infinite input.
-    NotFinite,
 }
 
 impl fmt::Display for FixedError {
@@ -47,7 +45,6 @@ impl fmt::Display for FixedError {
                 f,
                 "invalid fixed-point format: {total_bits} total bits, {frac_bits} fractional bits"
             ),
-            FixedError::NotFinite => write!(f, "input value is NaN or infinite"),
         }
     }
 }

@@ -16,10 +16,13 @@
 //!
 //! // The paper's DP-Box uses a 20-bit fixed-point datapath.
 //! let fmt = QFormat::new(20, 10)?;
-//! let reading = Fx::from_f64(131.5, fmt, Rounding::NearestTiesAway)?;
-//! let noise = Fx::from_f64(-12.25, fmt, Rounding::NearestTiesAway)?;
+//! let reading = Fx::from_raw(134_656, fmt)?; // 131.5
+//! let noise = Fx::from_raw(-12_544, fmt)?; // -12.25
 //! let noised = Fx::from_raw(reading.raw() + noise.raw(), fmt)?;
-//! assert!((noised.to_f64() - 119.25).abs() < fmt.delta());
+//! assert_eq!(noised.to_f64(), 119.25);
+//! // Narrowing to whole units rounds, as a wire adapter does.
+//! let whole = noised.resize(QFormat::new(20, 0)?, Rounding::NearestTiesAway)?;
+//! assert_eq!(whole.raw(), 119);
 //! # Ok::<(), ulp_fixed::FixedError>(())
 //! ```
 //!

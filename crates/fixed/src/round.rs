@@ -1,21 +1,25 @@
-//! Rounding modes used when quantizing real values onto a fixed-point grid.
+//! Rounding modes used when a wire adapter drops fractional bits.
 
-/// How a real value is mapped to the nearest representable grid point.
+/// How a value is mapped to the nearest representable grid point when
+/// [`Fx::resize`](crate::Fx::resize) narrows it.
 ///
 /// The paper's RNG hardware "rounds to the nearest value `kΔ`"
 /// (Section III-A2); [`Rounding::NearestTiesAway`] models the usual
 /// add-half-and-truncate hardware rounder. The other modes are provided for
-/// modelling alternative datapaths and for conversion plumbing.
+/// modelling alternative datapaths.
 ///
 /// # Examples
 ///
 /// ```
-/// use ulp_fixed::Rounding;
+/// use ulp_fixed::{Fx, QFormat, Rounding};
 ///
-/// assert_eq!(Rounding::NearestTiesAway.apply(2.5), 3);
-/// assert_eq!(Rounding::NearestTiesEven.apply(2.5), 2);
-/// assert_eq!(Rounding::Floor.apply(-0.1), -1);
-/// assert_eq!(Rounding::TowardZero.apply(-0.9), 0);
+/// let half = QFormat::new(8, 1)?;
+/// let whole = QFormat::new(8, 0)?;
+/// let x = Fx::from_raw(5, half)?; // 2.5
+/// assert_eq!(x.resize(whole, Rounding::NearestTiesAway)?.raw(), 3);
+/// assert_eq!(x.resize(whole, Rounding::NearestTiesEven)?.raw(), 2);
+/// assert_eq!(x.resize(whole, Rounding::Floor)?.raw(), 2);
+/// # Ok::<(), ulp_fixed::FixedError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
@@ -32,86 +36,9 @@ pub enum Rounding {
     TowardZero,
 }
 
-impl Rounding {
-    /// Rounds a finite `f64` to an integer according to this mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `x` is NaN. For non-finite inputs the
-    /// result is unspecified; callers validate finiteness first.
-    #[inline]
-    pub fn apply(self, x: f64) -> i64 {
-        debug_assert!(!x.is_nan(), "rounding NaN");
-        let r = match self {
-            Rounding::NearestTiesAway => x.round(),
-            Rounding::NearestTiesEven => {
-                let r = x.round();
-                // `round` ties away; fix up exact halves toward even.
-                if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-                    r - (r - x).signum()
-                } else {
-                    r
-                }
-            }
-            Rounding::Floor => x.floor(),
-            Rounding::Ceil => x.ceil(),
-            Rounding::TowardZero => x.trunc(),
-        };
-        r as i64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ties_away_matches_hardware_rounder() {
-        assert_eq!(Rounding::NearestTiesAway.apply(0.5), 1);
-        assert_eq!(Rounding::NearestTiesAway.apply(-0.5), -1);
-        assert_eq!(Rounding::NearestTiesAway.apply(1.49), 1);
-        assert_eq!(Rounding::NearestTiesAway.apply(1.51), 2);
-    }
-
-    #[test]
-    fn ties_even_breaks_ties_to_even() {
-        assert_eq!(Rounding::NearestTiesEven.apply(0.5), 0);
-        assert_eq!(Rounding::NearestTiesEven.apply(1.5), 2);
-        assert_eq!(Rounding::NearestTiesEven.apply(2.5), 2);
-        assert_eq!(Rounding::NearestTiesEven.apply(-1.5), -2);
-        assert_eq!(Rounding::NearestTiesEven.apply(-2.5), -2);
-        // Non-ties behave like plain nearest.
-        assert_eq!(Rounding::NearestTiesEven.apply(2.51), 3);
-    }
-
-    #[test]
-    fn floor_and_ceil_are_directed() {
-        assert_eq!(Rounding::Floor.apply(1.9), 1);
-        assert_eq!(Rounding::Floor.apply(-1.1), -2);
-        assert_eq!(Rounding::Ceil.apply(1.1), 2);
-        assert_eq!(Rounding::Ceil.apply(-1.9), -1);
-    }
-
-    #[test]
-    fn toward_zero_truncates() {
-        assert_eq!(Rounding::TowardZero.apply(1.99), 1);
-        assert_eq!(Rounding::TowardZero.apply(-1.99), -1);
-    }
-
-    #[test]
-    fn integers_are_fixed_points_of_every_mode() {
-        for mode in [
-            Rounding::NearestTiesAway,
-            Rounding::NearestTiesEven,
-            Rounding::Floor,
-            Rounding::Ceil,
-            Rounding::TowardZero,
-        ] {
-            for v in [-3.0, -1.0, 0.0, 1.0, 7.0] {
-                assert_eq!(mode.apply(v) as f64, v, "{mode:?} moved integer {v}");
-            }
-        }
-    }
 
     #[test]
     fn default_is_ties_away() {

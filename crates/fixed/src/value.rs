@@ -22,11 +22,11 @@ use crate::round::Rounding;
 /// # Examples
 ///
 /// ```
-/// use ulp_fixed::{Fx, QFormat, Rounding};
+/// use ulp_fixed::{Fx, QFormat};
 ///
 /// let fmt = QFormat::new(16, 8)?;
-/// let a = Fx::from_f64(1.5, fmt, Rounding::NearestTiesAway)?;
-/// let b = Fx::from_f64(2.25, fmt, Rounding::NearestTiesAway)?;
+/// let a = Fx::from_raw(384, fmt)?; // 1.5
+/// let b = Fx::from_raw(576, fmt)?; // 2.25
 /// let sum = Fx::from_raw(a.raw() + b.raw(), fmt)?;
 /// assert_eq!(sum.to_f64(), 3.75);
 /// # Ok::<(), ulp_fixed::FixedError>(())
@@ -49,25 +49,6 @@ impl Fx {
         } else {
             Err(FixedError::Overflow { format: fmt })
         }
-    }
-
-    /// Quantizes a real value onto `fmt`'s grid with the given rounding mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FixedError::NotFinite`] for NaN/infinite input and
-    /// [`FixedError::Overflow`] if the rounded value exceeds the format's
-    /// range.
-    pub fn from_f64(x: f64, fmt: QFormat, rounding: Rounding) -> Result<Self, FixedError> {
-        if !x.is_finite() {
-            return Err(FixedError::NotFinite);
-        }
-        let scaled = x / fmt.delta();
-        // Guard against f64 -> i64 cast UB territory before rounding.
-        if scaled.abs() >= 2f64.powi(63) {
-            return Err(FixedError::Overflow { format: fmt });
-        }
-        Self::from_raw(rounding.apply(scaled), fmt)
     }
 
     /// The underlying two's-complement word.
@@ -173,46 +154,75 @@ mod tests {
         assert!(Fx::from_raw(-129, fmt).is_err());
     }
 
+    /// `raw · 2^−frac` narrowed to an integer word with `mode`.
+    fn rounded(raw: i64, frac: u8, mode: Rounding) -> i64 {
+        let v = Fx::from_raw(raw, q(24, frac)).unwrap();
+        v.resize(q(24, 0), mode).unwrap().raw()
+    }
+
     #[test]
-    fn from_f64_roundtrips_grid_points() {
-        let fmt = q(16, 8);
-        for raw in [-32768i64, -1, 0, 1, 255, 32767] {
-            let v = Fx::from_raw(raw, fmt).unwrap();
-            let back = Fx::from_f64(v.to_f64(), fmt, Rounding::NearestTiesAway).unwrap();
-            assert_eq!(back, v);
+    fn ties_away_matches_hardware_rounder() {
+        use Rounding::NearestTiesAway as Away;
+        assert_eq!(rounded(1, 1, Away), 1); // 0.5
+        assert_eq!(rounded(-1, 1, Away), -1); // -0.5
+        assert_eq!(rounded(381, 8, Away), 1); // 1.488…
+        assert_eq!(rounded(387, 8, Away), 2); // 1.512…
+    }
+
+    #[test]
+    fn ties_even_breaks_ties_to_even() {
+        use Rounding::NearestTiesEven as Even;
+        assert_eq!(rounded(1, 1, Even), 0); // 0.5
+        assert_eq!(rounded(3, 1, Even), 2); // 1.5
+        assert_eq!(rounded(5, 1, Even), 2); // 2.5
+        assert_eq!(rounded(-3, 1, Even), -2); // -1.5
+        assert_eq!(rounded(-5, 1, Even), -2); // -2.5
+                                              // Non-ties behave like plain nearest.
+        assert_eq!(rounded(643, 8, Even), 3); // 2.511…
+    }
+
+    #[test]
+    fn floor_ceil_and_truncation_are_directed() {
+        assert_eq!(rounded(486, 8, Rounding::Floor), 1); // 1.898…
+        assert_eq!(rounded(-282, 8, Rounding::Floor), -2); // -1.101…
+        assert_eq!(rounded(282, 8, Rounding::Ceil), 2); // 1.101…
+        assert_eq!(rounded(-486, 8, Rounding::Ceil), -1); // -1.898…
+        assert_eq!(rounded(509, 8, Rounding::TowardZero), 1); // 1.988…
+        assert_eq!(rounded(-509, 8, Rounding::TowardZero), -1); // -1.988…
+    }
+
+    #[test]
+    fn integers_are_fixed_points_of_every_mode() {
+        for mode in [
+            Rounding::NearestTiesAway,
+            Rounding::NearestTiesEven,
+            Rounding::Floor,
+            Rounding::Ceil,
+            Rounding::TowardZero,
+        ] {
+            for v in [-3i64, -1, 0, 1, 7] {
+                assert_eq!(rounded(v << 8, 8, mode), v, "{mode:?} moved integer {v}");
+            }
         }
     }
 
     #[test]
-    fn from_f64_rejects_nan_and_inf() {
-        let fmt = q(16, 8);
-        assert_eq!(
-            Fx::from_f64(f64::NAN, fmt, Rounding::Floor),
-            Err(FixedError::NotFinite)
-        );
-        assert_eq!(
-            Fx::from_f64(f64::INFINITY, fmt, Rounding::Floor),
-            Err(FixedError::NotFinite)
-        );
-    }
-
-    #[test]
     fn resize_adds_fraction_exactly() {
-        let a = Fx::from_f64(1.25, q(8, 2), Rounding::Floor).unwrap();
+        let a = Fx::from_raw(5, q(8, 2)).unwrap(); // 1.25
         let b = a.resize(q(16, 8), Rounding::Floor).unwrap();
         assert_eq!(b.to_f64(), 1.25);
     }
 
     #[test]
     fn resize_drops_fraction_with_rounding() {
-        let a = Fx::from_f64(1.75, q(16, 8), Rounding::Floor).unwrap();
+        let a = Fx::from_raw(448, q(16, 8)).unwrap(); // 1.75
         assert_eq!(
             a.resize(q(8, 0), Rounding::NearestTiesAway).unwrap().raw(),
             2
         );
         assert_eq!(a.resize(q(8, 0), Rounding::Floor).unwrap().raw(), 1);
         assert_eq!(a.resize(q(8, 0), Rounding::TowardZero).unwrap().raw(), 1);
-        let neg = Fx::from_f64(-1.75, q(16, 8), Rounding::Floor).unwrap();
+        let neg = Fx::from_raw(-448, q(16, 8)).unwrap();
         assert_eq!(neg.resize(q(8, 0), Rounding::TowardZero).unwrap().raw(), -1);
         assert_eq!(neg.resize(q(8, 0), Rounding::Floor).unwrap().raw(), -2);
     }
@@ -227,15 +237,15 @@ mod tests {
     #[test]
     fn ordering_matches_real_value() {
         let fmt = q(8, 2);
-        let a = Fx::from_f64(-1.0, fmt, Rounding::Floor).unwrap();
-        let b = Fx::from_f64(1.5, fmt, Rounding::Floor).unwrap();
+        let a = Fx::from_raw(-4, fmt).unwrap(); // -1.0
+        let b = Fx::from_raw(6, fmt).unwrap(); // 1.5
         assert!(a < b);
     }
 
     #[test]
     fn display_shows_real_value() {
         let fmt = q(8, 2);
-        let a = Fx::from_f64(1.25, fmt, Rounding::Floor).unwrap();
+        let a = Fx::from_raw(5, fmt).unwrap();
         assert_eq!(a.to_string(), "1.25");
     }
 }

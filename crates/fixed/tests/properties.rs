@@ -125,14 +125,6 @@ proptest! {
     }
 
     #[test]
-    fn f64_roundtrip_is_identity_on_grid((a, _) in arb_pair()) {
-        // Only formats whose raw values fit f64 exactly are lossless.
-        prop_assume!(a.format().total_bits() <= 52);
-        let back = Fx::from_f64(a.to_f64(), a.format(), Rounding::NearestTiesAway).unwrap();
-        prop_assert_eq!(back, a);
-    }
-
-    #[test]
     fn resize_widen_is_exact(fmt in arb_format(), raw in any::<i64>()) {
         prop_assume!(fmt.total_bits() <= 40);
         let raw = raw.rem_euclid(cardinality(fmt) as i64) + fmt.min_raw();
@@ -181,18 +173,18 @@ proptest! {
     }
 
     #[test]
-    fn from_f64_rounding_modes_bracket(
-        total in 40u8..=52,
-        frac in 0u8..=16,
-        x in -1e6f64..1e6,
-    ) {
-        let fmt = QFormat::new(total, frac).unwrap();
+    fn narrowing_floor_and_ceil_bracket(fmt in arb_format(), raw in any::<i64>(), drop in 1u8..=16) {
+        prop_assume!(fmt.frac_bits() >= drop);
+        let raw = raw.rem_euclid(cardinality(fmt) as i64) + fmt.min_raw();
+        let v = Fx::from_raw(raw, fmt).unwrap();
+        let narrow = QFormat::new(fmt.total_bits(), fmt.frac_bits() - drop).unwrap();
         if let (Ok(fl), Ok(ce)) = (
-            Fx::from_f64(x, fmt, Rounding::Floor),
-            Fx::from_f64(x, fmt, Rounding::Ceil),
+            v.resize(narrow, Rounding::Floor),
+            v.resize(narrow, Rounding::Ceil),
         ) {
-            prop_assert!(fl.to_f64() <= x + 1e-9);
-            prop_assert!(ce.to_f64() >= x - 1e-9);
+            let scale = 1i128 << drop;
+            prop_assert!(i128::from(fl.raw()) * scale <= i128::from(raw));
+            prop_assert!(i128::from(ce.raw()) * scale >= i128::from(raw));
             prop_assert!(ce.raw() - fl.raw() <= 1);
         }
     }

@@ -117,11 +117,11 @@ impl FaultClass {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfigError {
     /// The fault class at fault.
-    pub class: &'static str,
+    class: &'static str,
     /// The offending field.
-    pub field: &'static str,
+    field: &'static str,
     /// What would have been accepted.
-    pub expected: &'static str,
+    expected: &'static str,
 }
 
 impl core::fmt::Display for ChaosConfigError {

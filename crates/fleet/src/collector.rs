@@ -246,64 +246,21 @@ impl QueryTotals {
     }
 }
 
-/// Per-class tallies of the typed wire errors seen by this collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct WireErrorTally {
-    /// [`WireError::Truncated`] count.
-    pub truncated: u64,
-    /// [`WireError::BadMagic`] count.
-    pub bad_magic: u64,
-    /// [`WireError::UnsupportedVersion`] count.
-    pub unsupported_version: u64,
-    /// [`WireError::UnknownKind`] count.
-    pub unknown_kind: u64,
-    /// [`WireError::NonZeroReserved`] count.
-    pub non_zero_reserved: u64,
-    /// [`WireError::ChecksumMismatch`] count.
-    pub checksum_mismatch: u64,
-    /// [`WireError::SeqMismatch`] count.
-    pub seq_mismatch: u64,
-    /// [`WireError::PayloadOutOfRange`] count.
-    pub payload_out_of_range: u64,
-}
-
-impl WireErrorTally {
-    fn count(&mut self, e: &WireError) {
-        match e {
-            WireError::Truncated { .. } => {
-                self.truncated += 1;
-                ERR_TRUNCATED.inc();
-            }
-            WireError::BadMagic { .. } => {
-                self.bad_magic += 1;
-                ERR_BAD_MAGIC.inc();
-            }
-            WireError::UnsupportedVersion { .. } => {
-                self.unsupported_version += 1;
-                ERR_UNSUPPORTED_VERSION.inc();
-            }
-            WireError::UnknownKind { .. } => {
-                self.unknown_kind += 1;
-                ERR_UNKNOWN_KIND.inc();
-            }
-            WireError::NonZeroReserved { .. } => {
-                self.non_zero_reserved += 1;
-                ERR_NON_ZERO_RESERVED.inc();
-            }
-            WireError::ChecksumMismatch { .. } => {
-                self.checksum_mismatch += 1;
-                ERR_CHECKSUM_MISMATCH.inc();
-            }
-            WireError::SeqMismatch { .. } => {
-                self.seq_mismatch += 1;
-                ERR_SEQ_MISMATCH.inc();
-            }
-            WireError::PayloadOutOfRange { .. } => {
-                self.payload_out_of_range += 1;
-                ERR_PAYLOAD_OUT_OF_RANGE.inc();
-            }
-        }
-    }
+/// Counts `e` in its class's `fleet.wire.err.*` counter. Cold, so the
+/// decode loop keeps it out of line: errors are rare next to frames.
+#[cold]
+fn count_wire_error(e: &WireError) {
+    let counter = match e {
+        WireError::Truncated { .. } => &ERR_TRUNCATED,
+        WireError::BadMagic { .. } => &ERR_BAD_MAGIC,
+        WireError::UnsupportedVersion { .. } => &ERR_UNSUPPORTED_VERSION,
+        WireError::UnknownKind { .. } => &ERR_UNKNOWN_KIND,
+        WireError::NonZeroReserved { .. } => &ERR_NON_ZERO_RESERVED,
+        WireError::ChecksumMismatch { .. } => &ERR_CHECKSUM_MISMATCH,
+        WireError::SeqMismatch { .. } => &ERR_SEQ_MISMATCH,
+        WireError::PayloadOutOfRange { .. } => &ERR_PAYLOAD_OUT_OF_RANGE,
+    };
+    counter.inc();
 }
 
 /// Outcome of one [`Collector::ingest_frames`] call (or, via
@@ -655,7 +612,6 @@ pub struct Collector {
     window_floor: u32,
     ingested: u64,
     rejected: u64,
-    wire_errors: WireErrorTally,
     first_error: Option<WireError>,
 }
 
@@ -697,7 +653,6 @@ impl Collector {
             window_floor: 0,
             ingested: 0,
             rejected: 0,
-            wire_errors: WireErrorTally::default(),
             first_error: None,
         }
     }
@@ -877,7 +832,7 @@ impl Collector {
             })),
             Err(e) => {
                 stats.rejected += 1;
-                self.wire_errors.count(&e);
+                count_wire_error(&e);
                 self.first_error.get_or_insert(e);
                 e.attributable_device()
                     .map(|device| Item::Strike { device })
@@ -1299,7 +1254,6 @@ mod tests {
             c.first_error,
             Some(WireError::ChecksumMismatch { .. })
         ));
-        assert_eq!(c.wire_errors.checksum_mismatch, 1);
         assert_eq!(c.totals(0).count, 3);
     }
 
@@ -1327,7 +1281,7 @@ mod tests {
         let stats = c.ingest_frames(&batch);
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.rejected, 1);
-        assert_eq!(c.wire_errors.truncated, 1);
+        assert!(matches!(c.first_error, Some(WireError::Truncated { .. })));
     }
 
     #[test]
@@ -1434,7 +1388,8 @@ mod tests {
         }
         let stats = c.ingest_frames(&batch);
         assert_eq!(stats.quarantine_latched, 1);
-        assert_eq!(c.wire_errors.seq_mismatch, 2);
+        assert_eq!(stats.rejected, 2);
+        assert!(matches!(c.first_error, Some(WireError::SeqMismatch { .. })));
         assert_eq!(c.quarantined_devices(), vec![12]);
     }
 
@@ -1504,7 +1459,6 @@ mod tests {
         assert_eq!(a.totals(1), b.totals(1));
         assert_eq!(a.reports_ingested(), b.reports_ingested());
         assert_eq!(a.frames_rejected(), b.frames_rejected());
-        assert_eq!(a.wire_errors, b.wire_errors);
         assert_eq!(a.first_error, b.first_error);
         assert_eq!(a.quarantined_devices(), b.quarantined_devices());
     }
@@ -1539,7 +1493,6 @@ mod tests {
                 assert_eq!(streaming.ingest_streaming(&[&batch[cut..]], block), r2);
                 assert_eq!(streaming.totals(0), reference.totals(0), "block {block}");
                 assert_eq!(streaming.totals(1), reference.totals(1), "block {block}");
-                assert_eq!(streaming.wire_errors, reference.wire_errors);
                 assert_eq!(streaming.first_error, reference.first_error);
                 assert_eq!(
                     streaming.quarantined_devices(),

@@ -1679,6 +1679,10 @@ mod tests {
             (Box::new(|c: &mut FleetConfig| c.adc_bits = 19), "adc_bits"),
             // No sign bit: `bu − 1` must not underflow.
             (Box::new(|c: &mut FleetConfig| c.bu = 0), "Bu"),
+            (
+                Box::new(|c: &mut FleetConfig| c.multiples = vec![f64::NAN, 2.0]),
+                "finite and positive",
+            ),
         ] {
             let mut cfg = small_cfg(10);
             mutate(&mut cfg);
@@ -1814,6 +1818,56 @@ mod tests {
                 }
             }
             log
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The ε-spend digest is its definition: FNV-1a over every spend's
+        /// `(device, epoch, charge bits)`, the records in (chunk, device,
+        /// epoch) order by a plain stable sort, not by `by_device`'s merge.
+        /// Each generated list is in device order, as the driver appends
+        /// it: a step of 0 repeats a device (an adjacent duplicate), and
+        /// skipped ids are devices that dropped out.
+        #[test]
+        fn spend_digest_is_fnv1a_over_the_sorted_spend_records(
+            chunks in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((0u32..3, 0u8..4), 0..10),
+                    1..5,
+                ),
+                1..4,
+            ),
+        ) {
+            let mut log = SpendLog::new(chunks.len());
+            let mut records = Vec::new();
+            for (c, (epochs, lists)) in chunks.iter().zip(&mut log.chunks).enumerate() {
+                for (epoch, steps) in (0u32..).zip(epochs) {
+                    let mut spends = EpochSpends::default();
+                    let mut device = 0u32;
+                    for &(step, class) in steps {
+                        device += step;
+                        let charge = 0.125 + f64::from(class) * 0.25;
+                        spends.push(device, charge);
+                        records.push((c, device, epoch, charge));
+                    }
+                    lists.push(spends);
+                }
+            }
+            records.sort_by_key(|&(c, device, epoch, _)| (c, device, epoch));
+            let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+            for &(_, device, epoch, charge) in &records {
+                let bytes = [
+                    &device.to_le_bytes()[..],
+                    &epoch.to_le_bytes(),
+                    &charge.to_bits().to_le_bytes(),
+                ];
+                for &b in bytes.concat().iter() {
+                    fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            proptest::prop_assert_eq!(log.digest(), fnv);
         }
     }
 

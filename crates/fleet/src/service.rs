@@ -140,7 +140,7 @@ impl ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Busy {
     /// Rounds until a retry can expect admission (after the next drain).
-    pub retry_after: u32,
+    retry_after: u32,
 }
 
 impl core::fmt::Display for Busy {
@@ -159,7 +159,7 @@ impl std::error::Error for Busy {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllWindowsSealed {
     /// The service's window count, every one of them sealed.
-    pub windows: u32,
+    windows: u32,
 }
 
 impl core::fmt::Display for AllWindowsSealed {

@@ -235,12 +235,6 @@ pub struct Rollup {
 /// per-window digests.
 #[derive(Debug, Clone)]
 pub struct RollupOutcome {
-    /// Windows folded.
-    pub windows: usize,
-    /// First epoch covered by any folded window.
-    pub epoch_lo: u32,
-    /// One past the last epoch covered.
-    pub epoch_hi: u32,
     /// Merged per-query accumulators, in query registration order.
     pub totals: Vec<QueryTotals>,
     /// Length and sequential total of every window ledger's charges in
@@ -252,8 +246,6 @@ pub struct RollupOutcome {
     /// charges in the same order — the proof that the guarantee survived
     /// the merge.
     pub audit_ok: bool,
-    /// Summed ingest deltas.
-    pub stats: IngestStats,
     /// Summed coverage (expected / accepted over all windows), graded
     /// against the quorum passed to [`Rollup::finalize`].
     pub seal: EpochSeal,
@@ -313,11 +305,8 @@ impl Rollup {
     pub fn finalize(&self, quorum: f64) -> RollupOutcome {
         assert!(!self.windows.is_empty(), "rollup must hold a window");
         let mut totals: Option<Vec<QueryTotals>> = None;
-        let mut stats = IngestStats::default();
         let mut expected = 0u64;
         let mut accepted = 0u64;
-        let mut epoch_lo = u32::MAX;
-        let mut epoch_hi = 0u32;
         let mut digest = Fnv64::new();
         let mut audit_ok = true;
         for w in &self.windows {
@@ -330,11 +319,8 @@ impl Rollup {
                 }
             }
             audit_ok &= w.audit_ok;
-            stats.absorb(w.stats);
             expected += w.seal.expected;
             accepted += w.seal.accepted;
-            epoch_lo = epoch_lo.min(w.epoch_lo);
-            epoch_hi = epoch_hi.max(w.epoch_hi);
             digest.write(&w.index.to_le_bytes());
             digest.write(&w.digest().to_le_bytes());
         }
@@ -349,13 +335,9 @@ impl Rollup {
         digest.write(&ledger.total().to_bits().to_le_bytes());
         digest.write(&(ledger.len() as u64).to_le_bytes());
         RollupOutcome {
-            windows: self.windows.len(),
-            epoch_lo,
-            epoch_hi,
             totals: totals.expect("non-empty rollup"),
             ledger,
             audit_ok,
-            stats,
             seal: EpochSeal::evaluate(expected, accepted, quorum),
             digest: digest.finish(),
         }
@@ -438,7 +420,7 @@ mod tests {
         assert_eq!(r.absorb(rr), Err(RollupError::QueryShapeMismatch));
         // Refusals leave the rollup whole: it still finalizes.
         r.absorb(sealed(1, 0.5)).unwrap();
-        assert_eq!(r.finalize(0.9).windows, 2);
+        assert_eq!(r.windows().len(), 2);
     }
 
     #[test]
@@ -460,9 +442,6 @@ mod tests {
         assert_eq!(a.ledger.total().to_bits(), b.ledger.total().to_bits());
         assert_eq!(a.digest, b.digest);
         assert!(a.audit_ok && b.audit_ok);
-        assert_eq!(a.epoch_lo, 0);
-        assert_eq!(a.epoch_hi, 10);
-        assert_eq!(a.stats.accepted, 5);
     }
 
     #[test]

@@ -169,12 +169,21 @@ fn lane_attempt(chaos: &mut DeviceChaos, frame: &[u8; FRAME_LEN]) -> Seen {
     }
 }
 
+/// A counter's value, read from the snapshot's JSON rendering (the
+/// `--metrics` text): 0 until the counter first records.
+fn counter(name: &str) -> u64 {
+    let json = snapshot().to_json();
+    json.split_once(&format!("\"{name}\":"))
+        .map_or(0, |(_, rest)| {
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..digits].parse().expect("a counter renders as a u64")
+        })
+}
+
 fn words_drawn() -> u64 {
-    snapshot()
-        .counters
-        .iter()
-        .find(|c| c.name == "rng.taus88.words_drawn")
-        .map_or(0, |c| c.value)
+    counter("rng.taus88.words_drawn")
 }
 
 const DEVICES: u32 = 64;

@@ -81,7 +81,8 @@ impl SegmentTable {
         let Some(&outer_multiple) = multiples.last() else {
             return Err(LdpError::EmptySegmentTable);
         };
-        if multiples.windows(2).any(|w| w[0] >= w[1]) {
+        // Stated as what must hold, so that a NaN multiple fails it.
+        if !multiples.windows(2).all(|w| w[0] < w[1]) {
             return Err(LdpError::InvalidEpsilon(f64::NAN));
         }
         let eps = range.length() / cfg.lambda();
@@ -187,17 +188,6 @@ impl SegmentTable {
     }
 }
 
-/// Statistics kept by the budget controller.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BudgetStats {
-    /// Requests answered with fresh noise.
-    pub served: u64,
-    /// Requests answered from the cache after exhaustion.
-    pub cached: u64,
-    /// Total privacy loss charged so far (this replenishment period).
-    pub charged: f64,
-}
-
 /// Algorithm 1: the per-sensor privacy budget controller.
 ///
 /// Drives a [`FxpLaplace`] sampler through the configured limiting mode,
@@ -229,7 +219,6 @@ pub struct BudgetController {
     budget: f64,
     remaining: f64,
     cached_k: Option<i64>,
-    stats: BudgetStats,
     ledger: BudgetLedger,
     accountant: CompositionLedger,
     last_class: Option<usize>,
@@ -252,7 +241,6 @@ impl BudgetController {
             budget,
             remaining: budget,
             cached_k: None,
-            stats: BudgetStats::default(),
             ledger: BudgetLedger::new(),
             accountant: CompositionLedger::new(),
             last_class: None,
@@ -262,11 +250,6 @@ impl BudgetController {
     /// Remaining budget in the current period.
     pub fn remaining(&self) -> f64 {
         self.remaining
-    }
-
-    /// Counters for served/cached requests and charged loss.
-    pub fn stats(&self) -> BudgetStats {
-        self.stats
     }
 
     /// The append-only record of every ε charge this controller has made
@@ -294,7 +277,6 @@ impl BudgetController {
     /// The cache is kept: replaying it is always free.
     pub fn replenish(&mut self) {
         self.remaining = self.budget;
-        self.stats.charged = 0.0;
     }
 
     /// Serves one sensor-data request (Algorithm 1) through the
@@ -337,7 +319,6 @@ impl BudgetController {
     /// Algorithm 1, parameterized over the noise-index source.
     fn respond_with(&mut self, x: f64, draw: &mut dyn FnMut() -> i64) -> Result<f64, LdpError> {
         if self.exhausted() {
-            self.stats.cached += 1;
             CACHE_REPLAYS.inc();
             let y_k = self.cached_k.ok_or(LdpError::BudgetExhausted)?;
             return Ok(self.range.to_value(y_k));
@@ -345,8 +326,6 @@ impl BudgetController {
         let x_k = self.range.quantize(x);
         let (y_k, class, charge) = self.table.release(self.range, x_k, draw)?;
         self.remaining -= charge;
-        self.stats.served += 1;
-        self.stats.charged += charge;
         self.ledger.record(charge);
         self.accountant.record(charge);
         FRESH_RESPONSES.inc();
@@ -432,12 +411,13 @@ mod tests {
             outputs.push(ctrl.respond(5.0, &sampler, &mut rng).unwrap());
         }
         assert!(ctrl.exhausted());
-        let stats = ctrl.stats();
-        assert!(stats.served >= 1);
-        assert!(stats.cached >= 1);
+        // The ledger holds one charge per fresh answer.
+        let served = ctrl.ledger().len();
+        assert!(served >= 1);
+        assert!(served < outputs.len());
         // After exhaustion every answer equals the last fresh one.
-        let last_fresh = outputs[(stats.served - 1) as usize];
-        for &y in &outputs[stats.served as usize..] {
+        let last_fresh = outputs[served - 1];
+        for &y in &outputs[served..] {
             assert_eq!(y, last_fresh);
         }
     }
@@ -487,11 +467,11 @@ mod tests {
         for _ in 0..n {
             ctrl.respond(5.0, &sampler, &mut rng).unwrap();
         }
-        let stats = ctrl.stats();
-        assert!(stats.charged < outer_loss * n as f64);
+        let charged = ctrl.ledger().total();
+        assert!(charged < outer_loss * n as f64);
         // Most outputs land inside the range, so the average charge should
         // be near the base loss.
-        let avg = stats.charged / n as f64;
+        let avg = charged / n as f64;
         assert!(
             avg < 2.0 * ctrl.table.base_loss(),
             "average charge {avg} vs base {}",
@@ -536,7 +516,7 @@ mod tests {
                 (sum_ref / n as f64 - sum_fast / n as f64).abs() < 0.5,
                 "{mode:?}: mean mismatch"
             );
-            let (c_ref, c_fast) = (ref_ctrl.stats().charged, fast_ctrl.stats().charged);
+            let (c_ref, c_fast) = (ref_ctrl.ledger().total(), fast_ctrl.ledger().total());
             assert!(
                 (c_ref - c_fast).abs() / c_ref < 0.05,
                 "{mode:?}: charged {c_ref} vs {c_fast}"

@@ -133,13 +133,13 @@ impl LedgerSummary {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoubleSpend {
     /// The device whose budget was charged twice.
-    pub device: u64,
+    device: u64,
     /// The query charged twice for that device.
-    pub query: u64,
+    query: u64,
     /// The ε recorded by the first (accepted) charge.
-    pub first: f64,
+    first: f64,
     /// The ε the rejected second charge attempted to record.
-    pub second: f64,
+    second: f64,
 }
 
 impl fmt::Display for DoubleSpend {

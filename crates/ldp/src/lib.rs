@@ -70,7 +70,7 @@ pub mod theory;
 pub mod threshold;
 mod timing;
 
-pub use budget::{BudgetController, BudgetStats, SegmentTable};
+pub use budget::{BudgetController, SegmentTable};
 pub use cache::{exact_threshold_cached, segment_table_cached};
 pub use central::CentralLaplaceMean;
 pub use composition::CompositionLedger;

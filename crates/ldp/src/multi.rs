@@ -238,9 +238,11 @@ mod tests {
                     "{mode:?}: request {i}"
                 );
             }
-            let stats = ctrl.stats();
-            assert_eq!(pool.counters(), (stats.served, stats.cached));
-            assert!(stats.cached > 0, "{mode:?}: the budget must run out");
+            // The ledger holds one charge per fresh answer; the rest of the
+            // 40 replayed the cache.
+            let served = ctrl.ledger().len() as u64;
+            assert_eq!(pool.counters(), (served, 40 - served));
+            assert!(served < 40, "{mode:?}: the budget must run out");
             assert_eq!(pool.remaining().to_bits(), ctrl.remaining().to_bits());
             assert_eq!(a.next_u32(), b.next_u32());
         }

@@ -16,7 +16,7 @@
 use ulp_rng::{FxpLaplaceConfig, FxpNoisePmf};
 
 use crate::error::LdpError;
-use crate::loss::{atom_loss, losses_by_overshoot, output_losses, worst_case_loss, LimitMode};
+use crate::loss::{atom_loss, losses_by_overshoot, output_losses, LimitMode};
 use crate::range::QuantizedRange;
 
 /// A threshold together with the loss bound it guarantees.
@@ -241,8 +241,7 @@ pub fn exact_threshold_for_bound(
 }
 
 /// The certificate produced by [`refine_threshold`]: where the refinement
-/// started (the paper's closed-form window), the certified final spec, and
-/// the exact realized loss the machine check measured there.
+/// started (the paper's closed-form window) and the certified final spec.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefinedThreshold {
     /// The closed-form starting threshold (Eq. 13 / Eq. 15), or 0 when the
@@ -255,9 +254,6 @@ pub struct RefinedThreshold {
     /// positive when the closed form overshot, negative when it was
     /// conservative.
     pub steps: i64,
-    /// The exact realized worst-case loss at the certified window (nats),
-    /// always ≤ `spec.guaranteed_loss`.
-    pub realized: f64,
 }
 
 /// The secure-mode solver: the [`exact_threshold`] window, certified
@@ -266,7 +262,7 @@ pub struct RefinedThreshold {
 /// The certificate records how far the claimed closed-form threshold was
 /// from a sound one — Eq. 15 configurations land in the RNG's
 /// zero-probability gap region, where the closed form's claimed bound is
-/// actually infinite — and the exact realized loss at the certified window.
+/// actually infinite.
 ///
 /// # Errors
 ///
@@ -283,14 +279,10 @@ pub fn refine_threshold(
     let start = closed_form_threshold(cfg, range, multiple, mode)
         .map(|s| s.n_th_k)
         .unwrap_or(0);
-    let realized = worst_case_loss(pmf, range, mode, Some(spec.n_th_k))
-        .finite()
-        .expect("the solved window is feasible, so its loss is finite");
     Ok(RefinedThreshold {
         start_n_th_k: start,
         spec,
         steps: start - spec.n_th_k,
-        realized,
     })
 }
 
@@ -399,8 +391,11 @@ mod tests {
         assert_eq!(refined.spec, exact);
         assert!(refined.steps > 0, "Eq. 15 overshoot must force shrinking");
         assert_eq!(refined.start_n_th_k - refined.steps, refined.spec.n_th_k);
-        assert!(refined.realized <= refined.spec.guaranteed_loss);
-        assert!(refined.realized > 0.0);
+        let realized = worst_case_loss(&pmf, range, LimitMode::Thresholding, Some(exact.n_th_k))
+            .finite()
+            .expect("the certified window is feasible");
+        assert!(realized <= refined.spec.guaranteed_loss);
+        assert!(realized > 0.0);
     }
 
     #[test]

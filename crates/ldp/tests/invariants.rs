@@ -35,7 +35,7 @@ proptest! {
         }
         prop_assert!(ctrl.remaining() > -max_charge - 1e-9);
         // Total charged equals budget minus remaining (exact bookkeeping).
-        prop_assert!((ctrl.stats().charged - (budget - ctrl.remaining())).abs() < 1e-9);
+        prop_assert!((ctrl.ledger().total() - (budget - ctrl.remaining())).abs() < 1e-9);
     }
 
     #[test]
@@ -48,7 +48,7 @@ proptest! {
         for _ in 0..30 {
             outputs.push(ctrl.respond(8.0, &sampler, &mut rng).expect("cached or fresh"));
         }
-        let served = ctrl.stats().served as usize;
+        let served = ctrl.ledger().len();
         for w in outputs[served..].windows(2) {
             prop_assert_eq!(w[0], w[1], "cache must replay identically");
         }

@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 
 use ldp_core::{
-    audit_series, AuditMismatch, BudgetController, BudgetLedger, CompositionLedger, DoubleSpend,
-    LedgerEntry, LimitMode, QuantizedRange, SegmentTable,
+    audit_series, AuditMismatch, BudgetController, BudgetLedger, CompositionLedger, LedgerEntry,
+    LimitMode, QuantizedRange, SegmentTable,
 };
 use proptest::prelude::*;
 use ulp_rng::{FxpLaplace, FxpLaplaceConfig, FxpNoisePmf, Taus88};
@@ -77,6 +77,15 @@ fn ordered(raw: &[(u64, u64, u32)], order: u8, replays: &[(bool, usize)]) -> Vec
     spends
 }
 
+/// What a `DoubleSpend` prints: `f64`'s `Display` round-trips, so equal
+/// text is equal payloads.
+fn double_spend(device: u64, query: u64, first: f64, second: f64) -> String {
+    format!(
+        "double spend: device {device} query {query} already charged ε = {first}, \
+         rejected second charge ε = {second}"
+    )
+}
+
 /// The reference model: the hash-map index the sorted index replaced.
 #[derive(Default)]
 struct Model {
@@ -86,14 +95,10 @@ struct Model {
 }
 
 impl Model {
-    fn record_spend(&mut self, device: u64, query: u64, charge: f64) -> Result<(), DoubleSpend> {
+    /// A refusal is the `DoubleSpend` payload as its `Display` prints it.
+    fn record_spend(&mut self, device: u64, query: u64, charge: f64) -> Result<(), String> {
         if let Some(&first) = self.spends.get(&(device, query)) {
-            return Err(DoubleSpend {
-                device,
-                query,
-                first,
-                second: charge,
-            });
+            return Err(double_spend(device, query, first, charge));
         }
         self.spends.insert((device, query), charge);
         self.total += charge;
@@ -153,19 +158,23 @@ fn plant(series: &mut Vec<f64>, kind: u8, i: usize, j: usize) {
 }
 
 /// Serves `n` requests for `x` through the alias table, returning the
-/// outputs.
+/// outputs and how many found budget left: Algorithm 1 serves exactly
+/// those fresh.
 fn respond_n(
     ctrl: &mut BudgetController,
     sampler: &FxpLaplace,
     rng: &mut Taus88,
     n: usize,
-) -> Vec<f64> {
-    (0..n)
+) -> (Vec<f64>, usize) {
+    let mut fresh = 0;
+    let out = (0..n)
         .map(|_| {
+            fresh += usize::from(ctrl.remaining() > 0.0);
             ctrl.respond_alias(8.0, sampler, rng)
                 .expect("served or replayed")
         })
-        .collect()
+        .collect();
+    (out, fresh)
 }
 
 #[test]
@@ -175,18 +184,16 @@ fn mid_batch_exhaustion_replays_instead_of_overdrawing() {
     // fresh noise.
     let (mut ctrl, sampler) = controller(2.0);
     let mut rng = Taus88::from_seed(41);
-    let out = respond_n(&mut ctrl, &sampler, &mut rng, 64);
-    let stats = ctrl.stats();
-    assert!(stats.served >= 1, "some requests served fresh");
-    assert!(stats.cached >= 1, "budget must exhaust mid-run");
-    assert_eq!(stats.served + stats.cached, 64);
+    let (out, fresh) = respond_n(&mut ctrl, &sampler, &mut rng, 64);
+    assert!(fresh >= 1, "some requests served fresh");
+    assert!(fresh < 64, "budget must exhaust mid-run");
     // Only fresh responses are charged, and they never overdraw by more
     // than one final charge (Algorithm 1 checks before serving).
-    assert_eq!(ctrl.ledger().len() as u64, stats.served);
+    assert_eq!(ctrl.ledger().len(), fresh);
     assert!(ctrl.remaining() > -ctrl.ledger().entries().last().unwrap().charge - 1e-12);
     // Replays are verbatim copies of the last fresh output.
-    let last_fresh = out[stats.served as usize - 1];
-    for &y in &out[stats.served as usize..] {
+    let last_fresh = out[fresh - 1];
+    for &y in &out[fresh..] {
         assert_eq!(y, last_fresh, "replays must echo the cached output");
     }
     ctrl.audit().expect("partial run stays audit-consistent");
@@ -204,9 +211,9 @@ fn exhausted_batch_replays_for_free_and_audits_clean() {
         ctrl.remaining() <= 0.0,
         "the first charge spends the budget"
     );
-    let out = respond_n(&mut ctrl, &sampler, &mut rng, 5);
+    let (out, fresh) = respond_n(&mut ctrl, &sampler, &mut rng, 5);
     assert!(out.iter().all(|&y| y == first), "replays echo the cache");
-    assert_eq!((ctrl.stats().served, ctrl.stats().cached), (1, 5));
+    assert_eq!(fresh, 0, "every later request replays");
     assert_eq!(ctrl.ledger().len(), 1, "replays append nothing");
     ctrl.audit().expect("audit clean after replays");
 }
@@ -239,15 +246,17 @@ proptest! {
     ) {
         let (mut ctrl, sampler) = controller(f64::from(budget_q) / 10.0);
         let mut rng = Taus88::from_seed(seed);
+        let mut fresh = 0;
         for _ in 0..rounds {
             for _ in 0..50 {
+                fresh += usize::from(ctrl.remaining() > 0.0);
                 let _ = ctrl.respond(8.0, &sampler, &mut rng);
             }
             ctrl.audit().expect("audit clean at every boundary");
             ctrl.replenish();
         }
         // The ledger spans periods: total >= any single period's budget use.
-        prop_assert_eq!(ctrl.ledger().len(), ctrl.stats().served as usize);
+        prop_assert_eq!(ctrl.ledger().len(), fresh);
         ctrl.audit().expect("final audit clean");
     }
 
@@ -259,10 +268,9 @@ proptest! {
         let (mut ctrl, sampler) = controller(1.5);
         let mut rng = Taus88::from_seed(seed);
         // The first request always serves under a 1.5-nat budget.
-        respond_n(&mut ctrl, &sampler, &mut rng, n);
-        let stats = ctrl.stats();
-        prop_assert_eq!(stats.served + stats.cached, n as u64);
-        prop_assert_eq!(ctrl.ledger().len() as u64, stats.served);
+        let (_, fresh) = respond_n(&mut ctrl, &sampler, &mut rng, n);
+        prop_assert!(fresh >= 1);
+        prop_assert_eq!(ctrl.ledger().len(), fresh);
         ctrl.audit().expect("audit clean for any exhaustion point");
     }
 }
@@ -282,7 +290,7 @@ proptest! {
             // Every call, refusals included: the `DoubleSpend` payload
             // must name the first charge exactly as the model does.
             prop_assert_eq!(
-                ledger.record_spend(device, query, charge),
+                ledger.record_spend(device, query, charge).map_err(|e| e.to_string()),
                 model.record_spend(device, query, charge)
             );
         }
@@ -294,10 +302,11 @@ proptest! {
         for device in 0..KEY_SPAN {
             for query in 0..KEY_SPAN {
                 let expected = match model.spends.get(&(device, query)) {
-                    Some(&first) => Err(DoubleSpend { device, query, first, second: 2.0 }),
+                    Some(&first) => Err(double_spend(device, query, first, 2.0)),
                     None => Ok(()),
                 };
-                prop_assert_eq!(ledger.clone().record_spend(device, query, 2.0), expected);
+                let got = ledger.clone().record_spend(device, query, 2.0);
+                prop_assert_eq!(got.map_err(|e| e.to_string()), expected);
             }
         }
     }

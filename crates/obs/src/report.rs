@@ -8,18 +8,18 @@ use crate::registry::{lock, registry};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Registered name.
-    pub name: &'static str,
+    name: &'static str,
     /// Value at snapshot time.
-    pub value: u64,
+    value: u64,
 }
 
 /// Snapshot of one gauge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeSnapshot {
     /// Registered name.
-    pub name: &'static str,
+    name: &'static str,
     /// Level at snapshot time.
-    pub value: i64,
+    value: i64,
 }
 
 /// One non-empty histogram bucket: `[floor, 2*floor)` saw `count` values.
@@ -37,11 +37,11 @@ pub struct HistogramSnapshot {
     /// Registered name.
     pub name: &'static str,
     /// Unit label (`"ns"`, `"retries"`, …).
-    pub unit: &'static str,
+    unit: &'static str,
     /// Total observations.
-    pub count: u64,
+    count: u64,
     /// Sum of observations.
-    pub sum: u64,
+    sum: u64,
     /// Non-empty buckets in ascending floor order.
     pub buckets: Vec<BucketSnapshot>,
 }
@@ -50,13 +50,13 @@ pub struct HistogramSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Registered name.
-    pub name: &'static str,
+    name: &'static str,
     /// Completed calls.
-    pub calls: u64,
+    calls: u64,
     /// Total nanoseconds across calls.
-    pub total_ns: u64,
+    total_ns: u64,
     /// Longest single call in nanoseconds.
-    pub max_ns: u64,
+    max_ns: u64,
 }
 
 /// Everything the observability layer knows, at one instant.
@@ -68,15 +68,15 @@ pub struct SpanSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
     /// The metrics level active when the snapshot was taken.
-    pub level: MetricsLevel,
+    level: MetricsLevel,
     /// All registered counters, sorted by name.
-    pub counters: Vec<CounterSnapshot>,
+    counters: Vec<CounterSnapshot>,
     /// All registered gauges, sorted by name.
-    pub gauges: Vec<GaugeSnapshot>,
+    gauges: Vec<GaugeSnapshot>,
     /// All registered histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
     /// All registered span timers, sorted by name.
-    pub spans: Vec<SpanSnapshot>,
+    spans: Vec<SpanSnapshot>,
 }
 
 /// Captures the current value of every registered metric.

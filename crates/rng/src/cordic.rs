@@ -48,12 +48,12 @@ const SCHEDULE: [u32; 43] = [
 /// # Examples
 ///
 /// ```
-/// use ulp_fixed::{Fx, QFormat, Rounding};
+/// use ulp_fixed::{Fx, QFormat};
 /// use ulp_rng::CordicLn;
 ///
 /// let unit = CordicLn::new(32);
 /// let fmt = QFormat::new(32, 20)?;
-/// let x = Fx::from_f64(0.37, fmt, Rounding::NearestTiesAway)?;
+/// let x = Fx::from_raw(387_973, fmt)?; // 0.37 · 2^20, rounded
 /// let ln = unit.ln(x, fmt)?;
 /// assert!((ln.to_f64() - 0.37f64.ln()).abs() < 1e-4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -215,10 +215,11 @@ mod tests {
         QFormat::new(t, f).unwrap()
     }
 
-    /// `ln` of a real value through `unit`'s fixed-point datapath, reported
-    /// as `f64`.
+    /// `ln` of a real value, taken on the nearest raw word of `in_fmt`,
+    /// through `unit`'s fixed-point datapath, reported as `f64`.
     fn ln_f64(unit: &CordicLn, x: f64, in_fmt: QFormat, out_fmt: QFormat) -> Result<f64, RngError> {
-        let fx = Fx::from_f64(x, in_fmt, Rounding::NearestTiesAway).map_err(RngError::Fixed)?;
+        let raw = (x / in_fmt.delta()).round() as i64;
+        let fx = Fx::from_raw(raw, in_fmt).map_err(RngError::Fixed)?;
         Ok(unit.ln(fx, out_fmt)?.to_f64())
     }
 
@@ -226,7 +227,7 @@ mod tests {
     fn ln_of_one_is_zero() {
         let unit = CordicLn::new(32);
         let fmt = q(32, 16);
-        let one = Fx::from_f64(1.0, fmt, Rounding::Floor).unwrap();
+        let one = Fx::from_raw(1 << 16, fmt).unwrap();
         let r = unit.ln(one, fmt).unwrap();
         assert!(r.to_f64().abs() < 1e-4, "ln(1) = {}", r.to_f64());
     }
@@ -268,7 +269,7 @@ mod tests {
             unit.ln(Fx::from_raw(0, fmt).unwrap(), fmt),
             Err(RngError::NonPositive)
         );
-        let neg = Fx::from_f64(-1.0, fmt, Rounding::Floor).unwrap();
+        let neg = Fx::from_raw(-(1 << 8), fmt).unwrap();
         assert_eq!(unit.ln(neg, fmt), Err(RngError::NonPositive));
     }
 

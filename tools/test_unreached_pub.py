@@ -50,13 +50,15 @@ class Workspace(unittest.TestCase):
             f.write(textwrap.dedent(text))
 
     @classmethod
-    def unreached(cls):
-        _, unreached = unreached_pub.scan(cls.root)
+    def unreached(cls, printers=()):
+        _, unreached = unreached_pub.scan(cls.root, printers)
         return {(rel.replace(os.sep, "/"), name) for rel, _, _, name in unreached}
 
-    def run_main(self, allowed):
+    def run_main(self, allowed, allowed_fields=None, printers=None):
         out = io.StringIO()
         with mock.patch.object(unreached_pub, "ALLOWED", allowed), \
+                mock.patch.object(unreached_pub, "ALLOWED_FIELDS", allowed_fields or {}), \
+                mock.patch.object(unreached_pub, "PRINTERS", printers or {}), \
                 mock.patch.object(sys, "argv", ["unreached_pub.py", self.root]), \
                 contextlib.redirect_stdout(out):
             status = unreached_pub.main()
@@ -206,7 +208,7 @@ class Allowed(Workspace):
 
     def test_a_key_exempts_only_its_own_file(self):
         allowed = {"crates/a/src/one.rs:hook": "a test hook"}
-        _, _, new, stale = unreached_pub.check(self.root, allowed)
+        _, _, new, stale = unreached_pub.check(self.root, allowed, {}, {})
         self.assertEqual(["crates/a/src/two.rs:hook"], new)
         self.assertEqual([], stale)
         status, _ = self.run_main(allowed)
@@ -229,6 +231,99 @@ class Allowed(Workspace):
         status, out = self.run_main(allowed)
         self.assertEqual(1, status)
         self.assertIn("crates/a/src/gone.rs:deleted", out)
+
+
+class Fields(Workspace):
+    FILES = {
+        "crates/a/src/lib.rs": "pub mod cfg;\n",
+        "crates/a/src/cfg.rs": """\
+            pub struct Config {
+                pub shown: u32,
+                pub own: u32,
+                pub tested: u32,
+                pub consumed: u32,
+                pub used: u32,
+            }
+
+            impl Config {
+                pub fn new() -> Config {
+                    Config { shown: 1, own: 2, tested: 3, consumed: 4, used: 5 }
+                }
+
+                pub fn canonical_text(&self) -> String {
+                    format!("shown={}", self.shown)
+                }
+
+                pub fn doubled(&self) -> u32 {
+                    self.own * 2
+                }
+            }
+
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() {
+                    assert_eq!(super::Config::new().tested, 3);
+                }
+            }
+        """,
+        "crates/a/src/bin/tool.rs": """\
+            fn main() {
+                let c = a::cfg::Config::new();
+                println!("{} {} {}", c.used, c.canonical_text(), c.doubled());
+            }
+        """,
+        "crates/a/tests/it.rs": """\
+            #[test]
+            fn t() {
+                assert_eq!(a::cfg::Config::new().tested, 3);
+            }
+        """,
+        "perfbench/e2e/Cargo.toml": PACKAGE.format("e2e")
+        + '\n[workspace]\n\n[dependencies]\na = { path = "../../crates/a" }\n',
+        "perfbench/e2e/src/main.rs": "fn main() {\n    let _ = a::cfg::Config::new().consumed;\n}\n",
+    }
+    PRINTERS = {"crates/a/src/cfg.rs:canonical_text": "the digest"}
+    ALLOWED_FIELDS = {
+        "crates/a/src/cfg.rs:Config::tested": "a test hook",
+        "crates/a/src/cfg.rs:Config::own": "read by its own file",
+    }
+
+    @classmethod
+    def setUpClass(cls):
+        super().setUpClass()
+        cls.found = cls.unreached(cls.PRINTERS)
+
+    def test_a_field_read_only_by_tests_is_unreached(self):
+        # Read by the crate's test module and by `tests/it.rs` only.
+        self.assertIn(("crates/a/src/cfg.rs", "Config::tested"), self.found)
+
+    def test_a_field_read_only_in_its_own_file_is_unreached(self):
+        self.assertIn(("crates/a/src/cfg.rs", "Config::own"), self.found)
+
+    def test_a_field_read_by_a_binary_or_a_consumer_manifest_is_reached(self):
+        self.assertNotIn(("crates/a/src/cfg.rs", "Config::used"), self.found)
+        self.assertNotIn(("crates/a/src/cfg.rs", "Config::consumed"), self.found)
+
+    def test_a_field_printed_by_its_own_files_printer_is_reached(self):
+        self.assertNotIn(("crates/a/src/cfg.rs", "Config::shown"), self.found)
+        self.assertIn(("crates/a/src/cfg.rs", "Config::shown"), self.unreached())
+
+    def test_every_unreached_field_allowed_passes(self):
+        status, out = self.run_main({}, self.ALLOWED_FIELDS, self.PRINTERS)
+        self.assertEqual(0, status, out)
+        self.assertIn("2 of 5 library pub fields unreached", out)
+
+    def test_a_stale_field_key_or_printer_fails_the_run(self):
+        for fields, printers, stale in [
+            ({**self.ALLOWED_FIELDS, "crates/a/src/cfg.rs:Config::gone": "deleted"},
+             self.PRINTERS, "crates/a/src/cfg.rs:Config::gone"),
+            (self.ALLOWED_FIELDS, {**self.PRINTERS, "crates/a/src/cfg.rs:to_json": "gone"},
+             "crates/a/src/cfg.rs:to_json"),
+        ]:
+            status, out = self.run_main({}, fields, printers)
+            self.assertEqual(1, status, out)
+            self.assertIn(stale, out)
 
 
 class ProbeFailures(Workspace):

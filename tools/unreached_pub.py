@@ -1,39 +1,46 @@
 #!/usr/bin/env python3
-"""Lists the library `pub` items that no production code outside their own file uses.
+"""Lists the library `pub` items and `pub` struct fields that no production
+code outside their own file uses.
 
 Rule:
   * an item is a `pub fn`, `struct`, `enum`, `trait`, `const`, `static` or
     `type` in a library source: a file under `src/` or `crates/*/src/`,
     not under a `bin/` directory, in its production part (the lines before
-    its first `#[cfg(test)]`, as `tools/rust_lines.py` splits a file);
+    its first `#[cfg(test)]`, as `tools/rust_lines.py` splits a file); a
+    field is a `pub name:` line of a struct there, named `Struct::name`;
   * the compiler says what uses it. The scan copies the tree (less
-    `target`, `.git` and `.bench_build`), marks every item
+    `target`, `.git` and `.bench_build`), marks every item and field
     `#[deprecated]`, and runs `cargo check` on the workspace's libraries,
     binaries and examples and on each consumer manifest in CONSUMERS,
     which build against the library by path and may not change, so what
     they call is reached. The primary span of each deprecation warning is
-    a use of the item the warning names. Test code is never compiled, so
-    test modules, `tests/`, `benches/` and doctests reach nothing;
-  * an item is unreached when no use lies in another file;
+    a use of the item or field the warning names. Test code is never
+    compiled, so test modules, `tests/`, `benches/` and doctests reach
+    nothing;
+  * an item or field is unreached when no use lies in another file;
+  * a field is also reached by a use inside one of the PRINTERS in its own
+    file: the functions that render a canonical digest, an artifact or a
+    `--metrics` snapshot, so what they print is read;
   * a use inside a `use` declaration (which may span lines) reaches a
     `struct`, `enum`, `trait` or `type`, never a `fn`, `const` or
     `static`: a re-export is not a use, but callers use returned and
     field types without naming them;
-  * deprecating a struct deprecates its fields, so reading a field in
-    another file reaches the struct.
+  * a use of a field in another file reaches its struct too.
 
 The probe sees only the host's `cfg`: code behind another target's `cfg`
 is not compiled, so it reaches nothing.
 
-An item may be kept on purpose: a test oracle, a test fake, or a hook that
-tests need to check behaviour production keeps. Such items go in ALLOWED,
-keyed `<file>:<name>` (the file relative to the root, `/`-separated) so an
-exemption covers only the item it names, each with its reason. The exit
-status is 1 if any other item is unreached, or if an ALLOWED key names no
-item, so a check can fail on a new one and a deleted item takes its
-exemption with it. It is 2, with one line, if the probe cannot answer: a
-probe build fails, or the tree already carries `#[deprecated]` or
-`allow(deprecated)`, either of which would hide uses.
+An item or field may be kept on purpose: a test oracle, a test fake, or a
+hook that tests need to check behaviour production keeps. Such items go in
+ALLOWED, keyed `<file>:<name>` (the file relative to the root,
+`/`-separated), and such fields in ALLOWED_FIELDS, keyed
+`<file>:<Struct>::<field>`, so an exemption covers only what it names,
+each with its reason. The exit status is 1 if anything else is unreached,
+or if an ALLOWED, ALLOWED_FIELDS or PRINTERS key names nothing, so a check
+can fail on a new one and a deletion takes its exemption with it. It is 2,
+with one line, if the probe cannot answer: a probe build fails, or the
+tree already carries `#[deprecated]` or `allow(deprecated)`, either of
+which would hide uses.
 
 Usage (from anywhere; standard library and `cargo` only):
 
@@ -82,8 +89,6 @@ ALLOWED = {
         "clippy's `len_without_is_empty` asks it beside the public `len`",
     "crates/eval/src/svm.rs:train":
         "the SVM sweep trains through it; the Pegasos bench times it directly",
-    "crates/fixed/src/value.rs:from_f64":
-        "quantizes the real inputs the CORDIC and `Fx` tests feed the datapath",
     "crates/fixed/src/value.rs:to_f64":
         "`Fx`'s `Display` prints through it; the crate's property tests read it",
     "crates/fleet/src/chaos.rs:quiet":
@@ -106,8 +111,6 @@ ALLOWED = {
         "Algorithm 1's replenishment timer; the ledger audit replays across periods",
     "crates/ldp/src/budget.rs:respond":
         "the per-draw reference `respond_alias` is tested against",
-    "crates/ldp/src/budget.rs:stats":
-        "the served/cached counters the ledger tests check the ledger against",
     "crates/ldp/src/ledger.rs:is_empty":
         "clippy's `len_without_is_empty` asks it beside the public `len`",
     "crates/ldp/src/ledger.rs:spend_keys":
@@ -132,6 +135,32 @@ ALLOWED = {
         "`ScriptedBits`, the scripted-word fake the sampler and structural-bound tests drive",
 }
 
+ALLOWED_FIELDS = {
+    "crates/fleet/src/chaos.rs:Attempt::fault":
+        "the fault that fired; the lane test checks it against six scalar chains'",
+    "crates/fleet/src/chaos.rs:FaultClass::burst":
+        "the mean burst length the lane test's scalar Gilbert–Elliott chains are built from",
+    "crates/fleet/src/driver.rs:ServiceOutcome::max_inflight_bytes":
+        "the bounded-state witness the driver's in-flight memory tests read",
+    "crates/ldp/src/ledger.rs:LedgerEntry::query":
+        "kept per spend: dropping it with `total_after` read perfbench stream_25k "
+        "peak_rss_mb 101.8 → 125.5 MiB, past its bound (ROADMAP items 4 and 10)",
+    "crates/ldp/src/ledger.rs:LedgerEntry::total_after":
+        "kept per spend: dropping it with `query` read perfbench stream_25k "
+        "peak_rss_mb 101.8 → 125.5 MiB, past its bound (ROADMAP items 4 and 10)",
+    "crates/rng/src/health.rs:HealthAlarm::test":
+        "which test tripped; the health, fault-injection and lane tests check it",
+}
+
+# The functions whose output is a canonical digest, an artifact or a
+# `--metrics` snapshot: a field they print is read.
+PRINTERS = {
+    "crates/bench/src/fleet.rs:to_json": "the accuracy gates the fleet artifacts print",
+    "crates/fleet/src/driver.rs:canonical_text": "the service outcome's digest",
+    "crates/fleet/src/window.rs:canonical_text": "a sealed window's digest",
+    "crates/obs/src/report.rs:to_json": "the `--metrics` snapshot",
+}
+
 # Manifests outside the workspace that build against its libraries by path.
 CONSUMERS = ["perfbench/e2e/Cargo.toml", "perfbench/trace/Cargo.toml"]
 NOT_COPIED = {"target", ".git", ".bench_build"}
@@ -148,6 +177,11 @@ BLINDS = re.compile(r"#!?\[\s*deprecated\b|\ballow\s*\([^)]*\bdeprecated\b")
 PROBE = "unreached-pub-probe-"
 PROBE_ID = re.compile(re.escape(PROBE) + r"(\d+)")
 TYPE_KINDS = {"struct", "enum", "trait", "type"}
+# A named field: `pub name:`, never `pub const`/`pub static` (items) or a
+# path (`::`).
+FIELD = re.compile(r"^\s*pub\s+(\w+)\s*:(?!:)")
+STRUCT = re.compile(r"^\s*(?:pub(?:\([^)]*\))?\s+)?struct\s+(\w+)")
+FN = re.compile(r"^(\s*)(?:pub(?:\([^)]*\))?\s+)?(?:const\s+)?fn\s+(\w+)")
 
 
 class ProbeError(Exception):
@@ -165,16 +199,39 @@ def is_library(rel):
 
 def items(path, root):
     """Yields (line number, kind, name) of each item in `path`'s
-    production part."""
+    production part, and of each field as kind `field`, name
+    `Struct::field`."""
     prod, _ = split_lines(path, os.path.join(root, crate_of(path, root)))
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()[:prod]
+    owner = None
     for number, line in enumerate(lines, 1):
-        m = ITEM.match(line)
+        m, s, f = ITEM.match(line), STRUCT.match(line), FIELD.match(line)
+        if s:
+            owner = s.group(1)
         if m:
             kind = m.group(1) or m.group(3)
             name = m.group(2) or m.group(4)
             yield number, kind, name
+        elif f and owner:
+            yield number, "field", f"{owner}::{f.group(1)}"
+
+
+def bodies(path, names):
+    """The line numbers of `path` that lie in a function named in `names`,
+    from its `fn` line to the `}` at the `fn` line's indent."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read().splitlines()
+    lines = set()
+    for i, line in enumerate(text):
+        m = FN.match(line)
+        if m and m.group(2) in names:
+            end = i
+            if not line.rstrip().endswith("}"):
+                while end + 1 < len(text) and text[end] != m.group(1) + "}":
+                    end += 1
+            lines.update(range(i + 1, end + 2))
+    return lines
 
 
 def use_lines(path):
@@ -244,8 +301,9 @@ def uses(probe):
                     yield int(found.group(1)), rel, span["line_start"]
 
 
-def scan(root):
-    """Returns (every item, the unreached ones) as (rel, line, kind, name).
+def scan(root, printers):
+    """Returns (everything scanned, the unreached) as (rel, line, kind,
+    name), fields with kind `field`. `printers` are `<file>:<fn>` keys.
     Raises ProbeError if the probe cannot answer."""
     found, per_file = [], {}
     for path in rust_files(root, excluded_top={"shims", "target"}):
@@ -261,6 +319,8 @@ def scan(root):
                         for number, kind, name in items(path, root)]
             found.extend(numbered)
             per_file[rel] = [number for _, number, _, _ in numbered]
+    structs = {(rel, name): i for i, (rel, _, kind, name) in enumerate(found)
+               if kind == "struct"}
     with tempfile.TemporaryDirectory() as tmp:
         probe = os.path.join(tmp, "tree")
         shutil.copytree(root, probe, ignore=lambda _, names: NOT_COPIED & set(names))
@@ -269,10 +329,25 @@ def scan(root):
             if numbers:
                 mark(os.path.join(probe, rel), numbers, first)
             first += len(numbers)
-        reached, use_decls = set(), {}
+        reached, use_decls, printed = set(), {}, {}
         for probe_id, rel, line in uses(probe):
-            item_rel, _, kind, _ = found[probe_id]
-            if rel == item_rel or rel.startswith(os.pardir):
+            item_rel, _, kind, name = found[probe_id]
+            if rel.startswith(os.pardir):
+                continue
+            if rel == item_rel:
+                if kind == "field":
+                    if rel not in printed:
+                        names = {key.rsplit(":", 1)[1] for key in printers
+                                 if key.startswith(key_of(rel, ""))}
+                        printed[rel] = bodies(os.path.join(probe, rel), names)
+                    if line in printed[rel]:
+                        reached.add(probe_id)
+                continue
+            if kind == "field":
+                reached.add(probe_id)
+                owner = structs.get((item_rel, name.split("::")[0]))
+                if owner is not None:
+                    reached.add(owner)
                 continue
             if rel not in use_decls:
                 use_decls[rel] = use_lines(os.path.join(probe, rel))
@@ -286,14 +361,24 @@ def key_of(rel, name):
     return f"{rel.replace(os.sep, '/')}:{name}"
 
 
-def check(root, allowed):
-    """Returns (every item, the unreached ones, the unreached keys not in
-    `allowed`, the `allowed` keys that name no item)."""
-    found, unreached = scan(root)
+def check(root, allowed, allowed_fields, printers):
+    """Returns (everything scanned, the unreached, the unreached keys in
+    neither allow-list, the `allowed`, `allowed_fields` and `printers` keys
+    that name nothing)."""
+    found, unreached = scan(root, printers)
     new = [key_of(rel, name) for rel, _, _, name in unreached
-           if key_of(rel, name) not in allowed]
-    known = {key_of(rel, name) for rel, _, _, name in found}
-    stale = sorted(key for key in allowed if key not in known)
+           if key_of(rel, name) not in allowed and key_of(rel, name) not in allowed_fields]
+    item_keys = {key_of(rel, name) for rel, _, kind, name in found if kind != "field"}
+    field_keys = {key_of(rel, name) for rel, _, kind, name in found if kind == "field"}
+    fns = set()
+    for rel in {key.rsplit(":", 1)[0] for key in printers}:
+        path = os.path.join(root, rel)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as f:
+                fns |= {key_of(rel, m.group(2)) for m in map(FN.match, f) if m}
+    stale = sorted([key for key in allowed if key not in item_keys]
+                   + [key for key in allowed_fields if key not in field_keys]
+                   + [key for key in printers if key not in fns])
     return found, unreached, new, stale
 
 
@@ -301,21 +386,24 @@ def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
                            os.path.join(os.path.dirname(__file__), ".."))
     try:
-        found, unreached, new, stale = check(root, ALLOWED)
+        found, unreached, new, stale = check(root, ALLOWED, ALLOWED_FIELDS, PRINTERS)
     except ProbeError as e:
         print(f"unreached_pub: {e}")
         return 2
     for rel, number, kind, name in unreached:
-        reason = ALLOWED.get(key_of(rel, name))
+        reason = {**ALLOWED, **ALLOWED_FIELDS}.get(key_of(rel, name))
         note = f"  (allowed: {reason})" if reason else ""
         print(f"{rel}:{number}: pub {kind} {name}{note}")
-    print(f"{len(unreached)} of {len(found)} library pub items unreached")
+    for noun, is_field in (("items", False), ("fields", True)):
+        total = sum((kind == "field") == is_field for _, _, kind, _ in found)
+        missed = sum((kind == "field") == is_field for _, _, kind, _ in unreached)
+        print(f"{missed} of {total} library pub {noun} unreached")
     if new:
         print(f"unreached and not allowed: {', '.join(new)}: "
               "delete them, make them private, or reach them")
     if stale:
-        print(f"allowed but no such item: {', '.join(stale)}: "
-              "delete the ALLOWED entry")
+        print(f"allowed or printing but no such item, field or fn: {', '.join(stale)}: "
+              "delete the entry")
     return 1 if new or stale else 0
 
 
